@@ -6,7 +6,7 @@ discretized service area:
 * maximize delivered data under per-UAV hover budgets, with the region of
   each UAV shaped by a concave dual ascent so load shares are met exactly;
 * minimize total hover time for fixed per-user demands, with a closed-form
-  bandwidth split inside regions and marginal-cost reassignment between them.
+  bandwidth split inside regions and the same dual ascent between them.
 """
 
 __version__ = "0.1.0"

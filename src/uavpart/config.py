@@ -57,7 +57,6 @@ class ExperimentConfig:
     load_bits: float = 1.0e7
     mass_tol: float = 1e-3
     max_ascent_iter: int = 100_000
-    rounds: int = 200
     # sweep
     sweep_var: str = "none"
     sweep_values: tuple = ()
@@ -137,7 +136,7 @@ def load_config(path):
                     updates[target] = float(linear_to_db(linear))
             elif key in _FIELDS:
                 updates[key] = _parse_value(key, raw)
-            else:
+            elif key != "rounds":  # retired, still read so old manifests rerun
                 raise ConfigError(f"unknown config key: {key}")
     cfg = replace(ExperimentConfig(), **updates)
     validate_config(cfg)
@@ -145,7 +144,17 @@ def load_config(path):
 
 
 def validate_config(cfg):
-    """Raise ConfigError on out-of-range or inconsistent settings."""
+    """Raise ConfigError on out-of-range settings at any sweep point."""
+    _check_fields(cfg)
+    if cfg.sweep_var != "none" and len(cfg.sweep_values) == 0:
+        raise ConfigError("sweep_var set but sweep_values empty")
+    for value in cfg.sweep_values:
+        if not math.isfinite(value):
+            raise ConfigError("sweep values must be finite")
+        apply_sweep(cfg, value)
+
+
+def _check_fields(cfg):
     checks = [
         (cfg.width > 0 and cfg.height > 0, "area dimensions must be positive"),
         (cfg.nx >= 1 and cfg.ny >= 1, "grid must be at least 1x1"),
@@ -164,37 +173,37 @@ def validate_config(cfg):
         (cfg.load_bits >= 0, "load must be non-negative"),
         (cfg.mass_tol > 0, "mass tolerance must be positive"),
         (cfg.max_ascent_iter >= 1, "iteration budget must be positive"),
-        (cfg.rounds >= 1, "rounds must be positive"),
         (cfg.sweep_var in SWEEP_VARS, f"sweep_var must be one of {SWEEP_VARS}"),
         (cfg.n_seeds >= 1, "need at least one seed"),
     ]
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
-    if cfg.sweep_var != "none" and len(cfg.sweep_values) == 0:
-        raise ConfigError("sweep_var set but sweep_values empty")
-    for value in cfg.sweep_values:
-        if not math.isfinite(value):
-            raise ConfigError("sweep values must be finite")
 
 
 def apply_sweep(cfg, value):
-    """Copy of cfg with the sweep variable set to one concrete value."""
+    """Copy of cfg with the sweep variable set to one concrete value; raises
+    ConfigError when the swept config is out of range."""
     if cfg.sweep_var == "none":
         return cfg
     if cfg.sweep_var == "beta":
-        return replace(cfg, beta=value)
-    if cfg.sweep_var == "sigma":
-        return replace(cfg, sigma_x=value, sigma_y=value)
-    if cfg.sweep_var == "tau_max":
-        return replace(cfg, max_hover=value)
-    if cfg.sweep_var == "bandwidth":
-        return replace(cfg, bandwidth=value)
-    if cfg.sweep_var == "alpha":
-        return replace(cfg, alpha=value)
-    if cfg.sweep_var == "n_uavs":
-        return replace(cfg, n_uavs=int(value))
-    raise ConfigError(f"unknown sweep variable: {cfg.sweep_var}")
+        swept = replace(cfg, beta=value)
+    elif cfg.sweep_var == "sigma":
+        swept = replace(cfg, sigma_x=value, sigma_y=value)
+    elif cfg.sweep_var == "tau_max":
+        swept = replace(cfg, max_hover=value)
+    elif cfg.sweep_var == "bandwidth":
+        swept = replace(cfg, bandwidth=value)
+    elif cfg.sweep_var == "alpha":
+        swept = replace(cfg, alpha=value)
+    elif cfg.sweep_var == "n_uavs":
+        if not float(value).is_integer():
+            raise ConfigError(f"n_uavs sweep values must be whole numbers, got {value:g}")
+        swept = replace(cfg, n_uavs=int(value))
+    else:
+        raise ConfigError(f"unknown sweep variable: {cfg.sweep_var}")
+    _check_fields(swept)
+    return swept
 
 
 def config_to_ini(cfg, provenance=None):
@@ -243,12 +252,15 @@ def place_uavs_grid(width, height, n_uavs, altitude, power, bandwidth, max_hover
 
 def build_grid(cfg):
     """AreaGrid for the configured density."""
-    if cfg.density_kind == "uniform":
-        return uniform_density(cfg.width, cfg.height, cfg.nx, cfg.ny)
-    return truncated_gaussian(
-        cfg.width, cfg.height, cfg.nx, cfg.ny,
-        cfg.mu_x, cfg.mu_y, cfg.sigma_x, cfg.sigma_y,
-    )
+    try:
+        if cfg.density_kind == "uniform":
+            return uniform_density(cfg.width, cfg.height, cfg.nx, cfg.ny)
+        return truncated_gaussian(
+            cfg.width, cfg.height, cfg.nx, cfg.ny,
+            cfg.mu_x, cfg.mu_y, cfg.sigma_x, cfg.sigma_y,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def build_uavs(cfg):

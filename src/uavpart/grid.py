@@ -108,6 +108,8 @@ def truncated_gaussian(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
     kern = np.exp(
         -((x - mu_x) ** 2) / (2.0 * sigma_x**2) - ((y - mu_y) ** 2) / (2.0 * sigma_y**2)
     )
+    if not kern.sum() > 0:
+        raise ValueError("hot spot density underflows to zero on every cell")
     cell_area = (width / nx) * (height / ny)
     f = kern / (kern.sum() * cell_area)
     return AreaGrid(width, height, nx, ny, f)

@@ -1,4 +1,4 @@
-"""Cell-to-UAV assignment maps and their user-mass measures."""
+"""Cell-to-UAV assignment maps, their user masses, and the shared dual ascent."""
 
 from __future__ import annotations
 
@@ -6,9 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import ConvergenceError, InfeasibleError
 
 INFEASIBLE = -1
+MIN_STEP = 1e-18
+STALL_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -111,3 +113,80 @@ def partition_to_csv(grid, part, path):
         header="cell_x_m,cell_y_m,uav_index",
         comments="",
     )
+
+
+def shifted_min_cost(grid, costs, psi):
+    """Integral of min_i (c_ic - psi_i) over the cells some UAV can serve."""
+    best = (costs - psi[:, None]).min(axis=0)
+    covered = np.isfinite(best)
+    return best[covered] @ grid.cell_mass[covered]
+
+
+def shifted_masses(grid, costs, psi):
+    """Region masses of the shifted min-cost assignment argmin_i (c_ic - psi_i)."""
+    shifted = costs - psi[:, None]
+    covered = np.isfinite(shifted.min(axis=0))
+    winner = np.where(covered, np.argmin(shifted, axis=0), INFEASIBLE)
+    return region_masses(grid, winner, len(psi))
+
+
+@dataclass(frozen=True)
+class DualPotentials:
+    """Potentials psi with the ascent trace: f_trace is the accepted objective
+    per iteration (strictly increasing), grad_trace the mass-mismatch norm,
+    step_trace the accepted step (zero on the first row)."""
+
+    psi: np.ndarray
+    f_trace: np.ndarray
+    grad_trace: np.ndarray
+    step_trace: np.ndarray
+
+
+def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
+    """Maximize the concave dual F(psi) = term(psi) + shifted_min_cost(psi).
+
+    The ascent direction is target(psi, masses), the region masses the
+    separable term prices at psi, minus the shifted min-cost masses.  The step
+    starts at 1, doubles while F keeps improving, otherwise halves until it
+    improves.  Stops when the mass-mismatch norm is at most mass_tol or, with
+    gap(masses, target), when an accepted gain is at most STALL_RATIO times
+    that duality gap, which ends grids too coarse for the masses to meet.
+    Raises ConvergenceError (trace attached) when max_iter runs out or no step
+    improves."""
+    f_trace, grad_trace, step_trace = [], [], []
+
+    def value_at(p):
+        return float(term(p) + shifted_min_cost(grid, costs, p))
+
+    def failure(message):
+        trace = (np.array(f_trace), np.array(grad_trace), np.array(step_trace))
+        return ConvergenceError(message, trace=trace)
+
+    value, step, gain = value_at(psi), 0.0, np.inf
+    while True:
+        masses = shifted_masses(grid, costs, psi)
+        wanted = target(psi, masses)
+        grad = wanted - masses
+        f_trace.append(value)
+        grad_trace.append(float(np.linalg.norm(grad)))
+        step_trace.append(step)
+        if grad_trace[-1] <= mass_tol or (
+                gap is not None and gain <= STALL_RATIO * gap(masses, wanted)):
+            break
+        if len(step_trace) > max_iter:
+            raise failure(f"mass mismatch {grad_trace[-1]:.3e} after {max_iter} iterations")
+        step = 1.0
+        cand = value_at(psi + step * grad)
+        if cand > value:
+            while (trial := value_at(psi + 2.0 * step * grad)) > cand:
+                step *= 2.0
+                cand = trial
+        else:
+            while cand <= value:
+                step *= 0.5
+                if step < MIN_STEP:
+                    raise failure("no improving step along the ascent direction")
+                cand = value_at(psi + step * grad)
+        psi = psi + step * grad
+        gain, value = cand - value, cand
+    return DualPotentials(psi, np.array(f_trace), np.array(grad_trace), np.array(step_trace))

@@ -86,9 +86,7 @@ def _scenario1_rows(cfg, grid, uavs, params, radio, point, out_dir):
         partition_to_csv(grid, baseline,
                          os.path.join(out_dir, f"partition_s1_{point}_voronoi.csv"))
     if cfg.trace:
-        p = result.potentials
-        _write_trace(os.path.join(out_dir, f"trace_s1_{point}.csv"),
-                     zip(range(len(p.f_trace)), p.f_trace, p.grad_trace, p.step_trace))
+        _write_trace(os.path.join(out_dir, f"trace_s1_{point}.csv"), result.potentials)
     return rows, per_seed
 
 
@@ -97,7 +95,7 @@ def _scenario2_rows(cfg, grid, uavs, params, radio, point, out_dir):
     load = LoadField.uniform(grid, cfg.load_bits)
     result = solve_scenario2(
         grid, uavs, params, load, control, cfg.n_users,
-        rounds=cfg.rounds, radio=radio, trace=cfg.trace,
+        mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter, radio=radio,
     )
     baseline = weighted_voronoi(grid, radio)
     base_report = region_hover_report(
@@ -115,38 +113,33 @@ def _scenario2_rows(cfg, grid, uavs, params, radio, point, out_dir):
         ("s2_hover_proposed_eqbw", equal_split_total(result.partition)),
         ("s2_hover_voronoi_optbw", base_report.total),
         ("s2_hover_voronoi_eqbw", equal_split_total(baseline)),
-        ("s2_stabilized", float(result.report.stabilized)),
-        ("s2_mass_shift", result.report.final_shift),
+        ("s2_iterations", float(len(result.potentials.f_trace) - 1)),
+        ("s2_duality_gap", result.duality_gap),
     ]
     if cfg.write_partitions:
         partition_to_csv(grid, result.partition,
                          os.path.join(out_dir, f"partition_s2_{point}_proposed.csv"))
         partition_to_csv(grid, baseline,
                          os.path.join(out_dir, f"partition_s2_{point}_voronoi.csv"))
-    if cfg.trace and result.report.mass_trace is not None and len(result.report.mass_trace) > 1:
-        tr = result.report.mass_trace
-        shifts = np.concatenate([[0.0], np.abs(np.diff(tr, axis=0)).max(axis=1)])
-        rows_iter = (
-            (t + 1, obj, shift, 0.0)
-            for t, (obj, shift) in enumerate(zip(result.report.objective_trace, shifts))
-        )
-        _write_trace(os.path.join(out_dir, f"trace_s2_{point}.csv"), rows_iter)
+    if cfg.trace:
+        _write_trace(os.path.join(out_dir, f"trace_s2_{point}.csv"), result.potentials)
     return rows
 
 
-def _write_trace(path, rows):
+def _write_trace(path, potentials):
+    p = potentials
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for row in rows:
+        for row in zip(range(len(p.f_trace)), p.f_trace, p.grad_trace, p.step_trace):
             writer.writerow(_fmt(v) for v in row)
 
 
 def run_experiment(cfg, out_dir=None):
     """Run all sweep points and seeds; write CSVs; return an exit code.
 
-    0 on success, 3 when an instance is infeasible, 4 when a solver fails to
-    converge; diagnostics go to stderr.
+    0 on success, 2 on a bad config or scene, 3 when an instance is
+    infeasible, 4 when a solver fails to converge; diagnostics go to stderr.
     """
     out_dir = cfg.out_dir if out_dir is None else out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -174,6 +167,9 @@ def run_experiment(cfg, out_dir=None):
                 for metric, metric_value in shared + per_seed_rows[seed]:
                     records.append((cfg.experiment_id, cfg.sweep_var, sweep_value,
                                     seed, metric, _fmt(float(metric_value))))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except InfeasibleError as exc:
         print(f"infeasible instance: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -13,15 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import compute_radio_field
-from .errors import ConvergenceError, InfeasibleError
-from .partition import Partition, assign_by_min_cost
+from .errors import InfeasibleError
+from .partition import (
+    DualPotentials,
+    Partition,
+    ascend_dual,
+    assign_by_min_cost,
+    shifted_masses,
+    shifted_min_cost,
+)
 
 DEFAULT_MASS_TOL = 1e-3
 DEFAULT_MAX_ITER = 100_000
 FAIRNESS_TOL_SCALE = 1e-9
 FAIRNESS_MAX_ITER = 10_000
 FAIRNESS_DAMPING = 0.5
-MIN_STEP = 1e-18
 
 
 @dataclass(frozen=True)
@@ -113,21 +119,6 @@ def solve_fairness_system(uavs, control, n_users, damping=FAIRNESS_DAMPING,
     return FairnessSolution(serve, shares, pool / n_users, n_users)
 
 
-@dataclass(frozen=True)
-class DualPotentials:
-    """Region potentials with the ascent trace.
-
-    f_trace holds the accepted objective per iteration (strictly increasing),
-    grad_trace the mass-mismatch norm, step_trace the accepted step size
-    (zero on the initial row).
-    """
-
-    psi: np.ndarray
-    f_trace: np.ndarray
-    grad_trace: np.ndarray
-    step_trace: np.ndarray
-
-
 def build_cost_field(grid, radio, fairness, sinr_threshold=None):
     """Per-UAV transport cost: minus the per-user data volume, +inf below the
     SINR floor (floor inclusive)."""
@@ -139,21 +130,12 @@ def build_cost_field(grid, radio, fairness, sinr_threshold=None):
 
 def dual_value(grid, costs, psi, shares):
     """Concave dual objective psi . shares + integral of the shifted cell min."""
-    best = (costs - psi[:, None]).min(axis=0)
-    covered = np.isfinite(best)
-    return float(psi @ shares + best[covered] @ grid.cell_mass[covered])
+    return float(psi @ shares + shifted_min_cost(grid, costs, psi))
 
 
 def dual_gradient(grid, costs, psi, shares):
     """Ascent direction: target shares minus the current region masses."""
-    shifted = costs - psi[:, None]
-    best = shifted.min(axis=0)
-    covered = np.isfinite(best)
-    winner = np.argmin(shifted, axis=0)
-    masses = np.bincount(
-        winner[covered], weights=grid.cell_mass[covered], minlength=len(psi)
-    )
-    return shares - masses
+    return shares - shifted_masses(grid, costs, psi)
 
 
 @dataclass(frozen=True)
@@ -169,12 +151,10 @@ def solve_scenario1(grid, uavs, params, control, n_users, mass_tol=DEFAULT_MASS_
                     max_iter=DEFAULT_MAX_ITER, radio=None):
     """Partition the area so each UAV's region mass matches its fair share.
 
-    Gradient ascent on the concave dual with a doubling/halving step search:
-    starting from step 1, the step doubles while the objective keeps
-    improving, otherwise it halves until it improves, so every accepted
-    iterate increases the dual.  Stops when the mass-mismatch norm is at most
-    mass_tol.  The returned service array is (n_uavs, n_cells) bits per user
-    when served by each UAV.
+    Ascends the concave dual psi . shares + integral of min_i (c_ic - psi_i)
+    from psi = 0 with the shared step search of ascend_dual, and stops when
+    the mass-mismatch norm is at most mass_tol.  The returned service array
+    is (n_uavs, n_cells) bits per user when served by each UAV.
 
     Raises InfeasibleError when more than mass_tol of the user mass has no
     link above the SINR floor, and ConvergenceError (with the trace attached)
@@ -191,54 +171,11 @@ def solve_scenario1(grid, uavs, params, control, n_users, mass_tol=DEFAULT_MASS_
             f"{uncovered_mass:.3e} of the user mass has no link above the SINR floor"
         )
     shares = fairness.target_masses
-    psi = np.zeros(len(uavs))
-    value = dual_value(grid, costs, psi, shares)
-    grad = dual_gradient(grid, costs, psi, shares)
-    f_trace = [value]
-    grad_trace = [float(np.linalg.norm(grad))]
-    step_trace = [0.0]
-
-    iters = 0
-    while grad_trace[-1] > mass_tol:
-        iters += 1
-        if iters > max_iter:
-            raise ConvergenceError(
-                f"mass mismatch {grad_trace[-1]:.3e} after {max_iter} iterations",
-                trace=(np.array(f_trace), np.array(grad_trace), np.array(step_trace)),
-            )
-        step = 1.0
-        cand = dual_value(grid, costs, psi + step * grad, shares)
-        if cand > value:
-            while True:
-                trial = dual_value(grid, costs, psi + 2.0 * step * grad, shares)
-                if trial > cand:
-                    step *= 2.0
-                    cand = trial
-                else:
-                    break
-        else:
-            while cand <= value:
-                step *= 0.5
-                if step < MIN_STEP:
-                    raise ConvergenceError(
-                        "no improving step along the ascent direction",
-                        trace=(np.array(f_trace), np.array(grad_trace), np.array(step_trace)),
-                    )
-                cand = dual_value(grid, costs, psi + step * grad, shares)
-        psi = psi + step * grad
-        value = cand
-        grad = dual_gradient(grid, costs, psi, shares)
-        f_trace.append(value)
-        grad_trace.append(float(np.linalg.norm(grad)))
-        step_trace.append(step)
-
-    part = assign_by_min_cost(grid, costs - psi[:, None], feasible=covered)
-    potentials = DualPotentials(
-        psi=psi,
-        f_trace=np.array(f_trace),
-        grad_trace=np.array(grad_trace),
-        step_trace=np.array(step_trace),
+    potentials = ascend_dual(
+        grid, costs, np.zeros(len(uavs)), term=lambda psi: psi @ shares,
+        target=lambda psi, masses: shares, mass_tol=mass_tol, max_iter=max_iter,
     )
+    part = assign_by_min_cost(grid, costs - potentials.psi[:, None], feasible=covered)
     service = fairness.resource_per_user * radio.spectral_eff
     return Scenario1Result(part, fairness, potentials, service, radio)
 

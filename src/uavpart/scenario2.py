@@ -1,9 +1,8 @@
 """Hover-time minimization for fixed per-user loads.
 
 Inside a region the bandwidth split that finishes all users together is
-closed-form; between regions an averaged-occupancy fixed point reassigns
-cells by marginal hover cost (transmission time for the cell plus the
-control-time slope at the UAV's current mass).
+closed-form; between regions the shared dual ascent prices each UAV's control
+time, and each cell goes to its least marginal hover cost at those prices.
 """
 
 from __future__ import annotations
@@ -18,16 +17,15 @@ from .errors import InfeasibleError
 from .grid import measure
 from .partition import (
     INFEASIBLE,
+    DualPotentials,
     Partition,
+    ascend_dual,
     assign_by_min_cost,
     region_masses,
     weighted_voronoi,
 )
-from .scenario1 import per_uav_controls
+from .scenario1 import DEFAULT_MASS_TOL, DEFAULT_MAX_ITER, per_uav_controls
 
-DEFAULT_ROUNDS = 200
-STABLE_TOL = 1e-4
-STABLE_WINDOW = 10
 BRUTE_FORCE_LIMIT = 1_000_000
 
 
@@ -53,19 +51,10 @@ class LoadField:
 
 @dataclass(frozen=True)
 class HoverReport:
-    """Per-UAV hover breakdown for a partition.
-
-    stabilized is False when the fixed point exhausted its rounds while the
-    region masses were still moving; final_shift is the largest recent mass
-    change.  mass_trace is (rounds, n_uavs) when tracing was requested.
-    """
+    """Per-UAV hover breakdown for a partition."""
 
     serve_times: np.ndarray
     control_times: np.ndarray
-    stabilized: bool = True
-    final_shift: float = 0.0
-    mass_trace: np.ndarray | None = None
-    objective_trace: np.ndarray | None = None
 
     @property
     def hover_times(self):
@@ -147,7 +136,7 @@ def hover_time_equal_split(grid, region, radio, uav_index, load, control, n_user
     return n_users * a * slowest / radio.bandwidths[uav_index] + ctrl
 
 
-def region_hover_report(grid, part, radio, load, control, n_users, **extra):
+def region_hover_report(grid, part, radio, load, control, n_users):
     """HoverReport for every UAV of a partition."""
     models = per_uav_controls(control, radio.n_uavs)
     serve = np.zeros(part.n_uavs)
@@ -156,7 +145,7 @@ def region_hover_report(grid, part, radio, load, control, n_users, **extra):
         serve[i], ctrl[i] = _region_components(
             grid, part.region(i), radio, i, load, models, n_users
         )
-    return HoverReport(serve_times=serve, control_times=ctrl, **extra)
+    return HoverReport(serve_times=serve, control_times=ctrl)
 
 
 def marginal_hover_cost(grid, radio, load, control, masses, n_users):
@@ -180,27 +169,25 @@ class Scenario2Result:
     partition: Partition
     report: HoverReport
     radio: object
+    potentials: DualPotentials | None = None
+    duality_gap: float | None = None
 
 
 def solve_scenario2(grid, uavs, params, load, control, n_users,
-                    rounds=DEFAULT_ROUNDS, radio=None, trace=False):
-    """Minimize total hover time by reassigning cells at marginal cost.
+                    mass_tol=DEFAULT_MASS_TOL, max_iter=DEFAULT_MAX_ITER, radio=None):
+    """Minimize total hover time by ascending the dual of the relaxed problem,
+    D(l) = sum_c m_c min_i (s_ic + l_i) - sum_i l_i^2 / (2 k_i), over psi = -l.
 
-    Starts from the max-SINR diagram.  Each round t relaxes every cell's
-    occupancy toward its current assignment with a 1/t schedule, recomputes
-    region masses from the relaxed occupancy, and reassigns every cell to the
-    UAV with the smallest marginal hover cost at those masses.  Hover times
-    are reported for the final assignment.
-
-    Populated cells below every UAV's SINR floor make the instance unservable
-    and raise InfeasibleError.  If the region masses are still moving by more
-    than STABLE_TOL inside the last STABLE_WINDOW rounds, the report carries
-    stabilized=False instead of raising.
+    s_ic is the cell's transmission seconds per unit mass, k_i = 2 alpha_i N^2,
+    and l_i = g_i'(b_i) the control slope at the mass b_i that UAV i is priced
+    at.  The ascent starts from the slopes at the max-SINR diagram's masses
+    and stops when the region masses match b within mass_tol (or stall); each
+    cell then goes to its least marginal hover cost at b.  That partition's
+    hover total minus D is duality_gap = sum_i k_i (a_i - b_i)^2 / 2 seconds.
+    Unservable populated cells raise InfeasibleError.
     """
     if radio is None:
         radio = compute_radio_field(grid, uavs, params)
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
     models = per_uav_controls(control, len(uavs))
     dead = ~radio.feasible & (grid.cell_mass > 0)
     if np.any(dead):
@@ -209,39 +196,25 @@ def solve_scenario2(grid, uavs, params, load, control, n_users,
             f"{len(k)} populated cells have no link above the SINR floor, "
             f"first at ({grid.cell_x[k[0]]:.0f} m, {grid.cell_y[k[0]]:.0f} m)"
         )
-    m = len(uavs)
-    uav_ids = np.arange(m)[:, None]
-    part = weighted_voronoi(grid, radio)
-    phi = np.zeros((m, grid.n_cells))
-    mass_rows = []
-    objective_rows = []
-    for t in range(1, rounds):
-        keep = 1.0 - 1.0 / t
-        inside = part.assignment[None, :] == uav_ids
-        phi = np.where(inside, keep * phi, 1.0 - keep * (1.0 - phi))
-        masses = (1.0 - phi) @ grid.cell_mass
-        costs = marginal_hover_cost(grid, radio, load, models, masses, n_users)
-        part = assign_by_min_cost(grid, costs, feasible=radio.feasible)
-        mass_rows.append(masses)
-        if trace:
-            objective_rows.append(
-                region_hover_report(grid, part, radio, load, models, n_users).total
-            )
-    if len(mass_rows) >= 2:
-        shifts = np.abs(np.diff(np.array(mass_rows), axis=0)).max(axis=1)
-        recent = shifts[-STABLE_WINDOW:]
-        stabilized = bool(np.all(recent <= STABLE_TOL))
-        final_shift = float(recent.max())
-    else:
-        stabilized, final_shift = True, 0.0
-    report = region_hover_report(
-        grid, part, radio, load, models, n_users,
-        stabilized=stabilized,
-        final_shift=final_shift,
-        mass_trace=np.array(mass_rows) if trace else None,
-        objective_trace=np.array(objective_rows) if trace else None,
+    curvature = np.array([m.rate_of_mass(1.0, n_users) for m in models])
+    priced = curvature > 0
+
+    def gap(masses, wanted):
+        return 0.5 * float(curvature @ (masses - wanted) ** 2)
+
+    # at zero mass the marginal hover cost is the transmission time alone
+    seconds = marginal_hover_cost(grid, radio, load, models, np.zeros(len(uavs)), n_users)
+    potentials = ascend_dual(
+        grid, seconds, -curvature * weighted_voronoi(grid, radio).masses,
+        term=lambda psi: -float(psi[priced] ** 2 @ (0.5 / curvature[priced])),
+        target=lambda psi, masses: np.divide(-psi, curvature, out=masses.copy(), where=priced),
+        mass_tol=mass_tol, max_iter=max_iter, gap=gap,
     )
-    return Scenario2Result(part, report, radio)
+    priced_at = np.divide(-potentials.psi, curvature, out=np.zeros(len(uavs)), where=priced)
+    costs = marginal_hover_cost(grid, radio, load, models, priced_at, n_users)
+    part = assign_by_min_cost(grid, costs, feasible=radio.feasible)
+    report = region_hover_report(grid, part, radio, load, models, n_users)
+    return Scenario2Result(part, report, radio, potentials, gap(part.masses, priced_at))
 
 
 def brute_force_min_hover(grid, uavs, params, load, control, n_users,

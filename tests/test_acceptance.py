@@ -90,7 +90,7 @@ def s2_beta_totals(default_scene):
         r = radio if beta == BASE.beta else None
         result = solve_scenario2(
             grid, uavs, params, load, control, BASE.n_users,
-            rounds=BASE.rounds, radio=r,
+            radio=r,
         )
         totals[beta] = result.report.total
     return totals
@@ -265,7 +265,7 @@ def test_zero_alpha_matches_rate_diagram(default_scene):
     grid, uavs, params, radio, load = default_scene
     result = solve_scenario2(
         grid, uavs, params, load, ControlTimeModel(0.0), BASE.n_users,
-        rounds=BASE.rounds, radio=radio,
+        radio=radio,
     )
     serve = BASE.n_users * load.bits[None, :] / (
         radio.bandwidths[:, None] * radio.spectral_eff
@@ -296,7 +296,7 @@ def test_monotone_in_interference_and_control(
     alpha_hover = [
         solve_scenario2(
             grid, uavs, params, load, ControlTimeModel(a), BASE.n_users,
-            rounds=BASE.rounds, radio=radio,
+            radio=radio,
         ).report.total
         for a in alphas
     ]
@@ -388,7 +388,7 @@ def test_split_reduction_band(default_scene):
         radio = compute_radio_field(grid, uavs, build_channel(cfg))
         result = solve_scenario2(
             grid, uavs, build_channel(cfg), load, control, cfg.n_users,
-            rounds=cfg.rounds, radio=radio,
+            radio=radio,
         )
         eq_total = sum(
             hover_time_equal_split(
@@ -417,7 +417,7 @@ def test_fleet_scaling_band(default_scene):
         radio = compute_radio_field(grid, uavs, build_channel(cfg))
         totals[m] = solve_scenario2(
             grid, uavs, build_channel(cfg), load, control, cfg.n_users,
-            rounds=cfg.rounds, radio=radio,
+            radio=radio,
         ).report.total
     ratio = totals[6] / totals[2]
     ok = 0.35 <= ratio <= 0.65
@@ -447,7 +447,7 @@ def test_partition_gain_grows_with_alpha():
         control = ControlTimeModel(alpha)
         proposed = solve_scenario2(
             grid, uavs, params, load, control, cfg.n_users,
-            rounds=cfg.rounds, radio=radio,
+            radio=radio,
         ).report.total
         voronoi = region_hover_report(
             grid, baseline, radio, load, control, cfg.n_users

@@ -32,7 +32,6 @@ FAST_BASE = {
     "ny": 30,
     "mass_tol": 0.01,
     "n_seeds": 2,
-    "rounds": 30,
 }
 
 
@@ -216,7 +215,7 @@ def test_run_experiment_happy_path(tmp_path):
         "s1_jain_proposed", "s1_jain_voronoi",
         "s2_hover_proposed_optbw", "s2_hover_proposed_eqbw",
         "s2_hover_voronoi_optbw", "s2_hover_voronoi_eqbw",
-        "s2_stabilized", "s2_mass_shift",
+        "s2_iterations", "s2_duality_gap",
     }
     for i in range(5):
         expected.add(f"s1_users_uav{i}_proposed")
@@ -237,6 +236,8 @@ def test_run_experiment_values_are_sane(tmp_path):
         if row["seed"] == "0"
     }
     assert values["s1_mass_residual"] <= 0.01
+    assert values["s2_iterations"] >= 0
+    assert 0.0 <= values["s2_duality_gap"] <= 1e-3 * values["s2_hover_proposed_optbw"]
     assert 0.0 < values["s1_jain_proposed"] <= 1.0
     assert values["s1_service_total_proposed"] > 0
     assert values["s2_hover_proposed_optbw"] > 0
@@ -260,6 +261,19 @@ def test_manifest_reruns_identically(tmp_path):
     assert run_experiment(cfg, str(out)) == EXIT_OK
     again = load_config(str(out / "manifest.ini"))
     assert again == cfg
+
+
+def test_retired_rounds_key_still_reruns(tmp_path):
+    # manifests written before the averaged-occupancy solver was retired
+    # carry `rounds = 200`; the key is read and ignored
+    cfg = load_config(write_cfg(tmp_path, FAST_KEYS))
+    old = config_to_ini(cfg).replace("[experiment]\n", "[experiment]\nrounds = 200\n")
+    path = write_cfg(tmp_path, old, name="manifest.ini")
+    assert load_config(path) == cfg
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run_experiment(load_config(path), str(out_a)) == EXIT_OK
+    assert run_experiment(load_config(path), str(out_b)) == EXIT_OK
+    assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
 
 
 def test_run_sweep_points(tmp_path):
@@ -336,6 +350,35 @@ def test_cli_bad_config_returns_config_exit(tmp_path):
     path = write_cfg(tmp_path, "[experiment]\nno_such_key = 1\n")
     assert main(["run", path]) == EXIT_CONFIG
     assert main(["run", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"scenario": 2, "sweep_var": "n_uavs", "sweep_values": "2 0.5"},
+        {"scenario": 2, "sweep_var": "beta", "sweep_values": "0.5 1.5"},
+        {"scenario": 2, "sweep_var": "bandwidth", "sweep_values": "1e6 -1"},
+        {"sigma_x": 1, "sigma_y": 1, "mu_x": -500},
+    ],
+    ids=["n_uavs", "beta", "bandwidth", "density_underflow"],
+)
+def test_cli_bad_scene_returns_config_exit(tmp_path, capsys, overrides):
+    path = write_cfg(tmp_path, fast_text(**overrides))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_bad_sweep_point_rejected_by_run_experiment(tmp_path, capsys):
+    cfg = replace(load_config(write_cfg(tmp_path, FAST_KEYS)),
+                  sweep_var="n_uavs", sweep_values=(2.5,))
+    assert run_experiment(cfg, str(tmp_path / "out")) == EXIT_CONFIG
+    assert "whole numbers" in capsys.readouterr().err
+    cfg = replace(cfg, sweep_values=(3.0, 0.0))
+    assert run_experiment(cfg, str(tmp_path / "out")) == EXIT_CONFIG
+    assert "at least one UAV" in capsys.readouterr().err
 
 
 def test_cli_bad_overrides(tmp_path):
