@@ -44,7 +44,6 @@ class ChannelParams:
     noise_w_per_hz: float = dbm_to_watts(-170.0)
     beta: float = 1.0
     sinr_threshold: float = db_to_linear(-20.0)
-    ref_distance: float = 1.0
 
     def __post_init__(self):
         if self.carrier_hz <= 0:
@@ -59,13 +58,11 @@ class ChannelParams:
             raise ValueError("beta must lie in [0, 1]")
         if self.sinr_threshold <= 0:
             raise ValueError("SINR threshold must be positive")
-        if self.ref_distance <= 0:
-            raise ValueError("reference distance must be positive")
 
     @cached_property
     def reference_loss(self):
-        """Free-space loss at the reference distance, (4 pi f d_ref / c)^2."""
-        return (4.0 * np.pi * self.carrier_hz * self.ref_distance / SPEED_OF_LIGHT) ** 2
+        """Free-space loss at the 1 m reference distance, (4 pi f / c)^2."""
+        return (4.0 * np.pi * self.carrier_hz / SPEED_OF_LIGHT) ** 2
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,6 @@ class RadioField:
     feasible_by_uav: np.ndarray
     feasible: np.ndarray
     bandwidths: np.ndarray
-    sinr_threshold: float
 
     @property
     def n_uavs(self):
@@ -170,5 +166,4 @@ def compute_radio_field(grid, uavs, params):
         feasible_by_uav=feasible_by_uav,
         feasible=feasible,
         bandwidths=bandwidths,
-        sinr_threshold=params.sinr_threshold,
     )

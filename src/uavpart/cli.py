@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import load_config, validate_config
+from .config import load_config
 from .errors import ConfigError
 from .runner import EXIT_CONFIG, run_experiment
 
@@ -42,25 +42,22 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        overrides = {}
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.seeds is not None:
-            if args.seeds < 1:
-                raise ConfigError("--seeds must be at least 1")
-            overrides["n_seeds"] = args.seeds
-        if args.grid is not None:
-            overrides["nx"], overrides["ny"] = args.grid
-        if args.scenario is not None:
-            overrides["scenario"] = args.scenario
-        if args.trace:
-            overrides["trace"] = True
-        cfg = replace(cfg, **overrides)
-        validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return run_experiment(cfg)
+    overrides = {}
+    if args.out is not None:
+        overrides["out_dir"] = args.out
+    if args.seeds is not None:
+        overrides["n_seeds"] = args.seeds
+    if args.grid is not None:
+        overrides["nx"], overrides["ny"] = args.grid
+    if args.scenario is not None:
+        overrides["scenario"] = args.scenario
+    if args.trace:
+        overrides["trace"] = True
+    # run_experiment validates the overridden config before writing anything
+    return run_experiment(replace(cfg, **overrides))
 
 
 if __name__ == "__main__":

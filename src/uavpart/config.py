@@ -149,12 +149,13 @@ def validate_config(cfg):
     if cfg.sweep_var != "none" and len(cfg.sweep_values) == 0:
         raise ConfigError("sweep_var set but sweep_values empty")
     for value in cfg.sweep_values:
-        if not math.isfinite(value):
-            raise ConfigError("sweep values must be finite")
         apply_sweep(cfg, value)
 
 
 def _check_fields(cfg):
+    for f in fields(ExperimentConfig):
+        if f.type in ("float", "tuple") and not np.all(np.isfinite(getattr(cfg, f.name))):
+            raise ConfigError(f"{f.name} must be finite")
     checks = [
         (cfg.width > 0 and cfg.height > 0, "area dimensions must be positive"),
         (cfg.nx >= 1 and cfg.ny >= 1, "grid must be at least 1x1"),
@@ -207,14 +208,15 @@ def apply_sweep(cfg, value):
 
 
 def config_to_ini(cfg, provenance=None):
-    """Serialize a config as INI text that load_config reads back."""
+    """Serialize a config as INI text that load_config reads back exactly:
+    floats are written with repr, which round-trips every bit."""
     lines = ["[experiment]"]
     for f in fields(ExperimentConfig):
         value = getattr(cfg, f.name)
         if f.type == "tuple":
-            value = " ".join(format(v, ".9g") for v in value)
+            value = " ".join(repr(float(v)) for v in value)
         elif f.type == "float":
-            value = format(value, ".9g")
+            value = repr(float(value))
         lines.append(f"{f.name} = {value}")
     if provenance:
         lines.append("")

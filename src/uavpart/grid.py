@@ -125,29 +125,3 @@ def _check_mask(grid, mask):
 def measure(grid, mask):
     """User mass of a cell subset, in [0, 1]."""
     return float(grid.cell_mass[_check_mask(grid, mask)].sum())
-
-
-def integrate_weighted(grid, weights, mask=None):
-    """Integral of a per-cell weight against the density over a subset.
-
-    weights must be finite on the selected cells.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (grid.n_cells,):
-        raise ValueError("weights must have one entry per cell")
-    if mask is None:
-        sel = w
-        masses = grid.cell_mass
-    else:
-        m = _check_mask(grid, mask)
-        sel = w[m]
-        masses = grid.cell_mass[m]
-    if not np.all(np.isfinite(sel)):
-        raise ValueError("weights must be finite on the selected cells")
-    return float(sel @ masses)
-
-
-def density_to_csv(grid, path):
-    """Write the density field as x_m,y_m,density rows."""
-    rows = np.column_stack([grid.cell_x, grid.cell_y, grid.density])
-    np.savetxt(path, rows, fmt="%.9g", delimiter=",", header="x_m,y_m,density", comments="")

@@ -75,25 +75,3 @@ def total_data_service(grid, part, service, n_users):
     idx = np.flatnonzero(served)
     per_cell = service[part.assignment[idx], idx]
     return n_users * float(per_cell @ grid.cell_mass[idx])
-
-
-def users_per_cell(part, n_users):
-    """Expected user count in each UAV's region."""
-    return n_users * part.masses
-
-
-def jain_continuous(grid, part, service):
-    """Sampling-free Jain's index of the served field under the density.
-
-    Unassigned cells count as zero service but keep their user mass, exactly
-    as sampled users there would.
-    """
-    served = part.assignment != INFEASIBLE
-    idx = np.flatnonzero(served)
-    per_cell = service[part.assignment[idx], idx]
-    mass = grid.cell_mass[idx]
-    mean = float(per_cell @ mass)
-    mean_sq = float((per_cell**2) @ mass)
-    if mean_sq == 0.0:
-        raise ValueError("Jain's index is undefined for an all-zero field")
-    return mean**2 / mean_sq

@@ -46,10 +46,6 @@ class Partition:
         """Boolean mask of UAV i's cells."""
         return self.assignment == i
 
-    def unassigned_mass(self, grid):
-        """User mass with no serving UAV."""
-        return float(grid.cell_mass[self.assignment == INFEASIBLE].sum())
-
 
 def region_masses(grid, assignment, n_uavs):
     """User mass per UAV for a given assignment array."""

@@ -16,7 +16,14 @@ import numpy as np
 
 from . import __version__
 from .channel import compute_radio_field
-from .config import apply_sweep, build_channel, build_grid, build_uavs, config_to_ini
+from .config import (
+    apply_sweep,
+    build_channel,
+    build_grid,
+    build_uavs,
+    config_to_ini,
+    validate_config,
+)
 from .errors import ConfigError, ConvergenceError, InfeasibleError
 from .metrics import jain_index, sample_users, service_per_user, total_data_service
 from .partition import partition_to_csv, weighted_voronoi
@@ -140,12 +147,14 @@ def run_experiment(cfg, out_dir=None):
 
     0 on success, 2 on a bad config or scene, 3 when an instance is
     infeasible, 4 when a solver fails to converge; diagnostics go to stderr.
+    The config is validated before the output directory is created.
     """
     out_dir = cfg.out_dir if out_dir is None else out_dir
-    os.makedirs(out_dir, exist_ok=True)
     values = cfg.sweep_values if cfg.sweep_var != "none" else (float("nan"),)
     records = []
     try:
+        validate_config(cfg)
+        os.makedirs(out_dir, exist_ok=True)
         for value in values:
             cur = apply_sweep(cfg, value)
             grid = build_grid(cur)

@@ -19,7 +19,6 @@ from .partition import (
     Partition,
     ascend_dual,
     assign_by_min_cost,
-    shifted_masses,
     shifted_min_cost,
 )
 
@@ -39,9 +38,6 @@ class ControlTimeModel:
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError("alpha must be finite and non-negative")
-
-    def time(self, n_users):
-        return self.alpha * n_users**2
 
     def time_of_mass(self, mass, n_users):
         """Control seconds when a mass fraction of n_users is in the region."""
@@ -77,12 +73,12 @@ class FairnessSolution:
     n_users: int
 
 
-def solve_fairness_system(uavs, control, n_users, damping=FAIRNESS_DAMPING,
-                          tol_scale=FAIRNESS_TOL_SCALE, max_iter=FAIRNESS_MAX_ITER):
+def solve_fairness_system(uavs, control, n_users):
     """Solve T_i = tau_i - g_i(N w_i), w_i = B_i T_i / sum_k B_k T_k.
 
-    Damped fixed-point iteration starting from T_i = tau_i, converged when
-    the largest serving-time update falls below tol_scale * max(tau).  Raises
+    Fixed-point iteration damped by FAIRNESS_DAMPING, starting from
+    T_i = tau_i, converged when the largest serving-time update falls below
+    FAIRNESS_TOL_SCALE * max(tau).  Raises
     InfeasibleError when a budget cannot cover its control overhead (negative
     serving time) or the iteration does not settle.
     """
@@ -95,9 +91,9 @@ def solve_fairness_system(uavs, control, n_users, damping=FAIRNESS_DAMPING,
     if np.any(tau <= 0):
         raise ValueError("every hover budget must be positive")
     models = per_uav_controls(control, len(uavs))
-    tol = tol_scale * tau.max()
+    tol = FAIRNESS_TOL_SCALE * tau.max()
     serve = tau.copy()
-    for _ in range(max_iter):
+    for _ in range(FAIRNESS_MAX_ITER):
         pool = float(bw @ serve)
         if pool <= 0:
             raise InfeasibleError("serving-time pool collapsed to zero")
@@ -105,7 +101,7 @@ def solve_fairness_system(uavs, control, n_users, damping=FAIRNESS_DAMPING,
         target = tau - np.array(
             [m.time_of_mass(w, n_users) for m, w in zip(models, shares)]
         )
-        updated = (1.0 - damping) * serve + damping * target
+        updated = (1.0 - FAIRNESS_DAMPING) * serve + FAIRNESS_DAMPING * target
         if np.any(updated < 0):
             raise InfeasibleError("hover budget below control overhead")
         shift = np.abs(updated - serve).max()
@@ -119,23 +115,17 @@ def solve_fairness_system(uavs, control, n_users, damping=FAIRNESS_DAMPING,
     return FairnessSolution(serve, shares, pool / n_users, n_users)
 
 
-def build_cost_field(grid, radio, fairness, sinr_threshold=None):
-    """Per-UAV transport cost: minus the per-user data volume, +inf below the
-    SINR floor (floor inclusive)."""
-    th = radio.sinr_threshold if sinr_threshold is None else sinr_threshold
+def build_cost_field(grid, radio, fairness):
+    """Per-UAV transport cost: minus the per-user data volume, +inf on the
+    links below the SINR floor."""
     return np.where(
-        radio.sinr >= th, -fairness.resource_per_user * radio.spectral_eff, np.inf
+        radio.feasible_by_uav, -fairness.resource_per_user * radio.spectral_eff, np.inf
     )
 
 
 def dual_value(grid, costs, psi, shares):
     """Concave dual objective psi . shares + integral of the shifted cell min."""
     return float(psi @ shares + shifted_min_cost(grid, costs, psi))
-
-
-def dual_gradient(grid, costs, psi, shares):
-    """Ascent direction: target shares minus the current region masses."""
-    return shares - shifted_masses(grid, costs, psi)
 
 
 @dataclass(frozen=True)

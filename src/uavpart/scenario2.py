@@ -91,32 +91,6 @@ def optimal_bandwidth_split(loads, efficiencies, bandwidth):
     return bandwidth * ratio / total, total / bandwidth
 
 
-def _region_components(grid, region, radio, uav_index, load, models, n_users):
-    region = np.asarray(region, dtype=bool)
-    if region.shape != (grid.n_cells,):
-        raise ValueError("region must be a boolean mask over cells")
-    if load.bits.shape != (grid.n_cells,):
-        raise ValueError("load must cover every grid cell")
-    if np.any(region & ~radio.feasible_by_uav[uav_index]):
-        raise InfeasibleError(
-            f"region of UAV {uav_index} contains cells below its SINR floor"
-        )
-    idx = np.flatnonzero(region)
-    eff = radio.spectral_eff[uav_index, idx]
-    demand = load.bits[idx] * grid.cell_mass[idx]
-    serve = n_users * float((demand / eff).sum()) / radio.bandwidths[uav_index]
-    ctrl = models[uav_index].time_of_mass(measure(grid, region), n_users)
-    return serve, ctrl
-
-
-def hover_time(grid, region, radio, uav_index, load, control, n_users):
-    """Seconds for one UAV to clear its region: transmission under the
-    optimal in-region bandwidth split plus control overhead."""
-    models = per_uav_controls(control, radio.n_uavs)
-    serve, ctrl = _region_components(grid, region, radio, uav_index, load, models, n_users)
-    return serve + ctrl
-
-
 def hover_time_equal_split(grid, region, radio, uav_index, load, control, n_users):
     """Seconds to clear the region when every user gets the same bandwidth
     share; the slowest populated cell sets the finish time."""
@@ -137,14 +111,22 @@ def hover_time_equal_split(grid, region, radio, uav_index, load, control, n_user
 
 
 def region_hover_report(grid, part, radio, load, control, n_users):
-    """HoverReport for every UAV of a partition."""
+    """HoverReport for every UAV of a partition: transmission seconds under
+    the optimal in-region bandwidth split plus control overhead."""
     models = per_uav_controls(control, radio.n_uavs)
+    if part.assignment.shape != (grid.n_cells,) or load.bits.shape != (grid.n_cells,):
+        raise ValueError("partition and load must cover every grid cell")
     serve = np.zeros(part.n_uavs)
     ctrl = np.zeros(part.n_uavs)
     for i in range(part.n_uavs):
-        serve[i], ctrl[i] = _region_components(
-            grid, part.region(i), radio, i, load, models, n_users
-        )
+        region = part.region(i)
+        if np.any(region & ~radio.feasible_by_uav[i]):
+            raise InfeasibleError(f"region of UAV {i} contains cells below its SINR floor")
+        idx = np.flatnonzero(region)
+        eff = radio.spectral_eff[i, idx]
+        demand = load.bits[idx] * grid.cell_mass[idx]
+        serve[i] = n_users * float((demand / eff).sum()) / radio.bandwidths[i]
+        ctrl[i] = models[i].time_of_mass(measure(grid, region), n_users)
     return HoverReport(serve_times=serve, control_times=ctrl)
 
 
@@ -217,12 +199,11 @@ def solve_scenario2(grid, uavs, params, load, control, n_users,
     return Scenario2Result(part, report, radio, potentials, gap(part.masses, priced_at))
 
 
-def brute_force_min_hover(grid, uavs, params, load, control, n_users,
-                          radio=None, limit=BRUTE_FORCE_LIMIT):
+def brute_force_min_hover(grid, uavs, params, load, control, n_users, radio=None):
     """Exhaustive minimum of total hover time over all feasible assignments.
 
     Every cell ranges over the UAVs whose SINR floor it meets; instances with
-    more than `limit` assignments raise ValueError.  Ties go to the first
+    more than BRUTE_FORCE_LIMIT assignments raise ValueError.  Ties go to the first
     assignment in lexicographic order.
     """
     if radio is None:
@@ -234,8 +215,8 @@ def brute_force_min_hover(grid, uavs, params, load, control, n_users,
     count = 1
     for ch in choices:
         count *= max(len(ch), 1)
-        if count > limit:
-            raise ValueError(f"instance exceeds the {limit} assignment limit")
+        if count > BRUTE_FORCE_LIMIT:
+            raise ValueError(f"instance exceeds the {BRUTE_FORCE_LIMIT} assignment limit")
     eff = np.where(radio.feasible_by_uav, radio.spectral_eff, 1.0)
     serve_cost = (
         n_users * load.bits[None, :] * grid.cell_mass[None, :]

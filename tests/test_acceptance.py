@@ -20,7 +20,6 @@ from uavpart.metrics import (
     sample_users,
     service_per_user,
     total_data_service,
-    users_per_cell,
 )
 from uavpart.partition import assign_by_min_cost, weighted_voronoi
 from uavpart.scenario1 import (
@@ -324,7 +323,7 @@ def test_fairness_bounds_and_even_split(default_scene, s1_default):
         j = jain_index(service_per_user(result.partition, result.service, sample))
         lo, hi = min(lo, j), max(hi, j)
         assert 1.0 / BASE.n_users - 1e-12 <= j <= 1.0 + 1e-12
-    counts = users_per_cell(result.partition, BASE.n_users)
+    counts = BASE.n_users * result.partition.masses
     target = BASE.n_users / BASE.n_uavs
     spread = float(np.abs(counts - target).max())
     ok = spread <= BASE.n_users * BASE.mass_tol

@@ -75,6 +75,16 @@ def test_modified_roundtrip(tmp_path):
     )
     path = write_cfg(tmp_path, config_to_ini(cfg))
     assert load_config(path) == cfg
+    # every bit of a float survives the manifest
+    cfg = replace(
+        cfg,
+        mu_x=250.1234567890123,
+        alpha=0.1 + 0.2,
+        bandwidth=1.0e6 / 3.0,
+        sweep_values=(1.0 / 3.0, 2.0**-60, 0.7000000000000001),
+    )
+    path = write_cfg(tmp_path, config_to_ini(cfg))
+    assert load_config(path) == cfg
 
 
 def test_linear_unit_aliases(tmp_path):
@@ -379,6 +389,56 @@ def test_bad_sweep_point_rejected_by_run_experiment(tmp_path, capsys):
     cfg = replace(cfg, sweep_values=(3.0, 0.0))
     assert run_experiment(cfg, str(tmp_path / "out")) == EXIT_CONFIG
     assert "at least one UAV" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"alpha": -1},
+        {"n_users": 0},
+        {"scenario": "2", "load_bits": -1.0},
+        {"n_seeds": 0},
+    ],
+    ids=["alpha", "n_users", "load_bits", "n_seeds"],
+)
+def test_run_experiment_validates_unswept_config(tmp_path, capsys, overrides):
+    cfg = replace(load_config(write_cfg(tmp_path, FAST_KEYS)), **overrides)
+    out = tmp_path / "out"
+    assert run_experiment(cfg, str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"alpha": "inf"},
+        {"scenario": 2, "load_bits": "inf"},
+        {"mass_tol": "inf"},
+        {"mu_los_db": "nan"},
+        {"noise_dbm_per_hz": "nan"},
+        {"sinr_threshold_db": "nan"},
+        {"altitude": "inf"},
+        {"power": "inf"},
+        {"carrier_hz": "inf"},
+        {"bandwidth": "inf"},
+        {"max_hover": "inf"},
+        {"mu_los": "inf"},
+        {"sweep_var": "alpha", "sweep_values": "0.01 inf"},
+    ],
+    ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items() if k != "scenario"),
+)
+def test_cli_non_finite_returns_config_exit(tmp_path, capsys, overrides):
+    path = write_cfg(tmp_path, fast_text(nx=40, ny=40, **overrides))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "finite" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_cli_bad_overrides(tmp_path):

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from uavpart.grid import (
     AreaGrid,
-    density_to_csv,
-    integrate_weighted,
     measure,
     truncated_gaussian,
     uniform_density,
@@ -109,35 +107,6 @@ def test_measure_additive_on_disjoint(seed):
     assert sum(parts) == pytest.approx(1.0, abs=1e-12)
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**31), a=st.floats(-5, 5), b=st.floats(-5, 5))
-def test_integrate_weighted_linear(seed, a, b):
-    g = uniform_density(1000.0, 1000.0, 15, 15)
-    rng = np.random.default_rng(seed)
-    w1 = rng.normal(size=g.n_cells)
-    w2 = rng.normal(size=g.n_cells)
-    mask = rng.random(g.n_cells) < 0.6
-    combined = integrate_weighted(g, a * w1 + b * w2, mask)
-    split = a * integrate_weighted(g, w1, mask) + b * integrate_weighted(g, w2, mask)
-    assert combined == pytest.approx(split, rel=1e-9, abs=1e-12)
-
-
-def test_integrate_weighted_constant():
-    g = truncated_gaussian(1000.0, 1000.0, 25, 25, 100.0, 900.0, 400.0, 400.0)
-    assert integrate_weighted(g, np.full(g.n_cells, 3.5)) == pytest.approx(3.5, rel=1e-12)
-
-
-def test_integrate_weighted_rejects_inf_on_selection():
-    g = uniform_density(100.0, 100.0, 5, 5)
-    w = np.zeros(25)
-    w[3] = np.inf
-    with pytest.raises(ValueError):
-        integrate_weighted(g, w)
-    mask = np.ones(25, bool)
-    mask[3] = False
-    assert integrate_weighted(g, w, mask) == 0.0
-
-
 def test_refinement_stable_rectangle_measure():
     # halving the cell size moves a rectangle's measure by at most the
     # boundary-strip mass, which is O(1/nx + 1/ny)
@@ -187,14 +156,3 @@ def test_deterministic_construction():
     b = truncated_gaussian(1000.0, 1000.0, 64, 64, 250.0, 330.0, 200.0, 200.0)
     assert np.array_equal(a.density, b.density)
 
-
-def test_density_csv(tmp_path):
-    g = truncated_gaussian(1000.0, 1000.0, 8, 8, 250.0, 330.0, 500.0, 500.0)
-    path = tmp_path / "density.csv"
-    density_to_csv(g, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x_m,y_m,density"
-    assert len(lines) == g.n_cells + 1
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.allclose(back[:, 0], g.cell_x)
-    assert np.allclose(back[:, 2], g.density, rtol=1e-8)

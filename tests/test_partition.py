@@ -76,7 +76,8 @@ def test_positive_scale_invariance(seed, scale):
 def test_masses_partition_unity():
     costs = random_costs(3)
     part = assign_by_min_cost(GRID, costs)
-    assert part.masses.sum() + part.unassigned_mass(GRID) == pytest.approx(1.0, abs=1e-12)
+    unassigned = GRID.cell_mass[part.assignment == INFEASIBLE].sum()
+    assert part.masses.sum() + unassigned == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(
         part.masses, region_masses(GRID, part.assignment, part.n_uavs)
     )
@@ -87,7 +88,7 @@ def test_all_infinite_cell_gets_sentinel():
     costs[:, 11] = np.inf
     part = assign_by_min_cost(GRID, costs)
     assert part.assignment[11] == INFEASIBLE
-    assert part.unassigned_mass(GRID) == pytest.approx(GRID.cell_mass[11], rel=1e-12)
+    assert part.masses.sum() == pytest.approx(1.0 - GRID.cell_mass[11], rel=1e-12)
 
 
 def test_feasible_cell_without_cost_raises():

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from uavpart.channel import ChannelParams, UavNode, compute_radio_field
 from uavpart.errors import ConvergenceError, InfeasibleError
 from uavpart.grid import uniform_density
+from uavpart.partition import shifted_masses
 from uavpart.scenario1 import (
     ControlTimeModel,
     FairnessSolution,
     build_cost_field,
-    dual_gradient,
     dual_value,
     service_field_for_partition,
     solve_fairness_system,
@@ -144,11 +144,13 @@ def test_cost_field_threshold_boundary():
     grid, uavs, radio = two_uav_scene()
     fair = solve_fairness_system(uavs, ControlTimeModel(0.01), 300)
     pick = float(radio.sinr[1, 17])
-    costs = build_cost_field(grid, radio, fair, sinr_threshold=pick)
+    at = compute_radio_field(grid, uavs, ChannelParams(sinr_threshold=pick))
+    costs = build_cost_field(grid, at, fair)
     assert np.isfinite(costs[1, 17])  # boundary inclusive
-    above = build_cost_field(grid, radio, fair, sinr_threshold=pick * (1 + 1e-9))
-    assert np.isinf(above[1, 17])
+    above = compute_radio_field(grid, uavs, ChannelParams(sinr_threshold=pick * (1 + 1e-9)))
+    assert np.isinf(build_cost_field(grid, above, fair)[1, 17])
     finite = np.isfinite(costs)
+    assert np.array_equal(finite, at.feasible_by_uav)
     assert np.allclose(
         costs[finite],
         (-fair.resource_per_user * radio.spectral_eff)[finite],
@@ -199,8 +201,8 @@ def test_dual_gauge_shift(seed, const):
     f2 = dual_value(grid, costs, psi + const, shares)
     assert f2 == pytest.approx(f1, rel=1e-9)
     assert np.allclose(
-        dual_gradient(grid, costs, psi, shares),
-        dual_gradient(grid, costs, psi + const, shares),
+        shares - shifted_masses(grid, costs, psi),
+        shares - shifted_masses(grid, costs, psi + const),
         atol=1e-12,
     )
 
@@ -211,7 +213,7 @@ def test_gradient_dominant_potential():
     costs = build_cost_field(grid, radio, fair)
     shares = fair.target_masses
     big = np.array([1e12, 0.0])  # UAV 0 wins every cell it can serve
-    grad = dual_gradient(grid, costs, big, shares)
+    grad = shares - shifted_masses(grid, costs, big)
     feas0 = np.isfinite(costs[0])
     only1 = ~feas0 & np.isfinite(costs[1])
     assert grad[0] == pytest.approx(
@@ -226,7 +228,7 @@ def test_gradient_components_sum_to_uncovered():
     grid, uavs, radio = two_uav_scene()
     fair = solve_fairness_system(uavs, ControlTimeModel(0.01), 300)
     costs = build_cost_field(grid, radio, fair)
-    grad = dual_gradient(grid, costs, np.zeros(2), fair.target_masses)
+    grad = fair.target_masses - shifted_masses(grid, costs, np.zeros(2))
     covered = np.isfinite(costs).any(axis=0)
     uncovered = float(grid.cell_mass[~covered].sum())
     assert grad.sum() == pytest.approx(uncovered, abs=1e-12)
@@ -265,7 +267,7 @@ def test_gradient_chords_bracket():
         f0 = dual_value(grid, costs, psi, shares)
         fwd = (dual_value(grid, costs, psi + h * v, shares) - f0) / h
         bwd = (f0 - dual_value(grid, costs, psi - h * v, shares)) / h
-        g_dot_v = float(dual_gradient(grid, costs, psi, shares) @ v)
+        g_dot_v = float((shares - shifted_masses(grid, costs, psi)) @ v)
         slack = 1e-9 * max(abs(f0), 1.0) / h
         assert fwd <= g_dot_v + slack
         assert g_dot_v <= bwd + slack

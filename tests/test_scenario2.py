@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 from uavpart.channel import ChannelParams, RadioField, UavNode, compute_radio_field
 from uavpart.errors import InfeasibleError
 from uavpart.grid import truncated_gaussian, uniform_density
-from uavpart.partition import INFEASIBLE, STALL_RATIO, weighted_voronoi
+from uavpart.partition import (
+    INFEASIBLE,
+    STALL_RATIO,
+    Partition,
+    region_masses,
+    weighted_voronoi,
+)
 from uavpart.scenario1 import DEFAULT_MASS_TOL, ControlTimeModel
 from uavpart.scenario2 import (
     LoadField,
     brute_force_min_hover,
-    hover_time,
     hover_time_equal_split,
     marginal_hover_cost,
     optimal_bandwidth_split,
@@ -39,8 +44,18 @@ def manual_radio(eff, bandwidths, feasible=None):
         feasible_by_uav=feasible,
         feasible=feasible.any(axis=0),
         bandwidths=np.asarray(bandwidths, dtype=float),
-        sinr_threshold=1e-2,
     )
+
+
+def assigned(grid, assignment, n_uavs):
+    return Partition(assignment, region_masses(grid, assignment, n_uavs))
+
+
+def one_region_hover(grid, region, radio, uav_index, load, control, n_users):
+    """One UAV's hover seconds for a region, read off region_hover_report."""
+    part = assigned(grid, np.where(region, uav_index, INFEASIBLE), radio.n_uavs)
+    report = region_hover_report(grid, part, radio, load, control, n_users)
+    return report.hover_times[uav_index]
 
 
 def real_scene(nx=10, ny=10, bandwidths=(1e6, 1e6)):
@@ -152,7 +167,7 @@ def test_hover_single_cell_oracle():
     load = LoadField.uniform(grid, 1e8)
     control = ControlTimeModel(0.01)
     region = np.array([True])
-    got = hover_time(grid, region, radio, 0, load, control, 300)
+    got = one_region_hover(grid, region, radio, 0, load, control, 300)
     # 300 users, 1e8 bits each at 2 bit/s/Hz over 1 MHz, plus 0.01 * 300^2
     assert got == pytest.approx(15_000.0 + 900.0, rel=1e-12)
 
@@ -163,7 +178,7 @@ def test_hover_two_cell_oracle_and_equal_split():
     load = LoadField.uniform(grid, 1e8)
     control = ControlTimeModel(0.01)
     region = np.array([True, True])
-    opt = hover_time(grid, region, radio, 0, load, control, 300)
+    opt = one_region_hover(grid, region, radio, 0, load, control, 300)
     eq = hover_time_equal_split(grid, region, radio, 0, load, control, 300)
     assert opt == pytest.approx(300 * (5e7 * 0.5 + 2.5e7 * 0.5) / 1e6 + 900.0)
     assert eq == pytest.approx(300 * 5e7 / 1e6 + 900.0)
@@ -176,7 +191,7 @@ def test_hover_empty_region():
     load = LoadField.uniform(grid, 1e8)
     control = ControlTimeModel(0.01)
     empty = np.zeros(4, dtype=bool)
-    assert hover_time(grid, empty, radio, 0, load, control, 300) == 0.0
+    assert one_region_hover(grid, empty, radio, 0, load, control, 300) == 0.0
     assert hover_time_equal_split(grid, empty, radio, 0, load, control, 300) == 0.0
 
 
@@ -186,7 +201,7 @@ def test_hover_zero_load():
     load = LoadField.uniform(grid, 0.0)
     control = ControlTimeModel(0.01)
     region = np.ones(4, dtype=bool)
-    assert hover_time(grid, region, radio, 0, load, control, 300) == pytest.approx(900.0)
+    assert one_region_hover(grid, region, radio, 0, load, control, 300) == pytest.approx(900.0)
 
 
 def test_hover_infeasible_region_raises():
@@ -195,7 +210,7 @@ def test_hover_infeasible_region_raises():
     load = LoadField.uniform(grid, 1e8)
     control = ControlTimeModel(0.01)
     with pytest.raises(InfeasibleError):
-        hover_time(grid, np.array([True, True]), radio, 0, load, control, 300)
+        one_region_hover(grid, np.array([True, True]), radio, 0, load, control, 300)
     with pytest.raises(InfeasibleError):
         hover_time_equal_split(
             grid, np.array([True, True]), radio, 0, load, control, 300
@@ -203,15 +218,17 @@ def test_hover_infeasible_region_raises():
 
 
 def test_report_matches_hover_time():
-    grid, uavs, radio = real_scene()
+    # closed form: N * sum_region bits * mass / (B_i * eff) + alpha (N a_i)^2
+    grid, uavs, radio = real_scene(bandwidths=(1e6, 2e6))
     load = LoadField.uniform(grid, 1e8)
     control = ControlTimeModel(0.01)
     part = weighted_voronoi(grid, radio)
     report = region_hover_report(grid, part, radio, load, control, 300)
     for i in range(2):
-        assert report.hover_times[i] == pytest.approx(
-            hover_time(grid, part.region(i), radio, i, load, control, 300), rel=1e-12
-        )
+        cells = part.region(i)
+        seconds = (1e8 * grid.cell_mass[cells] / radio.spectral_eff[i, cells]).sum()
+        expected = 300 * seconds / radio.bandwidths[i] + 0.01 * (300 * part.masses[i]) ** 2
+        assert report.hover_times[i] == pytest.approx(expected, rel=1e-12)
     assert report.total == pytest.approx(report.hover_times.sum(), rel=1e-12)
 
 
@@ -221,7 +238,7 @@ def test_equal_split_dominated_on_real_field():
     control = ControlTimeModel(0.01)
     part = weighted_voronoi(grid, radio)
     region = part.region(0)
-    assert hover_time(grid, region, radio, 0, load, control, 300) < (
+    assert one_region_hover(grid, region, radio, 0, load, control, 300) < (
         hover_time_equal_split(grid, region, radio, 0, load, control, 300)
     )
 
@@ -375,11 +392,8 @@ def test_brute_force_beats_any_manual_assignment():
     radio = exact.radio
     rng = np.random.default_rng(3)
     for _ in range(10):
-        assignment = rng.integers(0, 2, size=4)
-        total = sum(
-            hover_time(grid, assignment == i, radio, i, load, control, 300)
-            for i in range(2)
-        )
+        part = assigned(grid, rng.integers(0, 2, size=4), 2)
+        total = region_hover_report(grid, part, radio, load, control, 300).total
         assert exact.report.total <= total * (1 + 1e-12)
 
 
@@ -406,7 +420,5 @@ def test_brute_force_marks_unpopulated_dead_cells():
     assert result.partition.assignment[0] == 0
     assert np.all(result.partition.assignment[1:] == INFEASIBLE)
     assert result.partition.masses[0] == pytest.approx(1.0)
-    expected = hover_time(
-        grid, result.partition.region(0), result.radio, 0, load, control, 300
-    )
-    assert result.report.total == pytest.approx(expected, rel=1e-12)
+    seconds = 300 * 1e8 * grid.cell_mass[0] / (1e6 * result.radio.spectral_eff[0, 0])
+    assert result.report.total == pytest.approx(seconds + 0.01 * 300.0**2, rel=1e-12)
