@@ -3,6 +3,7 @@ loss, SINR with scalable interference, and spectral efficiency fields."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,8 +78,9 @@ class UavNode:
     max_hover: float = 0.0
 
     def __post_init__(self):
-        if self.altitude <= 0:
-            raise ValueError("altitude must be positive")
+        # the link geometry needs altitude^2 as a positive finite float
+        if not (self.altitude > 0 and 0.0 < self.altitude * self.altitude < math.inf):
+            raise ValueError("altitude must be positive with a finite, non-zero square")
         if self.power < 0:
             raise ValueError("transmit power must be non-negative")
         if self.bandwidth <= 0:
@@ -108,8 +110,6 @@ def mean_path_loss(uav, x, y, params):
     reference_loss * d^2 * (P_los * mu_los + (1 - P_los) * mu_nlos).
     """
     d2 = (x - uav.x) ** 2 + (y - uav.y) ** 2 + uav.altitude**2
-    if np.any(d2 <= 0):
-        raise ValueError("link distance must be positive")
     p = los_probability(uav, x, y, params)
     return params.reference_loss * d2 * (p * params.mu_los + (1.0 - p) * params.mu_nlos)
 

@@ -67,12 +67,13 @@ class ExperimentConfig:
     out_dir: str = "results"
 
 
-# config keys that may be given in linear units instead of the dB fields
+# config keys that may be given in linear units instead of the dB fields:
+# key -> (dB field, offset added to 10 log10 of the linear value)
 _LINEAR_ALIASES = {
-    "mu_los": ("mu_los_db", db_to_linear),
-    "mu_nlos": ("mu_nlos_db", db_to_linear),
-    "sinr_threshold": ("sinr_threshold_db", db_to_linear),
-    "noise_w_per_hz": ("noise_dbm_per_hz", dbm_to_watts),
+    "mu_los": ("mu_los_db", 0.0),
+    "mu_nlos": ("mu_nlos_db", 0.0),
+    "sinr_threshold": ("sinr_threshold_db", 0.0),
+    "noise_w_per_hz": ("noise_dbm_per_hz", 30.0),  # W -> dBm
 }
 
 _FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -122,18 +123,14 @@ def load_config(path):
             continue
         for key, raw in parser.items(section):
             if key in _LINEAR_ALIASES:
-                target, to_db_domain = _LINEAR_ALIASES[key]
+                target, offset_db = _LINEAR_ALIASES[key]
                 try:
                     linear = float(raw)
                 except ValueError:
                     raise ConfigError(f"bad value for {key}: {raw!r}") from None
                 if linear <= 0:
                     raise ConfigError(f"{key} must be positive, got {raw!r}")
-                # invert the loader conversion so the dB field round-trips
-                if to_db_domain is dbm_to_watts:
-                    updates[target] = float(linear_to_db(linear)) + 30.0
-                else:
-                    updates[target] = float(linear_to_db(linear))
+                updates[target] = float(linear_to_db(linear)) + offset_db
             elif key in _FIELDS:
                 updates[key] = _parse_value(key, raw)
             elif key != "rounds":  # retired, still read so old manifests rerun
@@ -149,10 +146,14 @@ def validate_config(cfg):
     if cfg.sweep_var != "none" and len(cfg.sweep_values) == 0:
         raise ConfigError("sweep_var set but sweep_values empty")
     for value in cfg.sweep_values:
-        apply_sweep(cfg, value)
+        _check_fields(apply_sweep(cfg, value))
 
 
 def _check_fields(cfg):
+    """Check one concrete config.  Its fleet and channel are built, because
+    UavNode, ChannelParams and place_uavs_grid own their rules; its grid is
+    not (it costs far more), so the grid rules are checked here on the fields
+    and a hot spot that underflows on the grid is left to build_grid."""
     for f in fields(ExperimentConfig):
         if f.type in ("float", "tuple") and not np.all(np.isfinite(getattr(cfg, f.name))):
             raise ConfigError(f"{f.name} must be finite")
@@ -161,13 +162,7 @@ def _check_fields(cfg):
         (cfg.nx >= 1 and cfg.ny >= 1, "grid must be at least 1x1"),
         (cfg.density_kind in DENSITY_KINDS, f"density_kind must be one of {DENSITY_KINDS}"),
         (cfg.sigma_x > 0 and cfg.sigma_y > 0, "sigma must be positive"),
-        (cfg.n_uavs >= 1, "need at least one UAV"),
-        (cfg.altitude > 0, "altitude must be positive"),
-        (cfg.power >= 0, "power must be non-negative"),
-        (cfg.bandwidth > 0, "bandwidth must be positive"),
-        (cfg.max_hover > 0, "hover budget must be positive"),
-        (cfg.carrier_hz > 0, "carrier frequency must be positive"),
-        (0.0 <= cfg.beta <= 1.0, "beta must lie in [0, 1]"),
+        (cfg.max_hover > 0, "hover budget must be positive"),  # UavNode allows 0
         (cfg.scenario in SCENARIOS, f"scenario must be one of {SCENARIOS}"),
         (cfg.n_users >= 1, "need at least one user"),
         (cfg.alpha >= 0, "alpha must be non-negative"),
@@ -180,31 +175,35 @@ def _check_fields(cfg):
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
+    try:
+        build_uavs(cfg)
+        build_channel(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def apply_sweep(cfg, value):
-    """Copy of cfg with the sweep variable set to one concrete value; raises
-    ConfigError when the swept config is out of range."""
+    """Copy of cfg with the sweep variable set to one concrete value.
+
+    Raises ConfigError for an unknown sweep variable or a fractional n_uavs;
+    validate_config checks the swept config itself."""
     if cfg.sweep_var == "none":
         return cfg
     if cfg.sweep_var == "beta":
-        swept = replace(cfg, beta=value)
-    elif cfg.sweep_var == "sigma":
-        swept = replace(cfg, sigma_x=value, sigma_y=value)
-    elif cfg.sweep_var == "tau_max":
-        swept = replace(cfg, max_hover=value)
-    elif cfg.sweep_var == "bandwidth":
-        swept = replace(cfg, bandwidth=value)
-    elif cfg.sweep_var == "alpha":
-        swept = replace(cfg, alpha=value)
-    elif cfg.sweep_var == "n_uavs":
+        return replace(cfg, beta=value)
+    if cfg.sweep_var == "sigma":
+        return replace(cfg, sigma_x=value, sigma_y=value)
+    if cfg.sweep_var == "tau_max":
+        return replace(cfg, max_hover=value)
+    if cfg.sweep_var == "bandwidth":
+        return replace(cfg, bandwidth=value)
+    if cfg.sweep_var == "alpha":
+        return replace(cfg, alpha=value)
+    if cfg.sweep_var == "n_uavs":
         if not float(value).is_integer():
             raise ConfigError(f"n_uavs sweep values must be whole numbers, got {value:g}")
-        swept = replace(cfg, n_uavs=int(value))
-    else:
-        raise ConfigError(f"unknown sweep variable: {cfg.sweep_var}")
-    _check_fields(swept)
-    return swept
+        return replace(cfg, n_uavs=int(value))
+    raise ConfigError(f"unknown sweep variable: {cfg.sweep_var}")
 
 
 def config_to_ini(cfg, provenance=None):
@@ -275,16 +274,13 @@ def build_uavs(cfg):
 
 def build_channel(cfg):
     """ChannelParams with the configured dB quantities made linear."""
-    try:
-        return ChannelParams(
-            carrier_hz=cfg.carrier_hz,
-            mu_los=db_to_linear(cfg.mu_los_db),
-            mu_nlos=db_to_linear(cfg.mu_nlos_db),
-            b1=cfg.b1,
-            b2=cfg.b2,
-            noise_w_per_hz=dbm_to_watts(cfg.noise_dbm_per_hz),
-            beta=cfg.beta,
-            sinr_threshold=db_to_linear(cfg.sinr_threshold_db),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ChannelParams(
+        carrier_hz=cfg.carrier_hz,
+        mu_los=db_to_linear(cfg.mu_los_db),
+        mu_nlos=db_to_linear(cfg.mu_nlos_db),
+        b1=cfg.b1,
+        b2=cfg.b2,
+        noise_w_per_hz=dbm_to_watts(cfg.noise_dbm_per_hz),
+        beta=cfg.beta,
+        sinr_threshold=db_to_linear(cfg.sinr_threshold_db),
+    )

@@ -48,11 +48,12 @@ class Partition:
 
 
 def region_masses(grid, assignment, n_uavs):
-    """User mass per UAV for a given assignment array."""
+    """User mass per UAV for a given assignment array, always float64 (an
+    empty selection makes np.bincount return integer zeros)."""
     served = assignment >= 0
     return np.bincount(
         assignment[served], weights=grid.cell_mass[served], minlength=n_uavs
-    )
+    ).astype(float, copy=False)
 
 
 def assign_by_min_cost(grid, costs, feasible=None):

@@ -27,13 +27,8 @@ from .config import (
 from .errors import ConfigError, ConvergenceError, InfeasibleError
 from .metrics import jain_index, sample_users, service_per_user, total_data_service
 from .partition import partition_to_csv, weighted_voronoi
-from .scenario1 import ControlTimeModel, service_field_for_partition, solve_scenario1
-from .scenario2 import (
-    LoadField,
-    hover_time_equal_split,
-    region_hover_report,
-    solve_scenario2,
-)
+from .scenario1 import service_field_for_partition, solve_scenario1
+from .scenario2 import hover_time_equal_split, region_hover_report, solve_scenario2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,14 +52,13 @@ def _point_tag(cfg, value):
 
 
 def _scenario1_rows(cfg, grid, uavs, params, radio, point, out_dir):
-    control = ControlTimeModel(cfg.alpha)
     result = solve_scenario1(
-        grid, uavs, params, control, cfg.n_users,
+        grid, uavs, params, cfg.alpha, cfg.n_users,
         mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter, radio=radio,
     )
     baseline = weighted_voronoi(grid, radio)
     base_service = service_field_for_partition(
-        grid, radio, uavs, control, cfg.n_users, baseline
+        grid, radio, uavs, cfg.alpha, cfg.n_users, baseline
     )
     rows = []
     residual = float(np.abs(result.partition.masses - result.fairness.target_masses).max())
@@ -98,20 +92,20 @@ def _scenario1_rows(cfg, grid, uavs, params, radio, point, out_dir):
 
 
 def _scenario2_rows(cfg, grid, uavs, params, radio, point, out_dir):
-    control = ControlTimeModel(cfg.alpha)
-    load = LoadField.uniform(grid, cfg.load_bits)
     result = solve_scenario2(
-        grid, uavs, params, load, control, cfg.n_users,
+        grid, uavs, params, cfg.load_bits, cfg.alpha, cfg.n_users,
         mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter, radio=radio,
     )
     baseline = weighted_voronoi(grid, radio)
     base_report = region_hover_report(
-        grid, baseline, radio, load, control, cfg.n_users
+        grid, baseline, radio, cfg.load_bits, cfg.alpha, cfg.n_users
     )
 
     def equal_split_total(part):
         return sum(
-            hover_time_equal_split(grid, part.region(i), radio, i, load, control, cfg.n_users)
+            hover_time_equal_split(
+                grid, part.region(i), radio, i, cfg.load_bits, cfg.alpha, cfg.n_users
+            )
             for i in range(part.n_uavs)
         )
 

@@ -30,35 +30,6 @@ FAIRNESS_DAMPING = 0.5
 
 
 @dataclass(frozen=True)
-class ControlTimeModel:
-    """Quadratic control overhead: g(n) = alpha * n^2 seconds for n users."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError("alpha must be finite and non-negative")
-
-    def time_of_mass(self, mass, n_users):
-        """Control seconds when a mass fraction of n_users is in the region."""
-        return self.alpha * (n_users * mass) ** 2
-
-    def rate_of_mass(self, mass, n_users):
-        """Derivative of time_of_mass with respect to the mass fraction."""
-        return 2.0 * self.alpha * n_users**2 * mass
-
-
-def per_uav_controls(control, n_uavs):
-    """Normalize a single ControlTimeModel or a sequence to one per UAV."""
-    if isinstance(control, ControlTimeModel):
-        return [control] * n_uavs
-    models = list(control)
-    if len(models) != n_uavs:
-        raise ValueError(f"need one control model per UAV, got {len(models)}")
-    return models
-
-
-@dataclass(frozen=True)
 class FairnessSolution:
     """Serving times and load shares that give every user the same resource.
 
@@ -73,14 +44,15 @@ class FairnessSolution:
     n_users: int
 
 
-def solve_fairness_system(uavs, control, n_users):
-    """Solve T_i = tau_i - g_i(N w_i), w_i = B_i T_i / sum_k B_k T_k.
+def solve_fairness_system(uavs, alpha, n_users):
+    """Solve T_i = tau_i - alpha_i (N w_i)^2, w_i = B_i T_i / sum_k B_k T_k.
 
-    Fixed-point iteration damped by FAIRNESS_DAMPING, starting from
-    T_i = tau_i, converged when the largest serving-time update falls below
-    FAIRNESS_TOL_SCALE * max(tau).  Raises
-    InfeasibleError when a budget cannot cover its control overhead (negative
-    serving time) or the iteration does not settle.
+    alpha is the control-time weight in seconds per user^2, one value for the
+    fleet or one per UAV.  Fixed-point iteration damped by FAIRNESS_DAMPING,
+    starting from T_i = tau_i, converged when the largest serving-time update
+    falls below FAIRNESS_TOL_SCALE * max(tau).  Raises InfeasibleError when a
+    budget cannot cover its control overhead (negative serving time) or the
+    iteration does not settle.
     """
     if len(uavs) == 0:
         raise ValueError("need at least one UAV")
@@ -90,7 +62,7 @@ def solve_fairness_system(uavs, control, n_users):
     tau = np.array([u.max_hover for u in uavs], dtype=float)
     if np.any(tau <= 0):
         raise ValueError("every hover budget must be positive")
-    models = per_uav_controls(control, len(uavs))
+    alpha = np.broadcast_to(alpha, len(uavs))
     tol = FAIRNESS_TOL_SCALE * tau.max()
     serve = tau.copy()
     for _ in range(FAIRNESS_MAX_ITER):
@@ -98,9 +70,7 @@ def solve_fairness_system(uavs, control, n_users):
         if pool <= 0:
             raise InfeasibleError("serving-time pool collapsed to zero")
         shares = bw * serve / pool
-        target = tau - np.array(
-            [m.time_of_mass(w, n_users) for m, w in zip(models, shares)]
-        )
+        target = tau - alpha * (n_users * shares) ** 2
         updated = (1.0 - FAIRNESS_DAMPING) * serve + FAIRNESS_DAMPING * target
         if np.any(updated < 0):
             raise InfeasibleError("hover budget below control overhead")
@@ -137,7 +107,7 @@ class Scenario1Result:
     radio: object
 
 
-def solve_scenario1(grid, uavs, params, control, n_users, mass_tol=DEFAULT_MASS_TOL,
+def solve_scenario1(grid, uavs, params, alpha, n_users, mass_tol=DEFAULT_MASS_TOL,
                     max_iter=DEFAULT_MAX_ITER, radio=None):
     """Partition the area so each UAV's region mass matches its fair share.
 
@@ -152,7 +122,7 @@ def solve_scenario1(grid, uavs, params, control, n_users, mass_tol=DEFAULT_MASS_
     """
     if radio is None:
         radio = compute_radio_field(grid, uavs, params)
-    fairness = solve_fairness_system(uavs, control, n_users)
+    fairness = solve_fairness_system(uavs, alpha, n_users)
     costs = build_cost_field(grid, radio, fairness)
     covered = np.isfinite(costs).any(axis=0)
     uncovered_mass = float(grid.cell_mass[~covered].sum())
@@ -170,7 +140,7 @@ def solve_scenario1(grid, uavs, params, control, n_users, mass_tol=DEFAULT_MASS_
     return Scenario1Result(part, fairness, potentials, service, radio)
 
 
-def service_field_for_partition(grid, radio, uavs, control, n_users, part):
+def service_field_for_partition(grid, radio, uavs, alpha, n_users, part):
     """Per-user service when each UAV splits its own budget over its own
     region, with no cross-region fairness coupling.
 
@@ -180,13 +150,11 @@ def service_field_for_partition(grid, radio, uavs, control, n_users, part):
     baseline partitions; for a partition whose masses equal the fairness
     shares this reduces to the solver's own service field.
     """
-    models = per_uav_controls(control, len(uavs))
+    alpha = np.broadcast_to(alpha, len(uavs))
     bw = np.array([u.bandwidth for u in uavs], dtype=float)
     tau = np.array([u.max_hover for u in uavs], dtype=float)
     a = part.masses
-    serve = np.maximum(
-        tau - np.array([m.time_of_mass(ai, n_users) for m, ai in zip(models, a)]), 0.0
-    )
+    serve = np.maximum(tau - alpha * (n_users * a) ** 2, 0.0)
     scale = np.divide(
         bw * serve, n_users * a, out=np.zeros(len(uavs)), where=a > 0
     )

@@ -24,29 +24,9 @@ from .partition import (
     region_masses,
     weighted_voronoi,
 )
-from .scenario1 import DEFAULT_MASS_TOL, DEFAULT_MAX_ITER, per_uav_controls
+from .scenario1 import DEFAULT_MASS_TOL, DEFAULT_MAX_ITER
 
 BRUTE_FORCE_LIMIT = 1_000_000
-
-
-@dataclass(frozen=True)
-class LoadField:
-    """Per-cell demand in bits for a user at that cell."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        b = np.ascontiguousarray(self.bits, dtype=float)
-        if b.ndim != 1:
-            raise ValueError("load must be 1-D over cells")
-        if not np.all(np.isfinite(b)) or np.any(b < 0):
-            raise ValueError("load must be finite and non-negative")
-        b.setflags(write=False)
-        object.__setattr__(self, "bits", b)
-
-    @classmethod
-    def uniform(cls, grid, bits):
-        return cls(np.full(grid.n_cells, float(bits)))
 
 
 @dataclass(frozen=True)
@@ -91,31 +71,31 @@ def optimal_bandwidth_split(loads, efficiencies, bandwidth):
     return bandwidth * ratio / total, total / bandwidth
 
 
-def hover_time_equal_split(grid, region, radio, uav_index, load, control, n_users):
+def hover_time_equal_split(grid, region, radio, uav_index, load_bits, alpha, n_users):
     """Seconds to clear the region when every user gets the same bandwidth
     share; the slowest populated cell sets the finish time."""
-    models = per_uav_controls(control, radio.n_uavs)
+    alpha = np.broadcast_to(alpha, radio.n_uavs)
     region = np.asarray(region, dtype=bool)
     if np.any(region & ~radio.feasible_by_uav[uav_index]):
         raise InfeasibleError(
             f"region of UAV {uav_index} contains cells below its SINR floor"
         )
     a = measure(grid, region)
-    ctrl = models[uav_index].time_of_mass(a, n_users)
+    ctrl = alpha[uav_index] * (n_users * a) ** 2
     idx = np.flatnonzero(region & (grid.cell_mass > 0))
     if len(idx) == 0 or a == 0.0:
         return ctrl
     eff = radio.spectral_eff[uav_index, idx]
-    slowest = float((load.bits[idx] / eff).max())
+    slowest = float((load_bits / eff).max())
     return n_users * a * slowest / radio.bandwidths[uav_index] + ctrl
 
 
-def region_hover_report(grid, part, radio, load, control, n_users):
+def region_hover_report(grid, part, radio, load_bits, alpha, n_users):
     """HoverReport for every UAV of a partition: transmission seconds under
     the optimal in-region bandwidth split plus control overhead."""
-    models = per_uav_controls(control, radio.n_uavs)
-    if part.assignment.shape != (grid.n_cells,) or load.bits.shape != (grid.n_cells,):
-        raise ValueError("partition and load must cover every grid cell")
+    alpha = np.broadcast_to(alpha, radio.n_uavs)
+    if part.assignment.shape != (grid.n_cells,):
+        raise ValueError("partition must cover every grid cell")
     serve = np.zeros(part.n_uavs)
     ctrl = np.zeros(part.n_uavs)
     for i in range(part.n_uavs):
@@ -124,25 +104,20 @@ def region_hover_report(grid, part, radio, load, control, n_users):
             raise InfeasibleError(f"region of UAV {i} contains cells below its SINR floor")
         idx = np.flatnonzero(region)
         eff = radio.spectral_eff[i, idx]
-        demand = load.bits[idx] * grid.cell_mass[idx]
+        demand = load_bits * grid.cell_mass[idx]
         serve[i] = n_users * float((demand / eff).sum()) / radio.bandwidths[i]
-        ctrl[i] = models[i].time_of_mass(measure(grid, region), n_users)
+        ctrl[i] = alpha[i] * (n_users * measure(grid, region)) ** 2
     return HoverReport(serve_times=serve, control_times=ctrl)
 
 
-def marginal_hover_cost(grid, radio, load, control, masses, n_users):
+def marginal_hover_cost(radio, load_bits, alpha, masses, n_users):
     """Per-cell cost of adding the cell to each UAV: transmission seconds for
-    the cell's users plus the control-time slope at the UAV's current mass.
-    +inf below the SINR floor."""
-    models = per_uav_controls(control, radio.n_uavs)
-    if load.bits.shape != (grid.n_cells,):
-        raise ValueError("load must cover every grid cell")
-    masses = np.asarray(masses, dtype=float)
+    the cell's users plus the control-time slope 2 alpha_i N^2 a_i at the
+    UAV's current mass a_i.  +inf below the SINR floor."""
+    alpha = np.broadcast_to(alpha, radio.n_uavs)
     eff = np.where(radio.feasible_by_uav, radio.spectral_eff, 1.0)
-    serve = n_users * load.bits[None, :] / (radio.bandwidths[:, None] * eff)
-    slope = np.array(
-        [m.rate_of_mass(a, n_users) for m, a in zip(models, masses)]
-    )
+    serve = n_users * load_bits / (radio.bandwidths[:, None] * eff)
+    slope = 2.0 * alpha * n_users**2 * np.asarray(masses, dtype=float)
     return np.where(radio.feasible_by_uav, serve + slope[:, None], np.inf)
 
 
@@ -155,37 +130,40 @@ class Scenario2Result:
     duality_gap: float | None = None
 
 
-def solve_scenario2(grid, uavs, params, load, control, n_users,
+def solve_scenario2(grid, uavs, params, load_bits, alpha, n_users,
                     mass_tol=DEFAULT_MASS_TOL, max_iter=DEFAULT_MAX_ITER, radio=None):
     """Minimize total hover time by ascending the dual of the relaxed problem,
     D(l) = sum_c m_c min_i (s_ic + l_i) - sum_i l_i^2 / (2 k_i), over psi = -l.
 
-    s_ic is the cell's transmission seconds per unit mass, k_i = 2 alpha_i N^2,
-    and l_i = g_i'(b_i) the control slope at the mass b_i that UAV i is priced
-    at.  The ascent starts from the slopes at the max-SINR diagram's masses
-    and stops when the region masses match b within mass_tol (or stall); each
-    cell then goes to its least marginal hover cost at b.  That partition's
-    hover total minus D is duality_gap = sum_i k_i (a_i - b_i)^2 / 2 seconds.
-    Unservable populated cells raise InfeasibleError.
+    load_bits is every user's demand in bits and alpha the control-time
+    weight (one value, or one per UAV).  s_ic is the cell's transmission
+    seconds per unit mass, k_i = 2 alpha_i N^2, and l_i = k_i b_i the control
+    slope at the mass b_i that UAV i is priced at.  The ascent starts from the
+    slopes at the max-SINR diagram's masses and stops when the region masses
+    match b within mass_tol (or stall); each cell then goes to its least
+    marginal hover cost at b.  That partition's hover total minus D is
+    duality_gap = sum_i k_i (a_i - b_i)^2 / 2 seconds.  A populated cell with
+    no finite transmission time (no link above the SINR floor, or a load too
+    large for a float) raises InfeasibleError.
     """
     if radio is None:
         radio = compute_radio_field(grid, uavs, params)
-    models = per_uav_controls(control, len(uavs))
-    dead = ~radio.feasible & (grid.cell_mass > 0)
+    # at zero mass the marginal hover cost is the transmission time alone
+    seconds = marginal_hover_cost(radio, load_bits, alpha, np.zeros(len(uavs)), n_users)
+    servable = np.isfinite(seconds).any(axis=0)
+    dead = ~servable & (grid.cell_mass > 0)
     if np.any(dead):
         k = np.flatnonzero(dead)
         raise InfeasibleError(
-            f"{len(k)} populated cells have no link above the SINR floor, "
+            f"{len(k)} populated cells have no finite transmission time, "
             f"first at ({grid.cell_x[k[0]]:.0f} m, {grid.cell_y[k[0]]:.0f} m)"
         )
-    curvature = np.array([m.rate_of_mass(1.0, n_users) for m in models])
+    curvature = 2.0 * np.broadcast_to(alpha, len(uavs)) * n_users**2
     priced = curvature > 0
 
     def gap(masses, wanted):
         return 0.5 * float(curvature @ (masses - wanted) ** 2)
 
-    # at zero mass the marginal hover cost is the transmission time alone
-    seconds = marginal_hover_cost(grid, radio, load, models, np.zeros(len(uavs)), n_users)
     potentials = ascend_dual(
         grid, seconds, -curvature * weighted_voronoi(grid, radio).masses,
         term=lambda psi: -float(psi[priced] ** 2 @ (0.5 / curvature[priced])),
@@ -193,13 +171,13 @@ def solve_scenario2(grid, uavs, params, load, control, n_users,
         mass_tol=mass_tol, max_iter=max_iter, gap=gap,
     )
     priced_at = np.divide(-potentials.psi, curvature, out=np.zeros(len(uavs)), where=priced)
-    costs = marginal_hover_cost(grid, radio, load, models, priced_at, n_users)
-    part = assign_by_min_cost(grid, costs, feasible=radio.feasible)
-    report = region_hover_report(grid, part, radio, load, models, n_users)
+    costs = marginal_hover_cost(radio, load_bits, alpha, priced_at, n_users)
+    part = assign_by_min_cost(grid, costs, feasible=servable)
+    report = region_hover_report(grid, part, radio, load_bits, alpha, n_users)
     return Scenario2Result(part, report, radio, potentials, gap(part.masses, priced_at))
 
 
-def brute_force_min_hover(grid, uavs, params, load, control, n_users, radio=None):
+def brute_force_min_hover(grid, uavs, params, load_bits, alpha, n_users, radio=None):
     """Exhaustive minimum of total hover time over all feasible assignments.
 
     Every cell ranges over the UAVs whose SINR floor it meets; instances with
@@ -208,7 +186,7 @@ def brute_force_min_hover(grid, uavs, params, load, control, n_users, radio=None
     """
     if radio is None:
         radio = compute_radio_field(grid, uavs, params)
-    models = per_uav_controls(control, len(uavs))
+    alpha = np.broadcast_to(alpha, len(uavs))
     choices = [np.flatnonzero(radio.feasible_by_uav[:, c]) for c in range(grid.n_cells)]
     if any(len(ch) == 0 and grid.cell_mass[c] > 0 for c, ch in enumerate(choices)):
         raise InfeasibleError("populated cell with no link above the SINR floor")
@@ -219,7 +197,7 @@ def brute_force_min_hover(grid, uavs, params, load, control, n_users, radio=None
             raise ValueError(f"instance exceeds the {BRUTE_FORCE_LIMIT} assignment limit")
     eff = np.where(radio.feasible_by_uav, radio.spectral_eff, 1.0)
     serve_cost = (
-        n_users * load.bits[None, :] * grid.cell_mass[None, :]
+        n_users * load_bits * grid.cell_mass[None, :]
         / (radio.bandwidths[:, None] * eff)
     )
     options = [ch if len(ch) else np.array([0]) for ch in choices]
@@ -227,8 +205,8 @@ def brute_force_min_hover(grid, uavs, params, load, control, n_users, radio=None
     for combo in itertools.product(*options):
         assignment = np.array(combo)
         masses = region_masses(grid, assignment, len(uavs))
-        total = float(serve_cost[assignment, np.arange(grid.n_cells)].sum()) + sum(
-            mo.time_of_mass(a, n_users) for mo, a in zip(models, masses)
+        total = float(serve_cost[assignment, np.arange(grid.n_cells)].sum()) + float(
+            alpha @ (n_users * masses) ** 2
         )
         if total < best_total:
             best_total = total
@@ -236,5 +214,5 @@ def brute_force_min_hover(grid, uavs, params, load, control, n_users, radio=None
     unservable = np.array([len(ch) == 0 for ch in choices])
     best_assignment = np.where(unservable, INFEASIBLE, best_assignment)
     part = Partition(best_assignment, region_masses(grid, best_assignment, len(uavs)))
-    report = region_hover_report(grid, part, radio, load, models, n_users)
+    report = region_hover_report(grid, part, radio, load_bits, alpha, n_users)
     return Scenario2Result(part, report, radio)

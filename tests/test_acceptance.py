@@ -23,7 +23,6 @@ from uavpart.metrics import (
 )
 from uavpart.partition import assign_by_min_cost, weighted_voronoi
 from uavpart.scenario1 import (
-    ControlTimeModel,
     build_cost_field,
     dual_value,
     service_field_for_partition,
@@ -31,7 +30,6 @@ from uavpart.scenario1 import (
     solve_scenario1,
 )
 from uavpart.scenario2 import (
-    LoadField,
     brute_force_min_hover,
     hover_time_equal_split,
     optimal_bandwidth_split,
@@ -53,8 +51,7 @@ def default_scene():
     uavs = build_uavs(BASE)
     params = build_channel(BASE)
     radio = compute_radio_field(grid, uavs, params)
-    load = LoadField.uniform(grid, BASE.load_bits)
-    return grid, uavs, params, radio, load
+    return grid, uavs, params, radio, BASE.load_bits
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +59,7 @@ def s1_default(default_scene):
     grid, uavs, params, radio, _ = default_scene
     start = time.time()
     result = solve_scenario1(
-        grid, uavs, params, ControlTimeModel(BASE.alpha), BASE.n_users,
+        grid, uavs, params, BASE.alpha, BASE.n_users,
         mass_tol=BASE.mass_tol, max_iter=BASE.max_ascent_iter, radio=radio,
     )
     return result, time.time() - start
@@ -74,21 +71,20 @@ def midpoint_scene():
     grid = build_grid(cfg)
     uavs = build_uavs(cfg)
     radio = compute_radio_field(grid, uavs, build_channel(cfg))
-    fair = solve_fairness_system(uavs, ControlTimeModel(cfg.alpha), cfg.n_users)
+    fair = solve_fairness_system(uavs, cfg.alpha, cfg.n_users)
     costs = build_cost_field(grid, radio, fair)
     return grid, costs, fair
 
 
 @pytest.fixture(scope="module")
 def s2_beta_totals(default_scene):
-    grid, uavs, _, radio, load = default_scene
-    control = ControlTimeModel(BASE.alpha)
+    grid, uavs, _, radio, load_bits = default_scene
     totals = {}
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
         params = build_channel(replace(BASE, beta=beta))
         r = radio if beta == BASE.beta else None
         result = solve_scenario2(
-            grid, uavs, params, load, control, BASE.n_users,
+            grid, uavs, params, load_bits, BASE.alpha, BASE.n_users,
             radio=r,
         )
         totals[beta] = result.report.total
@@ -98,13 +94,12 @@ def s2_beta_totals(default_scene):
 @pytest.fixture(scope="module")
 def s1_beta_service(default_scene):
     grid, uavs, _, radio, _ = default_scene
-    control = ControlTimeModel(BASE.alpha)
     service = {}
     for beta in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
         params = build_channel(replace(BASE, beta=beta))
         r = radio if beta == BASE.beta else None
         result = solve_scenario1(
-            grid, uavs, params, control, BASE.n_users,
+            grid, uavs, params, BASE.alpha, BASE.n_users,
             mass_tol=BASE.mass_tol, max_iter=BASE.max_ascent_iter, radio=r,
         )
         service[beta] = total_data_service(
@@ -180,7 +175,7 @@ def test_four_cell_exact_optimum():
         UavNode(x=360.0, y=340.0, altitude=200.0, bandwidth=1e6, max_hover=1800.0),
     ]
     result = solve_scenario1(
-        grid, uavs, ChannelParams(), ControlTimeModel(0.01), 300
+        grid, uavs, ChannelParams(), 0.01, 300
     )
     costs = build_cost_field(grid, result.radio, result.fairness)
     totals = []
@@ -234,8 +229,8 @@ def test_split_identities_random():
 def test_small_instances_match_brute_force():
     params = ChannelParams()
     grid = uniform_density(1000.0, 1000.0, 3, 3)
-    load = LoadField.uniform(grid, 1e8)
-    control = ControlTimeModel(0.01)
+    load_bits = 1e8
+    alpha = 0.01
     rng = np.random.default_rng(2024)
     start = time.time()
     worst = 0.0
@@ -245,9 +240,9 @@ def test_small_instances_match_brute_force():
             UavNode(x=xs[0], y=xs[1], altitude=200.0),
             UavNode(x=xs[2], y=xs[3], altitude=200.0),
         ]
-        exact = brute_force_min_hover(grid, uavs, params, load, control, 300)
+        exact = brute_force_min_hover(grid, uavs, params, load_bits, alpha, 300)
         assert exact.radio.feasible_by_uav.all()  # full 2^9 search space
-        heur = solve_scenario2(grid, uavs, params, load, control, 300)
+        heur = solve_scenario2(grid, uavs, params, load_bits, alpha, 300)
         rel = heur.report.total / exact.report.total - 1.0
         worst = max(worst, rel)
         assert rel <= 0.01
@@ -261,12 +256,12 @@ def test_small_instances_match_brute_force():
 
 
 def test_zero_alpha_matches_rate_diagram(default_scene):
-    grid, uavs, params, radio, load = default_scene
+    grid, uavs, params, radio, load_bits = default_scene
     result = solve_scenario2(
-        grid, uavs, params, load, ControlTimeModel(0.0), BASE.n_users,
+        grid, uavs, params, load_bits, 0.0, BASE.n_users,
         radio=radio,
     )
-    serve = BASE.n_users * load.bits[None, :] / (
+    serve = BASE.n_users * load_bits / (
         radio.bandwidths[:, None] * radio.spectral_eff
     )
     expected = np.where(
@@ -287,14 +282,14 @@ def test_zero_alpha_matches_rate_diagram(default_scene):
 def test_monotone_in_interference_and_control(
     default_scene, s2_beta_totals, s1_beta_service
 ):
-    grid, uavs, params, radio, load = default_scene
+    grid, uavs, params, radio, load_bits = default_scene
     betas = (0.0, 0.25, 0.5, 0.75, 1.0)
     hover = [s2_beta_totals[b] for b in betas]
     hover_up = all(a <= b * (1 + 1e-9) for a, b in zip(hover, hover[1:]))
     alphas = (0.0, 0.1, 0.5)
     alpha_hover = [
         solve_scenario2(
-            grid, uavs, params, load, ControlTimeModel(a), BASE.n_users,
+            grid, uavs, params, load_bits, a, BASE.n_users,
             radio=radio,
         ).report.total
         for a in alphas
@@ -336,7 +331,6 @@ def test_fairness_bounds_and_even_split(default_scene, s1_default):
 
 
 def test_jain_ordering_over_concentration():
-    control = ControlTimeModel(BASE.alpha)
     sigmas = (200.0, 400.0, 600.0, 800.0, 1000.0, 1200.0, 1400.0)
     prop_means, vor_means = [], []
     for sigma in sigmas:
@@ -345,12 +339,12 @@ def test_jain_ordering_over_concentration():
         uavs = build_uavs(cfg)
         radio = compute_radio_field(grid, uavs, build_channel(cfg))
         result = solve_scenario1(
-            grid, uavs, build_channel(cfg), control, cfg.n_users,
+            grid, uavs, build_channel(cfg), BASE.alpha, cfg.n_users,
             mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter, radio=radio,
         )
         baseline = weighted_voronoi(grid, radio)
         base_service = service_field_for_partition(
-            grid, radio, uavs, control, cfg.n_users, baseline
+            grid, radio, uavs, BASE.alpha, cfg.n_users, baseline
         )
         prop, vor = [], []
         for seed in range(cfg.n_seeds):
@@ -378,20 +372,19 @@ def test_service_gain_low_interference(s1_beta_service):
 
 
 def test_split_reduction_band(default_scene):
-    grid, _, _, _, load = default_scene
-    control = ControlTimeModel(BASE.alpha)
+    grid, _, _, _, load_bits = default_scene
     reductions = []
     for bandwidth in (0.5e6, 1e6, 2e6, 5e6, 10e6):
         cfg = replace(BASE, bandwidth=bandwidth)
         uavs = build_uavs(cfg)
         radio = compute_radio_field(grid, uavs, build_channel(cfg))
         result = solve_scenario2(
-            grid, uavs, build_channel(cfg), load, control, cfg.n_users,
+            grid, uavs, build_channel(cfg), load_bits, BASE.alpha, cfg.n_users,
             radio=radio,
         )
         eq_total = sum(
             hover_time_equal_split(
-                grid, result.partition.region(i), radio, i, load, control, cfg.n_users
+                grid, result.partition.region(i), radio, i, load_bits, BASE.alpha, cfg.n_users
             )
             for i in range(cfg.n_uavs)
         )
@@ -407,15 +400,14 @@ def test_split_reduction_band(default_scene):
 
 
 def test_fleet_scaling_band(default_scene):
-    grid, _, _, _, load = default_scene
-    control = ControlTimeModel(BASE.alpha)
+    grid, _, _, _, load_bits = default_scene
     totals = {}
     for m in (2, 6):
         cfg = replace(BASE, n_uavs=m, beta=0.0)
         uavs = build_uavs(cfg)
         radio = compute_radio_field(grid, uavs, build_channel(cfg))
         totals[m] = solve_scenario2(
-            grid, uavs, build_channel(cfg), load, control, cfg.n_users,
+            grid, uavs, build_channel(cfg), load_bits, BASE.alpha, cfg.n_users,
             radio=radio,
         ).report.total
     ratio = totals[6] / totals[2]
@@ -439,17 +431,16 @@ def test_partition_gain_grows_with_alpha():
     uavs = build_uavs(cfg)
     params = build_channel(cfg)
     radio = compute_radio_field(grid, uavs, params)
-    load = LoadField.uniform(grid, cfg.load_bits)
+    load_bits = cfg.load_bits
     baseline = weighted_voronoi(grid, radio)
     gaps = []
     for alpha in (0.01, 0.1, 0.5):
-        control = ControlTimeModel(alpha)
         proposed = solve_scenario2(
-            grid, uavs, params, load, control, cfg.n_users,
+            grid, uavs, params, load_bits, alpha, cfg.n_users,
             radio=radio,
         ).report.total
         voronoi = region_hover_report(
-            grid, baseline, radio, load, control, cfg.n_users
+            grid, baseline, radio, load_bits, alpha, cfg.n_users
         ).total
         gaps.append(1.0 - proposed / voronoi)
     increasing = all(a < b for a, b in zip(gaps, gaps[1:]))
@@ -463,12 +454,11 @@ def test_partition_gain_grows_with_alpha():
 
 
 def test_combined_reduction(default_scene, s2_beta_totals):
-    grid, uavs, _, radio, load = default_scene
-    control = ControlTimeModel(BASE.alpha)
+    grid, uavs, _, radio, load_bits = default_scene
     baseline = weighted_voronoi(grid, radio)
     worst_case = sum(
         hover_time_equal_split(
-            grid, baseline.region(i), radio, i, load, control, BASE.n_users
+            grid, baseline.region(i), radio, i, load_bits, BASE.alpha, BASE.n_users
         )
         for i in range(BASE.n_uavs)
     )

@@ -14,7 +14,7 @@ from uavpart.channel import compute_radio_field
 from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs
 from uavpart.metrics import sample_users
 from uavpart.runner import EXIT_OK, run_experiment
-from uavpart.scenario1 import ControlTimeModel, solve_scenario1
+from uavpart.scenario1 import solve_scenario1
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,7 +42,7 @@ def test_hooks_accept_real_results(tracing):
     grid, uavs, params = build_grid(TINY), build_uavs(TINY), build_channel(TINY)
     radio = compute_radio_field(grid, uavs, params)
     result = solve_scenario1(
-        grid, uavs, params, ControlTimeModel(TINY.alpha), TINY.n_users,
+        grid, uavs, params, TINY.alpha, TINY.n_users,
         mass_tol=TINY.mass_tol, radio=radio,
     )
     tracer = tracing.Tracer()

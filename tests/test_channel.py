@@ -222,3 +222,7 @@ def test_params_validation():
         UavNode(x=0.0, y=0.0, altitude=100.0, bandwidth=0.0)
     with pytest.raises(ValueError):
         UavNode(x=0.0, y=0.0, altitude=100.0, max_hover=-1.0)
+    # the slant range needs altitude^2 to neither overflow nor underflow
+    for altitude in (1e200, 1e-200, -5.0):
+        with pytest.raises(ValueError):
+            UavNode(x=0.0, y=0.0, altitude=altitude)

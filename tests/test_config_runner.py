@@ -2,6 +2,7 @@
 
 import csv
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from uavpart.runner import (
     EXIT_OK,
     run_experiment,
 )
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 FAST_BASE = {
     "experiment_id": "fast",
@@ -159,6 +162,13 @@ def test_validate_catches_bad_combinations():
         validate_config(replace(ExperimentConfig(), mass_tol=0.0))
     with pytest.raises(ConfigError):
         validate_config(replace(ExperimentConfig(), density_kind="ring"))
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.ini")), ids=lambda p: p.stem)
+def test_committed_configs_load(path):
+    # load_config runs validate_config over every sweep point
+    cfg = load_config(str(path))
+    assert cfg.experiment_id == path.stem
 
 
 # fleet placement
@@ -368,17 +378,40 @@ def test_cli_bad_config_returns_config_exit(tmp_path):
         {"scenario": 2, "sweep_var": "n_uavs", "sweep_values": "2 0.5"},
         {"scenario": 2, "sweep_var": "beta", "sweep_values": "0.5 1.5"},
         {"scenario": 2, "sweep_var": "bandwidth", "sweep_values": "1e6 -1"},
+        {"b1": -1},
+        {"mu_los_db": -3},
+        {"altitude": 1e200},
         {"sigma_x": 1, "sigma_y": 1, "mu_x": -500},
     ],
-    ids=["n_uavs", "beta", "bandwidth", "density_underflow"],
+    ids=["n_uavs", "beta", "bandwidth", "b1", "mu_los_db", "altitude_overflow",
+         "density_underflow"],
 )
 def test_cli_bad_scene_returns_config_exit(tmp_path, capsys, overrides):
     path = write_cfg(tmp_path, fast_text(**overrides))
-    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "out" / "metrics.csv").exists()
+    if "sigma_x" in overrides:
+        # an underflowing hot spot is only found when the grid is built,
+        # after run_experiment has created the output directory
+        assert not (out / "metrics.csv").exists()
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_overflowing_load_is_infeasible(tmp_path, capsys):
+    # every cell's transmission time overflows to inf: no cell can be served
+    path = write_cfg(tmp_path, fast_text(scenario=2, load_bits=1e308))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible instance: ")
+    assert "finite transmission time" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "metrics.csv").exists()
 
 
 def test_bad_sweep_point_rejected_by_run_experiment(tmp_path, capsys):

@@ -91,6 +91,12 @@ def test_all_infinite_cell_gets_sentinel():
     assert part.masses.sum() == pytest.approx(1.0 - GRID.cell_mass[11], rel=1e-12)
 
 
+def test_region_masses_float_when_nothing_served():
+    masses = region_masses(GRID, np.full(GRID.n_cells, INFEASIBLE), 3)
+    assert masses.dtype == np.float64
+    assert np.array_equal(masses, np.zeros(3))
+
+
 def test_feasible_cell_without_cost_raises():
     costs = random_costs(5)
     costs[:, 11] = np.inf

@@ -12,7 +12,6 @@ from uavpart.errors import ConvergenceError, InfeasibleError
 from uavpart.grid import uniform_density
 from uavpart.partition import shifted_masses
 from uavpart.scenario1 import (
-    ControlTimeModel,
     FairnessSolution,
     build_cost_field,
     dual_value,
@@ -54,7 +53,7 @@ def hetero_pair(nx, ny):
 def test_identical_uavs_closed_form():
     # equal budgets and bandwidths: shares 1/M, T = tau - alpha (N/M)^2
     uavs = fleet([(i * 100.0, 0.0) for i in range(5)])
-    sol = solve_fairness_system(uavs, ControlTimeModel(0.01), 300)
+    sol = solve_fairness_system(uavs, 0.01, 300)
     assert np.allclose(sol.target_masses, 0.2, atol=1e-9)
     assert np.allclose(sol.serve_times, 1800.0 - 0.01 * 60.0**2, atol=1e-5)
     assert sol.resource_per_user == pytest.approx(5e6 * 1764.0 / 300.0, rel=1e-8)
@@ -62,7 +61,7 @@ def test_identical_uavs_closed_form():
 
 def test_zero_alpha_shares():
     uavs = fleet([(0.0, 0.0)], bandwidth=1e6) + fleet([(1.0, 0.0)], bandwidth=3e6)
-    sol = solve_fairness_system(uavs, ControlTimeModel(0.0), 300)
+    sol = solve_fairness_system(uavs, 0.0, 300)
     assert np.allclose(sol.serve_times, 1800.0)
     assert np.allclose(sol.target_masses, [0.25, 0.75], atol=1e-12)
 
@@ -86,7 +85,7 @@ def test_two_uav_against_bisection_oracle():
     w_oracle = 0.5 * (lo + hi)
 
     uavs = fleet([(0.0, 0.0)], bandwidth=b1) + fleet([(1.0, 0.0)], bandwidth=b2)
-    sol = solve_fairness_system(uavs, ControlTimeModel(alpha), n)
+    sol = solve_fairness_system(uavs, alpha, n)
     assert sol.target_masses[0] == pytest.approx(w_oracle, abs=1e-7)
     assert sol.target_masses.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -101,13 +100,10 @@ def test_fairness_residuals(b2, tau2, alpha):
     uavs = fleet([(0.0, 0.0)], bandwidth=1e6, max_hover=1800.0) + fleet(
         [(1.0, 0.0)], bandwidth=b2, max_hover=tau2
     )
-    model = ControlTimeModel(alpha)
-    sol = solve_fairness_system(uavs, model, 300)
+    sol = solve_fairness_system(uavs, alpha, 300)
     tau = np.array([1800.0, tau2])
     # the solution back-substitutes into both coupled relations
-    back = tau - np.array(
-        [model.time_of_mass(w, 300) for w in sol.target_masses]
-    )
+    back = tau - alpha * (300 * sol.target_masses) ** 2
     assert np.allclose(sol.serve_times, back, atol=1e-5)
     pool = float(np.array([1e6, b2]) @ sol.serve_times)
     assert np.allclose(sol.target_masses, np.array([1e6, b2]) * sol.serve_times / pool)
@@ -117,24 +113,20 @@ def test_fairness_residuals(b2, tau2, alpha):
 def test_fairness_budget_below_control_raises():
     uavs = fleet([(0.0, 0.0)], max_hover=10.0)  # g(300 users) = 900 s >> 10 s
     with pytest.raises(InfeasibleError):
-        solve_fairness_system(uavs, ControlTimeModel(0.01), 300)
+        solve_fairness_system(uavs, 0.01, 300)
 
 
 def test_fairness_validation():
     with pytest.raises(ValueError):
-        solve_fairness_system([], ControlTimeModel(0.01), 300)
+        solve_fairness_system([], 0.01, 300)
     with pytest.raises(ValueError):
-        solve_fairness_system(fleet([(0.0, 0.0)]), ControlTimeModel(0.01), 0)
-    with pytest.raises(ValueError):
-        solve_fairness_system(
-            fleet([(0.0, 0.0)], max_hover=0.0), ControlTimeModel(0.01), 300
-        )
-    with pytest.raises(ValueError):
-        ControlTimeModel(-0.1)
+        solve_fairness_system(fleet([(0.0, 0.0)]), 0.01, 0)
     with pytest.raises(ValueError):
         solve_fairness_system(
-            fleet([(0.0, 0.0)]), [ControlTimeModel(0.01)] * 2, 300
+            fleet([(0.0, 0.0)], max_hover=0.0), 0.01, 300
         )
+    with pytest.raises(ValueError):
+        solve_fairness_system(fleet([(0.0, 0.0)]), [0.01, 0.01], 300)
 
 
 # cost field and dual
@@ -142,7 +134,7 @@ def test_fairness_validation():
 
 def test_cost_field_threshold_boundary():
     grid, uavs, radio = two_uav_scene()
-    fair = solve_fairness_system(uavs, ControlTimeModel(0.01), 300)
+    fair = solve_fairness_system(uavs, 0.01, 300)
     pick = float(radio.sinr[1, 17])
     at = compute_radio_field(grid, uavs, ChannelParams(sinr_threshold=pick))
     costs = build_cost_field(grid, at, fair)
@@ -160,7 +152,7 @@ def test_cost_field_threshold_boundary():
 
 def test_cost_field_scales_with_resource():
     grid, uavs, radio = two_uav_scene()
-    fair = solve_fairness_system(uavs, ControlTimeModel(0.01), 300)
+    fair = solve_fairness_system(uavs, 0.01, 300)
     doubled = FairnessSolution(
         serve_times=fair.serve_times,
         target_masses=fair.target_masses,
@@ -177,7 +169,7 @@ def test_dual_constant_for_single_uav():
     grid = uniform_density(1000.0, 1000.0, 8, 8)
     uavs = fleet([(500.0, 500.0)])
     radio = compute_radio_field(grid, uavs, PARAMS)
-    fair = solve_fairness_system(uavs, ControlTimeModel(0.01), 300)
+    fair = solve_fairness_system(uavs, 0.01, 300)
     costs = build_cost_field(grid, radio, fair)
     shares = np.array([1.0])
     f0 = dual_value(grid, costs, np.zeros(1), shares)
@@ -192,7 +184,7 @@ def test_dual_constant_for_single_uav():
 def test_dual_gauge_shift(seed, const):
     # adding a constant to every potential changes nothing
     grid, uavs, radio = two_uav_scene(8, 8)
-    fair = solve_fairness_system(uavs, ControlTimeModel(0.01), 300)
+    fair = solve_fairness_system(uavs, 0.01, 300)
     costs = build_cost_field(grid, radio, fair)
     rng = np.random.default_rng(seed)
     psi = rng.normal(scale=fair.resource_per_user, size=2)
@@ -209,7 +201,7 @@ def test_dual_gauge_shift(seed, const):
 
 def test_gradient_dominant_potential():
     grid, uavs, radio = two_uav_scene()
-    fair = solve_fairness_system(uavs, ControlTimeModel(0.01), 300)
+    fair = solve_fairness_system(uavs, 0.01, 300)
     costs = build_cost_field(grid, radio, fair)
     shares = fair.target_masses
     big = np.array([1e12, 0.0])  # UAV 0 wins every cell it can serve
@@ -226,7 +218,7 @@ def test_gradient_dominant_potential():
 
 def test_gradient_components_sum_to_uncovered():
     grid, uavs, radio = two_uav_scene()
-    fair = solve_fairness_system(uavs, ControlTimeModel(0.01), 300)
+    fair = solve_fairness_system(uavs, 0.01, 300)
     costs = build_cost_field(grid, radio, fair)
     grad = fair.target_masses - shifted_masses(grid, costs, np.zeros(2))
     covered = np.isfinite(costs).any(axis=0)
@@ -236,7 +228,7 @@ def test_gradient_components_sum_to_uncovered():
 
 def test_dual_concavity_midpoints():
     grid, uavs, radio = two_uav_scene(8, 8)
-    fair = solve_fairness_system(uavs, ControlTimeModel(0.01), 300)
+    fair = solve_fairness_system(uavs, 0.01, 300)
     costs = build_cost_field(grid, radio, fair)
     shares = fair.target_masses
     rng = np.random.default_rng(11)
@@ -255,7 +247,7 @@ def test_gradient_chords_bracket():
     # concavity: forward chord <= grad . v <= backward chord, with steps
     # large enough to cross cell boundaries
     grid, uavs, radio = two_uav_scene()
-    fair = solve_fairness_system(uavs, ControlTimeModel(0.01), 300)
+    fair = solve_fairness_system(uavs, 0.01, 300)
     costs = build_cost_field(grid, radio, fair)
     shares = fair.target_masses
     rng = np.random.default_rng(5)
@@ -279,7 +271,7 @@ def test_gradient_chords_bracket():
 def test_solver_symmetric_quadrants():
     grid = uniform_density(1000.0, 1000.0, 16, 16)
     uavs = fleet([(250.0, 250.0), (750.0, 250.0), (250.0, 750.0), (750.0, 750.0)])
-    result = solve_scenario1(grid, uavs, PARAMS, ControlTimeModel(0.01), 300)
+    result = solve_scenario1(grid, uavs, PARAMS, 0.01, 300)
     assert np.allclose(result.partition.masses, 0.25, atol=1e-3)
     assert np.all(np.diff(result.potentials.f_trace) > 0)
     assert result.potentials.grad_trace[-1] <= 1e-3
@@ -291,7 +283,7 @@ def test_solver_four_cell_enumeration():
     # must be the cheapest of the six balanced 2-2 splits, exactly
     grid = uniform_density(1000.0, 1000.0, 2, 2)
     uavs = fleet([(200.0, 220.0), (360.0, 340.0)])
-    result = solve_scenario1(grid, uavs, PARAMS, ControlTimeModel(0.01), 300)
+    result = solve_scenario1(grid, uavs, PARAMS, 0.01, 300)
     assert len(result.potentials.f_trace) > 1  # the start was unbalanced
     fair = result.fairness
     assert np.allclose(fair.target_masses, 0.5, atol=1e-9)
@@ -313,7 +305,7 @@ def test_solver_matches_share_targets():
     # cell mass is 2.5e-3 at 20x20, so ask for a tolerance the grid can hold
     grid, uavs = hetero_pair(20, 20)
     result = solve_scenario1(
-        grid, uavs, PARAMS, ControlTimeModel(0.01), 300, mass_tol=5e-3
+        grid, uavs, PARAMS, 0.01, 300, mass_tol=5e-3
     )
     residual = np.abs(result.partition.masses - result.fairness.target_masses)
     assert residual.max() <= 5e-3
@@ -323,14 +315,14 @@ def test_solver_infeasible_when_uncovered():
     grid, uavs, _ = two_uav_scene()
     harsh = ChannelParams(sinr_threshold=1e9)
     with pytest.raises(InfeasibleError):
-        solve_scenario1(grid, uavs, harsh, ControlTimeModel(0.01), 300)
+        solve_scenario1(grid, uavs, harsh, 0.01, 300)
 
 
 def test_solver_iteration_budget():
     # a zero-iteration budget cannot balance an unbalanced start
     grid, uavs = hetero_pair(20, 20)
     with pytest.raises(ConvergenceError) as err:
-        solve_scenario1(grid, uavs, PARAMS, ControlTimeModel(0.01), 300, max_iter=0)
+        solve_scenario1(grid, uavs, PARAMS, 0.01, 300, max_iter=0)
     assert err.value.trace is not None
     f_trace, grad_trace, step_trace = err.value.trace
     assert len(f_trace) == len(grad_trace) == len(step_trace) == 1
@@ -339,7 +331,7 @@ def test_solver_iteration_budget():
 def test_trace_shapes_and_steps():
     grid, uavs = hetero_pair(16, 16)
     result = solve_scenario1(
-        grid, uavs, PARAMS, ControlTimeModel(0.01), 300, mass_tol=5e-3
+        grid, uavs, PARAMS, 0.01, 300, mass_tol=5e-3
     )
     p = result.potentials
     assert len(p.f_trace) == len(p.grad_trace) == len(p.step_trace) > 1
@@ -351,10 +343,10 @@ def test_trace_shapes_and_steps():
 def test_service_field_consistency_at_solution():
     # with masses on target, the per-partition service matches the solver's
     grid, uavs, _ = two_uav_scene(24, 24)
-    control = ControlTimeModel(0.01)
-    result = solve_scenario1(grid, uavs, PARAMS, control, 300, mass_tol=5e-3)
+    alpha = 0.01
+    result = solve_scenario1(grid, uavs, PARAMS, alpha, 300, mass_tol=5e-3)
     field = service_field_for_partition(
-        grid, result.radio, uavs, control, 300, result.partition
+        grid, result.radio, uavs, alpha, 300, result.partition
     )
     cells = np.flatnonzero(result.partition.assignment >= 0)
     owner = result.partition.assignment[cells]
@@ -364,10 +356,10 @@ def test_service_field_consistency_at_solution():
 
 def test_service_field_zero_mass_region():
     grid, uavs, radio = two_uav_scene()
-    control = ControlTimeModel(0.01)
+    alpha = 0.01
     from uavpart.partition import Partition
 
     all_to_zero = Partition(np.zeros(grid.n_cells, dtype=int), np.array([1.0, 0.0]))
-    field = service_field_for_partition(grid, radio, uavs, control, 300, all_to_zero)
+    field = service_field_for_partition(grid, radio, uavs, alpha, 300, all_to_zero)
     assert np.all(field[1] == 0.0)
     assert np.all(field[0] > 0.0)

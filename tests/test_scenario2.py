@@ -15,9 +15,8 @@ from uavpart.partition import (
     region_masses,
     weighted_voronoi,
 )
-from uavpart.scenario1 import DEFAULT_MASS_TOL, ControlTimeModel
+from uavpart.scenario1 import DEFAULT_MASS_TOL
 from uavpart.scenario2 import (
-    LoadField,
     brute_force_min_hover,
     hover_time_equal_split,
     marginal_hover_cost,
@@ -51,10 +50,10 @@ def assigned(grid, assignment, n_uavs):
     return Partition(assignment, region_masses(grid, assignment, n_uavs))
 
 
-def one_region_hover(grid, region, radio, uav_index, load, control, n_users):
+def one_region_hover(grid, region, radio, uav_index, load_bits, alpha, n_users):
     """One UAV's hover seconds for a region, read off region_hover_report."""
     part = assigned(grid, np.where(region, uav_index, INFEASIBLE), radio.n_uavs)
-    report = region_hover_report(grid, part, radio, load, control, n_users)
+    report = region_hover_report(grid, part, radio, load_bits, alpha, n_users)
     return report.hover_times[uav_index]
 
 
@@ -152,10 +151,6 @@ def test_split_errors():
         optimal_bandwidth_split([1.0], [1.0], 0.0)
     with pytest.raises(ValueError):
         optimal_bandwidth_split([-1.0], [1.0], 1e6)
-    with pytest.raises(ValueError):
-        LoadField(np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        LoadField(np.array([1.0, -2.0]))
 
 
 # hover time accounting
@@ -164,10 +159,10 @@ def test_split_errors():
 def test_hover_single_cell_oracle():
     grid = uniform_density(1000.0, 1000.0, 1, 1)
     radio = manual_radio([[2.0]], [1e6])
-    load = LoadField.uniform(grid, 1e8)
-    control = ControlTimeModel(0.01)
+    load_bits = 1e8
+    alpha = 0.01
     region = np.array([True])
-    got = one_region_hover(grid, region, radio, 0, load, control, 300)
+    got = one_region_hover(grid, region, radio, 0, load_bits, alpha, 300)
     # 300 users, 1e8 bits each at 2 bit/s/Hz over 1 MHz, plus 0.01 * 300^2
     assert got == pytest.approx(15_000.0 + 900.0, rel=1e-12)
 
@@ -175,11 +170,11 @@ def test_hover_single_cell_oracle():
 def test_hover_two_cell_oracle_and_equal_split():
     grid = uniform_density(1000.0, 500.0, 2, 1)
     radio = manual_radio([[2.0, 4.0]], [1e6])
-    load = LoadField.uniform(grid, 1e8)
-    control = ControlTimeModel(0.01)
+    load_bits = 1e8
+    alpha = 0.01
     region = np.array([True, True])
-    opt = one_region_hover(grid, region, radio, 0, load, control, 300)
-    eq = hover_time_equal_split(grid, region, radio, 0, load, control, 300)
+    opt = one_region_hover(grid, region, radio, 0, load_bits, alpha, 300)
+    eq = hover_time_equal_split(grid, region, radio, 0, load_bits, alpha, 300)
     assert opt == pytest.approx(300 * (5e7 * 0.5 + 2.5e7 * 0.5) / 1e6 + 900.0)
     assert eq == pytest.approx(300 * 5e7 / 1e6 + 900.0)
     assert opt < eq
@@ -188,42 +183,42 @@ def test_hover_two_cell_oracle_and_equal_split():
 def test_hover_empty_region():
     grid = uniform_density(1000.0, 1000.0, 2, 2)
     radio = manual_radio(np.full((1, 4), 3.0), [1e6])
-    load = LoadField.uniform(grid, 1e8)
-    control = ControlTimeModel(0.01)
+    load_bits = 1e8
+    alpha = 0.01
     empty = np.zeros(4, dtype=bool)
-    assert one_region_hover(grid, empty, radio, 0, load, control, 300) == 0.0
-    assert hover_time_equal_split(grid, empty, radio, 0, load, control, 300) == 0.0
+    assert one_region_hover(grid, empty, radio, 0, load_bits, alpha, 300) == 0.0
+    assert hover_time_equal_split(grid, empty, radio, 0, load_bits, alpha, 300) == 0.0
 
 
 def test_hover_zero_load():
     grid = uniform_density(1000.0, 1000.0, 2, 2)
     radio = manual_radio(np.full((1, 4), 3.0), [1e6])
-    load = LoadField.uniform(grid, 0.0)
-    control = ControlTimeModel(0.01)
+    load_bits = 0.0
+    alpha = 0.01
     region = np.ones(4, dtype=bool)
-    assert one_region_hover(grid, region, radio, 0, load, control, 300) == pytest.approx(900.0)
+    assert one_region_hover(grid, region, radio, 0, load_bits, alpha, 300) == pytest.approx(900.0)
 
 
 def test_hover_infeasible_region_raises():
     grid = uniform_density(1000.0, 500.0, 2, 1)
     radio = manual_radio([[2.0, 4.0]], [1e6], feasible=[[True, False]])
-    load = LoadField.uniform(grid, 1e8)
-    control = ControlTimeModel(0.01)
+    load_bits = 1e8
+    alpha = 0.01
     with pytest.raises(InfeasibleError):
-        one_region_hover(grid, np.array([True, True]), radio, 0, load, control, 300)
+        one_region_hover(grid, np.array([True, True]), radio, 0, load_bits, alpha, 300)
     with pytest.raises(InfeasibleError):
         hover_time_equal_split(
-            grid, np.array([True, True]), radio, 0, load, control, 300
+            grid, np.array([True, True]), radio, 0, load_bits, alpha, 300
         )
 
 
 def test_report_matches_hover_time():
     # closed form: N * sum_region bits * mass / (B_i * eff) + alpha (N a_i)^2
     grid, uavs, radio = real_scene(bandwidths=(1e6, 2e6))
-    load = LoadField.uniform(grid, 1e8)
-    control = ControlTimeModel(0.01)
+    load_bits = 1e8
+    alpha = 0.01
     part = weighted_voronoi(grid, radio)
-    report = region_hover_report(grid, part, radio, load, control, 300)
+    report = region_hover_report(grid, part, radio, load_bits, alpha, 300)
     for i in range(2):
         cells = part.region(i)
         seconds = (1e8 * grid.cell_mass[cells] / radio.spectral_eff[i, cells]).sum()
@@ -234,27 +229,27 @@ def test_report_matches_hover_time():
 
 def test_equal_split_dominated_on_real_field():
     grid, uavs, radio = real_scene()
-    load = LoadField.uniform(grid, 1e8)
-    control = ControlTimeModel(0.01)
+    load_bits = 1e8
+    alpha = 0.01
     part = weighted_voronoi(grid, radio)
     region = part.region(0)
-    assert one_region_hover(grid, region, radio, 0, load, control, 300) < (
-        hover_time_equal_split(grid, region, radio, 0, load, control, 300)
+    assert one_region_hover(grid, region, radio, 0, load_bits, alpha, 300) < (
+        hover_time_equal_split(grid, region, radio, 0, load_bits, alpha, 300)
     )
 
 
 def test_marginal_cost_monotone_in_mass():
     grid, uavs, radio = real_scene()
-    load = LoadField.uniform(grid, 1e8)
-    control = ControlTimeModel(0.01)
-    low = marginal_hover_cost(grid, radio, load, control, [0.1, 0.1], 300)
-    high = marginal_hover_cost(grid, radio, load, control, [0.6, 0.6], 300)
+    load_bits = 1e8
+    alpha = 0.01
+    low = marginal_hover_cost(radio, load_bits, alpha, [0.1, 0.1], 300)
+    high = marginal_hover_cost(radio, load_bits, alpha, [0.6, 0.6], 300)
     feas = radio.feasible_by_uav
     assert np.all(high[feas] > low[feas])
     assert np.all(np.isinf(high[~feas])) if (~feas).any() else True
     # with no control term the cost does not depend on mass at all
-    flat_a = marginal_hover_cost(grid, radio, load, ControlTimeModel(0.0), [0.1, 0.9], 300)
-    flat_b = marginal_hover_cost(grid, radio, load, ControlTimeModel(0.0), [0.7, 0.2], 300)
+    flat_a = marginal_hover_cost(radio, load_bits, 0.0, [0.1, 0.9], 300)
+    flat_b = marginal_hover_cost(radio, load_bits, 0.0, [0.7, 0.2], 300)
     assert np.array_equal(flat_a, flat_b)
 
 
@@ -263,9 +258,9 @@ def test_marginal_cost_monotone_in_mass():
 
 def test_solver_zero_alpha_is_pure_rate_assignment():
     grid, uavs, radio = real_scene(bandwidths=(1e6, 2e6))
-    load = LoadField.uniform(grid, 1e8)
-    result = solve_scenario2(grid, uavs, PARAMS, load, ControlTimeModel(0.0), 300)
-    serve = 300 * load.bits[None, :] / (
+    load_bits = 1e8
+    result = solve_scenario2(grid, uavs, PARAMS, load_bits, 0.0, 300)
+    serve = 300 * load_bits / (
         radio.bandwidths[:, None] * radio.spectral_eff
     )
     expected = np.where(
@@ -279,8 +274,8 @@ def test_solver_zero_alpha_is_pure_rate_assignment():
 def test_solver_single_uav():
     grid = uniform_density(1000.0, 1000.0, 6, 6)
     uavs = [UavNode(x=500.0, y=500.0, altitude=200.0)]
-    load = LoadField.uniform(grid, 1e7)
-    result = solve_scenario2(grid, uavs, PARAMS, load, ControlTimeModel(0.01), 300)
+    load_bits = 1e7
+    result = solve_scenario2(grid, uavs, PARAMS, load_bits, 0.01, 300)
     assert np.all(result.partition.assignment == 0)
     assert result.partition.masses[0] == pytest.approx(1.0)
     assert result.duality_gap == pytest.approx(0.0, abs=1e-9 * result.report.total)
@@ -292,10 +287,10 @@ def test_solver_against_brute_force():
         UavNode(x=300.0, y=300.0, altitude=200.0),
         UavNode(x=700.0, y=700.0, altitude=200.0),
     ]
-    load = LoadField.uniform(grid, 1e8)
-    control = ControlTimeModel(0.01)
-    exact = brute_force_min_hover(grid, uavs, PARAMS, load, control, 300)
-    heur = solve_scenario2(grid, uavs, PARAMS, load, control, 300)
+    load_bits = 1e8
+    alpha = 0.01
+    exact = brute_force_min_hover(grid, uavs, PARAMS, load_bits, alpha, 300)
+    heur = solve_scenario2(grid, uavs, PARAMS, load_bits, alpha, 300)
     assert heur.report.total >= exact.report.total * (1 - 1e-12)
     assert heur.report.total <= exact.report.total * 1.01
 
@@ -308,10 +303,10 @@ def test_solver_symmetric_instance_stalls_near_brute_force():
         UavNode(x=300.0, y=300.0, altitude=200.0),
         UavNode(x=700.0, y=700.0, altitude=200.0),
     ]
-    load = LoadField.uniform(grid, 1e8)
-    control = ControlTimeModel(0.01)
-    exact = brute_force_min_hover(grid, uavs, PARAMS, load, control, 300)
-    result = solve_scenario2(grid, uavs, PARAMS, load, control, 300)
+    load_bits = 1e8
+    alpha = 0.01
+    exact = brute_force_min_hover(grid, uavs, PARAMS, load_bits, alpha, 300)
+    result = solve_scenario2(grid, uavs, PARAMS, load_bits, alpha, 300)
     p = result.potentials
     assert p.grad_trace[-1] > DEFAULT_MASS_TOL  # ended by the stall exit
     assert np.diff(p.f_trace)[-1] <= STALL_RATIO * result.duality_gap
@@ -326,8 +321,8 @@ def test_solver_symmetric_instance_stalls_near_brute_force():
 )
 def test_solver_ascent_trace_and_exit(n, bandwidths):
     grid, uavs, radio = real_scene(n, n, bandwidths)
-    load = LoadField.uniform(grid, 1e8)
-    result = solve_scenario2(grid, uavs, PARAMS, load, ControlTimeModel(0.01), 300)
+    load_bits = 1e8
+    result = solve_scenario2(grid, uavs, PARAMS, load_bits, 0.01, 300)
     p = result.potentials
     assert len(p.f_trace) == len(p.grad_trace) == len(p.step_trace)
     assert p.step_trace[0] == 0.0 and np.all(p.step_trace[1:] > 0)
@@ -345,14 +340,14 @@ def test_solver_duality_gap_is_certified(alpha):
     # D(l) = sum_c m_c min_i (s_ic + l_i) - sum_i l_i^2 / (4 alpha N^2),
     # evaluated here from the channel directly at l = -psi
     grid, uavs, radio = real_scene(24, 24, bandwidths=(1e6, 2e6))
-    load = LoadField.uniform(grid, 1e8)
+    load_bits = 1e8
     n_users = 300
     result = solve_scenario2(
-        grid, uavs, PARAMS, load, ControlTimeModel(alpha), n_users, radio=radio
+        grid, uavs, PARAMS, load_bits, alpha, n_users, radio=radio
     )
     seconds = np.where(
         radio.feasible_by_uav,
-        n_users * load.bits[None, :] / (radio.bandwidths[:, None] * radio.spectral_eff),
+        n_users * load_bits / (radio.bandwidths[:, None] * radio.spectral_eff),
         np.inf,
     )
     slopes = -result.potentials.psi
@@ -368,13 +363,36 @@ def test_solver_duality_gap_is_certified(alpha):
     assert result.duality_gap <= 1e-5 * result.report.total
 
 
+def test_per_uav_alpha():
+    # one control weight per UAV: the report charges each UAV its own
+    # alpha_i (N a_i)^2, and a scalar equals the same value repeated
+    grid = uniform_density(1000.0, 1000.0, 3, 3)
+    uavs = [
+        UavNode(x=300.0, y=300.0, altitude=200.0),
+        UavNode(x=700.0, y=700.0, altitude=200.0),
+    ]
+    alpha = np.array([0.01, 0.05])
+    exact = brute_force_min_hover(grid, uavs, PARAMS, 1e8, alpha, 300)
+    result = solve_scenario2(grid, uavs, PARAMS, 1e8, alpha, 300)
+    masses = result.partition.masses
+    assert np.allclose(result.report.control_times, alpha * (300 * masses) ** 2, rtol=1e-12)
+    assert exact.report.total <= result.report.total <= exact.report.total * 1.01
+    assert masses[1] < masses[0]  # the dearer UAV serves less
+    same = solve_scenario2(grid, uavs, PARAMS, 1e8, [0.01, 0.01], 300)
+    scalar = solve_scenario2(grid, uavs, PARAMS, 1e8, 0.01, 300)
+    assert np.array_equal(same.partition.assignment, scalar.partition.assignment)
+    assert same.report.total == scalar.report.total
+    with pytest.raises(ValueError):
+        solve_scenario2(grid, uavs, PARAMS, 1e8, [0.01, 0.01, 0.01], 300)
+
+
 def test_solver_unservable_cell_raises():
     grid = uniform_density(1000.0, 1000.0, 5, 5)
     uavs = [UavNode(x=500.0, y=500.0, altitude=200.0)]
     harsh = ChannelParams(sinr_threshold=1e9)
-    load = LoadField.uniform(grid, 1e8)
+    load_bits = 1e8
     with pytest.raises(InfeasibleError):
-        solve_scenario2(grid, uavs, harsh, load, ControlTimeModel(0.01), 300)
+        solve_scenario2(grid, uavs, harsh, load_bits, 0.01, 300)
 
 
 # brute force
@@ -386,14 +404,14 @@ def test_brute_force_beats_any_manual_assignment():
         UavNode(x=300.0, y=300.0, altitude=200.0),
         UavNode(x=700.0, y=700.0, altitude=200.0),
     ]
-    load = LoadField.uniform(grid, 1e8)
-    control = ControlTimeModel(0.01)
-    exact = brute_force_min_hover(grid, uavs, PARAMS, load, control, 300)
+    load_bits = 1e8
+    alpha = 0.01
+    exact = brute_force_min_hover(grid, uavs, PARAMS, load_bits, alpha, 300)
     radio = exact.radio
     rng = np.random.default_rng(3)
     for _ in range(10):
         part = assigned(grid, rng.integers(0, 2, size=4), 2)
-        total = region_hover_report(grid, part, radio, load, control, 300).total
+        total = region_hover_report(grid, part, radio, load_bits, alpha, 300).total
         assert exact.report.total <= total * (1 + 1e-12)
 
 
@@ -403,9 +421,9 @@ def test_brute_force_limit():
         UavNode(x=300.0, y=300.0, altitude=200.0),
         UavNode(x=700.0, y=700.0, altitude=200.0),
     ]
-    load = LoadField.uniform(grid, 1e8)
+    load_bits = 1e8
     with pytest.raises(ValueError):
-        brute_force_min_hover(grid, uavs, PARAMS, load, ControlTimeModel(0.01), 300)
+        brute_force_min_hover(grid, uavs, PARAMS, load_bits, 0.01, 300)
 
 
 def test_brute_force_marks_unpopulated_dead_cells():
@@ -414,9 +432,9 @@ def test_brute_force_marks_unpopulated_dead_cells():
     grid = truncated_gaussian(1000.0, 1000.0, 3, 3, 500 / 3, 500 / 3, 8.0, 8.0)
     uavs = [UavNode(x=500 / 3, y=500 / 3, altitude=200.0)]
     picky = ChannelParams(sinr_threshold=1000.0)
-    load = LoadField.uniform(grid, 1e8)
-    control = ControlTimeModel(0.01)
-    result = brute_force_min_hover(grid, uavs, picky, load, control, 300)
+    load_bits = 1e8
+    alpha = 0.01
+    result = brute_force_min_hover(grid, uavs, picky, load_bits, alpha, 300)
     assert result.partition.assignment[0] == 0
     assert np.all(result.partition.assignment[1:] == INFEASIBLE)
     assert result.partition.masses[0] == pytest.approx(1.0)
