@@ -47,8 +47,12 @@ class ChannelParams:
     sinr_threshold: float = db_to_linear(-20.0)
 
     def __post_init__(self):
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier frequency must be positive")
+        # the path loss needs reference_loss as a positive finite float
+        k = 4.0 * np.pi * self.carrier_hz / SPEED_OF_LIGHT
+        if not (self.carrier_hz > 0 and 0.0 < k * k < math.inf):
+            raise ValueError(
+                "carrier frequency must be positive with a finite, non-zero reference loss"
+            )
         if self.mu_los < 1.0 or self.mu_nlos < 1.0:
             raise ValueError("excess loss factors must be >= 1 in linear units")
         if self.b1 <= 0 or self.b2 <= 0:
@@ -107,11 +111,13 @@ def los_probability(uav, x, y, params):
 def mean_path_loss(uav, x, y, params):
     """LoS/NLoS-averaged path loss as a linear power ratio.
 
-    reference_loss * d^2 * (P_los * mu_los + (1 - P_los) * mu_nlos).
+    reference_loss * d^2 * (P_los * mu_los + (1 - P_los) * mu_nlos).  A loss
+    beyond the float range is +inf: the link then carries no power.
     """
-    d2 = (x - uav.x) ** 2 + (y - uav.y) ** 2 + uav.altitude**2
-    p = los_probability(uav, x, y, params)
-    return params.reference_loss * d2 * (p * params.mu_los + (1.0 - p) * params.mu_nlos)
+    with np.errstate(over="ignore"):
+        d2 = (x - uav.x) ** 2 + (y - uav.y) ** 2 + uav.altitude**2
+        p = los_probability(uav, x, y, params)
+        return params.reference_loss * d2 * (p * params.mu_los + (1.0 - p) * params.mu_nlos)
 
 
 def received_power(uav, x, y, params):

@@ -158,10 +158,13 @@ def _check_fields(cfg):
         if f.type in ("float", "tuple") and not np.all(np.isfinite(getattr(cfg, f.name))):
             raise ConfigError(f"{f.name} must be finite")
     checks = [
-        (cfg.width > 0 and cfg.height > 0, "area dimensions must be positive"),
+        (cfg.width > 0 and cfg.height > 0
+         and cfg.width * cfg.width < math.inf and cfg.height * cfg.height < math.inf,
+         "area dimensions must be positive with finite squares"),
         (cfg.nx >= 1 and cfg.ny >= 1, "grid must be at least 1x1"),
         (cfg.density_kind in DENSITY_KINDS, f"density_kind must be one of {DENSITY_KINDS}"),
-        (cfg.sigma_x > 0 and cfg.sigma_y > 0, "sigma must be positive"),
+        (all(s > 0 and 0.0 < s * s < math.inf for s in (cfg.sigma_x, cfg.sigma_y)),
+         "sigma must be positive with a finite, non-zero square"),
         (cfg.max_hover > 0, "hover budget must be positive"),  # UavNode allows 0
         (cfg.scenario in SCENARIOS, f"scenario must be one of {SCENARIOS}"),
         (cfg.n_users >= 1, "need at least one user"),

@@ -8,6 +8,7 @@ square meter and always integrate to 1 over the area under the midpoint rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,6 +86,15 @@ class AreaGrid:
         m.setflags(write=False)
         return m
 
+    @cached_property
+    def cell_cdf(self):
+        """Cumulative cell mass scaled to end at exactly 1, for inverse-CDF
+        sampling."""
+        c = np.cumsum(self.cell_mass)
+        c /= c[-1]
+        c.setflags(write=False)
+        return c
+
 
 def uniform_density(width, height, nx, ny):
     """Grid with a constant density 1 / (width * height)."""
@@ -98,16 +108,17 @@ def truncated_gaussian(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
     The separable kernel exp(-(x-mu_x)^2 / 2 sigma_x^2) * exp(-(y-mu_y)^2 /
     2 sigma_y^2) is evaluated at cell centers and renormalized discretely, so
     the midpoint rule integrates to exactly 1 on this grid.  The mean may lie
-    outside the area.
+    outside the area; a cell whose squared offset overflows gets zero density.
     """
-    if sigma_x <= 0 or sigma_y <= 0:
-        raise ValueError("sigma must be positive")
+    if not all(s > 0 and 0.0 < s * s < math.inf for s in (sigma_x, sigma_y)):
+        raise ValueError("sigma must be positive with a finite, non-zero square")
     nc = nx * ny
     x = (np.arange(nc) % nx + 0.5) * (width / nx)
     y = (np.arange(nc) // nx + 0.5) * (height / ny)
-    kern = np.exp(
-        -((x - mu_x) ** 2) / (2.0 * sigma_x**2) - ((y - mu_y) ** 2) / (2.0 * sigma_y**2)
-    )
+    with np.errstate(over="ignore"):
+        kern = np.exp(
+            -((x - mu_x) ** 2) / (2.0 * sigma_x**2) - ((y - mu_y) ** 2) / (2.0 * sigma_y**2)
+        )
     if not kern.sum() > 0:
         raise ValueError("hot spot density underflows to zero on every cell")
     cell_area = (width / nx) * (height / ny)

@@ -11,10 +11,8 @@ from .partition import INFEASIBLE
 
 @dataclass(frozen=True)
 class UserSample:
-    """Sampled user positions with their grid cells and the seed used."""
+    """The grid cell of each sampled user and the seed used."""
 
-    x: np.ndarray
-    y: np.ndarray
     cells: np.ndarray
     seed: int
 
@@ -24,21 +22,17 @@ class UserSample:
 
 
 def sample_users(grid, n_users, seed):
-    """Draw users from the cell-mass distribution, jittered inside cells.
+    """Draw users' cells from the cell-mass distribution.
 
-    Inverse-CDF sampling over the flat cell masses followed by a uniform
-    position within the chosen cell; fully determined by the seed.
+    Inverse-CDF sampling over the flat cell masses; fully determined by the
+    seed.  The CDF ends at exactly 1 and draws lie in [0, 1), so every index
+    is a cell with positive mass.
     """
     if n_users < 1:
         raise ValueError("need at least one user")
     rng = np.random.default_rng(seed)
-    cdf = np.cumsum(grid.cell_mass)
-    cdf /= cdf[-1]
-    cells = np.searchsorted(cdf, rng.random(n_users), side="right")
-    cells = np.minimum(cells, grid.n_cells - 1)
-    x = (cells % grid.nx + rng.random(n_users)) * grid.dx
-    y = (cells // grid.nx + rng.random(n_users)) * grid.dy
-    return UserSample(x=x, y=y, cells=cells, seed=seed)
+    cells = np.searchsorted(grid.cell_cdf, rng.random(n_users), side="right")
+    return UserSample(cells=cells, seed=seed)
 
 
 def jain_index(values):

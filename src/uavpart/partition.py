@@ -100,16 +100,20 @@ def weighted_voronoi(grid, radio, weights=None):
 
 
 def partition_to_csv(grid, part, path):
-    """Write the assignment as cell_x_m,cell_y_m,uav_index rows."""
-    rows = np.column_stack([grid.cell_x, grid.cell_y, part.assignment])
-    np.savetxt(
-        path,
-        rows,
-        fmt=["%.9g", "%.9g", "%d"],
-        delimiter=",",
-        header="cell_x_m,cell_y_m,uav_index",
-        comments="",
-    )
+    """Write the assignment as cell_x_m,cell_y_m,uav_index rows.
+
+    The bytes are those of np.savetxt with fmt "%.9g,%.9g,%d", written one
+    grid row at a time: a cell's coordinates repeat along its column and
+    row, so each coordinate and label string is formatted once per grid.
+    """
+    xs = ["%.9g," % x for x in grid.cell_x[:grid.nx].tolist()]
+    ys = ["%.9g," % y for y in grid.cell_y[::grid.nx].tolist()]
+    labels = ["%d\n" % i for i in range(INFEASIBLE, part.n_uavs)]
+    rows = (part.assignment - INFEASIBLE).reshape(grid.ny, grid.nx).tolist()
+    with open(path, "w") as fh:
+        fh.write("cell_x_m,cell_y_m,uav_index\n")
+        for y, row in zip(ys, rows):
+            fh.write("".join([x + y + labels[k] for x, k in zip(xs, row)]))
 
 
 def shifted_min_cost(grid, costs, psi):

@@ -51,12 +51,11 @@ def _point_tag(cfg, value):
     return f"{cfg.sweep_var}_{_fmt(float(value))}"
 
 
-def _scenario1_rows(cfg, grid, uavs, params, radio, point, out_dir):
+def _scenario1_rows(cfg, grid, uavs, params, radio, baseline, point, out_dir):
     result = solve_scenario1(
         grid, uavs, params, cfg.alpha, cfg.n_users,
         mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter, radio=radio,
     )
-    baseline = weighted_voronoi(grid, radio)
     base_service = service_field_for_partition(
         grid, radio, uavs, cfg.alpha, cfg.n_users, baseline
     )
@@ -91,12 +90,11 @@ def _scenario1_rows(cfg, grid, uavs, params, radio, point, out_dir):
     return rows, per_seed
 
 
-def _scenario2_rows(cfg, grid, uavs, params, radio, point, out_dir):
+def _scenario2_rows(cfg, grid, uavs, params, radio, baseline, point, out_dir):
     result = solve_scenario2(
         grid, uavs, params, cfg.load_bits, cfg.alpha, cfg.n_users,
         mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter, radio=radio,
     )
-    baseline = weighted_voronoi(grid, radio)
     base_report = region_hover_report(
         grid, baseline, radio, cfg.load_bits, cfg.alpha, cfg.n_users
     )
@@ -155,17 +153,20 @@ def run_experiment(cfg, out_dir=None):
             uavs = build_uavs(cur)
             params = build_channel(cur)
             radio = compute_radio_field(grid, uavs, params)
+            baseline = weighted_voronoi(grid, radio)  # best-signal baseline of both scenarios
             point = _point_tag(cfg, value)
             sweep_value = "" if cfg.sweep_var == "none" else _fmt(float(value))
             shared = []
             per_seed_rows = {seed: [] for seed in range(cfg.n_seeds)}
             if cur.scenario in ("1", "both"):
-                rows, per_seed = _scenario1_rows(cur, grid, uavs, params, radio, point, out_dir)
+                rows, per_seed = _scenario1_rows(cur, grid, uavs, params, radio, baseline,
+                                                 point, out_dir)
                 shared.extend(rows)
                 for seed, seed_rows in per_seed:
                     per_seed_rows[seed].extend(seed_rows)
             if cur.scenario in ("2", "both"):
-                shared.extend(_scenario2_rows(cur, grid, uavs, params, radio, point, out_dir))
+                shared.extend(_scenario2_rows(cur, grid, uavs, params, radio, baseline,
+                                             point, out_dir))
             for seed in range(cfg.n_seeds):
                 for metric, metric_value in shared + per_seed_rows[seed]:
                     records.append((cfg.experiment_id, cfg.sweep_var, sweep_value,

@@ -115,10 +115,14 @@ def marginal_hover_cost(radio, load_bits, alpha, masses, n_users):
     the cell's users plus the control-time slope 2 alpha_i N^2 a_i at the
     UAV's current mass a_i.  +inf below the SINR floor."""
     alpha = np.broadcast_to(alpha, radio.n_uavs)
-    eff = np.where(radio.feasible_by_uav, radio.spectral_eff, 1.0)
-    serve = n_users * load_bits / (radio.bandwidths[:, None] * eff)
     slope = 2.0 * alpha * n_users**2 * np.asarray(masses, dtype=float)
-    return np.where(radio.feasible_by_uav, serve + slope[:, None], np.inf)
+    # one (n_uavs, n_cells) buffer worked in place: scenario 2 peaks in here
+    cost = np.where(radio.feasible_by_uav, radio.spectral_eff, 1.0)
+    cost *= radio.bandwidths[:, None]
+    np.divide(n_users * load_bits, cost, out=cost)
+    cost += slope[:, None]
+    cost[~radio.feasible_by_uav] = np.inf
+    return cost
 
 
 @dataclass(frozen=True)

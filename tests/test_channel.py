@@ -115,6 +115,17 @@ def test_path_loss_distance_squared():
     assert l2 == pytest.approx(4.0 * l1, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("altitude, carrier_hz", [(1e153, 2e9), (200.0, 1e160)])
+def test_path_loss_overflow_carries_no_power(altitude, carrier_hz):
+    # a loss beyond the float range is +inf, so no power arrives, with no warning
+    uav = UavNode(x=0.0, y=0.0, altitude=altitude)
+    params = ChannelParams(carrier_hz=carrier_hz)
+    x, y = np.array([0.0, 300.0]), np.array([0.0, 400.0])
+    assert np.all(mean_path_loss(uav, x, y, params) == np.inf)
+    assert np.all(received_power(uav, x, y, params) == 0.0)
+
+
 def test_received_power_zero_power():
     uav = UavNode(x=0.0, y=0.0, altitude=100.0, power=0.0)
     assert received_power(uav, np.array([50.0]), np.array([50.0]), TABLE)[0] == 0.0
@@ -222,6 +233,10 @@ def test_params_validation():
         UavNode(x=0.0, y=0.0, altitude=100.0, bandwidth=0.0)
     with pytest.raises(ValueError):
         UavNode(x=0.0, y=0.0, altitude=100.0, max_hover=-1.0)
+    # the path loss needs (4 pi f / c)^2 to neither overflow nor underflow
+    for carrier_hz in (1e200, 1e-200, -1.0):
+        with pytest.raises(ValueError):
+            ChannelParams(carrier_hz=carrier_hz)
     # the slant range needs altitude^2 to neither overflow nor underflow
     for altitude in (1e200, 1e-200, -5.0):
         with pytest.raises(ValueError):

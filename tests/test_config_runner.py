@@ -381,11 +381,20 @@ def test_cli_bad_config_returns_config_exit(tmp_path):
         {"b1": -1},
         {"mu_los_db": -3},
         {"altitude": 1e200},
+        {"carrier_hz": 1e200},
+        {"carrier_hz": 1e-200},
+        {"width": 1e200},
+        {"height": 1e155},
+        {"sigma_x": 1e200},
+        {"sigma_y": 1e-200},
         {"sigma_x": 1, "sigma_y": 1, "mu_x": -500},
+        {"mu_x": 1e200},
     ],
     ids=["n_uavs", "beta", "bandwidth", "b1", "mu_los_db", "altitude_overflow",
-         "density_underflow"],
+         "carrier_overflow", "carrier_underflow", "width_overflow", "height_overflow",
+         "sigma_overflow", "sigma_underflow", "density_underflow", "mean_overflow"],
 )
+@pytest.mark.filterwarnings("error")
 def test_cli_bad_scene_returns_config_exit(tmp_path, capsys, overrides):
     path = write_cfg(tmp_path, fast_text(**overrides))
     out = tmp_path / "out"
@@ -393,9 +402,10 @@ def test_cli_bad_scene_returns_config_exit(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert len(err.strip().splitlines()) == 1
-    if "sigma_x" in overrides:
+    if "mu_x" in overrides:
         # an underflowing hot spot is only found when the grid is built,
         # after run_experiment has created the output directory
+        assert "underflows" in err
         assert not (out / "metrics.csv").exists()
     else:
         assert not out.exists()
@@ -410,6 +420,22 @@ def test_cli_overflowing_load_is_infeasible(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("infeasible instance: ")
     assert "finite transmission time" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"altitude": 1e153}, {"carrier_hz": 1e160}], ids=["altitude", "carrier_hz"]
+)
+@pytest.mark.parametrize("scenario", ["1", "2"])
+@pytest.mark.filterwarnings("error")
+def test_cli_overflowing_path_loss_is_infeasible(tmp_path, capsys, scenario, overrides):
+    # the path loss overflows to inf on every link: no power reaches any cell
+    path = write_cfg(tmp_path, fast_text(scenario=scenario, nx=20, ny=20, **overrides))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible instance: ")
     assert len(err.strip().splitlines()) == 1
     assert not (out / "metrics.csv").exists()
 

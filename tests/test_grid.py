@@ -135,6 +135,17 @@ def test_rejects_bad_density():
         AreaGrid(-1.0, 1000.0, 2, 2, np.full(4, 1e-6))
     with pytest.raises(ValueError):
         truncated_gaussian(1000.0, 1000.0, 4, 4, 0.0, 0.0, -5.0, 100.0)
+    # the kernel needs sigma^2 to neither overflow nor underflow
+    for sigma in (1e200, 1e-200):
+        with pytest.raises(ValueError):
+            truncated_gaussian(1000.0, 1000.0, 4, 4, 0.0, 0.0, 100.0, sigma)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_far_mean_underflows_quietly():
+    # squared offsets overflow to inf: zero density everywhere, no warning
+    with pytest.raises(ValueError, match="underflows"):
+        truncated_gaussian(1000.0, 1000.0, 4, 4, 1e200, 0.0, 100.0, 100.0)
 
 
 def test_density_is_readonly():

@@ -67,7 +67,7 @@ def test_sampling_deterministic():
     a = sample_users(grid, 500, seed=7)
     b = sample_users(grid, 500, seed=7)
     c = sample_users(grid, 500, seed=8)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.cells, b.cells)
+    assert np.array_equal(a.cells, b.cells)
     assert not np.array_equal(a.cells, c.cells)
     assert a.seed == 7 and a.n_users == 500
 
@@ -75,11 +75,37 @@ def test_sampling_deterministic():
 def test_sampling_positions_inside_cells():
     grid = uniform_density(1200.0, 800.0, 6, 4)
     s = sample_users(grid, 2000, seed=1)
-    ix = s.cells % grid.nx
-    iy = s.cells // grid.nx
-    assert np.all((s.x >= ix * grid.dx - 1e-9) & (s.x <= (ix + 1) * grid.dx + 1e-9))
-    assert np.all((s.y >= iy * grid.dy - 1e-9) & (s.y <= (iy + 1) * grid.dy + 1e-9))
     assert np.all((s.cells >= 0) & (s.cells < grid.n_cells))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 2**31])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        truncated_gaussian(1000.0, 1000.0, 23, 17, 250.0, 330.0, 150.0, 300.0),
+        # empty first and last cells
+        AreaGrid(1000.0, 1000.0, 4, 1, np.array([0.0, 1.0, 3.0, 0.0]) / 1e6),
+    ],
+    ids=["gaussian", "empty_ends"],
+)
+def test_sampling_matches_inverse_cdf_oracle(grid, seed):
+    # the per-call formula the cached grid.cell_cdf replaced: same draws,
+    # same cells, so every Jain value computed from them stays the same
+    cdf = np.cumsum(grid.cell_mass)
+    cdf /= cdf[-1]
+    draws = np.random.default_rng(seed).random(777)
+    oracle = np.minimum(np.searchsorted(cdf, draws, side="right"), grid.n_cells - 1)
+    assert np.array_equal(sample_users(grid, 777, seed).cells, oracle)
+
+
+def test_cell_cdf_read_only_and_ends_at_one():
+    grid = truncated_gaussian(1000.0, 1000.0, 20, 20, 250.0, 330.0, 300.0, 300.0)
+    cdf = grid.cell_cdf
+    assert cdf[-1] == 1.0
+    assert np.all(np.diff(cdf) >= 0)
+    assert grid.cell_cdf is cdf
+    with pytest.raises(ValueError):
+        cdf[0] = 0.5
 
 
 def test_sampling_follows_cell_masses():
@@ -109,9 +135,7 @@ def test_service_per_user_lookup():
     grid = uniform_density(1000.0, 1000.0, 2, 2)
     part = Partition(np.array([0, 1, INFEASIBLE, 0]), np.array([0.5, 0.25]))
     service = np.array([[10.0, 20.0, 30.0, 40.0], [50.0, 60.0, 70.0, 80.0]])
-    sample = UserSample(
-        x=np.zeros(5), y=np.zeros(5), cells=np.array([0, 1, 2, 3, 1]), seed=0
-    )
+    sample = UserSample(cells=np.array([0, 1, 2, 3, 1]), seed=0)
     got = service_per_user(part, service, sample)
     assert np.array_equal(got, [10.0, 60.0, 0.0, 40.0, 60.0])
 

@@ -1,13 +1,18 @@
 """Assignment maps: min-cost rule, ties, masses, baseline diagram."""
 
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavpart.channel import ChannelParams, UavNode, compute_radio_field
+from uavpart.config import build_channel, build_grid, build_uavs, load_config
 from uavpart.errors import InfeasibleError
-from uavpart.grid import uniform_density
+from uavpart.grid import truncated_gaussian, uniform_density
 from uavpart.partition import (
     INFEASIBLE,
     Partition,
@@ -16,8 +21,11 @@ from uavpart.partition import (
     region_masses,
     weighted_voronoi,
 )
+from uavpart.scenario1 import solve_scenario1
+from uavpart.scenario2 import solve_scenario2
 
 GRID = uniform_density(1000.0, 1000.0, 10, 6)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def random_costs(seed, n_uavs=4, grid=GRID):
@@ -182,3 +190,79 @@ def test_partition_csv(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == GRID.cell_x[0]
     assert int(first[2]) == part.assignment[0]
+
+
+def assert_csv_matches_savetxt(grid, part, directory):
+    # oracle: the np.savetxt call partition_to_csv replaced
+    expected = Path(directory) / "savetxt.csv"
+    np.savetxt(
+        expected,
+        np.column_stack([grid.cell_x, grid.cell_y, part.assignment]),
+        fmt=["%.9g", "%.9g", "%d"],
+        delimiter=",",
+        header="cell_x_m,cell_y_m,uav_index",
+        comments="",
+    )
+    got = Path(directory) / "partition.csv"
+    partition_to_csv(grid, part, got)
+    assert got.read_bytes() == expected.read_bytes()
+
+
+def random_partition(grid, n_uavs, seed, infeasible_share=0.0):
+    rng = np.random.default_rng(seed)
+    assignment = rng.integers(0, n_uavs, size=grid.n_cells)
+    assignment[rng.random(grid.n_cells) < infeasible_share] = INFEASIBLE
+    return Partition(assignment, region_masses(grid, assignment, n_uavs))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        uniform_density(1000.0, 600.0, 7, 3),
+        uniform_density(1000.0, 600.0, 1, 9),
+        uniform_density(1000.0, 600.0, 9, 1),
+        uniform_density(1000.0, 600.0, 1, 1),
+        # exponent notation and a dx that does not terminate in decimal
+        uniform_density(3e11, 1000.0, 7, 5),
+        uniform_density(1000.0, 2e-7, 7, 4),
+        truncated_gaussian(1000.0, 1000.0, 14, 11, 250.0, 330.0, 200.0, 300.0),
+    ],
+    ids=["7x3", "1x9", "9x1", "1x1", "wide_3e11", "thin_2e-7", "gaussian"],
+)
+@pytest.mark.parametrize("infeasible_share", [0.0, 0.3, 1.0])
+def test_partition_csv_matches_savetxt(tmp_path, grid, infeasible_share):
+    part = random_partition(grid, 3, seed=grid.n_cells, infeasible_share=infeasible_share)
+    assert_csv_matches_savetxt(grid, part, tmp_path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(1, 12),
+    ny=st.integers(1, 12),
+    width=st.floats(1e-3, 1e12),
+    height=st.floats(1e-3, 1e12),
+    n_uavs=st.integers(1, 12),
+    seed=st.integers(0, 2**31),
+)
+def test_partition_csv_matches_savetxt_small_grids(nx, ny, width, height, n_uavs, seed):
+    grid = uniform_density(width, height, nx, ny)
+    with tempfile.TemporaryDirectory() as directory:
+        assert_csv_matches_savetxt(
+            grid, random_partition(grid, n_uavs, seed, infeasible_share=0.2), directory
+        )
+
+
+def test_partition_csv_matches_savetxt_on_solved_maps(tmp_path):
+    cfg = replace(load_config(SCRIPTS / "partition_maps.ini"), nx=60, ny=60)
+    grid, uavs, params = build_grid(cfg), build_uavs(cfg), build_channel(cfg)
+    radio = compute_radio_field(grid, uavs, params)
+    solver = {"mass_tol": cfg.mass_tol, "max_iter": cfg.max_ascent_iter, "radio": radio}
+    parts = [
+        solve_scenario1(grid, uavs, params, cfg.alpha, cfg.n_users, **solver).partition,
+        solve_scenario2(grid, uavs, params, cfg.load_bits, cfg.alpha, cfg.n_users,
+                        **solver).partition,
+        weighted_voronoi(grid, radio),
+    ]
+    assert any(np.any(part.assignment != parts[-1].assignment) for part in parts[:2])
+    for part in parts:
+        assert_csv_matches_savetxt(grid, part, tmp_path)

@@ -253,6 +253,21 @@ def test_marginal_cost_monotone_in_mass():
     assert np.array_equal(flat_a, flat_b)
 
 
+@pytest.mark.parametrize("alpha", [0.01, [0.0, 0.03, 0.002]])
+def test_marginal_cost_matches_array_formula(alpha):
+    # oracle: the cost as one array expression; the in-place buffer must
+    # give the same bits, +inf on links below the floor
+    rng = np.random.default_rng(4)
+    eff = rng.uniform(0.01, 8.0, size=(3, 50))
+    feasible = rng.random((3, 50)) < 0.7
+    radio = manual_radio(eff, [1e6, 2e6, 5e5], feasible)
+    masses = np.array([0.2, 0.5, 0.3])
+    got = marginal_hover_cost(radio, 1e7, alpha, masses, 300)
+    serve = 300 * 1e7 / (radio.bandwidths[:, None] * np.where(feasible, eff, 1.0))
+    slope = 2.0 * np.broadcast_to(alpha, 3) * 300**2 * masses
+    assert np.array_equal(got, np.where(feasible, serve + slope[:, None], np.inf))
+
+
 # solver
 
 
