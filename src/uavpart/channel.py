@@ -13,8 +13,11 @@ SPEED_OF_LIGHT = 3.0e8  # m/s
 
 
 def db_to_linear(value_db):
-    """Power ratio from decibels."""
-    return 10.0 ** (value_db / 10.0)
+    """Power ratio from decibels; ValueError when the ratio overflows a float."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{value_db:g} dB overflows a linear power ratio") from None
 
 
 def linear_to_db(value):
@@ -24,7 +27,7 @@ def linear_to_db(value):
 
 def dbm_to_watts(value_dbm):
     """Watts from dBm."""
-    return 10.0 ** ((value_dbm - 30.0) / 10.0)
+    return db_to_linear(value_dbm - 30.0)
 
 
 @dataclass(frozen=True)

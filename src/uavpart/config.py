@@ -157,11 +157,16 @@ def _check_fields(cfg):
     for f in fields(ExperimentConfig):
         if f.type in ("float", "tuple") and not np.all(np.isfinite(getattr(cfg, f.name))):
             raise ConfigError(f"{f.name} must be finite")
+    grid_ok = cfg.nx >= 1 and cfg.ny >= 1
+    # a cell's density can reach 1 / cell area, so that must be finite
+    cell_area = (cfg.width / cfg.nx) * (cfg.height / cfg.ny) if grid_ok else math.nan
     checks = [
+        (grid_ok, "grid must be at least 1x1"),
         (cfg.width > 0 and cfg.height > 0
-         and cfg.width * cfg.width < math.inf and cfg.height * cfg.height < math.inf,
-         "area dimensions must be positive with finite squares"),
-        (cfg.nx >= 1 and cfg.ny >= 1, "grid must be at least 1x1"),
+         and cfg.width * cfg.width < math.inf and cfg.height * cfg.height < math.inf
+         and cell_area > 0 and 1.0 / cell_area < math.inf,
+         "area dimensions must be positive with finite squares and a cell area "
+         "with a finite reciprocal"),
         (cfg.density_kind in DENSITY_KINDS, f"density_kind must be one of {DENSITY_KINDS}"),
         (all(s > 0 and 0.0 < s * s < math.inf for s in (cfg.sigma_x, cfg.sigma_y)),
          "sigma must be positive with a finite, non-zero square"),

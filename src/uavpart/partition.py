@@ -9,7 +9,6 @@ import numpy as np
 from .errors import ConvergenceError, InfeasibleError
 
 INFEASIBLE = -1
-MIN_STEP = 1e-18
 STALL_RATIO = 1e-3
 
 
@@ -94,8 +93,9 @@ def weighted_voronoi(grid, radio, weights=None):
         w = np.asarray(weights, dtype=float)
         if w.shape != (radio.n_uavs,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be positive and finite, one per UAV")
-    score = radio.sinr / w[:, None]
-    costs = np.where(radio.feasible_by_uav, -score, np.inf)
+    costs = np.divide(radio.sinr, w[:, None])  # one (n_uavs, n_cells) array
+    np.negative(costs, out=costs)
+    costs[~radio.feasible_by_uav] = np.inf
     return assign_by_min_cost(grid, costs, feasible=radio.feasible)
 
 
@@ -116,56 +116,91 @@ def partition_to_csv(grid, part, path):
             fh.write("".join([x + y + labels[k] for x, k in zip(xs, row)]))
 
 
-def shifted_min_cost(grid, costs, psi):
-    """Integral of min_i (c_ic - psi_i) over the cells some UAV can serve."""
-    best = (costs - psi[:, None]).min(axis=0)
-    covered = np.isfinite(best)
-    return best[covered] @ grid.cell_mass[covered]
+def shifted_pass(grid, costs, psi, buf=None, masses=False):
+    """One in-place pass of the shifted min-cost assignment argmin_i (c_ic - psi_i).
 
-
-def shifted_masses(grid, costs, psi):
-    """Region masses of the shifted min-cost assignment argmin_i (c_ic - psi_i)."""
-    shifted = costs - psi[:, None]
-    covered = np.isfinite(shifted.min(axis=0))
-    winner = np.where(covered, np.argmin(shifted, axis=0), INFEASIBLE)
-    return region_masses(grid, winner, len(psi))
+    Fills buf, an (n_uavs, n_cells) array allocated when None, with
+    costs - psi_i and returns F, the integral of the per-cell minimum over the
+    cells some UAV can serve.  With masses=True it returns (F, region masses),
+    the masses read from the same buffer: UAV i gets the cells whose shifted
+    cost equals the minimum and that no lower index claimed, so the lowest
+    index wins ties, as with argmin.  costs itself is never copied.
+    """
+    if buf is None:
+        buf = np.empty(costs.shape)
+    np.subtract(costs, psi[:, None], out=buf)
+    best = buf.min(axis=0)
+    best[best == np.inf] = 0.0  # cells no UAV can serve
+    # einsum, not a BLAS dot: a threaded ddot stalls when the CPUs are busy
+    value = float(np.einsum("c,c->", best, grid.cell_mass))
+    if not masses:
+        return value
+    region = np.empty(len(best), dtype=bool)
+    free = np.ones(len(best), dtype=bool)
+    out = np.empty(len(psi))
+    for i in range(len(psi)):
+        np.equal(buf[i], best, out=region)
+        region &= free
+        out[i] = grid.cell_mass.sum(where=region)
+        free ^= region
+    return value, out
 
 
 @dataclass(frozen=True)
 class DualPotentials:
     """Potentials psi with the ascent trace: f_trace is the accepted objective
     per iteration (strictly increasing), grad_trace the mass-mismatch norm,
-    step_trace the accepted step (zero on the first row)."""
+    step_trace the accepted step (zero on the first row), and evals the
+    number of dual-value evaluations the ascent made."""
 
     psi: np.ndarray
     f_trace: np.ndarray
     grad_trace: np.ndarray
     step_trace: np.ndarray
+    evals: int
 
 
 def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
-    """Maximize the concave dual F(psi) = term(psi) + shifted_min_cost(psi).
+    """Maximize the concave dual F(psi) = term(psi) + shifted_pass(psi).
 
     The ascent direction is target(psi, masses), the region masses the
-    separable term prices at psi, minus the shifted min-cost masses.  The step
-    starts at 1, doubles while F keeps improving, otherwise halves until it
-    improves.  Stops when the mass-mismatch norm is at most mass_tol or, with
-    gap(masses, target), when an accepted gain is at most STALL_RATIO times
-    that duality gap, which ends grids too coarse for the masses to meet.
-    Raises ConvergenceError (trace attached) when max_iter runs out or no step
-    improves."""
+    separable term prices at psi, minus the shifted min-cost masses.  Each
+    evaluation of F is one shifted_pass into a buffer allocated once per
+    ascent.  The step search is free of the costs' units: the first iteration
+    tries the spread of the finite costs and every later one the last
+    accepted step.  It halves until F improves, then walks to a local maximum
+    of F over step * 2**k: it doubles while F keeps improving, or halves when
+    it had to halve before or the first doubling fails.  Stops when the
+    mass-mismatch norm is at most mass_tol or, with gap(masses, target), when
+    an accepted gain is at most STALL_RATIO times that duality gap, which ends
+    grids too coarse for the masses to meet.  Raises ConvergenceError (trace
+    attached) when max_iter runs out or no step that still changes psi
+    improves F."""
     f_trace, grad_trace, step_trace = [], [], []
+    finite = np.isfinite(costs)
+    first_step = float(costs.max(where=finite, initial=-np.inf)
+                       - costs.min(where=finite, initial=np.inf))
+    del finite  # one (n_uavs, n_cells) array at a time
+    if not first_step > 0:
+        first_step = 1.0
+    buf = np.empty(costs.shape)
+    evals = 0
 
-    def value_at(p):
-        return float(term(p) + shifted_min_cost(grid, costs, p))
+    def value_at(p, masses=False):
+        nonlocal evals
+        evals += 1
+        out = shifted_pass(grid, costs, p, buf, masses)
+        if masses:
+            return float(term(p)) + out[0], out[1]
+        return float(term(p)) + out
 
     def failure(message):
         trace = (np.array(f_trace), np.array(grad_trace), np.array(step_trace))
         return ConvergenceError(message, trace=trace)
 
-    value, step, gain = value_at(psi), 0.0, np.inf
+    step, gain = 0.0, np.inf
     while True:
-        masses = shifted_masses(grid, costs, psi)
+        value, masses = value_at(psi, masses=True)
         wanted = target(psi, masses)
         grad = wanted - masses
         f_trace.append(value)
@@ -176,18 +211,25 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
             break
         if len(step_trace) > max_iter:
             raise failure(f"mass mismatch {grad_trace[-1]:.3e} after {max_iter} iterations")
-        step = 1.0
+        step = step or first_step
         cand = value_at(psi + step * grad)
-        if cand > value:
-            while (trial := value_at(psi + 2.0 * step * grad)) > cand:
-                step *= 2.0
-                cand = trial
-        else:
-            while cand <= value:
-                step *= 0.5
-                if step < MIN_STEP:
-                    raise failure("no improving step along the ascent direction")
-                cand = value_at(psi + step * grad)
+        factors = (2.0, 0.5)
+        while cand <= value:
+            factors = (0.5,)
+            step *= 0.5
+            moved = psi + step * grad
+            if np.array_equal(moved, psi):
+                raise failure("no improving step along the ascent direction")
+            cand = value_at(moved)
+        for factor in factors:  # climb to a local maximum over step * 2**k
+            climbed = False
+            while (trial := value_at(psi + factor * step * grad)) > cand:
+                step *= factor
+                cand, climbed = trial, True
+            if climbed:
+                break
         psi = psi + step * grad
-        gain, value = cand - value, cand
-    return DualPotentials(psi, np.array(f_trace), np.array(grad_trace), np.array(step_trace))
+        gain = cand - value
+    return DualPotentials(
+        psi, np.array(f_trace), np.array(grad_trace), np.array(step_trace), evals
+    )

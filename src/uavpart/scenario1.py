@@ -19,7 +19,7 @@ from .partition import (
     Partition,
     ascend_dual,
     assign_by_min_cost,
-    shifted_min_cost,
+    shifted_pass,
 )
 
 DEFAULT_MASS_TOL = 1e-3
@@ -95,7 +95,7 @@ def build_cost_field(grid, radio, fairness):
 
 def dual_value(grid, costs, psi, shares):
     """Concave dual objective psi . shares + integral of the shifted cell min."""
-    return float(psi @ shares + shifted_min_cost(grid, costs, psi))
+    return float(psi @ shares) + shifted_pass(grid, costs, psi)
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,16 @@ def solve_scenario1(grid, uavs, params, alpha, n_users, mass_tol=DEFAULT_MASS_TO
     """Partition the area so each UAV's region mass matches its fair share.
 
     Ascends the concave dual psi . shares + integral of min_i (c_ic - psi_i)
-    from psi = 0 with the shared step search of ascend_dual, and stops when
-    the mass-mismatch norm is at most mass_tol.  The returned service array
-    is (n_uavs, n_cells) bits per user when served by each UAV.
+    from psi = 0 with ascend_dual, whose first step is the spread of the
+    costs, so its steps scale with the bandwidth and the hover budget; it
+    stops when the mass-mismatch norm is at most mass_tol.  The potentials
+    carry the ascent trace and the number of dual evaluations.  The returned
+    service array is (n_uavs, n_cells) bits per user when served by each UAV.
 
     Raises InfeasibleError when more than mass_tol of the user mass has no
     link above the SINR floor, and ConvergenceError (with the trace attached)
-    when the iteration budget runs out or no improving step exists.
+    when the iteration budget runs out or no step that still changes the
+    potentials improves the dual.
     """
     if radio is None:
         radio = compute_radio_field(grid, uavs, params)

@@ -170,7 +170,7 @@ def solve_scenario2(grid, uavs, params, load_bits, alpha, n_users,
 
     potentials = ascend_dual(
         grid, seconds, -curvature * weighted_voronoi(grid, radio).masses,
-        term=lambda psi: -float(psi[priced] ** 2 @ (0.5 / curvature[priced])),
+        term=lambda psi: -0.5 * float(psi[priced] / curvature[priced] @ psi[priced]),
         target=lambda psi, masses: np.divide(-psi, curvature, out=masses.copy(), where=priced),
         mass_tol=mass_tol, max_iter=max_iter, gap=gap,
     )

@@ -389,10 +389,16 @@ def test_cli_bad_config_returns_config_exit(tmp_path):
         {"sigma_y": 1e-200},
         {"sigma_x": 1, "sigma_y": 1, "mu_x": -500},
         {"mu_x": 1e200},
+        {"scenario": 2, "mu_los_db": 4000},
+        {"scenario": 2, "noise_dbm_per_hz": 4000},
+        {"scenario": 2, "sinr_threshold_db": 4000},
+        {"width": 1e-200, "height": 1e-200},
     ],
     ids=["n_uavs", "beta", "bandwidth", "b1", "mu_los_db", "altitude_overflow",
          "carrier_overflow", "carrier_underflow", "width_overflow", "height_overflow",
-         "sigma_overflow", "sigma_underflow", "density_underflow", "mean_overflow"],
+         "sigma_overflow", "sigma_underflow", "density_underflow", "mean_overflow",
+         "mu_los_db_overflow", "noise_overflow", "sinr_threshold_overflow",
+         "cell_area_underflow"],
 )
 @pytest.mark.filterwarnings("error")
 def test_cli_bad_scene_returns_config_exit(tmp_path, capsys, overrides):
@@ -438,6 +444,29 @@ def test_cli_overflowing_path_loss_is_infeasible(tmp_path, capsys, scenario, ove
     assert err.startswith("infeasible instance: ")
     assert len(err.strip().splitlines()) == 1
     assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_huge_alpha_fails_cleanly(tmp_path, capsys):
+    # the control-time prices reach 1e305: the dual term must not overflow
+    path = write_cfg(tmp_path, fast_text(scenario=2, nx=20, ny=20, alpha=1e300))
+    code = main(["run", path, "--out", str(tmp_path / "out")])
+    assert code in (EXIT_OK, EXIT_CONVERGENCE)
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == (code == EXIT_CONVERGENCE)
+
+
+@pytest.mark.parametrize("overrides", [{"max_hover": 1.8e6}, {"bandwidth": 1e8}],
+                         ids=["max_hover", "bandwidth"])
+def test_cli_large_units_converge(tmp_path, overrides):
+    # the step search scales with the costs, so only the units change here
+    path = write_cfg(tmp_path, fast_text(scenario=1, nx=60, ny=60, mass_tol=1e-3,
+                                         **overrides))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_OK
+    residual = [float(row["value"]) for row in read_metrics(out)
+                if row["metric"] == "s1_mass_residual"]
+    assert residual and max(residual) <= 1e-3
 
 
 def test_bad_sweep_point_rejected_by_run_experiment(tmp_path, capsys):

@@ -19,6 +19,7 @@ from uavpart.partition import (
     assign_by_min_cost,
     partition_to_csv,
     region_masses,
+    shifted_pass,
     weighted_voronoi,
 )
 from uavpart.scenario1 import solve_scenario1
@@ -103,6 +104,27 @@ def test_region_masses_float_when_nothing_served():
     masses = region_masses(GRID, np.full(GRID.n_cells, INFEASIBLE), 3)
     assert masses.dtype == np.float64
     assert np.array_equal(masses, np.zeros(3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**31), n_uavs=st.integers(1, 5))
+def test_shifted_pass_matches_argmin(seed, n_uavs):
+    # small integer costs and potentials make ties common; +inf marks links
+    # no UAV can use, and a quarter of the cells get none at all
+    rng = np.random.default_rng(seed)
+    costs = rng.integers(0, 4, size=(n_uavs, GRID.n_cells)).astype(float)
+    costs[rng.random(costs.shape) < 0.3] = np.inf
+    costs[:, rng.random(GRID.n_cells) < 0.25] = np.inf
+    psi = rng.integers(-2, 3, size=n_uavs).astype(float)
+    shifted = costs - psi[:, None]
+    part = assign_by_min_cost(GRID, shifted)
+    covered = part.assignment >= 0
+    value, masses = shifted_pass(GRID, costs, psi, masses=True)
+    assert np.allclose(masses, part.masses, rtol=0, atol=1e-15)
+    assert value == pytest.approx(
+        float(shifted.min(axis=0)[covered] @ GRID.cell_mass[covered]), rel=1e-12, abs=1e-15
+    )
+    assert shifted_pass(GRID, costs, psi) == value
 
 
 def test_feasible_cell_without_cost_raises():

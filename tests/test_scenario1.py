@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavpart.channel import ChannelParams, UavNode, compute_radio_field
+from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs
 from uavpart.errors import ConvergenceError, InfeasibleError
 from uavpart.grid import uniform_density
-from uavpart.partition import shifted_masses
+from uavpart.partition import ascend_dual, shifted_pass
 from uavpart.scenario1 import (
     FairnessSolution,
     build_cost_field,
@@ -193,8 +194,8 @@ def test_dual_gauge_shift(seed, const):
     f2 = dual_value(grid, costs, psi + const, shares)
     assert f2 == pytest.approx(f1, rel=1e-9)
     assert np.allclose(
-        shares - shifted_masses(grid, costs, psi),
-        shares - shifted_masses(grid, costs, psi + const),
+        shares - shifted_pass(grid, costs, psi, masses=True)[1],
+        shares - shifted_pass(grid, costs, psi + const, masses=True)[1],
         atol=1e-12,
     )
 
@@ -205,7 +206,7 @@ def test_gradient_dominant_potential():
     costs = build_cost_field(grid, radio, fair)
     shares = fair.target_masses
     big = np.array([1e12, 0.0])  # UAV 0 wins every cell it can serve
-    grad = shares - shifted_masses(grid, costs, big)
+    grad = shares - shifted_pass(grid, costs, big, masses=True)[1]
     feas0 = np.isfinite(costs[0])
     only1 = ~feas0 & np.isfinite(costs[1])
     assert grad[0] == pytest.approx(
@@ -220,7 +221,7 @@ def test_gradient_components_sum_to_uncovered():
     grid, uavs, radio = two_uav_scene()
     fair = solve_fairness_system(uavs, 0.01, 300)
     costs = build_cost_field(grid, radio, fair)
-    grad = fair.target_masses - shifted_masses(grid, costs, np.zeros(2))
+    grad = fair.target_masses - shifted_pass(grid, costs, np.zeros(2), masses=True)[1]
     covered = np.isfinite(costs).any(axis=0)
     uncovered = float(grid.cell_mass[~covered].sum())
     assert grad.sum() == pytest.approx(uncovered, abs=1e-12)
@@ -259,7 +260,7 @@ def test_gradient_chords_bracket():
         f0 = dual_value(grid, costs, psi, shares)
         fwd = (dual_value(grid, costs, psi + h * v, shares) - f0) / h
         bwd = (f0 - dual_value(grid, costs, psi - h * v, shares)) / h
-        g_dot_v = float((shares - shifted_masses(grid, costs, psi)) @ v)
+        g_dot_v = float((shares - shifted_pass(grid, costs, psi, masses=True)[1]) @ v)
         slack = 1e-9 * max(abs(f0), 1.0) / h
         assert fwd <= g_dot_v + slack
         assert g_dot_v <= bwd + slack
@@ -338,6 +339,40 @@ def test_trace_shapes_and_steps():
     assert p.step_trace[0] == 0.0
     assert np.all(p.step_trace[1:] > 0)
     assert np.all(np.diff(p.f_trace) > 0)
+    # every iteration evaluates its own point and at least two trial steps
+    assert p.evals >= len(p.f_trace) + 2 * (len(p.f_trace) - 1)
+
+
+def test_default_scene_needs_few_evaluations():
+    cfg = ExperimentConfig()
+    grid, uavs, params = build_grid(cfg), build_uavs(cfg), build_channel(cfg)
+    result = solve_scenario1(grid, uavs, params, cfg.alpha, cfg.n_users,
+                             mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter)
+    residual = np.abs(result.partition.masses - result.fairness.target_masses).max()
+    assert residual <= cfg.mass_tol
+    assert result.potentials.evals <= 30
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(-60, 60))
+def test_ascent_is_free_of_cost_units(k):
+    # scaling the costs by 2**k is exact, so the ascent must take the same
+    # steps in the new units: psi scales by 2**k and nothing else moves
+    grid, uavs = hetero_pair(16, 16)
+    radio = compute_radio_field(grid, uavs, PARAMS)
+    fair = solve_fairness_system(uavs, 0.01, 300)
+    costs = build_cost_field(grid, radio, fair)
+    shares = fair.target_masses
+
+    def ascend(c):
+        return ascend_dual(grid, c, np.zeros(2), term=lambda psi: psi @ shares,
+                           target=lambda psi, masses: shares, mass_tol=5e-3,
+                           max_iter=1000)
+
+    base, scaled = ascend(costs), ascend(costs * 2.0**k)
+    assert np.array_equal(scaled.psi, base.psi * 2.0**k)
+    assert np.array_equal(scaled.grad_trace, base.grad_trace)
+    assert scaled.evals == base.evals
 
 
 def test_service_field_consistency_at_solution():
