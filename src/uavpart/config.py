@@ -13,7 +13,17 @@ from .channel import ChannelParams, UavNode, db_to_linear, dbm_to_watts, linear_
 from .errors import ConfigError
 from .grid import truncated_gaussian, uniform_density
 
-SWEEP_VARS = ("none", "beta", "sigma", "tau_max", "bandwidth", "alpha", "n_uavs")
+# sweep variable -> the config fields one sweep value sets
+_SWEEP_FIELDS = {
+    "none": (),
+    "beta": ("beta",),
+    "sigma": ("sigma_x", "sigma_y"),
+    "tau_max": ("max_hover",),
+    "bandwidth": ("bandwidth",),
+    "alpha": ("alpha",),
+    "n_uavs": ("n_uavs",),
+}
+SWEEP_VARS = tuple(_SWEEP_FIELDS)
 SCENARIOS = ("1", "2", "both")
 DENSITY_KINDS = ("uniform", "gaussian")
 
@@ -191,27 +201,19 @@ def _check_fields(cfg):
 
 
 def apply_sweep(cfg, value):
-    """Copy of cfg with the sweep variable set to one concrete value.
+    """Copy of cfg with the sweep variable's fields set to one concrete value.
 
     Raises ConfigError for an unknown sweep variable or a fractional n_uavs;
     validate_config checks the swept config itself."""
     if cfg.sweep_var == "none":
         return cfg
-    if cfg.sweep_var == "beta":
-        return replace(cfg, beta=value)
-    if cfg.sweep_var == "sigma":
-        return replace(cfg, sigma_x=value, sigma_y=value)
-    if cfg.sweep_var == "tau_max":
-        return replace(cfg, max_hover=value)
-    if cfg.sweep_var == "bandwidth":
-        return replace(cfg, bandwidth=value)
-    if cfg.sweep_var == "alpha":
-        return replace(cfg, alpha=value)
+    if cfg.sweep_var not in _SWEEP_FIELDS:
+        raise ConfigError(f"unknown sweep variable: {cfg.sweep_var}")
     if cfg.sweep_var == "n_uavs":
         if not float(value).is_integer():
             raise ConfigError(f"n_uavs sweep values must be whole numbers, got {value:g}")
-        return replace(cfg, n_uavs=int(value))
-    raise ConfigError(f"unknown sweep variable: {cfg.sweep_var}")
+        value = int(value)
+    return replace(cfg, **dict.fromkeys(_SWEEP_FIELDS[cfg.sweep_var], value))
 
 
 def config_to_ini(cfg, provenance=None):

@@ -80,21 +80,13 @@ def assign_by_min_cost(grid, costs, feasible=None):
     return Partition(assignment, region_masses(grid, assignment, costs.shape[0]))
 
 
-def weighted_voronoi(grid, radio, weights=None):
-    """Best-signal partition: each cell goes to argmax of SINR / weight.
+def weighted_voronoi(grid, radio):
+    """Best-signal partition: each cell goes to its highest-SINR UAV.
 
-    Unweighted (weights None or all ones) this is the max-SINR diagram used
-    as a baseline and as a starting partition.  Cells below the SINR floor
-    for every UAV are left unassigned.
+    This max-SINR diagram is the baseline of both scenarios.  Cells below
+    the SINR floor for every UAV are left unassigned.
     """
-    if weights is None:
-        w = np.ones(radio.n_uavs)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (radio.n_uavs,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be positive and finite, one per UAV")
-    costs = np.divide(radio.sinr, w[:, None])  # one (n_uavs, n_cells) array
-    np.negative(costs, out=costs)
+    costs = np.negative(radio.sinr)  # one (n_uavs, n_cells) array
     costs[~radio.feasible_by_uav] = np.inf
     return assign_by_min_cost(grid, costs, feasible=radio.feasible)
 
@@ -148,12 +140,15 @@ def shifted_pass(grid, costs, psi, buf=None, masses=False):
 
 @dataclass(frozen=True)
 class DualPotentials:
-    """Potentials psi with the ascent trace: f_trace is the accepted objective
-    per iteration (strictly increasing), grad_trace the mass-mismatch norm,
-    step_trace the accepted step (zero on the first row), and evals the
-    number of dual-value evaluations the ascent made."""
+    """Potentials psi with the partition they induce and the ascent trace.
+
+    partition assigns each cell to argmin_i (c_ic - psi_i); f_trace is the
+    accepted objective per iteration (strictly increasing), grad_trace the
+    mass-mismatch norm, step_trace the accepted step (zero on the first row),
+    and evals the number of dual-value evaluations the ascent made."""
 
     psi: np.ndarray
+    partition: Partition
     f_trace: np.ndarray
     grad_trace: np.ndarray
     step_trace: np.ndarray
@@ -161,26 +156,30 @@ class DualPotentials:
 
 
 def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
-    """Maximize the concave dual F(psi) = term(psi) + shifted_pass(psi).
+    """Maximize the concave dual F(psi) = term(psi) + shifted_pass(psi) and
+    return the potentials with the partition argmin_i (c_ic - psi_i) at them.
 
     The ascent direction is target(psi, masses), the region masses the
     separable term prices at psi, minus the shifted min-cost masses.  Each
     evaluation of F is one shifted_pass into a buffer allocated once per
-    ascent.  The step search is free of the costs' units: the first iteration
-    tries the spread of the finite costs and every later one the last
-    accepted step.  It halves until F improves, then walks to a local maximum
-    of F over step * 2**k: it doubles while F keeps improving, or halves when
-    it had to halve before or the first doubling fails.  Stops when the
-    mass-mismatch norm is at most mass_tol or, with gap(masses, target), when
-    an accepted gain is at most STALL_RATIO times that duality gap, which ends
-    grids too coarse for the masses to meet.  Raises ConvergenceError (trace
-    attached) when max_iter runs out or no step that still changes psi
-    improves F."""
+    ascent; the partition is read from the final pass's buffer, so cells no
+    UAV can serve stay unassigned and the lowest index wins ties.  The step
+    search is free of the units: the first iteration tries the larger of the
+    spread of the finite costs and the largest |psi| it starts from, and every
+    later one the last accepted step.  It halves until F improves, then walks
+    to a local maximum of F over step * 2**k: it doubles while F keeps
+    improving, or halves when it had to halve before or the first doubling
+    fails.  Stops when the mass-mismatch norm is at most mass_tol or, with
+    gap(masses, target), when an accepted gain is at most STALL_RATIO times
+    that duality gap, which ends grids too coarse for the masses to meet.
+    Raises ConvergenceError (trace attached) when max_iter runs out or no step
+    that still changes psi improves F."""
     f_trace, grad_trace, step_trace = [], [], []
     finite = np.isfinite(costs)
-    first_step = float(costs.max(where=finite, initial=-np.inf)
-                       - costs.min(where=finite, initial=np.inf))
+    spread = float(costs.max(where=finite, initial=-np.inf)
+                   - costs.min(where=finite, initial=np.inf))
     del finite  # one (n_uavs, n_cells) array at a time
+    first_step = max(spread, float(np.abs(psi).max(initial=0.0)))
     if not first_step > 0:
         first_step = 1.0
     buf = np.empty(costs.shape)
@@ -230,6 +229,8 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
                 break
         psi = psi + step * grad
         gain = cand - value
+    # the last pass was at psi, so buf holds costs - psi
     return DualPotentials(
-        psi, np.array(f_trace), np.array(grad_trace), np.array(step_trace), evals
+        psi, assign_by_min_cost(grid, buf), np.array(f_trace), np.array(grad_trace),
+        np.array(step_trace), evals,
     )

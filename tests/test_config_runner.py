@@ -469,6 +469,18 @@ def test_cli_large_units_converge(tmp_path, overrides):
     assert residual and max(residual) <= 1e-3
 
 
+def test_cli_large_control_weight_converges(tmp_path):
+    # scenario 2 starts from prices of order alpha N^2, so its first step scales with them
+    path = write_cfg(tmp_path, fast_text(scenario=2, nx=20, ny=20, alpha=1e20))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_OK
+    rows = {row["metric"]: float(row["value"]) for row in read_metrics(out)}
+    gap, total = rows["s2_duality_gap"], rows["s2_hover_proposed_optbw"]
+    assert 0.0 <= gap <= total
+    # the dual value, total - gap, bounds every plan's hover total from below
+    assert total - gap <= rows["s2_hover_voronoi_optbw"]
+
+
 def test_bad_sweep_point_rejected_by_run_experiment(tmp_path, capsys):
     cfg = replace(load_config(write_cfg(tmp_path, FAST_KEYS)),
                   sweep_var="n_uavs", sweep_values=(2.5,))

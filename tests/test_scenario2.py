@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavpart import scenario2
 from uavpart.channel import ChannelParams, RadioField, UavNode, compute_radio_field
 from uavpart.errors import InfeasibleError
 from uavpart.grid import truncated_gaussian, uniform_density
@@ -12,18 +13,19 @@ from uavpart.partition import (
     INFEASIBLE,
     STALL_RATIO,
     Partition,
+    ascend_dual,
     region_masses,
     weighted_voronoi,
 )
 from uavpart.scenario1 import DEFAULT_MASS_TOL
 from uavpart.scenario2 import (
-    brute_force_min_hover,
     hover_time_equal_split,
     marginal_hover_cost,
-    optimal_bandwidth_split,
     region_hover_report,
     solve_scenario2,
 )
+
+from oracles import brute_force_min_hover, optimal_bandwidth_split
 
 PARAMS = ChannelParams()
 
@@ -284,6 +286,29 @@ def test_solver_zero_alpha_is_pure_rate_assignment():
         INFEASIBLE,
     )
     assert np.array_equal(result.partition.assignment, expected)
+
+
+def test_solver_starts_from_best_signal_masses_on_equal_bandwidths(monkeypatch):
+    # least transmission time is max SINR when every UAV has the same band
+    grid = truncated_gaussian(1000.0, 1000.0, 24, 18, 300.0, 600.0, 400.0, 300.0)
+    uavs = [
+        UavNode(x=200.0, y=300.0, altitude=200.0, power=0.5),
+        UavNode(x=600.0, y=700.0, altitude=150.0, power=2.0),
+        UavNode(x=800.0, y=200.0, altitude=250.0, power=1.0),
+    ]
+    radio = compute_radio_field(grid, uavs, PARAMS)
+    starts = []
+
+    def recording_ascent(grid, costs, psi, **kwargs):
+        starts.append(psi)
+        return ascend_dual(grid, costs, psi, **kwargs)
+
+    monkeypatch.setattr(scenario2, "ascend_dual", recording_ascent)
+    alpha, n_users = 0.02, 300
+    solve_scenario2(grid, uavs, PARAMS, 1e7, alpha, n_users, radio=radio)
+    voronoi = weighted_voronoi(grid, radio).masses
+    assert len(set(np.round(voronoi, 6))) == 3
+    assert np.allclose(-starts[0] / (2.0 * alpha * n_users**2), voronoi, rtol=1e-12, atol=0)
 
 
 def test_solver_single_uav():
