@@ -68,4 +68,5 @@ def total_data_service(grid, part, service, n_users):
     served = part.assignment != INFEASIBLE
     idx = np.flatnonzero(served)
     per_cell = service[part.assignment[idx], idx]
-    return n_users * float(per_cell @ grid.cell_mass[idx])
+    # einsum, not a BLAS dot: a threaded ddot stalls when the CPUs are busy
+    return n_users * float(np.einsum("c,c->", per_cell, grid.cell_mass[idx]))

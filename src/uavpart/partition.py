@@ -10,6 +10,7 @@ from .errors import ConvergenceError, InfeasibleError
 
 INFEASIBLE = -1
 STALL_RATIO = 1e-3
+CSV_BLOCK_CELLS = 1 << 14  # cells per partition_to_csv block, about 0.5 MB
 
 
 @dataclass(frozen=True)
@@ -58,25 +59,37 @@ def region_masses(grid, assignment, n_uavs):
 def assign_by_min_cost(grid, costs, feasible=None):
     """Assign each cell to its cheapest UAV, lowest index winning ties.
 
-    costs is (n_uavs, n_cells) and may hold +inf for unusable links.  Cells
-    outside `feasible` get INFEASIBLE; by default a cell is feasible when it
-    has at least one finite cost.  A cell marked feasible but with no finite
-    cost raises InfeasibleError.
+    costs is (n_uavs, n_cells) and may hold +inf for unusable links; NaN or
+    -inf raises ValueError.  Cells outside `feasible` get INFEASIBLE; by
+    default a cell is feasible when it has at least one finite cost.  A cell
+    marked feasible but with no finite cost raises InfeasibleError.
+
+    The rows are scanned in order against the per-cell minimum, so no
+    argmin runs: a feasible cell stays free until the first row that equals
+    its minimum claims it, and its index is the number of rows it stayed
+    free for.  The masses come from region_masses.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2 or costs.shape[1] != grid.n_cells:
         raise ValueError("costs must be (n_uavs, n_cells)")
-    if np.any(np.isnan(costs)):
-        raise ValueError("costs must not contain NaN")
-    has_choice = np.isfinite(costs).any(axis=0)
+    best = costs.min(axis=0)  # NaN wherever a column holds one
+    if not np.all(best > -np.inf):
+        raise ValueError("costs must not contain NaN or -inf")
+    has_choice = best < np.inf
     if feasible is None:
-        feasible = has_choice
+        free = has_choice
     else:
-        feasible = np.asarray(feasible, dtype=bool)
-        stuck = int(np.count_nonzero(feasible & ~has_choice))
+        free = np.array(feasible, dtype=bool)
+        stuck = int(np.count_nonzero(free & ~has_choice))
         if stuck:
             raise InfeasibleError(f"{stuck} feasible cells have no finite cost")
-    assignment = np.where(feasible, np.argmin(costs, axis=0), INFEASIBLE)
+    assignment = free.astype(np.int64) + INFEASIBLE  # 0 where feasible
+    claimed = np.empty(grid.n_cells, dtype=bool)
+    for row in costs[:-1]:  # the last row claims every cell still free
+        np.equal(row, best, out=claimed)
+        claimed &= free
+        free ^= claimed
+        assignment += free
     return Partition(assignment, region_masses(grid, assignment, costs.shape[0]))
 
 
@@ -91,21 +104,39 @@ def weighted_voronoi(grid, radio):
     return assign_by_min_cost(grid, costs, feasible=radio.feasible)
 
 
+def _byte_table(strings):
+    """bytes strings as the rows of a uint8 table, zero-padded to the longest."""
+    return np.array(strings, dtype=bytes).view(np.uint8).reshape(len(strings), -1)
+
+
 def partition_to_csv(grid, part, path):
     """Write the assignment as cell_x_m,cell_y_m,uav_index rows.
 
-    The bytes are those of np.savetxt with fmt "%.9g,%.9g,%d", written one
-    grid row at a time: a cell's coordinates repeat along its column and
-    row, so each coordinate and label string is formatted once per grid.
+    The bytes are those of np.savetxt with fmt "%.9g,%.9g,%d", and the file
+    is written in binary mode, so lines end in \\n on every platform.  Each
+    grid column's x string, each grid row's y string and each label is
+    formatted once, into a zero-padded byte table.  Blocks of about
+    CSV_BLOCK_CELLS cells (at least one grid row) are gathered from the
+    three tables into a (rows, nx, width) uint8 array; no formatted string
+    holds a NUL byte, so dropping the zero padding leaves the CSV text.
     """
-    xs = ["%.9g," % x for x in grid.cell_x[:grid.nx].tolist()]
-    ys = ["%.9g," % y for y in grid.cell_y[::grid.nx].tolist()]
-    labels = ["%d\n" % i for i in range(INFEASIBLE, part.n_uavs)]
-    rows = (part.assignment - INFEASIBLE).reshape(grid.ny, grid.nx).tolist()
-    with open(path, "w") as fh:
-        fh.write("cell_x_m,cell_y_m,uav_index\n")
-        for y, row in zip(ys, rows):
-            fh.write("".join([x + y + labels[k] for x, k in zip(xs, row)]))
+    xs = _byte_table([b"%.9g," % x for x in grid.cell_x[:grid.nx].tolist()])
+    ys = _byte_table([b"%.9g," % y for y in grid.cell_y[::grid.nx].tolist()])
+    labels = _byte_table([b"%d\n" % i for i in range(INFEASIBLE, part.n_uavs)])
+    codes = (part.assignment - INFEASIBLE).reshape(grid.ny, grid.nx)
+    rows = min(max(1, CSV_BLOCK_CELLS // grid.nx), grid.ny)
+    x_end = xs.shape[1]
+    y_end = x_end + ys.shape[1]
+    block = np.empty((rows, grid.nx, y_end + labels.shape[1]), dtype=np.uint8)
+    block[:, :, :x_end] = xs
+    with open(path, "wb") as fh:
+        fh.write(b"cell_x_m,cell_y_m,uav_index\n")
+        for start in range(0, grid.ny, rows):
+            chunk = codes[start:start + rows]
+            out = block[:len(chunk)]
+            out[:, :, x_end:y_end] = ys[start:start + len(chunk), None]
+            out[:, :, y_end:] = labels[chunk]
+            fh.write(out[out != 0].tobytes())
 
 
 def shifted_pass(grid, costs, psi, buf=None, masses=False):
@@ -172,8 +203,10 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
     fails.  Stops when the mass-mismatch norm is at most mass_tol or, with
     gap(masses, target), when an accepted gain is at most STALL_RATIO times
     that duality gap, which ends grids too coarse for the masses to meet.
-    Raises ConvergenceError (trace attached) when max_iter runs out or no step
-    that still changes psi improves F."""
+    With gap, a psi where no step that still changes it improves F (a kink
+    the tie-break's masses do not climb) is such a stall: its gain is zero.
+    Raises ConvergenceError (trace attached) when max_iter runs out or,
+    without gap, when no step that still changes psi improves F."""
     f_trace, grad_trace, step_trace = [], [], []
     finite = np.isfinite(costs)
     spread = float(costs.max(where=finite, initial=-np.inf)
@@ -218,8 +251,13 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
             step *= 0.5
             moved = psi + step * grad
             if np.array_equal(moved, psi):
-                raise failure("no improving step along the ascent direction")
+                break
             cand = value_at(moved)
+        if cand <= value:  # no step that still changes psi improves F
+            if gap is None:
+                raise failure("no improving step along the ascent direction")
+            np.subtract(costs, psi[:, None], out=buf)  # a zero gain: stalled at psi
+            break
         for factor in factors:  # climb to a local maximum over step * 2**k
             climbed = False
             while (trial := value_at(psi + factor * step * grad)) > cand:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -81,10 +82,7 @@ def _scenario1_rows(cfg, grid, uavs, params, radio, baseline, point, out_dir):
              jain_index(service_per_user(baseline, base_service, sample))),
         ]))
     if cfg.write_partitions:
-        partition_to_csv(grid, result.partition,
-                         os.path.join(out_dir, f"partition_s1_{point}_proposed.csv"))
-        partition_to_csv(grid, baseline,
-                         os.path.join(out_dir, f"partition_s1_{point}_voronoi.csv"))
+        _write_maps(cfg, grid, result.partition, baseline, out_dir, "s1", point)
     if cfg.trace:
         _write_trace(os.path.join(out_dir, f"trace_s1_{point}.csv"), result.potentials)
     return rows, per_seed
@@ -116,13 +114,25 @@ def _scenario2_rows(cfg, grid, uavs, params, radio, baseline, point, out_dir):
         ("s2_duality_gap", result.duality_gap),
     ]
     if cfg.write_partitions:
-        partition_to_csv(grid, result.partition,
-                         os.path.join(out_dir, f"partition_s2_{point}_proposed.csv"))
-        partition_to_csv(grid, baseline,
-                         os.path.join(out_dir, f"partition_s2_{point}_voronoi.csv"))
+        _write_maps(cfg, grid, result.partition, baseline, out_dir, "s2", point)
     if cfg.trace:
         _write_trace(os.path.join(out_dir, f"trace_s2_{point}.csv"), result.potentials)
     return rows
+
+
+def _write_maps(cfg, grid, proposed, baseline, out_dir, tag, point):
+    """Write one scenario's proposed and best-signal partition maps.
+
+    When both scenarios run, scenario 2's best-signal map is a copy of
+    scenario 1's file: both come from the same baseline partition."""
+    def path(scenario, kind):
+        return os.path.join(out_dir, f"partition_{scenario}_{point}_{kind}.csv")
+
+    partition_to_csv(grid, proposed, path(tag, "proposed"))
+    if tag == "s2" and cfg.scenario == "both":
+        shutil.copyfile(path("s1", "voronoi"), path("s2", "voronoi"))
+    else:
+        partition_to_csv(grid, baseline, path(tag, "voronoi"))
 
 
 def _write_trace(path, potentials):

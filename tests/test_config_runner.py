@@ -311,6 +311,21 @@ def test_run_sweep_points(tmp_path):
     assert not any(m.startswith("s1_") for m in by_value["0"])
 
 
+def test_both_scenarios_share_one_best_signal_map(tmp_path):
+    # scenario 2's best-signal map is scenario 1's file, copied; a
+    # scenario-2-only run formats the same map itself
+    text = fast_text(write_partitions="true", sweep_var="beta", sweep_values="0 1")
+    both, alone = tmp_path / "both", tmp_path / "alone"
+    assert run_experiment(load_config(write_cfg(tmp_path, text)), str(both)) == EXIT_OK
+    cfg = replace(load_config(write_cfg(tmp_path, text)), scenario="2")
+    assert run_experiment(cfg, str(alone)) == EXIT_OK
+    for point in ("beta_0", "beta_1"):
+        s1 = (both / f"partition_s1_{point}_voronoi.csv").read_bytes()
+        assert len(s1.splitlines()) == 1 + 30 * 30
+        assert (both / f"partition_s2_{point}_voronoi.csv").read_bytes() == s1
+        assert (alone / f"partition_s2_{point}_voronoi.csv").read_bytes() == s1
+
+
 def test_run_infeasible_exit(tmp_path, capsys):
     text = fast_text(sinr_threshold_db=60)
     cfg = load_config(write_cfg(tmp_path, text))

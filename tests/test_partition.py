@@ -6,14 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavpart.channel import ChannelParams, UavNode, compute_radio_field
 from uavpart.config import build_channel, build_grid, build_uavs, load_config
-from uavpart.errors import ConvergenceError, InfeasibleError
+from uavpart.errors import InfeasibleError
 from uavpart.grid import truncated_gaussian, uniform_density
 from uavpart.partition import (
+    CSV_BLOCK_CELLS,
     INFEASIBLE,
     Partition,
     ascend_dual,
@@ -130,27 +131,62 @@ def test_shifted_pass_matches_argmin(seed, n_uavs):
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**31), n_uavs=st.integers(1, 5), ascend=st.booleans())
+@example(seed=18, n_uavs=2, ascend=True)  # a kink where no step improves F
 def test_ascent_returns_partition_at_its_potentials(seed, n_uavs, ascend):
     # integer costs and starting potentials tie often and +inf marks unusable
-    # links; with ascend=False the ascent stops at its integer start
+    # links; with ascend=False the ascent stops at its integer start, and at
+    # a kink no ascent direction climbs the ascent stalls instead of raising
     rng = np.random.default_rng(seed)
     costs = rng.integers(0, 4, size=(n_uavs, GRID.n_cells)).astype(float)
     costs[rng.random(costs.shape) < 0.3] = np.inf
     costs[:, rng.random(GRID.n_cells) < 0.25] = np.inf
     k = rng.integers(1, 5, size=n_uavs).astype(float)
-    try:
-        potentials = ascend_dual(
-            GRID, costs, rng.integers(-2, 3, size=n_uavs).astype(float),
-            term=lambda psi: -0.5 * float(psi / k @ psi),
-            target=lambda psi, masses: -psi / k,
-            mass_tol=1e-6 if ascend else np.inf, max_iter=1000,
-            gap=lambda masses, wanted: 0.5 * float(k @ (masses - wanted) ** 2),
-        )
-    except ConvergenceError:
-        assume(False)  # a kink with no ascent direction returns no potentials
+    potentials = ascend_dual(
+        GRID, costs, rng.integers(-2, 3, size=n_uavs).astype(float),
+        term=lambda psi: -0.5 * float(psi / k @ psi),
+        target=lambda psi, masses: -psi / k,
+        mass_tol=1e-6 if ascend else np.inf, max_iter=1000,
+        gap=lambda masses, wanted: 0.5 * float(k @ (masses - wanted) ** 2),
+    )
     expected = assign_by_min_cost(GRID, costs - potentials.psi[:, None])
     assert np.array_equal(potentials.partition.assignment, expected.assignment)
     assert np.array_equal(potentials.partition.masses, expected.masses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n_uavs=st.integers(1, 6),
+    inf_share=st.sampled_from([0.0, 0.3, 0.9]),
+    mask=st.sampled_from(["default", "servable", "random"]),
+)
+def test_assignment_matches_argmin(seed, n_uavs, inf_share, mask):
+    # oracle: the np.argmin formula the row scan replaced; integer costs tie
+    # often, +inf marks unusable links and some cells get no finite cost
+    rng = np.random.default_rng(seed)
+    costs = rng.integers(0, 3, size=(n_uavs, GRID.n_cells)).astype(float)
+    costs[rng.random(costs.shape) < inf_share] = np.inf
+    costs[:, rng.random(GRID.n_cells) < 0.2] = np.inf
+    servable = np.isfinite(costs).any(axis=0)
+    feasible = {
+        "default": None,
+        "servable": servable,
+        "random": servable & (rng.random(GRID.n_cells) < 0.5),
+    }[mask]
+    part = assign_by_min_cost(GRID, costs, feasible=feasible)
+    expected = np.where(servable if feasible is None else feasible,
+                        np.argmin(costs, axis=0), INFEASIBLE)
+    assert np.array_equal(part.assignment, expected)
+    assert np.array_equal(part.masses, region_masses(GRID, expected, n_uavs))
+
+
+def test_assignment_leaves_inputs_alone():
+    costs = random_costs(4)
+    costs[:, 3] = np.inf
+    feasible = np.isfinite(costs).any(axis=0)
+    before = (costs.copy(), feasible.copy())
+    assign_by_min_cost(GRID, costs, feasible=feasible)
+    assert np.array_equal(costs, before[0]) and np.array_equal(feasible, before[1])
 
 
 def test_feasible_cell_without_cost_raises():
@@ -165,6 +201,18 @@ def test_nan_cost_rejected():
     costs[1, 2] = np.nan
     with pytest.raises(ValueError):
         assign_by_min_cost(GRID, costs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("row", [0, 3])
+def test_nan_or_negative_infinite_cost_rejected(bad, row):
+    costs = random_costs(5)
+    costs[row, 2] = bad
+    with pytest.raises(ValueError):
+        assign_by_min_cost(GRID, costs)
+    costs[:, 4] = np.inf  # next to a cell without a finite cost
+    with pytest.raises(ValueError):
+        assign_by_min_cost(GRID, costs, feasible=np.isfinite(costs).any(axis=0))
 
 
 def test_partition_validation():
@@ -254,6 +302,19 @@ def random_partition(grid, n_uavs, seed, infeasible_share=0.0):
 @pytest.mark.parametrize("infeasible_share", [0.0, 0.3, 1.0])
 def test_partition_csv_matches_savetxt(tmp_path, grid, infeasible_share):
     part = random_partition(grid, 3, seed=grid.n_cells, infeasible_share=infeasible_share)
+    assert_csv_matches_savetxt(grid, part, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "nx, ny",
+    [(300, 70), (20000, 1), (1, 20000), (CSV_BLOCK_CELLS, 2), (CSV_BLOCK_CELLS + 1, 2)],
+)
+def test_partition_csv_matches_savetxt_across_blocks(tmp_path, nx, ny):
+    # ny not a multiple of the rows per block, one grid row wider than a
+    # block, and 12 UAVs, so the labels -1 to 11 differ in width
+    grid = uniform_density(1000.0, 700.0, nx, ny)
+    assert grid.n_cells > CSV_BLOCK_CELLS
+    part = random_partition(grid, 12, seed=nx, infeasible_share=0.1)
     assert_csv_matches_savetxt(grid, part, tmp_path)
 
 
