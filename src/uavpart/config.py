@@ -150,13 +150,22 @@ def load_config(path):
     return cfg
 
 
+def format_value(value):
+    """A value as metrics.csv and the output file names print it."""
+    return format(value, ".9g") if isinstance(value, float) else str(value)
+
+
 def validate_config(cfg):
-    """Raise ConfigError on out-of-range settings at any sweep point."""
+    """Raise ConfigError on out-of-range settings at any sweep point and on
+    sweep values that print the same, which would share their outputs."""
     _check_fields(cfg)
     if cfg.sweep_var != "none" and len(cfg.sweep_values) == 0:
         raise ConfigError("sweep_var set but sweep_values empty")
     for value in cfg.sweep_values:
         _check_fields(apply_sweep(cfg, value))
+    printed = [format_value(float(v)) for v in cfg.sweep_values]
+    if cfg.sweep_var != "none" and len(set(printed)) < len(printed):
+        raise ConfigError(f"sweep_values print the same to 9 digits: {' '.join(printed)}")
 
 
 def _check_fields(cfg):

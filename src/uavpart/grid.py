@@ -1,9 +1,9 @@
 """Discretized service area: rectangular cell grid, midpoint quadrature and
 user-density fields.
 
-Cells are indexed flat, k = iy * nx + ix, with x running fastest.  A cell
-subset is a plain boolean array of length nx * ny.  Densities are stored per
-square meter and always integrate to 1 over the area under the midpoint rule.
+Cells are indexed flat, k = iy * nx + ix, with x running fastest.  Densities
+are stored per square meter and always integrate to 1 over the area under
+the midpoint rule.
 """
 
 from __future__ import annotations
@@ -125,14 +125,3 @@ def truncated_gaussian(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
     f = kern / (kern.sum() * cell_area)
     return AreaGrid(width, height, nx, ny, f)
 
-
-def _check_mask(grid, mask):
-    m = np.asarray(mask)
-    if m.dtype != bool or m.shape != (grid.n_cells,):
-        raise ValueError("mask must be boolean with one entry per cell")
-    return m
-
-
-def measure(grid, mask):
-    """User mass of a cell subset, in [0, 1]."""
-    return float(grid.cell_mass[_check_mask(grid, mask)].sum())

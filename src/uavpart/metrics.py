@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import INFEASIBLE
-
 
 @dataclass(frozen=True)
 class UserSample:
@@ -53,20 +51,15 @@ def jain_index(values):
     return float(w.sum()) ** 2 / (len(v) * float((w**2).sum()))
 
 
-def service_per_user(part, service, sample):
-    """Bits for each sampled user from its cell's assigned UAV.
-
-    service is (n_uavs, n_cells).  Users in unassigned cells get zero.
-    """
-    assigned = part.assignment[sample.cells]
-    served = assigned != INFEASIBLE
-    return np.where(served, service[np.maximum(assigned, 0), sample.cells], 0.0)
+def service_per_user(service, sample):
+    """Bits for each sampled user: service holds each cell's bits per user
+    on its own link, zero on unassigned cells."""
+    return service[sample.cells]
 
 
-def total_data_service(grid, part, service, n_users):
-    """Total bits delivered to the expected user population."""
-    served = part.assignment != INFEASIBLE
-    idx = np.flatnonzero(served)
-    per_cell = service[part.assignment[idx], idx]
+def total_data_service(grid, service, n_users):
+    """Total bits delivered to the expected user population, from each
+    cell's bits per user (zero on unassigned cells)."""
+    idx = np.flatnonzero(service)
     # einsum, not a BLAS dot: a threaded ddot stalls when the CPUs are busy
-    return n_users * float(np.einsum("c,c->", per_cell, grid.cell_mass[idx]))
+    return n_users * float(np.einsum("c,c->", service[idx], grid.cell_mass[idx]))

@@ -42,9 +42,15 @@ class Partition:
     def n_uavs(self):
         return len(self.masses)
 
-    def region(self, i):
-        """Boolean mask of UAV i's cells."""
-        return self.assignment == i
+
+def own_links(part, *fields):
+    """The served cells (ascending), their UAVs and each (n_uavs, n_cells)
+    field read on those links, field[a(c), c], with one flat take per field."""
+    cells = np.flatnonzero(part.assignment != INFEASIBLE)
+    uavs = part.assignment[cells]
+    flat = uavs * part.assignment.size
+    flat += cells
+    return (cells, uavs, *(np.take(f, flat) for f in fields))
 
 
 def region_masses(grid, assignment, n_uavs):

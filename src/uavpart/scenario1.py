@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import compute_radio_field
 from .errors import InfeasibleError
-from .partition import DualPotentials, Partition, ascend_dual, shifted_pass
+from .partition import DualPotentials, Partition, ascend_dual, own_links, shifted_pass
 from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
 
 DEFAULT_MASS_TOL = 1e-3
@@ -112,8 +112,8 @@ def solve_scenario1(grid, uavs, params, alpha, n_users, mass_tol=DEFAULT_MASS_TO
     stops when the mass-mismatch norm is at most mass_tol.  The partition is
     the one ascend_dual returns, each cell at its least shifted cost; the
     potentials carry the ascent trace and the number of dual evaluations.  The
-    returned service array is (n_uavs, n_cells) bits per user when served by
-    each UAV.
+    returned service array holds each cell's bits per user on its own link,
+    zero on unassigned cells.
 
     Raises InfeasibleError when more than mass_tol of the user mass has no
     link above the SINR floor, and ConvergenceError (with the trace attached)
@@ -135,7 +135,9 @@ def solve_scenario1(grid, uavs, params, alpha, n_users, mass_tol=DEFAULT_MASS_TO
         grid, costs, np.zeros(len(uavs)), term=lambda psi: psi @ shares,
         target=lambda psi, masses: shares, mass_tol=mass_tol, max_iter=max_iter,
     )
-    service = fairness.resource_per_user * radio.spectral_eff
+    cells, _, eff = own_links(potentials.partition, radio.spectral_eff)
+    service = np.zeros(grid.n_cells)
+    service[cells] = fairness.resource_per_user * eff
     return Scenario1Result(potentials.partition, fairness, potentials, service, radio)
 
 
@@ -145,9 +147,10 @@ def service_field_for_partition(grid, radio, uavs, alpha, n_users, part):
 
     Serving time is tau_i minus the control overhead for the region's users,
     floored at zero; each of the region's N * a_i users gets an equal share
-    B_i T_i / (N a_i) of the bandwidth-time product.  Used to evaluate
-    baseline partitions; for a partition whose masses equal the fairness
-    shares this reduces to the solver's own service field.
+    B_i T_i / (N a_i) of the bandwidth-time product.  Returns each cell's
+    bits per user on its own link, zero on unassigned cells.  Used to
+    evaluate baseline partitions; for a partition whose masses equal the
+    fairness shares this reduces to the solver's own service field.
     """
     alpha = np.broadcast_to(alpha, len(uavs))
     bw = np.array([u.bandwidth for u in uavs], dtype=float)
@@ -157,4 +160,7 @@ def service_field_for_partition(grid, radio, uavs, alpha, n_users, part):
     scale = np.divide(
         bw * serve, n_users * a, out=np.zeros(len(uavs)), where=a > 0
     )
-    return scale[:, None] * radio.spectral_eff
+    cells, owner, eff = own_links(part, radio.spectral_eff)
+    service = np.zeros(grid.n_cells)
+    service[cells] = scale[owner] * eff
+    return service

@@ -13,8 +13,7 @@ import numpy as np
 
 from .channel import compute_radio_field
 from .errors import InfeasibleError
-from .grid import measure
-from .partition import DualPotentials, Partition, ascend_dual, shifted_pass
+from .partition import DualPotentials, Partition, ascend_dual, own_links, shifted_pass
 from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
 from .partition import weighted_voronoi  # probed by perfbench as partition.voronoi
 from .scenario1 import DEFAULT_MASS_TOL, DEFAULT_MAX_ITER
@@ -36,43 +35,41 @@ class HoverReport:
         return float(self.hover_times.sum())
 
 
-def hover_time_equal_split(grid, region, radio, uav_index, load_bits, alpha, n_users):
-    """Seconds to clear the region when every user gets the same bandwidth
-    share; the slowest populated cell sets the finish time."""
-    alpha = np.broadcast_to(alpha, radio.n_uavs)
-    region = np.asarray(region, dtype=bool)
-    if np.any(region & ~radio.feasible_by_uav[uav_index]):
+def _link_seconds(grid, part, radio, load_bits, alpha, n_users):
+    """The served cells, their UAVs, load_bits / spectral efficiency on each
+    cell's own link (the seconds one of its users needs on 1 Hz) and the
+    control time alpha_i (N a_i)^2 of each region.  Raises InfeasibleError
+    naming the lowest UAV that serves a cell below its SINR floor."""
+    if part.assignment.shape != (grid.n_cells,):
+        raise ValueError("partition must cover every grid cell")
+    cells, uavs, eff, usable = own_links(part, radio.spectral_eff, radio.feasible_by_uav)
+    if not usable.all():
         raise InfeasibleError(
-            f"region of UAV {uav_index} contains cells below its SINR floor"
+            f"region of UAV {uavs[~usable].min()} contains cells below its SINR floor"
         )
-    a = measure(grid, region)
-    ctrl = alpha[uav_index] * (n_users * a) ** 2
-    idx = np.flatnonzero(region & (grid.cell_mass > 0))
-    if len(idx) == 0 or a == 0.0:
-        return ctrl
-    eff = radio.spectral_eff[uav_index, idx]
-    slowest = float((load_bits / eff).max())
-    return n_users * a * slowest / radio.bandwidths[uav_index] + ctrl
+    control = np.broadcast_to(alpha, part.n_uavs) * (n_users * part.masses) ** 2
+    return cells, uavs, np.divide(load_bits, eff, out=eff), control
+
+
+def hover_time_equal_split(grid, part, radio, load_bits, alpha, n_users):
+    """HoverReport for every UAV of a partition when each UAV gives its users
+    equal bandwidth shares: the slowest populated cell sets the finish time,
+    N a_i load / (B_i eff), to which the control overhead is added."""
+    cells, uavs, seconds, control = _link_seconds(grid, part, radio, load_bits, alpha, n_users)
+    seconds[grid.cell_mass[cells] == 0] = 0.0  # empty cells take no time
+    slowest = np.zeros(part.n_uavs)
+    np.maximum.at(slowest, uavs, seconds)
+    return HoverReport(n_users * part.masses * slowest / radio.bandwidths, control)
 
 
 def region_hover_report(grid, part, radio, load_bits, alpha, n_users):
-    """HoverReport for every UAV of a partition: transmission seconds under
-    the optimal in-region bandwidth split plus control overhead."""
-    alpha = np.broadcast_to(alpha, radio.n_uavs)
-    if part.assignment.shape != (grid.n_cells,):
-        raise ValueError("partition must cover every grid cell")
-    serve = np.zeros(part.n_uavs)
-    ctrl = np.zeros(part.n_uavs)
-    for i in range(part.n_uavs):
-        region = part.region(i)
-        if np.any(region & ~radio.feasible_by_uav[i]):
-            raise InfeasibleError(f"region of UAV {i} contains cells below its SINR floor")
-        idx = np.flatnonzero(region)
-        eff = radio.spectral_eff[i, idx]
-        demand = load_bits * grid.cell_mass[idx]
-        serve[i] = n_users * float((demand / eff).sum()) / radio.bandwidths[i]
-        ctrl[i] = alpha[i] * (n_users * measure(grid, region)) ** 2
-    return HoverReport(serve_times=serve, control_times=ctrl)
+    """HoverReport for every UAV of a partition under the optimal in-region
+    bandwidth split: N sum_c m_c load / (B_i eff_ic) transmission seconds
+    over the region, plus control overhead."""
+    cells, uavs, seconds, control = _link_seconds(grid, part, radio, load_bits, alpha, n_users)
+    demand = np.multiply(seconds, grid.cell_mass[cells], out=seconds)
+    sums = np.bincount(uavs, weights=demand, minlength=part.n_uavs)
+    return HoverReport(n_users * sums / radio.bandwidths, control)
 
 
 def marginal_hover_cost(radio, load_bits, alpha, masses, n_users):

@@ -1,5 +1,6 @@
 """Exhaustive oracles the tests hold the solvers to: the closed-form
-in-region bandwidth split and the brute-force minimum of total hover time."""
+in-region bandwidth split, the brute-force minimum of total hover time, and
+plain per-region loops that score a partition the way the evaluators do."""
 
 import itertools
 from dataclasses import dataclass
@@ -88,3 +89,52 @@ def brute_force_min_hover(grid, uavs, params, load_bits, alpha, n_users, radio=N
     part = Partition(best_assignment, region_masses(grid, best_assignment, len(uavs)))
     report = region_hover_report(grid, part, radio, load_bits, alpha, n_users)
     return ExactPlan(part, report, radio)
+
+
+def hover_report_reference(grid, part, radio, load_bits, alpha, n_users, equal_split=False):
+    """HoverReport of a partition, one UAV region at a time.
+
+    Each region is a boolean mask and its mass the sum of its cell masses.
+    The optimal split serves the region's users one after another on the
+    full band; the equal split finishes when its slowest populated cell
+    does.  A region with a cell below its UAV's SINR floor raises
+    InfeasibleError, checked in UAV order."""
+    alpha = np.broadcast_to(alpha, part.n_uavs)
+    serve, control = np.zeros(part.n_uavs), np.zeros(part.n_uavs)
+    for i in range(part.n_uavs):
+        region = part.assignment == i
+        if np.any(region & ~radio.feasible_by_uav[i]):
+            raise InfeasibleError(f"region of UAV {i} contains cells below its SINR floor")
+        mass = float(grid.cell_mass[region].sum())
+        eff = radio.spectral_eff[i, region]
+        if equal_split:
+            populated = grid.cell_mass[region] > 0
+            slowest = float((load_bits / eff[populated]).max(initial=0.0))
+            serve[i] = n_users * mass * slowest / radio.bandwidths[i]
+        else:
+            demand = load_bits * grid.cell_mass[region]
+            serve[i] = n_users * float((demand / eff).sum()) / radio.bandwidths[i]
+        control[i] = alpha[i] * (n_users * mass) ** 2
+    return HoverReport(serve_times=serve, control_times=control)
+
+
+def service_matrix_reference(radio, uavs, alpha, n_users, part):
+    """Bits per user for every UAV and cell, (n_uavs, n_cells): each UAV
+    splits its budget left after control time evenly over its region's
+    users, B_i max(tau_i - alpha_i (N a_i)^2, 0) / (N a_i) times the link's
+    spectral efficiency, and zero for a UAV whose region has no mass."""
+    alpha = np.broadcast_to(alpha, len(uavs))
+    bw = np.array([u.bandwidth for u in uavs], dtype=float)
+    tau = np.array([u.max_hover for u in uavs], dtype=float)
+    a = part.masses
+    serve = np.maximum(tau - alpha * (n_users * a) ** 2, 0.0)
+    scale = np.divide(bw * serve, n_users * a, out=np.zeros(len(uavs)), where=a > 0)
+    return scale[:, None] * radio.spectral_eff
+
+
+def on_own_links(matrix, part):
+    """matrix[a(c), c] for every assigned cell c, zero on unassigned cells."""
+    cells = np.flatnonzero(part.assignment != INFEASIBLE)
+    out = np.zeros(len(part.assignment))
+    out[cells] = matrix[part.assignment[cells], cells]
+    return out

@@ -102,9 +102,7 @@ def s1_beta_service(default_scene):
             grid, uavs, params, BASE.alpha, BASE.n_users,
             mass_tol=BASE.mass_tol, max_iter=BASE.max_ascent_iter, radio=r,
         )
-        service[beta] = total_data_service(
-            grid, result.partition, result.service, BASE.n_users
-        )
+        service[beta] = total_data_service(grid, result.service, BASE.n_users)
     return service
 
 
@@ -315,7 +313,7 @@ def test_fairness_bounds_and_even_split(default_scene, s1_default):
     lo, hi = 1.0, 0.0
     for seed in range(BASE.n_seeds):
         sample = sample_users(grid, BASE.n_users, seed)
-        j = jain_index(service_per_user(result.partition, result.service, sample))
+        j = jain_index(service_per_user(result.service, sample))
         lo, hi = min(lo, j), max(hi, j)
         assert 1.0 / BASE.n_users - 1e-12 <= j <= 1.0 + 1e-12
     counts = BASE.n_users * result.partition.masses
@@ -349,10 +347,8 @@ def test_jain_ordering_over_concentration():
         prop, vor = [], []
         for seed in range(cfg.n_seeds):
             sample = sample_users(grid, cfg.n_users, seed)
-            prop.append(
-                jain_index(service_per_user(result.partition, result.service, sample))
-            )
-            vor.append(jain_index(service_per_user(baseline, base_service, sample)))
+            prop.append(jain_index(service_per_user(result.service, sample)))
+            vor.append(jain_index(service_per_user(base_service, sample)))
         prop_means.append(float(np.mean(prop)))
         vor_means.append(float(np.mean(vor)))
     ordered = all(p >= v for p, v in zip(prop_means, vor_means))
@@ -382,12 +378,9 @@ def test_split_reduction_band(default_scene):
             grid, uavs, build_channel(cfg), load_bits, BASE.alpha, cfg.n_users,
             radio=radio,
         )
-        eq_total = sum(
-            hover_time_equal_split(
-                grid, result.partition.region(i), radio, i, load_bits, BASE.alpha, cfg.n_users
-            )
-            for i in range(cfg.n_uavs)
-        )
+        eq_total = hover_time_equal_split(
+            grid, result.partition, radio, load_bits, BASE.alpha, cfg.n_users
+        ).total
         reductions.append(1.0 - result.report.total / eq_total)
     mean = float(np.mean(reductions))
     ok = 0.35 <= mean <= 0.65
@@ -456,12 +449,9 @@ def test_partition_gain_grows_with_alpha():
 def test_combined_reduction(default_scene, s2_beta_totals):
     grid, uavs, _, radio, load_bits = default_scene
     baseline = weighted_voronoi(grid, radio)
-    worst_case = sum(
-        hover_time_equal_split(
-            grid, baseline.region(i), radio, i, load_bits, BASE.alpha, BASE.n_users
-        )
-        for i in range(BASE.n_uavs)
-    )
+    worst_case = hover_time_equal_split(
+        grid, baseline, radio, load_bits, BASE.alpha, BASE.n_users
+    ).total
     reduction = 1.0 - s2_beta_totals[1.0] / worst_case
     ok = reduction >= 0.5
     check(

@@ -506,6 +506,40 @@ def test_bad_sweep_point_rejected_by_run_experiment(tmp_path, capsys):
     assert "at least one UAV" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocked", ["out_is_file", "out_under_file", "metrics_is_dir"])
+def test_cli_unwritable_output_returns_config_exit(tmp_path, capsys, blocked):
+    path = write_cfg(tmp_path, fast_text(scenario=1, n_seeds=1))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    out = {"out_is_file": blocker, "out_under_file": blocker / "out",
+           "metrics_is_dir": tmp_path / "out"}[blocked]
+    if blocked == "metrics_is_dir":
+        (out / "metrics.csv").mkdir(parents=True)
+    assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ")
+    assert len(err.strip().splitlines()) == 1
+    assert blocker.read_text() == "a file, not a directory\n"
+
+
+def test_sweep_values_that_print_the_same_are_rejected(tmp_path, capsys):
+    text = fast_text(scenario=2, sweep_var="beta", sweep_values="0.5 0.5000000000001")
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "print the same" in err
+    assert not out.exists()
+    cfg = replace(ExperimentConfig(), sweep_var="beta", sweep_values=(0.5, 0.5))
+    with pytest.raises(ConfigError, match="print the same"):
+        validate_config(cfg)
+    assert run_experiment(cfg, str(out)) == EXIT_CONFIG
+    assert not out.exists()
+    # distinct to 9 digits is enough, and unused values are not checked
+    validate_config(replace(cfg, sweep_values=(0.5, 0.500000001)))
+    validate_config(replace(cfg, sweep_var="none"))
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

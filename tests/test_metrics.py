@@ -13,7 +13,17 @@ from uavpart.metrics import (
     service_per_user,
     total_data_service,
 )
-from uavpart.partition import INFEASIBLE, Partition
+from uavpart.partition import INFEASIBLE, Partition, own_links, region_masses
+
+
+def per_cell(grid, assignment, field):
+    """The (n_uavs, n_cells) field read on each cell's own link, zero on
+    unassigned cells."""
+    part = Partition(assignment, region_masses(grid, assignment, len(field)))
+    cells, _, bits = own_links(part, field)
+    out = np.zeros(grid.n_cells)
+    out[cells] = bits
+    return out
 
 
 def two_cell_grid(mass0=0.25):
@@ -133,28 +143,28 @@ def test_sampling_validation():
 
 def test_service_per_user_lookup():
     grid = uniform_density(1000.0, 1000.0, 2, 2)
-    part = Partition(np.array([0, 1, INFEASIBLE, 0]), np.array([0.5, 0.25]))
-    service = np.array([[10.0, 20.0, 30.0, 40.0], [50.0, 60.0, 70.0, 80.0]])
+    service = per_cell(
+        grid, np.array([0, 1, INFEASIBLE, 0]),
+        np.array([[10.0, 20.0, 30.0, 40.0], [50.0, 60.0, 70.0, 80.0]]),
+    )
     sample = UserSample(cells=np.array([0, 1, 2, 3, 1]), seed=0)
-    got = service_per_user(part, service, sample)
+    got = service_per_user(service, sample)
     assert np.array_equal(got, [10.0, 60.0, 0.0, 40.0, 60.0])
 
 
 def test_total_service_hand_sum():
     grid = two_cell_grid(mass0=0.25)
-    part = Partition(np.array([1, 0]), np.array([0.75, 0.25]))
-    service = np.array([[3.0, 5.0], [7.0, 11.0]])
+    service = per_cell(grid, np.array([1, 0]), np.array([[3.0, 5.0], [7.0, 11.0]]))
     # cell 0 served by UAV 1 (7 bits), cell 1 by UAV 0 (5 bits)
-    assert total_data_service(grid, part, service, 100) == pytest.approx(
+    assert total_data_service(grid, service, 100) == pytest.approx(
         100 * (7.0 * 0.25 + 5.0 * 0.75), rel=1e-12
     )
 
 
 def test_total_service_skips_unassigned():
     grid = two_cell_grid(mass0=0.25)
-    part = Partition(np.array([INFEASIBLE, 0]), np.array([0.75]))
-    service = np.array([[3.0, 5.0]])
-    assert total_data_service(grid, part, service, 100) == pytest.approx(
+    service = per_cell(grid, np.array([INFEASIBLE, 0]), np.array([[3.0, 5.0]]))
+    assert total_data_service(grid, service, 100) == pytest.approx(
         100 * 5.0 * 0.75, rel=1e-12
     )
 
@@ -166,9 +176,6 @@ def test_jain_continuous_close_to_sampled():
     grid = truncated_gaussian(1000.0, 1000.0, 30, 30, 250.0, 330.0, 400.0, 400.0)
     rng = np.random.default_rng(9)
     assignment = rng.integers(0, 2, size=grid.n_cells)
-    from uavpart.partition import region_masses
-
-    part = Partition(assignment, region_masses(grid, assignment, 2))
     service = 1e6 + 1e6 * rng.random((2, grid.n_cells))
     # sampling-free oracle: Jain's index of the served field under the density
     per_cell = service[assignment, np.arange(grid.n_cells)]
@@ -176,5 +183,5 @@ def test_jain_continuous_close_to_sampled():
     mean_sq = float((per_cell**2) @ grid.cell_mass)
     exact = mean**2 / mean_sq
     sample = sample_users(grid, 20_000, seed=3)
-    sampled = jain_index(service_per_user(part, service, sample))
+    sampled = jain_index(service_per_user(per_cell, sample))
     assert sampled == pytest.approx(exact, abs=0.03)

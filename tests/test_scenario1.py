@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from uavpart.channel import ChannelParams, UavNode, compute_radio_field
 from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs
 from uavpart.errors import ConvergenceError, InfeasibleError
-from uavpart.grid import uniform_density
-from uavpart.partition import ascend_dual, shifted_pass
+from uavpart.grid import AreaGrid, uniform_density
+from uavpart.partition import Partition, ascend_dual, region_masses, shifted_pass
 from uavpart.scenario1 import (
     FairnessSolution,
     build_cost_field,
@@ -384,17 +384,20 @@ def test_service_field_consistency_at_solution():
         grid, result.radio, uavs, alpha, 300, result.partition
     )
     cells = np.flatnonzero(result.partition.assignment >= 0)
-    owner = result.partition.assignment[cells]
-    ratio = field[owner, cells] / result.service[owner, cells]
+    ratio = field[cells] / result.service[cells]
     assert np.all(np.abs(ratio - 1.0) <= 0.02)
 
 
 def test_service_field_zero_mass_region():
-    grid, uavs, radio = two_uav_scene()
+    # UAV 1 serves only an empty cell, so its region has zero mass
+    density = np.full(144, 1.0 / (143 * (1000.0 / 12) ** 2))
+    density[0] = 0.0
+    grid = AreaGrid(1000.0, 1000.0, 12, 12, density)
+    uavs = fleet([(300.0, 400.0), (700.0, 600.0)])
+    radio = compute_radio_field(grid, uavs, PARAMS)
     alpha = 0.01
-    from uavpart.partition import Partition
-
-    all_to_zero = Partition(np.zeros(grid.n_cells, dtype=int), np.array([1.0, 0.0]))
-    field = service_field_for_partition(grid, radio, uavs, alpha, 300, all_to_zero)
-    assert np.all(field[1] == 0.0)
-    assert np.all(field[0] > 0.0)
+    assignment = (np.arange(grid.n_cells) == 0).astype(int)
+    part = Partition(assignment, region_masses(grid, assignment, 2))
+    field = service_field_for_partition(grid, radio, uavs, alpha, 300, part)
+    assert np.all(field[assignment == 1] == 0.0)
+    assert np.all(field[assignment == 0] > 0.0)

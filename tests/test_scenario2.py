@@ -52,11 +52,17 @@ def assigned(grid, assignment, n_uavs):
     return Partition(assignment, region_masses(grid, assignment, n_uavs))
 
 
-def one_region_hover(grid, region, radio, uav_index, load_bits, alpha, n_users):
-    """One UAV's hover seconds for a region, read off region_hover_report."""
+def one_region_hover(grid, region, radio, uav_index, load_bits, alpha, n_users,
+                     evaluate=region_hover_report):
+    """One UAV's hover seconds for a region, read off a report of the
+    partition where it serves only that region (the optimal split by default)."""
     part = assigned(grid, np.where(region, uav_index, INFEASIBLE), radio.n_uavs)
-    report = region_hover_report(grid, part, radio, load_bits, alpha, n_users)
+    report = evaluate(grid, part, radio, load_bits, alpha, n_users)
     return report.hover_times[uav_index]
+
+
+def one_region_equal(*args):
+    return one_region_hover(*args, evaluate=hover_time_equal_split)
 
 
 def real_scene(nx=10, ny=10, bandwidths=(1e6, 1e6)):
@@ -176,7 +182,7 @@ def test_hover_two_cell_oracle_and_equal_split():
     alpha = 0.01
     region = np.array([True, True])
     opt = one_region_hover(grid, region, radio, 0, load_bits, alpha, 300)
-    eq = hover_time_equal_split(grid, region, radio, 0, load_bits, alpha, 300)
+    eq = one_region_equal(grid, region, radio, 0, load_bits, alpha, 300)
     assert opt == pytest.approx(300 * (5e7 * 0.5 + 2.5e7 * 0.5) / 1e6 + 900.0)
     assert eq == pytest.approx(300 * 5e7 / 1e6 + 900.0)
     assert opt < eq
@@ -189,7 +195,7 @@ def test_hover_empty_region():
     alpha = 0.01
     empty = np.zeros(4, dtype=bool)
     assert one_region_hover(grid, empty, radio, 0, load_bits, alpha, 300) == 0.0
-    assert hover_time_equal_split(grid, empty, radio, 0, load_bits, alpha, 300) == 0.0
+    assert one_region_equal(grid, empty, radio, 0, load_bits, alpha, 300) == 0.0
 
 
 def test_hover_zero_load():
@@ -209,9 +215,7 @@ def test_hover_infeasible_region_raises():
     with pytest.raises(InfeasibleError):
         one_region_hover(grid, np.array([True, True]), radio, 0, load_bits, alpha, 300)
     with pytest.raises(InfeasibleError):
-        hover_time_equal_split(
-            grid, np.array([True, True]), radio, 0, load_bits, alpha, 300
-        )
+        one_region_equal(grid, np.array([True, True]), radio, 0, load_bits, alpha, 300)
 
 
 def test_report_matches_hover_time():
@@ -222,7 +226,7 @@ def test_report_matches_hover_time():
     part = weighted_voronoi(grid, radio)
     report = region_hover_report(grid, part, radio, load_bits, alpha, 300)
     for i in range(2):
-        cells = part.region(i)
+        cells = part.assignment == i
         seconds = (1e8 * grid.cell_mass[cells] / radio.spectral_eff[i, cells]).sum()
         expected = 300 * seconds / radio.bandwidths[i] + 0.01 * (300 * part.masses[i]) ** 2
         assert report.hover_times[i] == pytest.approx(expected, rel=1e-12)
@@ -234,9 +238,9 @@ def test_equal_split_dominated_on_real_field():
     load_bits = 1e8
     alpha = 0.01
     part = weighted_voronoi(grid, radio)
-    region = part.region(0)
+    region = part.assignment == 0
     assert one_region_hover(grid, region, radio, 0, load_bits, alpha, 300) < (
-        hover_time_equal_split(grid, region, radio, 0, load_bits, alpha, 300)
+        one_region_equal(grid, region, radio, 0, load_bits, alpha, 300)
     )
 
 
