@@ -6,9 +6,8 @@ class ConfigError(ValueError):
 
 
 class InfeasibleError(RuntimeError):
-    """The instance violates a feasibility requirement, e.g. uncovered user
-    mass, a hover budget below the control overhead, or a user with demand
-    but no usable link."""
+    """The instance violates a feasibility requirement, e.g. uncovered user mass,
+    more users than the fleet's budgets can control, or demand with no usable link."""
 
 
 class ConvergenceError(RuntimeError):

@@ -69,14 +69,18 @@ def _scenario1_rows(cfg, grid, uavs, params, radio, baseline, point, out_dir):
     for seed in range(cfg.n_seeds):
         sample = sample_users(grid, cfg.n_users, seed)
         per_seed.append([
-            ("s1_jain_proposed", jain_index(service_per_user(result.service, sample))),
-            ("s1_jain_voronoi", jain_index(service_per_user(base_service, sample))),
+            ("s1_jain_proposed", _jain(service_per_user(result.service, sample))),
+            ("s1_jain_voronoi", _jain(service_per_user(base_service, sample))),
         ])
     if cfg.write_partitions:
         _write_maps(cfg, grid, result.partition, baseline, out_dir, "s1", point)
     if cfg.trace:
         _write_trace(os.path.join(out_dir, f"trace_s1_{point}.csv"), result.potentials)
     return rows, per_seed
+
+
+def _jain(allocation):  # nan when every sampled user's region spends its budget on control
+    return jain_index(allocation) if allocation.any() else float("nan")
 
 
 def _scenario2_rows(cfg, grid, uavs, params, radio, baseline, point, out_dir):

@@ -19,9 +19,6 @@ from .partition import assign_by_min_cost  # probed by perfbench as partition.as
 
 DEFAULT_MASS_TOL = 1e-3
 DEFAULT_MAX_ITER = 100_000
-FAIRNESS_TOL_SCALE = 1e-9
-FAIRNESS_MAX_ITER = 10_000
-FAIRNESS_DAMPING = 0.5
 
 
 @dataclass(frozen=True)
@@ -36,18 +33,17 @@ class FairnessSolution:
     serve_times: np.ndarray
     target_masses: np.ndarray
     resource_per_user: float
-    n_users: int
 
 
 def solve_fairness_system(uavs, alpha, n_users):
     """Solve T_i = tau_i - alpha_i (N w_i)^2, w_i = B_i T_i / sum_k B_k T_k.
 
     alpha is the control-time weight in seconds per user^2, one value for the
-    fleet or one per UAV.  Fixed-point iteration damped by FAIRNESS_DAMPING,
-    starting from T_i = tau_i, converged when the largest serving-time update
-    falls below FAIRNESS_TOL_SCALE * max(tau).  Raises InfeasibleError when a
-    budget cannot cover its control overhead (negative serving time) or the
-    iteration does not settle.
+    fleet or one per UAV.  At a pool P = sum_k B_k T_k each T_i is a quadratic's
+    positive root, and sum_i B_i T_i(P) / P falls strictly from C / N to 0, where
+    the capacity C = sum_i sqrt(tau_i / alpha_i) is infinite if some alpha_i = 0.
+    So a split exists exactly when C > N, and bisection on P over (0, B . tau]
+    finds it to adjacent floats.  Raises InfeasibleError when C <= N.
     """
     if len(uavs) == 0:
         raise ValueError("need at least one UAV")
@@ -58,26 +54,27 @@ def solve_fairness_system(uavs, alpha, n_users):
     if np.any(tau <= 0):
         raise ValueError("every hover budget must be positive")
     alpha = np.broadcast_to(alpha, len(uavs))
-    tol = FAIRNESS_TOL_SCALE * tau.max()
-    serve = tau.copy()
-    for _ in range(FAIRNESS_MAX_ITER):
-        pool = float(bw @ serve)
-        if pool <= 0:
-            raise InfeasibleError("serving-time pool collapsed to zero")
-        shares = bw * serve / pool
-        target = tau - alpha * (n_users * shares) ** 2
-        updated = (1.0 - FAIRNESS_DAMPING) * serve + FAIRNESS_DAMPING * target
-        if np.any(updated < 0):
-            raise InfeasibleError("hover budget below control overhead")
-        shift = np.abs(updated - serve).max()
-        serve = updated
-        if shift <= tol:
-            break
-    else:
-        raise InfeasibleError("fairness split did not settle")
+    if not np.all(np.isfinite(alpha)) or np.any(alpha < 0):
+        raise ValueError("every control weight alpha must be finite and non-negative")
+    with np.errstate(divide="ignore"):
+        capacity = np.sqrt(tau / alpha).sum()
+    if capacity <= n_users:
+        raise InfeasibleError(f"fleet capacity sum(sqrt(tau / alpha)) = {capacity:.6g} "
+                              f"users is at most N = {n_users}")
+    load, users_bw = 4.0 * alpha * tau, n_users * bw
+
+    def serve_at(pool):
+        return 2.0 * tau / (1.0 + np.sqrt(1.0 + load * (users_bw / pool) ** 2))
+    lo, hi = 0.0, float(bw @ tau)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if bw @ serve_at(mid) > mid:
+            lo = mid
+        else:
+            hi = mid
+    serve = serve_at(hi)
     pool = float(bw @ serve)
-    shares = bw * serve / pool
-    return FairnessSolution(serve, shares, pool / n_users, n_users)
+    return FairnessSolution(serve_times=serve, target_masses=bw * serve / pool,
+                            resource_per_user=pool / n_users)
 
 
 def build_cost_field(grid, radio, fairness):

@@ -496,6 +496,23 @@ def test_cli_large_control_weight_converges(tmp_path):
     assert total - gap <= rows["s2_hover_voronoi_optbw"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_jain_of_an_unserved_sample_is_nan(tmp_path):
+    # a tight hot spot overloads one best-signal region, whose serving time
+    # is floored at 0; at seed 2 every sampled user sits in it
+    path = write_cfg(tmp_path, "[experiment]\nscenario = 1\nmu_x = 166.6667\nmu_y = 250\n"
+                               "sigma_x = 60\nsigma_y = 60\nalpha = 0.3\n")
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out), "--seeds", "3"]) == EXIT_OK
+    jain = {(row["seed"], row["metric"]): row["value"]
+            for row in read_metrics(out) if row["metric"].startswith("s1_jain_")}
+    assert len(jain) == 6
+    assert jain["2", "s1_jain_voronoi"] == "nan"
+    for key, value in jain.items():
+        if key != ("2", "s1_jain_voronoi"):
+            assert 0.0 < float(value) <= 1.0
+
+
 def test_bad_sweep_point_rejected_by_run_experiment(tmp_path, capsys):
     cfg = replace(load_config(write_cfg(tmp_path, FAST_KEYS)),
                   sweep_var="n_uavs", sweep_values=(2.5,))

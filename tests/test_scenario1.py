@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uavpart.channel import ChannelParams, UavNode, compute_radio_field
@@ -91,29 +91,79 @@ def test_two_uav_against_bisection_oracle():
     assert sol.target_masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    b2=st.floats(0.2e6, 5e6),
-    tau2=st.floats(600.0, 3600.0),
-    alpha=st.floats(0.0, 0.02),
-)
-def test_fairness_residuals(b2, tau2, alpha):
-    uavs = fleet([(0.0, 0.0)], bandwidth=1e6, max_hover=1800.0) + fleet(
-        [(1.0, 0.0)], bandwidth=b2, max_hover=tau2
-    )
-    sol = solve_fairness_system(uavs, alpha, 300)
-    tau = np.array([1800.0, tau2])
+def uneven_fleet(budgets, bandwidths):
+    return [
+        UavNode(x=float(i), y=0.0, altitude=200.0, power=0.5, bandwidth=b, max_hover=t)
+        for i, (t, b) in enumerate(zip(budgets, bandwidths))
+    ]
+
+
+def assert_fair_split(sol, tau, bw, alpha, n):
     # the solution back-substitutes into both coupled relations
-    back = tau - alpha * (300 * sol.target_masses) ** 2
-    assert np.allclose(sol.serve_times, back, atol=1e-5)
-    pool = float(np.array([1e6, b2]) @ sol.serve_times)
-    assert np.allclose(sol.target_masses, np.array([1e6, b2]) * sol.serve_times / pool)
-    assert sol.resource_per_user == pytest.approx(pool / 300.0, rel=1e-12)
+    back = tau - alpha * (n * sol.target_masses) ** 2
+    assert np.all(np.abs(sol.serve_times - back) <= 1e-12 * tau.max())
+    pool = float(bw @ sol.serve_times)
+    assert np.allclose(sol.target_masses, bw * sol.serve_times / pool, rtol=1e-12, atol=0)
+    assert sol.resource_per_user == pytest.approx(pool / n, rel=1e-12)
+
+
+BUDGETS = st.floats(360.0, 3600.0)
+BANDWIDTHS = st.one_of(st.sampled_from([1e6, 2e6, 5e6]), st.floats(0.2e6, 5e6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.integers(2, 7).flatmap(lambda m: st.tuples(
+        st.lists(BUDGETS, min_size=m, max_size=m),
+        st.lists(BANDWIDTHS, min_size=m, max_size=m),
+        st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m),
+        st.lists(st.booleans(), min_size=m, max_size=m),
+    )),
+    headroom=st.floats(1.001, 100.0),
+)
+def test_fairness_residuals(data, headroom):
+    # per-UAV alpha puts the fleet's capacity sum_i sqrt(tau_i / alpha_i) at
+    # headroom * N, down to 0.1% above it, unless a UAV has alpha = 0
+    budgets, bandwidths, weights, free = data
+    tau, bw, w = np.array(budgets), np.array(bandwidths), np.array(weights)
+    alpha = tau / (headroom * 300 * w / w.sum()) ** 2
+    alpha[np.array(free)] = 0.0
+    sol = solve_fairness_system(uneven_fleet(tau, bw), alpha, 300)
+    assert_fair_split(sol, tau, bw, alpha, 300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.integers(1, 7).flatmap(lambda m: st.tuples(
+        st.lists(BUDGETS, min_size=m, max_size=m),
+        st.lists(BANDWIDTHS, min_size=m, max_size=m),
+        st.lists(st.floats(1e-3, 30.0), min_size=m, max_size=m),
+    )),
+)
+def test_fairness_infeasible_exactly_below_capacity(data):
+    budgets, bandwidths, alpha = map(np.array, data)
+    capacity = np.sqrt(budgets / alpha).sum()
+    assume(abs(capacity / 300 - 1.0) > 1e-9)
+    uavs = uneven_fleet(budgets, bandwidths)
+    if capacity <= 300:
+        with pytest.raises(InfeasibleError, match="capacity"):
+            solve_fairness_system(uavs, alpha, 300)
+    else:
+        assert_fair_split(solve_fairness_system(uavs, alpha, 300), budgets, bandwidths,
+                          alpha, 300)
+
+
+def test_fairness_uneven_fleet_near_capacity():
+    # capacity 384 users against N = 300: most of every budget goes to control
+    tau, bw = np.array([1800.0, 600.0, 1800.0, 400.0, 1800.0]), np.array([1, 2, 1, 5, 1]) * 1e6
+    sol = solve_fairness_system(uneven_fleet(tau, bw), 0.2, 300)
+    assert_fair_split(sol, tau, bw, 0.2, 300)
+    assert np.allclose(sol.serve_times, [754.278, 225.649, 754.278, 83.052, 754.278], atol=1e-3)
 
 
 def test_fairness_budget_below_control_raises():
     uavs = fleet([(0.0, 0.0)], max_hover=10.0)  # g(300 users) = 900 s >> 10 s
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match="capacity"):
         solve_fairness_system(uavs, 0.01, 300)
 
 
@@ -128,6 +178,10 @@ def test_fairness_validation():
         )
     with pytest.raises(ValueError):
         solve_fairness_system(fleet([(0.0, 0.0)]), [0.01, 0.01], 300)
+    trio = fleet([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    for bad in (-0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            solve_fairness_system(trio, [bad, 0.01, 0.01], 300)
 
 
 # cost field and dual
@@ -158,7 +212,6 @@ def test_cost_field_scales_with_resource():
         serve_times=fair.serve_times,
         target_masses=fair.target_masses,
         resource_per_user=2.0 * fair.resource_per_user,
-        n_users=fair.n_users,
     )
     c1 = build_cost_field(grid, radio, fair)
     c2 = build_cost_field(grid, radio, doubled)
