@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleError
+from .errors import ConvergenceError
 
 INFEASIBLE = -1
 STALL_RATIO = 1e-3
@@ -62,13 +62,11 @@ def region_masses(grid, assignment, n_uavs):
     ).astype(float, copy=False)
 
 
-def assign_by_min_cost(grid, costs, feasible=None):
+def assign_by_min_cost(grid, costs):
     """Assign each cell to its cheapest UAV, lowest index winning ties.
 
     costs is (n_uavs, n_cells) and may hold +inf for unusable links; NaN or
-    -inf raises ValueError.  Cells outside `feasible` get INFEASIBLE; by
-    default a cell is feasible when it has at least one finite cost.  A cell
-    marked feasible but with no finite cost raises InfeasibleError.
+    -inf raises ValueError.  A cell with no finite cost gets INFEASIBLE.
 
     The rows are scanned in order against the per-cell minimum, so no
     argmin runs: a feasible cell stays free until the first row that equals
@@ -81,14 +79,7 @@ def assign_by_min_cost(grid, costs, feasible=None):
     best = costs.min(axis=0)  # NaN wherever a column holds one
     if not np.all(best > -np.inf):
         raise ValueError("costs must not contain NaN or -inf")
-    has_choice = best < np.inf
-    if feasible is None:
-        free = has_choice
-    else:
-        free = np.array(feasible, dtype=bool)
-        stuck = int(np.count_nonzero(free & ~has_choice))
-        if stuck:
-            raise InfeasibleError(f"{stuck} feasible cells have no finite cost")
+    free = best < np.inf
     assignment = free.astype(np.int64) + INFEASIBLE  # 0 where feasible
     claimed = np.empty(grid.n_cells, dtype=bool)
     for row in costs[:-1]:  # the last row claims every cell still free
@@ -107,7 +98,7 @@ def weighted_voronoi(grid, radio):
     """
     costs = np.negative(radio.sinr)  # one (n_uavs, n_cells) array
     costs[~radio.feasible_by_uav] = np.inf
-    return assign_by_min_cost(grid, costs, feasible=radio.feasible)
+    return assign_by_min_cost(grid, costs)
 
 
 def _byte_table(strings):

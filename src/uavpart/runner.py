@@ -47,11 +47,9 @@ def _point_tag(cfg, value):
     return f"{cfg.sweep_var}_{format_value(float(value))}"
 
 
-def _scenario1_rows(cfg, grid, uavs, params, radio, baseline, point, out_dir):
-    result = solve_scenario1(
-        grid, uavs, params, cfg.alpha, cfg.n_users,
-        mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter, radio=radio,
-    )
+def _scenario1_rows(cfg, grid, uavs, radio, baseline, point, out_dir):
+    result = solve_scenario1(grid, uavs, radio, cfg.alpha, cfg.n_users,
+                             mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter)
     base_service = service_field_for_partition(
         grid, radio, uavs, cfg.alpha, cfg.n_users, baseline
     )
@@ -83,11 +81,9 @@ def _jain(allocation):  # nan when every sampled user's region spends its budget
     return jain_index(allocation) if allocation.any() else float("nan")
 
 
-def _scenario2_rows(cfg, grid, uavs, params, radio, baseline, point, out_dir):
-    result = solve_scenario2(
-        grid, uavs, params, cfg.load_bits, cfg.alpha, cfg.n_users,
-        mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter, radio=radio,
-    )
+def _scenario2_rows(cfg, grid, radio, baseline, point, out_dir):
+    result = solve_scenario2(grid, radio, cfg.load_bits, cfg.alpha, cfg.n_users,
+                             mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter)
     scene = (radio, cfg.load_bits, cfg.alpha, cfg.n_users)
     rows = [
         ("s2_hover_proposed_optbw", result.report.total),
@@ -145,18 +141,16 @@ def run_experiment(cfg, out_dir=None):
             cur = apply_sweep(cfg, value)
             grid = build_grid(cur)
             uavs = build_uavs(cur)
-            params = build_channel(cur)
-            radio = compute_radio_field(grid, uavs, params)
+            radio = compute_radio_field(grid, uavs, build_channel(cur))
             baseline = weighted_voronoi(grid, radio)  # best-signal baseline of both scenarios
             point = _point_tag(cfg, value)
             sweep_value = "" if cfg.sweep_var == "none" else format_value(float(value))
             shared, per_seed = [], [[]] * cfg.n_seeds
             if cur.scenario in ("1", "both"):
-                shared, per_seed = _scenario1_rows(cur, grid, uavs, params, radio, baseline,
-                                                   point, out_dir)
+                shared, per_seed = _scenario1_rows(cur, grid, uavs, radio, baseline, point,
+                                                   out_dir)
             if cur.scenario in ("2", "both"):
-                shared.extend(_scenario2_rows(cur, grid, uavs, params, radio, baseline,
-                                             point, out_dir))
+                shared.extend(_scenario2_rows(cur, grid, radio, baseline, point, out_dir))
             for seed, seed_rows in enumerate(per_seed):
                 for metric, metric_value in shared + seed_rows:
                     records.append((cfg.experiment_id, cfg.sweep_var, sweep_value,

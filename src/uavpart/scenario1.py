@@ -12,13 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import compute_radio_field
+from .config import ExperimentConfig
 from .errors import InfeasibleError
 from .partition import DualPotentials, Partition, ascend_dual, own_links, shifted_pass
 from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
-
-DEFAULT_MASS_TOL = 1e-3
-DEFAULT_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ def solve_fairness_system(uavs, alpha, n_users):
                             resource_per_user=pool / n_users)
 
 
-def build_cost_field(grid, radio, fairness):
+def build_cost_field(radio, fairness):
     """Per-UAV transport cost: minus the per-user data volume, +inf on the
     links below the SINR floor."""
     return np.where(
@@ -96,11 +93,10 @@ class Scenario1Result:
     fairness: FairnessSolution
     potentials: DualPotentials
     service: np.ndarray
-    radio: object
 
 
-def solve_scenario1(grid, uavs, params, alpha, n_users, mass_tol=DEFAULT_MASS_TOL,
-                    max_iter=DEFAULT_MAX_ITER, radio=None):
+def solve_scenario1(grid, uavs, radio, alpha, n_users, mass_tol=ExperimentConfig.mass_tol,
+                    max_iter=ExperimentConfig.max_ascent_iter):
     """Partition the area so each UAV's region mass matches its fair share.
 
     Ascends the concave dual psi . shares + integral of min_i (c_ic - psi_i)
@@ -112,17 +108,17 @@ def solve_scenario1(grid, uavs, params, alpha, n_users, mass_tol=DEFAULT_MASS_TO
     returned service array holds each cell's bits per user on its own link,
     zero on unassigned cells.
 
-    Raises InfeasibleError when more than mass_tol of the user mass has no
-    link above the SINR floor, and ConvergenceError (with the trace attached)
+    Raises ValueError when uavs and radio count different UAVs,
+    InfeasibleError when more than mass_tol of the user mass has no link
+    above the SINR floor, and ConvergenceError (with the trace attached)
     when the iteration budget runs out or no step that still changes the
     potentials improves the dual.
     """
-    if radio is None:
-        radio = compute_radio_field(grid, uavs, params)
+    if len(uavs) != radio.n_uavs:
+        raise ValueError(f"got {len(uavs)} UAVs for a radio field of {radio.n_uavs}")
     fairness = solve_fairness_system(uavs, alpha, n_users)
-    costs = build_cost_field(grid, radio, fairness)
-    covered = np.isfinite(costs).any(axis=0)
-    uncovered_mass = float(grid.cell_mass[~covered].sum())
+    costs = build_cost_field(radio, fairness)
+    uncovered_mass = float(grid.cell_mass[~radio.feasible].sum())
     if uncovered_mass > mass_tol:
         raise InfeasibleError(
             f"{uncovered_mass:.3e} of the user mass has no link above the SINR floor"
@@ -135,7 +131,7 @@ def solve_scenario1(grid, uavs, params, alpha, n_users, mass_tol=DEFAULT_MASS_TO
     cells, _, eff = own_links(potentials.partition, radio.spectral_eff)
     service = np.zeros(grid.n_cells)
     service[cells] = fairness.resource_per_user * eff
-    return Scenario1Result(potentials.partition, fairness, potentials, service, radio)
+    return Scenario1Result(potentials.partition, fairness, potentials, service)
 
 
 def service_field_for_partition(grid, radio, uavs, alpha, n_users, part):
@@ -147,8 +143,11 @@ def service_field_for_partition(grid, radio, uavs, alpha, n_users, part):
     B_i T_i / (N a_i) of the bandwidth-time product.  Returns each cell's
     bits per user on its own link, zero on unassigned cells.  Used to
     evaluate baseline partitions; for a partition whose masses equal the
-    fairness shares this reduces to the solver's own service field.
+    fairness shares this reduces to the solver's own service field.  Raises
+    ValueError when uavs and radio count different UAVs.
     """
+    if len(uavs) != radio.n_uavs:
+        raise ValueError(f"got {len(uavs)} UAVs for a radio field of {radio.n_uavs}")
     alpha = np.broadcast_to(alpha, len(uavs))
     bw = np.array([u.bandwidth for u in uavs], dtype=float)
     tau = np.array([u.max_hover for u in uavs], dtype=float)

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import compute_radio_field
+from .config import ExperimentConfig
 from .errors import InfeasibleError
 from .partition import DualPotentials, Partition, ascend_dual, own_links, shifted_pass
 from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
 from .partition import weighted_voronoi  # probed by perfbench as partition.voronoi
-from .scenario1 import DEFAULT_MASS_TOL, DEFAULT_MAX_ITER
 
 
 @dataclass(frozen=True)
@@ -91,13 +90,12 @@ def marginal_hover_cost(radio, load_bits, alpha, masses, n_users):
 class Scenario2Result:
     partition: Partition
     report: HoverReport
-    radio: object
     potentials: DualPotentials
     duality_gap: float
 
 
-def solve_scenario2(grid, uavs, params, load_bits, alpha, n_users,
-                    mass_tol=DEFAULT_MASS_TOL, max_iter=DEFAULT_MAX_ITER, radio=None):
+def solve_scenario2(grid, radio, load_bits, alpha, n_users, mass_tol=ExperimentConfig.mass_tol,
+                    max_iter=ExperimentConfig.max_ascent_iter):
     """Minimize total hover time by ascending the dual of the relaxed problem,
     D(l) = sum_c m_c min_i (s_ic + l_i) - sum_i l_i^2 / (2 k_i), over psi = -l.
 
@@ -114,10 +112,8 @@ def solve_scenario2(grid, uavs, params, load_bits, alpha, n_users,
     above the SINR floor, or a load too large for a float) raises
     InfeasibleError.
     """
-    if radio is None:
-        radio = compute_radio_field(grid, uavs, params)
     # at zero mass the marginal hover cost is the transmission time alone
-    zeros = np.zeros(len(uavs))
+    zeros = np.zeros(radio.n_uavs)
     seconds = marginal_hover_cost(radio, load_bits, alpha, zeros, n_users)
     dead = ~np.isfinite(seconds).any(axis=0) & (grid.cell_mass > 0)
     if np.any(dead):
@@ -126,7 +122,7 @@ def solve_scenario2(grid, uavs, params, load_bits, alpha, n_users,
             f"{len(k)} populated cells have no finite transmission time, "
             f"first at ({grid.cell_x[k[0]]:.0f} m, {grid.cell_y[k[0]]:.0f} m)"
         )
-    curvature = 2.0 * np.broadcast_to(alpha, len(uavs)) * n_users**2
+    curvature = 2.0 * np.broadcast_to(alpha, radio.n_uavs) * n_users**2
     priced = curvature > 0
 
     def gap(masses, wanted):
@@ -139,6 +135,6 @@ def solve_scenario2(grid, uavs, params, load_bits, alpha, n_users,
         mass_tol=mass_tol, max_iter=max_iter, gap=gap,
     )
     part = potentials.partition
-    priced_at = np.divide(-potentials.psi, curvature, out=np.zeros(len(uavs)), where=priced)
+    priced_at = np.divide(-potentials.psi, curvature, out=np.zeros(radio.n_uavs), where=priced)
     report = region_hover_report(grid, part, radio, load_bits, alpha, n_users)
-    return Scenario2Result(part, report, radio, potentials, gap(part.masses, priced_at))
+    return Scenario2Result(part, report, potentials, gap(part.masses, priced_at))

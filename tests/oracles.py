@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uavpart.channel import compute_radio_field
 from uavpart.errors import InfeasibleError
 from uavpart.partition import INFEASIBLE, Partition, region_masses
 from uavpart.scenario2 import HoverReport, region_hover_report
@@ -43,23 +42,20 @@ def optimal_bandwidth_split(loads, efficiencies, bandwidth):
 
 @dataclass(frozen=True)
 class ExactPlan:
-    """The brute-force optimum: its partition, hover report and radio field."""
+    """The brute-force optimum: its partition and hover report."""
 
     partition: Partition
     report: HoverReport
-    radio: object
 
 
-def brute_force_min_hover(grid, uavs, params, load_bits, alpha, n_users, radio=None):
+def brute_force_min_hover(grid, radio, load_bits, alpha, n_users):
     """Exhaustive minimum of total hover time over all feasible assignments.
 
     Every cell ranges over the UAVs whose SINR floor it meets; instances with
     more than BRUTE_FORCE_LIMIT assignments raise ValueError.  Ties go to the first
     assignment in lexicographic order.
     """
-    if radio is None:
-        radio = compute_radio_field(grid, uavs, params)
-    alpha = np.broadcast_to(alpha, len(uavs))
+    alpha = np.broadcast_to(alpha, radio.n_uavs)
     choices = [np.flatnonzero(radio.feasible_by_uav[:, c]) for c in range(grid.n_cells)]
     if any(len(ch) == 0 and grid.cell_mass[c] > 0 for c, ch in enumerate(choices)):
         raise InfeasibleError("populated cell with no link above the SINR floor")
@@ -77,7 +73,7 @@ def brute_force_min_hover(grid, uavs, params, load_bits, alpha, n_users, radio=N
     best_total, best_assignment = np.inf, None
     for combo in itertools.product(*options):
         assignment = np.array(combo)
-        masses = region_masses(grid, assignment, len(uavs))
+        masses = region_masses(grid, assignment, radio.n_uavs)
         total = float(serve_cost[assignment, np.arange(grid.n_cells)].sum()) + float(
             alpha @ (n_users * masses) ** 2
         )
@@ -86,9 +82,9 @@ def brute_force_min_hover(grid, uavs, params, load_bits, alpha, n_users, radio=N
             best_assignment = assignment
     unservable = np.array([len(ch) == 0 for ch in choices])
     best_assignment = np.where(unservable, INFEASIBLE, best_assignment)
-    part = Partition(best_assignment, region_masses(grid, best_assignment, len(uavs)))
+    part = Partition(best_assignment, region_masses(grid, best_assignment, radio.n_uavs))
     report = region_hover_report(grid, part, radio, load_bits, alpha, n_users)
-    return ExactPlan(part, report, radio)
+    return ExactPlan(part, report)
 
 
 def hover_report_reference(grid, part, radio, load_bits, alpha, n_users, equal_split=False):

@@ -49,18 +49,17 @@ def check(label, ok, detail):
 def default_scene():
     grid = build_grid(BASE)
     uavs = build_uavs(BASE)
-    params = build_channel(BASE)
-    radio = compute_radio_field(grid, uavs, params)
-    return grid, uavs, params, radio, BASE.load_bits
+    radio = compute_radio_field(grid, uavs, build_channel(BASE))
+    return grid, uavs, radio, BASE.load_bits
 
 
 @pytest.fixture(scope="module")
 def s1_default(default_scene):
-    grid, uavs, params, radio, _ = default_scene
+    grid, uavs, radio, _ = default_scene
     start = time.time()
     result = solve_scenario1(
-        grid, uavs, params, BASE.alpha, BASE.n_users,
-        mass_tol=BASE.mass_tol, max_iter=BASE.max_ascent_iter, radio=radio,
+        grid, uavs, radio, BASE.alpha, BASE.n_users,
+        mass_tol=BASE.mass_tol, max_iter=BASE.max_ascent_iter,
     )
     return result, time.time() - start
 
@@ -72,35 +71,32 @@ def midpoint_scene():
     uavs = build_uavs(cfg)
     radio = compute_radio_field(grid, uavs, build_channel(cfg))
     fair = solve_fairness_system(uavs, cfg.alpha, cfg.n_users)
-    costs = build_cost_field(grid, radio, fair)
+    costs = build_cost_field(radio, fair)
     return grid, costs, fair
 
 
 @pytest.fixture(scope="module")
 def s2_beta_totals(default_scene):
-    grid, uavs, _, radio, load_bits = default_scene
+    grid, uavs, radio, load_bits = default_scene
     totals = {}
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        params = build_channel(replace(BASE, beta=beta))
-        r = radio if beta == BASE.beta else None
-        result = solve_scenario2(
-            grid, uavs, params, load_bits, BASE.alpha, BASE.n_users,
-            radio=r,
-        )
+        r = radio if beta == BASE.beta else compute_radio_field(
+            grid, uavs, build_channel(replace(BASE, beta=beta)))
+        result = solve_scenario2(grid, r, load_bits, BASE.alpha, BASE.n_users)
         totals[beta] = result.report.total
     return totals
 
 
 @pytest.fixture(scope="module")
 def s1_beta_service(default_scene):
-    grid, uavs, _, radio, _ = default_scene
+    grid, uavs, radio, _ = default_scene
     service = {}
     for beta in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):
-        params = build_channel(replace(BASE, beta=beta))
-        r = radio if beta == BASE.beta else None
+        r = radio if beta == BASE.beta else compute_radio_field(
+            grid, uavs, build_channel(replace(BASE, beta=beta)))
         result = solve_scenario1(
-            grid, uavs, params, BASE.alpha, BASE.n_users,
-            mass_tol=BASE.mass_tol, max_iter=BASE.max_ascent_iter, radio=r,
+            grid, uavs, r, BASE.alpha, BASE.n_users,
+            mass_tol=BASE.mass_tol, max_iter=BASE.max_ascent_iter,
         )
         service[beta] = total_data_service(grid, result.service, BASE.n_users)
     return service
@@ -145,9 +141,10 @@ def test_dual_gauge_invariance(midpoint_scene):
         rel = abs(f2 - f1) / max(abs(f1), 1.0)
         worst = max(worst, rel)
         assert rel <= 1e-9
-        a = assign_by_min_cost(grid, costs - psi[:, None], feasible=covered)
-        b = assign_by_min_cost(grid, costs - (psi + const)[:, None], feasible=covered)
+        a = assign_by_min_cost(grid, costs - psi[:, None])
+        b = assign_by_min_cost(grid, costs - (psi + const)[:, None])
         assert np.array_equal(a.assignment, b.assignment)
+        assert np.array_equal(a.assignment >= 0, covered)
     check(2, True, f"50 constant shifts change nothing (worst rel {worst:.2e})")
 
 
@@ -172,10 +169,9 @@ def test_four_cell_exact_optimum():
         UavNode(x=200.0, y=220.0, altitude=200.0, bandwidth=1e6, max_hover=1800.0),
         UavNode(x=360.0, y=340.0, altitude=200.0, bandwidth=1e6, max_hover=1800.0),
     ]
-    result = solve_scenario1(
-        grid, uavs, ChannelParams(), 0.01, 300
-    )
-    costs = build_cost_field(grid, result.radio, result.fairness)
+    radio = compute_radio_field(grid, uavs, ChannelParams())
+    result = solve_scenario1(grid, uavs, radio, 0.01, 300)
+    costs = build_cost_field(radio, result.fairness)
     totals = []
     for cells0 in itertools.combinations(range(4), 2):
         assignment = np.ones(4, dtype=int)
@@ -238,9 +234,10 @@ def test_small_instances_match_brute_force():
             UavNode(x=xs[0], y=xs[1], altitude=200.0),
             UavNode(x=xs[2], y=xs[3], altitude=200.0),
         ]
-        exact = brute_force_min_hover(grid, uavs, params, load_bits, alpha, 300)
-        assert exact.radio.feasible_by_uav.all()  # full 2^9 search space
-        heur = solve_scenario2(grid, uavs, params, load_bits, alpha, 300)
+        radio = compute_radio_field(grid, uavs, params)
+        assert radio.feasible_by_uav.all()  # full 2^9 search space
+        exact = brute_force_min_hover(grid, radio, load_bits, alpha, 300)
+        heur = solve_scenario2(grid, radio, load_bits, alpha, 300)
         rel = heur.report.total / exact.report.total - 1.0
         worst = max(worst, rel)
         assert rel <= 0.01
@@ -254,11 +251,8 @@ def test_small_instances_match_brute_force():
 
 
 def test_zero_alpha_matches_rate_diagram(default_scene):
-    grid, uavs, params, radio, load_bits = default_scene
-    result = solve_scenario2(
-        grid, uavs, params, load_bits, 0.0, BASE.n_users,
-        radio=radio,
-    )
+    grid, _, radio, load_bits = default_scene
+    result = solve_scenario2(grid, radio, load_bits, 0.0, BASE.n_users)
     serve = BASE.n_users * load_bits / (
         radio.bandwidths[:, None] * radio.spectral_eff
     )
@@ -280,16 +274,13 @@ def test_zero_alpha_matches_rate_diagram(default_scene):
 def test_monotone_in_interference_and_control(
     default_scene, s2_beta_totals, s1_beta_service
 ):
-    grid, uavs, params, radio, load_bits = default_scene
+    grid, _, radio, load_bits = default_scene
     betas = (0.0, 0.25, 0.5, 0.75, 1.0)
     hover = [s2_beta_totals[b] for b in betas]
     hover_up = all(a <= b * (1 + 1e-9) for a, b in zip(hover, hover[1:]))
     alphas = (0.0, 0.1, 0.5)
     alpha_hover = [
-        solve_scenario2(
-            grid, uavs, params, load_bits, a, BASE.n_users,
-            radio=radio,
-        ).report.total
+        solve_scenario2(grid, radio, load_bits, a, BASE.n_users).report.total
         for a in alphas
     ]
     alpha_up = all(a <= b * (1 + 1e-9) for a, b in zip(alpha_hover, alpha_hover[1:]))
@@ -308,7 +299,7 @@ def test_monotone_in_interference_and_control(
 
 
 def test_fairness_bounds_and_even_split(default_scene, s1_default):
-    grid, _, _, _, _ = default_scene
+    grid, _, _, _ = default_scene
     result, _ = s1_default
     lo, hi = 1.0, 0.0
     for seed in range(BASE.n_seeds):
@@ -337,8 +328,8 @@ def test_jain_ordering_over_concentration():
         uavs = build_uavs(cfg)
         radio = compute_radio_field(grid, uavs, build_channel(cfg))
         result = solve_scenario1(
-            grid, uavs, build_channel(cfg), BASE.alpha, cfg.n_users,
-            mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter, radio=radio,
+            grid, uavs, radio, BASE.alpha, cfg.n_users,
+            mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter,
         )
         baseline = weighted_voronoi(grid, radio)
         base_service = service_field_for_partition(
@@ -368,16 +359,13 @@ def test_service_gain_low_interference(s1_beta_service):
 
 
 def test_split_reduction_band(default_scene):
-    grid, _, _, _, load_bits = default_scene
+    grid, _, _, load_bits = default_scene
     reductions = []
     for bandwidth in (0.5e6, 1e6, 2e6, 5e6, 10e6):
         cfg = replace(BASE, bandwidth=bandwidth)
         uavs = build_uavs(cfg)
         radio = compute_radio_field(grid, uavs, build_channel(cfg))
-        result = solve_scenario2(
-            grid, uavs, build_channel(cfg), load_bits, BASE.alpha, cfg.n_users,
-            radio=radio,
-        )
+        result = solve_scenario2(grid, radio, load_bits, BASE.alpha, cfg.n_users)
         eq_total = hover_time_equal_split(
             grid, result.partition, radio, load_bits, BASE.alpha, cfg.n_users
         ).total
@@ -393,15 +381,14 @@ def test_split_reduction_band(default_scene):
 
 
 def test_fleet_scaling_band(default_scene):
-    grid, _, _, _, load_bits = default_scene
+    grid, _, _, load_bits = default_scene
     totals = {}
     for m in (2, 6):
         cfg = replace(BASE, n_uavs=m, beta=0.0)
         uavs = build_uavs(cfg)
         radio = compute_radio_field(grid, uavs, build_channel(cfg))
         totals[m] = solve_scenario2(
-            grid, uavs, build_channel(cfg), load_bits, BASE.alpha, cfg.n_users,
-            radio=radio,
+            grid, radio, load_bits, BASE.alpha, cfg.n_users
         ).report.total
     ratio = totals[6] / totals[2]
     ok = 0.35 <= ratio <= 0.65
@@ -422,16 +409,12 @@ def test_partition_gain_grows_with_alpha():
     cfg = replace(BASE, sigma_x=200.0, sigma_y=200.0)
     grid = build_grid(cfg)
     uavs = build_uavs(cfg)
-    params = build_channel(cfg)
-    radio = compute_radio_field(grid, uavs, params)
+    radio = compute_radio_field(grid, uavs, build_channel(cfg))
     load_bits = cfg.load_bits
     baseline = weighted_voronoi(grid, radio)
     gaps = []
     for alpha in (0.01, 0.1, 0.5):
-        proposed = solve_scenario2(
-            grid, uavs, params, load_bits, alpha, cfg.n_users,
-            radio=radio,
-        ).report.total
+        proposed = solve_scenario2(grid, radio, load_bits, alpha, cfg.n_users).report.total
         voronoi = region_hover_report(
             grid, baseline, radio, load_bits, alpha, cfg.n_users
         ).total
@@ -447,7 +430,7 @@ def test_partition_gain_grows_with_alpha():
 
 
 def test_combined_reduction(default_scene, s2_beta_totals):
-    grid, uavs, _, radio, load_bits = default_scene
+    grid, uavs, radio, load_bits = default_scene
     baseline = weighted_voronoi(grid, radio)
     worst_case = hover_time_equal_split(
         grid, baseline, radio, load_bits, BASE.alpha, BASE.n_users

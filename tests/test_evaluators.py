@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uavpart.channel import RadioField, UavNode
+from uavpart.channel import RadioField, UavNode, compute_radio_field
 from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs
 from uavpart.errors import InfeasibleError
 from uavpart.grid import AreaGrid
@@ -92,8 +92,9 @@ def test_service_field_is_the_matrix_on_own_links(seed):
 
 def test_solver_service_is_the_matrix_on_own_links():
     cfg = ExperimentConfig(nx=24, ny=24, n_uavs=3)
-    grid, uavs, params = build_grid(cfg), build_uavs(cfg), build_channel(cfg)
-    result = solve_scenario1(grid, uavs, params, cfg.alpha, cfg.n_users, mass_tol=5e-3)
-    matrix = result.fairness.resource_per_user * result.radio.spectral_eff
+    grid, uavs = build_grid(cfg), build_uavs(cfg)
+    radio = compute_radio_field(grid, uavs, build_channel(cfg))
+    result = solve_scenario1(grid, uavs, radio, cfg.alpha, cfg.n_users, mass_tol=5e-3)
+    matrix = result.fairness.resource_per_user * radio.spectral_eff
     assert result.service.shape == (grid.n_cells,)
     assert np.array_equal(result.service, on_own_links(matrix, result.partition))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavpart.channel import compute_radio_field
 from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs
 from uavpart.partition import INFEASIBLE
 from uavpart.scenario1 import solve_scenario1
@@ -26,12 +27,14 @@ PARAMS = build_channel(CFG)
 
 
 def scenario1_labels(uavs, alpha):
-    return solve_scenario1(GRID, uavs, PARAMS, alpha, CFG.n_users,
+    radio = compute_radio_field(GRID, uavs, PARAMS)
+    return solve_scenario1(GRID, uavs, radio, alpha, CFG.n_users,
                            mass_tol=CFG.mass_tol).partition.assignment
 
 
 def scenario2_labels(uavs, load_bits, alpha):
-    return solve_scenario2(GRID, uavs, PARAMS, load_bits, alpha, CFG.n_users,
+    radio = compute_radio_field(GRID, uavs, PARAMS)
+    return solve_scenario2(GRID, radio, load_bits, alpha, CFG.n_users,
                            mass_tol=CFG.mass_tol).partition.assignment
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from uavpart.channel import ChannelParams, UavNode, compute_radio_field
 from uavpart.config import build_channel, build_grid, build_uavs, load_config
-from uavpart.errors import InfeasibleError
 from uavpart.grid import truncated_gaussian, uniform_density
 from uavpart.partition import (
     CSV_BLOCK_CELLS,
@@ -158,9 +157,8 @@ def test_ascent_returns_partition_at_its_potentials(seed, n_uavs, ascend):
     seed=st.integers(0, 2**31),
     n_uavs=st.integers(1, 6),
     inf_share=st.sampled_from([0.0, 0.3, 0.9]),
-    mask=st.sampled_from(["default", "servable", "random"]),
 )
-def test_assignment_matches_argmin(seed, n_uavs, inf_share, mask):
+def test_assignment_matches_argmin(seed, n_uavs, inf_share):
     # oracle: the np.argmin formula the row scan replaced; integer costs tie
     # often, +inf marks unusable links and some cells get no finite cost
     rng = np.random.default_rng(seed)
@@ -168,14 +166,8 @@ def test_assignment_matches_argmin(seed, n_uavs, inf_share, mask):
     costs[rng.random(costs.shape) < inf_share] = np.inf
     costs[:, rng.random(GRID.n_cells) < 0.2] = np.inf
     servable = np.isfinite(costs).any(axis=0)
-    feasible = {
-        "default": None,
-        "servable": servable,
-        "random": servable & (rng.random(GRID.n_cells) < 0.5),
-    }[mask]
-    part = assign_by_min_cost(GRID, costs, feasible=feasible)
-    expected = np.where(servable if feasible is None else feasible,
-                        np.argmin(costs, axis=0), INFEASIBLE)
+    part = assign_by_min_cost(GRID, costs)
+    expected = np.where(servable, np.argmin(costs, axis=0), INFEASIBLE)
     assert np.array_equal(part.assignment, expected)
     assert np.array_equal(part.masses, region_masses(GRID, expected, n_uavs))
 
@@ -183,17 +175,9 @@ def test_assignment_matches_argmin(seed, n_uavs, inf_share, mask):
 def test_assignment_leaves_inputs_alone():
     costs = random_costs(4)
     costs[:, 3] = np.inf
-    feasible = np.isfinite(costs).any(axis=0)
-    before = (costs.copy(), feasible.copy())
-    assign_by_min_cost(GRID, costs, feasible=feasible)
-    assert np.array_equal(costs, before[0]) and np.array_equal(feasible, before[1])
-
-
-def test_feasible_cell_without_cost_raises():
-    costs = random_costs(5)
-    costs[:, 11] = np.inf
-    with pytest.raises(InfeasibleError):
-        assign_by_min_cost(GRID, costs, feasible=np.ones(GRID.n_cells, bool))
+    before = costs.copy()
+    assign_by_min_cost(GRID, costs)
+    assert np.array_equal(costs, before)
 
 
 def test_nan_cost_rejected():
@@ -212,7 +196,7 @@ def test_nan_or_negative_infinite_cost_rejected(bad, row):
         assign_by_min_cost(GRID, costs)
     costs[:, 4] = np.inf  # next to a cell without a finite cost
     with pytest.raises(ValueError):
-        assign_by_min_cost(GRID, costs, feasible=np.isfinite(costs).any(axis=0))
+        assign_by_min_cost(GRID, costs)
 
 
 def test_partition_validation():
@@ -337,13 +321,12 @@ def test_partition_csv_matches_savetxt_small_grids(nx, ny, width, height, n_uavs
 
 def test_partition_csv_matches_savetxt_on_solved_maps(tmp_path):
     cfg = replace(load_config(SCRIPTS / "partition_maps.ini"), nx=60, ny=60)
-    grid, uavs, params = build_grid(cfg), build_uavs(cfg), build_channel(cfg)
-    radio = compute_radio_field(grid, uavs, params)
-    solver = {"mass_tol": cfg.mass_tol, "max_iter": cfg.max_ascent_iter, "radio": radio}
+    grid, uavs = build_grid(cfg), build_uavs(cfg)
+    radio = compute_radio_field(grid, uavs, build_channel(cfg))
+    solver = {"mass_tol": cfg.mass_tol, "max_iter": cfg.max_ascent_iter}
     parts = [
-        solve_scenario1(grid, uavs, params, cfg.alpha, cfg.n_users, **solver).partition,
-        solve_scenario2(grid, uavs, params, cfg.load_bits, cfg.alpha, cfg.n_users,
-                        **solver).partition,
+        solve_scenario1(grid, uavs, radio, cfg.alpha, cfg.n_users, **solver).partition,
+        solve_scenario2(grid, radio, cfg.load_bits, cfg.alpha, cfg.n_users, **solver).partition,
         weighted_voronoi(grid, radio),
     ]
     assert any(np.any(part.assignment != parts[-1].assignment) for part in parts[:2])

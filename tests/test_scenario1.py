@@ -11,7 +11,13 @@ from uavpart.channel import ChannelParams, UavNode, compute_radio_field
 from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs
 from uavpart.errors import ConvergenceError, InfeasibleError
 from uavpart.grid import AreaGrid, uniform_density
-from uavpart.partition import Partition, ascend_dual, region_masses, shifted_pass
+from uavpart.partition import (
+    Partition,
+    ascend_dual,
+    region_masses,
+    shifted_pass,
+    weighted_voronoi,
+)
 from uavpart.scenario1 import (
     FairnessSolution,
     build_cost_field,
@@ -192,10 +198,10 @@ def test_cost_field_threshold_boundary():
     fair = solve_fairness_system(uavs, 0.01, 300)
     pick = float(radio.sinr[1, 17])
     at = compute_radio_field(grid, uavs, ChannelParams(sinr_threshold=pick))
-    costs = build_cost_field(grid, at, fair)
+    costs = build_cost_field(at, fair)
     assert np.isfinite(costs[1, 17])  # boundary inclusive
     above = compute_radio_field(grid, uavs, ChannelParams(sinr_threshold=pick * (1 + 1e-9)))
-    assert np.isinf(build_cost_field(grid, above, fair)[1, 17])
+    assert np.isinf(build_cost_field(above, fair)[1, 17])
     finite = np.isfinite(costs)
     assert np.array_equal(finite, at.feasible_by_uav)
     assert np.allclose(
@@ -213,8 +219,8 @@ def test_cost_field_scales_with_resource():
         target_masses=fair.target_masses,
         resource_per_user=2.0 * fair.resource_per_user,
     )
-    c1 = build_cost_field(grid, radio, fair)
-    c2 = build_cost_field(grid, radio, doubled)
+    c1 = build_cost_field(radio, fair)
+    c2 = build_cost_field(radio, doubled)
     finite = np.isfinite(c1)
     assert np.allclose(c2[finite], 2.0 * c1[finite], rtol=1e-12)
 
@@ -224,7 +230,7 @@ def test_dual_constant_for_single_uav():
     uavs = fleet([(500.0, 500.0)])
     radio = compute_radio_field(grid, uavs, PARAMS)
     fair = solve_fairness_system(uavs, 0.01, 300)
-    costs = build_cost_field(grid, radio, fair)
+    costs = build_cost_field(radio, fair)
     shares = np.array([1.0])
     f0 = dual_value(grid, costs, np.zeros(1), shares)
     for psi in (-3e7, 1.0, 2.5e7):
@@ -239,7 +245,7 @@ def test_dual_gauge_shift(seed, const):
     # adding a constant to every potential changes nothing
     grid, uavs, radio = two_uav_scene(8, 8)
     fair = solve_fairness_system(uavs, 0.01, 300)
-    costs = build_cost_field(grid, radio, fair)
+    costs = build_cost_field(radio, fair)
     rng = np.random.default_rng(seed)
     psi = rng.normal(scale=fair.resource_per_user, size=2)
     shares = fair.target_masses
@@ -256,7 +262,7 @@ def test_dual_gauge_shift(seed, const):
 def test_gradient_dominant_potential():
     grid, uavs, radio = two_uav_scene()
     fair = solve_fairness_system(uavs, 0.01, 300)
-    costs = build_cost_field(grid, radio, fair)
+    costs = build_cost_field(radio, fair)
     shares = fair.target_masses
     big = np.array([1e12, 0.0])  # UAV 0 wins every cell it can serve
     grad = shares - shifted_pass(grid, costs, big, masses=True)[1]
@@ -273,7 +279,7 @@ def test_gradient_dominant_potential():
 def test_gradient_components_sum_to_uncovered():
     grid, uavs, radio = two_uav_scene()
     fair = solve_fairness_system(uavs, 0.01, 300)
-    costs = build_cost_field(grid, radio, fair)
+    costs = build_cost_field(radio, fair)
     grad = fair.target_masses - shifted_pass(grid, costs, np.zeros(2), masses=True)[1]
     covered = np.isfinite(costs).any(axis=0)
     uncovered = float(grid.cell_mass[~covered].sum())
@@ -283,7 +289,7 @@ def test_gradient_components_sum_to_uncovered():
 def test_dual_concavity_midpoints():
     grid, uavs, radio = two_uav_scene(8, 8)
     fair = solve_fairness_system(uavs, 0.01, 300)
-    costs = build_cost_field(grid, radio, fair)
+    costs = build_cost_field(radio, fair)
     shares = fair.target_masses
     rng = np.random.default_rng(11)
     scale = fair.resource_per_user
@@ -302,7 +308,7 @@ def test_gradient_chords_bracket():
     # large enough to cross cell boundaries
     grid, uavs, radio = two_uav_scene()
     fair = solve_fairness_system(uavs, 0.01, 300)
-    costs = build_cost_field(grid, radio, fair)
+    costs = build_cost_field(radio, fair)
     shares = fair.target_masses
     rng = np.random.default_rng(5)
     scale = fair.resource_per_user
@@ -325,7 +331,7 @@ def test_gradient_chords_bracket():
 def test_solver_symmetric_quadrants():
     grid = uniform_density(1000.0, 1000.0, 16, 16)
     uavs = fleet([(250.0, 250.0), (750.0, 250.0), (250.0, 750.0), (750.0, 750.0)])
-    result = solve_scenario1(grid, uavs, PARAMS, 0.01, 300)
+    result = solve_scenario1(grid, uavs, compute_radio_field(grid, uavs, PARAMS), 0.01, 300)
     assert np.allclose(result.partition.masses, 0.25, atol=1e-3)
     assert np.all(np.diff(result.potentials.f_trace) > 0)
     assert result.potentials.grad_trace[-1] <= 1e-3
@@ -337,12 +343,12 @@ def test_solver_four_cell_enumeration():
     # must be the cheapest of the six balanced 2-2 splits, exactly
     grid = uniform_density(1000.0, 1000.0, 2, 2)
     uavs = fleet([(200.0, 220.0), (360.0, 340.0)])
-    result = solve_scenario1(grid, uavs, PARAMS, 0.01, 300)
+    radio = compute_radio_field(grid, uavs, PARAMS)
+    result = solve_scenario1(grid, uavs, radio, 0.01, 300)
     assert len(result.potentials.f_trace) > 1  # the start was unbalanced
     fair = result.fairness
     assert np.allclose(fair.target_masses, 0.5, atol=1e-9)
-    radio = result.radio
-    costs = build_cost_field(grid, radio, fair)
+    costs = build_cost_field(radio, fair)
     totals = []
     for cells0 in itertools.combinations(range(4), 2):
         assignment = np.ones(4, dtype=int)
@@ -359,7 +365,7 @@ def test_solver_matches_share_targets():
     # cell mass is 2.5e-3 at 20x20, so ask for a tolerance the grid can hold
     grid, uavs = hetero_pair(20, 20)
     result = solve_scenario1(
-        grid, uavs, PARAMS, 0.01, 300, mass_tol=5e-3
+        grid, uavs, compute_radio_field(grid, uavs, PARAMS), 0.01, 300, mass_tol=5e-3
     )
     residual = np.abs(result.partition.masses - result.fairness.target_masses)
     assert residual.max() <= 5e-3
@@ -367,7 +373,7 @@ def test_solver_matches_share_targets():
 
 def test_solver_infeasible_when_uncovered():
     grid, uavs, _ = two_uav_scene()
-    harsh = ChannelParams(sinr_threshold=1e9)
+    harsh = compute_radio_field(grid, uavs, ChannelParams(sinr_threshold=1e9))
     with pytest.raises(InfeasibleError):
         solve_scenario1(grid, uavs, harsh, 0.01, 300)
 
@@ -375,8 +381,9 @@ def test_solver_infeasible_when_uncovered():
 def test_solver_iteration_budget():
     # a zero-iteration budget cannot balance an unbalanced start
     grid, uavs = hetero_pair(20, 20)
+    radio = compute_radio_field(grid, uavs, PARAMS)
     with pytest.raises(ConvergenceError) as err:
-        solve_scenario1(grid, uavs, PARAMS, 0.01, 300, max_iter=0)
+        solve_scenario1(grid, uavs, radio, 0.01, 300, max_iter=0)
     assert err.value.trace is not None
     f_trace, grad_trace, step_trace = err.value.trace
     assert len(f_trace) == len(grad_trace) == len(step_trace) == 1
@@ -385,7 +392,7 @@ def test_solver_iteration_budget():
 def test_trace_shapes_and_steps():
     grid, uavs = hetero_pair(16, 16)
     result = solve_scenario1(
-        grid, uavs, PARAMS, 0.01, 300, mass_tol=5e-3
+        grid, uavs, compute_radio_field(grid, uavs, PARAMS), 0.01, 300, mass_tol=5e-3
     )
     p = result.potentials
     assert len(p.f_trace) == len(p.grad_trace) == len(p.step_trace) > 1
@@ -398,8 +405,9 @@ def test_trace_shapes_and_steps():
 
 def test_default_scene_needs_few_evaluations():
     cfg = ExperimentConfig()
-    grid, uavs, params = build_grid(cfg), build_uavs(cfg), build_channel(cfg)
-    result = solve_scenario1(grid, uavs, params, cfg.alpha, cfg.n_users,
+    grid, uavs = build_grid(cfg), build_uavs(cfg)
+    radio = compute_radio_field(grid, uavs, build_channel(cfg))
+    result = solve_scenario1(grid, uavs, radio, cfg.alpha, cfg.n_users,
                              mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter)
     residual = np.abs(result.partition.masses - result.fairness.target_masses).max()
     assert residual <= cfg.mass_tol
@@ -414,7 +422,7 @@ def test_ascent_is_free_of_cost_units(k):
     grid, uavs = hetero_pair(16, 16)
     radio = compute_radio_field(grid, uavs, PARAMS)
     fair = solve_fairness_system(uavs, 0.01, 300)
-    costs = build_cost_field(grid, radio, fair)
+    costs = build_cost_field(radio, fair)
     shares = fair.target_masses
 
     def ascend(c):
@@ -430,12 +438,10 @@ def test_ascent_is_free_of_cost_units(k):
 
 def test_service_field_consistency_at_solution():
     # with masses on target, the per-partition service matches the solver's
-    grid, uavs, _ = two_uav_scene(24, 24)
+    grid, uavs, radio = two_uav_scene(24, 24)
     alpha = 0.01
-    result = solve_scenario1(grid, uavs, PARAMS, alpha, 300, mass_tol=5e-3)
-    field = service_field_for_partition(
-        grid, result.radio, uavs, alpha, 300, result.partition
-    )
+    result = solve_scenario1(grid, uavs, radio, alpha, 300, mass_tol=5e-3)
+    field = service_field_for_partition(grid, radio, uavs, alpha, 300, result.partition)
     cells = np.flatnonzero(result.partition.assignment >= 0)
     ratio = field[cells] / result.service[cells]
     assert np.all(np.abs(ratio - 1.0) <= 0.02)
@@ -454,3 +460,14 @@ def test_service_field_zero_mass_region():
     field = service_field_for_partition(grid, radio, uavs, alpha, 300, part)
     assert np.all(field[assignment == 1] == 0.0)
     assert np.all(field[assignment == 0] > 0.0)
+
+
+def test_fleet_must_match_radio_field():
+    # a fleet of another size than the radio field's is named, not broadcast
+    grid, uavs, radio = two_uav_scene()
+    part = weighted_voronoi(grid, radio)
+    three = uavs + fleet([(500.0, 500.0)])
+    with pytest.raises(ValueError, match="got 3 UAVs for a radio field of 2"):
+        solve_scenario1(grid, three, radio, 0.01, 300)
+    with pytest.raises(ValueError, match="got 1 UAVs for a radio field of 2"):
+        service_field_for_partition(grid, radio, uavs[:1], 0.01, 300, part)

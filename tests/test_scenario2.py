@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from uavpart import scenario2
 from uavpart.channel import ChannelParams, RadioField, UavNode, compute_radio_field
+from uavpart.config import ExperimentConfig
 from uavpart.errors import InfeasibleError
 from uavpart.grid import truncated_gaussian, uniform_density
 from uavpart.partition import (
@@ -17,7 +18,6 @@ from uavpart.partition import (
     region_masses,
     weighted_voronoi,
 )
-from uavpart.scenario1 import DEFAULT_MASS_TOL
 from uavpart.scenario2 import (
     hover_time_equal_split,
     marginal_hover_cost,
@@ -280,7 +280,7 @@ def test_marginal_cost_matches_array_formula(alpha):
 def test_solver_zero_alpha_is_pure_rate_assignment():
     grid, uavs, radio = real_scene(bandwidths=(1e6, 2e6))
     load_bits = 1e8
-    result = solve_scenario2(grid, uavs, PARAMS, load_bits, 0.0, 300)
+    result = solve_scenario2(grid, radio, load_bits, 0.0, 300)
     serve = 300 * load_bits / (
         radio.bandwidths[:, None] * radio.spectral_eff
     )
@@ -309,7 +309,7 @@ def test_solver_starts_from_best_signal_masses_on_equal_bandwidths(monkeypatch):
 
     monkeypatch.setattr(scenario2, "ascend_dual", recording_ascent)
     alpha, n_users = 0.02, 300
-    solve_scenario2(grid, uavs, PARAMS, 1e7, alpha, n_users, radio=radio)
+    solve_scenario2(grid, radio, 1e7, alpha, n_users)
     voronoi = weighted_voronoi(grid, radio).masses
     assert len(set(np.round(voronoi, 6))) == 3
     assert np.allclose(-starts[0] / (2.0 * alpha * n_users**2), voronoi, rtol=1e-12, atol=0)
@@ -318,8 +318,9 @@ def test_solver_starts_from_best_signal_masses_on_equal_bandwidths(monkeypatch):
 def test_solver_single_uav():
     grid = uniform_density(1000.0, 1000.0, 6, 6)
     uavs = [UavNode(x=500.0, y=500.0, altitude=200.0)]
+    radio = compute_radio_field(grid, uavs, PARAMS)
     load_bits = 1e7
-    result = solve_scenario2(grid, uavs, PARAMS, load_bits, 0.01, 300)
+    result = solve_scenario2(grid, radio, load_bits, 0.01, 300)
     assert np.all(result.partition.assignment == 0)
     assert result.partition.masses[0] == pytest.approx(1.0)
     assert result.duality_gap == pytest.approx(0.0, abs=1e-9 * result.report.total)
@@ -331,10 +332,11 @@ def test_solver_against_brute_force():
         UavNode(x=300.0, y=300.0, altitude=200.0),
         UavNode(x=700.0, y=700.0, altitude=200.0),
     ]
+    radio = compute_radio_field(grid, uavs, PARAMS)
     load_bits = 1e8
     alpha = 0.01
-    exact = brute_force_min_hover(grid, uavs, PARAMS, load_bits, alpha, 300)
-    heur = solve_scenario2(grid, uavs, PARAMS, load_bits, alpha, 300)
+    exact = brute_force_min_hover(grid, radio, load_bits, alpha, 300)
+    heur = solve_scenario2(grid, radio, load_bits, alpha, 300)
     assert heur.report.total >= exact.report.total * (1 - 1e-12)
     assert heur.report.total <= exact.report.total * 1.01
 
@@ -347,12 +349,13 @@ def test_solver_symmetric_instance_stalls_near_brute_force():
         UavNode(x=300.0, y=300.0, altitude=200.0),
         UavNode(x=700.0, y=700.0, altitude=200.0),
     ]
+    radio = compute_radio_field(grid, uavs, PARAMS)
     load_bits = 1e8
     alpha = 0.01
-    exact = brute_force_min_hover(grid, uavs, PARAMS, load_bits, alpha, 300)
-    result = solve_scenario2(grid, uavs, PARAMS, load_bits, alpha, 300)
+    exact = brute_force_min_hover(grid, radio, load_bits, alpha, 300)
+    result = solve_scenario2(grid, radio, load_bits, alpha, 300)
     p = result.potentials
-    assert p.grad_trace[-1] > DEFAULT_MASS_TOL  # ended by the stall exit
+    assert p.grad_trace[-1] > ExperimentConfig.mass_tol  # ended by the stall exit
     assert np.diff(p.f_trace)[-1] <= STALL_RATIO * result.duality_gap
     assert len(p.f_trace) - 1 <= 20
     assert result.report.total <= exact.report.total * 1.01
@@ -366,13 +369,13 @@ def test_solver_symmetric_instance_stalls_near_brute_force():
 def test_solver_ascent_trace_and_exit(n, bandwidths):
     grid, uavs, radio = real_scene(n, n, bandwidths)
     load_bits = 1e8
-    result = solve_scenario2(grid, uavs, PARAMS, load_bits, 0.01, 300)
+    result = solve_scenario2(grid, radio, load_bits, 0.01, 300)
     p = result.potentials
     assert len(p.f_trace) == len(p.grad_trace) == len(p.step_trace)
     assert p.step_trace[0] == 0.0 and np.all(p.step_trace[1:] > 0)
     assert np.all(np.diff(p.f_trace) > 0)
     # the mass criterion holds, or the last gain stalled against the gap
-    assert p.grad_trace[-1] <= DEFAULT_MASS_TOL or (
+    assert p.grad_trace[-1] <= ExperimentConfig.mass_tol or (
         np.diff(p.f_trace)[-1] <= STALL_RATIO * result.duality_gap * (1 + 1e-9)
     )
     covered = float(grid.cell_mass[radio.feasible].sum())
@@ -386,9 +389,7 @@ def test_solver_duality_gap_is_certified(alpha):
     grid, uavs, radio = real_scene(24, 24, bandwidths=(1e6, 2e6))
     load_bits = 1e8
     n_users = 300
-    result = solve_scenario2(
-        grid, uavs, PARAMS, load_bits, alpha, n_users, radio=radio
-    )
+    result = solve_scenario2(grid, radio, load_bits, alpha, n_users)
     seconds = np.where(
         radio.feasible_by_uav,
         n_users * load_bits / (radio.bandwidths[:, None] * radio.spectral_eff),
@@ -415,28 +416,29 @@ def test_per_uav_alpha():
         UavNode(x=300.0, y=300.0, altitude=200.0),
         UavNode(x=700.0, y=700.0, altitude=200.0),
     ]
+    radio = compute_radio_field(grid, uavs, PARAMS)
     alpha = np.array([0.01, 0.05])
-    exact = brute_force_min_hover(grid, uavs, PARAMS, 1e8, alpha, 300)
-    result = solve_scenario2(grid, uavs, PARAMS, 1e8, alpha, 300)
+    exact = brute_force_min_hover(grid, radio, 1e8, alpha, 300)
+    result = solve_scenario2(grid, radio, 1e8, alpha, 300)
     masses = result.partition.masses
     assert np.allclose(result.report.control_times, alpha * (300 * masses) ** 2, rtol=1e-12)
     assert exact.report.total <= result.report.total <= exact.report.total * 1.01
     assert masses[1] < masses[0]  # the dearer UAV serves less
-    same = solve_scenario2(grid, uavs, PARAMS, 1e8, [0.01, 0.01], 300)
-    scalar = solve_scenario2(grid, uavs, PARAMS, 1e8, 0.01, 300)
+    same = solve_scenario2(grid, radio, 1e8, [0.01, 0.01], 300)
+    scalar = solve_scenario2(grid, radio, 1e8, 0.01, 300)
     assert np.array_equal(same.partition.assignment, scalar.partition.assignment)
     assert same.report.total == scalar.report.total
     with pytest.raises(ValueError):
-        solve_scenario2(grid, uavs, PARAMS, 1e8, [0.01, 0.01, 0.01], 300)
+        solve_scenario2(grid, radio, 1e8, [0.01, 0.01, 0.01], 300)
 
 
 def test_solver_unservable_cell_raises():
     grid = uniform_density(1000.0, 1000.0, 5, 5)
     uavs = [UavNode(x=500.0, y=500.0, altitude=200.0)]
-    harsh = ChannelParams(sinr_threshold=1e9)
+    harsh = compute_radio_field(grid, uavs, ChannelParams(sinr_threshold=1e9))
     load_bits = 1e8
     with pytest.raises(InfeasibleError):
-        solve_scenario2(grid, uavs, harsh, load_bits, 0.01, 300)
+        solve_scenario2(grid, harsh, load_bits, 0.01, 300)
 
 
 # brute force
@@ -448,10 +450,10 @@ def test_brute_force_beats_any_manual_assignment():
         UavNode(x=300.0, y=300.0, altitude=200.0),
         UavNode(x=700.0, y=700.0, altitude=200.0),
     ]
+    radio = compute_radio_field(grid, uavs, PARAMS)
     load_bits = 1e8
     alpha = 0.01
-    exact = brute_force_min_hover(grid, uavs, PARAMS, load_bits, alpha, 300)
-    radio = exact.radio
+    exact = brute_force_min_hover(grid, radio, load_bits, alpha, 300)
     rng = np.random.default_rng(3)
     for _ in range(10):
         part = assigned(grid, rng.integers(0, 2, size=4), 2)
@@ -465,9 +467,10 @@ def test_brute_force_limit():
         UavNode(x=300.0, y=300.0, altitude=200.0),
         UavNode(x=700.0, y=700.0, altitude=200.0),
     ]
+    radio = compute_radio_field(grid, uavs, PARAMS)
     load_bits = 1e8
     with pytest.raises(ValueError):
-        brute_force_min_hover(grid, uavs, PARAMS, load_bits, 0.01, 300)
+        brute_force_min_hover(grid, radio, load_bits, 0.01, 300)
 
 
 def test_brute_force_marks_unpopulated_dead_cells():
@@ -475,12 +478,12 @@ def test_brute_force_marks_unpopulated_dead_cells():
     # floor then cuts them off, which is fine because they hold no users
     grid = truncated_gaussian(1000.0, 1000.0, 3, 3, 500 / 3, 500 / 3, 8.0, 8.0)
     uavs = [UavNode(x=500 / 3, y=500 / 3, altitude=200.0)]
-    picky = ChannelParams(sinr_threshold=1000.0)
+    radio = compute_radio_field(grid, uavs, ChannelParams(sinr_threshold=1000.0))
     load_bits = 1e8
     alpha = 0.01
-    result = brute_force_min_hover(grid, uavs, picky, load_bits, alpha, 300)
+    result = brute_force_min_hover(grid, radio, load_bits, alpha, 300)
     assert result.partition.assignment[0] == 0
     assert np.all(result.partition.assignment[1:] == INFEASIBLE)
     assert result.partition.masses[0] == pytest.approx(1.0)
-    seconds = 300 * 1e8 * grid.cell_mass[0] / (1e6 * result.radio.spectral_eff[0, 0])
+    seconds = 300 * 1e8 * grid.cell_mass[0] / (1e6 * radio.spectral_eff[0, 0])
     assert result.report.total == pytest.approx(seconds + 0.01 * 300.0**2, rel=1e-12)
