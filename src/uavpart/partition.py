@@ -53,13 +53,24 @@ def own_links(part, *fields):
     return (cells, uavs, *(np.take(f, flat) for f in fields))
 
 
-def region_masses(grid, assignment, n_uavs):
-    """User mass per UAV for a given assignment array, always float64 (an
-    empty selection makes np.bincount return integer zeros)."""
-    served = assignment >= 0
-    return np.bincount(
-        assignment[served], weights=grid.cell_mass[served], minlength=n_uavs
-    ).astype(float, copy=False)
+def _claim(grid, costs, best):
+    """The partition argmin_i costs[i, c], given best, the per-cell minimum:
+    each row in turn claims the free cells where it equals best, so the
+    lowest index wins ties and no argmin runs; cells with best = +inf stay
+    unassigned.  A cell's code, index + 1 (0 when unassigned), counts the rows
+    it was free at, in the smallest unsigned type that holds n_uavs + 1, and
+    each region's mass is the masked sum cell_mass.sum(where=claimed)."""
+    free = best < np.inf
+    codes = np.zeros(len(best), dtype=np.min_scalar_type(len(costs) + 1))
+    claimed = np.empty(len(best), dtype=bool)
+    masses = np.empty(len(costs))
+    for i, row in enumerate(costs):
+        codes += free
+        np.equal(row, best, out=claimed)
+        claimed &= free
+        masses[i] = grid.cell_mass.sum(where=claimed)
+        free ^= claimed
+    return Partition(np.add(codes, INFEASIBLE, dtype=np.int64), masses)
 
 
 def assign_by_min_cost(grid, costs):
@@ -67,11 +78,6 @@ def assign_by_min_cost(grid, costs):
 
     costs is (n_uavs, n_cells) and may hold +inf for unusable links; NaN or
     -inf raises ValueError.  A cell with no finite cost gets INFEASIBLE.
-
-    The rows are scanned in order against the per-cell minimum, so no
-    argmin runs: a feasible cell stays free until the first row that equals
-    its minimum claims it, and its index is the number of rows it stayed
-    free for.  The masses come from region_masses.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2 or costs.shape[1] != grid.n_cells:
@@ -79,15 +85,7 @@ def assign_by_min_cost(grid, costs):
     best = costs.min(axis=0)  # NaN wherever a column holds one
     if not np.all(best > -np.inf):
         raise ValueError("costs must not contain NaN or -inf")
-    free = best < np.inf
-    assignment = free.astype(np.int64) + INFEASIBLE  # 0 where feasible
-    claimed = np.empty(grid.n_cells, dtype=bool)
-    for row in costs[:-1]:  # the last row claims every cell still free
-        np.equal(row, best, out=claimed)
-        claimed &= free
-        free ^= claimed
-        assignment += free
-    return Partition(assignment, region_masses(grid, assignment, costs.shape[0]))
+    return _claim(grid, costs, best)
 
 
 def weighted_voronoi(grid, radio):
@@ -136,44 +134,36 @@ def partition_to_csv(grid, part, path):
             fh.write(out[out != 0].tobytes())
 
 
-def shifted_pass(grid, costs, psi, buf=None, masses=False):
+def shifted_pass(grid, costs, psi, buf=None, partition=False):
     """One in-place pass of the shifted min-cost assignment argmin_i (c_ic - psi_i).
 
     Fills buf, an (n_uavs, n_cells) array allocated when None, with
     costs - psi_i and returns F, the integral of the per-cell minimum over the
-    cells some UAV can serve.  With masses=True it returns (F, region masses),
-    the masses read from the same buffer: UAV i gets the cells whose shifted
-    cost equals the minimum and that no lower index claimed, so the lowest
-    index wins ties, as with argmin.  costs itself is never copied.
+    cells some UAV can serve.  With partition=True it returns (F, Partition),
+    the partition claimed from the same buffer: each cell goes to the lowest
+    index whose shifted cost equals the minimum, as with argmin, and cells no
+    UAV can serve stay unassigned.  costs itself is never copied.
     """
     if buf is None:
         buf = np.empty(costs.shape)
     np.subtract(costs, psi[:, None], out=buf)
     best = buf.min(axis=0)
+    part = _claim(grid, buf, best) if partition else None
     best[best == np.inf] = 0.0  # cells no UAV can serve
     # einsum, not a BLAS dot: a threaded ddot stalls when the CPUs are busy
     value = float(np.einsum("c,c->", best, grid.cell_mass))
-    if not masses:
-        return value
-    region = np.empty(len(best), dtype=bool)
-    free = np.ones(len(best), dtype=bool)
-    out = np.empty(len(psi))
-    for i in range(len(psi)):
-        np.equal(buf[i], best, out=region)
-        region &= free
-        out[i] = grid.cell_mass.sum(where=region)
-        free ^= region
-    return value, out
+    return (value, part) if partition else value
 
 
 @dataclass(frozen=True)
 class DualPotentials:
     """Potentials psi with the partition they induce and the ascent trace.
 
-    partition assigns each cell to argmin_i (c_ic - psi_i); f_trace is the
-    accepted objective per iteration (strictly increasing), grad_trace the
-    mass-mismatch norm, step_trace the accepted step (zero on the first row),
-    and evals the number of dual-value evaluations the ascent made."""
+    partition assigns each cell to argmin_i (c_ic - psi_i), and its masses
+    are the ones the ascent stopped on; f_trace is the accepted objective per
+    iteration (strictly increasing), grad_trace the mass-mismatch norm,
+    step_trace the accepted step (zero on the first row), and evals the
+    number of dual-value evaluations the ascent made."""
 
     psi: np.ndarray
     partition: Partition
@@ -187,23 +177,24 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
     """Maximize the concave dual F(psi) = term(psi) + shifted_pass(psi) and
     return the potentials with the partition argmin_i (c_ic - psi_i) at them.
 
-    The ascent direction is target(psi, masses), the region masses the
-    separable term prices at psi, minus the shifted min-cost masses.  Each
-    evaluation of F is one shifted_pass into a buffer allocated once per
-    ascent; the partition is read from the final pass's buffer, so cells no
-    UAV can serve stay unassigned and the lowest index wins ties.  The step
-    search is free of the units: the first iteration tries the larger of the
-    spread of the finite costs and the largest |psi| it starts from, and every
-    later one the last accepted step.  It halves until F improves, then walks
-    to a local maximum of F over step * 2**k: it doubles while F keeps
-    improving, or halves when it had to halve before or the first doubling
-    fails.  Stops when the mass-mismatch norm is at most mass_tol or, with
-    gap(masses, target), when an accepted gain is at most STALL_RATIO times
-    that duality gap, which ends grids too coarse for the masses to meet.
-    With gap, a psi where no step that still changes it improves F (a kink
-    the tie-break's masses do not climb) is such a stall: its gain is zero.
-    Raises ConvergenceError (trace attached) when max_iter runs out or,
-    without gap, when no step that still changes psi improves F."""
+    The ascent iterates on partitions: at each iterate one shifted_pass, into
+    a buffer allocated once per ascent, gives F and the partition at psi, and
+    the direction is target(psi, masses), the region masses the separable
+    term prices at psi, minus that partition's masses.  The partition of the
+    last iterate is the one returned, so its masses are the ones the stopping
+    test read; cells no UAV can serve stay unassigned and the lowest index
+    wins ties.  The step search is free of the units: the first iteration
+    tries the larger of the spread of the finite costs and the largest |psi|
+    it starts from, and every later one the last accepted step.  It halves
+    until F improves, then walks to a local maximum of F over step * 2**k: it
+    doubles while F keeps improving, or halves when it had to halve before or
+    the first doubling fails.  Stops when the mass-mismatch norm is at most
+    mass_tol or, with gap(masses, target), when an accepted gain is at most
+    STALL_RATIO times that duality gap, which ends grids too coarse for the
+    masses to meet.  With gap, a psi where no step that still changes it
+    improves F (a kink the tie-break's masses do not climb) is such a stall:
+    its gain is zero.  Raises ConvergenceError (trace attached) when max_iter
+    runs out or, without gap, when no step that still changes psi improves F."""
     f_trace, grad_trace, step_trace = [], [], []
     finite = np.isfinite(costs)
     spread = float(costs.max(where=finite, initial=-np.inf)
@@ -215,13 +206,10 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
     buf = np.empty(costs.shape)
     evals = 0
 
-    def value_at(p, masses=False):
+    def value_at(p):
         nonlocal evals
         evals += 1
-        out = shifted_pass(grid, costs, p, buf, masses)
-        if masses:
-            return float(term(p)) + out[0], out[1]
-        return float(term(p)) + out
+        return float(term(p)) + shifted_pass(grid, costs, p, buf)
 
     def failure(message):
         trace = (np.array(f_trace), np.array(grad_trace), np.array(step_trace))
@@ -229,14 +217,16 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
 
     step, gain = 0.0, np.inf
     while True:
-        value, masses = value_at(psi, masses=True)
-        wanted = target(psi, masses)
-        grad = wanted - masses
+        evals += 1
+        value, part = shifted_pass(grid, costs, psi, buf, partition=True)
+        value += float(term(psi))
+        wanted = target(psi, part.masses)
+        grad = wanted - part.masses
         f_trace.append(value)
         grad_trace.append(float(np.linalg.norm(grad)))
         step_trace.append(step)
         if grad_trace[-1] <= mass_tol or (
-                gap is not None and gain <= STALL_RATIO * gap(masses, wanted)):
+                gap is not None and gain <= STALL_RATIO * gap(part.masses, wanted)):
             break
         if len(step_trace) > max_iter:
             raise failure(f"mass mismatch {grad_trace[-1]:.3e} after {max_iter} iterations")
@@ -253,8 +243,7 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
         if cand <= value:  # no step that still changes psi improves F
             if gap is None:
                 raise failure("no improving step along the ascent direction")
-            np.subtract(costs, psi[:, None], out=buf)  # a zero gain: stalled at psi
-            break
+            break  # a zero gain: stalled at psi
         for factor in factors:  # climb to a local maximum over step * 2**k
             climbed = False
             while (trial := value_at(psi + factor * step * grad)) > cand:
@@ -264,8 +253,6 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
                 break
         psi = psi + step * grad
         gain = cand - value
-    # the last pass was at psi, so buf holds costs - psi
     return DualPotentials(
-        psi, assign_by_min_cost(grid, buf), np.array(f_trace), np.array(grad_trace),
-        np.array(step_trace), evals,
+        psi, part, np.array(f_trace), np.array(grad_trace), np.array(step_trace), evals,
     )

@@ -87,6 +87,16 @@ def dual_value(grid, costs, psi, shares):  # probed by perfbench as scenario1.du
     return float(psi @ shares) + shifted_pass(grid, costs, psi)
 
 
+def _service_field(grid, radio, part, scale):
+    """Each cell's bits per user on its own link, scale_i * eff_ic for the
+    cell's UAV i, zero on unassigned cells; scale is per UAV in Hz * s."""
+    cells, owner, eff = own_links(part, radio.spectral_eff)
+    eff *= scale[owner]
+    service = np.zeros(grid.n_cells)
+    service[cells] = eff
+    return service
+
+
 @dataclass(frozen=True)
 class Scenario1Result:
     partition: Partition
@@ -128,9 +138,8 @@ def solve_scenario1(grid, uavs, radio, alpha, n_users, mass_tol=ExperimentConfig
         grid, costs, np.zeros(len(uavs)), term=lambda psi: psi @ shares,
         target=lambda psi, masses: shares, mass_tol=mass_tol, max_iter=max_iter,
     )
-    cells, _, eff = own_links(potentials.partition, radio.spectral_eff)
-    service = np.zeros(grid.n_cells)
-    service[cells] = fairness.resource_per_user * eff
+    service = _service_field(grid, radio, potentials.partition,
+                             np.full(len(uavs), fairness.resource_per_user))
     return Scenario1Result(potentials.partition, fairness, potentials, service)
 
 
@@ -156,7 +165,4 @@ def service_field_for_partition(grid, radio, uavs, alpha, n_users, part):
     scale = np.divide(
         bw * serve, n_users * a, out=np.zeros(len(uavs)), where=a > 0
     )
-    cells, owner, eff = own_links(part, radio.spectral_eff)
-    service = np.zeros(grid.n_cells)
-    service[cells] = scale[owner] * eff
-    return service
+    return _service_field(grid, radio, part, scale)

@@ -129,7 +129,7 @@ def solve_scenario2(grid, radio, load_bits, alpha, n_users, mass_tol=ExperimentC
         return 0.5 * float(curvature @ (masses - wanted) ** 2)
 
     potentials = ascend_dual(
-        grid, seconds, -curvature * shifted_pass(grid, seconds, zeros, masses=True)[1],
+        grid, seconds, -curvature * shifted_pass(grid, seconds, zeros, partition=True)[1].masses,
         term=lambda psi: -0.5 * float(psi[priced] / curvature[priced] @ psi[priced]),
         target=lambda psi, masses: np.divide(-psi, curvature, out=masses.copy(), where=priced),
         mass_tol=mass_tol, max_iter=max_iter, gap=gap,

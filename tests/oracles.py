@@ -1,6 +1,7 @@
 """Exhaustive oracles the tests hold the solvers to: the closed-form
 in-region bandwidth split, the brute-force minimum of total hover time, and
-plain per-region loops that score a partition the way the evaluators do."""
+plain per-region loops that weigh and score a partition the way the library
+does."""
 
 import itertools
 from dataclasses import dataclass
@@ -8,10 +9,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from uavpart.errors import InfeasibleError
-from uavpart.partition import INFEASIBLE, Partition, region_masses
+from uavpart.partition import INFEASIBLE, Partition
 from uavpart.scenario2 import HoverReport, region_hover_report
 
 BRUTE_FORCE_LIMIT = 1_000_000
+
+
+def region_masses(grid, assignment, n_uavs):
+    """User mass per UAV for an assignment array, one region at a time, each
+    summed as cell_mass.sum(where=region) like the library's partitions."""
+    return np.array([grid.cell_mass.sum(where=assignment == i) for i in range(n_uavs)],
+                    dtype=float)
 
 
 def optimal_bandwidth_split(loads, efficiencies, bandwidth):

@@ -11,11 +11,11 @@ from uavpart.channel import RadioField, UavNode, compute_radio_field
 from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs
 from uavpart.errors import InfeasibleError
 from uavpart.grid import AreaGrid
-from uavpart.partition import INFEASIBLE, Partition, region_masses
+from uavpart.partition import INFEASIBLE, Partition
 from uavpart.scenario1 import service_field_for_partition, solve_scenario1
 from uavpart.scenario2 import hover_time_equal_split, region_hover_report
 
-from oracles import hover_report_reference, on_own_links, service_matrix_reference
+from oracles import hover_report_reference, on_own_links, region_masses, service_matrix_reference
 
 RTOL = 1e-12
 

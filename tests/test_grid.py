@@ -12,7 +12,9 @@ from uavpart.grid import (
     truncated_gaussian,
     uniform_density,
 )
-from uavpart.partition import INFEASIBLE, region_masses
+from uavpart.partition import INFEASIBLE
+
+from oracles import region_masses
 
 
 def measure(g, mask):

@@ -13,7 +13,9 @@ from uavpart.metrics import (
     service_per_user,
     total_data_service,
 )
-from uavpart.partition import INFEASIBLE, Partition, own_links, region_masses
+from uavpart.partition import INFEASIBLE, Partition, own_links
+
+from oracles import region_masses
 
 
 def per_cell(grid, assignment, field):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavpart.channel import ChannelParams, UavNode, compute_radio_field
-from uavpart.config import build_channel, build_grid, build_uavs, load_config
+from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs, load_config
 from uavpart.grid import truncated_gaussian, uniform_density
 from uavpart.partition import (
     CSV_BLOCK_CELLS,
@@ -19,12 +19,13 @@ from uavpart.partition import (
     ascend_dual,
     assign_by_min_cost,
     partition_to_csv,
-    region_masses,
     shifted_pass,
     weighted_voronoi,
 )
 from uavpart.scenario1 import solve_scenario1
 from uavpart.scenario2 import solve_scenario2
+
+from oracles import region_masses
 
 GRID = uniform_density(1000.0, 1000.0, 10, 6)
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -120,8 +121,9 @@ def test_shifted_pass_matches_argmin(seed, n_uavs):
     shifted = costs - psi[:, None]
     part = assign_by_min_cost(GRID, shifted)
     covered = part.assignment >= 0
-    value, masses = shifted_pass(GRID, costs, psi, masses=True)
-    assert np.allclose(masses, part.masses, rtol=0, atol=1e-15)
+    value, claimed = shifted_pass(GRID, costs, psi, partition=True)
+    assert np.array_equal(claimed.assignment, part.assignment)
+    assert np.array_equal(claimed.masses, part.masses)
     assert value == pytest.approx(
         float(shifted.min(axis=0)[covered] @ GRID.cell_mass[covered]), rel=1e-12, abs=1e-15
     )
@@ -152,24 +154,49 @@ def test_ascent_returns_partition_at_its_potentials(seed, n_uavs, ascend):
     assert np.array_equal(potentials.partition.masses, expected.masses)
 
 
+@pytest.mark.parametrize("sigma", [200.0, 600.0, 1400.0])
+@pytest.mark.parametrize("size", [60, 120])
+def test_ascent_stops_on_the_partition_it_returns(sigma, size):
+    # the last traced mismatch is the returned partition's own, bit for bit
+    cfg = replace(ExperimentConfig(), nx=size, ny=size, sigma_x=sigma, sigma_y=sigma)
+    grid, uavs = build_grid(cfg), build_uavs(cfg)
+    radio = compute_radio_field(grid, uavs, build_channel(cfg))
+    s1 = solve_scenario1(grid, uavs, radio, cfg.alpha, cfg.n_users, mass_tol=cfg.mass_tol)
+    s2 = solve_scenario2(grid, radio, cfg.load_bits, cfg.alpha, cfg.n_users,
+                         mass_tol=cfg.mass_tol)
+    priced_at = -s2.potentials.psi / (2.0 * cfg.alpha * cfg.n_users**2)
+    for potentials, wanted in ((s1.potentials, s1.fairness.target_masses),
+                               (s2.potentials, priced_at)):
+        mismatch = np.linalg.norm(wanted - potentials.partition.masses)
+        assert potentials.grad_trace[-1] == mismatch
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**31),
     n_uavs=st.integers(1, 6),
     inf_share=st.sampled_from([0.0, 0.3, 0.9]),
 )
+@example(seed=0, n_uavs=255, inf_share=0.9)  # fleets whose codes, index + 1,
+@example(seed=1, n_uavs=256, inf_share=0.3)  # reach and pass 255
+@example(seed=2, n_uavs=300, inf_share=0.0)
 def test_assignment_matches_argmin(seed, n_uavs, inf_share):
     # oracle: the np.argmin formula the row scan replaced; integer costs tie
-    # often, +inf marks unusable links and some cells get no finite cost
+    # often, the last UAV alone is cheapest on some cells, +inf marks
+    # unusable links and some cells get no finite cost
     rng = np.random.default_rng(seed)
     costs = rng.integers(0, 3, size=(n_uavs, GRID.n_cells)).astype(float)
     costs[rng.random(costs.shape) < inf_share] = np.inf
+    costs[-1, rng.random(GRID.n_cells) < 0.2] = -1.0
     costs[:, rng.random(GRID.n_cells) < 0.2] = np.inf
     servable = np.isfinite(costs).any(axis=0)
     part = assign_by_min_cost(GRID, costs)
     expected = np.where(servable, np.argmin(costs, axis=0), INFEASIBLE)
     assert np.array_equal(part.assignment, expected)
     assert np.array_equal(part.masses, region_masses(GRID, expected, n_uavs))
+    _, claimed = shifted_pass(GRID, costs, np.zeros(n_uavs), partition=True)
+    assert np.array_equal(claimed.assignment, part.assignment)
+    assert np.array_equal(claimed.masses, part.masses)
 
 
 def test_assignment_leaves_inputs_alone():

@@ -14,7 +14,6 @@ from uavpart.grid import AreaGrid, uniform_density
 from uavpart.partition import (
     Partition,
     ascend_dual,
-    region_masses,
     shifted_pass,
     weighted_voronoi,
 )
@@ -26,6 +25,8 @@ from uavpart.scenario1 import (
     solve_fairness_system,
     solve_scenario1,
 )
+
+from oracles import region_masses
 
 PARAMS = ChannelParams()
 
@@ -253,8 +254,8 @@ def test_dual_gauge_shift(seed, const):
     f2 = dual_value(grid, costs, psi + const, shares)
     assert f2 == pytest.approx(f1, rel=1e-9)
     assert np.allclose(
-        shares - shifted_pass(grid, costs, psi, masses=True)[1],
-        shares - shifted_pass(grid, costs, psi + const, masses=True)[1],
+        shares - shifted_pass(grid, costs, psi, partition=True)[1].masses,
+        shares - shifted_pass(grid, costs, psi + const, partition=True)[1].masses,
         atol=1e-12,
     )
 
@@ -265,7 +266,7 @@ def test_gradient_dominant_potential():
     costs = build_cost_field(radio, fair)
     shares = fair.target_masses
     big = np.array([1e12, 0.0])  # UAV 0 wins every cell it can serve
-    grad = shares - shifted_pass(grid, costs, big, masses=True)[1]
+    grad = shares - shifted_pass(grid, costs, big, partition=True)[1].masses
     feas0 = np.isfinite(costs[0])
     only1 = ~feas0 & np.isfinite(costs[1])
     assert grad[0] == pytest.approx(
@@ -280,7 +281,7 @@ def test_gradient_components_sum_to_uncovered():
     grid, uavs, radio = two_uav_scene()
     fair = solve_fairness_system(uavs, 0.01, 300)
     costs = build_cost_field(radio, fair)
-    grad = fair.target_masses - shifted_pass(grid, costs, np.zeros(2), masses=True)[1]
+    grad = fair.target_masses - shifted_pass(grid, costs, np.zeros(2), partition=True)[1].masses
     covered = np.isfinite(costs).any(axis=0)
     uncovered = float(grid.cell_mass[~covered].sum())
     assert grad.sum() == pytest.approx(uncovered, abs=1e-12)
@@ -319,7 +320,7 @@ def test_gradient_chords_bracket():
         f0 = dual_value(grid, costs, psi, shares)
         fwd = (dual_value(grid, costs, psi + h * v, shares) - f0) / h
         bwd = (f0 - dual_value(grid, costs, psi - h * v, shares)) / h
-        g_dot_v = float((shares - shifted_pass(grid, costs, psi, masses=True)[1]) @ v)
+        g_dot_v = float((shares - shifted_pass(grid, costs, psi, partition=True)[1].masses) @ v)
         slack = 1e-9 * max(abs(f0), 1.0) / h
         assert fwd <= g_dot_v + slack
         assert g_dot_v <= bwd + slack

@@ -15,7 +15,6 @@ from uavpart.partition import (
     STALL_RATIO,
     Partition,
     ascend_dual,
-    region_masses,
     weighted_voronoi,
 )
 from uavpart.scenario2 import (
@@ -25,7 +24,7 @@ from uavpart.scenario2 import (
     solve_scenario2,
 )
 
-from oracles import brute_force_min_hover, optimal_bandwidth_split
+from oracles import brute_force_min_hover, optimal_bandwidth_split, region_masses
 
 PARAMS = ChannelParams()
 
