@@ -82,7 +82,6 @@ class UavNode:
     altitude: float
     power: float = 0.5
     bandwidth: float = 1.0e6
-    max_hover: float = 0.0
 
     def __post_init__(self):
         # the link geometry needs altitude^2 as a positive finite float
@@ -92,8 +91,6 @@ class UavNode:
             raise ValueError("transmit power must be non-negative")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.max_hover < 0:
-            raise ValueError("hover budget must be non-negative")
 
 
 def slant_range(uav, x, y):
@@ -147,6 +144,21 @@ class RadioField:
     @property
     def n_uavs(self):
         return self.power.shape[0]
+
+
+def _per_uav(value, n_uavs, name, positive=False):
+    """value as n_uavs floats, broadcast from one value or checked for one per
+    UAV; ValueError for no UAVs, a wrong length or an out-of-range entry."""
+    if n_uavs < 1:
+        raise ValueError("need at least one UAV")
+    value = np.asarray(value, dtype=float)
+    if value.ndim > 1 or value.size not in (1, n_uavs):
+        raise ValueError(f"got {value.size} values of {name} for {n_uavs} UAVs")
+    value = np.broadcast_to(value, n_uavs)
+    if not np.all(np.isfinite(value) & (value > 0 if positive else value >= 0)):
+        rule = "positive and finite" if positive else "finite and non-negative"
+        raise ValueError(f"every {name} must be {rule}")
+    return value
 
 
 def compute_radio_field(grid, uavs, params):

@@ -117,9 +117,10 @@ def load_config(path):
     Section names are ignored; keys must match config fields.  Channel
     quantities may be given either in dB (mu_los_db = 3) or linear units
     (mu_los = 1.995); a [provenance] section is skipped so a manifest can be
-    rerun directly.  Raises ConfigError on unknown keys or bad values.
+    rerun directly.  Values are read literally, with no % interpolation.
+    Raises ConfigError on unknown keys or bad values.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -189,7 +190,7 @@ def _check_fields(cfg):
         (cfg.density_kind in DENSITY_KINDS, f"density_kind must be one of {DENSITY_KINDS}"),
         (all(s > 0 and 0.0 < s * s < math.inf for s in (cfg.sigma_x, cfg.sigma_y)),
          "sigma must be positive with a finite, non-zero square"),
-        (cfg.max_hover > 0, "hover budget must be positive"),  # UavNode allows 0
+        (cfg.max_hover > 0, "hover budget must be positive"),
         (cfg.scenario in SCENARIOS, f"scenario must be one of {SCENARIOS}"),
         (cfg.n_users >= 1, "need at least one user"),
         (cfg.alpha >= 0, "alpha must be non-negative"),
@@ -244,7 +245,7 @@ def config_to_ini(cfg, provenance=None):
     return "\n".join(lines) + "\n"
 
 
-def place_uavs_grid(width, height, n_uavs, altitude, power, bandwidth, max_hover):
+def place_uavs_grid(width, height, n_uavs, altitude, power, bandwidth):
     """Fleet on a near-square block grid, one UAV per block centroid.
 
     ceil(sqrt(M)) columns and ceil(M / columns) rows; the first M block
@@ -254,20 +255,9 @@ def place_uavs_grid(width, height, n_uavs, altitude, power, bandwidth, max_hover
         raise ValueError("need at least one UAV")
     cols = math.ceil(math.sqrt(n_uavs))
     rows = math.ceil(n_uavs / cols)
-    uavs = []
-    for k in range(n_uavs):
-        r, c = divmod(k, cols)
-        uavs.append(
-            UavNode(
-                x=(c + 0.5) * width / cols,
-                y=(r + 0.5) * height / rows,
-                altitude=altitude,
-                power=power,
-                bandwidth=bandwidth,
-                max_hover=max_hover,
-            )
-        )
-    return uavs
+    return [UavNode(x=(k % cols + 0.5) * width / cols, y=(k // cols + 0.5) * height / rows,
+                    altitude=altitude, power=power, bandwidth=bandwidth)
+            for k in range(n_uavs)]
 
 
 def build_grid(cfg):
@@ -287,7 +277,7 @@ def build_uavs(cfg):
     """Configured fleet on the block-grid layout."""
     return place_uavs_grid(
         cfg.width, cfg.height, cfg.n_uavs,
-        cfg.altitude, cfg.power, cfg.bandwidth, cfg.max_hover,
+        cfg.altitude, cfg.power, cfg.bandwidth,
     )
 
 

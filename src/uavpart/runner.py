@@ -47,12 +47,11 @@ def _point_tag(cfg, value):
     return f"{cfg.sweep_var}_{format_value(float(value))}"
 
 
-def _scenario1_rows(cfg, grid, uavs, radio, baseline, point, out_dir):
-    result = solve_scenario1(grid, uavs, radio, cfg.alpha, cfg.n_users,
+def _scenario1_rows(cfg, grid, radio, baseline, point, out_dir):
+    result = solve_scenario1(grid, radio, cfg.max_hover, cfg.alpha, cfg.n_users,
                              mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter)
-    base_service = service_field_for_partition(
-        grid, radio, uavs, cfg.alpha, cfg.n_users, baseline
-    )
+    base_service = service_field_for_partition(grid, baseline, radio, cfg.max_hover, cfg.alpha,
+                                               cfg.n_users)
     residual = float(np.abs(result.partition.masses - result.fairness.target_masses).max())
     rows = [
         ("s1_mass_residual", residual),
@@ -140,15 +139,13 @@ def run_experiment(cfg, out_dir=None):
         for value in values:
             cur = apply_sweep(cfg, value)
             grid = build_grid(cur)
-            uavs = build_uavs(cur)
-            radio = compute_radio_field(grid, uavs, build_channel(cur))
+            radio = compute_radio_field(grid, build_uavs(cur), build_channel(cur))
             baseline = weighted_voronoi(grid, radio)  # best-signal baseline of both scenarios
             point = _point_tag(cfg, value)
             sweep_value = "" if cfg.sweep_var == "none" else format_value(float(value))
             shared, per_seed = [], [[]] * cfg.n_seeds
             if cur.scenario in ("1", "both"):
-                shared, per_seed = _scenario1_rows(cur, grid, uavs, radio, baseline, point,
-                                                   out_dir)
+                shared, per_seed = _scenario1_rows(cur, grid, radio, baseline, point, out_dir)
             if cur.scenario in ("2", "both"):
                 shared.extend(_scenario2_rows(cur, grid, radio, baseline, point, out_dir))
             for seed, seed_rows in enumerate(per_seed):

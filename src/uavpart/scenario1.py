@@ -4,6 +4,10 @@ The hover budget of each UAV splits into control overhead plus serving time.
 A fairness system turns the budgets into per-UAV load shares and a common
 per-user resource; a concave dual ascent then shapes the regions so every
 UAV's region mass hits its share while total delivered data is maximal.
+Budgets (seconds) and control weights alpha (seconds per user^2) are each one
+value for the fleet or one per UAV; ValueError names a wrong length, a budget
+that is not positive and finite, or an alpha that is not finite and
+non-negative.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _per_uav
 from .config import ExperimentConfig
 from .errors import InfeasibleError
 from .partition import DualPotentials, Partition, ascend_dual, own_links, shifted_pass
@@ -32,27 +37,21 @@ class FairnessSolution:
     resource_per_user: float
 
 
-def solve_fairness_system(uavs, alpha, n_users):
+def solve_fairness_system(bandwidths, budgets, alpha, n_users):
     """Solve T_i = tau_i - alpha_i (N w_i)^2, w_i = B_i T_i / sum_k B_k T_k.
 
-    alpha is the control-time weight in seconds per user^2, one value for the
-    fleet or one per UAV.  At a pool P = sum_k B_k T_k each T_i is a quadratic's
-    positive root, and sum_i B_i T_i(P) / P falls strictly from C / N to 0, where
-    the capacity C = sum_i sqrt(tau_i / alpha_i) is infinite if some alpha_i = 0.
-    So a split exists exactly when C > N, and bisection on P over (0, B . tau]
-    finds it to adjacent floats.  Raises InfeasibleError when C <= N.
+    bandwidths holds B_i in Hz, budgets tau_i.  At a pool P = sum_k B_k T_k
+    each T_i is a quadratic's positive root, and sum_i B_i T_i(P) / P falls
+    strictly from C / N to 0, where the capacity C = sum_i sqrt(tau_i / alpha_i)
+    is infinite if some alpha_i = 0.  So a split exists exactly when C > N,
+    and bisection on P over (0, B . tau] finds it to adjacent floats.  Raises
+    InfeasibleError when C <= N.
     """
-    if len(uavs) == 0:
-        raise ValueError("need at least one UAV")
+    bw = np.asarray(bandwidths, dtype=float)
+    tau = _per_uav(budgets, len(bw), "hover budget", positive=True)
+    alpha = _per_uav(alpha, len(bw), "control weight alpha")
     if n_users < 1:
         raise ValueError("need at least one user")
-    bw = np.array([u.bandwidth for u in uavs], dtype=float)
-    tau = np.array([u.max_hover for u in uavs], dtype=float)
-    if np.any(tau <= 0):
-        raise ValueError("every hover budget must be positive")
-    alpha = np.broadcast_to(alpha, len(uavs))
-    if not np.all(np.isfinite(alpha)) or np.any(alpha < 0):
-        raise ValueError("every control weight alpha must be finite and non-negative")
     with np.errstate(divide="ignore"):
         capacity = np.sqrt(tau / alpha).sum()
     if capacity <= n_users:
@@ -105,9 +104,10 @@ class Scenario1Result:
     service: np.ndarray
 
 
-def solve_scenario1(grid, uavs, radio, alpha, n_users, mass_tol=ExperimentConfig.mass_tol,
+def solve_scenario1(grid, radio, budgets, alpha, n_users, mass_tol=ExperimentConfig.mass_tol,
                     max_iter=ExperimentConfig.max_ascent_iter):
-    """Partition the area so each UAV's region mass matches its fair share.
+    """Partition the area so each UAV's region mass matches its fair share
+    of the hover budgets and the radio field's bandwidths.
 
     Ascends the concave dual psi . shares + integral of min_i (c_ic - psi_i)
     from psi = 0 with ascend_dual, whose first step is the spread of the
@@ -118,15 +118,12 @@ def solve_scenario1(grid, uavs, radio, alpha, n_users, mass_tol=ExperimentConfig
     returned service array holds each cell's bits per user on its own link,
     zero on unassigned cells.
 
-    Raises ValueError when uavs and radio count different UAVs,
-    InfeasibleError when more than mass_tol of the user mass has no link
-    above the SINR floor, and ConvergenceError (with the trace attached)
+    Raises InfeasibleError when more than mass_tol of the user mass has no
+    link above the SINR floor, and ConvergenceError (with the trace attached)
     when the iteration budget runs out or no step that still changes the
     potentials improves the dual.
     """
-    if len(uavs) != radio.n_uavs:
-        raise ValueError(f"got {len(uavs)} UAVs for a radio field of {radio.n_uavs}")
-    fairness = solve_fairness_system(uavs, alpha, n_users)
+    fairness = solve_fairness_system(radio.bandwidths, budgets, alpha, n_users)
     costs = build_cost_field(radio, fairness)
     uncovered_mass = float(grid.cell_mass[~radio.feasible].sum())
     if uncovered_mass > mass_tol:
@@ -135,15 +132,15 @@ def solve_scenario1(grid, uavs, radio, alpha, n_users, mass_tol=ExperimentConfig
         )
     shares = fairness.target_masses
     potentials = ascend_dual(
-        grid, costs, np.zeros(len(uavs)), term=lambda psi: psi @ shares,
+        grid, costs, np.zeros(radio.n_uavs), term=lambda psi: psi @ shares,
         target=lambda psi, masses: shares, mass_tol=mass_tol, max_iter=max_iter,
     )
     service = _service_field(grid, radio, potentials.partition,
-                             np.full(len(uavs), fairness.resource_per_user))
+                             np.full(radio.n_uavs, fairness.resource_per_user))
     return Scenario1Result(potentials.partition, fairness, potentials, service)
 
 
-def service_field_for_partition(grid, radio, uavs, alpha, n_users, part):
+def service_field_for_partition(grid, part, radio, budgets, alpha, n_users):
     """Per-user service when each UAV splits its own budget over its own
     region, with no cross-region fairness coupling.
 
@@ -152,17 +149,12 @@ def service_field_for_partition(grid, radio, uavs, alpha, n_users, part):
     B_i T_i / (N a_i) of the bandwidth-time product.  Returns each cell's
     bits per user on its own link, zero on unassigned cells.  Used to
     evaluate baseline partitions; for a partition whose masses equal the
-    fairness shares this reduces to the solver's own service field.  Raises
-    ValueError when uavs and radio count different UAVs.
+    fairness shares this reduces to the solver's own service field.
     """
-    if len(uavs) != radio.n_uavs:
-        raise ValueError(f"got {len(uavs)} UAVs for a radio field of {radio.n_uavs}")
-    alpha = np.broadcast_to(alpha, len(uavs))
-    bw = np.array([u.bandwidth for u in uavs], dtype=float)
-    tau = np.array([u.max_hover for u in uavs], dtype=float)
+    tau = _per_uav(budgets, radio.n_uavs, "hover budget", positive=True)
+    alpha = _per_uav(alpha, radio.n_uavs, "control weight alpha")
     a = part.masses
     serve = np.maximum(tau - alpha * (n_users * a) ** 2, 0.0)
-    scale = np.divide(
-        bw * serve, n_users * a, out=np.zeros(len(uavs)), where=a > 0
-    )
+    scale = np.divide(radio.bandwidths * serve, n_users * a, out=np.zeros(radio.n_uavs),
+                      where=a > 0)
     return _service_field(grid, radio, part, scale)

@@ -3,6 +3,8 @@
 Inside a region the bandwidth split that finishes all users together is
 closed-form; between regions the shared dual ascent prices each UAV's control
 time, and each cell goes to its least marginal hover cost at those prices.
+The control weight alpha is one value for the fleet or one per UAV; ValueError
+names a wrong length or an entry that is not finite and non-negative.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _per_uav
 from .config import ExperimentConfig
 from .errors import InfeasibleError
 from .partition import DualPotentials, Partition, ascend_dual, own_links, shifted_pass
@@ -41,12 +44,13 @@ def _link_seconds(grid, part, radio, load_bits, alpha, n_users):
     naming the lowest UAV that serves a cell below its SINR floor."""
     if part.assignment.shape != (grid.n_cells,):
         raise ValueError("partition must cover every grid cell")
+    alpha = _per_uav(alpha, part.n_uavs, "control weight alpha")
     cells, uavs, eff, usable = own_links(part, radio.spectral_eff, radio.feasible_by_uav)
     if not usable.all():
         raise InfeasibleError(
             f"region of UAV {uavs[~usable].min()} contains cells below its SINR floor"
         )
-    control = np.broadcast_to(alpha, part.n_uavs) * (n_users * part.masses) ** 2
+    control = alpha * (n_users * part.masses) ** 2
     return cells, uavs, np.divide(load_bits, eff, out=eff), control
 
 
@@ -75,7 +79,7 @@ def marginal_hover_cost(radio, load_bits, alpha, masses, n_users):
     """Per-cell cost of adding the cell to each UAV: transmission seconds for
     the cell's users plus the control-time slope 2 alpha_i N^2 a_i at the
     UAV's current mass a_i.  +inf below the SINR floor."""
-    alpha = np.broadcast_to(alpha, radio.n_uavs)
+    alpha = _per_uav(alpha, radio.n_uavs, "control weight alpha")
     slope = 2.0 * alpha * n_users**2 * np.asarray(masses, dtype=float)
     # one (n_uavs, n_cells) buffer worked in place: scenario 2 peaks in here
     cost = np.where(radio.feasible_by_uav, radio.spectral_eff, 1.0)
@@ -99,19 +103,19 @@ def solve_scenario2(grid, radio, load_bits, alpha, n_users, mass_tol=ExperimentC
     """Minimize total hover time by ascending the dual of the relaxed problem,
     D(l) = sum_c m_c min_i (s_ic + l_i) - sum_i l_i^2 / (2 k_i), over psi = -l.
 
-    load_bits is every user's demand in bits and alpha the control-time
-    weight (one value, or one per UAV).  s_ic is the cell's transmission
-    seconds per unit mass, k_i = 2 alpha_i N^2, and l_i = k_i b_i the control
-    slope at the mass b_i that UAV i is priced at.  The ascent starts from the
-    slopes at the masses of the least-transmission-time assignment (the
-    optimum at alpha = 0) and stops when the region masses match b within
-    mass_tol (or stall).  The partition is the one ascend_dual returns: each
-    cell at its least s_ic - psi_i, its marginal hover cost at b.  That
-    partition's hover total minus D is duality_gap = sum_i k_i (a_i - b_i)^2
-    / 2 seconds.  A populated cell with no finite transmission time (no link
-    above the SINR floor, or a load too large for a float) raises
-    InfeasibleError.
+    load_bits is every user's demand in bits.  s_ic is the cell's
+    transmission seconds per unit mass, k_i = 2 alpha_i N^2, and l_i = k_i b_i
+    the control slope at the mass b_i that UAV i is priced at.  The ascent
+    starts from the slopes at the masses of the least-transmission-time
+    assignment (the optimum at alpha = 0) and stops when the region masses
+    match b within mass_tol (or stall).  The partition is the one ascend_dual
+    returns: each cell at its least s_ic - psi_i, its marginal hover cost at b.
+    That partition's hover total minus D is duality_gap =
+    sum_i k_i (a_i - b_i)^2 / 2 seconds.  A populated cell with no finite
+    transmission time (no link above the SINR floor, or a load too large for
+    a float) raises InfeasibleError.
     """
+    alpha = _per_uav(alpha, radio.n_uavs, "control weight alpha")
     # at zero mass the marginal hover cost is the transmission time alone
     zeros = np.zeros(radio.n_uavs)
     seconds = marginal_hover_cost(radio, load_bits, alpha, zeros, n_users)
@@ -122,7 +126,7 @@ def solve_scenario2(grid, radio, load_bits, alpha, n_users, mass_tol=ExperimentC
             f"{len(k)} populated cells have no finite transmission time, "
             f"first at ({grid.cell_x[k[0]]:.0f} m, {grid.cell_y[k[0]]:.0f} m)"
         )
-    curvature = 2.0 * np.broadcast_to(alpha, radio.n_uavs) * n_users**2
+    curvature = 2.0 * alpha * n_users**2
     priced = curvature > 0
 
     def gap(masses, wanted):

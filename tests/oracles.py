@@ -122,17 +122,17 @@ def hover_report_reference(grid, part, radio, load_bits, alpha, n_users, equal_s
     return HoverReport(serve_times=serve, control_times=control)
 
 
-def service_matrix_reference(radio, uavs, alpha, n_users, part):
+def service_matrix_reference(radio, budgets, alpha, n_users, part):
     """Bits per user for every UAV and cell, (n_uavs, n_cells): each UAV
     splits its budget left after control time evenly over its region's
     users, B_i max(tau_i - alpha_i (N a_i)^2, 0) / (N a_i) times the link's
     spectral efficiency, and zero for a UAV whose region has no mass."""
-    alpha = np.broadcast_to(alpha, len(uavs))
-    bw = np.array([u.bandwidth for u in uavs], dtype=float)
-    tau = np.array([u.max_hover for u in uavs], dtype=float)
+    alpha = np.broadcast_to(alpha, radio.n_uavs)
+    tau = np.broadcast_to(budgets, radio.n_uavs)
     a = part.masses
     serve = np.maximum(tau - alpha * (n_users * a) ** 2, 0.0)
-    scale = np.divide(bw * serve, n_users * a, out=np.zeros(len(uavs)), where=a > 0)
+    scale = np.divide(radio.bandwidths * serve, n_users * a, out=np.zeros(radio.n_uavs),
+                      where=a > 0)
     return scale[:, None] * radio.spectral_eff
 
 

@@ -58,7 +58,7 @@ def s1_default(default_scene):
     grid, uavs, radio, _ = default_scene
     start = time.time()
     result = solve_scenario1(
-        grid, uavs, radio, BASE.alpha, BASE.n_users,
+        grid, radio, BASE.max_hover, BASE.alpha, BASE.n_users,
         mass_tol=BASE.mass_tol, max_iter=BASE.max_ascent_iter,
     )
     return result, time.time() - start
@@ -70,7 +70,7 @@ def midpoint_scene():
     grid = build_grid(cfg)
     uavs = build_uavs(cfg)
     radio = compute_radio_field(grid, uavs, build_channel(cfg))
-    fair = solve_fairness_system(uavs, cfg.alpha, cfg.n_users)
+    fair = solve_fairness_system(radio.bandwidths, cfg.max_hover, cfg.alpha, cfg.n_users)
     costs = build_cost_field(radio, fair)
     return grid, costs, fair
 
@@ -95,7 +95,7 @@ def s1_beta_service(default_scene):
         r = radio if beta == BASE.beta else compute_radio_field(
             grid, uavs, build_channel(replace(BASE, beta=beta)))
         result = solve_scenario1(
-            grid, uavs, r, BASE.alpha, BASE.n_users,
+            grid, r, BASE.max_hover, BASE.alpha, BASE.n_users,
             mass_tol=BASE.mass_tol, max_iter=BASE.max_ascent_iter,
         )
         service[beta] = total_data_service(grid, result.service, BASE.n_users)
@@ -166,11 +166,11 @@ def test_share_constraint_satisfaction(s1_default):
 def test_four_cell_exact_optimum():
     grid = uniform_density(1000.0, 1000.0, 2, 2)
     uavs = [
-        UavNode(x=200.0, y=220.0, altitude=200.0, bandwidth=1e6, max_hover=1800.0),
-        UavNode(x=360.0, y=340.0, altitude=200.0, bandwidth=1e6, max_hover=1800.0),
+        UavNode(x=200.0, y=220.0, altitude=200.0, bandwidth=1e6),
+        UavNode(x=360.0, y=340.0, altitude=200.0, bandwidth=1e6),
     ]
     radio = compute_radio_field(grid, uavs, ChannelParams())
-    result = solve_scenario1(grid, uavs, radio, 0.01, 300)
+    result = solve_scenario1(grid, radio, 1800.0, 0.01, 300)
     costs = build_cost_field(radio, result.fairness)
     totals = []
     for cells0 in itertools.combinations(range(4), 2):
@@ -328,12 +328,12 @@ def test_jain_ordering_over_concentration():
         uavs = build_uavs(cfg)
         radio = compute_radio_field(grid, uavs, build_channel(cfg))
         result = solve_scenario1(
-            grid, uavs, radio, BASE.alpha, cfg.n_users,
+            grid, radio, cfg.max_hover, BASE.alpha, cfg.n_users,
             mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter,
         )
         baseline = weighted_voronoi(grid, radio)
         base_service = service_field_for_partition(
-            grid, radio, uavs, BASE.alpha, cfg.n_users, baseline
+            grid, baseline, radio, cfg.max_hover, BASE.alpha, cfg.n_users
         )
         prop, vor = [], []
         for seed in range(cfg.n_seeds):

@@ -41,7 +41,8 @@ def test_every_probe_resolves(tracing):
 def test_hooks_accept_real_results(tracing):
     grid, uavs = build_grid(TINY), build_uavs(TINY)
     radio = compute_radio_field(grid, uavs, build_channel(TINY))
-    result = solve_scenario1(grid, uavs, radio, TINY.alpha, TINY.n_users, mass_tol=TINY.mass_tol)
+    result = solve_scenario1(grid, radio, TINY.max_hover, TINY.alpha, TINY.n_users,
+                             mass_tol=TINY.mass_tol)
     tracer = tracing.Tracer()
     tracer._radio(radio)
     tracer._scenario1(result)

@@ -44,6 +44,8 @@ def fast_text(**overrides):
 
 
 FAST_KEYS = fast_text()
+# ids that configparser's default interpolation would reject or rewrite
+PERCENT_IDS = ("run 50% load", "%(nx)s")
 
 
 def write_cfg(tmp_path, text, name="exp.ini"):
@@ -88,6 +90,12 @@ def test_modified_roundtrip(tmp_path):
     )
     path = write_cfg(tmp_path, config_to_ini(cfg))
     assert load_config(path) == cfg
+    # values are read literally: a % is no interpolation
+    for experiment_id in PERCENT_IDS:
+        path = write_cfg(tmp_path, fast_text(experiment_id=experiment_id))
+        assert load_config(path).experiment_id == experiment_id
+        cfg = replace(cfg, experiment_id=experiment_id)
+        assert load_config(write_cfg(tmp_path, config_to_ini(cfg))) == cfg
 
 
 def test_linear_unit_aliases(tmp_path):
@@ -175,19 +183,19 @@ def test_committed_configs_load(path):
 
 
 def test_placement_single_uav_center():
-    (uav,) = place_uavs_grid(1000.0, 1000.0, 1, 200.0, 0.5, 1e6, 1800.0)
+    (uav,) = place_uavs_grid(1000.0, 1000.0, 1, 200.0, 0.5, 1e6)
     assert (uav.x, uav.y) == (500.0, 500.0)
-    assert uav.altitude == 200.0 and uav.max_hover == 1800.0
+    assert (uav.altitude, uav.power, uav.bandwidth) == (200.0, 0.5, 1e6)
 
 
 def test_placement_four_quadrants():
-    uavs = place_uavs_grid(1000.0, 1000.0, 4, 200.0, 0.5, 1e6, 1800.0)
+    uavs = place_uavs_grid(1000.0, 1000.0, 4, 200.0, 0.5, 1e6)
     got = {(u.x, u.y) for u in uavs}
     assert got == {(250.0, 250.0), (750.0, 250.0), (250.0, 750.0), (750.0, 750.0)}
 
 
 def test_placement_five_row_major():
-    uavs = place_uavs_grid(1000.0, 1000.0, 5, 200.0, 0.5, 1e6, 1800.0)
+    uavs = place_uavs_grid(1000.0, 1000.0, 5, 200.0, 0.5, 1e6)
     expected = [
         (1000.0 / 6.0, 250.0),
         (500.0, 250.0),
@@ -207,7 +215,7 @@ def test_placement_five_row_major():
     height=st.floats(100.0, 5000.0),
 )
 def test_placement_inside_area_and_distinct(m, width, height):
-    uavs = place_uavs_grid(width, height, m, 100.0, 0.5, 1e6, 1800.0)
+    uavs = place_uavs_grid(width, height, m, 100.0, 0.5, 1e6)
     assert len(uavs) == m
     seen = {(u.x, u.y) for u in uavs}
     assert len(seen) == m
@@ -281,6 +289,16 @@ def test_manifest_reruns_identically(tmp_path):
     assert run_experiment(cfg, str(out)) == EXIT_OK
     again = load_config(str(out / "manifest.ini"))
     assert again == cfg
+    for k, experiment_id in enumerate(PERCENT_IDS):
+        cfg = load_config(write_cfg(tmp_path, fast_text(experiment_id=experiment_id, scenario=1)))
+        first, rerun = tmp_path / f"first{k}", tmp_path / f"rerun{k}"
+        assert run_experiment(cfg, str(first)) == EXIT_OK
+        assert {row["experiment_id"] for row in read_metrics(first)} == {experiment_id}
+        again = load_config(str(first / "manifest.ini"))
+        assert again == cfg
+        assert run_experiment(again, str(rerun)) == EXIT_OK
+        for name in ("metrics.csv", "manifest.ini"):
+            assert (first / name).read_bytes() == (rerun / name).read_bytes()
 
 
 def test_retired_rounds_key_still_reruns(tmp_path):
@@ -484,9 +502,12 @@ def test_cli_large_units_converge(tmp_path, overrides):
     assert residual and max(residual) <= 1e-3
 
 
-def test_cli_large_control_weight_converges(tmp_path):
-    # scenario 2 starts from prices of order alpha N^2, so its first step scales with them
-    path = write_cfg(tmp_path, fast_text(scenario=2, nx=20, ny=20, alpha=1e20))
+@pytest.mark.parametrize("alpha", [1e-3, 0.5, 1e2, 3e2, 1e3, 1e4, 1e20], ids=lambda a: f"{a:g}")
+def test_cli_large_control_weight_converges(tmp_path, alpha):
+    # scenario 2 starts from prices of order alpha N^2, so its first step
+    # scales with them; from alpha = 300 up the stall exit ends above the
+    # best-signal plan, and only this certificate shows how far
+    path = write_cfg(tmp_path, fast_text(scenario=2, nx=20, ny=20, alpha=alpha))
     out = tmp_path / "out"
     assert main(["run", path, "--out", str(out)]) == EXIT_OK
     rows = {row["metric"]: float(row["value"]) for row in read_metrics(out)}

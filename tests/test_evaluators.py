@@ -1,19 +1,24 @@
 """The partition evaluators against plain per-region references: the hover
 reports under the optimal and the equal bandwidth split, and the per-cell
-service fields of scenario 1."""
+service fields of scenario 1; and the one check of their per-UAV inputs."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uavpart.channel import RadioField, UavNode, compute_radio_field
+from uavpart.channel import RadioField, compute_radio_field
 from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs
 from uavpart.errors import InfeasibleError
 from uavpart.grid import AreaGrid
-from uavpart.partition import INFEASIBLE, Partition
+from uavpart.partition import INFEASIBLE, Partition, weighted_voronoi
 from uavpart.scenario1 import service_field_for_partition, solve_scenario1
-from uavpart.scenario2 import hover_time_equal_split, region_hover_report
+from uavpart.scenario2 import (
+    hover_time_equal_split,
+    marginal_hover_cost,
+    region_hover_report,
+    solve_scenario2,
+)
 
 from oracles import hover_report_reference, on_own_links, region_masses, service_matrix_reference
 
@@ -22,7 +27,7 @@ RTOL = 1e-12
 
 def random_instance(seed):
     """A small grid with some empty cells, a random radio field with links
-    below the floor, a fleet with per-UAV alpha, and an assignment that uses
+    below the floor, per-UAV budgets and alpha, and an assignment that uses
     only usable links, leaves some cells unassigned and some UAVs idle."""
     rng = np.random.default_rng(seed)
     nx, ny, m = rng.integers(1, 7), rng.integers(1, 7), int(rng.integers(1, 5))
@@ -36,8 +41,7 @@ def random_instance(seed):
     bandwidths = rng.uniform(1e5, 1e7, m)
     radio = RadioField(power=sinr.copy(), sinr=sinr, spectral_eff=eff, feasible_by_uav=usable,
                        feasible=usable.any(axis=0), bandwidths=bandwidths)
-    uavs = [UavNode(x=0.0, y=0.0, altitude=200.0, bandwidth=b, max_hover=h)
-            for b, h in zip(bandwidths, rng.uniform(10.0, 3000.0, m))]
+    budgets = rng.uniform(10.0, 3000.0, m)
     idle = rng.random(m) < 0.3  # UAVs that serve nothing
     assignment = np.full(grid.n_cells, INFEASIBLE)
     for c in range(grid.n_cells):
@@ -46,7 +50,7 @@ def random_instance(seed):
             assignment[c] = rng.choice(choices)
     part = Partition(assignment, region_masses(grid, assignment, m))
     alpha = rng.uniform(0.0, 0.05, m) if rng.random() < 0.7 else 0.01
-    return grid, radio, uavs, part, alpha, rng
+    return grid, radio, budgets, part, alpha, rng
 
 
 @settings(max_examples=150, deadline=None)
@@ -81,9 +85,9 @@ def test_below_floor_link_raises_like_reference(seed):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_service_field_is_the_matrix_on_own_links(seed):
-    grid, radio, uavs, part, alpha, _ = random_instance(seed)
-    field = service_field_for_partition(grid, radio, uavs, alpha, 300, part)
-    want = on_own_links(service_matrix_reference(radio, uavs, alpha, 300, part), part)
+    grid, radio, budgets, part, alpha, _ = random_instance(seed)
+    field = service_field_for_partition(grid, part, radio, budgets, alpha, 300)
+    want = on_own_links(service_matrix_reference(radio, budgets, alpha, 300, part), part)
     assert field.shape == (grid.n_cells,)
     np.testing.assert_allclose(field, want, rtol=RTOL, atol=0)
     assert np.array_equal(field, want)  # bit for bit
@@ -94,7 +98,41 @@ def test_solver_service_is_the_matrix_on_own_links():
     cfg = ExperimentConfig(nx=24, ny=24, n_uavs=3)
     grid, uavs = build_grid(cfg), build_uavs(cfg)
     radio = compute_radio_field(grid, uavs, build_channel(cfg))
-    result = solve_scenario1(grid, uavs, radio, cfg.alpha, cfg.n_users, mass_tol=5e-3)
+    result = solve_scenario1(grid, radio, cfg.max_hover, cfg.alpha, cfg.n_users, mass_tol=5e-3)
     matrix = result.fairness.resource_per_user * radio.spectral_eff
     assert result.service.shape == (grid.n_cells,)
     assert np.array_equal(result.service, on_own_links(matrix, result.partition))
+
+
+@pytest.mark.parametrize("bad", [-0.01, np.nan])
+def test_every_alpha_taker_rejects_a_bad_entry(bad):
+    # on the 40 x 40 default scene, alpha = [0.01, -0.01, 0.01, 0.01, 0.01]
+    # once gave scenario 2 a negative control time and no error
+    cfg = ExperimentConfig(nx=40, ny=40)
+    grid = build_grid(cfg)
+    radio = compute_radio_field(grid, build_uavs(cfg), build_channel(cfg))
+    part = weighted_voronoi(grid, radio)
+    alpha = np.full(cfg.n_uavs, cfg.alpha)
+    alpha[1] = bad
+    scene = (radio, cfg.load_bits, alpha, cfg.n_users)
+    calls = [
+        lambda: solve_scenario2(grid, *scene),
+        lambda: region_hover_report(grid, part, *scene),
+        lambda: hover_time_equal_split(grid, part, *scene),
+        lambda: marginal_hover_cost(radio, cfg.load_bits, alpha, part.masses, cfg.n_users),
+        lambda: service_field_for_partition(grid, part, radio, cfg.max_hover, alpha, cfg.n_users),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="every control weight alpha must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_scenario1_rejects_a_bad_budget(bad):
+    cfg = ExperimentConfig(nx=40, ny=40)
+    grid = build_grid(cfg)
+    radio = compute_radio_field(grid, build_uavs(cfg), build_channel(cfg))
+    budgets = np.full(cfg.n_uavs, cfg.max_hover)
+    budgets[2] = bad
+    with pytest.raises(ValueError, match="every hover budget must be positive"):
+        solve_scenario1(grid, radio, budgets, cfg.alpha, cfg.n_users)

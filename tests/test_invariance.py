@@ -7,8 +7,6 @@ relabelling the fleet may only relabel the regions.  All of these hold
 exactly, so they guard rewrites of the solvers.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,9 +24,9 @@ UAVS = build_uavs(CFG)
 PARAMS = build_channel(CFG)
 
 
-def scenario1_labels(uavs, alpha):
+def scenario1_labels(uavs, budget, alpha):
     radio = compute_radio_field(GRID, uavs, PARAMS)
-    return solve_scenario1(GRID, uavs, radio, alpha, CFG.n_users,
+    return solve_scenario1(GRID, radio, budget, alpha, CFG.n_users,
                            mass_tol=CFG.mass_tol).partition.assignment
 
 
@@ -38,15 +36,15 @@ def scenario2_labels(uavs, load_bits, alpha):
                            mass_tol=CFG.mass_tol).partition.assignment
 
 
-BASE1 = scenario1_labels(UAVS, CFG.alpha)
+BASE1 = scenario1_labels(UAVS, CFG.max_hover, CFG.alpha)
 BASE2 = scenario2_labels(UAVS, CFG.load_bits, CFG.alpha)
 
 
 @pytest.mark.parametrize("k", range(-3, 4))
 def test_scenario1_free_of_time_units(k):
     scale = 10.0**k
-    uavs = [replace(u, max_hover=u.max_hover * scale) for u in UAVS]
-    assert np.array_equal(scenario1_labels(uavs, CFG.alpha * scale), BASE1)
+    labels = scenario1_labels(UAVS, CFG.max_hover * scale, CFG.alpha * scale)
+    assert np.array_equal(labels, BASE1)
 
 
 @pytest.mark.parametrize("k", range(-3, 4))
@@ -65,6 +63,7 @@ def relabelled(perm, labels):
 @given(perm=st.permutations(range(CFG.n_uavs)))
 def test_permuting_the_fleet_permutes_the_labels(perm):
     uavs = [UAVS[i] for i in perm]
-    assert np.array_equal(relabelled(perm, scenario1_labels(uavs, CFG.alpha)), BASE1)
+    labels = scenario1_labels(uavs, CFG.max_hover, CFG.alpha)
+    assert np.array_equal(relabelled(perm, labels), BASE1)
     labels = scenario2_labels(uavs, CFG.load_bits, CFG.alpha)
     assert np.array_equal(relabelled(perm, labels), BASE2)

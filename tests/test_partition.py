@@ -161,7 +161,8 @@ def test_ascent_stops_on_the_partition_it_returns(sigma, size):
     cfg = replace(ExperimentConfig(), nx=size, ny=size, sigma_x=sigma, sigma_y=sigma)
     grid, uavs = build_grid(cfg), build_uavs(cfg)
     radio = compute_radio_field(grid, uavs, build_channel(cfg))
-    s1 = solve_scenario1(grid, uavs, radio, cfg.alpha, cfg.n_users, mass_tol=cfg.mass_tol)
+    s1 = solve_scenario1(grid, radio, cfg.max_hover, cfg.alpha, cfg.n_users,
+                         mass_tol=cfg.mass_tol)
     s2 = solve_scenario2(grid, radio, cfg.load_bits, cfg.alpha, cfg.n_users,
                          mass_tol=cfg.mass_tol)
     priced_at = -s2.potentials.psi / (2.0 * cfg.alpha * cfg.n_users**2)
@@ -352,7 +353,7 @@ def test_partition_csv_matches_savetxt_on_solved_maps(tmp_path):
     radio = compute_radio_field(grid, uavs, build_channel(cfg))
     solver = {"mass_tol": cfg.mass_tol, "max_iter": cfg.max_ascent_iter}
     parts = [
-        solve_scenario1(grid, uavs, radio, cfg.alpha, cfg.n_users, **solver).partition,
+        solve_scenario1(grid, radio, cfg.max_hover, cfg.alpha, cfg.n_users, **solver).partition,
         solve_scenario2(grid, radio, cfg.load_bits, cfg.alpha, cfg.n_users, **solver).partition,
         weighted_voronoi(grid, radio),
     ]

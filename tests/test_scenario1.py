@@ -29,13 +29,13 @@ from uavpart.scenario1 import (
 from oracles import region_masses
 
 PARAMS = ChannelParams()
+BUDGET = 1800.0
+HETERO_BUDGETS = [1800.0, 1200.0]
 
 
-def fleet(positions, bandwidth=1e6, max_hover=1800.0):
-    return [
-        UavNode(x=x, y=y, altitude=200.0, power=0.5, bandwidth=bandwidth, max_hover=max_hover)
-        for x, y in positions
-    ]
+def fleet(positions, bandwidth=1e6):
+    return [UavNode(x=x, y=y, altitude=200.0, power=0.5, bandwidth=bandwidth)
+            for x, y in positions]
 
 
 def two_uav_scene(nx=12, ny=12):
@@ -46,13 +46,13 @@ def two_uav_scene(nx=12, ny=12):
 
 
 def hetero_pair(nx, ny):
-    # different bandwidths and budgets, so the ascent has real work to do
+    # different bandwidths and budgets (HETERO_BUDGETS), so the ascent has real work to do
     grid = uniform_density(1000.0, 1000.0, nx, ny)
     uavs = [
-        UavNode(x=300.0, y=400.0, altitude=200.0, bandwidth=1e6, max_hover=1800.0),
-        UavNode(x=700.0, y=600.0, altitude=200.0, bandwidth=2e6, max_hover=1200.0),
+        UavNode(x=300.0, y=400.0, altitude=200.0, bandwidth=1e6),
+        UavNode(x=700.0, y=600.0, altitude=200.0, bandwidth=2e6),
     ]
-    return grid, uavs
+    return grid, compute_radio_field(grid, uavs, PARAMS)
 
 
 # fairness system
@@ -60,16 +60,14 @@ def hetero_pair(nx, ny):
 
 def test_identical_uavs_closed_form():
     # equal budgets and bandwidths: shares 1/M, T = tau - alpha (N/M)^2
-    uavs = fleet([(i * 100.0, 0.0) for i in range(5)])
-    sol = solve_fairness_system(uavs, 0.01, 300)
+    sol = solve_fairness_system(np.full(5, 1e6), BUDGET, 0.01, 300)
     assert np.allclose(sol.target_masses, 0.2, atol=1e-9)
     assert np.allclose(sol.serve_times, 1800.0 - 0.01 * 60.0**2, atol=1e-5)
     assert sol.resource_per_user == pytest.approx(5e6 * 1764.0 / 300.0, rel=1e-8)
 
 
 def test_zero_alpha_shares():
-    uavs = fleet([(0.0, 0.0)], bandwidth=1e6) + fleet([(1.0, 0.0)], bandwidth=3e6)
-    sol = solve_fairness_system(uavs, 0.0, 300)
+    sol = solve_fairness_system([1e6, 3e6], BUDGET, 0.0, 300)
     assert np.allclose(sol.serve_times, 1800.0)
     assert np.allclose(sol.target_masses, [0.25, 0.75], atol=1e-12)
 
@@ -92,17 +90,9 @@ def test_two_uav_against_bisection_oracle():
             lo = mid
     w_oracle = 0.5 * (lo + hi)
 
-    uavs = fleet([(0.0, 0.0)], bandwidth=b1) + fleet([(1.0, 0.0)], bandwidth=b2)
-    sol = solve_fairness_system(uavs, alpha, n)
+    sol = solve_fairness_system([b1, b2], tau, alpha, n)
     assert sol.target_masses[0] == pytest.approx(w_oracle, abs=1e-7)
     assert sol.target_masses.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def uneven_fleet(budgets, bandwidths):
-    return [
-        UavNode(x=float(i), y=0.0, altitude=200.0, power=0.5, bandwidth=b, max_hover=t)
-        for i, (t, b) in enumerate(zip(budgets, bandwidths))
-    ]
 
 
 def assert_fair_split(sol, tau, bw, alpha, n):
@@ -135,7 +125,7 @@ def test_fairness_residuals(data, headroom):
     tau, bw, w = np.array(budgets), np.array(bandwidths), np.array(weights)
     alpha = tau / (headroom * 300 * w / w.sum()) ** 2
     alpha[np.array(free)] = 0.0
-    sol = solve_fairness_system(uneven_fleet(tau, bw), alpha, 300)
+    sol = solve_fairness_system(bw, tau, alpha, 300)
     assert_fair_split(sol, tau, bw, alpha, 300)
 
 
@@ -151,44 +141,45 @@ def test_fairness_infeasible_exactly_below_capacity(data):
     budgets, bandwidths, alpha = map(np.array, data)
     capacity = np.sqrt(budgets / alpha).sum()
     assume(abs(capacity / 300 - 1.0) > 1e-9)
-    uavs = uneven_fleet(budgets, bandwidths)
     if capacity <= 300:
         with pytest.raises(InfeasibleError, match="capacity"):
-            solve_fairness_system(uavs, alpha, 300)
+            solve_fairness_system(bandwidths, budgets, alpha, 300)
     else:
-        assert_fair_split(solve_fairness_system(uavs, alpha, 300), budgets, bandwidths,
-                          alpha, 300)
+        assert_fair_split(solve_fairness_system(bandwidths, budgets, alpha, 300), budgets,
+                          bandwidths, alpha, 300)
 
 
 def test_fairness_uneven_fleet_near_capacity():
     # capacity 384 users against N = 300: most of every budget goes to control
     tau, bw = np.array([1800.0, 600.0, 1800.0, 400.0, 1800.0]), np.array([1, 2, 1, 5, 1]) * 1e6
-    sol = solve_fairness_system(uneven_fleet(tau, bw), 0.2, 300)
+    sol = solve_fairness_system(bw, tau, 0.2, 300)
     assert_fair_split(sol, tau, bw, 0.2, 300)
     assert np.allclose(sol.serve_times, [754.278, 225.649, 754.278, 83.052, 754.278], atol=1e-3)
 
 
 def test_fairness_budget_below_control_raises():
-    uavs = fleet([(0.0, 0.0)], max_hover=10.0)  # g(300 users) = 900 s >> 10 s
+    # g(300 users) = 900 s >> 10 s
     with pytest.raises(InfeasibleError, match="capacity"):
-        solve_fairness_system(uavs, 0.01, 300)
+        solve_fairness_system([1e6], 10.0, 0.01, 300)
 
 
 def test_fairness_validation():
-    with pytest.raises(ValueError):
-        solve_fairness_system([], 0.01, 300)
-    with pytest.raises(ValueError):
-        solve_fairness_system(fleet([(0.0, 0.0)]), 0.01, 0)
-    with pytest.raises(ValueError):
-        solve_fairness_system(
-            fleet([(0.0, 0.0)], max_hover=0.0), 0.01, 300
-        )
-    with pytest.raises(ValueError):
-        solve_fairness_system(fleet([(0.0, 0.0)]), [0.01, 0.01], 300)
-    trio = fleet([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    with pytest.raises(ValueError, match="need at least one UAV"):
+        solve_fairness_system([], BUDGET, 0.01, 300)
+    with pytest.raises(ValueError, match="need at least one user"):
+        solve_fairness_system([1e6], BUDGET, 0.01, 0)
+    with pytest.raises(ValueError, match="got 2 values of control weight alpha for 1 UAVs"):
+        solve_fairness_system([1e6], BUDGET, [0.01, 0.01], 300)
+    with pytest.raises(ValueError, match="got 2 values of hover budget for 3 UAVs"):
+        solve_fairness_system([1e6] * 3, [BUDGET, BUDGET], 0.01, 300)
+    trio = [1e6, 1e6, 1e6]
     for bad in (-0.01, np.nan, np.inf):
-        with pytest.raises(ValueError, match="alpha"):
-            solve_fairness_system(trio, [bad, 0.01, 0.01], 300)
+        with pytest.raises(ValueError, match="every control weight alpha must be finite and "
+                                             "non-negative"):
+            solve_fairness_system(trio, BUDGET, [bad, 0.01, 0.01], 300)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="every hover budget must be positive"):
+            solve_fairness_system(trio, [BUDGET, bad, BUDGET], 0.01, 300)
 
 
 # cost field and dual
@@ -196,7 +187,7 @@ def test_fairness_validation():
 
 def test_cost_field_threshold_boundary():
     grid, uavs, radio = two_uav_scene()
-    fair = solve_fairness_system(uavs, 0.01, 300)
+    fair = solve_fairness_system(radio.bandwidths, BUDGET, 0.01, 300)
     pick = float(radio.sinr[1, 17])
     at = compute_radio_field(grid, uavs, ChannelParams(sinr_threshold=pick))
     costs = build_cost_field(at, fair)
@@ -214,7 +205,7 @@ def test_cost_field_threshold_boundary():
 
 def test_cost_field_scales_with_resource():
     grid, uavs, radio = two_uav_scene()
-    fair = solve_fairness_system(uavs, 0.01, 300)
+    fair = solve_fairness_system(radio.bandwidths, BUDGET, 0.01, 300)
     doubled = FairnessSolution(
         serve_times=fair.serve_times,
         target_masses=fair.target_masses,
@@ -230,7 +221,7 @@ def test_dual_constant_for_single_uav():
     grid = uniform_density(1000.0, 1000.0, 8, 8)
     uavs = fleet([(500.0, 500.0)])
     radio = compute_radio_field(grid, uavs, PARAMS)
-    fair = solve_fairness_system(uavs, 0.01, 300)
+    fair = solve_fairness_system(radio.bandwidths, BUDGET, 0.01, 300)
     costs = build_cost_field(radio, fair)
     shares = np.array([1.0])
     f0 = dual_value(grid, costs, np.zeros(1), shares)
@@ -245,7 +236,7 @@ def test_dual_constant_for_single_uav():
 def test_dual_gauge_shift(seed, const):
     # adding a constant to every potential changes nothing
     grid, uavs, radio = two_uav_scene(8, 8)
-    fair = solve_fairness_system(uavs, 0.01, 300)
+    fair = solve_fairness_system(radio.bandwidths, BUDGET, 0.01, 300)
     costs = build_cost_field(radio, fair)
     rng = np.random.default_rng(seed)
     psi = rng.normal(scale=fair.resource_per_user, size=2)
@@ -262,7 +253,7 @@ def test_dual_gauge_shift(seed, const):
 
 def test_gradient_dominant_potential():
     grid, uavs, radio = two_uav_scene()
-    fair = solve_fairness_system(uavs, 0.01, 300)
+    fair = solve_fairness_system(radio.bandwidths, BUDGET, 0.01, 300)
     costs = build_cost_field(radio, fair)
     shares = fair.target_masses
     big = np.array([1e12, 0.0])  # UAV 0 wins every cell it can serve
@@ -279,7 +270,7 @@ def test_gradient_dominant_potential():
 
 def test_gradient_components_sum_to_uncovered():
     grid, uavs, radio = two_uav_scene()
-    fair = solve_fairness_system(uavs, 0.01, 300)
+    fair = solve_fairness_system(radio.bandwidths, BUDGET, 0.01, 300)
     costs = build_cost_field(radio, fair)
     grad = fair.target_masses - shifted_pass(grid, costs, np.zeros(2), partition=True)[1].masses
     covered = np.isfinite(costs).any(axis=0)
@@ -289,7 +280,7 @@ def test_gradient_components_sum_to_uncovered():
 
 def test_dual_concavity_midpoints():
     grid, uavs, radio = two_uav_scene(8, 8)
-    fair = solve_fairness_system(uavs, 0.01, 300)
+    fair = solve_fairness_system(radio.bandwidths, BUDGET, 0.01, 300)
     costs = build_cost_field(radio, fair)
     shares = fair.target_masses
     rng = np.random.default_rng(11)
@@ -308,7 +299,7 @@ def test_gradient_chords_bracket():
     # concavity: forward chord <= grad . v <= backward chord, with steps
     # large enough to cross cell boundaries
     grid, uavs, radio = two_uav_scene()
-    fair = solve_fairness_system(uavs, 0.01, 300)
+    fair = solve_fairness_system(radio.bandwidths, BUDGET, 0.01, 300)
     costs = build_cost_field(radio, fair)
     shares = fair.target_masses
     rng = np.random.default_rng(5)
@@ -332,7 +323,7 @@ def test_gradient_chords_bracket():
 def test_solver_symmetric_quadrants():
     grid = uniform_density(1000.0, 1000.0, 16, 16)
     uavs = fleet([(250.0, 250.0), (750.0, 250.0), (250.0, 750.0), (750.0, 750.0)])
-    result = solve_scenario1(grid, uavs, compute_radio_field(grid, uavs, PARAMS), 0.01, 300)
+    result = solve_scenario1(grid, compute_radio_field(grid, uavs, PARAMS), BUDGET, 0.01, 300)
     assert np.allclose(result.partition.masses, 0.25, atol=1e-3)
     assert np.all(np.diff(result.potentials.f_trace) > 0)
     assert result.potentials.grad_trace[-1] <= 1e-3
@@ -345,7 +336,7 @@ def test_solver_four_cell_enumeration():
     grid = uniform_density(1000.0, 1000.0, 2, 2)
     uavs = fleet([(200.0, 220.0), (360.0, 340.0)])
     radio = compute_radio_field(grid, uavs, PARAMS)
-    result = solve_scenario1(grid, uavs, radio, 0.01, 300)
+    result = solve_scenario1(grid, radio, BUDGET, 0.01, 300)
     assert len(result.potentials.f_trace) > 1  # the start was unbalanced
     fair = result.fairness
     assert np.allclose(fair.target_masses, 0.5, atol=1e-9)
@@ -364,10 +355,8 @@ def test_solver_four_cell_enumeration():
 
 def test_solver_matches_share_targets():
     # cell mass is 2.5e-3 at 20x20, so ask for a tolerance the grid can hold
-    grid, uavs = hetero_pair(20, 20)
-    result = solve_scenario1(
-        grid, uavs, compute_radio_field(grid, uavs, PARAMS), 0.01, 300, mass_tol=5e-3
-    )
+    grid, radio = hetero_pair(20, 20)
+    result = solve_scenario1(grid, radio, HETERO_BUDGETS, 0.01, 300, mass_tol=5e-3)
     residual = np.abs(result.partition.masses - result.fairness.target_masses)
     assert residual.max() <= 5e-3
 
@@ -376,25 +365,22 @@ def test_solver_infeasible_when_uncovered():
     grid, uavs, _ = two_uav_scene()
     harsh = compute_radio_field(grid, uavs, ChannelParams(sinr_threshold=1e9))
     with pytest.raises(InfeasibleError):
-        solve_scenario1(grid, uavs, harsh, 0.01, 300)
+        solve_scenario1(grid, harsh, BUDGET, 0.01, 300)
 
 
 def test_solver_iteration_budget():
     # a zero-iteration budget cannot balance an unbalanced start
-    grid, uavs = hetero_pair(20, 20)
-    radio = compute_radio_field(grid, uavs, PARAMS)
+    grid, radio = hetero_pair(20, 20)
     with pytest.raises(ConvergenceError) as err:
-        solve_scenario1(grid, uavs, radio, 0.01, 300, max_iter=0)
+        solve_scenario1(grid, radio, HETERO_BUDGETS, 0.01, 300, max_iter=0)
     assert err.value.trace is not None
     f_trace, grad_trace, step_trace = err.value.trace
     assert len(f_trace) == len(grad_trace) == len(step_trace) == 1
 
 
 def test_trace_shapes_and_steps():
-    grid, uavs = hetero_pair(16, 16)
-    result = solve_scenario1(
-        grid, uavs, compute_radio_field(grid, uavs, PARAMS), 0.01, 300, mass_tol=5e-3
-    )
+    grid, radio = hetero_pair(16, 16)
+    result = solve_scenario1(grid, radio, HETERO_BUDGETS, 0.01, 300, mass_tol=5e-3)
     p = result.potentials
     assert len(p.f_trace) == len(p.grad_trace) == len(p.step_trace) > 1
     assert p.step_trace[0] == 0.0
@@ -408,7 +394,7 @@ def test_default_scene_needs_few_evaluations():
     cfg = ExperimentConfig()
     grid, uavs = build_grid(cfg), build_uavs(cfg)
     radio = compute_radio_field(grid, uavs, build_channel(cfg))
-    result = solve_scenario1(grid, uavs, radio, cfg.alpha, cfg.n_users,
+    result = solve_scenario1(grid, radio, cfg.max_hover, cfg.alpha, cfg.n_users,
                              mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter)
     residual = np.abs(result.partition.masses - result.fairness.target_masses).max()
     assert residual <= cfg.mass_tol
@@ -420,9 +406,8 @@ def test_default_scene_needs_few_evaluations():
 def test_ascent_is_free_of_cost_units(k):
     # scaling the costs by 2**k is exact, so the ascent must take the same
     # steps in the new units: psi scales by 2**k and nothing else moves
-    grid, uavs = hetero_pair(16, 16)
-    radio = compute_radio_field(grid, uavs, PARAMS)
-    fair = solve_fairness_system(uavs, 0.01, 300)
+    grid, radio = hetero_pair(16, 16)
+    fair = solve_fairness_system(radio.bandwidths, HETERO_BUDGETS, 0.01, 300)
     costs = build_cost_field(radio, fair)
     shares = fair.target_masses
 
@@ -441,8 +426,8 @@ def test_service_field_consistency_at_solution():
     # with masses on target, the per-partition service matches the solver's
     grid, uavs, radio = two_uav_scene(24, 24)
     alpha = 0.01
-    result = solve_scenario1(grid, uavs, radio, alpha, 300, mass_tol=5e-3)
-    field = service_field_for_partition(grid, radio, uavs, alpha, 300, result.partition)
+    result = solve_scenario1(grid, radio, BUDGET, alpha, 300, mass_tol=5e-3)
+    field = service_field_for_partition(grid, result.partition, radio, BUDGET, alpha, 300)
     cells = np.flatnonzero(result.partition.assignment >= 0)
     ratio = field[cells] / result.service[cells]
     assert np.all(np.abs(ratio - 1.0) <= 0.02)
@@ -458,17 +443,21 @@ def test_service_field_zero_mass_region():
     alpha = 0.01
     assignment = (np.arange(grid.n_cells) == 0).astype(int)
     part = Partition(assignment, region_masses(grid, assignment, 2))
-    field = service_field_for_partition(grid, radio, uavs, alpha, 300, part)
+    field = service_field_for_partition(grid, part, radio, BUDGET, alpha, 300)
     assert np.all(field[assignment == 1] == 0.0)
     assert np.all(field[assignment == 0] > 0.0)
 
 
-def test_fleet_must_match_radio_field():
-    # a fleet of another size than the radio field's is named, not broadcast
-    grid, uavs, radio = two_uav_scene()
+def test_per_uav_inputs_must_match_radio_field():
+    # budgets or weights for another fleet size than the radio field's are
+    # named, not broadcast
+    grid, _, radio = two_uav_scene()
     part = weighted_voronoi(grid, radio)
-    three = uavs + fleet([(500.0, 500.0)])
-    with pytest.raises(ValueError, match="got 3 UAVs for a radio field of 2"):
-        solve_scenario1(grid, three, radio, 0.01, 300)
-    with pytest.raises(ValueError, match="got 1 UAVs for a radio field of 2"):
-        service_field_for_partition(grid, radio, uavs[:1], 0.01, 300, part)
+    with pytest.raises(ValueError, match="got 3 values of hover budget for 2 UAVs"):
+        solve_scenario1(grid, radio, [BUDGET] * 3, 0.01, 300)
+    with pytest.raises(ValueError, match="got 3 values of control weight alpha for 2 UAVs"):
+        solve_scenario1(grid, radio, BUDGET, [0.01] * 3, 300)
+    with pytest.raises(ValueError, match="got 0 values of hover budget for 2 UAVs"):
+        service_field_for_partition(grid, part, radio, [], 0.01, 300)
+    with pytest.raises(ValueError, match="got 5 values of control weight alpha for 2 UAVs"):
+        service_field_for_partition(grid, part, radio, BUDGET, [0.01] * 5, 300)
