@@ -1,9 +1,10 @@
 """Write every output file of a fixed set of runs, for byte-for-byte diffs.
 
 The set is every scene of the three perfbench workloads at workload seeds 0
-and 1, and every experiment config in scripts/ at 60 x 60 with 3 user seeds,
-all with partition maps and ascent traces on.  Dump the old and the new
-checkout and compare the trees:
+and 1, every experiment config in scripts/ at 60 x 60 with 3 user seeds, and
+one scenario-2 sweep of the default scene at 40 x 40 over large control
+weights, all with partition maps and ascent traces on.  Dump the old and the
+new checkout and compare the trees:
 
     python3 scripts/dump_outputs.py /tmp/before --root path/to/old/checkout
     python3 scripts/dump_outputs.py /tmp/after
@@ -35,7 +36,7 @@ def main(argv=None):
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import scenes as scene_defs
-    from uavpart.config import load_config
+    from uavpart.config import ExperimentConfig, load_config
     from uavpart.runner import run_experiment
 
     os.makedirs(args.out)
@@ -51,6 +52,9 @@ def main(argv=None):
         cfg = load_config(os.path.join(scripts, ini))
         runs.append((os.path.join("configs", ini[:-4]),
                      replace(cfg, nx=CONFIG_GRID, ny=CONFIG_GRID, n_seeds=CONFIG_SEEDS)))
+    runs.append(("large_alpha", ExperimentConfig(
+        experiment_id="large_alpha", scenario="2", nx=40, ny=40, n_seeds=1,
+        sweep_var="alpha", sweep_values=(0.5, 300.0, 10000.0))))
     codes = []
     for rel, cfg in runs:
         cfg = replace(cfg, write_partitions=True, trace=True)

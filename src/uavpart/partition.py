@@ -9,7 +9,6 @@ import numpy as np
 from .errors import ConvergenceError
 
 INFEASIBLE = -1
-STALL_RATIO = 1e-3
 CSV_BLOCK_CELLS = 1 << 14  # cells per partition_to_csv block, about 0.5 MB
 
 
@@ -173,7 +172,7 @@ class DualPotentials:
     evals: int
 
 
-def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
+def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
     """Maximize the concave dual F(psi) = term(psi) + shifted_pass(psi) and
     return the potentials with the partition argmin_i (c_ic - psi_i) at them.
 
@@ -188,13 +187,11 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
     it starts from, and every later one the last accepted step.  It halves
     until F improves, then walks to a local maximum of F over step * 2**k: it
     doubles while F keeps improving, or halves when it had to halve before or
-    the first doubling fails.  Stops when the mass-mismatch norm is at most
-    mass_tol or, with gap(masses, target), when an accepted gain is at most
-    STALL_RATIO times that duality gap, which ends grids too coarse for the
-    masses to meet.  With gap, a psi where no step that still changes it
-    improves F (a kink the tie-break's masses do not climb) is such a stall:
-    its gain is zero.  Raises ConvergenceError (trace attached) when max_iter
-    runs out or, without gap, when no step that still changes psi improves F."""
+    the first doubling fails.  Returns when the mass-mismatch norm is at most
+    mass_tol, or at a kink, where no step that still changes psi improves F
+    (a kink the tie-break's masses do not climb, as on grids too coarse for
+    the masses to meet); the last traced mismatch tells the two apart.
+    Raises ConvergenceError (trace attached) when max_iter runs out."""
     f_trace, grad_trace, step_trace = [], [], []
     finite = np.isfinite(costs)
     spread = float(costs.max(where=finite, initial=-np.inf)
@@ -211,11 +208,7 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
         evals += 1
         return float(term(p)) + shifted_pass(grid, costs, p, buf)
 
-    def failure(message):
-        trace = (np.array(f_trace), np.array(grad_trace), np.array(step_trace))
-        return ConvergenceError(message, trace=trace)
-
-    step, gain = 0.0, np.inf
+    step = 0.0
     while True:
         evals += 1
         value, part = shifted_pass(grid, costs, psi, buf, partition=True)
@@ -225,11 +218,12 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
         f_trace.append(value)
         grad_trace.append(float(np.linalg.norm(grad)))
         step_trace.append(step)
-        if grad_trace[-1] <= mass_tol or (
-                gap is not None and gain <= STALL_RATIO * gap(part.masses, wanted)):
+        if grad_trace[-1] <= mass_tol:
             break
         if len(step_trace) > max_iter:
-            raise failure(f"mass mismatch {grad_trace[-1]:.3e} after {max_iter} iterations")
+            trace = (np.array(f_trace), np.array(grad_trace), np.array(step_trace))
+            raise ConvergenceError(
+                f"mass mismatch {grad_trace[-1]:.3e} after {max_iter} iterations", trace=trace)
         step = step or first_step
         cand = value_at(psi + step * grad)
         factors = (2.0, 0.5)
@@ -240,10 +234,8 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
             if np.array_equal(moved, psi):
                 break
             cand = value_at(moved)
-        if cand <= value:  # no step that still changes psi improves F
-            if gap is None:
-                raise failure("no improving step along the ascent direction")
-            break  # a zero gain: stalled at psi
+        if cand <= value:  # a kink: no step that still changes psi improves F
+            break
         for factor in factors:  # climb to a local maximum over step * 2**k
             climbed = False
             while (trial := value_at(psi + factor * step * grad)) > cand:
@@ -252,7 +244,6 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter, gap=None):
             if climbed:
                 break
         psi = psi + step * grad
-        gain = cand - value
     return DualPotentials(
         psi, part, np.array(f_trace), np.array(grad_trace), np.array(step_trace), evals,
     )

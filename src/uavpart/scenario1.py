@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import _per_uav
 from .config import ExperimentConfig
-from .errors import InfeasibleError
+from .errors import ConvergenceError, InfeasibleError
 from .partition import DualPotentials, Partition, ascend_dual, own_links, shifted_pass
 from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
 
@@ -120,8 +120,9 @@ def solve_scenario1(grid, radio, budgets, alpha, n_users, mass_tol=ExperimentCon
 
     Raises InfeasibleError when more than mass_tol of the user mass has no
     link above the SINR floor, and ConvergenceError (with the trace attached)
-    when the iteration budget runs out or no step that still changes the
-    potentials improves the dual.
+    when the iteration budget runs out or the ascent ends at a kink, where no
+    step that still changes the potentials improves the dual, with the masses
+    still off their shares.
     """
     fairness = solve_fairness_system(radio.bandwidths, budgets, alpha, n_users)
     costs = build_cost_field(radio, fairness)
@@ -135,6 +136,9 @@ def solve_scenario1(grid, radio, budgets, alpha, n_users, mass_tol=ExperimentCon
         grid, costs, np.zeros(radio.n_uavs), term=lambda psi: psi @ shares,
         target=lambda psi, masses: shares, mass_tol=mass_tol, max_iter=max_iter,
     )
+    if potentials.grad_trace[-1] > mass_tol:
+        trace = (potentials.f_trace, potentials.grad_trace, potentials.step_trace)
+        raise ConvergenceError("no improving step along the ascent direction", trace=trace)
     service = _service_field(grid, radio, potentials.partition,
                              np.full(radio.n_uavs, fairness.resource_per_user))
     return Scenario1Result(potentials.partition, fairness, potentials, service)

@@ -108,9 +108,9 @@ def solve_scenario2(grid, radio, load_bits, alpha, n_users, mass_tol=ExperimentC
     the control slope at the mass b_i that UAV i is priced at.  The ascent
     starts from the slopes at the masses of the least-transmission-time
     assignment (the optimum at alpha = 0) and stops when the region masses
-    match b within mass_tol (or stall).  The partition is the one ascend_dual
-    returns: each cell at its least s_ic - psi_i, its marginal hover cost at b.
-    That partition's hover total minus D is duality_gap =
+    match b within mass_tol or at a kink of the dual.  The partition is the
+    one ascend_dual returns: each cell at its least s_ic - psi_i, its marginal
+    hover cost at b.  That partition's hover total minus D is duality_gap =
     sum_i k_i (a_i - b_i)^2 / 2 seconds.  A populated cell with no finite
     transmission time (no link above the SINR floor, or a load too large for
     a float) raises InfeasibleError.
@@ -128,17 +128,14 @@ def solve_scenario2(grid, radio, load_bits, alpha, n_users, mass_tol=ExperimentC
         )
     curvature = 2.0 * alpha * n_users**2
     priced = curvature > 0
-
-    def gap(masses, wanted):
-        return 0.5 * float(curvature @ (masses - wanted) ** 2)
-
     potentials = ascend_dual(
         grid, seconds, -curvature * shifted_pass(grid, seconds, zeros, partition=True)[1].masses,
         term=lambda psi: -0.5 * float(psi[priced] / curvature[priced] @ psi[priced]),
         target=lambda psi, masses: np.divide(-psi, curvature, out=masses.copy(), where=priced),
-        mass_tol=mass_tol, max_iter=max_iter, gap=gap,
+        mass_tol=mass_tol, max_iter=max_iter,
     )
     part = potentials.partition
     priced_at = np.divide(-potentials.psi, curvature, out=np.zeros(radio.n_uavs), where=priced)
     report = region_hover_report(grid, part, radio, load_bits, alpha, n_users)
-    return Scenario2Result(part, report, potentials, gap(part.masses, priced_at))
+    gap = 0.5 * float(curvature @ (part.masses - priced_at) ** 2)
+    return Scenario2Result(part, report, potentials, gap)

@@ -136,7 +136,7 @@ def test_shifted_pass_matches_argmin(seed, n_uavs):
 def test_ascent_returns_partition_at_its_potentials(seed, n_uavs, ascend):
     # integer costs and starting potentials tie often and +inf marks unusable
     # links; with ascend=False the ascent stops at its integer start, and at
-    # a kink no ascent direction climbs the ascent stalls instead of raising
+    # a kink no ascent direction climbs the ascent returns instead of raising
     rng = np.random.default_rng(seed)
     costs = rng.integers(0, 4, size=(n_uavs, GRID.n_cells)).astype(float)
     costs[rng.random(costs.shape) < 0.3] = np.inf
@@ -147,7 +147,6 @@ def test_ascent_returns_partition_at_its_potentials(seed, n_uavs, ascend):
         term=lambda psi: -0.5 * float(psi / k @ psi),
         target=lambda psi, masses: -psi / k,
         mass_tol=1e-6 if ascend else np.inf, max_iter=1000,
-        gap=lambda masses, wanted: 0.5 * float(k @ (masses - wanted) ** 2),
     )
     expected = assign_by_min_cost(GRID, costs - potentials.psi[:, None])
     assert np.array_equal(potentials.partition.assignment, expected.assignment)
