@@ -93,9 +93,30 @@ class UavNode:
             raise ValueError("bandwidth must be positive")
 
 
+def _squared_range(uav, x, y):
+    """Squared link distance in m^2 from ground point(s) to the UAV, one fresh
+    array: x and y may be a grid's separable column and row coordinates."""
+    d2 = np.asarray(np.add((x - uav.x) ** 2, (y - uav.y) ** 2))
+    d2 += uav.altitude**2
+    return d2
+
+
+def _los_from_squared_range(uav, d2, params, out):
+    """los_probability from the squared range d2, built in out."""
+    p = np.sqrt(d2, out=out)
+    np.divide(uav.altitude, p, out=p)
+    np.arcsin(p, out=p)
+    np.degrees(p, out=p)
+    p -= 15.0
+    np.maximum(p, 0.0, out=p)
+    p **= params.b2
+    p *= params.b1
+    return np.minimum(p, 1.0, out=p)
+
+
 def slant_range(uav, x, y):
     """Link distance in meters from ground point(s) to the UAV."""
-    return np.sqrt((x - uav.x) ** 2 + (y - uav.y) ** 2 + uav.altitude**2)
+    return np.sqrt(_squared_range(uav, x, y))
 
 
 def los_probability(uav, x, y, params):
@@ -103,26 +124,33 @@ def los_probability(uav, x, y, params):
 
     Zero at or below 15 degrees of elevation; continuous across that boundary.
     """
-    theta_deg = np.degrees(np.arcsin(uav.altitude / slant_range(uav, x, y)))
-    base = np.maximum(theta_deg - 15.0, 0.0)
-    return np.minimum(params.b1 * base**params.b2, 1.0)
+    d2 = _squared_range(uav, x, y)
+    return _los_from_squared_range(uav, d2, params, out=d2)
 
 
 def mean_path_loss(uav, x, y, params):
     """LoS/NLoS-averaged path loss as a linear power ratio.
 
     reference_loss * d^2 * (P_los * mu_los + (1 - P_los) * mu_nlos).  A loss
-    beyond the float range is +inf: the link then carries no power.
+    beyond the float range is +inf: the link then carries no power.  The
+    squared range is computed once and the loss built over it in place.
     """
     with np.errstate(over="ignore"):
-        d2 = (x - uav.x) ** 2 + (y - uav.y) ** 2 + uav.altitude**2
-        p = los_probability(uav, x, y, params)
-        return params.reference_loss * d2 * (p * params.mu_los + (1.0 - p) * params.mu_nlos)
+        loss = _squared_range(uav, x, y)
+        p = _los_from_squared_range(uav, loss, params, out=np.empty_like(loss))
+        loss *= params.reference_loss
+        nlos = np.subtract(1.0, p)
+        nlos *= params.mu_nlos
+        p *= params.mu_los
+        p += nlos
+        loss *= p
+        return loss
 
 
 def received_power(uav, x, y, params):
     """Mean received power in watts at ground point(s)."""
-    return uav.power / mean_path_loss(uav, x, y, params)
+    loss = mean_path_loss(uav, x, y, params)
+    return np.divide(uav.power, loss, out=loss)
 
 
 @dataclass(frozen=True)
@@ -170,12 +198,20 @@ def compute_radio_field(grid, uavs, params):
     """
     if len(uavs) == 0:
         raise ValueError("need at least one UAV")
-    power = np.stack([received_power(u, grid.cell_x, grid.cell_y, params) for u in uavs])
+    x, y = grid.cell_x[:grid.nx], grid.cell_y[::grid.nx, None]
+    power = np.empty((len(uavs), grid.ny, grid.nx))
+    for row, u in zip(power, uavs):
+        row[...] = received_power(u, x, y, params)
+    power = power.reshape(len(uavs), grid.n_cells)
     bandwidths = np.array([u.bandwidth for u in uavs], dtype=float)
     noise = params.noise_w_per_hz * bandwidths
-    interference = params.beta * (power.sum(axis=0)[None, :] - power)
-    sinr = power / (interference + noise[:, None])
-    spectral_eff = np.log2(1.0 + sinr)
+    # sinr = power / (beta * (total - power) + noise), built in one array
+    sinr = np.subtract(power.sum(axis=0), power)
+    sinr *= params.beta
+    sinr += noise[:, None]
+    np.divide(power, sinr, out=sinr)
+    spectral_eff = np.add(1.0, sinr)
+    np.log2(spectral_eff, out=spectral_eff)
     feasible_by_uav = sinr >= params.sinr_threshold
     feasible = feasible_by_uav.any(axis=0)
     for arr in (power, sinr, spectral_eff, feasible_by_uav, feasible, bandwidths):

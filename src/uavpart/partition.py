@@ -52,18 +52,24 @@ def own_links(part, *fields):
     return (cells, uavs, *(np.take(f, flat) for f in fields))
 
 
-def _claim(grid, costs, best):
-    """The partition argmin_i costs[i, c], given best, the per-cell minimum:
-    each row in turn claims the free cells where it equals best, so the
-    lowest index wins ties and no argmin runs; cells with best = +inf stay
-    unassigned.  A cell's code, index + 1 (0 when unassigned), counts the rows
-    it was free at, in the smallest unsigned type that holds n_uavs + 1, and
-    each region's mass is the masked sum cell_mass.sum(where=claimed)."""
+def _shifted_rows(costs, psi, row):
+    """costs[i] - psi[i] for each UAV i in turn, each written over row."""
+    return (np.subtract(c, p, out=row) for c, p in zip(costs, psi))
+
+
+def _claim(grid, rows, best, n_uavs):
+    """The partition argmin_i rows[i][c] over the n_uavs rows, given best, the
+    per-cell minimum: each row in turn claims the free cells where it equals
+    best, so the lowest index wins ties and no argmin runs; cells with
+    best = +inf stay unassigned.  rows is read once, one row at a time.  A
+    cell's code, index + 1 (0 when unassigned), counts the rows it was free
+    at, in the smallest unsigned type that holds n_uavs + 1, and each region's
+    mass is the masked sum cell_mass.sum(where=claimed)."""
     free = best < np.inf
-    codes = np.zeros(len(best), dtype=np.min_scalar_type(len(costs) + 1))
+    codes = np.zeros(len(best), dtype=np.min_scalar_type(n_uavs + 1))
     claimed = np.empty(len(best), dtype=bool)
-    masses = np.empty(len(costs))
-    for i, row in enumerate(costs):
+    masses = np.empty(n_uavs)
+    for i, row in enumerate(rows):
         codes += free
         np.equal(row, best, out=claimed)
         claimed &= free
@@ -84,7 +90,7 @@ def assign_by_min_cost(grid, costs):
     best = costs.min(axis=0)  # NaN wherever a column holds one
     if not np.all(best > -np.inf):
         raise ValueError("costs must not contain NaN or -inf")
-    return _claim(grid, costs, best)
+    return _claim(grid, costs, best, len(costs))
 
 
 def weighted_voronoi(grid, radio):
@@ -133,25 +139,35 @@ def partition_to_csv(grid, part, path):
             fh.write(out[out != 0].tobytes())
 
 
-def shifted_pass(grid, costs, psi, buf=None, partition=False):
-    """One in-place pass of the shifted min-cost assignment argmin_i (c_ic - psi_i).
-
-    Fills buf, an (n_uavs, n_cells) array allocated when None, with
-    costs - psi_i and returns F, the integral of the per-cell minimum over the
-    cells some UAV can serve.  With partition=True it returns (F, Partition),
-    the partition claimed from the same buffer: each cell goes to the lowest
-    index whose shifted cost equals the minimum, as with argmin, and cells no
-    UAV can serve stay unassigned.  costs itself is never copied.
-    """
-    if buf is None:
-        buf = np.empty(costs.shape)
-    np.subtract(costs, psi[:, None], out=buf)
-    best = buf.min(axis=0)
-    part = _claim(grid, buf, best) if partition else None
-    best[best == np.inf] = 0.0  # cells no UAV can serve
+def _lower_envelope(grid, costs, psi, best, row):
+    """Fill best with the per-cell minimum min_i (c_ic - psi_i), taken over the
+    cost rows in row order with row as scratch, and return F, its integral
+    over the cells some UAV can serve; best keeps its +inf cells."""
+    np.subtract(costs[0], psi[0], out=best)
+    for shifted in _shifted_rows(costs[1:], psi[1:], row):
+        np.minimum(best, shifted, out=best)
+    np.copyto(row, best)
+    row[best == np.inf] = 0.0  # cells no UAV can serve
     # einsum, not a BLAS dot: a threaded ddot stalls when the CPUs are busy
-    value = float(np.einsum("c,c->", best, grid.cell_mass))
-    return (value, part) if partition else value
+    return float(np.einsum("c,c->", row, grid.cell_mass))
+
+
+def shifted_pass(grid, costs, psi, partition=False):
+    """One pass of the shifted min-cost assignment argmin_i (c_ic - psi_i).
+
+    Returns F, the integral of the per-cell minimum over the cells some UAV
+    can serve, taken row by row into n_cells-length arrays: no
+    (n_uavs, n_cells) array is allocated and costs itself is never copied.
+    With partition=True it returns (F, Partition), the partition claimed by
+    re-deriving each shifted row against that minimum: each cell goes to the
+    lowest index whose shifted cost equals the minimum, as with argmin, and
+    cells no UAV can serve stay unassigned.
+    """
+    best, row = np.empty(costs.shape[1]), np.empty(costs.shape[1])
+    value = _lower_envelope(grid, costs, psi, best, row)
+    if not partition:
+        return value
+    return value, _claim(grid, _shifted_rows(costs, psi, row), best, len(costs))
 
 
 @dataclass(frozen=True)
@@ -162,7 +178,10 @@ class DualPotentials:
     are the ones the ascent stopped on; f_trace is the accepted objective per
     iteration (strictly increasing), grad_trace the mass-mismatch norm,
     step_trace the accepted step (zero on the first row), and evals the
-    number of dual-value evaluations the ascent made."""
+    number of dual values the ascent used: one per iterate plus one per trial
+    step.  Only the first iterate evaluates F itself; every later one takes
+    the value its accepted trial step already computed, so the ascent ran
+    evals - len(f_trace) + 1 evaluations."""
 
     psi: np.ndarray
     partition: Partition
@@ -176,43 +195,48 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
     """Maximize the concave dual F(psi) = term(psi) + shifted_pass(psi) and
     return the potentials with the partition argmin_i (c_ic - psi_i) at them.
 
-    The ascent iterates on partitions: at each iterate one shifted_pass, into
-    a buffer allocated once per ascent, gives F and the partition at psi, and
-    the direction is target(psi, masses), the region masses the separable
-    term prices at psi, minus that partition's masses.  The partition of the
-    last iterate is the one returned, so its masses are the ones the stopping
-    test read; cells no UAV can serve stay unassigned and the lowest index
-    wins ties.  The step search is free of the units: the first iteration
-    tries the larger of the spread of the finite costs and the largest |psi|
-    it starts from, and every later one the last accepted step.  It halves
-    until F improves, then walks to a local maximum of F over step * 2**k: it
-    doubles while F keeps improving, or halves when it had to halve before or
-    the first doubling fails.  Returns when the mass-mismatch norm is at most
-    mass_tol, or at a kink, where no step that still changes psi improves F
-    (a kink the tie-break's masses do not climb, as on grids too coarse for
-    the masses to meet); the last traced mismatch tells the two apart.
-    Raises ConvergenceError (trace attached) when max_iter runs out."""
+    The ascent iterates on partitions: at each iterate a claim pass gives the
+    partition at psi, and the direction is target(psi, masses), the region
+    masses the separable term prices at psi, minus that partition's masses.
+    Every evaluation of F takes the per-cell minimum row by row into
+    n_cells-length arrays allocated once per ascent; no (n_uavs, n_cells)
+    buffer is used.  The accepted trial's F and per-cell minimum are kept by
+    swapping two such arrays, so an iterate after the first evaluates nothing:
+    its claim pass re-derives each shifted row into one array and compares it
+    to the kept minimum.  The partition of the last iterate is the one
+    returned, so its masses are the ones the stopping test read; cells no UAV
+    can serve stay unassigned and the lowest index wins ties.  The step search
+    is free of the units: the first iteration tries the larger of the spread
+    of the finite costs and the largest |psi| it starts from, and every later
+    one the last accepted step.  It halves until F improves, then walks to a
+    local maximum of F over step * 2**k: it doubles while F keeps improving,
+    or halves when it had to halve before or the first doubling fails.
+    Returns when the mass-mismatch norm is at most mass_tol, or at a kink,
+    where no step that still changes psi improves F (a kink the tie-break's
+    masses do not climb, as on grids too coarse for the masses to meet); the
+    last traced mismatch tells the two apart.  Raises ConvergenceError (trace
+    attached) when max_iter runs out."""
     f_trace, grad_trace, step_trace = [], [], []
     finite = np.isfinite(costs)
     spread = float(costs.max(where=finite, initial=-np.inf)
                    - costs.min(where=finite, initial=np.inf))
-    del finite  # one (n_uavs, n_cells) array at a time
+    del finite  # the ascent's only (n_uavs, n_cells) temporary
     first_step = max(spread, float(np.abs(psi).max(initial=0.0)))
     if not first_step > 0:
         first_step = 1.0
-    buf = np.empty(costs.shape)
+    kept, spare, row = (np.empty(costs.shape[1]) for _ in range(3))
     evals = 0
 
-    def value_at(p):
+    def value_at(p, best):
         nonlocal evals
         evals += 1
-        return float(term(p)) + shifted_pass(grid, costs, p, buf)
+        return float(term(p)) + _lower_envelope(grid, costs, p, best, row)
 
+    value = float(term(psi)) + _lower_envelope(grid, costs, psi, kept, row)
     step = 0.0
     while True:
-        evals += 1
-        value, part = shifted_pass(grid, costs, psi, buf, partition=True)
-        value += float(term(psi))
+        evals += 1  # the iterate's F: its own on the first, else its accepted trial's
+        part = _claim(grid, _shifted_rows(costs, psi, row), kept, len(costs))
         wanted = target(psi, part.masses)
         grad = wanted - part.masses
         f_trace.append(value)
@@ -225,7 +249,7 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
             raise ConvergenceError(
                 f"mass mismatch {grad_trace[-1]:.3e} after {max_iter} iterations", trace=trace)
         step = step or first_step
-        cand = value_at(psi + step * grad)
+        cand = value_at(psi + step * grad, kept)
         factors = (2.0, 0.5)
         while cand <= value:
             factors = (0.5,)
@@ -233,17 +257,19 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
             moved = psi + step * grad
             if np.array_equal(moved, psi):
                 break
-            cand = value_at(moved)
+            cand = value_at(moved, kept)
         if cand <= value:  # a kink: no step that still changes psi improves F
             break
         for factor in factors:  # climb to a local maximum over step * 2**k
             climbed = False
-            while (trial := value_at(psi + factor * step * grad)) > cand:
+            while (trial := value_at(psi + factor * step * grad, spare)) > cand:
                 step *= factor
                 cand, climbed = trial, True
+                kept, spare = spare, kept  # the minimum at psi + step * grad
             if climbed:
                 break
         psi = psi + step * grad
+        value = cand
     return DualPotentials(
         psi, part, np.array(f_trace), np.array(grad_trace), np.array(step_trace), evals,
     )

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import _per_uav
 from .config import ExperimentConfig
 from .errors import ConvergenceError, InfeasibleError
-from .partition import DualPotentials, Partition, ascend_dual, own_links, shifted_pass
+from .partition import INFEASIBLE, DualPotentials, Partition, ascend_dual, shifted_pass
 from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
 
 
@@ -75,10 +75,10 @@ def solve_fairness_system(bandwidths, budgets, alpha, n_users):
 
 def build_cost_field(radio, fairness):
     """Per-UAV transport cost: minus the per-user data volume, +inf on the
-    links below the SINR floor."""
-    return np.where(
-        radio.feasible_by_uav, -fairness.resource_per_user * radio.spectral_eff, np.inf
-    )
+    links below the SINR floor, built in one (n_uavs, n_cells) array."""
+    costs = np.multiply(radio.spectral_eff, -fairness.resource_per_user)
+    costs[~radio.feasible_by_uav] = np.inf
+    return costs
 
 
 def dual_value(grid, costs, psi, shares):  # probed by perfbench as scenario1.dual_eval
@@ -88,11 +88,14 @@ def dual_value(grid, costs, psi, shares):  # probed by perfbench as scenario1.du
 
 def _service_field(grid, radio, part, scale):
     """Each cell's bits per user on its own link, scale_i * eff_ic for the
-    cell's UAV i, zero on unassigned cells; scale is per UAV in Hz * s."""
-    cells, owner, eff = own_links(part, radio.spectral_eff)
-    eff *= scale[owner]
-    service = np.zeros(grid.n_cells)
-    service[cells] = eff
+    cell's UAV i, zero on unassigned cells; scale is per UAV in Hz * s.  One
+    full-length gather reads eff_ic, unassigned cells at UAV 0's link."""
+    owner = np.maximum(part.assignment, 0)
+    flat = owner * grid.n_cells
+    flat += np.arange(grid.n_cells)
+    service = np.take(radio.spectral_eff, flat)
+    service *= scale[owner]
+    service[part.assignment == INFEASIBLE] = 0.0
     return service
 
 

@@ -1,13 +1,15 @@
 """Exhaustive oracles the tests hold the solvers to: the closed-form
-in-region bandwidth split, the brute-force minimum of total hover time, and
+in-region bandwidth split, the brute-force minimum of total hover time,
 plain per-region loops that weigh and score a partition the way the library
-does."""
+does, and whole-array forms of the radio field and the shifted min-cost pass
+that the library's in-place kernels must match bit for bit."""
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from uavpart.channel import RadioField
 from uavpart.errors import InfeasibleError
 from uavpart.partition import INFEASIBLE, Partition
 from uavpart.scenario2 import HoverReport, region_hover_report
@@ -142,3 +144,45 @@ def on_own_links(matrix, part):
     out = np.zeros(len(part.assignment))
     out[cells] = matrix[part.assignment[cells], cells]
     return out
+
+
+def received_power_reference(uav, x, y, params):
+    """Mean received power at ground point(s), each quantity one whole-array
+    expression: slant range, elevation, LoS probability, path loss."""
+    with np.errstate(over="ignore"):
+        d2 = (x - uav.x) ** 2 + (y - uav.y) ** 2 + uav.altitude**2
+        theta_deg = np.degrees(np.arcsin(uav.altitude / np.sqrt(d2)))
+        base = np.maximum(theta_deg - 15.0, 0.0)
+        p = np.minimum(params.b1 * base**params.b2, 1.0)
+        loss = params.reference_loss * d2 * (p * params.mu_los + (1.0 - p) * params.mu_nlos)
+    return uav.power / loss
+
+
+def radio_field_reference(grid, uavs, params):
+    """The radio field stacked from per-UAV powers over the flat cell
+    coordinates, with SINR and spectral efficiency as whole-array expressions."""
+    power = np.stack([received_power_reference(u, grid.cell_x, grid.cell_y, params)
+                      for u in uavs])
+    bandwidths = np.array([u.bandwidth for u in uavs], dtype=float)
+    noise = params.noise_w_per_hz * bandwidths
+    interference = params.beta * (power.sum(axis=0)[None, :] - power)
+    sinr = power / (interference + noise[:, None])
+    feasible_by_uav = sinr >= params.sinr_threshold
+    return RadioField(power=power, sinr=sinr, spectral_eff=np.log2(1.0 + sinr),
+                      feasible_by_uav=feasible_by_uav, feasible=feasible_by_uav.any(axis=0),
+                      bandwidths=bandwidths)
+
+
+def shifted_pass_reference(grid, costs, psi, partition=False):
+    """F and, with partition=True, the partition of argmin_i (c_ic - psi_i)
+    from one (n_uavs, n_cells) buffer: np.argmin picks the lowest tied index,
+    cells with no finite shifted cost stay unassigned, and each region's mass
+    is summed with region_masses."""
+    buf = costs - psi[:, None]
+    best = buf.min(axis=0)
+    assignment = np.where(best < np.inf, np.argmin(buf, axis=0), INFEASIBLE)
+    best[best == np.inf] = 0.0
+    value = float(np.einsum("c,c->", best, grid.cell_mass))
+    if not partition:
+        return value
+    return value, Partition(assignment, region_masses(grid, assignment, len(costs)))

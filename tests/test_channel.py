@@ -15,7 +15,9 @@ from uavpart.channel import (
     mean_path_loss,
     received_power,
 )
-from uavpart.grid import uniform_density
+from uavpart.grid import truncated_gaussian, uniform_density
+
+from oracles import radio_field_reference
 
 TABLE = ChannelParams()  # reference constants: 2 GHz, 3/23 dB, -170 dBm/Hz
 
@@ -239,3 +241,44 @@ def test_params_validation():
     for altitude in (1e200, 1e-200, -5.0):
         with pytest.raises(ValueError):
             UavNode(x=0.0, y=0.0, altitude=altitude)
+
+
+FIELDS = ("power", "sinr", "spectral_eff", "feasible_by_uav", "feasible", "bandwidths")
+FLEET = [UavNode(x=250.0, y=400.0, altitude=200.0),
+         UavNode(x=750.0, y=600.0, altitude=150.0, bandwidth=2e6)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid, uavs, params", [
+    (uniform_density(1000.0, 1000.0, 7, 3), FLEET, TABLE),  # non-square
+    (uniform_density(1000.0, 1000.0, 3, 7), FLEET, TABLE),
+    (uniform_density(1000.0, 1000.0, 1, 1), FLEET, TABLE),
+    (truncated_gaussian(1000.0, 800.0, 13, 9, 300.0, 500.0, 150.0, 100.0), FLEET,
+     ChannelParams(beta=0.0)),
+    (uniform_density(1000.0, 1000.0, 12, 12), FLEET, ChannelParams(beta=0.37)),
+    (uniform_density(1000.0, 1000.0, 12, 12),  # a silent UAV
+     FLEET + [UavNode(x=500.0, y=500.0, altitude=100.0, power=0.0)], TABLE),
+    (uniform_density(1000.0, 1000.0, 6, 5),  # a UAV far outside the area
+     FLEET + [UavNode(x=-4.0e4, y=2.5e5, altitude=300.0)], TABLE),
+    (uniform_density(1000.0, 1000.0, 6, 5),  # a loss beyond the float range
+     FLEET + [UavNode(x=0.0, y=0.0, altitude=1e153)], TABLE),
+    (uniform_density(1000.0, 1000.0, 6, 5), FLEET, ChannelParams(carrier_hz=1e160)),
+    (uniform_density(1000.0, 1000.0, 200, 200), FLEET * 3, TABLE),
+])
+def test_radio_field_matches_whole_array_reference(grid, uavs, params):
+    # the in-place, row-per-UAV field is bit for bit the whole-array one
+    field = compute_radio_field(grid, uavs, params)
+    expected = radio_field_reference(grid, uavs, params)
+    for name in FIELDS:
+        got, want = getattr(field, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+        assert not got.flags.writeable, name
+
+
+def test_channel_chain_accepts_scalars():
+    uav = UavNode(x=0.0, y=0.0, altitude=200.0)
+    arrays = received_power(uav, np.array([300.0]), np.array([400.0]), TABLE)
+    assert float(received_power(uav, 300.0, 400.0, TABLE)) == arrays[0]
+    assert float(los_probability(uav, 300.0, 400.0, TABLE)) == los_probability(
+        uav, np.array([300.0]), np.array([400.0]), TABLE)[0]

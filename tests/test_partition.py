@@ -25,7 +25,7 @@ from uavpart.partition import (
 from uavpart.scenario1 import solve_scenario1
 from uavpart.scenario2 import solve_scenario2
 
-from oracles import region_masses
+from oracles import region_masses, shifted_pass_reference
 
 GRID = uniform_density(1000.0, 1000.0, 10, 6)
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -130,6 +130,29 @@ def test_shifted_pass_matches_argmin(seed, n_uavs):
     assert shifted_pass(GRID, costs, psi) == value
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31), n_uavs=st.integers(1, 6), grid_cells=st.integers(1, 40),
+       scale=st.sampled_from([1.0, 1e-3, 1e8]))
+def test_shifted_pass_matches_buffer_reference(seed, n_uavs, grid_cells, scale):
+    # real-valued and integer-tied costs with +inf links and unservable cells:
+    # F and the partition are bit for bit those of the (n_uavs, n_cells) buffer
+    rng = np.random.default_rng(seed)
+    grid = uniform_density(1000.0, 1000.0, grid_cells, 3)
+    if seed % 2:
+        costs = rng.integers(0, 4, size=(n_uavs, grid.n_cells)).astype(float)
+    else:
+        costs = rng.normal(scale=scale, size=(n_uavs, grid.n_cells))
+    costs[rng.random(costs.shape) < 0.3] = np.inf
+    costs[:, rng.random(grid.n_cells) < 0.25] = np.inf
+    psi = rng.normal(scale=scale, size=n_uavs)
+    value, claimed = shifted_pass(grid, costs, psi, partition=True)
+    want, expected = shifted_pass_reference(grid, costs, psi, partition=True)
+    assert value == want
+    assert shifted_pass(grid, costs, psi) == want
+    assert np.array_equal(claimed.assignment, expected.assignment)
+    assert np.array_equal(claimed.masses, expected.masses)
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**31), n_uavs=st.integers(1, 5), ascend=st.booleans())
 @example(seed=18, n_uavs=2, ascend=True)  # a kink where no step improves F
@@ -151,6 +174,10 @@ def test_ascent_returns_partition_at_its_potentials(seed, n_uavs, ascend):
     expected = assign_by_min_cost(GRID, costs - potentials.psi[:, None])
     assert np.array_equal(potentials.partition.assignment, expected.assignment)
     assert np.array_equal(potentials.partition.masses, expected.masses)
+    # the last iterate's F, kept from its accepted trial, is a fresh evaluation's
+    psi = potentials.psi
+    assert potentials.f_trace[-1] == (-0.5 * float(psi / k @ psi)
+                                      + shifted_pass_reference(GRID, costs, psi))
 
 
 @pytest.mark.parametrize("sigma", [200.0, 600.0, 1400.0])

@@ -461,3 +461,14 @@ def test_per_uav_inputs_must_match_radio_field():
         service_field_for_partition(grid, part, radio, [], 0.01, 300)
     with pytest.raises(ValueError, match="got 5 values of control weight alpha for 2 UAVs"):
         service_field_for_partition(grid, part, radio, BUDGET, [0.01] * 5, 300)
+
+
+@pytest.mark.parametrize("beta, floor_db", [(0.0, 20.0), (1.0, -5.0)])
+def test_cost_field_is_the_masked_product(beta, floor_db):
+    # the in-place field is bit for bit np.where(usable, -rpu * eff, +inf)
+    cfg = ExperimentConfig(nx=30, ny=20, n_uavs=4, beta=beta, sinr_threshold_db=floor_db)
+    radio = compute_radio_field(build_grid(cfg), build_uavs(cfg), build_channel(cfg))
+    fair = FairnessSolution(np.ones(4), np.full(4, 0.25), 1.7e6)
+    want = np.where(radio.feasible_by_uav, -fair.resource_per_user * radio.spectral_eff, np.inf)
+    assert 0.2 < radio.feasible_by_uav.mean() < 0.9
+    assert np.array_equal(build_cost_field(radio, fair), want)
