@@ -106,7 +106,7 @@ def _los_from_squared_range(uav, d2, params, out):
     p = np.sqrt(d2, out=out)
     np.divide(uav.altitude, p, out=p)
     np.arcsin(p, out=p)
-    np.degrees(p, out=p)
+    p *= 180.0 / np.pi  # np.degrees bit for bit: NumPy defines it as this product
     p -= 15.0
     np.maximum(p, 0.0, out=p)
     p **= params.b2
@@ -198,19 +198,24 @@ def compute_radio_field(grid, uavs, params):
     """
     if len(uavs) == 0:
         raise ValueError("need at least one UAV")
-    x, y = grid.cell_x[:grid.nx], grid.cell_y[::grid.nx, None]
-    power = np.empty((len(uavs), grid.ny, grid.nx))
-    for row, u in zip(power, uavs):
+    x, y = grid.column_x, grid.row_y[:, None]
+    # power, sinr and spectral_eff are the three layers of one allocation.
+    # When glibc serves a block this large by mmap, freeing it raises its
+    # dynamic mmap and trim thresholds, so a process that builds field after
+    # field keeps reusing its heap instead of handing it back and faulting it
+    # in again
+    fields = np.empty((3, len(uavs), grid.ny, grid.nx))
+    for row, u in zip(fields[0], uavs):
         row[...] = received_power(u, x, y, params)
-    power = power.reshape(len(uavs), grid.n_cells)
+    power, sinr, spectral_eff = fields.reshape(3, len(uavs), grid.n_cells)
     bandwidths = np.array([u.bandwidth for u in uavs], dtype=float)
     noise = params.noise_w_per_hz * bandwidths
-    # sinr = power / (beta * (total - power) + noise), built in one array
-    sinr = np.subtract(power.sum(axis=0), power)
+    # sinr = power / (beta * (total - power) + noise), built in its layer
+    np.subtract(power.sum(axis=0), power, out=sinr)
     sinr *= params.beta
     sinr += noise[:, None]
     np.divide(power, sinr, out=sinr)
-    spectral_eff = np.add(1.0, sinr)
+    np.add(1.0, sinr, out=spectral_eff)
     np.log2(spectral_eff, out=spectral_eff)
     feasible_by_uav = sinr >= params.sinr_threshold
     feasible = feasible_by_uav.any(axis=0)

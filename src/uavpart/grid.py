@@ -66,16 +66,30 @@ class AreaGrid:
         return self.dx * self.dy
 
     @cached_property
+    def column_x(self):
+        """x coordinate of the cell centers in each grid column, length nx."""
+        x = (np.arange(self.nx) + 0.5) * self.dx
+        x.setflags(write=False)
+        return x
+
+    @cached_property
+    def row_y(self):
+        """y coordinate of the cell centers in each grid row, length ny."""
+        y = (np.arange(self.ny) + 0.5) * self.dy
+        y.setflags(write=False)
+        return y
+
+    @cached_property
     def cell_x(self):
-        """x coordinate of each cell center, flat."""
-        x = (np.arange(self.n_cells) % self.nx + 0.5) * self.dx
+        """x coordinate of each cell center, flat: column_x once per row."""
+        x = np.tile(self.column_x, self.ny)
         x.setflags(write=False)
         return x
 
     @cached_property
     def cell_y(self):
-        """y coordinate of each cell center, flat."""
-        y = (np.arange(self.n_cells) // self.nx + 0.5) * self.dy
+        """y coordinate of each cell center, flat: each row_y nx times."""
+        y = np.repeat(self.row_y, self.nx)
         y.setflags(write=False)
         return y
 

@@ -58,13 +58,14 @@ def _shifted_rows(costs, psi, row):
 
 
 def _claim(grid, rows, best, n_uavs):
-    """The partition argmin_i rows[i][c] over the n_uavs rows, given best, the
-    per-cell minimum: each row in turn claims the free cells where it equals
-    best, so the lowest index wins ties and no argmin runs; cells with
-    best = +inf stay unassigned.  rows is read once, one row at a time.  A
-    cell's code, index + 1 (0 when unassigned), counts the rows it was free
-    at, in the smallest unsigned type that holds n_uavs + 1, and each region's
-    mass is the masked sum cell_mass.sum(where=claimed)."""
+    """The codes and region masses of the partition argmin_i rows[i][c] over
+    the n_uavs rows, given best, the per-cell minimum: each row in turn claims
+    the free cells where it equals best, so the lowest index wins ties and no
+    argmin runs; cells with best = +inf stay unassigned.  rows is read once,
+    one row at a time.  A cell's code, index + 1 (0 when unassigned), counts
+    the rows it was free at, in the smallest unsigned type that holds
+    n_uavs + 1, and each region's mass is the masked sum
+    cell_mass.sum(where=claimed).  _partition makes the pair a Partition."""
     free = best < np.inf
     codes = np.zeros(len(best), dtype=np.min_scalar_type(n_uavs + 1))
     claimed = np.empty(len(best), dtype=bool)
@@ -75,6 +76,11 @@ def _claim(grid, rows, best, n_uavs):
         claimed &= free
         masses[i] = grid.cell_mass.sum(where=claimed)
         free ^= claimed
+    return codes, masses
+
+
+def _partition(codes, masses):
+    """The Partition of a claim's codes, index + 1 (0 when unassigned)."""
     return Partition(np.add(codes, INFEASIBLE, dtype=np.int64), masses)
 
 
@@ -90,7 +96,7 @@ def assign_by_min_cost(grid, costs):
     best = costs.min(axis=0)  # NaN wherever a column holds one
     if not np.all(best > -np.inf):
         raise ValueError("costs must not contain NaN or -inf")
-    return _claim(grid, costs, best, len(costs))
+    return _partition(*_claim(grid, costs, best, len(costs)))
 
 
 def weighted_voronoi(grid, radio):
@@ -120,8 +126,8 @@ def partition_to_csv(grid, part, path):
     three tables into a (rows, nx, width) uint8 array; no formatted string
     holds a NUL byte, so dropping the zero padding leaves the CSV text.
     """
-    xs = _byte_table([b"%.9g," % x for x in grid.cell_x[:grid.nx].tolist()])
-    ys = _byte_table([b"%.9g," % y for y in grid.cell_y[::grid.nx].tolist()])
+    xs = _byte_table([b"%.9g," % x for x in grid.column_x.tolist()])
+    ys = _byte_table([b"%.9g," % y for y in grid.row_y.tolist()])
     labels = _byte_table([b"%d\n" % i for i in range(INFEASIBLE, part.n_uavs)])
     codes = (part.assignment - INFEASIBLE).reshape(grid.ny, grid.nx)
     rows = min(max(1, CSV_BLOCK_CELLS // grid.nx), grid.ny)
@@ -139,17 +145,39 @@ def partition_to_csv(grid, part, path):
             fh.write(out[out != 0].tobytes())
 
 
-def _lower_envelope(grid, costs, psi, best, row):
+def _lower_envelope(costs, psi, best, row):
     """Fill best with the per-cell minimum min_i (c_ic - psi_i), taken over the
-    cost rows in row order with row as scratch, and return F, its integral
-    over the cells some UAV can serve; best keeps its +inf cells."""
+    cost rows in row order with row as scratch."""
     np.subtract(costs[0], psi[0], out=best)
     for shifted in _shifted_rows(costs[1:], psi[1:], row):
         np.minimum(best, shifted, out=best)
-    np.copyto(row, best)
-    row[best == np.inf] = 0.0  # cells no UAV can serve
+
+
+def _finite_spread(costs, row):
+    """max - min over the finite entries of costs, -inf when there are none,
+    one row at a time with row as scratch: c * 0 + c is c where c is finite
+    and NaN elsewhere, which fmax and fmin skip."""
+    hi, lo = -np.inf, np.inf
+    with np.errstate(invalid="ignore"):
+        for c in costs:
+            np.multiply(c, 0.0, out=row)
+            row += c
+            hi = max(hi, float(np.fmax.reduce(row, initial=-np.inf)))
+            lo = min(lo, float(np.fmin.reduce(row, initial=np.inf)))
+    return hi - lo
+
+
+def _served_integral(grid, best, dead, row):
+    """F, the integral of the per-cell minimum best over the cells some UAV can
+    serve.  dead holds the indices of the others, +inf in best at every psi;
+    when there are some, F is taken over a copy of best in row that zeroes
+    them, and best keeps its +inf cells."""
+    if len(dead):
+        np.copyto(row, best)
+        row[dead] = 0.0
+        best = row
     # einsum, not a BLAS dot: a threaded ddot stalls when the CPUs are busy
-    return float(np.einsum("c,c->", row, grid.cell_mass))
+    return float(np.einsum("c,c->", best, grid.cell_mass))
 
 
 def shifted_pass(grid, costs, psi, partition=False):
@@ -164,10 +192,11 @@ def shifted_pass(grid, costs, psi, partition=False):
     cells no UAV can serve stay unassigned.
     """
     best, row = np.empty(costs.shape[1]), np.empty(costs.shape[1])
-    value = _lower_envelope(grid, costs, psi, best, row)
+    _lower_envelope(costs, psi, best, row)
+    value = _served_integral(grid, best, np.flatnonzero(best == np.inf), row)
     if not partition:
         return value
-    return value, _claim(grid, _shifted_rows(costs, psi, row), best, len(costs))
+    return value, _partition(*_claim(grid, _shifted_rows(costs, psi, row), best, len(costs)))
 
 
 @dataclass(frozen=True)
@@ -198,9 +227,12 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
     The ascent iterates on partitions: at each iterate a claim pass gives the
     partition at psi, and the direction is target(psi, masses), the region
     masses the separable term prices at psi, minus that partition's masses.
-    Every evaluation of F takes the per-cell minimum row by row into
-    n_cells-length arrays allocated once per ascent; no (n_uavs, n_cells)
-    buffer is used.  The accepted trial's F and per-cell minimum are kept by
+    An iterate keeps its partition as the claim's one-byte codes; the int64
+    Partition is built once, for the iterate the ascent returns.  Every
+    evaluation of F takes the per-cell minimum row by row into n_cells-length
+    arrays allocated once per ascent; no (n_uavs, n_cells) buffer is used, and
+    the cells no UAV can serve, which F skips, are found once, from the first
+    per-cell minimum.  The accepted trial's F and per-cell minimum are kept by
     swapping two such arrays, so an iterate after the first evaluates nothing:
     its claim pass re-derives each shifted row into one array and compares it
     to the kept minimum.  The partition of the last iterate is the one
@@ -217,28 +249,26 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
     last traced mismatch tells the two apart.  Raises ConvergenceError (trace
     attached) when max_iter runs out."""
     f_trace, grad_trace, step_trace = [], [], []
-    finite = np.isfinite(costs)
-    spread = float(costs.max(where=finite, initial=-np.inf)
-                   - costs.min(where=finite, initial=np.inf))
-    del finite  # the ascent's only (n_uavs, n_cells) temporary
-    first_step = max(spread, float(np.abs(psi).max(initial=0.0)))
+    kept, spare, row = (np.empty(costs.shape[1]) for _ in range(3))
+    first_step = max(_finite_spread(costs, row), float(np.abs(psi).max(initial=0.0)))
     if not first_step > 0:
         first_step = 1.0
-    kept, spare, row = (np.empty(costs.shape[1]) for _ in range(3))
+    _lower_envelope(costs, psi, kept, row)
+    dead = np.flatnonzero(kept == np.inf)  # no UAV serves these at any psi
+    value = float(term(psi)) + _served_integral(grid, kept, dead, row)
     evals = 0
 
     def value_at(p, best):
         nonlocal evals
         evals += 1
-        return float(term(p)) + _lower_envelope(grid, costs, p, best, row)
+        _lower_envelope(costs, p, best, row)
+        return float(term(p)) + _served_integral(grid, best, dead, row)
 
-    value = float(term(psi)) + _lower_envelope(grid, costs, psi, kept, row)
     step = 0.0
     while True:
         evals += 1  # the iterate's F: its own on the first, else its accepted trial's
-        part = _claim(grid, _shifted_rows(costs, psi, row), kept, len(costs))
-        wanted = target(psi, part.masses)
-        grad = wanted - part.masses
+        codes, masses = _claim(grid, _shifted_rows(costs, psi, row), kept, len(costs))
+        grad = target(psi, masses) - masses
         f_trace.append(value)
         grad_trace.append(float(np.linalg.norm(grad)))
         step_trace.append(step)
@@ -271,5 +301,6 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
         psi = psi + step * grad
         value = cand
     return DualPotentials(
-        psi, part, np.array(f_trace), np.array(grad_trace), np.array(step_trace), evals,
+        psi, _partition(codes, masses), np.array(f_trace), np.array(grad_trace),
+        np.array(step_trace), evals,
     )

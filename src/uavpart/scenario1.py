@@ -128,16 +128,17 @@ def solve_scenario1(grid, radio, budgets, alpha, n_users, mass_tol=ExperimentCon
     still off their shares.
     """
     fairness = solve_fairness_system(radio.bandwidths, budgets, alpha, n_users)
-    costs = build_cost_field(radio, fairness)
     uncovered_mass = float(grid.cell_mass[~radio.feasible].sum())
     if uncovered_mass > mass_tol:
         raise InfeasibleError(
             f"{uncovered_mass:.3e} of the user mass has no link above the SINR floor"
         )
     shares = fairness.target_masses
+    # the cost field is the ascent's alone: it is freed before the service field
     potentials = ascend_dual(
-        grid, costs, np.zeros(radio.n_uavs), term=lambda psi: psi @ shares,
-        target=lambda psi, masses: shares, mass_tol=mass_tol, max_iter=max_iter,
+        grid, build_cost_field(radio, fairness), np.zeros(radio.n_uavs),
+        term=lambda psi: psi @ shares, target=lambda psi, masses: shares,
+        mass_tol=mass_tol, max_iter=max_iter,
     )
     if potentials.grad_trace[-1] > mass_tol:
         trace = (potentials.f_trace, potentials.grad_trace, potentials.step_trace)

@@ -16,7 +16,7 @@ import numpy as np
 from .channel import _per_uav
 from .config import ExperimentConfig
 from .errors import InfeasibleError
-from .partition import DualPotentials, Partition, ascend_dual, own_links, shifted_pass
+from .partition import INFEASIBLE, DualPotentials, Partition, ascend_dual, own_links, shifted_pass
 from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
 from .partition import weighted_voronoi  # probed by perfbench as partition.voronoi
 
@@ -90,6 +90,20 @@ def marginal_hover_cost(radio, load_bits, alpha, masses, n_users):
     return cost
 
 
+def _least_time_masses(grid, seconds):
+    """Region masses of the least-transmission-time assignment, the claim at
+    psi = 0.  It leaves exactly the cells with no finite seconds unassigned
+    (seconds hold no NaN); InfeasibleError names the populated ones."""
+    part = shifted_pass(grid, seconds, np.zeros(len(seconds)), partition=True)[1]
+    dead = np.flatnonzero((part.assignment == INFEASIBLE) & (grid.cell_mass > 0))
+    if len(dead):
+        raise InfeasibleError(
+            f"{len(dead)} populated cells have no finite transmission time, "
+            f"first at ({grid.cell_x[dead[0]]:.0f} m, {grid.cell_y[dead[0]]:.0f} m)"
+        )
+    return part.masses
+
+
 @dataclass(frozen=True)
 class Scenario2Result:
     partition: Partition
@@ -119,21 +133,15 @@ def solve_scenario2(grid, radio, load_bits, alpha, n_users, mass_tol=ExperimentC
     # at zero mass the marginal hover cost is the transmission time alone
     zeros = np.zeros(radio.n_uavs)
     seconds = marginal_hover_cost(radio, load_bits, alpha, zeros, n_users)
-    dead = ~np.isfinite(seconds).any(axis=0) & (grid.cell_mass > 0)
-    if np.any(dead):
-        k = np.flatnonzero(dead)
-        raise InfeasibleError(
-            f"{len(k)} populated cells have no finite transmission time, "
-            f"first at ({grid.cell_x[k[0]]:.0f} m, {grid.cell_y[k[0]]:.0f} m)"
-        )
     curvature = 2.0 * alpha * n_users**2
     priced = curvature > 0
     potentials = ascend_dual(
-        grid, seconds, -curvature * shifted_pass(grid, seconds, zeros, partition=True)[1].masses,
+        grid, seconds, -curvature * _least_time_masses(grid, seconds),
         term=lambda psi: -0.5 * float(psi[priced] / curvature[priced] @ psi[priced]),
         target=lambda psi, masses: np.divide(-psi, curvature, out=masses.copy(), where=priced),
         mass_tol=mass_tol, max_iter=max_iter,
     )
+    del seconds  # the ascent's alone: the report below peaks without it
     part = potentials.partition
     priced_at = np.divide(-potentials.psi, curvature, out=np.zeros(radio.n_uavs), where=priced)
     report = region_hover_report(grid, part, radio, load_bits, alpha, n_users)

@@ -38,6 +38,19 @@ def test_cell_centers():
     assert np.allclose(g.cell_y[4:], [37.5] * 4)
 
 
+@pytest.mark.parametrize("nx, ny", [(1, 1), (7, 3), (3, 7), (200, 200)])
+def test_separable_centers_are_the_flat_ones(nx, ny):
+    # column_x and row_y are bit for bit the flat centers' first row and
+    # first column, and the flat centers the index formula k % nx, k // nx
+    g = uniform_density(1000.0, 700.0, nx, ny)
+    k = np.arange(nx * ny)
+    assert np.array_equal(g.cell_x, (k % nx + 0.5) * g.dx)
+    assert np.array_equal(g.cell_y, (k // nx + 0.5) * g.dy)
+    assert np.array_equal(g.column_x, g.cell_x[:nx])
+    assert np.array_equal(g.row_y, g.cell_y[::nx])
+    assert not (g.column_x.flags.writeable or g.row_y.flags.writeable)
+
+
 def test_gaussian_matches_pointwise_kernel():
     # oracle: evaluate the kernel by hand at a few centers and renormalize
     w, h, nx, ny = 1000.0, 1000.0, 25, 20

@@ -39,6 +39,18 @@ def test_radio_field_peaks_near_its_outputs():
     assert peak <= outputs + 4 * N * 8 + SLACK
 
 
+def test_radio_fields_are_layers_of_one_allocation():
+    radio = compute_radio_field(GRID, UAVS, PARAMS)
+    fields = (radio.power, radio.sinr, radio.spectral_eff)
+    block = radio.power.base
+    assert all(f.base is block for f in fields)
+    assert block.nbytes == sum(f.nbytes for f in fields)
+    assert all(np.shares_memory(f, block) for f in fields)
+    for f, g in ((radio.power, radio.sinr), (radio.sinr, radio.spectral_eff)):
+        assert not np.shares_memory(f, g)
+    assert not any(f.flags.writeable for f in fields)
+
+
 def test_ascent_allocates_less_than_one_cost_array():
     radio = compute_radio_field(GRID, UAVS, PARAMS)
     fairness = solve_fairness_system(radio.bandwidths, CFG.max_hover, CFG.alpha, CFG.n_users)

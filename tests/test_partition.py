@@ -16,6 +16,7 @@ from uavpart.partition import (
     CSV_BLOCK_CELLS,
     INFEASIBLE,
     Partition,
+    _finite_spread,
     ascend_dual,
     assign_by_min_cost,
     partition_to_csv,
@@ -151,6 +152,28 @@ def test_shifted_pass_matches_buffer_reference(seed, n_uavs, grid_cells, scale):
     assert shifted_pass(grid, costs, psi) == want
     assert np.array_equal(claimed.assignment, expected.assignment)
     assert np.array_equal(claimed.masses, expected.masses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31), n_uavs=st.integers(1, 5), grid_cells=st.integers(1, 40),
+       share=st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+def test_finite_spread_is_the_masked_reduction(seed, n_uavs, grid_cells, share):
+    # the ascent's first step reads this spread: bit for bit the masked
+    # max - min over the whole array, with signed zeros, +inf, -inf and NaN
+    # among the costs and, at share 1, no finite cost at all
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        costs = rng.integers(-2, 3, size=(n_uavs, grid_cells)).astype(float)
+    else:
+        costs = rng.normal(scale=10.0, size=(n_uavs, grid_cells))
+    costs[rng.random(costs.shape) < 0.2] = 0.0
+    costs[rng.random(costs.shape) < 0.2] = -0.0
+    bad = rng.random(costs.shape) < share
+    costs[bad] = rng.choice([np.inf, -np.inf, np.nan], size=int(bad.sum()))
+    finite = np.isfinite(costs)
+    want = costs.max(where=finite, initial=-np.inf) - costs.min(where=finite, initial=np.inf)
+    got = _finite_spread(costs, np.empty(grid_cells))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @settings(max_examples=50, deadline=None)

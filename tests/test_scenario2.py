@@ -1,5 +1,7 @@
 """Bandwidth splitting, hover-time accounting, and the reassignment solver."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from uavpart import scenario2
 from uavpart.channel import ChannelParams, RadioField, UavNode, compute_radio_field
 from uavpart.config import ExperimentConfig
 from uavpart.errors import InfeasibleError
-from uavpart.grid import truncated_gaussian, uniform_density
+from uavpart.grid import AreaGrid, truncated_gaussian, uniform_density
 from uavpart.partition import (
     INFEASIBLE,
     Partition,
@@ -453,6 +455,33 @@ def test_solver_unservable_cell_raises():
     load_bits = 1e8
     with pytest.raises(InfeasibleError):
         solve_scenario2(grid, harsh, load_bits, 0.01, 300)
+
+
+def test_solver_names_the_populated_cells_no_link_reaches():
+    # the error counts the populated cells below every UAV's SINR floor and
+    # names the first; empty cells below it stay unassigned instead
+    base = uniform_density(1000.0, 1000.0, 6, 5)
+    uavs = [UavNode(x=100.0, y=100.0, altitude=200.0),
+            UavNode(x=200.0, y=900.0, altitude=200.0)]
+    radio = compute_radio_field(base, uavs, ChannelParams(sinr_threshold=10.0))
+    dead = np.flatnonzero(~radio.feasible)
+    assert 5 < len(dead) < base.n_cells
+
+    def emptied(cells):
+        density = base.density.copy()
+        density[cells] = 0.0
+        return AreaGrid(base.width, base.height, base.nx, base.ny,
+                        density / (density.sum() * base.cell_area))
+
+    grid = emptied(dead[:5])
+    first = dead[5]
+    message = (f"{len(dead) - 5} populated cells have no finite transmission time, "
+               f"first at ({grid.cell_x[first]:.0f} m, {grid.cell_y[first]:.0f} m)")
+    with pytest.raises(InfeasibleError, match=f"^{re.escape(message)}$"):
+        solve_scenario2(grid, radio, 1e8, 0.01, 300)
+    result = solve_scenario2(emptied(dead), radio, 1e8, 0.01, 300)
+    assert np.all(result.partition.assignment[dead] == INFEASIBLE)
+    assert np.all(result.partition.assignment[radio.feasible] != INFEASIBLE)
 
 
 # brute force
