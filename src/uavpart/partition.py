@@ -199,6 +199,49 @@ def shifted_pass(grid, costs, psi, partition=False):
     return value, _partition(*_claim(grid, _shifted_rows(costs, psi, row), best, len(costs)))
 
 
+def _min_norm_point(points):
+    """The point of least norm in the convex hull of the rows of points, by
+    Wolfe's algorithm on the rows scaled to a largest norm of 1.  Each major
+    cycle adds to the corral, the rows in use, the row with the least inner
+    product with the current point x; each minor cycle moves x to the affine
+    minimizer of the corral, first stepping back to a face of the corral's
+    hull when that minimizer falls outside it and dropping the rows that step
+    leaves at zero weight.  The corral's least norm falls at every major
+    cycle, so no corral repeats; on random hulls of up to 8 rows the cycles
+    never outnumbered the rows, and 10 per row is a guard that returns the
+    current point, still in the hull."""
+    norms = np.einsum("ij,ij->i", points, points)
+    scale = float(np.sqrt(norms.max()))
+    if scale == 0:
+        return points[0].copy()
+    unit = points / scale
+    corral, weights = [int(np.argmin(norms))], np.ones(1)
+    for _ in range(10 * len(unit)):
+        x = weights @ unit[corral]
+        j = int(np.argmin(unit @ x))
+        if j in corral or unit[j] @ x >= x @ x - 1e-15:
+            break
+        corral.append(j)
+        weights = np.append(weights, 0.0)
+        while True:
+            n = len(corral)
+            kkt = np.ones((n + 1, n + 1))
+            kkt[:n, :n] = unit[corral] @ unit[corral].T
+            kkt[n, n] = 0.0
+            affine = np.linalg.lstsq(kkt, np.eye(n + 1)[n], rcond=None)[0][:n]
+            if affine.min() > 0:
+                weights = affine
+                break
+            # the largest move towards affine that keeps every weight >= 0
+            theta = min(w / (w - a) if w > a else 0.0
+                        for w, a in zip(weights, affine) if a <= 0)
+            weights += theta * (affine - weights)
+            keep = weights > 1e-15
+            corral = [c for c, k in zip(corral, keep) if k]
+            weights = weights[keep] / weights[keep].sum()
+    return scale * (weights @ unit[corral])
+
+
 @dataclass(frozen=True)
 class DualPotentials:
     """Potentials psi with the partition they induce and the ascent trace.
@@ -243,11 +286,18 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
     one the last accepted step.  It halves until F improves, then walks to a
     local maximum of F over step * 2**k: it doubles while F keeps improving,
     or halves when it had to halve before or the first doubling fails.
-    Returns when the mass-mismatch norm is at most mass_tol, or at a kink,
-    where no step that still changes psi improves F (a kink the tie-break's
+    Steps along the partition's own direction, grad, zigzag across a kink:
+    tied cells flip between UAVs and the masses alternate between pieces of
+    F.  So when an iterate's masses repeat those of one of the last
+    len(costs) + 1 iterates, the search first tries the least-norm point of
+    the hull of every piece's direction, target(psi, m) - m over the distinct
+    masses m since that repeat, which climbs on each of those pieces, along
+    the kink; grad is tried when no step along it improves F.  Returns when
+    the mass-mismatch norm is at most mass_tol, or at a kink, where no step
+    along grad that still changes psi improves F (a kink the tie-break's
     masses do not climb, as on grids too coarse for the masses to meet); the
-    last traced mismatch tells the two apart.  Raises ConvergenceError (trace
-    attached) when max_iter runs out."""
+    last traced mismatch tells the two apart.  Raises
+    ConvergenceError (trace attached) when max_iter runs out."""
     f_trace, grad_trace, step_trace = [], [], []
     kept, spare, row = (np.empty(costs.shape[1]) for _ in range(3))
     first_step = max(_finite_spread(costs, row), float(np.abs(psi).max(initial=0.0)))
@@ -265,6 +315,7 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
         return float(term(p)) + _served_integral(grid, best, dead, row)
 
     step = 0.0
+    visited = []  # the region masses of the last len(costs) + 2 iterates
     while True:
         evals += 1  # the iterate's F: its own on the first, else its accepted trial's
         codes, masses = _claim(grid, _shifted_rows(costs, psi, row), kept, len(costs))
@@ -278,27 +329,39 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
             trace = (np.array(f_trace), np.array(grad_trace), np.array(step_trace))
             raise ConvergenceError(
                 f"mass mismatch {grad_trace[-1]:.3e} after {max_iter} iterations", trace=trace)
-        step = step or first_step
-        cand = value_at(psi + step * grad, kept)
-        factors = (2.0, 0.5)
-        while cand <= value:
-            factors = (0.5,)
-            step *= 0.5
-            moved = psi + step * grad
-            if np.array_equal(moved, psi):
+        # back at the masses of a recent iterate, the ascent zigzags across a
+        # kink: try first the least-norm supergradient of the pieces visited
+        visited.append(masses)
+        del visited[:-len(costs) - 2]
+        back = next(j for j, seen in enumerate(visited) if np.array_equal(seen, masses))
+        pieces = list({m.tobytes(): m for m in visited[back:]}.values())
+        directions = [grad]
+        if len(pieces) > 1:
+            directions.insert(0, _min_norm_point(np.array([target(psi, m) - m for m in pieces])))
+        start = step or first_step
+        for direction in directions:
+            step, factors = start, (2.0, 0.5)
+            cand = value_at(psi + step * direction, kept)
+            while cand <= value:
+                factors = (0.5,)
+                step *= 0.5
+                moved = psi + step * direction
+                if np.array_equal(moved, psi):
+                    break
+                cand = value_at(moved, kept)
+            if cand > value:
                 break
-            cand = value_at(moved, kept)
-        if cand <= value:  # a kink: no step that still changes psi improves F
+        if cand <= value:  # a kink: no step along grad that still changes psi improves F
             break
         for factor in factors:  # climb to a local maximum over step * 2**k
             climbed = False
-            while (trial := value_at(psi + factor * step * grad, spare)) > cand:
+            while (trial := value_at(psi + factor * step * direction, spare)) > cand:
                 step *= factor
                 cand, climbed = trial, True
-                kept, spare = spare, kept  # the minimum at psi + step * grad
+                kept, spare = spare, kept  # the minimum at psi + step * direction
             if climbed:
                 break
-        psi = psi + step * grad
+        psi = psi + step * direction
         value = cand
     return DualPotentials(
         psi, _partition(codes, masses), np.array(f_trace), np.array(grad_trace),

@@ -186,3 +186,27 @@ def shifted_pass_reference(grid, costs, psi, partition=False):
     if not partition:
         return value
     return value, Partition(assignment, region_masses(grid, assignment, len(costs)))
+
+
+def min_norm_point_reference(points):
+    """The least norm over the convex hull of the rows of points, by trying
+    every subset of at most dim + 1 rows: the minimizer over a subset's affine
+    hull, from its KKT system, counts when its weights are non-negative.  The
+    rows are scaled to a largest norm of 1 first, so the KKT system's blocks
+    are of one size."""
+    k, dim = points.shape
+    scale = float(np.sqrt(np.einsum("ij,ij->i", points, points).max()))
+    if scale == 0:
+        return 0.0
+    points = points / scale
+    best = np.inf
+    for size in range(1, min(k, dim + 1) + 1):
+        for subset in itertools.combinations(range(k), size):
+            p = points[list(subset)]
+            kkt = np.ones((size + 1, size + 1))
+            kkt[:size, :size] = p @ p.T
+            kkt[size, size] = 0.0
+            weights = np.linalg.lstsq(kkt, np.eye(size + 1)[size], rcond=None)[0][:size]
+            if weights.min() >= -1e-12:
+                best = min(best, float(np.linalg.norm(weights @ p)))
+    return scale * best

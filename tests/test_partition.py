@@ -17,6 +17,7 @@ from uavpart.partition import (
     INFEASIBLE,
     Partition,
     _finite_spread,
+    _min_norm_point,
     ascend_dual,
     assign_by_min_cost,
     partition_to_csv,
@@ -26,7 +27,7 @@ from uavpart.partition import (
 from uavpart.scenario1 import solve_scenario1
 from uavpart.scenario2 import solve_scenario2
 
-from oracles import region_masses, shifted_pass_reference
+from oracles import min_norm_point_reference, region_masses, shifted_pass_reference
 
 GRID = uniform_density(1000.0, 1000.0, 10, 6)
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -176,13 +177,9 @@ def test_finite_spread_is_the_masked_reduction(seed, n_uavs, grid_cells, share):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**31), n_uavs=st.integers(1, 5), ascend=st.booleans())
-@example(seed=18, n_uavs=2, ascend=True)  # a kink where no step improves F
-def test_ascent_returns_partition_at_its_potentials(seed, n_uavs, ascend):
-    # integer costs and starting potentials tie often and +inf marks unusable
-    # links; with ascend=False the ascent stops at its integer start, and at
-    # a kink no ascent direction climbs the ascent returns instead of raising
+def check_random_ascent(seed, n_uavs, ascend):
+    """Ascend a random integer-cost dual and check that the partition and F
+    returned are the ones at the returned potentials."""
     rng = np.random.default_rng(seed)
     costs = rng.integers(0, 4, size=(n_uavs, GRID.n_cells)).astype(float)
     costs[rng.random(costs.shape) < 0.3] = np.inf
@@ -201,6 +198,46 @@ def test_ascent_returns_partition_at_its_potentials(seed, n_uavs, ascend):
     psi = potentials.psi
     assert potentials.f_trace[-1] == (-0.5 * float(psi / k @ psi)
                                       + shifted_pass_reference(GRID, costs, psi))
+    return potentials
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**31), n_uavs=st.integers(1, 5), ascend=st.booleans())
+@example(seed=18, n_uavs=2, ascend=True)  # a kink where no step improves F
+@example(seed=42900, n_uavs=5, ascend=True)  # zigzags across a kink
+@example(seed=14796, n_uavs=5, ascend=True)
+def test_ascent_returns_partition_at_its_potentials(seed, n_uavs, ascend):
+    # integer costs and starting potentials tie often and +inf marks unusable
+    # links; with ascend=False the ascent stops at its integer start, and at
+    # a kink no ascent direction climbs the ascent returns instead of raising
+    check_random_ascent(seed, n_uavs, ascend)
+
+
+@pytest.mark.parametrize("seed,n_uavs", [
+    (22, 4), (34, 5), (40, 4), (61, 4), (89, 5), (143, 4), (156, 3), (173, 4), (186, 5),
+    (211, 4), (219, 5), (270, 5), (277, 5), (278, 4), (294, 5), (331, 5), (342, 5),
+    (429, 4), (477, 5), (487, 4),
+])
+def test_ascent_ends_a_zigzag_across_a_kink(seed, n_uavs):
+    # plain supergradient steps alternate between two partitions on these
+    # and run out of iterations; the least-norm step along the kink ends them
+    potentials = check_random_ascent(seed, n_uavs, ascend=True)
+    assert len(potentials.f_trace) <= 300
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31), k=st.integers(1, 6), dim=st.integers(1, 4),
+       integer=st.booleans())
+def test_min_norm_point_matches_subset_search(seed, k, dim, integer):
+    # integer rows repeat and fall on common lines and planes often
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-3, 4, size=(k, dim)) if integer else rng.normal(size=(k, dim))
+    points = points.astype(float)
+    x = _min_norm_point(points)
+    assert np.linalg.norm(x) == pytest.approx(min_norm_point_reference(points), abs=1e-9)
+    # no row lies on the origin's side of x; with the least norm, that makes
+    # x the hull's least-norm point, which is unique
+    assert np.all(points @ x >= x @ x - 1e-9)
 
 
 @pytest.mark.parametrize("sigma", [200.0, 600.0, 1400.0])
