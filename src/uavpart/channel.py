@@ -114,11 +114,6 @@ def _los_from_squared_range(uav, d2, params, out):
     return np.minimum(p, 1.0, out=p)
 
 
-def slant_range(uav, x, y):
-    """Link distance in meters from ground point(s) to the UAV."""
-    return np.sqrt(_squared_range(uav, x, y))
-
-
 def los_probability(uav, x, y, params):
     """Line-of-sight probability, b1 * (elevation_deg - 15)^b2 clipped to [0, 1].
 

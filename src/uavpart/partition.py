@@ -249,11 +249,10 @@ class DualPotentials:
     partition assigns each cell to argmin_i (c_ic - psi_i), and its masses
     are the ones the ascent stopped on; f_trace is the accepted objective per
     iteration (strictly increasing), grad_trace the mass-mismatch norm,
-    step_trace the accepted step (zero on the first row), and evals the
-    number of dual values the ascent used: one per iterate plus one per trial
-    step.  Only the first iterate evaluates F itself; every later one takes
-    the value its accepted trial step already computed, so the ascent ran
-    evals - len(f_trace) + 1 evaluations."""
+    step_trace the accepted step (zero on the first row), evals the number
+    of dual evaluations the ascent ran, and gap the duality gap
+    sum_i k_i (a_i - t_i)^2 / 2 over the finite curvatures (see ascend_dual;
+    0.0 when none is finite)."""
 
     psi: np.ndarray
     partition: Partition
@@ -261,42 +260,44 @@ class DualPotentials:
     grad_trace: np.ndarray
     step_trace: np.ndarray
     evals: int
+    gap: float
 
 
-def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
-    """Maximize the concave dual F(psi) = term(psi) + shifted_pass(psi) and
-    return the potentials with the partition argmin_i (c_ic - psi_i) at them.
+def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
+    """Maximize the concave dual
+    F(psi) = psi . b - sum_i psi_i^2 / (2 k_i) + sum_c m_c min_i (c_ic - psi_i),
+    b = shares and k = curvature, and return the potentials with the
+    partition argmin_i (c_ic - psi_i) at them.
 
-    The ascent iterates on partitions: at each iterate a claim pass gives the
-    partition at psi, and the direction is target(psi, masses), the region
-    masses the separable term prices at psi, minus that partition's masses.
-    An iterate keeps its partition as the claim's one-byte codes; the int64
-    Partition is built once, for the iterate the ascent returns.  Every
-    evaluation of F takes the per-cell minimum row by row into n_cells-length
-    arrays allocated once per ascent; no (n_uavs, n_cells) buffer is used, and
-    the cells no UAV can serve, which F skips, are found once, from the first
-    per-cell minimum.  The accepted trial's F and per-cell minimum are kept by
-    swapping two such arrays, so an iterate after the first evaluates nothing:
-    its claim pass re-derives each shifted row into one array and compares it
-    to the kept minimum.  The partition of the last iterate is the one
-    returned, so its masses are the ones the stopping test read; cells no UAV
-    can serve stay unassigned and the lowest index wins ties.  The step search
-    is free of the units: the first iteration tries the larger of the spread
-    of the finite costs and the largest |psi| it starts from, and every later
-    one the last accepted step.  It halves until F improves, then walks to a
-    local maximum of F over step * 2**k: it doubles while F keeps improving,
-    or halves when it had to halve before or the first doubling fails.
-    Steps along the partition's own direction, grad, zigzag across a kink:
-    tied cells flip between UAVs and the masses alternate between pieces of
-    F.  So when an iterate's masses repeat those of one of the last
-    len(costs) + 1 iterates, the search first tries the least-norm point of
-    the hull of every piece's direction, target(psi, m) - m over the distinct
-    masses m since that repeat, which climbs on each of those pieces, along
-    the kink; grad is tried when no step along it improves F.  Returns when
-    the mass-mismatch norm is at most mass_tol, or at a kink, where no step
-    along grad that still changes psi improves F (a kink the tie-break's
-    masses do not climb, as on grids too coarse for the masses to meet); the
-    last traced mismatch tells the two apart.  Raises
+    F prices the masses t = b - psi / k: k_i = inf drops UAV i's quadratic
+    term, so t_i = b_i, and k_i = 0 holds psi_i where it starts, with the
+    UAV's own region mass as t_i.  Each iterate claims the partition at psi
+    and steps along grad, t minus that partition's masses a; the gap returned
+    is sum_i k_i (a_i - t_i)^2 / 2 over the finite k_i at the last iterate.
+    Every evaluation of F takes the per-cell minimum row by row into
+    n_cells-length arrays allocated once per ascent, so no (n_uavs, n_cells)
+    buffer is used, and skips the cells no UAV can serve, found once from the
+    first minimum.  The accepted trial's F and minimum are kept by swapping
+    two such arrays, so an iterate after the first evaluates nothing: its
+    claim re-derives each shifted row into one array, compares it to the kept
+    minimum and keeps one-byte codes.  The int64 Partition is built once, for
+    the last iterate, so its masses are the ones the stopping test read; cells
+    no UAV can serve stay unassigned and the lowest index wins ties.  The step
+    search is free of the units: the first iteration tries the larger of the
+    spread of the finite costs and the largest |psi| it starts from, and every
+    later one the last accepted step.  It halves until F improves, then walks
+    to a local maximum of F over step * 2**k: it doubles while F keeps
+    improving, or halves when it had to halve before or the first doubling
+    fails.  Steps along grad zigzag across a kink: tied cells flip between
+    UAVs and the masses alternate between pieces of F.  So when an iterate's
+    masses repeat those of one of the last len(costs) + 1 iterates, the search
+    first tries the least-norm point of the hull of every piece's direction,
+    t - m over the distinct masses m since that repeat, which climbs on each
+    of those pieces, along the kink; grad is tried when no step along it
+    improves F.  Returns when the mass-mismatch norm is at most mass_tol, or
+    at a kink, where no step along grad that still changes psi improves F (a
+    kink the tie-break's masses do not climb, as on grids too coarse for the
+    masses to meet); the last traced mismatch tells the two apart.  Raises
     ConvergenceError (trace attached) when max_iter runs out."""
     f_trace, grad_trace, step_trace = [], [], []
     kept, spare, row = (np.empty(costs.shape[1]) for _ in range(3))
@@ -305,21 +306,29 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
         first_step = 1.0
     _lower_envelope(costs, psi, kept, row)
     dead = np.flatnonzero(kept == np.inf)  # no UAV serves these at any psi
-    value = float(term(psi)) + _served_integral(grid, kept, dead, row)
-    evals = 0
+    free = curvature > 0  # k_i = 0 holds psi_i where it starts
+
+    def quadratic(p):  # psi / k before the product: psi**2 overflows first
+        return float(p @ shares) - 0.5 * float(p[free] / curvature[free] @ p[free])
+
+    def aim(p, masses):  # t, with no division by k = 0 to warn
+        t = np.subtract(shares, np.divide(p, curvature, out=np.zeros_like(p), where=free))
+        return np.where(free, t, masses)
+
+    value = quadratic(psi) + _served_integral(grid, kept, dead, row)
+    evals = 1  # later iterates take their accepted trial's value
 
     def value_at(p, best):
         nonlocal evals
         evals += 1
         _lower_envelope(costs, p, best, row)
-        return float(term(p)) + _served_integral(grid, best, dead, row)
+        return quadratic(p) + _served_integral(grid, best, dead, row)
 
     step = 0.0
     visited = []  # the region masses of the last len(costs) + 2 iterates
     while True:
-        evals += 1  # the iterate's F: its own on the first, else its accepted trial's
         codes, masses = _claim(grid, _shifted_rows(costs, psi, row), kept, len(costs))
-        grad = target(psi, masses) - masses
+        grad = aim(psi, masses) - masses
         f_trace.append(value)
         grad_trace.append(float(np.linalg.norm(grad)))
         step_trace.append(step)
@@ -337,7 +346,7 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
         pieces = list({m.tobytes(): m for m in visited[back:]}.values())
         directions = [grad]
         if len(pieces) > 1:
-            directions.insert(0, _min_norm_point(np.array([target(psi, m) - m for m in pieces])))
+            directions.insert(0, _min_norm_point(np.array([aim(psi, m) - m for m in pieces])))
         start = step or first_step
         for direction in directions:
             step, factors = start, (2.0, 0.5)
@@ -363,7 +372,9 @@ def ascend_dual(grid, costs, psi, term, target, mass_tol, max_iter):
                 break
         psi = psi + step * direction
         value = cand
+    finite = np.where(curvature < np.inf, curvature, 0.0)  # one full-length dot
+    gap = 0.5 * float(finite @ (masses - aim(psi, masses)) ** 2)
     return DualPotentials(
         psi, _partition(codes, masses), np.array(f_trace), np.array(grad_trace),
-        np.array(step_trace), evals,
+        np.array(step_trace), evals, gap,
     )

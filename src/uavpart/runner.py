@@ -90,7 +90,7 @@ def _scenario2_rows(cfg, grid, radio, baseline, point, out_dir):
         ("s2_hover_voronoi_optbw", region_hover_report(grid, baseline, *scene).total),
         ("s2_hover_voronoi_eqbw", hover_time_equal_split(grid, baseline, *scene).total),
         ("s2_iterations", float(len(result.potentials.f_trace) - 1)),
-        ("s2_duality_gap", result.duality_gap),
+        ("s2_duality_gap", result.potentials.gap),
     ]
     if cfg.write_partitions:
         _write_maps(cfg, grid, result.partition, baseline, out_dir, "s2", point)

@@ -112,14 +112,14 @@ def solve_scenario1(grid, radio, budgets, alpha, n_users, mass_tol=ExperimentCon
     """Partition the area so each UAV's region mass matches its fair share
     of the hover budgets and the radio field's bandwidths.
 
-    Ascends the concave dual psi . shares + integral of min_i (c_ic - psi_i)
-    from psi = 0 with ascend_dual, whose first step is the spread of the
-    costs, so its steps scale with the bandwidth and the hover budget; it
-    stops when the mass-mismatch norm is at most mass_tol.  The partition is
-    the one ascend_dual returns, each cell at its least shifted cost; the
-    potentials carry the ascent trace and the number of dual evaluations.  The
-    returned service array holds each cell's bits per user on its own link,
-    zero on unassigned cells.
+    Ascends the concave dual psi . shares + integral of min_i (c_ic - psi_i),
+    ascend_dual's F with b = shares and every k_i = inf, from psi = 0;
+    the first step is the spread of the costs, so the steps scale with the
+    bandwidth and the hover budget.  The certificate is the mass-mismatch
+    norm, at most mass_tol at the stop (potentials.gap is 0.0).  The
+    partition is the one ascend_dual returns, each cell at its least shifted
+    cost.  The returned service array holds each cell's bits per user on its
+    own link, zero on unassigned cells.
 
     Raises InfeasibleError when more than mass_tol of the user mass has no
     link above the SINR floor, and ConvergenceError (with the trace attached)
@@ -133,12 +133,10 @@ def solve_scenario1(grid, radio, budgets, alpha, n_users, mass_tol=ExperimentCon
         raise InfeasibleError(
             f"{uncovered_mass:.3e} of the user mass has no link above the SINR floor"
         )
-    shares = fairness.target_masses
     # the cost field is the ascent's alone: it is freed before the service field
     potentials = ascend_dual(
         grid, build_cost_field(radio, fairness), np.zeros(radio.n_uavs),
-        term=lambda psi: psi @ shares, target=lambda psi, masses: shares,
-        mass_tol=mass_tol, max_iter=max_iter,
+        fairness.target_masses, np.full(radio.n_uavs, np.inf), mass_tol, max_iter,
     )
     if potentials.grad_trace[-1] > mass_tol:
         trace = (potentials.f_trace, potentials.grad_trace, potentials.step_trace)

@@ -109,41 +109,34 @@ class Scenario2Result:
     partition: Partition
     report: HoverReport
     potentials: DualPotentials
-    duality_gap: float
 
 
 def solve_scenario2(grid, radio, load_bits, alpha, n_users, mass_tol=ExperimentConfig.mass_tol,
                     max_iter=ExperimentConfig.max_ascent_iter):
     """Minimize total hover time by ascending the dual of the relaxed problem,
-    D(l) = sum_c m_c min_i (s_ic + l_i) - sum_i l_i^2 / (2 k_i), over psi = -l.
+    D(l) = sum_c m_c min_i (s_ic + l_i) - sum_i l_i^2 / (2 k_i) over psi = -l,
+    ascend_dual's dual with b = 0 and curvature k_i = 2 alpha_i N^2.
 
-    load_bits is every user's demand in bits.  s_ic is the cell's
-    transmission seconds per unit mass, k_i = 2 alpha_i N^2, and l_i = k_i b_i
-    the control slope at the mass b_i that UAV i is priced at.  The ascent
+    load_bits is every user's demand in bits and s_ic the cell's transmission
+    seconds per unit mass; l_i = k_i t_i is the control slope at UAV i's
+    aimed mass t_i, and alpha_i = 0 holds l_i at 0.  The ascent
     starts from the slopes at the masses of the least-transmission-time
     assignment (the optimum at alpha = 0) and stops when the region masses
-    match b within mass_tol or at a kink of the dual.  The partition is the
+    match t within mass_tol or at a kink of the dual.  The partition is the
     one ascend_dual returns: each cell at its least s_ic - psi_i, its marginal
-    hover cost at b.  That partition's hover total minus D is duality_gap =
-    sum_i k_i (a_i - b_i)^2 / 2 seconds.  A populated cell with no finite
-    transmission time (no link above the SINR floor, or a load too large for
-    a float) raises InfeasibleError.
+    hover cost at t.  That partition's hover total minus D is potentials.gap
+    seconds.  A populated cell with no finite transmission time (no link
+    above the SINR floor, or a load too large for a float) raises
+    InfeasibleError.
     """
     alpha = _per_uav(alpha, radio.n_uavs, "control weight alpha")
     # at zero mass the marginal hover cost is the transmission time alone
     zeros = np.zeros(radio.n_uavs)
     seconds = marginal_hover_cost(radio, load_bits, alpha, zeros, n_users)
     curvature = 2.0 * alpha * n_users**2
-    priced = curvature > 0
-    potentials = ascend_dual(
-        grid, seconds, -curvature * _least_time_masses(grid, seconds),
-        term=lambda psi: -0.5 * float(psi[priced] / curvature[priced] @ psi[priced]),
-        target=lambda psi, masses: np.divide(-psi, curvature, out=masses.copy(), where=priced),
-        mass_tol=mass_tol, max_iter=max_iter,
-    )
+    potentials = ascend_dual(grid, seconds, -curvature * _least_time_masses(grid, seconds),
+                             zeros, curvature, mass_tol, max_iter)
     del seconds  # the ascent's alone: the report below peaks without it
     part = potentials.partition
-    priced_at = np.divide(-potentials.psi, curvature, out=np.zeros(radio.n_uavs), where=priced)
     report = region_hover_report(grid, part, radio, load_bits, alpha, n_users)
-    gap = 0.5 * float(curvature @ (part.masses - priced_at) ** 2)
-    return Scenario2Result(part, report, potentials, gap)
+    return Scenario2Result(part, report, potentials)

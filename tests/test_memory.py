@@ -58,9 +58,8 @@ def test_ascent_allocates_less_than_one_cost_array():
     shares = fairness.target_masses
     _ = GRID.cell_mass
     potentials, peak = traced_peak(lambda: ascend_dual(
-        GRID, costs, np.zeros(8), term=lambda psi: psi @ shares,
-        target=lambda psi, masses: shares, mass_tol=CFG.mass_tol,
-        max_iter=CFG.max_ascent_iter))
+        GRID, costs, np.zeros(8), shares, np.full(8, np.inf), CFG.mass_tol,
+        CFG.max_ascent_iter))
     assert potentials.grad_trace[-1] <= CFG.mass_tol
     assert costs.shape == (8, N)
     assert peak < costs.nbytes

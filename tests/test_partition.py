@@ -177,40 +177,55 @@ def test_finite_spread_is_the_masked_reduction(seed, n_uavs, grid_cells, share):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-def check_random_ascent(seed, n_uavs, ascend):
+def check_random_ascent(seed, n_uavs, ascend, mixed=False):
     """Ascend a random integer-cost dual and check that the partition and F
-    returned are the ones at the returned potentials."""
+    returned are the ones at the returned potentials.  The curvatures k are
+    integers and the shares b zero; mixed sets some k_i to +inf and some to 0
+    (with psi_i = 0), and takes b from the partition at random potentials,
+    where every UAV's share is a mass it can reach."""
     rng = np.random.default_rng(seed)
     costs = rng.integers(0, 4, size=(n_uavs, GRID.n_cells)).astype(float)
     costs[rng.random(costs.shape) < 0.3] = np.inf
     costs[:, rng.random(GRID.n_cells) < 0.25] = np.inf
     k = rng.integers(1, 5, size=n_uavs).astype(float)
-    potentials = ascend_dual(
-        GRID, costs, rng.integers(-2, 3, size=n_uavs).astype(float),
-        term=lambda psi: -0.5 * float(psi / k @ psi),
-        target=lambda psi, masses: -psi / k,
-        mass_tol=1e-6 if ascend else np.inf, max_iter=1000,
-    )
-    expected = assign_by_min_cost(GRID, costs - potentials.psi[:, None])
+    start = rng.integers(-2, 3, size=n_uavs).astype(float)
+    shares = np.zeros(n_uavs)
+    if mixed:
+        kind = rng.integers(0, 3, size=n_uavs)
+        k[kind == 0], start[kind == 0], k[kind == 1] = 0.0, 0.0, np.inf
+        star = rng.uniform(-2.0, 2.0, size=n_uavs)
+        shares = assign_by_min_cost(GRID, costs - star[:, None]).masses
+    potentials = ascend_dual(GRID, costs, start, shares, k, 1e-6 if ascend else np.inf, 1000)
+    psi = potentials.psi
+    expected = assign_by_min_cost(GRID, costs - psi[:, None])
     assert np.array_equal(potentials.partition.assignment, expected.assignment)
     assert np.array_equal(potentials.partition.masses, expected.masses)
-    # the last iterate's F, kept from its accepted trial, is a fresh evaluation's
-    psi = potentials.psi
-    assert potentials.f_trace[-1] == (-0.5 * float(psi / k @ psi)
-                                      + shifted_pass_reference(GRID, costs, psi))
+    assert np.all(psi[k == 0] == 0.0)
+    # the last iterate's F, kept from its accepted trial, is a fresh evaluation
+    # of F = psi . b - sum_i psi_i^2 / (2 k_i) over k_i > 0 + the shifted minimum
+    curved = k > 0
+    quadratic = float(psi @ shares) - 0.5 * float(psi[curved] / k[curved] @ psi[curved])
+    assert potentials.f_trace[-1] == quadratic + shifted_pass_reference(GRID, costs, psi)
+    # the gap weighs each finite k_i by the squared miss of its priced mass
+    masses = expected.masses
+    aimed = np.where(curved, shares - psi / np.where(curved, k, 1.0), masses)
+    finite = k < np.inf
+    assert potentials.gap == pytest.approx(
+        0.5 * float(k[finite] @ (masses[finite] - aimed[finite]) ** 2), rel=1e-12, abs=0.0)
     return potentials
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**31), n_uavs=st.integers(1, 5), ascend=st.booleans())
-@example(seed=18, n_uavs=2, ascend=True)  # a kink where no step improves F
-@example(seed=42900, n_uavs=5, ascend=True)  # zigzags across a kink
-@example(seed=14796, n_uavs=5, ascend=True)
-def test_ascent_returns_partition_at_its_potentials(seed, n_uavs, ascend):
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31), n_uavs=st.integers(1, 5), ascend=st.booleans(),
+       mixed=st.booleans())
+@example(seed=18, n_uavs=2, ascend=True, mixed=False)  # a kink where no step improves F
+@example(seed=42900, n_uavs=5, ascend=True, mixed=False)  # zigzags across a kink
+@example(seed=14796, n_uavs=5, ascend=True, mixed=False)
+def test_ascent_returns_partition_at_its_potentials(seed, n_uavs, ascend, mixed):
     # integer costs and starting potentials tie often and +inf marks unusable
     # links; with ascend=False the ascent stops at its integer start, and at
     # a kink no ascent direction climbs the ascent returns instead of raising
-    check_random_ascent(seed, n_uavs, ascend)
+    check_random_ascent(seed, n_uavs, ascend, mixed)
 
 
 @pytest.mark.parametrize("seed,n_uavs", [

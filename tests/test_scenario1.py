@@ -386,8 +386,8 @@ def test_trace_shapes_and_steps():
     assert p.step_trace[0] == 0.0
     assert np.all(p.step_trace[1:] > 0)
     assert np.all(np.diff(p.f_trace) > 0)
-    # every iteration evaluates its own point and at least two trial steps
-    assert p.evals >= len(p.f_trace) + 2 * (len(p.f_trace) - 1)
+    # the first iterate evaluates its own point, and every step at least two trials
+    assert p.evals >= 1 + 2 * (len(p.f_trace) - 1)
 
 
 def test_default_scene_needs_few_evaluations():
@@ -398,7 +398,7 @@ def test_default_scene_needs_few_evaluations():
                              mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter)
     residual = np.abs(result.partition.masses - result.fairness.target_masses).max()
     assert residual <= cfg.mass_tol
-    assert result.potentials.evals <= 30
+    assert result.potentials.evals <= 24  # 6 iterations: 30 when each counted one more
 
 
 @settings(max_examples=20, deadline=None)
@@ -412,9 +412,7 @@ def test_ascent_is_free_of_cost_units(k):
     shares = fair.target_masses
 
     def ascend(c):
-        return ascend_dual(grid, c, np.zeros(2), term=lambda psi: psi @ shares,
-                           target=lambda psi, masses: shares, mass_tol=5e-3,
-                           max_iter=1000)
+        return ascend_dual(grid, c, np.zeros(2), shares, np.full(2, np.inf), 5e-3, 1000)
 
     base, scaled = ascend(costs), ascend(costs * 2.0**k)
     assert np.array_equal(scaled.psi, base.psi * 2.0**k)

@@ -304,9 +304,9 @@ def test_solver_starts_from_best_signal_masses_on_equal_bandwidths(monkeypatch):
     radio = compute_radio_field(grid, uavs, PARAMS)
     starts = []
 
-    def recording_ascent(grid, costs, psi, **kwargs):
+    def recording_ascent(grid, costs, psi, *args):
         starts.append(psi)
-        return ascend_dual(grid, costs, psi, **kwargs)
+        return ascend_dual(grid, costs, psi, *args)
 
     monkeypatch.setattr(scenario2, "ascend_dual", recording_ascent)
     alpha, n_users = 0.02, 300
@@ -324,7 +324,7 @@ def test_solver_single_uav():
     result = solve_scenario2(grid, radio, load_bits, 0.01, 300)
     assert np.all(result.partition.assignment == 0)
     assert result.partition.masses[0] == pytest.approx(1.0)
-    assert result.duality_gap == pytest.approx(0.0, abs=1e-9 * result.report.total)
+    assert result.potentials.gap == pytest.approx(0.0, abs=1e-9 * result.report.total)
 
 
 def test_solver_against_brute_force():
@@ -398,10 +398,14 @@ def test_solver_ascent_trace_and_exit(n, bandwidths):
     assert result.partition.masses.sum() == pytest.approx(covered, abs=1e-12)
 
 
-@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.1])
+@pytest.mark.parametrize("alpha", [
+    0.001, 0.01, 0.1,
+    pytest.param([0.0, 0.01], id="0-0.01"), pytest.param([0.01, 0.0], id="0.01-0"),
+])
 def test_solver_duality_gap_is_certified(alpha):
-    # D(l) = sum_c m_c min_i (s_ic + l_i) - sum_i l_i^2 / (4 alpha N^2),
-    # evaluated here from the channel directly at l = -psi
+    # D(l) = sum_c m_c min_i (s_ic + l_i) - sum_i l_i^2 / (4 alpha_i N^2) over
+    # alpha_i > 0, evaluated here from the channel directly at l = -psi; a UAV
+    # with alpha_i = 0 keeps l_i = 0
     grid, uavs, radio = real_scene(24, 24, bandwidths=(1e6, 2e6))
     load_bits = 1e8
     n_users = 300
@@ -412,16 +416,19 @@ def test_solver_duality_gap_is_certified(alpha):
         np.inf,
     )
     slopes = -result.potentials.psi
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), len(slopes))
+    curved = alpha > 0
+    assert np.all(slopes[~curved] == 0.0)
     best = (seconds + slopes[:, None]).min(axis=0)
     dual = float(best @ grid.cell_mass) - float(
-        (slopes**2).sum() / (4.0 * alpha * n_users**2)
+        (slopes[curved] ** 2 / (4.0 * alpha[curved] * n_users**2)).sum()
     )
+    gap = result.potentials.gap
     assert dual == pytest.approx(result.potentials.f_trace[-1], rel=1e-12)
-    assert result.duality_gap >= 0.0
-    assert result.duality_gap == pytest.approx(
-        result.report.total - dual, rel=1e-6, abs=1e-9 * result.report.total
-    )
-    assert result.duality_gap <= 1e-5 * result.report.total
+    assert gap >= 0.0
+    assert gap == pytest.approx(result.report.total - dual, rel=1e-6,
+                                abs=1e-9 * result.report.total)
+    assert gap <= 1e-5 * result.report.total
 
 
 def test_per_uav_alpha():
