@@ -20,11 +20,6 @@ def db_to_linear(value_db):
         raise ValueError(f"{value_db:g} dB overflows a linear power ratio") from None
 
 
-def linear_to_db(value):
-    """Decibels from a power ratio."""
-    return 10.0 * np.log10(value)
-
-
 def dbm_to_watts(value_dbm):
     """Watts from dBm."""
     return db_to_linear(value_dbm - 30.0)

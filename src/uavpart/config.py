@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import ChannelParams, UavNode, db_to_linear, dbm_to_watts, linear_to_db
+from .channel import ChannelParams, UavNode, _per_uav, db_to_linear, dbm_to_watts
 from .errors import ConfigError
 from .grid import truncated_gaussian, uniform_density
 
@@ -114,11 +114,10 @@ def _parse_value(name, raw):
 def load_config(path):
     """Read a key = value config file into an ExperimentConfig.
 
-    Section names are ignored; keys must match config fields.  Channel
-    quantities may be given either in dB (mu_los_db = 3) or linear units
-    (mu_los = 1.995); a [provenance] section is skipped so a manifest can be
-    rerun directly.  Values are read literally, with no % interpolation.
-    Raises ConfigError on unknown keys or bad values.
+    Section names are ignored; keys must match config fields, and a
+    [provenance] section is skipped so a manifest can be rerun directly.
+    Values are read literally, with no % interpolation.  Raises ConfigError
+    on unknown keys or bad values.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -133,19 +132,9 @@ def load_config(path):
         if section == "provenance":
             continue
         for key, raw in parser.items(section):
-            if key in _LINEAR_ALIASES:
-                target, offset_db = _LINEAR_ALIASES[key]
-                try:
-                    linear = float(raw)
-                except ValueError:
-                    raise ConfigError(f"bad value for {key}: {raw!r}") from None
-                if linear <= 0:
-                    raise ConfigError(f"{key} must be positive, got {raw!r}")
-                updates[target] = float(linear_to_db(linear)) + offset_db
-            elif key in _FIELDS:
-                updates[key] = _parse_value(key, raw)
-            elif key != "rounds":  # retired, still read so old manifests rerun
+            if key not in _FIELDS:
                 raise ConfigError(f"unknown config key: {key}")
+            updates[key] = _parse_value(key, raw)
     cfg = replace(ExperimentConfig(), **updates)
     validate_config(cfg)
     return cfg
@@ -170,9 +159,9 @@ def validate_config(cfg):
 
 
 def _check_fields(cfg):
-    """Check one concrete config.  Its fleet and channel are built, because
-    UavNode, ChannelParams and place_uavs_grid own their rules; its grid is
-    not (it costs far more), so the grid rules are checked here on the fields
+    """Check one concrete config against the rules UavNode, ChannelParams,
+    place_uavs_grid and _per_uav own, by building its fleet and channel; its
+    grid is not built (it costs far more), so the grid rules are checked here
     and a hot spot that underflows on the grid is left to build_grid."""
     for f in fields(ExperimentConfig):
         if f.type in ("float", "tuple") and not np.all(np.isfinite(getattr(cfg, f.name))):
@@ -190,10 +179,8 @@ def _check_fields(cfg):
         (cfg.density_kind in DENSITY_KINDS, f"density_kind must be one of {DENSITY_KINDS}"),
         (all(s > 0 and 0.0 < s * s < math.inf for s in (cfg.sigma_x, cfg.sigma_y)),
          "sigma must be positive with a finite, non-zero square"),
-        (cfg.max_hover > 0, "hover budget must be positive"),
         (cfg.scenario in SCENARIOS, f"scenario must be one of {SCENARIOS}"),
         (cfg.n_users >= 1, "need at least one user"),
-        (cfg.alpha >= 0, "alpha must be non-negative"),
         (cfg.load_bits >= 0, "load must be non-negative"),
         (cfg.mass_tol > 0, "mass tolerance must be positive"),
         (cfg.max_ascent_iter >= 1, "iteration budget must be positive"),
@@ -206,7 +193,10 @@ def _check_fields(cfg):
     try:
         build_uavs(cfg)
         build_channel(cfg)
-    except ValueError as exc:
+        _per_uav(cfg.max_hover, cfg.n_uavs, "hover budget", positive=True)
+        _per_uav(cfg.alpha, cfg.n_uavs, "control weight alpha")
+        _per_uav(2.0 * cfg.alpha * cfg.n_users**2, cfg.n_uavs, "control price 2 alpha N^2")
+    except (ValueError, OverflowError) as exc:  # N^2 may overflow before the price does
         raise ConfigError(str(exc)) from None
 
 

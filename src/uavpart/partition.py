@@ -180,23 +180,13 @@ def _served_integral(grid, best, dead, row):
     return float(np.einsum("c,c->", best, grid.cell_mass))
 
 
-def shifted_pass(grid, costs, psi, partition=False):
-    """One pass of the shifted min-cost assignment argmin_i (c_ic - psi_i).
-
-    Returns F, the integral of the per-cell minimum over the cells some UAV
-    can serve, taken row by row into n_cells-length arrays: no
-    (n_uavs, n_cells) array is allocated and costs itself is never copied.
-    With partition=True it returns (F, Partition), the partition claimed by
-    re-deriving each shifted row against that minimum: each cell goes to the
-    lowest index whose shifted cost equals the minimum, as with argmin, and
-    cells no UAV can serve stay unassigned.
-    """
+def shifted_pass(grid, costs, psi):
+    """F, the integral of the per-cell minimum min_i (c_ic - psi_i) over the
+    cells some UAV can serve, taken row by row into n_cells-length arrays: no
+    (n_uavs, n_cells) array is allocated and costs itself is never copied."""
     best, row = np.empty(costs.shape[1]), np.empty(costs.shape[1])
     _lower_envelope(costs, psi, best, row)
-    value = _served_integral(grid, best, np.flatnonzero(best == np.inf), row)
-    if not partition:
-        return value
-    return value, _partition(*_claim(grid, _shifted_rows(costs, psi, row), best, len(costs)))
+    return _served_integral(grid, best, np.flatnonzero(best == np.inf), row)
 
 
 def _min_norm_point(points):

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import _per_uav
 from .config import ExperimentConfig
 from .errors import ConvergenceError, InfeasibleError
-from .partition import INFEASIBLE, DualPotentials, Partition, ascend_dual, shifted_pass
+from .partition import DualPotentials, Partition, ascend_dual, own_links, shifted_pass
 from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
 
 
@@ -86,16 +86,12 @@ def dual_value(grid, costs, psi, shares):  # probed by perfbench as scenario1.du
     return float(psi @ shares) + shifted_pass(grid, costs, psi)
 
 
-def _service_field(grid, radio, part, scale):
+def _service_field(radio, part, scale):
     """Each cell's bits per user on its own link, scale_i * eff_ic for the
-    cell's UAV i, zero on unassigned cells; scale is per UAV in Hz * s.  One
-    full-length gather reads eff_ic, unassigned cells at UAV 0's link."""
-    owner = np.maximum(part.assignment, 0)
-    flat = owner * grid.n_cells
-    flat += np.arange(grid.n_cells)
-    service = np.take(radio.spectral_eff, flat)
-    service *= scale[owner]
-    service[part.assignment == INFEASIBLE] = 0.0
+    cell's UAV i, zero on unassigned cells; scale is per UAV in Hz * s."""
+    cells, uavs, eff = own_links(part, radio.spectral_eff)
+    service = np.zeros(part.assignment.size)
+    service[cells] = np.multiply(eff, scale[uavs], out=eff)
     return service
 
 
@@ -141,7 +137,7 @@ def solve_scenario1(grid, radio, budgets, alpha, n_users, mass_tol=ExperimentCon
     if potentials.grad_trace[-1] > mass_tol:
         trace = (potentials.f_trace, potentials.grad_trace, potentials.step_trace)
         raise ConvergenceError("no improving step along the ascent direction", trace=trace)
-    service = _service_field(grid, radio, potentials.partition,
+    service = _service_field(radio, potentials.partition,
                              np.full(radio.n_uavs, fairness.resource_per_user))
     return Scenario1Result(potentials.partition, fairness, potentials, service)
 
@@ -163,4 +159,4 @@ def service_field_for_partition(grid, part, radio, budgets, alpha, n_users):
     serve = np.maximum(tau - alpha * (n_users * a) ** 2, 0.0)
     scale = np.divide(radio.bandwidths * serve, n_users * a, out=np.zeros(radio.n_uavs),
                       where=a > 0)
-    return _service_field(grid, radio, part, scale)
+    return _service_field(radio, part, scale)

@@ -16,9 +16,8 @@ import numpy as np
 from .channel import _per_uav
 from .config import ExperimentConfig
 from .errors import InfeasibleError
-from .partition import INFEASIBLE, DualPotentials, Partition, ascend_dual, own_links, shifted_pass
-from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
-from .partition import weighted_voronoi  # probed by perfbench as partition.voronoi
+from .partition import INFEASIBLE, DualPotentials, Partition, ascend_dual, assign_by_min_cost
+from .partition import own_links, weighted_voronoi  # weighted_voronoi is probed by perfbench
 
 
 @dataclass(frozen=True)
@@ -75,17 +74,14 @@ def region_hover_report(grid, part, radio, load_bits, alpha, n_users):
     return HoverReport(n_users * sums / radio.bandwidths, control)
 
 
-def marginal_hover_cost(radio, load_bits, alpha, masses, n_users):
-    """Per-cell cost of adding the cell to each UAV: transmission seconds for
-    the cell's users plus the control-time slope 2 alpha_i N^2 a_i at the
-    UAV's current mass a_i.  +inf below the SINR floor."""
-    alpha = _per_uav(alpha, radio.n_uavs, "control weight alpha")
-    slope = 2.0 * alpha * n_users**2 * np.asarray(masses, dtype=float)
+def marginal_hover_cost(radio, load_bits, n_users):
+    """Per-cell cost of adding the cell to each UAV at zero mass, where the
+    control-time slope is zero: the transmission seconds N load / (B_i eff_ic)
+    for the cell's users.  +inf below the SINR floor."""
     # one (n_uavs, n_cells) buffer worked in place: scenario 2 peaks in here
     cost = np.where(radio.feasible_by_uav, radio.spectral_eff, 1.0)
     cost *= radio.bandwidths[:, None]
     np.divide(n_users * load_bits, cost, out=cost)
-    cost += slope[:, None]
     cost[~radio.feasible_by_uav] = np.inf
     return cost
 
@@ -94,7 +90,7 @@ def _least_time_masses(grid, seconds):
     """Region masses of the least-transmission-time assignment, the claim at
     psi = 0.  It leaves exactly the cells with no finite seconds unassigned
     (seconds hold no NaN); InfeasibleError names the populated ones."""
-    part = shifted_pass(grid, seconds, np.zeros(len(seconds)), partition=True)[1]
+    part = assign_by_min_cost(grid, seconds)
     dead = np.flatnonzero((part.assignment == INFEASIBLE) & (grid.cell_mass > 0))
     if len(dead):
         raise InfeasibleError(
@@ -130,12 +126,10 @@ def solve_scenario2(grid, radio, load_bits, alpha, n_users, mass_tol=ExperimentC
     InfeasibleError.
     """
     alpha = _per_uav(alpha, radio.n_uavs, "control weight alpha")
-    # at zero mass the marginal hover cost is the transmission time alone
-    zeros = np.zeros(radio.n_uavs)
-    seconds = marginal_hover_cost(radio, load_bits, alpha, zeros, n_users)
+    seconds = marginal_hover_cost(radio, load_bits, n_users)
     curvature = 2.0 * alpha * n_users**2
     potentials = ascend_dual(grid, seconds, -curvature * _least_time_masses(grid, seconds),
-                             zeros, curvature, mass_tol, max_iter)
+                             np.zeros(radio.n_uavs), curvature, mass_tol, max_iter)
     del seconds  # the ascent's alone: the report below peaks without it
     part = potentials.partition
     report = region_hover_report(grid, part, radio, load_bits, alpha, n_users)

@@ -98,24 +98,6 @@ def test_modified_roundtrip(tmp_path):
         assert load_config(write_cfg(tmp_path, config_to_ini(cfg))) == cfg
 
 
-def test_linear_unit_aliases(tmp_path):
-    path = write_cfg(
-        tmp_path,
-        """
-[experiment]
-mu_los = 1.9952623149688795
-mu_nlos = 199.52623149688787
-sinr_threshold = 0.01
-noise_w_per_hz = 1e-20
-""",
-    )
-    cfg = load_config(path)
-    assert cfg.mu_los_db == pytest.approx(3.0, rel=1e-12)
-    assert cfg.mu_nlos_db == pytest.approx(23.0, rel=1e-12)
-    assert cfg.sinr_threshold_db == pytest.approx(-20.0, rel=1e-12)
-    assert cfg.noise_dbm_per_hz == pytest.approx(-170.0, rel=1e-12)
-
-
 def test_config_errors(tmp_path):
     cases = [
         "[experiment]\nno_such_key = 1\n",
@@ -126,6 +108,12 @@ def test_config_errors(tmp_path):
         "[experiment]\nsweep_var = beta\nsweep_values = nan\n",
         "[experiment]\nscenario = 3\n",
         "[experiment]\nmu_los = -2\n",
+        # retired keys: the linear channel aliases and the old solver's rounds
+        "[experiment]\nmu_los = 2\n",
+        "[experiment]\nrounds = 200\n",
+        # scenario 2's control price 2 alpha N^2 overflows, then N^2 itself
+        "[experiment]\nalpha = 1e300\nn_users = 100000\n",
+        f"[experiment]\nalpha = 0\nn_users = {10**160}\n",
         "key = value without a section\n",
     ]
     for text in cases:
@@ -299,19 +287,6 @@ def test_manifest_reruns_identically(tmp_path):
         assert run_experiment(again, str(rerun)) == EXIT_OK
         for name in ("metrics.csv", "manifest.ini"):
             assert (first / name).read_bytes() == (rerun / name).read_bytes()
-
-
-def test_retired_rounds_key_still_reruns(tmp_path):
-    # manifests written before the averaged-occupancy solver was retired
-    # carry `rounds = 200`; the key is read and ignored
-    cfg = load_config(write_cfg(tmp_path, FAST_KEYS))
-    old = config_to_ini(cfg).replace("[experiment]\n", "[experiment]\nrounds = 200\n")
-    path = write_cfg(tmp_path, old, name="manifest.ini")
-    assert load_config(path) == cfg
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run_experiment(load_config(path), str(out_a)) == EXIT_OK
-    assert run_experiment(load_config(path), str(out_b)) == EXIT_OK
-    assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
 
 
 def test_run_sweep_points(tmp_path):
@@ -489,6 +464,20 @@ def test_cli_huge_alpha_fails_cleanly(tmp_path, capsys):
     assert len(err.strip().splitlines()) == (code == EXIT_CONVERGENCE)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_cli_overflowing_control_price_is_a_config_error(tmp_path, capsys, scenario):
+    # 2 alpha N^2 = 2e310 overflows a float: the config is rejected before
+    # any solver runs, in either scenario, with no RuntimeWarning
+    path = write_cfg(tmp_path, fast_text(scenario=scenario, nx=20, ny=20, alpha=1e300,
+                                         n_users=100000))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: every control price 2 alpha N^2 must be finite and non-negative\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides", [{"max_hover": 1.8e6}, {"bandwidth": 1e8}],
                          ids=["max_hover", "bandwidth"])
 def test_cli_large_units_converge(tmp_path, overrides):
@@ -617,7 +606,7 @@ def test_run_experiment_validates_unswept_config(tmp_path, capsys, overrides):
         {"carrier_hz": "inf"},
         {"bandwidth": "inf"},
         {"max_hover": "inf"},
-        {"mu_los": "inf"},
+        {"mu_nlos_db": "inf"},
         {"sweep_var": "alpha", "sweep_values": "0.01 inf"},
     ],
     ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items() if k != "scenario"),

@@ -15,7 +15,6 @@ from uavpart.partition import INFEASIBLE, Partition, weighted_voronoi
 from uavpart.scenario1 import service_field_for_partition, solve_scenario1
 from uavpart.scenario2 import (
     hover_time_equal_split,
-    marginal_hover_cost,
     region_hover_report,
     solve_scenario2,
 )
@@ -119,7 +118,6 @@ def test_every_alpha_taker_rejects_a_bad_entry(bad):
         lambda: solve_scenario2(grid, *scene),
         lambda: region_hover_report(grid, part, *scene),
         lambda: hover_time_equal_split(grid, part, *scene),
-        lambda: marginal_hover_cost(radio, cfg.load_bits, alpha, part.masses, cfg.n_users),
         lambda: service_field_for_partition(grid, part, radio, cfg.max_hover, alpha, cfg.n_users),
     ]
     for call in calls:

@@ -121,15 +121,10 @@ def test_shifted_pass_matches_argmin(seed, n_uavs):
     costs[:, rng.random(GRID.n_cells) < 0.25] = np.inf
     psi = rng.integers(-2, 3, size=n_uavs).astype(float)
     shifted = costs - psi[:, None]
-    part = assign_by_min_cost(GRID, shifted)
-    covered = part.assignment >= 0
-    value, claimed = shifted_pass(GRID, costs, psi, partition=True)
-    assert np.array_equal(claimed.assignment, part.assignment)
-    assert np.array_equal(claimed.masses, part.masses)
-    assert value == pytest.approx(
+    covered = np.isfinite(shifted).any(axis=0)
+    assert shifted_pass(GRID, costs, psi) == pytest.approx(
         float(shifted.min(axis=0)[covered] @ GRID.cell_mass[covered]), rel=1e-12, abs=1e-15
     )
-    assert shifted_pass(GRID, costs, psi) == value
 
 
 @settings(max_examples=100, deadline=None)
@@ -137,7 +132,8 @@ def test_shifted_pass_matches_argmin(seed, n_uavs):
        scale=st.sampled_from([1.0, 1e-3, 1e8]))
 def test_shifted_pass_matches_buffer_reference(seed, n_uavs, grid_cells, scale):
     # real-valued and integer-tied costs with +inf links and unservable cells:
-    # F and the partition are bit for bit those of the (n_uavs, n_cells) buffer
+    # F and the partition claimed at psi are bit for bit those of the
+    # (n_uavs, n_cells) buffer
     rng = np.random.default_rng(seed)
     grid = uniform_density(1000.0, 1000.0, grid_cells, 3)
     if seed % 2:
@@ -147,9 +143,8 @@ def test_shifted_pass_matches_buffer_reference(seed, n_uavs, grid_cells, scale):
     costs[rng.random(costs.shape) < 0.3] = np.inf
     costs[:, rng.random(grid.n_cells) < 0.25] = np.inf
     psi = rng.normal(scale=scale, size=n_uavs)
-    value, claimed = shifted_pass(grid, costs, psi, partition=True)
+    claimed = assign_by_min_cost(grid, costs - psi[:, None])
     want, expected = shifted_pass_reference(grid, costs, psi, partition=True)
-    assert value == want
     assert shifted_pass(grid, costs, psi) == want
     assert np.array_equal(claimed.assignment, expected.assignment)
     assert np.array_equal(claimed.masses, expected.masses)
@@ -296,9 +291,6 @@ def test_assignment_matches_argmin(seed, n_uavs, inf_share):
     expected = np.where(servable, np.argmin(costs, axis=0), INFEASIBLE)
     assert np.array_equal(part.assignment, expected)
     assert np.array_equal(part.masses, region_masses(GRID, expected, n_uavs))
-    _, claimed = shifted_pass(GRID, costs, np.zeros(n_uavs), partition=True)
-    assert np.array_equal(claimed.assignment, part.assignment)
-    assert np.array_equal(claimed.masses, part.masses)
 
 
 def test_assignment_leaves_inputs_alone():

@@ -14,7 +14,7 @@ from uavpart.grid import AreaGrid, uniform_density
 from uavpart.partition import (
     Partition,
     ascend_dual,
-    shifted_pass,
+    assign_by_min_cost,
     weighted_voronoi,
 )
 from uavpart.scenario1 import (
@@ -31,6 +31,11 @@ from oracles import region_masses
 PARAMS = ChannelParams()
 BUDGET = 1800.0
 HETERO_BUDGETS = [1800.0, 1200.0]
+
+
+def claimed_masses(grid, costs, psi):
+    """Region masses of the partition argmin_i (c_ic - psi_i)."""
+    return assign_by_min_cost(grid, costs - psi[:, None]).masses
 
 
 def fleet(positions, bandwidth=1e6):
@@ -245,8 +250,8 @@ def test_dual_gauge_shift(seed, const):
     f2 = dual_value(grid, costs, psi + const, shares)
     assert f2 == pytest.approx(f1, rel=1e-9)
     assert np.allclose(
-        shares - shifted_pass(grid, costs, psi, partition=True)[1].masses,
-        shares - shifted_pass(grid, costs, psi + const, partition=True)[1].masses,
+        shares - claimed_masses(grid, costs, psi),
+        shares - claimed_masses(grid, costs, psi + const),
         atol=1e-12,
     )
 
@@ -257,7 +262,7 @@ def test_gradient_dominant_potential():
     costs = build_cost_field(radio, fair)
     shares = fair.target_masses
     big = np.array([1e12, 0.0])  # UAV 0 wins every cell it can serve
-    grad = shares - shifted_pass(grid, costs, big, partition=True)[1].masses
+    grad = shares - claimed_masses(grid, costs, big)
     feas0 = np.isfinite(costs[0])
     only1 = ~feas0 & np.isfinite(costs[1])
     assert grad[0] == pytest.approx(
@@ -272,7 +277,7 @@ def test_gradient_components_sum_to_uncovered():
     grid, uavs, radio = two_uav_scene()
     fair = solve_fairness_system(radio.bandwidths, BUDGET, 0.01, 300)
     costs = build_cost_field(radio, fair)
-    grad = fair.target_masses - shifted_pass(grid, costs, np.zeros(2), partition=True)[1].masses
+    grad = fair.target_masses - claimed_masses(grid, costs, np.zeros(2))
     covered = np.isfinite(costs).any(axis=0)
     uncovered = float(grid.cell_mass[~covered].sum())
     assert grad.sum() == pytest.approx(uncovered, abs=1e-12)
@@ -311,7 +316,7 @@ def test_gradient_chords_bracket():
         f0 = dual_value(grid, costs, psi, shares)
         fwd = (dual_value(grid, costs, psi + h * v, shares) - f0) / h
         bwd = (f0 - dual_value(grid, costs, psi - h * v, shares)) / h
-        g_dot_v = float((shares - shifted_pass(grid, costs, psi, partition=True)[1].masses) @ v)
+        g_dot_v = float((shares - claimed_masses(grid, costs, psi)) @ v)
         slack = 1e-9 * max(abs(f0), 1.0) / h
         assert fwd <= g_dot_v + slack
         assert g_dot_v <= bwd + slack
