@@ -245,7 +245,8 @@ def test_equal_split_dominated_on_real_field():
     )
 
 
-def test_marginal_cost_matches_array_formula():
+@pytest.mark.parametrize("alpha", [0.01, [0.0, 0.03, 0.002]])
+def test_marginal_cost_matches_array_formula(alpha):
     # oracle: the cost at zero mass as one array expression; the in-place
     # buffer must give the same bits, +inf on links below the floor
     rng = np.random.default_rng(4)
@@ -255,6 +256,13 @@ def test_marginal_cost_matches_array_formula():
     got = marginal_hover_cost(radio, 1e7, 300)
     serve = 300 * 1e7 / (radio.bandwidths[:, None] * np.where(feasible, eff, 1.0))
     assert np.array_equal(got, np.where(feasible, serve, np.inf))
+    # whatever alpha, it is the slope at zero mass of the hover time: a region
+    # of one cell of mass m takes m * cost + alpha (N m)^2 seconds
+    m = 1e-9
+    grid = AreaGrid(50.0, 1.0, 50, 1, np.r_[np.full(49, m), 1.0 - 49 * m])
+    for i, c in zip(*np.nonzero(feasible[:, :49])):
+        hover = one_region_hover(grid, np.arange(50) == c, radio, i, 1e7, alpha, 300)
+        assert hover / m == pytest.approx(got[i, c], rel=1e-6)
 
 
 # solver
