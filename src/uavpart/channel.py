@@ -97,7 +97,8 @@ def _squared_range(uav, x, y):
 
 
 def _los_from_squared_range(uav, d2, params, out):
-    """los_probability from the squared range d2, built in out."""
+    """Line-of-sight probability b1 (elevation_deg - 15)^b2, clipped to [0, 1],
+    from the squared range d2, built in out."""
     p = np.sqrt(d2, out=out)
     np.divide(uav.altitude, p, out=p)
     np.arcsin(p, out=p)
@@ -107,15 +108,6 @@ def _los_from_squared_range(uav, d2, params, out):
     p **= params.b2
     p *= params.b1
     return np.minimum(p, 1.0, out=p)
-
-
-def los_probability(uav, x, y, params):
-    """Line-of-sight probability, b1 * (elevation_deg - 15)^b2 clipped to [0, 1].
-
-    Zero at or below 15 degrees of elevation; continuous across that boundary.
-    """
-    d2 = _squared_range(uav, x, y)
-    return _los_from_squared_range(uav, d2, params, out=d2)
 
 
 def mean_path_loss(uav, x, y, params):

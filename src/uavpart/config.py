@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -76,15 +77,6 @@ class ExperimentConfig:
     trace: bool = False
     out_dir: str = "results"
 
-
-# config keys that may be given in linear units instead of the dB fields:
-# key -> (dB field, offset added to 10 log10 of the linear value)
-_LINEAR_ALIASES = {
-    "mu_los": ("mu_los_db", 0.0),
-    "mu_nlos": ("mu_nlos_db", 0.0),
-    "sinr_threshold": ("sinr_threshold_db", 0.0),
-    "noise_w_per_hz": ("noise_dbm_per_hz", 30.0),  # W -> dBm
-}
 
 _FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
 
@@ -181,6 +173,10 @@ def _check_fields(cfg):
          "sigma must be positive with a finite, non-zero square"),
         (cfg.scenario in SCENARIOS, f"scenario must be one of {SCENARIOS}"),
         (cfg.n_users >= 1, "need at least one user"),
+        # the control price needs N^2; an int square is exact, a float one
+        # overflows to inf, so neither raises
+        (cfg.n_users * cfg.n_users <= sys.float_info.max,
+         "n_users squared must be at most the largest float"),
         (cfg.load_bits >= 0, "load must be non-negative"),
         (cfg.mass_tol > 0, "mass tolerance must be positive"),
         (cfg.max_ascent_iter >= 1, "iteration budget must be positive"),
@@ -196,7 +192,7 @@ def _check_fields(cfg):
         _per_uav(cfg.max_hover, cfg.n_uavs, "hover budget", positive=True)
         _per_uav(cfg.alpha, cfg.n_uavs, "control weight alpha")
         _per_uav(2.0 * cfg.alpha * cfg.n_users**2, cfg.n_uavs, "control price 2 alpha N^2")
-    except (ValueError, OverflowError) as exc:  # N^2 may overflow before the price does
+    except (ValueError, OverflowError) as exc:  # a huge n_uavs overflows math.sqrt
         raise ConfigError(str(exc)) from None
 
 

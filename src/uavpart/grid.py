@@ -68,30 +68,12 @@ class AreaGrid:
     @cached_property
     def column_x(self):
         """x coordinate of the cell centers in each grid column, length nx."""
-        x = (np.arange(self.nx) + 0.5) * self.dx
-        x.setflags(write=False)
-        return x
+        return _centers(self.nx, self.width)
 
     @cached_property
     def row_y(self):
         """y coordinate of the cell centers in each grid row, length ny."""
-        y = (np.arange(self.ny) + 0.5) * self.dy
-        y.setflags(write=False)
-        return y
-
-    @cached_property
-    def cell_x(self):
-        """x coordinate of each cell center, flat: column_x once per row."""
-        x = np.tile(self.column_x, self.ny)
-        x.setflags(write=False)
-        return x
-
-    @cached_property
-    def cell_y(self):
-        """y coordinate of each cell center, flat: each row_y nx times."""
-        y = np.repeat(self.row_y, self.nx)
-        y.setflags(write=False)
-        return y
+        return _centers(self.ny, self.height)
 
     @cached_property
     def cell_mass(self):
@@ -110,6 +92,13 @@ class AreaGrid:
         return c
 
 
+def _centers(n, length):
+    """Read-only midpoints of n equal cells along [0, length]."""
+    c = (np.arange(n) + 0.5) * (length / n)
+    c.setflags(write=False)
+    return c
+
+
 def uniform_density(width, height, nx, ny):
     """Grid with a constant density 1 / (width * height)."""
     f = np.full(nx * ny, 1.0 / (width * height))
@@ -126,13 +115,11 @@ def truncated_gaussian(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
     """
     if not all(s > 0 and 0.0 < s * s < math.inf for s in (sigma_x, sigma_y)):
         raise ValueError("sigma must be positive with a finite, non-zero square")
-    nc = nx * ny
-    x = (np.arange(nc) % nx + 0.5) * (width / nx)
-    y = (np.arange(nc) // nx + 0.5) * (height / ny)
+    x, y = _centers(nx, width), _centers(ny, height)
     with np.errstate(over="ignore"):
-        kern = np.exp(
-            -((x - mu_x) ** 2) / (2.0 * sigma_x**2) - ((y - mu_y) ** 2) / (2.0 * sigma_y**2)
-        )
+        # the (ny, nx) outer difference of the x and y terms, in cell order
+        kern = np.exp(-((x - mu_x) ** 2) / (2.0 * sigma_x**2)
+                      - ((y[:, None] - mu_y) ** 2) / (2.0 * sigma_y**2)).ravel()
     if not kern.sum() > 0:
         raise ValueError("hot spot density underflows to zero on every cell")
     cell_area = (width / nx) * (height / ny)

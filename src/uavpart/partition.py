@@ -102,10 +102,12 @@ def assign_by_min_cost(grid, costs):
 def weighted_voronoi(grid, radio):
     """Best-signal partition: each cell goes to its highest-SINR UAV.
 
-    This max-SINR diagram is the baseline of both scenarios.  Cells below
-    the SINR floor for every UAV are left unassigned.
+    This max-SINR diagram is the baseline of both scenarios.  It is taken on
+    the spectral efficiency log2(1 + SINR), which keeps the SINR order; SINRs
+    that round to one efficiency go to the lowest UAV index, as in every
+    claim.  Cells below the SINR floor for every UAV are left unassigned.
     """
-    costs = np.negative(radio.sinr)  # one (n_uavs, n_cells) array
+    costs = np.negative(radio.spectral_eff)  # one (n_uavs, n_cells) array
     costs[~radio.feasible_by_uav] = np.inf
     return assign_by_min_cost(grid, costs)
 

@@ -95,7 +95,8 @@ def _least_time_masses(grid, seconds):
     if len(dead):
         raise InfeasibleError(
             f"{len(dead)} populated cells have no finite transmission time, "
-            f"first at ({grid.cell_x[dead[0]]:.0f} m, {grid.cell_y[dead[0]]:.0f} m)"
+            f"first at ({grid.column_x[dead[0] % grid.nx]:.0f} m, "
+            f"{grid.row_y[dead[0] // grid.nx]:.0f} m)"
         )
     return part.masses
 

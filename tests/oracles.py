@@ -24,6 +24,26 @@ def region_masses(grid, assignment, n_uavs):
                     dtype=float)
 
 
+def cell_centers(grid):
+    """x and y of every cell center, flat in cell order k = iy * nx + ix: the
+    grid's column_x once per row and each row_y nx times."""
+    return np.tile(grid.column_x, grid.ny), np.repeat(grid.row_y, grid.nx)
+
+
+def truncated_gaussian_reference(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
+    """The truncated Gaussian hot spot's density, with each cell's center
+    computed from its flat index k as (k % nx, k // nx) and the kernel
+    evaluated cell by cell in one flat array."""
+    nc = nx * ny
+    x = (np.arange(nc) % nx + 0.5) * (width / nx)
+    y = (np.arange(nc) // nx + 0.5) * (height / ny)
+    with np.errstate(over="ignore"):
+        kern = np.exp(
+            -((x - mu_x) ** 2) / (2.0 * sigma_x**2) - ((y - mu_y) ** 2) / (2.0 * sigma_y**2)
+        )
+    return kern / (kern.sum() * ((width / nx) * (height / ny)))
+
+
 def optimal_bandwidth_split(loads, efficiencies, bandwidth):
     """Split a band over users so that all of them finish together.
 
@@ -161,8 +181,8 @@ def received_power_reference(uav, x, y, params):
 def radio_field_reference(grid, uavs, params):
     """The radio field stacked from per-UAV powers over the flat cell
     coordinates, with SINR and spectral efficiency as whole-array expressions."""
-    power = np.stack([received_power_reference(u, grid.cell_x, grid.cell_y, params)
-                      for u in uavs])
+    x, y = cell_centers(grid)
+    power = np.stack([received_power_reference(u, x, y, params) for u in uavs])
     bandwidths = np.array([u.bandwidth for u in uavs], dtype=float)
     noise = params.noise_w_per_hz * bandwidths
     interference = params.beta * (power.sum(axis=0)[None, :] - power)

@@ -8,18 +8,25 @@ import pytest
 from uavpart.channel import (
     ChannelParams,
     UavNode,
+    _los_from_squared_range,
+    _squared_range,
     compute_radio_field,
     db_to_linear,
     dbm_to_watts,
-    los_probability,
     mean_path_loss,
     received_power,
 )
 from uavpart.grid import truncated_gaussian, uniform_density
 
-from oracles import radio_field_reference
+from oracles import cell_centers, radio_field_reference
 
 TABLE = ChannelParams()  # reference constants: 2 GHz, 3/23 dB, -170 dBm/Hz
+
+
+def los_probability(uav, x, y, params):
+    """The LoS probability at ground point(s), as mean_path_loss computes it."""
+    d2 = _squared_range(uav, x, y)
+    return _los_from_squared_range(uav, d2, params, out=d2)
 
 
 def test_unit_helpers():
@@ -137,7 +144,7 @@ def test_single_uav_sinr_is_snr():
     grid = uniform_density(1000.0, 1000.0, 12, 12)
     uav = UavNode(x=400.0, y=700.0, altitude=200.0, power=0.5, bandwidth=1e6)
     field = compute_radio_field(grid, [uav], TABLE)
-    pr = received_power(uav, grid.cell_x, grid.cell_y, TABLE)
+    pr = received_power(uav, *cell_centers(grid), TABLE)
     snr = pr / (TABLE.noise_w_per_hz * 1e6)
     assert np.allclose(field.sinr[0], snr, rtol=1e-12)
     assert np.allclose(field.spectral_eff[0], np.log2(1.0 + snr), rtol=1e-12)
@@ -166,7 +173,8 @@ def test_two_uav_sinr_oracle():
     ]
     field = compute_radio_field(grid, uavs, TABLE)
     mid = 60  # iy=5, ix=5
-    assert grid.cell_x[mid] == 500.0 and grid.cell_y[mid] == 500.0
+    x, y = cell_centers(grid)
+    assert x[mid] == 500.0 and y[mid] == 500.0
     p0 = received_power(uavs[0], np.array([500.0]), np.array([500.0]), TABLE)[0]
     p1 = received_power(uavs[1], np.array([500.0]), np.array([500.0]), TABLE)[0]
     noise = TABLE.noise_w_per_hz * 1e6

@@ -478,6 +478,18 @@ def test_cli_overflowing_control_price_is_a_config_error(tmp_path, capsys, scena
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_users", [10**160, 10**400], ids=["1e160", "1e400"])
+def test_cli_user_count_with_no_float_square_is_a_config_error(tmp_path, capsys, n_users):
+    # N^2 is too large for a float even at alpha = 0: the rule names n_users
+    path = write_cfg(tmp_path, fast_text(nx=20, ny=20, alpha=0, n_users=n_users))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: n_users squared must be at most the largest float\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides", [{"max_hover": 1.8e6}, {"bandwidth": 1e8}],
                          ids=["max_hover", "bandwidth"])
 def test_cli_large_units_converge(tmp_path, overrides):

@@ -14,7 +14,7 @@ from uavpart.grid import (
 )
 from uavpart.partition import INFEASIBLE
 
-from oracles import region_masses
+from oracles import cell_centers, region_masses, truncated_gaussian_reference
 
 
 def measure(g, mask):
@@ -29,26 +29,42 @@ def test_uniform_density_value():
     assert abs(g.cell_mass.sum() - 1.0) <= 1e-12
 
 
-def test_cell_centers():
-    g = uniform_density(100.0, 50.0, 4, 2)
-    assert g.dx == 25.0 and g.dy == 25.0
-    # first row runs along x, cell k = iy * nx + ix
-    assert np.allclose(g.cell_x[:4], [12.5, 37.5, 62.5, 87.5])
-    assert np.allclose(g.cell_y[:4], [12.5] * 4)
-    assert np.allclose(g.cell_y[4:], [37.5] * 4)
-
-
 @pytest.mark.parametrize("nx, ny", [(1, 1), (7, 3), (3, 7), (200, 200)])
 def test_separable_centers_are_the_flat_ones(nx, ny):
-    # column_x and row_y are bit for bit the flat centers' first row and
-    # first column, and the flat centers the index formula k % nx, k // nx
+    # column_x tiled once per row and row_y repeated nx times are bit for bit
+    # the flat centers of the index formula k % nx, k // nx
     g = uniform_density(1000.0, 700.0, nx, ny)
     k = np.arange(nx * ny)
-    assert np.array_equal(g.cell_x, (k % nx + 0.5) * g.dx)
-    assert np.array_equal(g.cell_y, (k // nx + 0.5) * g.dy)
-    assert np.array_equal(g.column_x, g.cell_x[:nx])
-    assert np.array_equal(g.row_y, g.cell_y[::nx])
+    x, y = cell_centers(g)
+    assert np.array_equal(x, (k % nx + 0.5) * g.dx)
+    assert np.array_equal(y, (k // nx + 0.5) * g.dy)
     assert not (g.column_x.flags.writeable or g.row_y.flags.writeable)
+    # and by hand on a 4 x 2 grid: the first row runs along x
+    small = uniform_density(100.0, 50.0, 4, 2)
+    assert small.dx == 25.0 and small.dy == 25.0
+    x, y = cell_centers(small)
+    assert np.array_equal(x, [12.5, 37.5, 62.5, 87.5] * 2)
+    assert np.array_equal(y, [12.5] * 4 + [37.5] * 4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y", [
+    (1000.0, 1000.0, 1, 1, 250.0, 330.0, 1000.0, 1000.0),
+    (1000.0, 1000.0, 7, 3, 250.0, 330.0, 300.0, 200.0),
+    (1000.0, 1000.0, 3, 7, 250.0, 330.0, 300.0, 200.0),
+    (1000.0, 1000.0, 1, 9, 250.0, 330.0, 300.0, 200.0),
+    (1000.0, 1000.0, 200, 200, 250.0, 330.0, 100.0, 100.0),
+    (1000.0, 300.0, 37, 23, 610.0, 45.0, 170.0, 90.0),  # non-square cells
+    (1000.0, 800.0, 25, 20, -400.0, 1300.0, 350.0, 250.0),  # mean outside the area
+    (1000.0, 1000.0, 30, 30, -9000.0, 500.0, 300.0, 400.0),  # far tails, tiny densities
+])
+def test_gaussian_matches_per_cell_reference(width, height, nx, ny, mu_x, mu_y, sigma_x,
+                                             sigma_y):
+    # the separable kernel is bit for bit the per-cell one
+    g = truncated_gaussian(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y)
+    expected = truncated_gaussian_reference(width, height, nx, ny, mu_x, mu_y, sigma_x,
+                                            sigma_y)
+    assert np.array_equal(g.density, expected)
 
 
 def test_gaussian_matches_pointwise_kernel():
@@ -63,8 +79,9 @@ def test_gaussian_matches_pointwise_kernel():
     total = sum(
         kern((i % nx + 0.5) * w / nx, (i // nx + 0.5) * h / ny) for i in range(nx * ny)
     ) * g.cell_area
+    x, y = cell_centers(g)
     for k in (0, 7, nx * ny // 2, nx * ny - 1):
-        expect = kern(g.cell_x[k], g.cell_y[k]) / total
+        expect = kern(x[k], y[k]) / total
         assert expect == pytest.approx(g.density[k], rel=1e-12)
 
 
@@ -74,9 +91,10 @@ def test_gaussian_corner_ratio():
     # under exp(0.5 + 0.5 * (0.75^2 + 0.67^2)) for the reference hot spot
     g = truncated_gaussian(1000.0, 1000.0, 200, 200, 250.0, 330.0, 1000.0, 1000.0)
     ratio = g.density.max() / g.density.min()
-    d2 = (g.cell_x - 250.0) ** 2 + (g.cell_y - 330.0) ** 2
-    k_near = g.cell_x[np.argmin(d2)], g.cell_y[np.argmin(d2)]
-    k_far = g.cell_x[np.argmax(d2)], g.cell_y[np.argmax(d2)]
+    x, y = cell_centers(g)
+    d2 = (x - 250.0) ** 2 + (y - 330.0) ** 2
+    k_near = x[np.argmin(d2)], y[np.argmin(d2)]
+    k_far = x[np.argmax(d2)], y[np.argmax(d2)]
     oracle = math.exp(
         (
             (k_far[0] - 250.0) ** 2 + (k_far[1] - 330.0) ** 2
@@ -113,7 +131,7 @@ def test_measure_full_and_empty():
 
 def test_measure_half_uniform():
     g = uniform_density(1000.0, 1000.0, 40, 40)
-    left = g.cell_x < 500.0
+    left = cell_centers(g)[0] < 500.0
     assert measure(g, left) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -135,7 +153,8 @@ def test_refinement_stable_rectangle_measure():
     f_max = 0.0
     for n in (10, 20, 40, 80):
         g = truncated_gaussian(1000.0, 1000.0, n, n, 250.0, 330.0, 300.0, 300.0)
-        inside = (g.cell_x > x0) & (g.cell_x < x1) & (g.cell_y > y0) & (g.cell_y < y1)
+        x, y = cell_centers(g)
+        inside = (x > x0) & (x < x1) & (y > y0) & (y < y1)
         vals.append(measure(g, inside))
         f_max = max(f_max, float(g.density.max()))
     perimeter = 2 * ((x1 - x0) + (y1 - y0))

@@ -31,7 +31,7 @@ def traced_peak(fn):
 
 
 def test_radio_field_peaks_near_its_outputs():
-    _ = GRID.cell_x, GRID.cell_y  # cached on the grid, not the field's own
+    _ = GRID.column_x, GRID.row_y  # cached on the grid, not the field's own
     radio, peak = traced_peak(lambda: compute_radio_field(GRID, UAVS, PARAMS))
     outputs = sum(getattr(radio, name).nbytes for name in (
         "power", "sinr", "spectral_eff", "feasible_by_uav", "feasible", "bandwidths"))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uavpart.channel import ChannelParams, UavNode, compute_radio_field
+from uavpart.channel import ChannelParams, RadioField, UavNode, compute_radio_field
 from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs, load_config
 from uavpart.grid import truncated_gaussian, uniform_density
 from uavpart.partition import (
@@ -27,7 +27,12 @@ from uavpart.partition import (
 from uavpart.scenario1 import solve_scenario1
 from uavpart.scenario2 import solve_scenario2
 
-from oracles import min_norm_point_reference, region_masses, shifted_pass_reference
+from oracles import (
+    cell_centers,
+    min_norm_point_reference,
+    region_masses,
+    shifted_pass_reference,
+)
 
 GRID = uniform_density(1000.0, 1000.0, 10, 6)
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -335,7 +340,7 @@ def test_voronoi_symmetric_pair():
     ]
     field = compute_radio_field(grid, uavs, ChannelParams())
     part = weighted_voronoi(grid, field)
-    left = grid.cell_x < 500.0
+    left = cell_centers(grid)[0] < 500.0
     assert np.all(part.assignment[left] == 0)
     assert np.all(part.assignment[~left] == 1)
     assert np.allclose(part.masses, [0.5, 0.5], atol=1e-12)
@@ -354,6 +359,23 @@ def test_voronoi_matches_argmax_scan():
         assert part.assignment[c] == int(np.argmax(field.sinr[:, c]))
 
 
+def test_voronoi_ties_on_equal_efficiency_go_to_the_lowest_index():
+    # 2**60 and the next float up are two SINRs whose log2(1 + SINR) is the
+    # same 60.0: the diagram reads the efficiency, so the lowest index wins
+    # whichever UAV has the larger SINR
+    grid = uniform_density(1000.0, 1000.0, 2, 1)
+    low, high = 2.0**60, np.nextafter(2.0**60, np.inf)
+    sinr = np.array([[low, high], [high, low]])
+    eff = np.log2(1.0 + sinr)
+    assert high > low and eff[0, 0] == eff[1, 0] == 60.0
+    usable = np.ones((2, 2), dtype=bool)
+    radio = RadioField(power=sinr.copy(), sinr=sinr, spectral_eff=eff, feasible_by_uav=usable,
+                       feasible=usable.any(axis=0), bandwidths=np.ones(2))
+    part = weighted_voronoi(grid, radio)
+    assert part.assignment.tolist() == [0, 0]
+    assert part.masses.tolist() == [1.0, 0.0]
+
+
 def test_partition_csv(tmp_path):
     costs = random_costs(9, n_uavs=2)
     part = assign_by_min_cost(GRID, costs)
@@ -363,7 +385,7 @@ def test_partition_csv(tmp_path):
     assert lines[0] == "cell_x_m,cell_y_m,uav_index"
     assert len(lines) == GRID.n_cells + 1
     first = lines[1].split(",")
-    assert float(first[0]) == GRID.cell_x[0]
+    assert float(first[0]) == GRID.column_x[0]
     assert int(first[2]) == part.assignment[0]
 
 
@@ -372,7 +394,7 @@ def assert_csv_matches_savetxt(grid, part, directory):
     expected = Path(directory) / "savetxt.csv"
     np.savetxt(
         expected,
-        np.column_stack([grid.cell_x, grid.cell_y, part.assignment]),
+        np.column_stack([*cell_centers(grid), part.assignment]),
         fmt=["%.9g", "%.9g", "%d"],
         delimiter=",",
         header="cell_x_m,cell_y_m,uav_index",

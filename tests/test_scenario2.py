@@ -26,7 +26,7 @@ from uavpart.scenario2 import (
     solve_scenario2,
 )
 
-from oracles import brute_force_min_hover, optimal_bandwidth_split, region_masses
+from oracles import brute_force_min_hover, cell_centers, optimal_bandwidth_split, region_masses
 
 PARAMS = ChannelParams()
 
@@ -472,8 +472,9 @@ def test_solver_names_the_populated_cells_no_link_reaches():
 
     grid = emptied(dead[:5])
     first = dead[5]
+    x, y = cell_centers(grid)
     message = (f"{len(dead) - 5} populated cells have no finite transmission time, "
-               f"first at ({grid.cell_x[first]:.0f} m, {grid.cell_y[first]:.0f} m)")
+               f"first at ({x[first]:.0f} m, {y[first]:.0f} m)")
     with pytest.raises(InfeasibleError, match=f"^{re.escape(message)}$"):
         solve_scenario2(grid, radio, 1e8, 0.01, 300)
     result = solve_scenario2(emptied(dead), radio, 1e8, 0.01, 300)
