@@ -172,6 +172,9 @@ def _check_fields(cfg):
         (all(s > 0 and 0.0 < s * s < math.inf for s in (cfg.sigma_x, cfg.sigma_y)),
          "sigma must be positive with a finite, non-zero square"),
         (cfg.scenario in SCENARIOS, f"scenario must be one of {SCENARIOS}"),
+        # before build_uavs makes a list of the fleet
+        (not grid_ok or cfg.n_uavs <= cfg.nx * cfg.ny,
+         "n_uavs must be at most nx * ny, the number of grid cells"),
         (cfg.n_users >= 1, "need at least one user"),
         # the control price needs N^2; an int square is exact, a float one
         # overflows to inf, so neither raises
@@ -192,7 +195,7 @@ def _check_fields(cfg):
         _per_uav(cfg.max_hover, cfg.n_uavs, "hover budget", positive=True)
         _per_uav(cfg.alpha, cfg.n_uavs, "control weight alpha")
         _per_uav(2.0 * cfg.alpha * cfg.n_users**2, cfg.n_uavs, "control price 2 alpha N^2")
-    except (ValueError, OverflowError) as exc:  # a huge n_uavs overflows math.sqrt
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
 
 

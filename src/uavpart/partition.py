@@ -10,6 +10,22 @@ from .errors import ConvergenceError
 
 INFEASIBLE = -1
 CSV_BLOCK_CELLS = 1 << 14  # cells per partition_to_csv block, about 0.5 MB
+NEWTON_TRIALS = 3  # Newton steps tried, halving from 1, before the step search
+BAND_LEVELS = 24  # band Hessians at first_step / 2**l, l < BAND_LEVELS
+BAND_REACH = 2.0  # a band fits a Newton move within this factor of its width
+BAND_CHUNK = 1 << 11  # cells per bincount of the band Hessians, a 16 kB index array
+
+
+def _band_bins():
+    """The band bin of a gap by its float64 biased exponent e: a gap below
+    2**-l for l <= 1022 - e goes to bin l + 1 for the finest such band l, and
+    to bin 0 past every band or when tied, below 2**-BAND_LEVELS: a tied cell
+    sits on a kink, where the masses jump."""
+    e = np.arange(2048)
+    return np.where(e > 1022 - BAND_LEVELS, np.clip(1023 - e, 0, BAND_LEVELS), 0).astype(np.uint8)
+
+
+_BAND_BIN = _band_bins()
 
 
 @dataclass(frozen=True)
@@ -57,7 +73,7 @@ def _shifted_rows(costs, psi, row):
     return (np.subtract(c, p, out=row) for c, p in zip(costs, psi))
 
 
-def _claim(grid, rows, best, n_uavs):
+def _claim(grid, rows, best, n_uavs, runner_up=None):
     """The codes and region masses of the partition argmin_i rows[i][c] over
     the n_uavs rows, given best, the per-cell minimum: each row in turn claims
     the free cells where it equals best, so the lowest index wins ties and no
@@ -65,17 +81,32 @@ def _claim(grid, rows, best, n_uavs):
     one row at a time.  A cell's code, index + 1 (0 when unassigned), counts
     the rows it was free at, in the smallest unsigned type that holds
     n_uavs + 1, and each region's mass is the masked sum
-    cell_mass.sum(where=claimed).  _partition makes the pair a Partition."""
+    cell_mass.sum(where=claimed).  _partition makes the pair a Partition.
+
+    runner_up, when given, is a pair of n_cells-length arrays (second,
+    runner) that the claim fills with each cell's least row value among the
+    rows that do not claim it and the lowest index of such a row; second is
+    +inf, and runner 0, where no other row is below +inf."""
     free = best < np.inf
     codes = np.zeros(len(best), dtype=np.min_scalar_type(n_uavs + 1))
     claimed = np.empty(len(best), dtype=bool)
     masses = np.empty(n_uavs)
+    if runner_up is not None:
+        second, runner = runner_up
+        second.fill(np.inf)
+        runner.fill(0)
+        lower = np.empty(len(best), dtype=bool)
     for i, row in enumerate(rows):
         codes += free
         np.equal(row, best, out=claimed)
         claimed &= free
         masses[i] = grid.cell_mass.sum(where=claimed)
         free ^= claimed
+        if runner_up is not None:
+            np.less(row, second, out=lower)
+            np.greater(lower, claimed, out=lower)  # lower and not claimed
+            np.copyto(second, row, where=lower)
+            np.copyto(runner, i, where=lower)
     return codes, masses
 
 
@@ -99,6 +130,14 @@ def assign_by_min_cost(grid, costs):
     return _partition(*_claim(grid, costs, best, len(costs)))
 
 
+def _best_signal_rows(radio, row):
+    """-spectral_eff[i], +inf below UAV i's SINR floor, for each UAV i in
+    turn, each written over row."""
+    for eff, usable in zip(radio.spectral_eff, radio.feasible_by_uav):
+        row.fill(np.inf)
+        yield np.negative(eff, out=row, where=usable)
+
+
 def weighted_voronoi(grid, radio):
     """Best-signal partition: each cell goes to its highest-SINR UAV.
 
@@ -106,10 +145,15 @@ def weighted_voronoi(grid, radio):
     the spectral efficiency log2(1 + SINR), which keeps the SINR order; SINRs
     that round to one efficiency go to the lowest UAV index, as in every
     claim.  Cells below the SINR floor for every UAV are left unassigned.
+    The minimum and the claim each read the rows one at a time into two
+    n_cells-length arrays.
     """
-    costs = np.negative(radio.spectral_eff)  # one (n_uavs, n_cells) array
-    costs[~radio.feasible_by_uav] = np.inf
-    return assign_by_min_cost(grid, costs)
+    best, row = np.empty(grid.n_cells), np.empty(grid.n_cells)
+    rows = _best_signal_rows(radio, row)
+    np.copyto(best, next(rows))
+    for shifted in rows:
+        np.minimum(best, shifted, out=best)
+    return _partition(*_claim(grid, _best_signal_rows(radio, row), best, radio.n_uavs))
 
 
 def _byte_table(strings):
@@ -234,6 +278,103 @@ def _min_norm_point(points):
     return scale * (weights @ unit[corral])
 
 
+def _band_pairs(grid, gaps, codes, runner, n_uavs):
+    """The pair masses of the band Hessians: pairs[l, i, j] is the mass of the
+    cells that UAV i claims with runner-up j and gap below 2**-l, for
+    l < BAND_LEVELS, where gaps holds each cell's runner-up cost minus its
+    claim's over the widest band (+inf where no UAV serves, never negative).
+    Each cell is binned once, at its finest band, read from the float
+    exponent of its gap, by bincount over BAND_CHUNK cells at a time; the
+    one cell-length array made holds the pair keys, in the smallest unsigned
+    type that holds them."""
+    bins = BAND_LEVELS + 1
+    hist = np.zeros((n_uavs + 1) * n_uavs * bins)
+    keys = np.multiply(codes, n_uavs, dtype=np.min_scalar_type(hist.size))
+    keys += runner
+    keys *= bins
+    exponents = gaps.view(np.int64)  # the sign bit is clear
+    key = np.empty(min(BAND_CHUNK, len(gaps)), dtype=np.intp)
+    for start in range(0, len(gaps), BAND_CHUNK):
+        stop = min(start + BAND_CHUNK, len(gaps))
+        chunk = key[:stop - start]
+        np.right_shift(exponents[start:stop], 52, out=chunk)
+        np.add(keys[start:stop], np.take(_BAND_BIN, chunk, mode="clip"), out=chunk)
+        hist += np.bincount(chunk, weights=grid.cell_mass[start:stop], minlength=hist.size)
+    hist = hist.reshape(n_uavs + 1, n_uavs, bins)[1:, :, :0:-1].transpose(2, 0, 1)
+    return np.cumsum(hist, axis=0)[::-1]  # code 0, unassigned, dropped
+
+
+def _newton_move(pairs, grad, bands, curvature):
+    """The Newton move J^-1 grad, zero on the held UAVs, at the band h that
+    fits it: the finest band whose move is within a factor BAND_REACH of h,
+    or else the band whose move comes closest, when within BAND_REACH**2;
+    None when no band's move does.  J is diag(W 1) - W + diag(1 / k) over
+    the free UAVs, W the pair masses over 2 h: a cell's mass crosses the
+    band of width 2 h around its boundary.  J is positive semi-definite, and
+    J 1 = 0 when every k_i = inf; all bands are solved at once, with 1e-12
+    of the mean of J's diagonal added to it, so a UAV no cell of the band
+    reaches moves too far to fit, and with every k_i = inf that mean added
+    to every entry, which fixes the gauge."""
+    free = curvature > 0
+    with np.errstate(over="ignore"):  # 1 / k is +inf for a subnormal k
+        inverse = np.divide(1.0, curvature, out=np.zeros(len(grad)), where=free)
+    hessian = pairs + pairs.transpose(0, 2, 1)
+    hessian /= (-2.0 * bands)[:, None, None]  # -W
+    diagonal = np.arange(len(grad))
+    reach = inverse - hessian.sum(axis=2)
+    hessian[:, diagonal, diagonal] = reach
+    if not free.all():
+        hessian, reach = hessian[:, free][:, :, free], reach[:, free]
+    scale = reach.mean(axis=1)
+    empty = scale == 0  # no cell in the band and no curvature: J = 0
+    scale[empty] = 1.0
+    if np.all(curvature == np.inf):
+        hessian += scale[:, None, None]
+    diagonal = np.arange(len(reach[0]))
+    hessian[:, diagonal, diagonal] += 1e-12 * scale[:, None]
+    moves = np.zeros((len(bands), len(grad)))
+    try:
+        moves[:, free] = np.linalg.solve(hessian, grad[free])
+    except np.linalg.LinAlgError:  # an infinite 1 / k makes J not finite
+        return None
+    with np.errstate(divide="ignore"):  # a move of 0 fits no band
+        misfit = np.abs(np.log(np.abs(moves).max(axis=1) / bands)) / np.log(BAND_REACH)
+    misfit[empty] = np.inf
+    fits = np.flatnonzero(misfit <= 1.0)
+    level = fits[-1] if len(fits) else int(np.argmin(misfit))
+    return moves[level] if misfit[level] <= 2.0 else None
+
+
+def _tie_split(grid, gaps, codes, runner, masses, grad, aimed, free):
+    """At a kink, the step s along grad to the middle of the piece whose
+    masses come closest to aimed, the target masses, among the pieces the
+    tied cells pass through as s grows from 0, or None when that is the
+    current piece.  A tied cell's gap is below 2**-BAND_LEVELS (gaps as in
+    _band_pairs); it moves to its runner-up at s = gap / (grad_runner -
+    grad_claim), and no other cell moves before s = 2**-BAND_LEVELS /
+    (2 max |grad|).  The mismatch is taken over the free UAVs."""
+    tie = 2.0**-BAND_LEVELS
+    tied = np.flatnonzero(gaps < tie)
+    claim = codes[tied].astype(np.intp) - 1
+    rival = runner[tied].astype(np.intp)
+    rate = grad[rival] - grad[claim]
+    limit = tie / (2.0 * float(np.abs(grad).max()))
+    at = np.divide(gaps[tied], rate, out=np.full(len(tied), np.inf), where=rate > 0)
+    order = np.argsort(at, kind="stable")
+    order = order[at[order] < limit]
+    shift = np.zeros((len(order) + 1, len(masses)))  # row j: the j-th cell's move
+    moved = np.arange(1, len(order) + 1)
+    shift[moved, claim[order]] = -grid.cell_mass[tied[order]]
+    shift[moved, rival[order]] = grid.cell_mass[tied[order]]
+    pieces = masses + np.cumsum(shift, axis=0)
+    ends = np.append(at[order], limit)
+    starts = np.insert(ends[:-1], 0, 0.0)
+    mismatch = np.linalg.norm((aimed - pieces)[:, free], axis=1)
+    spans = np.flatnonzero(starts < ends)
+    best = spans[np.argmin(mismatch[spans])]
+    return None if mismatch[best] >= mismatch[0] else 0.5 * (starts[best] + ends[best])
+
+
 @dataclass(frozen=True)
 class DualPotentials:
     """Potentials psi with the partition they induce and the ascent trace.
@@ -241,8 +382,9 @@ class DualPotentials:
     partition assigns each cell to argmin_i (c_ic - psi_i), and its masses
     are the ones the ascent stopped on; f_trace is the accepted objective per
     iteration (strictly increasing), grad_trace the mass-mismatch norm,
-    step_trace the accepted step (zero on the first row), evals the number
-    of dual evaluations the ascent ran, and gap the duality gap
+    step_trace the accepted step (zero on the first row): the damping 1, 1/2
+    or 1/4 of a Newton step, or the step along the search direction, evals
+    the number of dual evaluations the ascent ran, and gap the duality gap
     sum_i k_i (a_i - t_i)^2 / 2 over the finite curvatures (see ascend_dual;
     0.0 when none is finite)."""
 
@@ -263,9 +405,10 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
 
     F prices the masses t = b - psi / k: k_i = inf drops UAV i's quadratic
     term, so t_i = b_i, and k_i = 0 holds psi_i where it starts, with the
-    UAV's own region mass as t_i.  Each iterate claims the partition at psi
-    and steps along grad, t minus that partition's masses a; the gap returned
-    is sum_i k_i (a_i - t_i)^2 / 2 over the finite k_i at the last iterate.
+    UAV's own region mass as t_i.  Each iterate claims the partition at psi,
+    keeping each cell's runner-up UAV and cost, and steps along grad, t minus
+    that partition's masses a; the gap returned is
+    sum_i k_i (a_i - t_i)^2 / 2 over the finite k_i at the last iterate.
     Every evaluation of F takes the per-cell minimum row by row into
     n_cells-length arrays allocated once per ascent, so no (n_uavs, n_cells)
     buffer is used, and skips the cells no UAV can serve, found once from the
@@ -274,28 +417,45 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
     claim re-derives each shifted row into one array, compares it to the kept
     minimum and keeps one-byte codes.  The int64 Partition is built once, for
     the last iterate, so its masses are the ones the stopping test read; cells
-    no UAV can serve stay unassigned and the lowest index wins ties.  The step
-    search is free of the units: the first iteration tries the larger of the
-    spread of the finite costs and the largest |psi| it starts from, and every
-    later one the last accepted step.  It halves until F improves, then walks
-    to a local maximum of F over step * 2**k: it doubles while F keeps
-    improving, or halves when it had to halve before or the first doubling
-    fails.  Steps along grad zigzag across a kink: tied cells flip between
-    UAVs and the masses alternate between pieces of F.  So when an iterate's
-    masses repeat those of one of the last len(costs) + 1 iterates, the search
-    first tries the least-norm point of the hull of every piece's direction,
-    t - m over the distinct masses m since that repeat, which climbs on each
-    of those pieces, along the kink; grad is tried when no step along it
-    improves F.  Returns when the mass-mismatch norm is at most mass_tol, or
-    at a kink, where no step along grad that still changes psi improves F (a
-    kink the tie-break's masses do not climb, as on grids too coarse for the
-    masses to meet); the last traced mismatch tells the two apart.  Raises
-    ConvergenceError (trace attached) when max_iter runs out."""
+    no UAV can serve stay unassigned and the lowest index wins ties.
+
+    Each iterate first tries the damped Newton step psi + d, d/2, d/4 with
+    d = J^-1 grad and J a band Hessian (_newton_move; Kitagawa, Merigot and
+    Thibert 2019): the response of the masses to psi, from the cells whose
+    runner-up cost lies within a band h of their claim's.  The bands are
+    first_step / 2**l, first_step the larger of the spread of the finite
+    costs and the largest |psi| the ascent starts from, so the step is free
+    of the units, and the band used is one whose move is about as wide as
+    it.  The first trial that raises F is taken.  When none does, or no band
+    fits its move, the step search runs, and the next iterate goes straight
+    to it too, since the model just failed there.  Its first iteration
+    tries first_step rounded up to a power of two, so every step it takes
+    is one, and every later one the last step it accepted.  It halves until
+    F improves, then walks to a local maximum of F over step * 2**k: it
+    doubles while F keeps improving, or halves when it had to halve before
+    or the first doubling fails.  Steps zigzag across a kink: tied cells
+    flip between UAVs and the masses alternate between pieces of F.  So when
+    an iterate's masses repeat those of one of the last len(costs) + 1
+    iterates, the Newton step is skipped and the search first tries the
+    least-norm point of the hull of every piece's direction, t - m over the
+    distinct masses m since that repeat, which climbs on each of those
+    pieces, along the kink; grad is tried when no step along it improves F.
+    At a kink where no step along grad that still changes psi improves F,
+    the pieces the tied cells pass through along grad (_tie_split) can come
+    closer to t at a step too small for F to resolve: once per ascent, the
+    iterate moves there, at no lower F, and the ascent goes on from it.
+    Returns when the mass-mismatch norm is at most mass_tol, or at such a
+    kink (a kink the tie-break's masses do not climb, as on grids too coarse
+    for the masses to meet); the last traced mismatch tells the two apart.
+    Raises ConvergenceError (trace attached) when max_iter runs out."""
     f_trace, grad_trace, step_trace = [], [], []
-    kept, spare, row = (np.empty(costs.shape[1]) for _ in range(3))
+    n_uavs, n_cells = costs.shape
+    kept, spare, row = (np.empty(n_cells) for _ in range(3))
+    runner = np.empty(n_cells, dtype=np.min_scalar_type(max(n_uavs - 1, 0)))
     first_step = max(_finite_spread(costs, row), float(np.abs(psi).max(initial=0.0)))
     if not first_step > 0:
         first_step = 1.0
+    bands = first_step * 2.0 ** -np.arange(BAND_LEVELS)
     _lower_envelope(costs, psi, kept, row)
     dead = np.flatnonzero(kept == np.inf)  # no UAV serves these at any psi
     free = curvature > 0  # k_i = 0 holds psi_i where it starts
@@ -316,30 +476,58 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
         _lower_envelope(costs, p, best, row)
         return quadratic(p) + _served_integral(grid, best, dead, row)
 
-    step = 0.0
+    def gaps():  # runner-up cost minus claim over first_step, into row
+        with np.errstate(invalid="ignore"):  # +inf - +inf where no UAV serves
+            np.subtract(spare, kept, out=row)
+        row[dead] = np.inf
+        return np.divide(row, first_step, out=row)
+
+    step = taken = 0.0
+    split = None  # the step of the one tie split
+    failed = False
     visited = []  # the region masses of the last len(costs) + 2 iterates
     while True:
-        codes, masses = _claim(grid, _shifted_rows(costs, psi, row), kept, len(costs))
+        codes, masses = _claim(grid, _shifted_rows(costs, psi, row), kept, n_uavs,
+                               (spare, runner))
         grad = aim(psi, masses) - masses
         f_trace.append(value)
         grad_trace.append(float(np.linalg.norm(grad)))
-        step_trace.append(step)
+        step_trace.append(taken)
         if grad_trace[-1] <= mass_tol:
             break
         if len(step_trace) > max_iter:
             trace = (np.array(f_trace), np.array(grad_trace), np.array(step_trace))
             raise ConvergenceError(
                 f"mass mismatch {grad_trace[-1]:.3e} after {max_iter} iterations", trace=trace)
-        # back at the masses of a recent iterate, the ascent zigzags across a
-        # kink: try first the least-norm supergradient of the pieces visited
         visited.append(masses)
-        del visited[:-len(costs) - 2]
+        del visited[:-n_uavs - 2]
+        # back at the masses of a recent iterate, the ascent zigzags across a
+        # kink: the Newton step is skipped there, and the step search tries
+        # first the least-norm supergradient of the pieces visited
         back = next(j for j, seen in enumerate(visited) if np.array_equal(seen, masses))
         pieces = list({m.tobytes(): m for m in visited[back:]}.values())
+        if len(pieces) == 1 and not failed:
+            newton = _newton_move(
+                _band_pairs(grid, gaps(), codes, runner, n_uavs), grad, bands, curvature)
+            taken, cand = 1.0, -np.inf
+            for _ in range(NEWTON_TRIALS if newton is not None else 0):
+                moved = psi + taken * newton
+                if np.array_equal(moved, psi):
+                    break
+                cand = value_at(moved, kept)
+                if cand > value:
+                    break
+                taken *= 0.5
+            if cand > value:
+                psi, value = moved, cand
+                continue
+            failed = True
+        else:
+            failed = False
         directions = [grad]
         if len(pieces) > 1:
             directions.insert(0, _min_norm_point(np.array([aim(psi, m) - m for m in pieces])))
-        start = step or first_step
+        start = step or 2.0 ** int(np.frexp(first_step)[1])
         for direction in directions:
             step, factors = start, (2.0, 0.5)
             cand = value_at(psi + step * direction, kept)
@@ -353,7 +541,20 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
             if cand > value:
                 break
         if cand <= value:  # a kink: no step along grad that still changes psi improves F
-            break
+            if split:
+                break
+            value_at(psi, kept)  # the minimum at psi, which the trials overwrote
+            split = _tie_split(grid, gaps(), codes, runner, masses, grad, aim(psi, masses), free)
+            if split is None:
+                break
+            moved = psi + split * first_step * grad
+            if np.array_equal(moved, psi) or (cand := value_at(moved, kept)) < value:
+                break
+            # the kink's iterate gives way to the closer piece, at no lower F,
+            # once: F need not rise, so a second split could undo the first
+            psi, value = moved, cand
+            del f_trace[-1], grad_trace[-1], step_trace[-1], visited[-1]
+            continue
         for factor in factors:  # climb to a local maximum over step * 2**k
             climbed = False
             while (trial := value_at(psi + factor * step * direction, spare)) > cand:
@@ -363,7 +564,8 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
             if climbed:
                 break
         psi = psi + step * direction
-        value = cand
+        value, taken = cand, step
+    del kept, spare, row  # before the int64 assignment is built
     finite = np.where(curvature < np.inf, curvature, 0.0)  # one full-length dot
     gap = 0.5 * float(finite @ (masses - aim(psi, masses)) ** 2)
     return DualPotentials(

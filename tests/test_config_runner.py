@@ -490,6 +490,19 @@ def test_cli_user_count_with_no_float_square_is_a_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_uavs", [401, 10**400], ids=["401", "1e400"])
+def test_cli_fleet_larger_than_the_grid_is_a_config_error(tmp_path, capsys, n_uavs):
+    # more UAVs than the 400 cells of a 20 x 20 grid: the rule names n_uavs
+    # before the fleet is built (10**400 is too large for a float)
+    path = write_cfg(tmp_path, fast_text(nx=20, ny=20, n_uavs=n_uavs))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: n_uavs must be at most nx * ny, the number of grid cells\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides", [{"max_hover": 1.8e6}, {"bandwidth": 1e8}],
                          ids=["max_hover", "bandwidth"])
 def test_cli_large_units_converge(tmp_path, overrides):

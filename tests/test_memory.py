@@ -1,6 +1,6 @@
 """Allocation bounds of the two (n_uavs, n_cells) kernels, read with tracemalloc:
 the radio field holds little beyond its outputs, and the dual ascent works in
-n_cells-length arrays."""
+three float64 and six one-byte n_cells-length arrays."""
 
 import tracemalloc
 from dataclasses import replace
@@ -61,5 +61,8 @@ def test_ascent_allocates_less_than_one_cost_array():
         GRID, costs, np.zeros(8), shares, np.full(8, np.inf), CFG.mass_tol,
         CFG.max_ascent_iter))
     assert potentials.grad_trace[-1] <= CFG.mass_tol
+    assert len(potentials.f_trace) > 2  # Newton steps, each with its band Hessians
     assert costs.shape == (8, N)
-    assert peak < costs.nbytes
+    # the minimum, a trial minimum and a row; the claim's codes, the last
+    # codes, its free, claimed and lower masks, and the runner-up UAVs
+    assert peak <= 3 * N * 8 + 6 * N + SLACK

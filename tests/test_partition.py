@@ -10,7 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavpart.channel import ChannelParams, RadioField, UavNode, compute_radio_field
-from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs, load_config
+from uavpart.config import (
+    ExperimentConfig,
+    apply_sweep,
+    build_channel,
+    build_grid,
+    build_uavs,
+    load_config,
+)
 from uavpart.grid import truncated_gaussian, uniform_density
 from uavpart.partition import (
     CSV_BLOCK_CELLS,
@@ -271,6 +278,55 @@ def test_ascent_stops_on_the_partition_it_returns(sigma, size):
                                (s2.potentials, priced_at)):
         mismatch = np.linalg.norm(wanted - potentials.partition.masses)
         assert potentials.grad_trace[-1] == mismatch
+
+
+def solved_potentials(cfg):
+    """The potentials of every scenario cfg runs, in order."""
+    grid = build_grid(cfg)
+    radio = compute_radio_field(grid, build_uavs(cfg), build_channel(cfg))
+    solved = []
+    if cfg.scenario in ("1", "both"):
+        solved.append(solve_scenario1(grid, radio, cfg.max_hover, cfg.alpha, cfg.n_users,
+                                      cfg.mass_tol, cfg.max_ascent_iter).potentials)
+    if cfg.scenario in ("2", "both"):
+        solved.append(solve_scenario2(grid, radio, cfg.load_bits, cfg.alpha, cfg.n_users,
+                                      cfg.mass_tol, cfg.max_ascent_iter).potentials)
+    return solved
+
+
+@pytest.mark.parametrize("stem", [
+    "fairness_vs_concentration", "service_vs_interference", "hover_vs_bandwidth",
+    "hover_vs_control_weight", "hover_vs_fleet_size", "hover_vs_interference",
+])
+def test_sweep_scenes_meet_mass_tol_in_few_evaluations(stem):
+    # every point of the configs the benchmark sweeps (its scenes at seed 0)
+    # meets mass_tol within 20 dual evaluations, Newton steps first; the
+    # step search alone took up to 26, and 105 on the sigma = 200 hot spot
+    cfg = load_config(SCRIPTS / f"{stem}.ini")
+    for value in cfg.sweep_values:
+        (potentials,) = solved_potentials(apply_sweep(cfg, value))
+        assert potentials.grad_trace[-1] <= cfg.mass_tol
+        bound = 104 if (stem, value) == ("fairness_vs_concentration", 200.0) else 20
+        assert potentials.evals <= bound, (stem, value)
+
+
+def test_fine_maps_scene_solves_in_few_evaluations():
+    # the benchmark's 400 x 400 maps scene: both solves in at most 8
+    # evaluations (20 and 10 by the step search alone)
+    cfg = replace(load_config(SCRIPTS / "partition_maps.ini"), nx=400, ny=400)
+    for potentials in solved_potentials(cfg):
+        assert potentials.grad_trace[-1] <= cfg.mass_tol
+        assert potentials.evals <= 8
+
+
+@pytest.mark.parametrize("sigma, evals", [(50.0, 132), (100.0, 166)])
+def test_hot_spots_take_no_more_evaluations_than_the_step_search(sigma, evals):
+    # the tight scenario-1 hot spots of the 200 x 200 default scene, where the
+    # Newton step often fails and the step search takes over
+    cfg = replace(ExperimentConfig(), scenario="1", sigma_x=sigma, sigma_y=sigma)
+    (potentials,) = solved_potentials(cfg)
+    assert potentials.grad_trace[-1] <= cfg.mass_tol
+    assert potentials.evals <= evals
 
 
 @settings(max_examples=100, deadline=None)
