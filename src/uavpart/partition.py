@@ -13,7 +13,7 @@ CSV_BLOCK_CELLS = 1 << 14  # cells per partition_to_csv block, about 0.5 MB
 NEWTON_TRIALS = 3  # Newton steps tried, halving from 1, before the step search
 BAND_LEVELS = 24  # band Hessians at first_step / 2**l, l < BAND_LEVELS
 BAND_REACH = 2.0  # a band fits a Newton move within this factor of its width
-BAND_CHUNK = 1 << 11  # cells per bincount of the band Hessians, a 16 kB index array
+BAND_CHUNK = 1 << 11  # cells per bincount of the band Hessians, a 16 kB weights copy
 
 
 def _band_bins():
@@ -22,7 +22,7 @@ def _band_bins():
     to bin 0 past every band or when tied, below 2**-BAND_LEVELS: a tied cell
     sits on a kink, where the masses jump."""
     e = np.arange(2048)
-    return np.where(e > 1022 - BAND_LEVELS, np.clip(1023 - e, 0, BAND_LEVELS), 0).astype(np.uint8)
+    return np.where(e > 1022 - BAND_LEVELS, np.clip(1023 - e, 0, BAND_LEVELS), 0).astype(np.int64)
 
 
 _BAND_BIN = _band_bins()
@@ -156,9 +156,10 @@ def weighted_voronoi(grid, radio):
     return _partition(*_claim(grid, _best_signal_rows(radio, row), best, radio.n_uavs))
 
 
-def _byte_table(strings):
-    """bytes strings as the rows of a uint8 table, zero-padded to the longest."""
-    return np.array(strings, dtype=bytes).view(np.uint8).reshape(len(strings), -1)
+def _byte_field(strings):
+    """bytes strings as fixed-width void items, zero-padded to the longest."""
+    table = np.array(strings, dtype=bytes)
+    return table.view(f"V{table.itemsize}")
 
 
 def partition_to_csv(grid, part, path):
@@ -167,28 +168,29 @@ def partition_to_csv(grid, part, path):
     The bytes are those of np.savetxt with fmt "%.9g,%.9g,%d", and the file
     is written in binary mode, so lines end in \\n on every platform.  Each
     grid column's x string, each grid row's y string and each label is
-    formatted once, into a zero-padded byte table.  Blocks of about
-    CSV_BLOCK_CELLS cells (at least one grid row) are gathered from the
-    three tables into a (rows, nx, width) uint8 array; no formatted string
-    holds a NUL byte, so dropping the zero padding leaves the CSV text.
+    formatted once, as a zero-padded fixed-width item.  Blocks of about
+    CSV_BLOCK_CELLS cells (at least one grid row) are gathered from the three
+    tables into a (rows, nx) array of (x, y, label) records; no formatted
+    string holds a NUL byte, so dropping the zero padding of the records'
+    bytes leaves the CSV text.
     """
-    xs = _byte_table([b"%.9g," % x for x in grid.column_x.tolist()])
-    ys = _byte_table([b"%.9g," % y for y in grid.row_y.tolist()])
-    labels = _byte_table([b"%d\n" % i for i in range(INFEASIBLE, part.n_uavs)])
+    xs = _byte_field([b"%.9g," % x for x in grid.column_x.tolist()])
+    ys = _byte_field([b"%.9g," % y for y in grid.row_y.tolist()])
+    labels = _byte_field([b"%d\n" % i for i in range(INFEASIBLE, part.n_uavs)])
     codes = (part.assignment - INFEASIBLE).reshape(grid.ny, grid.nx)
     rows = min(max(1, CSV_BLOCK_CELLS // grid.nx), grid.ny)
-    x_end = xs.shape[1]
-    y_end = x_end + ys.shape[1]
-    block = np.empty((rows, grid.nx, y_end + labels.shape[1]), dtype=np.uint8)
-    block[:, :, :x_end] = xs
+    record = [("x", xs.dtype), ("y", ys.dtype), ("label", labels.dtype)]
+    block = np.empty((rows, grid.nx), dtype=record)
+    block["x"] = xs
     with open(path, "wb") as fh:
         fh.write(b"cell_x_m,cell_y_m,uav_index\n")
         for start in range(0, grid.ny, rows):
             chunk = codes[start:start + rows]
             out = block[:len(chunk)]
-            out[:, :, x_end:y_end] = ys[start:start + len(chunk), None]
-            out[:, :, y_end:] = labels[chunk]
-            fh.write(out[out != 0].tobytes())
+            out["y"] = ys[start:start + len(chunk), None]
+            out["label"] = labels[chunk]
+            text = out.view(np.uint8)
+            fh.write(text[text != 0].tobytes())
 
 
 def _lower_envelope(costs, psi, best, row):
@@ -278,28 +280,35 @@ def _min_norm_point(points):
     return scale * (weights @ unit[corral])
 
 
-def _band_pairs(grid, gaps, codes, runner, n_uavs):
+def _band_pairs(grid, gaps, codes, runner, n_uavs, scratch):
     """The pair masses of the band Hessians: pairs[l, i, j] is the mass of the
     cells that UAV i claims with runner-up j and gap below 2**-l, for
     l < BAND_LEVELS, where gaps holds each cell's runner-up cost minus its
     claim's over the widest band (+inf where no UAV serves, never negative).
     Each cell is binned once, at its finest band, read from the float
-    exponent of its gap, by bincount over BAND_CHUNK cells at a time; the
-    one cell-length array made holds the pair keys, in the smallest unsigned
-    type that holds them."""
+    exponent of its gap, by bincount of the keys
+    (claim * n_uavs + runner-up) * bins + bin.  They are built in place over
+    gaps and scratch, two float64 n_cells-length arrays viewed as int64, whose
+    values are lost; the codes and runner-up UAVs are each copied into
+    scratch before they are scaled, since a ufunc that mixes their one-byte
+    type with int64 casts through a buffer of its own.
+    bincount copies read-only weights such as cell_mass, so it runs over
+    BAND_CHUNK cells at a time."""
     bins = BAND_LEVELS + 1
+    keys, term = gaps.view(np.int64), scratch.view(np.int64)
+    np.right_shift(keys, 52, out=term)  # the sign bit is clear
+    np.take(_BAND_BIN, term, mode="clip", out=keys)
+    np.copyto(term, runner)
+    term *= bins
+    keys += term
+    np.copyto(term, codes)
+    term *= n_uavs * bins
+    keys += term
     hist = np.zeros((n_uavs + 1) * n_uavs * bins)
-    keys = np.multiply(codes, n_uavs, dtype=np.min_scalar_type(hist.size))
-    keys += runner
-    keys *= bins
-    exponents = gaps.view(np.int64)  # the sign bit is clear
-    key = np.empty(min(BAND_CHUNK, len(gaps)), dtype=np.intp)
-    for start in range(0, len(gaps), BAND_CHUNK):
-        stop = min(start + BAND_CHUNK, len(gaps))
-        chunk = key[:stop - start]
-        np.right_shift(exponents[start:stop], 52, out=chunk)
-        np.add(keys[start:stop], np.take(_BAND_BIN, chunk, mode="clip"), out=chunk)
-        hist += np.bincount(chunk, weights=grid.cell_mass[start:stop], minlength=hist.size)
+    for start in range(0, len(keys), BAND_CHUNK):
+        stop = start + BAND_CHUNK
+        hist += np.bincount(keys[start:stop], weights=grid.cell_mass[start:stop],
+                            minlength=hist.size)
     hist = hist.reshape(n_uavs + 1, n_uavs, bins)[1:, :, :0:-1].transpose(2, 0, 1)
     return np.cumsum(hist, axis=0)[::-1]  # code 0, unassigned, dropped
 
@@ -507,8 +516,10 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
         back = next(j for j, seen in enumerate(visited) if np.array_equal(seen, masses))
         pieces = list({m.tobytes(): m for m in visited[back:]}.values())
         if len(pieces) == 1 and not failed:
+            # kept is free until the first trial: the trials and the step
+            # search each write their own minimum over it
             newton = _newton_move(
-                _band_pairs(grid, gaps(), codes, runner, n_uavs), grad, bands, curvature)
+                _band_pairs(grid, gaps(), codes, runner, n_uavs, kept), grad, bands, curvature)
             taken, cand = 1.0, -np.inf
             for _ in range(NEWTON_TRIALS if newton is not None else 0):
                 moved = psi + taken * newton
