@@ -130,12 +130,13 @@ def assign_by_min_cost(grid, costs):
     return _partition(*_claim(grid, costs, best, len(costs)))
 
 
-def _best_signal_rows(radio, row):
+def _best_signal_rows(radio, row, unusable):
     """-spectral_eff[i], +inf below UAV i's SINR floor, for each UAV i in
-    turn, each written over row."""
+    turn, each written over row, with unusable as scratch for the mask."""
     for eff, usable in zip(radio.spectral_eff, radio.feasible_by_uav):
-        row.fill(np.inf)
-        yield np.negative(eff, out=row, where=usable)
+        np.negative(eff, out=row)
+        np.copyto(row, np.inf, where=np.logical_not(usable, out=unusable))
+        yield row
 
 
 def weighted_voronoi(grid, radio):
@@ -149,11 +150,12 @@ def weighted_voronoi(grid, radio):
     n_cells-length arrays.
     """
     best, row = np.empty(grid.n_cells), np.empty(grid.n_cells)
-    rows = _best_signal_rows(radio, row)
+    unusable = np.empty(grid.n_cells, dtype=bool)
+    rows = _best_signal_rows(radio, row, unusable)
     np.copyto(best, next(rows))
     for shifted in rows:
         np.minimum(best, shifted, out=best)
-    return _partition(*_claim(grid, _best_signal_rows(radio, row), best, radio.n_uavs))
+    return _partition(*_claim(grid, _best_signal_rows(radio, row, unusable), best, radio.n_uavs))
 
 
 def _byte_field(strings):
