@@ -20,9 +20,12 @@ from uavpart.config import (
 )
 from uavpart.grid import truncated_gaussian, uniform_density
 from uavpart.partition import (
+    BAND_CHUNK,
+    BAND_LEVELS,
     CSV_BLOCK_CELLS,
     INFEASIBLE,
     Partition,
+    _band_pairs,
     _finite_spread,
     _min_norm_point,
     ascend_dual,
@@ -182,6 +185,32 @@ def test_finite_spread_is_the_masked_reduction(seed, n_uavs, grid_cells, share):
     want = costs.max(where=finite, initial=-np.inf) - costs.min(where=finite, initial=np.inf)
     got = _finite_spread(costs, np.empty(grid_cells))
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("n_cells", [37, 2 * BAND_CHUNK + 5])
+@pytest.mark.parametrize("n_uavs", [1, 3, 8])
+def test_band_pairs_are_the_masses_within_each_band(n_cells, n_uavs):
+    # pairs[l, i, j]: the mass of the cells claimed by i with runner-up j and
+    # a gap in [2**-BAND_LEVELS, 2**-l); tied, unserved and unassigned cells
+    # count in no band.  Dyadic masses make every sum exact in any order
+    rng = np.random.default_rng(n_cells * 10 + n_uavs)
+    gaps = 2.0 ** rng.uniform(-30, 2, n_cells)
+    edges = rng.random(n_cells) < 0.2  # a gap at a band edge counts below it
+    gaps[edges] = 2.0 ** -rng.integers(0, BAND_LEVELS + 1, int(edges.sum())).astype(float)
+    gaps[rng.random(n_cells) < 0.05] = np.inf
+    gaps[rng.random(n_cells) < 0.05] = 0.0
+    gaps[rng.random(n_cells) < 0.05] = 5e-324
+    codes = rng.integers(0, n_uavs + 1, n_cells).astype(np.uint8)
+    runner = rng.integers(0, n_uavs, n_cells).astype(np.uint8)
+    mass = rng.integers(1, 64, n_cells) / 1024.0
+    mass.setflags(write=False)
+    want = np.zeros((BAND_LEVELS, n_uavs, n_uavs))
+    for level in range(BAND_LEVELS):
+        inside = (codes > 0) & (gaps >= 2.0**-BAND_LEVELS) & (gaps < 2.0**-level)
+        np.add.at(want[level], (codes[inside] - 1, runner[inside]), mass[inside])
+    grid = type("Grid", (), {"cell_mass": mass})
+    got = _band_pairs(grid, gaps.copy(), codes, runner, n_uavs, np.empty(n_cells))
+    assert np.array_equal(got, want)
 
 
 def check_random_ascent(seed, n_uavs, ascend, mixed=False):
@@ -430,6 +459,20 @@ def test_voronoi_ties_on_equal_efficiency_go_to_the_lowest_index():
     part = weighted_voronoi(grid, radio)
     assert part.assignment.tolist() == [0, 0]
     assert part.masses.tolist() == [1.0, 0.0]
+
+
+def test_voronoi_skips_links_below_the_sinr_floor():
+    # UAV 0 has the higher efficiency on every cell but is below its floor
+    # on the second; no UAV serves the third
+    grid = uniform_density(1000.0, 1000.0, 3, 1)
+    sinr = np.array([[8.0, 8.0, 8.0], [1.0, 1.0, 1.0]])
+    usable = np.array([[True, False, False], [True, True, False]])
+    radio = RadioField(power=sinr.copy(), sinr=sinr, spectral_eff=np.log2(1.0 + sinr),
+                       feasible_by_uav=usable, feasible=usable.any(axis=0),
+                       bandwidths=np.ones(2))
+    part = weighted_voronoi(grid, radio)
+    assert part.assignment.tolist() == [0, 1, INFEASIBLE]
+    assert np.allclose(part.masses, [1 / 3, 1 / 3])
 
 
 def test_partition_csv(tmp_path):
