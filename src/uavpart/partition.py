@@ -284,8 +284,8 @@ def _min_norm_point(points):
 
 def _band_pairs(grid, gaps, codes, runner, n_uavs, scratch):
     """The pair masses of the band Hessians: pairs[l, i, j] is the mass of the
-    cells that UAV i claims with runner-up j and gap below 2**-l, for
-    l < BAND_LEVELS, where gaps holds each cell's runner-up cost minus its
+    cells that UAV i claims with runner-up j and a gap below 2**-l but not
+    tied (_band_bins), for l < BAND_LEVELS, where gaps holds each cell's runner-up cost minus its
     claim's over the widest band (+inf where no UAV serves, never negative).
     Each cell is binned once, at its finest band, read from the float
     exponent of its gap, by bincount of the keys
