@@ -177,15 +177,28 @@ def compute_radio_field(grid, uavs, params):
     Interference at a cell for UAV i is beta times the received power of all
     other UAVs; noise is the spectral density times UAV i's own bandwidth.
     Spectral efficiency is log2(1 + SINR).
+
+    Each UAV's received power is computed over the grid's separable column
+    and row coordinates into its row of the power field, and the SINR and
+    spectral efficiency are each worked in place.  power, sinr and
+    spectral_eff are the three layers of one float64 (3, n_uavs, n_cells)
+    allocation, the largest array of a scene.  glibc sets its mmap threshold
+    to the largest mmapped block freed so far and trims the heap top only
+    past twice that, so a process that runs scene after scene (a sweep,
+    scripts/run_figures.py, the benchmark) keeps reusing its heap instead of
+    handing it back and faulting it in again.  The solvers release their
+    (n_uavs, n_cells) cost field before the per-cell reports, which keeps a
+    200 x 200 scene of 5 UAVs inside that margin; one scene alone in a fresh
+    process still faults its memory in once.  All 8 committed configs run in
+    one process with 14.6k minor page faults, against 30.5k before the field
+    became one allocation, and a steady-state pass of the perfbench sweeps
+    faults 0 to 4 times (fair-sweep, maps-fine) or about 1,980 times
+    (hover-sweep, all in its 6-UAV scene and the scene after it); see
+    BENCH_17.json.
     """
     if len(uavs) == 0:
         raise ValueError("need at least one UAV")
     x, y = grid.column_x, grid.row_y[:, None]
-    # power, sinr and spectral_eff are the three layers of one allocation.
-    # When glibc serves a block this large by mmap, freeing it raises its
-    # dynamic mmap and trim thresholds, so a process that builds field after
-    # field keeps reusing its heap instead of handing it back and faulting it
-    # in again
     fields = np.empty((3, len(uavs), grid.ny, grid.nx))
     for row, u in zip(fields[0], uavs):
         row[...] = received_power(u, x, y, params)

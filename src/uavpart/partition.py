@@ -151,10 +151,7 @@ def weighted_voronoi(grid, radio):
     """
     best, row = np.empty(grid.n_cells), np.empty(grid.n_cells)
     unusable = np.empty(grid.n_cells, dtype=bool)
-    rows = _best_signal_rows(radio, row, unusable)
-    np.copyto(best, next(rows))
-    for shifted in rows:
-        np.minimum(best, shifted, out=best)
+    _lower_envelope(_best_signal_rows(radio, row, unusable), best)
     return _partition(*_claim(grid, _best_signal_rows(radio, row, unusable), best, radio.n_uavs))
 
 
@@ -195,25 +192,22 @@ def partition_to_csv(grid, part, path):
             fh.write(text[text != 0].tobytes())
 
 
-def _lower_envelope(costs, psi, best, row):
-    """Fill best with the per-cell minimum min_i (c_ic - psi_i), taken over the
-    cost rows in row order with row as scratch."""
-    np.subtract(costs[0], psi[0], out=best)
-    for shifted in _shifted_rows(costs[1:], psi[1:], row):
-        np.minimum(best, shifted, out=best)
+def _lower_envelope(rows, best):
+    """Fill best with the per-cell minimum of the rows an iterator yields, in
+    order, one row at a time; the rows may all be one reused array."""
+    np.copyto(best, next(rows))
+    for row in rows:
+        np.minimum(best, row, out=best)
 
 
-def _finite_spread(costs, row):
+def _finite_spread(costs):
     """max - min over the finite entries of costs, -inf when there are none,
-    one row at a time with row as scratch: c * 0 + c is c where c is finite
-    and NaN elsewhere, which fmax and fmin skip."""
+    one row at a time."""
     hi, lo = -np.inf, np.inf
-    with np.errstate(invalid="ignore"):
-        for c in costs:
-            np.multiply(c, 0.0, out=row)
-            row += c
-            hi = max(hi, float(np.fmax.reduce(row, initial=-np.inf)))
-            lo = min(lo, float(np.fmin.reduce(row, initial=np.inf)))
+    for c in costs:
+        finite = np.isfinite(c)
+        hi = max(hi, float(c.max(where=finite, initial=-np.inf)))
+        lo = min(lo, float(c.min(where=finite, initial=np.inf)))
     return hi - lo
 
 
@@ -235,7 +229,7 @@ def shifted_pass(grid, costs, psi):
     cells some UAV can serve, taken row by row into n_cells-length arrays: no
     (n_uavs, n_cells) array is allocated and costs itself is never copied."""
     best, row = np.empty(costs.shape[1]), np.empty(costs.shape[1])
-    _lower_envelope(costs, psi, best, row)
+    _lower_envelope(_shifted_rows(costs, psi, row), best)
     return _served_integral(grid, best, np.flatnonzero(best == np.inf), row)
 
 
@@ -434,18 +428,22 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
     d = J^-1 grad and J a band Hessian (_newton_move; Kitagawa, Merigot and
     Thibert 2019): the response of the masses to psi, from the cells whose
     runner-up cost lies within a band h of their claim's.  The bands are
-    first_step / 2**l, first_step the larger of the spread of the finite
-    costs and the largest |psi| the ascent starts from, so the step is free
-    of the units, and the band used is one whose move is about as wide as
-    it.  The first trial that raises F is taken.  When none does, or no band
-    fits its move, the step search runs, and the next iterate goes straight
-    to it too, since the model just failed there.  Its first iteration
-    tries first_step rounded up to a power of two, so every step it takes
-    is one, and every later one the last step it accepted.  It halves until
-    F improves, then walks to a local maximum of F over step * 2**k: it
-    doubles while F keeps improving, or halves when it had to halve before
-    or the first doubling fails.  Steps zigzag across a kink: tied cells
-    flip between UAVs and the masses alternate between pieces of F.  So when
+    first_step / 2**l, l < BAND_LEVELS, first_step the larger of the spread
+    of the finite costs and the largest |psi| the ascent starts from, so the
+    steps are free of the units (a 100 MHz band or a hover budget of 1.8e6 s
+    solves like the defaults), and the band used is one whose move is about
+    as wide as it.  When no trial raises F, or no band fits its move, the
+    step search runs, and the next iterate goes straight to it too, since
+    the model just failed there.  Both run one backtracking search, F at
+    psi + s d for s = s0, s0 / 2, ... until F rises or psi stops moving:
+    from s0 = 1, at most NEWTON_TRIALS times, along the Newton move, and
+    along the search direction from first_step rounded up to a power of two
+    on the step search's first run, so every step it takes is one, and from
+    the last step it tried on later runs.  A search step that raises F is
+    walked to a local maximum of F over step * 2**k: it doubles while F
+    keeps improving, or halves when the search had to halve or the first
+    doubling fails.  Steps zigzag across a kink: tied cells flip between
+    UAVs and the masses alternate between pieces of F.  So when
     an iterate's masses repeat those of one of the last len(costs) + 1
     iterates, the Newton step is skipped and the search first tries the
     least-norm point of the hull of every piece's direction, t - m over the
@@ -463,11 +461,11 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
     n_uavs, n_cells = costs.shape
     kept, spare, row = (np.empty(n_cells) for _ in range(3))
     runner = np.empty(n_cells, dtype=np.min_scalar_type(max(n_uavs - 1, 0)))
-    first_step = max(_finite_spread(costs, row), float(np.abs(psi).max(initial=0.0)))
+    first_step = max(_finite_spread(costs), float(np.abs(psi).max(initial=0.0)))
     if not first_step > 0:
         first_step = 1.0
     bands = first_step * 2.0 ** -np.arange(BAND_LEVELS)
-    _lower_envelope(costs, psi, kept, row)
+    _lower_envelope(_shifted_rows(costs, psi, row), kept)
     dead = np.flatnonzero(kept == np.inf)  # no UAV serves these at any psi
     free = curvature > 0  # k_i = 0 holds psi_i where it starts
 
@@ -484,8 +482,22 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
     def value_at(p, best):
         nonlocal evals
         evals += 1
-        _lower_envelope(costs, p, best, row)
+        _lower_envelope(_shifted_rows(costs, p, row), best)
         return quadratic(p) + _served_integral(grid, best, dead, row)
+
+    def halving(direction, step, trials):
+        """The backtracking search from psi, each minimum over kept: the last
+        step tried, halved again when trials run out, and F there or -inf."""
+        cand = -np.inf
+        while trials > 0:
+            moved = psi + step * direction
+            if np.array_equal(moved, psi):
+                break
+            cand = value_at(moved, kept)
+            if cand > value:
+                break
+            step, trials = 0.5 * step, trials - 1
+        return step, cand
 
     def gaps():  # runner-up cost minus claim over first_step, into row
         with np.errstate(invalid="ignore"):  # +inf - +inf where no UAV serves
@@ -522,17 +534,9 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
             # search each write their own minimum over it
             newton = _newton_move(
                 _band_pairs(grid, gaps(), codes, runner, n_uavs, kept), grad, bands, curvature)
-            taken, cand = 1.0, -np.inf
-            for _ in range(NEWTON_TRIALS if newton is not None else 0):
-                moved = psi + taken * newton
-                if np.array_equal(moved, psi):
-                    break
-                cand = value_at(moved, kept)
-                if cand > value:
-                    break
-                taken *= 0.5
+            taken, cand = halving(newton, 1.0, NEWTON_TRIALS if newton is not None else 0)
             if cand > value:
-                psi, value = moved, cand
+                psi, value = psi + taken * newton, cand
                 continue
             failed = True
         else:
@@ -542,15 +546,8 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
             directions.insert(0, _min_norm_point(np.array([aim(psi, m) - m for m in pieces])))
         start = step or 2.0 ** int(np.frexp(first_step)[1])
         for direction in directions:
-            step, factors = start, (2.0, 0.5)
-            cand = value_at(psi + step * direction, kept)
-            while cand <= value:
-                factors = (0.5,)
-                step *= 0.5
-                moved = psi + step * direction
-                if np.array_equal(moved, psi):
-                    break
-                cand = value_at(moved, kept)
+            # the next iterate starts from the last step tried, even a failed one
+            step, cand = halving(direction, start, np.inf)
             if cand > value:
                 break
         if cand <= value:  # a kink: no step along grad that still changes psi improves F
@@ -568,7 +565,8 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
             psi, value = moved, cand
             del f_trace[-1], grad_trace[-1], step_trace[-1], visited[-1]
             continue
-        for factor in factors:  # climb to a local maximum over step * 2**k
+        # climb to a local maximum over step * 2**k
+        for factor in (2.0, 0.5) if step == start else (0.5,):
             climbed = False
             while (trial := value_at(psi + factor * step * direction, spare)) > cand:
                 step *= factor

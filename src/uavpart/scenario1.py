@@ -121,7 +121,9 @@ def solve_scenario1(grid, radio, budgets, alpha, n_users, mass_tol=ExperimentCon
     link above the SINR floor, and ConvergenceError (with the trace attached)
     when the iteration budget runs out or the ascent ends at a kink, where no
     step that still changes the potentials improves the dual, with the masses
-    still off their shares.
+    still off their shares.  The kink's message gives the mass mismatch,
+    mass_tol and the heaviest cell's mass: whole cells cannot always meet
+    the shares within mass_tol when one cell outweighs it.
     """
     fairness = solve_fairness_system(radio.bandwidths, budgets, alpha, n_users)
     uncovered_mass = float(grid.cell_mass[~radio.feasible].sum())
@@ -136,7 +138,10 @@ def solve_scenario1(grid, radio, budgets, alpha, n_users, mass_tol=ExperimentCon
     )
     if potentials.grad_trace[-1] > mass_tol:
         trace = (potentials.f_trace, potentials.grad_trace, potentials.step_trace)
-        raise ConvergenceError("no improving step along the ascent direction", trace=trace)
+        raise ConvergenceError(
+            f"dual ascent ended at a kink with mass mismatch {potentials.grad_trace[-1]:.3e} "
+            f"above mass_tol = {mass_tol:.3e}; the heaviest cell holds "
+            f"{float(grid.cell_mass.max()):.3e} of the user mass", trace=trace)
     service = _service_field(radio, potentials.partition,
                              np.full(radio.n_uavs, fairness.resource_per_user))
     return Scenario1Result(potentials.partition, fairness, potentials, service)

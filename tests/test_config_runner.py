@@ -9,16 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavpart.channel import compute_radio_field
 from uavpart.cli import main
 from uavpart.config import (
     ExperimentConfig,
     apply_sweep,
+    build_channel,
+    build_grid,
+    build_uavs,
     config_to_ini,
     load_config,
     place_uavs_grid,
     validate_config,
 )
-from uavpart.errors import ConfigError
+from uavpart.errors import ConfigError, ConvergenceError
 from uavpart.runner import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
@@ -26,6 +30,7 @@ from uavpart.runner import (
     EXIT_OK,
     run_experiment,
 )
+from uavpart.scenario1 import solve_scenario1
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -536,12 +541,15 @@ def test_cli_large_control_weight_converges(tmp_path, alpha):
         assert gap <= 1e-3 * total
 
 
+TIGHT_HOT_SPOT = ("[experiment]\nscenario = 1\nmu_x = 166.6667\nmu_y = 250\n"
+                  "sigma_x = 60\nsigma_y = 60\nalpha = 0.3\n")
+
+
 @pytest.mark.filterwarnings("error")
 def test_cli_jain_of_an_unserved_sample_is_nan(tmp_path):
     # a tight hot spot overloads one best-signal region, whose serving time
     # is floored at 0; at seed 2 every sampled user sits in it
-    path = write_cfg(tmp_path, "[experiment]\nscenario = 1\nmu_x = 166.6667\nmu_y = 250\n"
-                               "sigma_x = 60\nsigma_y = 60\nalpha = 0.3\n")
+    path = write_cfg(tmp_path, TIGHT_HOT_SPOT)
     out = tmp_path / "out"
     assert main(["run", path, "--out", str(out), "--seeds", "3"]) == EXIT_OK
     jain = {(row["seed"], row["metric"]): row["value"]
@@ -551,6 +559,26 @@ def test_cli_jain_of_an_unserved_sample_is_nan(tmp_path):
     for key, value in jain.items():
         if key != ("2", "s1_jain_voronoi"):
             assert 0.0 < float(value) <= 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_kink_exit_names_the_mismatch_and_the_heaviest_cell(tmp_path, capsys):
+    # at 100 x 100 the hot spot's heaviest cell outweighs mass_tol, and the
+    # fair ascent ends at a kink with its masses off their shares
+    path = write_cfg(tmp_path, TIGHT_HOT_SPOT)
+    argv = ["run", path, "--grid", "100x100", "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    cfg = replace(load_config(path), nx=100, ny=100)
+    grid = build_grid(cfg)
+    radio = compute_radio_field(grid, build_uavs(cfg), build_channel(cfg))
+    with pytest.raises(ConvergenceError) as info:
+        solve_scenario1(grid, radio, cfg.max_hover, cfg.alpha, cfg.n_users)
+    mismatch, heaviest = info.value.trace[1][-1], grid.cell_mass.max()
+    assert heaviest > mismatch > cfg.mass_tol
+    for number in (mismatch, cfg.mass_tol, heaviest):
+        assert f"{number:.3e}" in err
 
 
 def test_bad_sweep_point_rejected_by_run_experiment(tmp_path, capsys):

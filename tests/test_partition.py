@@ -27,7 +27,9 @@ from uavpart.partition import (
     Partition,
     _band_pairs,
     _finite_spread,
+    _lower_envelope,
     _min_norm_point,
+    _shifted_rows,
     ascend_dual,
     assign_by_min_cost,
     partition_to_csv,
@@ -166,6 +168,23 @@ def test_shifted_pass_matches_buffer_reference(seed, n_uavs, grid_cells, scale):
 
 
 @settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31), n_rows=st.integers(1, 6), grid_cells=st.integers(1, 40))
+def test_lower_envelope_is_the_column_minimum(seed, n_rows, grid_cells):
+    # NaN and -inf propagate as in min, and a column of +inf stays +inf,
+    # whether the rows are distinct arrays or one array rewritten per row
+    rng = np.random.default_rng(seed)
+    costs = rng.integers(-2, 3, size=(n_rows, grid_cells)).astype(float)
+    bad = rng.random(costs.shape) < 0.3
+    costs[bad] = rng.choice([np.inf, -np.inf, np.nan], size=int(bad.sum()))
+    costs[:, rng.random(grid_cells) < 0.25] = np.inf
+    want, best = costs.min(axis=0), np.empty(grid_cells)
+    _lower_envelope(iter(costs), best)
+    assert np.array_equal(best, want, equal_nan=True)
+    _lower_envelope(_shifted_rows(costs, np.zeros(n_rows), np.empty(grid_cells)), best)
+    assert np.array_equal(best, want, equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**31), n_uavs=st.integers(1, 5), grid_cells=st.integers(1, 40),
        share=st.sampled_from([0.0, 0.3, 0.9, 1.0]))
 def test_finite_spread_is_the_masked_reduction(seed, n_uavs, grid_cells, share):
@@ -183,7 +202,7 @@ def test_finite_spread_is_the_masked_reduction(seed, n_uavs, grid_cells, share):
     costs[bad] = rng.choice([np.inf, -np.inf, np.nan], size=int(bad.sum()))
     finite = np.isfinite(costs)
     want = costs.max(where=finite, initial=-np.inf) - costs.min(where=finite, initial=np.inf)
-    got = _finite_spread(costs, np.empty(grid_cells))
+    got = _finite_spread(costs)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
