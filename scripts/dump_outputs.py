@@ -3,8 +3,9 @@
 The set is every scene of the three perfbench workloads at workload seeds 0
 and 1, every experiment config in scripts/ at 60 x 60 with 3 user seeds, and
 one scenario-2 sweep of the default scene at 40 x 40 over large control
-weights, all with partition maps and ascent traces on.  Dump the old and the
-new checkout and compare the trees:
+weights, and three scenes whose ascent ends at a kink, all with partition
+maps and ascent traces on.  Dump the old and the new checkout and compare
+the trees:
 
     python3 scripts/dump_outputs.py /tmp/before --root path/to/old/checkout
     python3 scripts/dump_outputs.py /tmp/after
@@ -55,6 +56,18 @@ def main(argv=None):
     runs.append(("large_alpha", ExperimentConfig(
         experiment_id="large_alpha", scenario="2", nx=40, ny=40, n_seeds=1,
         sweep_var="alpha", sweep_values=(0.5, 300.0, 10000.0))))
+    # at a kink: scenario 2 on two coarse grids exits 0 off target after 469
+    # and 612 iterations, scenario 1 exits 4 on a hot spot of whole cells
+    coarse = dict(scenario="2", n_uavs=6, beta=0.0, n_seeds=1)
+    runs += [
+        ("kink_s2_22x22", ExperimentConfig(experiment_id="kink_s2_22x22", nx=22, ny=22,
+                                           sigma_x=100.0, sigma_y=100.0, alpha=52.9, **coarse)),
+        ("kink_s2_10x10", ExperimentConfig(experiment_id="kink_s2_10x10", nx=10, ny=10,
+                                           sigma_x=60.0, sigma_y=60.0, alpha=73.1, **coarse)),
+        ("kink_s1_exit4", ExperimentConfig(
+            experiment_id="kink_s1_exit4", scenario="1", nx=100, ny=100, n_seeds=1,
+            mu_x=166.6667, mu_y=250.0, sigma_x=60.0, sigma_y=60.0, alpha=0.3)),
+    ]
     codes = []
     for rel, cfg in runs:
         cfg = replace(cfg, write_partitions=True, trace=True)

@@ -129,12 +129,6 @@ def mean_path_loss(uav, x, y, params):
         return loss
 
 
-def received_power(uav, x, y, params):
-    """Mean received power in watts at ground point(s)."""
-    loss = mean_path_loss(uav, x, y, params)
-    return np.divide(uav.power, loss, out=loss)
-
-
 @dataclass(frozen=True)
 class RadioField:
     """Per-UAV link quantities over the grid cells, all arrays read-only.
@@ -201,7 +195,7 @@ def compute_radio_field(grid, uavs, params):
     x, y = grid.column_x, grid.row_y[:, None]
     fields = np.empty((3, len(uavs), grid.ny, grid.nx))
     for row, u in zip(fields[0], uavs):
-        row[...] = received_power(u, x, y, params)
+        np.divide(u.power, mean_path_loss(u, x, y, params), out=row)
     power, sinr, spectral_eff = fields.reshape(3, len(uavs), grid.n_cells)
     bandwidths = np.array([u.bandwidth for u in uavs], dtype=float)
     noise = params.noise_w_per_hz * bandwidths

@@ -13,7 +13,6 @@ CSV_BLOCK_CELLS = 1 << 14  # cells per partition_to_csv block, about 0.5 MB
 NEWTON_TRIALS = 3  # Newton steps tried, halving from 1, before the step search
 BAND_LEVELS = 24  # band Hessians at first_step / 2**l, l < BAND_LEVELS
 BAND_REACH = 2.0  # a band fits a Newton move within this factor of its width
-BAND_CHUNK = 1 << 11  # cells per bincount of the band Hessians, a 16 kB weights copy
 
 
 def _band_bins():
@@ -224,15 +223,6 @@ def _served_integral(grid, best, dead, row):
     return float(np.einsum("c,c->", best, grid.cell_mass))
 
 
-def shifted_pass(grid, costs, psi):
-    """F, the integral of the per-cell minimum min_i (c_ic - psi_i) over the
-    cells some UAV can serve, taken row by row into n_cells-length arrays: no
-    (n_uavs, n_cells) array is allocated and costs itself is never copied."""
-    best, row = np.empty(costs.shape[1]), np.empty(costs.shape[1])
-    _lower_envelope(_shifted_rows(costs, psi, row), best)
-    return _served_integral(grid, best, np.flatnonzero(best == np.inf), row)
-
-
 def _min_norm_point(points):
     """The point of least norm in the convex hull of the rows of points, by
     Wolfe's algorithm on the rows scaled to a largest norm of 1.  Each major
@@ -282,14 +272,12 @@ def _band_pairs(grid, gaps, codes, runner, n_uavs, scratch):
     tied (_band_bins), for l < BAND_LEVELS, where gaps holds each cell's runner-up cost minus its
     claim's over the widest band (+inf where no UAV serves, never negative).
     Each cell is binned once, at its finest band, read from the float
-    exponent of its gap, by bincount of the keys
+    exponent of its gap, by one np.add.at of the cell masses at the keys
     (claim * n_uavs + runner-up) * bins + bin.  They are built in place over
     gaps and scratch, two float64 n_cells-length arrays viewed as int64, whose
     values are lost; the codes and runner-up UAVs are each copied into
     scratch before they are scaled, since a ufunc that mixes their one-byte
-    type with int64 casts through a buffer of its own.
-    bincount copies read-only weights such as cell_mass, so it runs over
-    BAND_CHUNK cells at a time."""
+    type with int64 casts through a buffer of its own."""
     bins = BAND_LEVELS + 1
     keys, term = gaps.view(np.int64), scratch.view(np.int64)
     np.right_shift(keys, 52, out=term)  # the sign bit is clear
@@ -301,10 +289,7 @@ def _band_pairs(grid, gaps, codes, runner, n_uavs, scratch):
     term *= n_uavs * bins
     keys += term
     hist = np.zeros((n_uavs + 1) * n_uavs * bins)
-    for start in range(0, len(keys), BAND_CHUNK):
-        stop = start + BAND_CHUNK
-        hist += np.bincount(keys[start:stop], weights=grid.cell_mass[start:stop],
-                            minlength=hist.size)
+    np.add.at(hist, keys, grid.cell_mass)
     hist = hist.reshape(n_uavs + 1, n_uavs, bins)[1:, :, :0:-1].transpose(2, 0, 1)
     return np.cumsum(hist, axis=0)[::-1]  # code 0, unassigned, dropped
 

@@ -19,7 +19,8 @@ import numpy as np
 from .channel import _per_uav
 from .config import ExperimentConfig
 from .errors import ConvergenceError, InfeasibleError
-from .partition import DualPotentials, Partition, ascend_dual, own_links, shifted_pass
+from .partition import DualPotentials, Partition, ascend_dual, own_links
+from .partition import _lower_envelope, _served_integral, _shifted_rows
 from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
 
 
@@ -82,8 +83,12 @@ def build_cost_field(radio, fairness):
 
 
 def dual_value(grid, costs, psi, shares):  # probed by perfbench as scenario1.dual_eval
-    """Concave dual objective psi . shares + integral of the shifted cell min."""
-    return float(psi @ shares) + shifted_pass(grid, costs, psi)
+    """Concave dual objective psi . shares + integral of the shifted cell min
+    over the cells some UAV can serve, taken row by row into n_cells-length
+    arrays: no (n_uavs, n_cells) array is allocated and costs is never copied."""
+    best, row = np.empty(costs.shape[1]), np.empty(costs.shape[1])
+    _lower_envelope(_shifted_rows(costs, psi, row), best)
+    return float(psi @ shares) + _served_integral(grid, best, np.flatnonzero(best == np.inf), row)
 
 
 def _service_field(radio, part, scale):

@@ -14,7 +14,6 @@ from uavpart.channel import (
     db_to_linear,
     dbm_to_watts,
     mean_path_loss,
-    received_power,
 )
 from uavpart.grid import truncated_gaussian, uniform_density
 
@@ -109,8 +108,10 @@ def test_path_loss_overhead_chain_oracle():
     oracle = k_o * 200.0**2 * mu_eff
     got = mean_path_loss(uav, np.array([500.0]), np.array([500.0]), TABLE)[0]
     assert got == pytest.approx(oracle, rel=1e-12)
-    # and the received power at 0.5 W lands near 7.6e-11 W
-    pr = received_power(uav, np.array([500.0]), np.array([500.0]), TABLE)[0]
+    # and the radio field's power at 0.5 W, in the cell under the UAV, lands
+    # near 7.6e-11 W
+    grid = uniform_density(1000.0, 1000.0, 11, 11)  # odd: a cell center at 500,500
+    pr = compute_radio_field(grid, [uav], TABLE).power[0, 60]
     assert pr == pytest.approx(0.5 / oracle, rel=1e-12)
     assert pr == pytest.approx(7.6e-11, rel=0.02)
 
@@ -132,19 +133,25 @@ def test_path_loss_overflow_carries_no_power(altitude, carrier_hz):
     params = ChannelParams(carrier_hz=carrier_hz)
     x, y = np.array([0.0, 300.0]), np.array([0.0, 400.0])
     assert np.all(mean_path_loss(uav, x, y, params) == np.inf)
-    assert np.all(received_power(uav, x, y, params) == 0.0)
+    field = compute_radio_field(uniform_density(1000.0, 1000.0, 3, 2), [uav], params)
+    assert np.all(field.power == 0.0)
 
 
 def test_received_power_zero_power():
-    uav = UavNode(x=0.0, y=0.0, altitude=100.0, power=0.0)
-    assert received_power(uav, np.array([50.0]), np.array([50.0]), TABLE)[0] == 0.0
+    # a 0 W UAV's row of the power layer is 0 W, next to a UAV that transmits
+    grid = uniform_density(1000.0, 1000.0, 4, 3)
+    uavs = [UavNode(x=0.0, y=0.0, altitude=100.0, power=0.0),
+            UavNode(x=500.0, y=500.0, altitude=100.0)]
+    power = compute_radio_field(grid, uavs, TABLE).power
+    assert np.all(power[0] == 0.0)
+    assert np.all(power[1] > 0.0)
 
 
 def test_single_uav_sinr_is_snr():
     grid = uniform_density(1000.0, 1000.0, 12, 12)
     uav = UavNode(x=400.0, y=700.0, altitude=200.0, power=0.5, bandwidth=1e6)
     field = compute_radio_field(grid, [uav], TABLE)
-    pr = received_power(uav, *cell_centers(grid), TABLE)
+    pr = uav.power / mean_path_loss(uav, *cell_centers(grid), TABLE)
     snr = pr / (TABLE.noise_w_per_hz * 1e6)
     assert np.allclose(field.sinr[0], snr, rtol=1e-12)
     assert np.allclose(field.spectral_eff[0], np.log2(1.0 + snr), rtol=1e-12)
@@ -175,8 +182,7 @@ def test_two_uav_sinr_oracle():
     mid = 60  # iy=5, ix=5
     x, y = cell_centers(grid)
     assert x[mid] == 500.0 and y[mid] == 500.0
-    p0 = received_power(uavs[0], np.array([500.0]), np.array([500.0]), TABLE)[0]
-    p1 = received_power(uavs[1], np.array([500.0]), np.array([500.0]), TABLE)[0]
+    p0, p1 = (u.power / mean_path_loss(u, 500.0, 500.0, TABLE) for u in uavs)
     noise = TABLE.noise_w_per_hz * 1e6
     assert field.sinr[0, mid] == pytest.approx(p0 / (1.0 * p1 + noise), rel=1e-12)
     assert field.sinr[1, mid] == pytest.approx(p1 / (1.0 * p0 + noise), rel=1e-12)
@@ -286,7 +292,7 @@ def test_radio_field_matches_whole_array_reference(grid, uavs, params):
 
 def test_channel_chain_accepts_scalars():
     uav = UavNode(x=0.0, y=0.0, altitude=200.0)
-    arrays = received_power(uav, np.array([300.0]), np.array([400.0]), TABLE)
-    assert float(received_power(uav, 300.0, 400.0, TABLE)) == arrays[0]
+    arrays = mean_path_loss(uav, np.array([300.0]), np.array([400.0]), TABLE)
+    assert float(mean_path_loss(uav, 300.0, 400.0, TABLE)) == arrays[0]
     assert float(los_probability(uav, 300.0, 400.0, TABLE)) == los_probability(
         uav, np.array([300.0]), np.array([400.0]), TABLE)[0]

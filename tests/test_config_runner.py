@@ -379,6 +379,18 @@ def test_cli_partition_file_matches_grid(tmp_path):
     assert int(first[2]) >= -1
 
 
+def test_cli_uniform_density_runs(tmp_path):
+    # density_kind = uniform gives every cell the constant density
+    # 1 / (width * height), and both scenarios run on it
+    path = write_cfg(tmp_path, fast_text(density_kind="uniform", width=800.0, height=500.0))
+    grid = build_grid(load_config(path))
+    assert np.all(grid.density == 1.0 / (800.0 * 500.0))
+    out = tmp_path / "cli_out"
+    assert main(["run", path, "--out", str(out), "--seeds", "1"]) == EXIT_OK
+    metrics = {row["metric"] for row in read_metrics(out)}
+    assert "s1_mass_residual" in metrics and "s2_duality_gap" in metrics
+
+
 def test_cli_bad_config_returns_config_exit(tmp_path):
     path = write_cfg(tmp_path, "[experiment]\nno_such_key = 1\n")
     assert main(["run", path]) == EXIT_CONFIG

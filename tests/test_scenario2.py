@@ -16,7 +16,6 @@ from uavpart.partition import (
     INFEASIBLE,
     Partition,
     ascend_dual,
-    shifted_pass,
     weighted_voronoi,
 )
 from uavpart.scenario2 import (
@@ -26,7 +25,13 @@ from uavpart.scenario2 import (
     solve_scenario2,
 )
 
-from oracles import brute_force_min_hover, cell_centers, optimal_bandwidth_split, region_masses
+from oracles import (
+    brute_force_min_hover,
+    cell_centers,
+    optimal_bandwidth_split,
+    region_masses,
+    shifted_pass_reference,
+)
 
 PARAMS = ChannelParams()
 
@@ -342,7 +347,7 @@ def climbs_from(grid, radio, load_bits, alpha, n_users, result):
     for e in range(-80, 31):
         moved = psi + 2.0**e * grad
         if not np.array_equal(moved, psi):
-            value = -0.5 * float(moved / k @ moved) + shifted_pass(grid, costs, moved)
+            value = -0.5 * float(moved / k @ moved) + shifted_pass_reference(grid, costs, moved)
             if value > result.potentials.f_trace[-1]:
                 return True
     return False
