@@ -3,9 +3,9 @@
 The set is every scene of the three perfbench workloads at workload seeds 0
 and 1, every experiment config in scripts/ at 60 x 60 with 3 user seeds, and
 one scenario-2 sweep of the default scene at 40 x 40 over large control
-weights, and three scenes whose ascent ends at a kink, all with partition
-maps and ascent traces on.  Dump the old and the new checkout and compare
-the trees:
+weights, three scenes whose ascent ends at a kink, and one fairness sweep
+whose experiment id needs CSV quoting, all with partition maps and ascent
+traces on.  Dump the old and the new checkout and compare the trees:
 
     python3 scripts/dump_outputs.py /tmp/before --root path/to/old/checkout
     python3 scripts/dump_outputs.py /tmp/after
@@ -26,6 +26,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (0, 1)
 CONFIG_GRID = 60
 CONFIG_SEEDS = 3
+QUOTED_SEEDS = 4
 
 
 def main(argv=None):
@@ -68,6 +69,11 @@ def main(argv=None):
             experiment_id="kink_s1_exit4", scenario="1", nx=100, ny=100, n_seeds=1,
             mu_x=166.6667, mu_y=250.0, sigma_x=60.0, sigma_y=60.0, alpha=0.3)),
     ]
+    # the id holds a comma, a double quote and a leading space, so every
+    # metrics.csv row of the batched seeds must quote it as csv.writer does
+    fair = load_config(os.path.join(scripts, "fairness_vs_concentration.ini"))
+    runs.append(("quoted_id", replace(fair, experiment_id=' fair,"quoted" id', nx=CONFIG_GRID,
+                                      ny=CONFIG_GRID, n_seeds=QUOTED_SEEDS)))
     codes = []
     for rel, cfg in runs:
         cfg = replace(cfg, write_partitions=True, trace=True)

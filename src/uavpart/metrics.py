@@ -9,14 +9,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class UserSample:
-    """The grid cell of each sampled user and the seed used."""
+    """The grid cell of each sampled user and the seed or seeds used: 1-D
+    cells for one seed, one row of cells per seed for a sequence of seeds."""
 
     cells: np.ndarray
-    seed: int
+    seed: int | tuple
 
     @property
     def n_users(self):
-        return len(self.cells)
+        """Every user drawn: n_seeds * n_users for a sequence of seeds."""
+        return self.cells.size
 
 
 def sample_users(grid, n_users, seed):
@@ -24,12 +26,24 @@ def sample_users(grid, n_users, seed):
 
     Inverse-CDF sampling over the flat cell masses; fully determined by the
     seed.  The CDF ends at exactly 1 and draws lie in [0, 1), so every index
-    is a cell with positive mass.
+    is a cell with positive mass.  A sequence of seeds gives one row per
+    seed, each the draws of that seed's own generator, so a row holds the
+    cells sample_users(grid, n_users, that seed) gives; all draws are then
+    located in one search, taken in sorted order so it walks the CDF once.
     """
     if n_users < 1:
         raise ValueError("need at least one user")
-    rng = np.random.default_rng(seed)
-    cells = np.searchsorted(grid.cell_cdf, rng.random(n_users), side="right")
+    batch = np.ndim(seed) > 0
+    seeds = tuple(seed) if batch else (seed,)
+    draws = np.empty((len(seeds), n_users))
+    for row, one in zip(draws, seeds):
+        np.random.default_rng(one).random(out=row)
+    flat = draws.reshape(-1)
+    order = np.argsort(flat)
+    cells = np.empty(flat.size, dtype=np.intp)
+    cells[order] = np.searchsorted(grid.cell_cdf, flat[order], side="right")
+    if batch:
+        return UserSample(cells=cells.reshape(draws.shape), seed=seeds)
     return UserSample(cells=cells, seed=seed)
 
 
@@ -37,18 +51,25 @@ def jain_index(values):
     """Fairness of an allocation: (sum v)^2 / (n * sum v^2), 1 when even.
 
     Defined for non-negative allocations with at least one positive entry;
-    all-zero input raises ValueError.
+    all-zero input raises ValueError.  A 2-D allocation is scored row by
+    row: the result is an array holding, for each row, the float the 1-D
+    call on that row returns, bit for bit, and any all-zero row raises.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or len(v) == 0:
-        raise ValueError("need a 1-D, non-empty allocation")
+    v = np.asarray(values, dtype=float, order="C")  # C rows sum as 1-D arrays do
+    if v.ndim not in (1, 2) or v.size == 0:
+        raise ValueError("need a 1-D or 2-D, non-empty allocation")
     if not np.all(np.isfinite(v)) or np.any(v < 0):
         raise ValueError("allocations must be finite and non-negative")
-    peak = float(v.max())
-    if peak == 0.0:
+    rows = v.reshape(-1, v.shape[-1])
+    peak = rows.max(axis=1, keepdims=True)
+    if np.any(peak == 0.0):
         raise ValueError("Jain's index is undefined for an all-zero allocation")
-    w = v / peak  # rescale so the sums cannot over- or underflow
-    return float(w.sum()) ** 2 / (len(v) * float((w**2).sum()))
+    w = rows / peak  # rescale so the sums cannot over- or underflow
+    n = rows.shape[1]
+    # Python floats, as the 1-D index always took: float ** 2 is C pow, which
+    # is not always s * s
+    index = [s**2 / (n * q) for s, q in zip(w.sum(axis=1).tolist(), (w**2).sum(axis=1).tolist())]
+    return index[0] if v.ndim == 1 else np.array(index)
 
 
 def service_per_user(service, sample):

@@ -294,6 +294,13 @@ def _band_pairs(grid, gaps, codes, runner, n_uavs, scratch):
     return np.cumsum(hist, axis=0)[::-1]  # code 0, unassigned, dropped
 
 
+def _free(curvature):
+    """The UAVs whose potential moves: those with a finite 1 / k.  k = 0
+    holds psi_i where it starts, and so does a k whose 1 / k overflows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.isfinite(1.0 / curvature)
+
+
 def _newton_move(pairs, grad, bands, curvature):
     """The Newton move J^-1 grad, zero on the held UAVs, at the band h that
     fits it: the finest band whose move is within a factor BAND_REACH of h,
@@ -305,9 +312,8 @@ def _newton_move(pairs, grad, bands, curvature):
     of the mean of J's diagonal added to it, so a UAV no cell of the band
     reaches moves too far to fit, and with every k_i = inf that mean added
     to every entry, which fixes the gauge."""
-    free = curvature > 0
-    with np.errstate(over="ignore"):  # 1 / k is +inf for a subnormal k
-        inverse = np.divide(1.0, curvature, out=np.zeros(len(grad)), where=free)
+    free = _free(curvature)
+    inverse = np.divide(1.0, curvature, out=np.zeros(len(grad)), where=free)
     hessian = pairs + pairs.transpose(0, 2, 1)
     hessian /= (-2.0 * bands)[:, None, None]  # -W
     diagonal = np.arange(len(grad))
@@ -394,10 +400,11 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
     partition argmin_i (c_ic - psi_i) at them.
 
     F prices the masses t = b - psi / k: k_i = inf drops UAV i's quadratic
-    term, so t_i = b_i, and k_i = 0 holds psi_i where it starts, with the
-    UAV's own region mass as t_i.  Each iterate claims the partition at psi,
-    keeping each cell's runner-up UAV and cost, and steps along grad, t minus
-    that partition's masses a; the gap returned is
+    term, so t_i = b_i, and k_i = 0, or a k_i whose 1 / k_i overflows,
+    holds psi_i where it starts, with the UAV's own region mass as t_i.
+    Each iterate claims the partition at psi, keeping each cell's runner-up
+    UAV and cost, and steps along grad, t minus that partition's masses a;
+    the gap returned is
     sum_i k_i (a_i - t_i)^2 / 2 over the finite k_i at the last iterate.
     Every evaluation of F takes the per-cell minimum row by row into
     n_cells-length arrays allocated once per ascent, so no (n_uavs, n_cells)
@@ -452,7 +459,7 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
     bands = first_step * 2.0 ** -np.arange(BAND_LEVELS)
     _lower_envelope(_shifted_rows(costs, psi, row), kept)
     dead = np.flatnonzero(kept == np.inf)  # no UAV serves these at any psi
-    free = curvature > 0  # k_i = 0 holds psi_i where it starts
+    free = _free(curvature)
 
     def quadratic(p):  # psi / k before the product: psi**2 overflows first
         return float(p @ shares) - 0.5 * float(p[free] / curvature[free] @ p[free])

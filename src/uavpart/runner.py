@@ -9,6 +9,7 @@ dumps.  Identical config and seeds give byte-identical CSV files.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import shutil
 import sys
@@ -62,13 +63,12 @@ def _scenario1_rows(cfg, grid, radio, baseline, point, out_dir):
     for kind, part in (("proposed", result.partition), ("voronoi", baseline)):
         for i, count in enumerate(cfg.n_users * part.masses):
             rows.append((f"s1_users_uav{i}_{kind}", float(count)))
-    per_seed = []
-    for seed in range(cfg.n_seeds):
-        sample = sample_users(grid, cfg.n_users, seed)
-        per_seed.append([
-            ("s1_jain_proposed", _jain(service_per_user(result.service, sample))),
-            ("s1_jain_voronoi", _jain(service_per_user(base_service, sample))),
-        ])
+    sample = sample_users(grid, cfg.n_users, range(cfg.n_seeds))
+    per_seed = [
+        [("s1_jain_proposed", proposed), ("s1_jain_voronoi", voronoi)]
+        for proposed, voronoi in zip(_jain(service_per_user(result.service, sample)),
+                                     _jain(service_per_user(base_service, sample)))
+    ]
     if cfg.write_partitions:
         _write_maps(cfg, grid, result.partition, baseline, out_dir, "s1", point)
     if cfg.trace:
@@ -76,8 +76,14 @@ def _scenario1_rows(cfg, grid, radio, baseline, point, out_dir):
     return rows, per_seed
 
 
-def _jain(allocation):  # nan when every sampled user's region spends its budget on control
-    return jain_index(allocation) if allocation.any() else float("nan")
+def _jain(allocation):
+    """Each seed's Jain index, one per row: nan for a seed whose every
+    sampled user's region spends its budget on control."""
+    scored = allocation.any(axis=1)
+    index = np.full(len(allocation), np.nan)
+    if scored.any():
+        index[scored] = jain_index(allocation[scored])
+    return index.tolist()
 
 
 def _scenario2_rows(cfg, grid, radio, baseline, point, out_dir):
@@ -123,8 +129,34 @@ def _write_trace(path, potentials):
             writer.writerow(format_value(v) for v in row)
 
 
+def _metrics_lines(point, shared, per_seed):
+    """One sweep point's metrics.csv lines, as csv.writer writes each row
+    (point, seed, metric, value): the shared rows, then that seed's own,
+    for every seed.  Only the point's experiment id, sweep variable and
+    sweep value can need quoting, so they are written through csv.writer
+    once; the seed, the metric names and the values are plain text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(point)
+    end = writer.dialect.lineterminator
+    prefix = buf.getvalue()[:-len(end)]
+    shared = [f"{metric},{format_value(float(value))}{end}" for metric, value in shared]
+    lines = []
+    for seed, seed_rows in enumerate(per_seed):
+        head = f"{prefix},{seed},"
+        lines.extend(head + row for row in shared)
+        lines.extend(f"{head}{metric},{format_value(float(value))}{end}"
+                     for metric, value in seed_rows)
+    return lines
+
+
 def run_experiment(cfg, out_dir=None):
     """Run all sweep points and seeds; write CSVs; return an exit code.
+
+    Each sweep point is solved once and its user seeds are scored in one
+    batch: one sample_users call over all seeds, each seed's users the
+    draws of its own generator, and one jain_index call per partition;
+    metrics.csv keeps one row set per seed.
 
     0 on success, 2 on a bad config or scene or an unwritable output, 3 when
     an instance is infeasible, 4 when a solver fails to converge (diagnostics
@@ -132,7 +164,7 @@ def run_experiment(cfg, out_dir=None):
     """
     out_dir = cfg.out_dir if out_dir is None else out_dir
     values = cfg.sweep_values if cfg.sweep_var != "none" else (float("nan"),)
-    records = []
+    lines = []
     try:
         validate_config(cfg)
         os.makedirs(out_dir, exist_ok=True)
@@ -148,14 +180,11 @@ def run_experiment(cfg, out_dir=None):
                 shared, per_seed = _scenario1_rows(cur, grid, radio, baseline, point, out_dir)
             if cur.scenario in ("2", "both"):
                 shared.extend(_scenario2_rows(cur, grid, radio, baseline, point, out_dir))
-            for seed, seed_rows in enumerate(per_seed):
-                for metric, metric_value in shared + seed_rows:
-                    records.append((cfg.experiment_id, cfg.sweep_var, sweep_value,
-                                    seed, metric, format_value(float(metric_value))))
+            lines.extend(_metrics_lines((cfg.experiment_id, cfg.sweep_var, sweep_value),
+                                        shared, per_seed))
         with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_HEADER)
-            writer.writerows(records)
+            csv.writer(fh).writerow(METRICS_HEADER)
+            fh.writelines(lines)
         with open(os.path.join(out_dir, "manifest.ini"), "w") as fh:
             fh.write(config_to_ini(cfg, provenance={"package": "uavpart", "version": __version__}))
     except ConfigError as exc:

@@ -1,17 +1,23 @@
 """Exhaustive oracles the tests hold the solvers to: the closed-form
 in-region bandwidth split, the brute-force minimum of total hover time,
 plain per-region loops that weigh and score a partition the way the library
-does, and whole-array forms of the radio field and the shifted min-cost pass
-that the library's in-place kernels must match bit for bit."""
+does, whole-array forms of the radio field and the shifted min-cost pass
+that the library's in-place kernels must match bit for bit, and the
+one-seed-at-a-time user sampling, Jain scoring and metrics.csv rows that the
+runner's batched seeds must match byte for byte."""
 
+import csv
+import io
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from uavpart.channel import RadioField
+from uavpart.config import format_value
 from uavpart.errors import InfeasibleError
 from uavpart.partition import INFEASIBLE, Partition
+from uavpart.runner import METRICS_HEADER
 from uavpart.scenario2 import HoverReport, region_hover_report
 
 BRUTE_FORCE_LIMIT = 1_000_000
@@ -230,3 +236,40 @@ def min_norm_point_reference(points):
             if weights.min() >= -1e-12:
                 best = min(best, float(np.linalg.norm(weights @ p)))
     return scale * best
+
+
+def sample_cells_reference(grid, n_users, seed):
+    """One seed's users' cells: that seed's own generator's draws, each
+    located by an unsorted search of the cell CDF."""
+    return np.searchsorted(grid.cell_cdf, np.random.default_rng(seed).random(n_users),
+                           side="right")
+
+
+def jain_reference(values):
+    """Jain's index of one 1-D allocation with a positive entry, rescaled by
+    its peak and summed as a 1-D array, with Python floats for the last step."""
+    w = values / values.max()
+    return float(w.sum()) ** 2 / (len(w) * float((w**2).sum()))
+
+
+def per_seed_jain(grid, n_users, seeds, service):
+    """Each seed's Jain index of per-user service, one seed at a time: that
+    seed's users drawn alone and scored alone, nan when none is served."""
+    index = []
+    for seed in seeds:
+        allocation = service[sample_cells_reference(grid, n_users, seed)]
+        index.append(jain_reference(allocation) if allocation.any() else float("nan"))
+    return index
+
+
+def metrics_csv_reference(point, shared, per_seed):
+    """metrics.csv of one sweep point with every row written by csv.writer:
+    the header, then for each seed the shared rows and that seed's own, as
+    (*point, seed, metric, value)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(METRICS_HEADER)
+    writer.writerows((*point, seed, metric, format_value(float(value)))
+                     for seed, seed_rows in enumerate(per_seed)
+                     for metric, value in shared + seed_rows)
+    return buf.getvalue()

@@ -30,7 +30,10 @@ from uavpart.runner import (
     EXIT_OK,
     run_experiment,
 )
-from uavpart.scenario1 import solve_scenario1
+from uavpart.partition import weighted_voronoi
+from uavpart.scenario1 import service_field_for_partition, solve_scenario1
+
+from oracles import metrics_csv_reference, per_seed_jain
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -571,6 +574,33 @@ def test_cli_jain_of_an_unserved_sample_is_nan(tmp_path):
     for key, value in jain.items():
         if key != ("2", "s1_jain_voronoi"):
             assert 0.0 < float(value) <= 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario", ["1", "both"])
+def test_metrics_csv_is_the_per_seed_writer_output(tmp_path, scenario):
+    # the runner quotes each point's fields once and writes the seeds' rows
+    # as text; the file must be what csv.writer writes row by row, with the
+    # Jain indices of seeds scored one at a time (seed 2's voronoi is nan)
+    cfg = replace(load_config(write_cfg(tmp_path, TIGHT_HOT_SPOT)),
+                  experiment_id=' tight,"hot" spot', scenario=scenario, n_seeds=3)
+    out = tmp_path / "out"
+    assert run_experiment(cfg, str(out)) == EXIT_OK
+    grid = build_grid(cfg)
+    radio = compute_radio_field(grid, build_uavs(cfg), build_channel(cfg))
+    result = solve_scenario1(grid, radio, cfg.max_hover, cfg.alpha, cfg.n_users,
+                             mass_tol=cfg.mass_tol, max_iter=cfg.max_ascent_iter)
+    baseline = service_field_for_partition(grid, weighted_voronoi(grid, radio), radio,
+                                           cfg.max_hover, cfg.alpha, cfg.n_users)
+    jain = [per_seed_jain(grid, cfg.n_users, range(cfg.n_seeds), service)
+            for service in (result.service, baseline)]
+    assert np.isnan(jain[1][2])
+    per_seed = [[("s1_jain_proposed", p), ("s1_jain_voronoi", v)] for p, v in zip(*jain)]
+    shared = [(row["metric"], row["value"]) for row in read_metrics(out)
+              if row["seed"] == "0" and not row["metric"].startswith("s1_jain_")]
+    assert len(shared) == (20 if scenario == "both" else 14)
+    expected = metrics_csv_reference((cfg.experiment_id, "none", ""), shared, per_seed)
+    assert (out / "metrics.csv").read_bytes() == expected.encode()
 
 
 @pytest.mark.filterwarnings("error")

@@ -15,7 +15,7 @@ from uavpart.metrics import (
 )
 from uavpart.partition import INFEASIBLE, Partition, own_links
 
-from oracles import region_masses
+from oracles import jain_reference, per_seed_jain, region_masses, sample_cells_reference
 
 
 def per_cell(grid, assignment, field):
@@ -58,6 +58,28 @@ def test_jain_bounds_and_scale_invariance(values, scale):
     assert jain_index(scale * v) == pytest.approx(j, rel=1e-9)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    rows=st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e300)), min_size=n, max_size=n)
+        .filter(lambda row: any(x > 0 for x in row)),
+        min_size=1, max_size=5)),
+)
+def test_jain_rows_are_the_one_d_calls_bit_for_bit(rows):
+    v = np.array(rows)
+    got = jain_index(v)
+    assert got.shape == (len(rows),)
+    for row, value in zip(rows, got):
+        assert jain_index(row) == value == jain_reference(np.array(row))
+    # a row of a Fortran-ordered array sums as a 1-D row does
+    assert np.array_equal(jain_index(np.asfortranarray(v)), got)
+
+
+def test_jain_single_row_is_the_row_contract():
+    assert np.array_equal(jain_index([[1.0, 2.0]]), [jain_index([1.0, 2.0])])
+    assert np.array_equal(jain_index(np.full((300, 2), 3.0)), np.ones(300))
+
+
 def test_jain_errors():
     with pytest.raises(ValueError):
         jain_index([])
@@ -66,9 +88,24 @@ def test_jain_errors():
     with pytest.raises(ValueError):
         jain_index([1.0, -1.0])
     with pytest.raises(ValueError):
-        jain_index([[1.0, 2.0]])
-    with pytest.raises(ValueError):
         jain_index([1.0, np.inf])
+    with pytest.raises(ValueError):
+        jain_index([1.0, np.nan])
+    with pytest.raises(ValueError):
+        jain_index(2.0)
+    with pytest.raises(ValueError):
+        jain_index([[[1.0, 2.0]]])
+    # rows: any all-zero, negative or non-finite row, and empty rows, raise
+    with pytest.raises(ValueError):
+        jain_index([[1.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        jain_index([[1.0, 2.0], [1.0, -1.0]])
+    with pytest.raises(ValueError):
+        jain_index([[1.0, np.inf]])
+    with pytest.raises(ValueError):
+        jain_index(np.zeros((3, 0)))
+    with pytest.raises(ValueError):
+        jain_index(np.zeros((0, 3)))
 
 
 # sampling
@@ -108,6 +145,30 @@ def test_sampling_matches_inverse_cdf_oracle(grid, seed):
     draws = np.random.default_rng(seed).random(777)
     oracle = np.minimum(np.searchsorted(cdf, draws, side="right"), grid.n_cells - 1)
     assert np.array_equal(sample_users(grid, 777, seed).cells, oracle)
+
+
+@pytest.mark.parametrize(
+    "seeds,n_users", [(range(50), 300), ([7], 777), (range(50), 1), ([2**31, 0, 2**31], 64)],
+    ids=["50_seeds", "one_seed", "one_user", "repeated_seed"],
+)
+def test_batched_sampling_is_each_seed_drawn_alone(seeds, n_users):
+    grid = truncated_gaussian(1000.0, 1000.0, 23, 17, 250.0, 330.0, 150.0, 300.0)
+    batch = sample_users(grid, n_users, seeds)
+    assert batch.cells.shape == (len(seeds), n_users)
+    assert batch.n_users == len(seeds) * n_users
+    assert batch.seed == tuple(seeds)
+    for seed, cells in zip(seeds, batch.cells):
+        assert np.array_equal(cells, sample_cells_reference(grid, n_users, seed))
+        assert np.array_equal(cells, sample_users(grid, n_users, seed).cells)
+
+
+def test_batched_jain_matches_per_seed_loop():
+    grid = truncated_gaussian(1000.0, 1000.0, 30, 30, 250.0, 330.0, 200.0, 200.0)
+    rng = np.random.default_rng(4)
+    service = rng.random(grid.n_cells) * (rng.random(grid.n_cells) < 0.5)
+    sample = sample_users(grid, 300, range(50))
+    got = jain_index(service_per_user(service, sample))
+    assert got.tolist() == per_seed_jain(grid, 300, range(50), service)
 
 
 def test_cell_cdf_read_only_and_ends_at_one():

@@ -1,6 +1,7 @@
 """Bandwidth splitting, hover-time accounting, and the reassignment solver."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from uavpart import scenario2
 from uavpart.channel import ChannelParams, RadioField, UavNode, compute_radio_field
-from uavpart.config import ExperimentConfig
+from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs
 from uavpart.errors import InfeasibleError
 from uavpart.grid import AreaGrid, truncated_gaussian, uniform_density
 from uavpart.partition import (
@@ -448,6 +449,20 @@ def test_per_uav_alpha():
     assert same.report.total == scalar.report.total
     with pytest.raises(ValueError):
         solve_scenario2(grid, radio, 1e8, [0.01, 0.01, 0.01], 300)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solver_holds_a_uav_whose_curvature_has_no_finite_reciprocal():
+    # alpha_0 = 1e-320 makes k_0 = 2 alpha_0 N^2 so small that 1 / k_0
+    # overflows: that UAV is held as at alpha_0 = 0, not stepped by a
+    # quadratic term of inf
+    cfg = replace(ExperimentConfig(), nx=60, ny=60)
+    grid = build_grid(cfg)
+    radio = compute_radio_field(grid, build_uavs(cfg), build_channel(cfg))
+    tiny, zero = (solve_scenario2(grid, radio, cfg.load_bits, [a0, 0.01, 0.01, 0.01, 0.01],
+                                  cfg.n_users, mass_tol=cfg.mass_tol) for a0 in (1e-320, 0.0))
+    assert tiny.potentials.grad_trace[-1] <= cfg.mass_tol
+    assert np.array_equal(tiny.partition.assignment, zero.partition.assignment)
 
 
 def test_solver_unservable_cell_raises():
