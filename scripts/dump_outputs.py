@@ -5,28 +5,82 @@ and 1, every experiment config in scripts/ at 60 x 60 with 3 user seeds, and
 one scenario-2 sweep of the default scene at 40 x 40 over large control
 weights, three scenes whose ascent ends at a kink, and one fairness sweep
 whose experiment id needs CSV quoting, all with partition maps and ascent
-traces on.  Dump the old and the new checkout and compare the trees:
+traces on.  ascents.txt adds the kernel's own iterates: one line per random
+ascent of seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed both ways,
+mass_tol 1e-6 and max_iter 1000) giving the seed, the UAV count, mixed, the
+iteration and evaluation counts, the last mismatch and a sha256 over psi,
+the three traces, the assignment and the gap.  Dump the old and the new
+checkout and compare the trees:
 
     python3 scripts/dump_outputs.py /tmp/before --root path/to/old/checkout
     python3 scripts/dump_outputs.py /tmp/after
     diff -r /tmp/before /tmp/after
 
 An empty diff means every metrics.csv, manifest.ini, partition CSV and trace
-CSV, and every exit code, is byte-identical.  --root names the checkout
-whose src/, scripts/ and perfbench/scenes.py are used (default: the one
-holding this script); nothing in it is modified.
+CSV, every exit code and every random ascent is byte-identical.  --root
+names the checkout whose src/, scripts/ and perfbench/scenes.py are used
+(default: the one holding this script); nothing in it is modified.  The
+random ascents are drawn by this script, so checkouts compare on one draw.
 """
 
 import argparse
+import hashlib
 import os
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (0, 1)
 CONFIG_GRID = 60
 CONFIG_SEEDS = 3
 QUOTED_SEEDS = 4
+ASCENT_SEEDS = 300
+ASCENT_UAVS = 5
+
+
+def random_ascent(seed, n_uavs, mixed):
+    """The grid and the costs, start, shares and curvatures of a random
+    integer-cost ascent on a 10 x 6 uniform grid.  Costs are 0-3 with +inf on
+    30% of the links and on every link of a quarter of the cells, k is 1-4,
+    the start -2 to 2 and the shares zero; mixed sets some k_i to +inf and
+    some to 0 (with psi_i = 0), and takes the shares from the partition at
+    random potentials, where every UAV's share is a mass it can reach."""
+    from uavpart.grid import uniform_density
+    from uavpart.partition import assign_by_min_cost
+
+    grid = uniform_density(1000.0, 1000.0, 10, 6)
+    rng = np.random.default_rng(seed)
+    costs = rng.integers(0, 4, size=(n_uavs, grid.n_cells)).astype(float)
+    costs[rng.random(costs.shape) < 0.3] = np.inf
+    costs[:, rng.random(grid.n_cells) < 0.25] = np.inf
+    k = rng.integers(1, 5, size=n_uavs).astype(float)
+    start = rng.integers(-2, 3, size=n_uavs).astype(float)
+    shares = np.zeros(n_uavs)
+    if mixed:
+        kind = rng.integers(0, 3, size=n_uavs)
+        k[kind == 0], start[kind == 0], k[kind == 1] = 0.0, 0.0, np.inf
+        star = rng.uniform(-2.0, 2.0, size=n_uavs)
+        shares = assign_by_min_cost(grid, costs - star[:, None]).masses
+    return grid, costs, start, shares, k
+
+
+def ascent_lines():
+    """One line per random ascent: seed, UAVs, mixed, iterations, evaluations,
+    last mismatch and the sha256 of psi, the traces, the assignment and gap."""
+    from uavpart.partition import ascend_dual
+
+    for seed in range(ASCENT_SEEDS):
+        for n_uavs in range(1, ASCENT_UAVS + 1):
+            for mixed in (False, True):
+                ascent = ascend_dual(*random_ascent(seed, n_uavs, mixed), 1e-6, 1000)
+                digest = hashlib.sha256()
+                for field in (ascent.psi, ascent.f_trace, ascent.grad_trace, ascent.step_trace,
+                              ascent.partition.assignment, np.float64(ascent.gap)):
+                    digest.update(field.tobytes())
+                yield (f"{seed} {n_uavs} {int(mixed)} {len(ascent.f_trace) - 1} {ascent.evals} "
+                       f"{float(ascent.grad_trace[-1])!r} {digest.hexdigest()}\n")
 
 
 def main(argv=None):
@@ -81,6 +135,8 @@ def main(argv=None):
         codes.append(f"{rel} {code}\n")
     with open(os.path.join(args.out, "exit_codes.txt"), "w") as fh:
         fh.writelines(codes)
+    with open(os.path.join(args.out, "ascents.txt"), "w") as fh:
+        fh.writelines(ascent_lines())
     print(f"{len(runs)} runs written to {args.out}")
     return 0
 

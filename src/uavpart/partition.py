@@ -210,19 +210,6 @@ def _finite_spread(costs):
     return hi - lo
 
 
-def _served_integral(grid, best, dead, row):
-    """F, the integral of the per-cell minimum best over the cells some UAV can
-    serve.  dead holds the indices of the others, +inf in best at every psi;
-    when there are some, F is taken over a copy of best in row that zeroes
-    them, and best keeps its +inf cells."""
-    if len(dead):
-        np.copyto(row, best)
-        row[dead] = 0.0
-        best = row
-    # einsum, not a BLAS dot: a threaded ddot stalls when the CPUs are busy
-    return float(np.einsum("c,c->", best, grid.cell_mass))
-
-
 def _min_norm_point(points):
     """The point of least norm in the convex hull of the rows of points, by
     Wolfe's algorithm on the rows scaled to a largest norm of 1.  Each major
@@ -294,83 +281,6 @@ def _band_pairs(grid, gaps, codes, runner, n_uavs, scratch):
     return np.cumsum(hist, axis=0)[::-1]  # code 0, unassigned, dropped
 
 
-def _free(curvature):
-    """The UAVs whose potential moves: those with a finite 1 / k.  k = 0
-    holds psi_i where it starts, and so does a k whose 1 / k overflows."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.isfinite(1.0 / curvature)
-
-
-def _newton_move(pairs, grad, bands, curvature):
-    """The Newton move J^-1 grad, zero on the held UAVs, at the band h that
-    fits it: the finest band whose move is within a factor BAND_REACH of h,
-    or else the band whose move comes closest, when within BAND_REACH**2;
-    None when no band's move does.  J is diag(W 1) - W + diag(1 / k) over
-    the free UAVs, W the pair masses over 2 h: a cell's mass crosses the
-    band of width 2 h around its boundary.  J is positive semi-definite, and
-    J 1 = 0 when every k_i = inf; all bands are solved at once, with 1e-12
-    of the mean of J's diagonal added to it, so a UAV no cell of the band
-    reaches moves too far to fit, and with every k_i = inf that mean added
-    to every entry, which fixes the gauge."""
-    free = _free(curvature)
-    inverse = np.divide(1.0, curvature, out=np.zeros(len(grad)), where=free)
-    hessian = pairs + pairs.transpose(0, 2, 1)
-    hessian /= (-2.0 * bands)[:, None, None]  # -W
-    diagonal = np.arange(len(grad))
-    reach = inverse - hessian.sum(axis=2)
-    hessian[:, diagonal, diagonal] = reach
-    if not free.all():
-        hessian, reach = hessian[:, free][:, :, free], reach[:, free]
-    scale = reach.mean(axis=1)
-    empty = scale == 0  # no cell in the band and no curvature: J = 0
-    scale[empty] = 1.0
-    if np.all(curvature == np.inf):
-        hessian += scale[:, None, None]
-    diagonal = np.arange(len(reach[0]))
-    hessian[:, diagonal, diagonal] += 1e-12 * scale[:, None]
-    moves = np.zeros((len(bands), len(grad)))
-    try:
-        moves[:, free] = np.linalg.solve(hessian, grad[free])
-    except np.linalg.LinAlgError:  # an infinite 1 / k makes J not finite
-        return None
-    with np.errstate(divide="ignore"):  # a move of 0 fits no band
-        misfit = np.abs(np.log(np.abs(moves).max(axis=1) / bands)) / np.log(BAND_REACH)
-    misfit[empty] = np.inf
-    fits = np.flatnonzero(misfit <= 1.0)
-    level = fits[-1] if len(fits) else int(np.argmin(misfit))
-    return moves[level] if misfit[level] <= 2.0 else None
-
-
-def _tie_split(grid, gaps, codes, runner, masses, grad, aimed, free):
-    """At a kink, the step s along grad to the middle of the piece whose
-    masses come closest to aimed, the target masses, among the pieces the
-    tied cells pass through as s grows from 0, or None when that is the
-    current piece.  A tied cell's gap is below 2**-BAND_LEVELS (gaps as in
-    _band_pairs); it moves to its runner-up at s = gap / (grad_runner -
-    grad_claim), and no other cell moves before s = 2**-BAND_LEVELS /
-    (2 max |grad|).  The mismatch is taken over the free UAVs."""
-    tie = 2.0**-BAND_LEVELS
-    tied = np.flatnonzero(gaps < tie)
-    claim = codes[tied].astype(np.intp) - 1
-    rival = runner[tied].astype(np.intp)
-    rate = grad[rival] - grad[claim]
-    limit = tie / (2.0 * float(np.abs(grad).max()))
-    at = np.divide(gaps[tied], rate, out=np.full(len(tied), np.inf), where=rate > 0)
-    order = np.argsort(at, kind="stable")
-    order = order[at[order] < limit]
-    shift = np.zeros((len(order) + 1, len(masses)))  # row j: the j-th cell's move
-    moved = np.arange(1, len(order) + 1)
-    shift[moved, claim[order]] = -grid.cell_mass[tied[order]]
-    shift[moved, rival[order]] = grid.cell_mass[tied[order]]
-    pieces = masses + np.cumsum(shift, axis=0)
-    ends = np.append(at[order], limit)
-    starts = np.insert(ends[:-1], 0, 0.0)
-    mismatch = np.linalg.norm((aimed - pieces)[:, free], axis=1)
-    spans = np.flatnonzero(starts < ends)
-    best = spans[np.argmin(mismatch[spans])]
-    return None if mismatch[best] >= mismatch[0] else 0.5 * (starts[best] + ends[best])
-
-
 @dataclass(frozen=True)
 class DualPotentials:
     """Potentials psi with the partition they induce and the ascent trace.
@@ -393,185 +303,275 @@ class DualPotentials:
     gap: float
 
 
+class _Ascent:
+    """What the step rules of one ascent share (see ascend_dual): the iterate
+    psi, F there (value) and its claim; n_cells-length arrays for the minimum
+    at psi (kept), the runner-up costs (spare) and the shifted rows (row);
+    first_step, the larger of the finite costs' spread and the largest |psi|
+    the ascent starts from; the UAVs with a finite 1 / k (free; the others
+    hold psi_i); the last len(costs) + 2 iterates' masses (visited); the last
+    step the step search tried (step) and the step the trace records next."""
+
+    def __init__(self, grid, costs, psi, shares, curvature):
+        self.grid, self.costs, self.shares, self.curvature = grid, costs, shares, curvature
+        with np.errstate(divide="ignore", over="ignore"):
+            self.free = np.isfinite(1.0 / curvature)
+        self.kept, self.spare, self.row = (np.empty(costs.shape[1]) for _ in range(3))
+        self.runner = np.empty(costs.shape[1], dtype=np.min_scalar_type(max(len(costs) - 1, 0)))
+        self.first_step = max(_finite_spread(costs), float(np.abs(psi).max(initial=0.0)))
+        if not self.first_step > 0:
+            self.first_step = 1.0
+        self.bands = self.first_step * 2.0 ** -np.arange(BAND_LEVELS)
+        self.dead, self.evals = None, 0
+        self.psi, self.value = psi, _evaluate(self, psi, self.kept)
+        self.step, self.taken, self.failed, self.split = 0.0, 0.0, False, False
+        self.visited = []
+
+
+def _evaluate(s, p, into):
+    """F at p, the one place evaluations are counted, with the minimum of
+    the shifted rows taken row by row into into.  The integral skips the
+    cells no UAV serves, +inf at every p, found once from the first minimum."""
+    s.evals += 1
+    _lower_envelope(_shifted_rows(s.costs, p, s.row), into)
+    if s.dead is None:
+        s.dead = np.flatnonzero(into == np.inf)
+    if len(s.dead):
+        np.copyto(s.row, into)
+        s.row[s.dead] = 0.0
+        into = s.row
+    # p / k before the product: p**2 overflows first
+    quadratic = float(p @ s.shares) - 0.5 * float(p[s.free] / s.curvature[s.free] @ p[s.free])
+    # einsum, not a BLAS dot: a threaded ddot stalls when the CPUs are busy
+    return quadratic + float(np.einsum("c,c->", into, s.grid.cell_mass))
+
+
+def _claim_iterate(s):
+    """Claim the partition at psi with each cell's runner-up, set grad and
+    the pieces visited since the masses last repeated: the mismatch norm."""
+    s.codes, s.masses = _claim(s.grid, _shifted_rows(s.costs, s.psi, s.row), s.kept,
+                               len(s.costs), (s.spare, s.runner))
+    s.grad = _aim(s, s.masses) - s.masses
+    s.visited = s.visited[-len(s.costs) - 1:] + [s.masses]
+    back = next(j for j, seen in enumerate(s.visited) if np.array_equal(seen, s.masses))
+    s.pieces = list({m.tobytes(): m for m in s.visited[back:]}.values())
+    return float(np.linalg.norm(s.grad))
+
+
+def _aim(s, masses):
+    """The priced masses t = b - psi / k, with no division by k = 0 to warn,
+    and masses on the held UAVs."""
+    t = s.shares - np.divide(s.psi, s.curvature, out=np.zeros_like(s.psi), where=s.free)
+    return np.where(s.free, t, masses)
+
+
+def _gaps(s):
+    """Each cell's runner-up cost minus its claim's over first_step, into
+    row: never negative, and +inf where no UAV serves."""
+    with np.errstate(invalid="ignore"):  # +inf - +inf where no UAV serves
+        np.subtract(s.spare, s.kept, out=s.row)
+    s.row[s.dead] = np.inf
+    return np.divide(s.row, s.first_step, out=s.row)
+
+
+def _backtrack(s, direction, step, trials):
+    """F at psi + step * direction, each minimum over kept, for step, step / 2,
+    ... until F rises or psi stops moving, at most trials times: the last
+    step tried, halved again when trials run out, and F there or -inf."""
+    value = -np.inf
+    while trials > 0:
+        psi = s.psi + step * direction
+        if np.array_equal(psi, s.psi):
+            break
+        value = _evaluate(s, psi, s.kept)
+        if value > s.value:
+            break
+        step, trials = 0.5 * step, trials - 1
+    return step, value
+
+
+def _climb(s, direction, start, step, value):
+    """A search step that raises F to value, walked to a local maximum of F over
+    step * 2**k: doubled while F improves, or halved when the search halved from
+    start or the first doubling fails; kept takes each improving trial's minimum."""
+    for factor in (2.0, 0.5) if step == start else (0.5,):
+        climbed = False
+        while (trial := _evaluate(s, s.psi + factor * step * direction, s.spare)) > value:
+            step *= factor
+            value, climbed = trial, True
+            s.kept, s.spare = s.spare, s.kept
+        if climbed:
+            break
+    s.step = step
+    return s.psi + step * direction, value, step
+
+
+def _newton_move(s):
+    """The Newton move J^-1 grad, zero on the held UAVs, at the band h that
+    fits it: the finest band whose move is within a factor BAND_REACH of h, or
+    else the band whose move comes closest, when within BAND_REACH**2; None
+    when no band's move does.  J is diag(W 1) - W + diag(1 / k) over the free
+    UAVs, W the pair masses (_band_pairs, over kept) over 2 h: a cell's mass
+    crosses the band of width 2 h around its boundary.  J is positive
+    semi-definite, and J 1 = 0 when every k_i = inf; all bands are solved at
+    once, with 1e-12 of the mean of J's diagonal added to it, so a UAV no cell
+    of the band reaches moves too far to fit, and with every k_i = inf that
+    mean added to every entry, which fixes the gauge."""
+    pairs = _band_pairs(s.grid, _gaps(s), s.codes, s.runner, len(s.costs), s.kept)
+    inverse = np.divide(1.0, s.curvature, out=np.zeros(len(s.grad)), where=s.free)
+    hessian = pairs + pairs.transpose(0, 2, 1)
+    hessian /= (-2.0 * s.bands)[:, None, None]  # -W
+    diagonal = np.arange(len(s.grad))
+    reach = inverse - hessian.sum(axis=2)
+    hessian[:, diagonal, diagonal] = reach
+    if not s.free.all():
+        hessian, reach = hessian[:, s.free][:, :, s.free], reach[:, s.free]
+    scale = reach.mean(axis=1)
+    empty = scale == 0  # no cell in the band and no curvature: J = 0
+    scale[empty] = 1.0
+    if np.all(s.curvature == np.inf):
+        hessian += scale[:, None, None]
+    diagonal = np.arange(len(reach[0]))
+    hessian[:, diagonal, diagonal] += 1e-12 * scale[:, None]
+    moves = np.zeros((len(s.bands), len(s.grad)))
+    try:
+        moves[:, s.free] = np.linalg.solve(hessian, s.grad[s.free])
+    except np.linalg.LinAlgError:  # an infinite 1 / k makes J not finite
+        return None
+    with np.errstate(divide="ignore"):  # a move of 0 fits no band
+        misfit = np.abs(np.log(np.abs(moves).max(axis=1) / s.bands)) / np.log(BAND_REACH)
+    misfit[empty] = np.inf
+    fits = np.flatnonzero(misfit <= 1.0)
+    level = fits[-1] if len(fits) else int(np.argmin(misfit))
+    return moves[level] if misfit[level] <= 2.0 else None
+
+
+def _newton_rule(s):
+    """The damped Newton step psi + d, d/2, d/4 with d = J^-1 grad and J a
+    band Hessian (_newton_move; Kitagawa, Merigot and Thibert 2019): the
+    response of the masses to psi, from the cells whose runner-up cost lies
+    within a band h = first_step / 2**l of their claim's, so the steps are free
+    of the units.  taken keeps the last damping, even a failed one.  None when
+    no trial raises F or no band fits; the next iterate then skips the rule,
+    since the model just failed there, as does one that zigzags."""
+    if len(s.pieces) > 1 or s.failed:
+        s.failed = False
+        return None
+    move = _newton_move(s)
+    s.taken, value = _backtrack(s, move, 1.0, NEWTON_TRIALS if move is not None else 0)
+    s.failed = not value > s.value
+    return None if s.failed else (s.psi + s.taken * move, value, s.taken)
+
+
+def _zigzag_rule(s):
+    """Steps zigzag across a kink: tied cells flip between UAVs and the masses
+    alternate between pieces of F.  So when the iterate's masses repeat a
+    visited iterate's, the step search runs first along the least-norm point
+    of the hull of t - m over the distinct masses m since then (pieces), which
+    climbs on each piece, along the kink.  None when the masses do not repeat
+    or no step improves F; _search_rule then starts from the same step."""
+    if len(s.pieces) == 1:
+        return None
+    direction = _min_norm_point(np.array([_aim(s, m) - m for m in s.pieces]))
+    start = s.step or 2.0 ** int(np.frexp(s.first_step)[1])
+    step, value = _backtrack(s, direction, start, np.inf)
+    return _climb(s, direction, start, step, value) if value > s.value else None
+
+
+def _search_rule(s):
+    """The step search along grad: backtracking from first_step rounded up to a
+    power of two on its first run, so every step it takes is one, and later
+    from the last step it tried, even a failed one; a step that raises F is
+    climbed.  None at a kink: no step along grad that moves psi improves F."""
+    start = s.step or 2.0 ** int(np.frexp(s.first_step)[1])
+    s.step, value = _backtrack(s, s.grad, start, np.inf)
+    return None if value <= s.value else _climb(s, s.grad, start, s.step, value)
+
+
+def _tie_split_rule(s):
+    """At a kink, the pieces the tied cells pass through along grad can come
+    closer to t at a step too small for F to resolve: the iterate moves along
+    first_step * grad to the middle of the piece whose masses (on the free
+    UAVs) come closest to t, at no lower F, and replaces the kink's iterate.
+    A tied cell, gap below 2**-BAND_LEVELS, moves to its runner-up at step
+    gap / (grad_runner - grad_claim); no other cell moves before
+    2**-BAND_LEVELS / (2 max |grad|).  None when the current piece comes
+    closest, the move leaves psi or lowers F, or after one split."""
+    if s.split:
+        return None
+    _evaluate(s, s.psi, s.kept)  # the minimum at psi, which the trials overwrote
+    gaps, tie = _gaps(s), 2.0**-BAND_LEVELS
+    tied = np.flatnonzero(gaps < tie)
+    claim = s.codes[tied].astype(np.intp) - 1
+    rival = s.runner[tied].astype(np.intp)
+    rate = s.grad[rival] - s.grad[claim]
+    limit = tie / (2.0 * float(np.abs(s.grad).max()))
+    at = np.divide(gaps[tied], rate, out=np.full(len(tied), np.inf), where=rate > 0)
+    order = np.argsort(at, kind="stable")
+    order = order[at[order] < limit]
+    shift = np.zeros((len(order) + 1, len(s.masses)))  # row j: the j-th cell's move
+    moved = np.arange(1, len(order) + 1)
+    shift[moved, claim[order]] = -s.grid.cell_mass[tied[order]]
+    shift[moved, rival[order]] = s.grid.cell_mass[tied[order]]
+    pieces = s.masses + np.cumsum(shift, axis=0)
+    ends = np.append(at[order], limit)
+    starts = np.insert(ends[:-1], 0, 0.0)
+    mismatch = np.linalg.norm((_aim(s, s.masses) - pieces)[:, s.free], axis=1)
+    spans = np.flatnonzero(starts < ends)
+    best = spans[np.argmin(mismatch[spans])]
+    if mismatch[best] >= mismatch[0]:
+        return None
+    psi = s.psi + 0.5 * (starts[best] + ends[best]) * s.first_step * s.grad
+    if np.array_equal(psi, s.psi) or (value := _evaluate(s, psi, s.kept)) < s.value:
+        return None
+    s.split = True  # F need not rise, so a second split could undo the first
+    del s.visited[-1]
+    return psi, value, s.taken
+
+
 def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
     """Maximize the concave dual
     F(psi) = psi . b - sum_i psi_i^2 / (2 k_i) + sum_c m_c min_i (c_ic - psi_i),
     b = shares and k = curvature, and return the potentials with the
-    partition argmin_i (c_ic - psi_i) at them.
+    partition argmin_i (c_ic - psi_i) at them, the lowest index winning ties
+    and cells no UAV can serve unassigned.
 
     F prices the masses t = b - psi / k: k_i = inf drops UAV i's quadratic
     term, so t_i = b_i, and k_i = 0, or a k_i whose 1 / k_i overflows,
     holds psi_i where it starts, with the UAV's own region mass as t_i.
-    Each iterate claims the partition at psi, keeping each cell's runner-up
-    UAV and cost, and steps along grad, t minus that partition's masses a;
-    the gap returned is
-    sum_i k_i (a_i - t_i)^2 / 2 over the finite k_i at the last iterate.
-    Every evaluation of F takes the per-cell minimum row by row into
-    n_cells-length arrays allocated once per ascent, so no (n_uavs, n_cells)
-    buffer is used, and skips the cells no UAV can serve, found once from the
-    first minimum.  The accepted trial's F and minimum are kept by swapping
-    two such arrays, so an iterate after the first evaluates nothing: its
-    claim re-derives each shifted row into one array, compares it to the kept
-    minimum and keeps one-byte codes.  The int64 Partition is built once, for
-    the last iterate, so its masses are the ones the stopping test read; cells
-    no UAV can serve stay unassigned and the lowest index wins ties.
+    Each iterate claims the partition at psi, its masses a and each cell's
+    runner-up, and moves to the trial of the first rule that returns one:
+    _newton_rule, _zigzag_rule, _search_rule along grad = t - a and, at a
+    kink none of them climbs, _tie_split_rule.  A trial's F and minimum are
+    kept, so the claim evaluates nothing; the int64 Partition is built once,
+    at the last iterate, whose masses the stopping test read and where the
+    gap sum_i k_i (a_i - t_i)^2 / 2 over the finite k_i is taken.
 
-    Each iterate first tries the damped Newton step psi + d, d/2, d/4 with
-    d = J^-1 grad and J a band Hessian (_newton_move; Kitagawa, Merigot and
-    Thibert 2019): the response of the masses to psi, from the cells whose
-    runner-up cost lies within a band h of their claim's.  The bands are
-    first_step / 2**l, l < BAND_LEVELS, first_step the larger of the spread
-    of the finite costs and the largest |psi| the ascent starts from, so the
-    steps are free of the units (a 100 MHz band or a hover budget of 1.8e6 s
-    solves like the defaults), and the band used is one whose move is about
-    as wide as it.  When no trial raises F, or no band fits its move, the
-    step search runs, and the next iterate goes straight to it too, since
-    the model just failed there.  Both run one backtracking search, F at
-    psi + s d for s = s0, s0 / 2, ... until F rises or psi stops moving:
-    from s0 = 1, at most NEWTON_TRIALS times, along the Newton move, and
-    along the search direction from first_step rounded up to a power of two
-    on the step search's first run, so every step it takes is one, and from
-    the last step it tried on later runs.  A search step that raises F is
-    walked to a local maximum of F over step * 2**k: it doubles while F
-    keeps improving, or halves when the search had to halve or the first
-    doubling fails.  Steps zigzag across a kink: tied cells flip between
-    UAVs and the masses alternate between pieces of F.  So when
-    an iterate's masses repeat those of one of the last len(costs) + 1
-    iterates, the Newton step is skipped and the search first tries the
-    least-norm point of the hull of every piece's direction, t - m over the
-    distinct masses m since that repeat, which climbs on each of those
-    pieces, along the kink; grad is tried when no step along it improves F.
-    At a kink where no step along grad that still changes psi improves F,
-    the pieces the tied cells pass through along grad (_tie_split) can come
-    closer to t at a step too small for F to resolve: once per ascent, the
-    iterate moves there, at no lower F, and the ascent goes on from it.
-    Returns when the mass-mismatch norm is at most mass_tol, or at such a
-    kink (a kink the tie-break's masses do not climb, as on grids too coarse
-    for the masses to meet); the last traced mismatch tells the two apart.
-    Raises ConvergenceError (trace attached) when max_iter runs out."""
+    Returns when the mass-mismatch norm is at most mass_tol, or at a kink no
+    rule moves (as on grids too coarse for the masses to meet); the last
+    traced mismatch tells the two apart.  Raises ConvergenceError (trace
+    attached) when max_iter runs out."""
+    s = _Ascent(grid, costs, psi, shares, curvature)
     f_trace, grad_trace, step_trace = [], [], []
-    n_uavs, n_cells = costs.shape
-    kept, spare, row = (np.empty(n_cells) for _ in range(3))
-    runner = np.empty(n_cells, dtype=np.min_scalar_type(max(n_uavs - 1, 0)))
-    first_step = max(_finite_spread(costs), float(np.abs(psi).max(initial=0.0)))
-    if not first_step > 0:
-        first_step = 1.0
-    bands = first_step * 2.0 ** -np.arange(BAND_LEVELS)
-    _lower_envelope(_shifted_rows(costs, psi, row), kept)
-    dead = np.flatnonzero(kept == np.inf)  # no UAV serves these at any psi
-    free = _free(curvature)
-
-    def quadratic(p):  # psi / k before the product: psi**2 overflows first
-        return float(p @ shares) - 0.5 * float(p[free] / curvature[free] @ p[free])
-
-    def aim(p, masses):  # t, with no division by k = 0 to warn
-        t = np.subtract(shares, np.divide(p, curvature, out=np.zeros_like(p), where=free))
-        return np.where(free, t, masses)
-
-    value = quadratic(psi) + _served_integral(grid, kept, dead, row)
-    evals = 1  # later iterates take their accepted trial's value
-
-    def value_at(p, best):
-        nonlocal evals
-        evals += 1
-        _lower_envelope(_shifted_rows(costs, p, row), best)
-        return quadratic(p) + _served_integral(grid, best, dead, row)
-
-    def halving(direction, step, trials):
-        """The backtracking search from psi, each minimum over kept: the last
-        step tried, halved again when trials run out, and F there or -inf."""
-        cand = -np.inf
-        while trials > 0:
-            moved = psi + step * direction
-            if np.array_equal(moved, psi):
-                break
-            cand = value_at(moved, kept)
-            if cand > value:
-                break
-            step, trials = 0.5 * step, trials - 1
-        return step, cand
-
-    def gaps():  # runner-up cost minus claim over first_step, into row
-        with np.errstate(invalid="ignore"):  # +inf - +inf where no UAV serves
-            np.subtract(spare, kept, out=row)
-        row[dead] = np.inf
-        return np.divide(row, first_step, out=row)
-
-    step = taken = 0.0
-    split = None  # the step of the one tie split
-    failed = False
-    visited = []  # the region masses of the last len(costs) + 2 iterates
     while True:
-        codes, masses = _claim(grid, _shifted_rows(costs, psi, row), kept, n_uavs,
-                               (spare, runner))
-        grad = aim(psi, masses) - masses
-        f_trace.append(value)
-        grad_trace.append(float(np.linalg.norm(grad)))
-        step_trace.append(taken)
+        grad_trace.append(_claim_iterate(s))
+        f_trace.append(s.value)
+        step_trace.append(s.taken)
         if grad_trace[-1] <= mass_tol:
             break
         if len(step_trace) > max_iter:
             trace = (np.array(f_trace), np.array(grad_trace), np.array(step_trace))
             raise ConvergenceError(
                 f"mass mismatch {grad_trace[-1]:.3e} after {max_iter} iterations", trace=trace)
-        visited.append(masses)
-        del visited[:-n_uavs - 2]
-        # back at the masses of a recent iterate, the ascent zigzags across a
-        # kink: the Newton step is skipped there, and the step search tries
-        # first the least-norm supergradient of the pieces visited
-        back = next(j for j, seen in enumerate(visited) if np.array_equal(seen, masses))
-        pieces = list({m.tobytes(): m for m in visited[back:]}.values())
-        if len(pieces) == 1 and not failed:
-            # kept is free until the first trial: the trials and the step
-            # search each write their own minimum over it
-            newton = _newton_move(
-                _band_pairs(grid, gaps(), codes, runner, n_uavs, kept), grad, bands, curvature)
-            taken, cand = halving(newton, 1.0, NEWTON_TRIALS if newton is not None else 0)
-            if cand > value:
-                psi, value = psi + taken * newton, cand
-                continue
-            failed = True
-        else:
-            failed = False
-        directions = [grad]
-        if len(pieces) > 1:
-            directions.insert(0, _min_norm_point(np.array([aim(psi, m) - m for m in pieces])))
-        start = step or 2.0 ** int(np.frexp(first_step)[1])
-        for direction in directions:
-            # the next iterate starts from the last step tried, even a failed one
-            step, cand = halving(direction, start, np.inf)
-            if cand > value:
+        trial = _newton_rule(s) or _zigzag_rule(s) or _search_rule(s)
+        if trial is None:  # a kink
+            trial = _tie_split_rule(s)
+            if trial is None:
                 break
-        if cand <= value:  # a kink: no step along grad that still changes psi improves F
-            if split:
-                break
-            value_at(psi, kept)  # the minimum at psi, which the trials overwrote
-            split = _tie_split(grid, gaps(), codes, runner, masses, grad, aim(psi, masses), free)
-            if split is None:
-                break
-            moved = psi + split * first_step * grad
-            if np.array_equal(moved, psi) or (cand := value_at(moved, kept)) < value:
-                break
-            # the kink's iterate gives way to the closer piece, at no lower F,
-            # once: F need not rise, so a second split could undo the first
-            psi, value = moved, cand
-            del f_trace[-1], grad_trace[-1], step_trace[-1], visited[-1]
-            continue
-        # climb to a local maximum over step * 2**k
-        for factor in (2.0, 0.5) if step == start else (0.5,):
-            climbed = False
-            while (trial := value_at(psi + factor * step * direction, spare)) > cand:
-                step *= factor
-                cand, climbed = trial, True
-                kept, spare = spare, kept  # the minimum at psi + step * direction
-            if climbed:
-                break
-        psi = psi + step * direction
-        value, taken = cand, step
-    del kept, spare, row  # before the int64 assignment is built
+            del f_trace[-1], grad_trace[-1], step_trace[-1]
+        s.psi, s.value, s.taken = trial
+    del s.kept, s.spare, s.row  # before the int64 assignment is built
     finite = np.where(curvature < np.inf, curvature, 0.0)  # one full-length dot
-    gap = 0.5 * float(finite @ (masses - aim(psi, masses)) ** 2)
-    return DualPotentials(
-        psi, _partition(codes, masses), np.array(f_trace), np.array(grad_trace),
-        np.array(step_trace), evals, gap,
-    )
+    gap = 0.5 * float(finite @ (s.masses - _aim(s, s.masses)) ** 2)
+    return DualPotentials(s.psi, _partition(s.codes, s.masses), np.array(f_trace),
+                          np.array(grad_trace), np.array(step_trace), s.evals, gap)

@@ -20,7 +20,6 @@ from .channel import _per_uav
 from .config import ExperimentConfig
 from .errors import ConvergenceError, InfeasibleError
 from .partition import DualPotentials, Partition, ascend_dual, own_links
-from .partition import _lower_envelope, _served_integral, _shifted_rows
 from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
 
 
@@ -84,11 +83,10 @@ def build_cost_field(radio, fairness):
 
 def dual_value(grid, costs, psi, shares):  # probed by perfbench as scenario1.dual_eval
     """Concave dual objective psi . shares + integral of the shifted cell min
-    over the cells some UAV can serve, taken row by row into n_cells-length
-    arrays: no (n_uavs, n_cells) array is allocated and costs is never copied."""
-    best, row = np.empty(costs.shape[1]), np.empty(costs.shape[1])
-    _lower_envelope(_shifted_rows(costs, psi, row), best)
-    return float(psi @ shares) + _served_integral(grid, best, np.flatnonzero(best == np.inf), row)
+    over the cells some UAV can serve: ascend_dual's F with every k_i = inf,
+    as an ascent that stops at its start evaluates it."""
+    ascent = ascend_dual(grid, costs, psi, shares, np.full(len(psi), np.inf), np.inf, 0)
+    return float(ascent.f_trace[0])
 
 
 def _service_field(radio, part, scale):

@@ -1,5 +1,6 @@
 """Assignment maps: min-cost rule, ties, masses, baseline diagram."""
 
+import importlib.util
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -24,11 +25,18 @@ from uavpart.partition import (
     CSV_BLOCK_CELLS,
     INFEASIBLE,
     Partition,
+    _aim,
+    _Ascent,
     _band_pairs,
+    _claim_iterate,
     _finite_spread,
     _lower_envelope,
     _min_norm_point,
+    _newton_rule,
+    _search_rule,
     _shifted_rows,
+    _tie_split_rule,
+    _zigzag_rule,
     ascend_dual,
     assign_by_min_cost,
     partition_to_csv,
@@ -46,6 +54,9 @@ from oracles import (
 
 GRID = uniform_density(1000.0, 1000.0, 10, 6)
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+_DUMP_SPEC = importlib.util.spec_from_file_location("dump_outputs", SCRIPTS / "dump_outputs.py")
+DUMP = importlib.util.module_from_spec(_DUMP_SPEC)
+_DUMP_SPEC.loader.exec_module(DUMP)
 
 
 def random_costs(seed, n_uavs=4, grid=GRID):
@@ -232,26 +243,13 @@ def test_band_pairs_are_the_masses_within_each_band(n_cells, n_uavs):
 
 
 def check_random_ascent(seed, n_uavs, ascend, mixed=False):
-    """Ascend a random integer-cost dual and check that the partition and F
-    returned are the ones at the returned potentials.  The curvatures k are
-    integers and the shares b zero; mixed sets some k_i to +inf and some to 0
-    (with psi_i = 0), and takes b from the partition at random potentials,
-    where every UAV's share is a mass it can reach."""
-    rng = np.random.default_rng(seed)
-    costs = rng.integers(0, 4, size=(n_uavs, GRID.n_cells)).astype(float)
-    costs[rng.random(costs.shape) < 0.3] = np.inf
-    costs[:, rng.random(GRID.n_cells) < 0.25] = np.inf
-    k = rng.integers(1, 5, size=n_uavs).astype(float)
-    start = rng.integers(-2, 3, size=n_uavs).astype(float)
-    shares = np.zeros(n_uavs)
-    if mixed:
-        kind = rng.integers(0, 3, size=n_uavs)
-        k[kind == 0], start[kind == 0], k[kind == 1] = 0.0, 0.0, np.inf
-        star = rng.uniform(-2.0, 2.0, size=n_uavs)
-        shares = assign_by_min_cost(GRID, costs - star[:, None]).masses
-    potentials = ascend_dual(GRID, costs, start, shares, k, 1e-6 if ascend else np.inf, 1000)
+    """Ascend a random integer-cost dual, drawn as scripts/dump_outputs.py
+    draws the ascents it dumps, and check that the partition and F returned
+    are the ones at the returned potentials."""
+    grid, costs, start, shares, k = DUMP.random_ascent(seed, n_uavs, mixed)
+    potentials = ascend_dual(grid, costs, start, shares, k, 1e-6 if ascend else np.inf, 1000)
     psi = potentials.psi
-    expected = assign_by_min_cost(GRID, costs - psi[:, None])
+    expected = assign_by_min_cost(grid, costs - psi[:, None])
     assert np.array_equal(potentials.partition.assignment, expected.assignment)
     assert np.array_equal(potentials.partition.masses, expected.masses)
     assert np.all(psi[k == 0] == 0.0)
@@ -259,7 +257,7 @@ def check_random_ascent(seed, n_uavs, ascend, mixed=False):
     # of F = psi . b - sum_i psi_i^2 / (2 k_i) over k_i > 0 + the shifted minimum
     curved = k > 0
     quadratic = float(psi @ shares) - 0.5 * float(psi[curved] / k[curved] @ psi[curved])
-    assert potentials.f_trace[-1] == quadratic + shifted_pass_reference(GRID, costs, psi)
+    assert potentials.f_trace[-1] == quadratic + shifted_pass_reference(grid, costs, psi)
     # the gap weighs each finite k_i by the squared miss of its priced mass
     masses = expected.masses
     aimed = np.where(curved, shares - psi / np.where(curved, k, 1.0), masses)
@@ -292,6 +290,89 @@ def test_ascent_ends_a_zigzag_across_a_kink(seed, n_uavs):
     # and run out of iterations; the least-norm step along the kink ends them
     potentials = check_random_ascent(seed, n_uavs, ascend=True)
     assert len(potentials.f_trace) <= 300
+
+
+def claimed_state(grid, costs, psi, shares, curvature):
+    """An ascent's state at its first iterate, claimed, as the rules see it."""
+    state = _Ascent(grid, costs, psi, shares, curvature)
+    _claim_iterate(state)
+    return state
+
+
+def rising_costs(rise, last):
+    """Two UAVs on a 4 x 4 grid: the first costs 0 everywhere, the second
+    rise * c on every cell c but the last, which costs last."""
+    costs = np.zeros((2, 16))
+    costs[1] = np.arange(16) * rise
+    costs[1, 15] = last
+    return uniform_density(1000.0, 1000.0, 4, 4), costs
+
+
+def assert_kept_is_the_minimum_at(state, psi):
+    assert np.array_equal(state.kept, (state.costs - psi[:, None]).min(axis=0))
+
+
+def test_zigzag_rule_climbs_along_the_kink():
+    # the seed-42900 ascent of test_ascent_returns_partition_at_its_potentials,
+    # driven by its rules until its masses repeat: the zigzag rule then moves
+    # along the least-norm point of the pieces' directions and raises F
+    state = claimed_state(*DUMP.random_ascent(42900, 5, False))
+    while len(state.pieces) == 1:
+        assert _zigzag_rule(state) is None
+        state.psi, state.value, state.taken = _newton_rule(state) or _search_rule(state)
+        _claim_iterate(state)
+    directions = np.array([_aim(state, m) - m for m in state.pieces])
+    direction = _min_norm_point(directions)
+    # no piece's direction lies on the far side of the least-norm point
+    assert np.all(directions @ direction >= direction @ direction - 1e-12)
+    psi, value, step = _zigzag_rule(state)
+    assert value > state.value and step == state.step
+    assert np.array_equal(psi, state.psi + step * direction)
+    assert_kept_is_the_minimum_at(state, psi)
+
+
+def test_newton_rule_returns_none_when_no_band_fits_its_move():
+    # every UAV so stiff (k = 1e-20) that the Newton move is far below the
+    # finest band: the rule evaluates nothing, and the next call skips it
+    grid = uniform_density(1000.0, 1000.0, 4, 4)
+    costs = np.random.default_rng(0).normal(size=(2, 16))
+    state = claimed_state(grid, costs, np.zeros(2), np.full(2, 0.5), np.full(2, 1e-20))
+    assert np.all(state.grad != 0)
+    assert _newton_rule(state) is None
+    assert state.failed and state.evals == 1 and state.taken == 1.0
+    assert _newton_rule(state) is None
+    assert not state.failed and state.evals == 1
+
+
+def test_search_rule_climbs_from_its_last_step():
+    # from a last step of 2**-6 the first trial raises F and the climb doubles
+    # it to 0.5, where half the cells have moved to the second UAV and F
+    # peaks; kept holds the minimum at the trial returned
+    grid, costs = rising_costs(1 / 16, 15 / 16)
+    state = claimed_state(grid, costs, np.zeros(2), np.full(2, 0.5), np.full(2, np.inf))
+    state.step = 2.0**-6
+    psi, value, step = _search_rule(state)
+    assert step == state.step == 0.5 and state.evals == 8
+    assert np.array_equal(psi, 0.5 * state.grad) and value > state.value
+    assert_kept_is_the_minimum_at(state, psi)
+    assert assign_by_min_cost(grid, costs - psi[:, None]).masses.tolist() == [0.5, 0.5]
+
+
+def test_tie_split_rule_moves_the_iterate_once():
+    # every cell but the last is tied, within 2**-36 of its claim against a
+    # cost spread of 1, and passes to the second UAV at its own step along
+    # grad: the split stops halfway between the 8th and the 9th, where the
+    # masses meet the shares, replaces the iterate and is not taken again
+    grid, costs = rising_costs(2.0**-40, 1.0)
+    state = claimed_state(grid, costs, np.zeros(2), np.full(2, 0.5), np.full(2, np.inf))
+    assert state.masses.tolist() == [1.0, 0.0]
+    psi, value, step = _tie_split_rule(state)
+    assert np.array_equal(psi, 7.5 * 2.0**-40 * state.grad) and value >= state.value
+    assert step == state.taken and state.split and state.visited == []
+    assert state.evals == 3  # the minimum at psi again, then the split
+    assert_kept_is_the_minimum_at(state, psi)
+    assert assign_by_min_cost(grid, costs - psi[:, None]).masses.tolist() == [0.5, 0.5]
+    assert _tie_split_rule(state) is None and state.evals == 3
 
 
 @settings(max_examples=200, deadline=None)
