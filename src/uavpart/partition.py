@@ -376,12 +376,14 @@ def _gaps(s):
 
 def _backtrack(s, direction, step, trials):
     """F at psi + step * direction, each minimum over kept, for step, step / 2,
-    ... until F rises or psi stops moving, at most trials times: the last
-    step tried, halved again when trials run out, and F there or -inf."""
+    ... until F rises, psi stops moving or the move step * max |direction|
+    falls below first_step * 2**-60, the rounding level of the shifted costs,
+    at most trials times: the last step tried, halved again when trials run
+    out, and F there or -inf."""
     value = -np.inf
     while trials > 0:
         psi = s.psi + step * direction
-        if np.array_equal(psi, s.psi):
+        if np.array_equal(psi, s.psi) or step * np.abs(direction).max() < s.first_step * 2.0**-60:
             break
         value = _evaluate(s, psi, s.kept)
         if value > s.value:
@@ -416,13 +418,17 @@ def _newton_move(s):
     semi-definite, and J 1 = 0 when every k_i = inf; all bands are solved at
     once, with 1e-12 of the mean of J's diagonal added to it, so a UAV no cell
     of the band reaches moves too far to fit, and with every k_i = inf that
-    mean added to every entry, which fixes the gauge."""
+    mean added to every entry, which fixes the gauge.  Where the mean of W 1
+    is positive and the largest 1 / k exceeds it 1e12 times, a stiff UAV would
+    swamp the others' band response in that mean, and 1e-12 of the mean of
+    W 1 is added instead."""
     pairs = _band_pairs(s.grid, _gaps(s), s.codes, s.runner, len(s.costs), s.kept)
     inverse = np.divide(1.0, s.curvature, out=np.zeros(len(s.grad)), where=s.free)
     hessian = pairs + pairs.transpose(0, 2, 1)
     hessian /= (-2.0 * s.bands)[:, None, None]  # -W
     diagonal = np.arange(len(s.grad))
-    reach = inverse - hessian.sum(axis=2)
+    transport = -hessian.sum(axis=2)  # W 1
+    reach = inverse + transport
     hessian[:, diagonal, diagonal] = reach
     if not s.free.all():
         hessian, reach = hessian[:, s.free][:, :, s.free], reach[:, s.free]
@@ -431,8 +437,10 @@ def _newton_move(s):
     scale[empty] = 1.0
     if np.all(s.curvature == np.inf):
         hessian += scale[:, None, None]
+    transport = transport[:, s.free].mean(axis=1)
+    stiff = (transport > 0) & (inverse.max() > 1e12 * transport)
     diagonal = np.arange(len(reach[0]))
-    hessian[:, diagonal, diagonal] += 1e-12 * scale[:, None]
+    hessian[:, diagonal, diagonal] += 1e-12 * np.where(stiff, transport, scale)[:, None]
     moves = np.zeros((len(s.bands), len(s.grad)))
     try:
         moves[:, s.free] = np.linalg.solve(hessian, s.grad[s.free])
@@ -546,6 +554,10 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
     kept, so the claim evaluates nothing; the int64 Partition is built once,
     at the last iterate, whose masses the stopping test read and where the
     gap sum_i k_i (a_i - t_i)^2 / 2 over the finite k_i is taken.
+
+    Every backtracking search also stops once its move falls below
+    first_step * 2**-60, the rounding level of the shifted costs, so a kink
+    costs about 60 evaluations even where psi is near 0.
 
     Returns when the mass-mismatch norm is at most mass_tol, or at a kink no
     rule moves (as on grids too coarse for the masses to meet); the last

@@ -344,6 +344,34 @@ def test_newton_rule_returns_none_when_no_band_fits_its_move():
     assert not state.failed and state.evals == 1
 
 
+@pytest.mark.parametrize("rise", [0.0, 1.0])
+def test_search_rule_stops_at_the_step_floor(rise):
+    # two equal cost rows on a 4 x 4 grid: every cell is tied and no step
+    # along grad splits them, so the search halves until the move falls
+    # below first_step * 2**-60, not into the denormals (1,077 evaluations)
+    grid, costs = rising_costs(rise, 15.0 * rise)
+    costs[0] = costs[1]
+    state = claimed_state(grid, costs, np.zeros(2), np.full(2, 0.5), np.full(2, np.inf))
+    assert _search_rule(state) is None
+    assert state.step * np.abs(state.grad).max() < state.first_step * 2.0**-60
+    assert state.evals <= 64
+    potentials = ascend_dual(grid, costs, np.zeros(2), np.full(2, 0.5), np.full(2, np.inf),
+                             1e-6, 1000)
+    assert potentials.evals <= 100 and len(potentials.f_trace) == 1
+
+
+def test_newton_rule_steps_beside_a_stiff_uav():
+    # 1 / k_0 = 1e30 is finite, so UAV 0 is free; measured against the mean
+    # of J's diagonal, which that 1 / k_0 sets, the regularizer would swamp
+    # the other UAVs' band response and leave every band's move unfit
+    grid = uniform_density(1000.0, 1000.0, 8, 8)
+    costs = np.random.default_rng(1).normal(size=(3, 64))
+    state = claimed_state(grid, costs, np.zeros(3), np.full(3, 1 / 3), np.array([1e-30, 1.0, 1.0]))
+    psi, value, step = _newton_rule(state)
+    assert value > state.value and not state.failed
+    assert abs(psi[0]) < 1e-20 < np.abs(psi[1:]).min()
+
+
 def test_search_rule_climbs_from_its_last_step():
     # from a last step of 2**-6 the first trial raises F and the climb doubles
     # it to 0.5, where half the cells have moved to the second UAV and F

@@ -465,6 +465,21 @@ def test_solver_holds_a_uav_whose_curvature_has_no_finite_reciprocal():
     assert np.array_equal(tiny.partition.assignment, zero.partition.assignment)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a0", [1e-30, 1e-100, 1e-300])
+def test_solver_meets_mass_tol_beside_a_stiff_uav(a0):
+    # k_0 = 2 alpha_0 N^2 is tiny but its 1 / k_0 finite: that 1 / k_0 must
+    # not swamp the other UAVs' band response in the Newton regularizer,
+    # where it left every band's move unfit and the ascent at its start
+    cfg = replace(ExperimentConfig(), nx=60, ny=60)
+    grid = build_grid(cfg)
+    radio = compute_radio_field(grid, build_uavs(cfg), build_channel(cfg))
+    result = solve_scenario2(grid, radio, cfg.load_bits, [a0, 0.01, 0.01, 0.01, 0.01],
+                             cfg.n_users, mass_tol=cfg.mass_tol)
+    assert result.potentials.grad_trace[-1] <= cfg.mass_tol
+    assert result.potentials.evals <= 10
+
+
 def test_solver_unservable_cell_raises():
     grid = uniform_density(1000.0, 1000.0, 5, 5)
     uavs = [UavNode(x=500.0, y=500.0, altitude=200.0)]
