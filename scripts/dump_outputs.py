@@ -3,9 +3,11 @@
 The set is every scene of the three perfbench workloads at workload seeds 0
 and 1, every experiment config in scripts/ at 60 x 60 with 3 user seeds, and
 one scenario-2 sweep of the default scene at 40 x 40 over large control
-weights, three scenes whose ascent ends at a kink, and one fairness sweep
-whose experiment id needs CSV quoting, all with partition maps and ascent
-traces on.  ascents.txt adds the kernel's own iterates: one line per random
+weights, three scenes whose ascent ends at a kink, one fairness sweep
+whose experiment id needs CSV quoting and one sigma sweep whose second hot
+spot underflows on the grid, all with partition maps and ascent traces on.
+The last exits 2 before its output directory exists, so it shows in
+exit_codes.txt only.  ascents.txt adds the kernel's own iterates: one line per random
 ascent of seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed both ways,
 mass_tol 1e-6 and max_iter 1000) giving the seed, the UAV count, mixed, the
 iteration and evaluation counts, the last mismatch and a sha256 over psi,
@@ -128,6 +130,10 @@ def main(argv=None):
     fair = load_config(os.path.join(scripts, "fairness_vs_concentration.ini"))
     runs.append(("quoted_id", replace(fair, experiment_id=' fair,"quoted" id', nx=CONFIG_GRID,
                                       ny=CONFIG_GRID, n_seeds=QUOTED_SEEDS)))
+    # the second point underflows; no map of the first may be written
+    runs.append(("second_point_underflow", ExperimentConfig(
+        experiment_id="second_point_underflow", scenario="1", nx=20, ny=20, n_seeds=1,
+        mu_x=20000.0, sweep_var="sigma", sweep_values=(100000.0, 100.0))))
     codes = []
     for rel, cfg in runs:
         cfg = replace(cfg, write_partitions=True, trace=True)

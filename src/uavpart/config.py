@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import ChannelParams, UavNode, _per_uav, db_to_linear, dbm_to_watts
 from .errors import ConfigError
-from .grid import truncated_gaussian, uniform_density
+from .grid import check_sigma, hot_spot_exponents, truncated_gaussian, uniform_density
 
 # sweep variable -> the config fields one sweep value sets
 _SWEEP_FIELDS = {
@@ -138,26 +138,42 @@ def format_value(value):
 
 
 def validate_config(cfg):
-    """Raise ConfigError on out-of-range settings at any sweep point and on
-    sweep values that print the same, which would share their outputs."""
+    """Check a config at every sweep point and return the points, in order.
+
+    A point is (tag, printed value, config): ("base", "", cfg) when nothing
+    is swept, else (f"{sweep_var}_{printed}", printed, apply_sweep(cfg, v))
+    for each sweep value v, printed once by format_value.  The config itself
+    is checked first, then each point as it is made.  Raises ConfigError on
+    the first out-of-range setting and on sweep values that print the same,
+    which would share their outputs."""
     _check_fields(cfg)
-    if cfg.sweep_var != "none" and len(cfg.sweep_values) == 0:
+    if cfg.sweep_var == "none":
+        return [("base", "", cfg)]
+    if len(cfg.sweep_values) == 0:
         raise ConfigError("sweep_var set but sweep_values empty")
-    for value in cfg.sweep_values:
-        _check_fields(apply_sweep(cfg, value))
     printed = [format_value(float(v)) for v in cfg.sweep_values]
-    if cfg.sweep_var != "none" and len(set(printed)) < len(printed):
+    points = [(f"{cfg.sweep_var}_{p}", p, _check_fields(apply_sweep(cfg, v)))
+              for p, v in zip(printed, cfg.sweep_values)]
+    if len(set(printed)) < len(printed):
         raise ConfigError(f"sweep_values print the same to 9 digits: {' '.join(printed)}")
+    return points
+
+
+_FINITE_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type in ("float", "tuple"))
 
 
 def _check_fields(cfg):
-    """Check one concrete config against the rules UavNode, ChannelParams,
-    place_uavs_grid and _per_uav own, by building its fleet and channel; its
-    grid is not built (it costs far more), so the grid rules are checked here
-    and a hot spot that underflows on the grid is left to build_grid."""
-    for f in fields(ExperimentConfig):
-        if f.type in ("float", "tuple") and not np.all(np.isfinite(getattr(cfg, f.name))):
-            raise ConfigError(f"{f.name} must be finite")
+    """Check one concrete config against every rule of a run and return it.
+
+    Its own ranges come first; then the grid's sigma rule (check_sigma), and
+    for a Gaussian density the hot spot's (hot_spot_exponents, which finds a
+    density that underflows on the grid with no (ny, nx) array); then the
+    rules UavNode, ChannelParams, place_uavs_grid and _per_uav own, by
+    building its fleet and channel."""
+    for name in _FINITE_FIELDS:
+        value = getattr(cfg, name)  # a float, the sweep tuple or a per-UAV array
+        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+            raise ConfigError(f"{name} must be finite")
     grid_ok = cfg.nx >= 1 and cfg.ny >= 1
     # a cell's density can reach 1 / cell area, so that must be finite
     cell_area = (cfg.width / cfg.nx) * (cfg.height / cfg.ny) if grid_ok else math.nan
@@ -169,8 +185,6 @@ def _check_fields(cfg):
          "area dimensions must be positive with finite squares and a cell area "
          "with a finite reciprocal"),
         (cfg.density_kind in DENSITY_KINDS, f"density_kind must be one of {DENSITY_KINDS}"),
-        (all(s > 0 and 0.0 < s * s < math.inf for s in (cfg.sigma_x, cfg.sigma_y)),
-         "sigma must be positive with a finite, non-zero square"),
         (cfg.scenario in SCENARIOS, f"scenario must be one of {SCENARIOS}"),
         # before build_uavs makes a list of the fleet
         (not grid_ok or cfg.n_uavs <= cfg.nx * cfg.ny,
@@ -190,6 +204,10 @@ def _check_fields(cfg):
         if not ok:
             raise ConfigError(message)
     try:
+        check_sigma(cfg.sigma_x, cfg.sigma_y)  # for a uniform density too, which reads neither
+        if cfg.density_kind == "gaussian":
+            hot_spot_exponents(cfg.width, cfg.height, cfg.nx, cfg.ny,
+                               cfg.mu_x, cfg.mu_y, cfg.sigma_x, cfg.sigma_y)
         build_uavs(cfg)
         build_channel(cfg)
         _per_uav(cfg.max_hover, cfg.n_uavs, "hover budget", positive=True)
@@ -197,6 +215,7 @@ def _check_fields(cfg):
         _per_uav(2.0 * cfg.alpha * cfg.n_users**2, cfg.n_uavs, "control price 2 alpha N^2")
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
+    return cfg
 
 
 def apply_sweep(cfg, value):
@@ -254,10 +273,8 @@ def build_grid(cfg):
     try:
         if cfg.density_kind == "uniform":
             return uniform_density(cfg.width, cfg.height, cfg.nx, cfg.ny)
-        return truncated_gaussian(
-            cfg.width, cfg.height, cfg.nx, cfg.ny,
-            cfg.mu_x, cfg.mu_y, cfg.sigma_x, cfg.sigma_y,
-        )
+        return truncated_gaussian(cfg.width, cfg.height, cfg.nx, cfg.ny,
+                                  cfg.mu_x, cfg.mu_y, cfg.sigma_x, cfg.sigma_y)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -105,24 +105,43 @@ def uniform_density(width, height, nx, ny):
     return AreaGrid(width, height, nx, ny, f)
 
 
+def check_sigma(sigma_x, sigma_y):
+    """Raise ValueError unless both hot-spot sigmas are positive with a
+    finite, non-zero square."""
+    if not all(s > 0 and 0.0 < s * s < math.inf for s in (sigma_x, sigma_y)):
+        raise ValueError("sigma must be positive with a finite, non-zero square")
+
+
+def hot_spot_exponents(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
+    """The separable exponents of a Gaussian hot spot at the cell centers:
+    the column terms -(x - mu_x)^2 / 2 sigma_x^2, length nx, and the row terms
+    (y - mu_y)^2 / 2 sigma_y^2, length ny, so the kernel is exp(col - row) on
+    the (ny, nx) grid.  A squared offset that overflows gives -inf or inf.
+
+    Raises ValueError when check_sigma does and when the kernel is zero on
+    every cell.  Since subtraction and exp are monotone, its largest entry is
+    exp(max(col) - min(row)), so that test is kern.sum() > 0 (a NaN offset
+    fails both) in O(nx + ny) work, with no (ny, nx) array.
+    """
+    check_sigma(sigma_x, sigma_y)
+    with np.errstate(over="ignore"):
+        col = -((_centers(nx, width) - mu_x) ** 2) / (2.0 * sigma_x**2)
+        row = ((_centers(ny, height) - mu_y) ** 2) / (2.0 * sigma_y**2)
+        if not np.exp(col.max() - row.min()) > 0:
+            raise ValueError("hot spot density underflows to zero on every cell")
+    return col, row
+
+
 def truncated_gaussian(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
     """Grid with a Gaussian hot spot truncated to the area.
 
     The separable kernel exp(-(x-mu_x)^2 / 2 sigma_x^2) * exp(-(y-mu_y)^2 /
-    2 sigma_y^2) is evaluated at cell centers and renormalized discretely, so
-    the midpoint rule integrates to exactly 1 on this grid.  The mean may lie
-    outside the area; a cell whose squared offset overflows gets zero density.
+    2 sigma_y^2) is evaluated at cell centers (hot_spot_exponents, whose
+    ValueErrors it raises) and renormalized discretely, so the midpoint rule
+    integrates to exactly 1 on this grid.  The mean may lie outside the area;
+    a cell whose squared offset overflows gets zero density.
     """
-    if not all(s > 0 and 0.0 < s * s < math.inf for s in (sigma_x, sigma_y)):
-        raise ValueError("sigma must be positive with a finite, non-zero square")
-    x, y = _centers(nx, width), _centers(ny, height)
+    col, row = hot_spot_exponents(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y)
     with np.errstate(over="ignore"):
-        # the (ny, nx) outer difference of the x and y terms, in cell order
-        kern = np.exp(-((x - mu_x) ** 2) / (2.0 * sigma_x**2)
-                      - ((y[:, None] - mu_y) ** 2) / (2.0 * sigma_y**2)).ravel()
-    if not kern.sum() > 0:
-        raise ValueError("hot spot density underflows to zero on every cell")
-    cell_area = (width / nx) * (height / ny)
-    f = kern / (kern.sum() * cell_area)
-    return AreaGrid(width, height, nx, ny, f)
-
+        kern = np.exp(col - row[:, None]).ravel()  # the (ny, nx) grid in cell order
+    return AreaGrid(width, height, nx, ny, kern / (kern.sum() * ((width / nx) * (height / ny))))

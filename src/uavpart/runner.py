@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .channel import compute_radio_field
 from .config import (
-    apply_sweep,
     build_channel,
     build_grid,
     build_uavs,
@@ -40,12 +39,6 @@ EXIT_CONVERGENCE = 4
 
 METRICS_HEADER = ("experiment_id", "sweep_var", "sweep_value", "seed", "metric", "value")
 TRACE_HEADER = ("iter", "objective", "residual", "step")
-
-
-def _point_tag(cfg, value):
-    if cfg.sweep_var == "none":
-        return "base"
-    return f"{cfg.sweep_var}_{format_value(float(value))}"
 
 
 def _scenario1_rows(cfg, grid, radio, baseline, point, out_dir):
@@ -69,10 +62,7 @@ def _scenario1_rows(cfg, grid, radio, baseline, point, out_dir):
         for proposed, voronoi in zip(_jain(service_per_user(result.service, sample)),
                                      _jain(service_per_user(base_service, sample)))
     ]
-    if cfg.write_partitions:
-        _write_maps(cfg, grid, result.partition, baseline, out_dir, "s1", point)
-    if cfg.trace:
-        _write_trace(os.path.join(out_dir, f"trace_s1_{point}.csv"), result.potentials)
+    _write_outputs(cfg, grid, result, baseline, out_dir, "s1", point)
     return rows, per_seed
 
 
@@ -98,26 +88,27 @@ def _scenario2_rows(cfg, grid, radio, baseline, point, out_dir):
         ("s2_iterations", float(len(result.potentials.f_trace) - 1)),
         ("s2_duality_gap", result.potentials.gap),
     ]
-    if cfg.write_partitions:
-        _write_maps(cfg, grid, result.partition, baseline, out_dir, "s2", point)
-    if cfg.trace:
-        _write_trace(os.path.join(out_dir, f"trace_s2_{point}.csv"), result.potentials)
+    _write_outputs(cfg, grid, result, baseline, out_dir, "s2", point)
     return rows
 
 
-def _write_maps(cfg, grid, proposed, baseline, out_dir, tag, point):
-    """Write one scenario's proposed and best-signal partition maps.
+def _write_outputs(cfg, grid, result, baseline, out_dir, tag, point):
+    """Write one scenario's proposed and best-signal partition maps and its
+    ascent trace, each when the config asks for it.
 
     When both scenarios run, scenario 2's best-signal map is a copy of
     scenario 1's file: both come from the same baseline partition."""
     def path(scenario, kind):
         return os.path.join(out_dir, f"partition_{scenario}_{point}_{kind}.csv")
 
-    partition_to_csv(grid, proposed, path(tag, "proposed"))
-    if tag == "s2" and cfg.scenario == "both":
-        shutil.copyfile(path("s1", "voronoi"), path("s2", "voronoi"))
-    else:
-        partition_to_csv(grid, baseline, path(tag, "voronoi"))
+    if cfg.write_partitions:
+        partition_to_csv(grid, result.partition, path(tag, "proposed"))
+        if tag == "s2" and cfg.scenario == "both":
+            shutil.copyfile(path("s1", "voronoi"), path("s2", "voronoi"))
+        else:
+            partition_to_csv(grid, baseline, path(tag, "voronoi"))
+    if cfg.trace:
+        _write_trace(os.path.join(out_dir, f"trace_{tag}_{point}.csv"), result.potentials)
 
 
 def _write_trace(path, potentials):
@@ -158,23 +149,24 @@ def run_experiment(cfg, out_dir=None):
     draws of its own generator, and one jain_index call per partition;
     metrics.csv keeps one row set per seed.
 
+    The sweep points are the ones validate_config checks and returns, each
+    with its tag and printed value; every rule, the hot spot's included, has
+    run on every point before the output directory exists, so a rejected
+    config writes nothing.
+
     0 on success, 2 on a bad config or scene or an unwritable output, 3 when
     an instance is infeasible, 4 when a solver fails to converge (diagnostics
-    on stderr); the config is validated before the output directory exists.
+    on stderr).
     """
     out_dir = cfg.out_dir if out_dir is None else out_dir
-    values = cfg.sweep_values if cfg.sweep_var != "none" else (float("nan"),)
     lines = []
     try:
-        validate_config(cfg)
+        points = validate_config(cfg)
         os.makedirs(out_dir, exist_ok=True)
-        for value in values:
-            cur = apply_sweep(cfg, value)
+        for point, sweep_value, cur in points:
             grid = build_grid(cur)
             radio = compute_radio_field(grid, build_uavs(cur), build_channel(cur))
             baseline = weighted_voronoi(grid, radio)  # best-signal baseline of both scenarios
-            point = _point_tag(cfg, value)
-            sweep_value = "" if cfg.sweep_var == "none" else format_value(float(value))
             shared, per_seed = [], [[]] * cfg.n_seeds
             if cur.scenario in ("1", "both"):
                 shared, per_seed = _scenario1_rows(cur, grid, radio, baseline, point, out_dir)

@@ -36,17 +36,23 @@ def cell_centers(grid):
     return np.tile(grid.column_x, grid.ny), np.repeat(grid.row_y, grid.nx)
 
 
-def truncated_gaussian_reference(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
-    """The truncated Gaussian hot spot's density, with each cell's center
-    computed from its flat index k as (k % nx, k // nx) and the kernel
-    evaluated cell by cell in one flat array."""
+def gaussian_kernel_reference(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
+    """The hot spot's unnormalized kernel, with each cell's center computed
+    from its flat index k as (k % nx, k // nx) and the kernel evaluated cell
+    by cell in one flat array."""
     nc = nx * ny
     x = (np.arange(nc) % nx + 0.5) * (width / nx)
     y = (np.arange(nc) // nx + 0.5) * (height / ny)
     with np.errstate(over="ignore"):
-        kern = np.exp(
+        return np.exp(
             -((x - mu_x) ** 2) / (2.0 * sigma_x**2) - ((y - mu_y) ** 2) / (2.0 * sigma_y**2)
         )
+
+
+def truncated_gaussian_reference(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
+    """The truncated Gaussian hot spot's density: the per-cell kernel of
+    gaussian_kernel_reference over its sum times the cell area."""
+    kern = gaussian_kernel_reference(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y)
     return kern / (kern.sum() * ((width / nx) * (height / ny)))
 
 

@@ -436,13 +436,7 @@ def test_cli_bad_scene_returns_config_exit(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert len(err.strip().splitlines()) == 1
-    if "mu_x" in overrides:
-        # an underflowing hot spot is only found when the grid is built,
-        # after run_experiment has created the output directory
-        assert "underflows" in err
-        assert not (out / "metrics.csv").exists()
-    else:
-        assert not out.exists()
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -621,6 +615,58 @@ def test_cli_kink_exit_names_the_mismatch_and_the_heaviest_cell(tmp_path, capsys
     assert heaviest > mismatch > cfg.mass_tol
     for number in (mismatch, cfg.mass_tol, heaviest):
         assert f"{number:.3e}" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_second_point_underflow_writes_nothing(tmp_path, capsys):
+    # the first point's hot spot (sigma = 1e5) is nearly flat and would run;
+    # the second's (sigma = 100) underflows on the grid, 19 km off the area
+    text = fast_text(scenario=1, nx=20, ny=20, mu_x=20000, sweep_var="sigma",
+                     sweep_values="100000 100", write_partitions="true")
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: hot spot density underflows to zero on every cell\n"
+    assert not out.exists()
+
+
+def test_validate_config_returns_the_named_points():
+    base = replace(ExperimentConfig(), nx=20, ny=20)
+    # nothing swept: one point, the config itself, whatever sweep_values holds
+    for cfg in (base, replace(base, sweep_values=(3.0, 3.0))):
+        ((tag, printed, point),) = validate_config(cfg)
+        assert (tag, printed) == ("base", "") and point is cfg
+    cfg = replace(base, sweep_var="sigma", sweep_values=(100000.0, 1000 / 3))
+    points = validate_config(cfg)
+    assert [(tag, printed) for tag, printed, _ in points] == [
+        ("sigma_100000", "100000"), ("sigma_333.333333", "333.333333")]
+    assert [point for _, _, point in points] == [apply_sweep(cfg, v) for v in cfg.sweep_values]
+    swept = validate_config(replace(base, sweep_var="n_uavs", sweep_values=(2.0, 7.0)))
+    assert [(tag, printed, point.n_uavs) for tag, printed, point in swept] == [
+        ("n_uavs_2", "2", 2), ("n_uavs_7", "7", 7)]
+
+
+def test_finite_rule_reads_floats_tuples_and_per_uav_arrays():
+    base = replace(ExperimentConfig(), nx=20, ny=20)
+    validate_config(replace(base, alpha=np.full(5, 0.01), max_hover=[1800.0] * 5))
+    for field, value in [("alpha", np.array([0.01, 0.01, np.nan, 0.01, 0.01])),
+                         ("max_hover", [1800.0, np.inf, 1800.0, 1800.0, 1800.0]),
+                         ("sweep_values", (0.5, -np.inf)),
+                         ("beta", np.float64("nan")),
+                         ("mu_y", float("-inf"))]:
+        with pytest.raises(ConfigError, match=f"^{field} must be finite$"):
+            validate_config(replace(base, **{field: value}))
+
+
+def test_uniform_density_is_held_to_the_sigma_rule_only():
+    # a uniform density reads neither the mean nor sigma: a mean whose hot
+    # spot would underflow is accepted, a sigma out of range is not
+    base = replace(ExperimentConfig(), density_kind="uniform", nx=20, ny=20)
+    validate_config(replace(base, mu_x=1e200))
+    with pytest.raises(ConfigError, match="sigma must be positive"):
+        validate_config(replace(base, sigma_y=1e-200))
+    with pytest.raises(ConfigError, match="underflows to zero on every cell"):
+        validate_config(replace(base, density_kind="gaussian", mu_x=1e200))
 
 
 def test_bad_sweep_point_rejected_by_run_experiment(tmp_path, capsys):

@@ -9,12 +9,18 @@ from hypothesis import strategies as st
 
 from uavpart.grid import (
     AreaGrid,
+    hot_spot_exponents,
     truncated_gaussian,
     uniform_density,
 )
 from uavpart.partition import INFEASIBLE
 
-from oracles import cell_centers, region_masses, truncated_gaussian_reference
+from oracles import (
+    cell_centers,
+    gaussian_kernel_reference,
+    region_masses,
+    truncated_gaussian_reference,
+)
 
 
 def measure(g, mask):
@@ -57,6 +63,8 @@ def test_separable_centers_are_the_flat_ones(nx, ny):
     (1000.0, 300.0, 37, 23, 610.0, 45.0, 170.0, 90.0),  # non-square cells
     (1000.0, 800.0, 25, 20, -400.0, 1300.0, 350.0, 250.0),  # mean outside the area
     (1000.0, 1000.0, 30, 30, -9000.0, 500.0, 300.0, 400.0),  # far tails, tiny densities
+    # col - row overflows on the far corner: -1e308 - 1e308 is -inf, no warning
+    (2e154, 2e154, 2, 2, 0.5e154, 0.5e154, math.sqrt(0.5), math.sqrt(0.5)),
 ])
 def test_gaussian_matches_per_cell_reference(width, height, nx, ny, mu_x, mu_y, sigma_x,
                                              sigma_y):
@@ -185,6 +193,52 @@ def test_gaussian_far_mean_underflows_quietly():
     # squared offsets overflow to inf: zero density everywhere, no warning
     with pytest.raises(ValueError, match="underflows"):
         truncated_gaussian(1000.0, 1000.0, 4, 4, 1e200, 0.0, 100.0, 100.0)
+
+
+@st.composite
+def hot_spots(draw):
+    """A hot spot on a small grid: its mean near the area; or one offset
+    about 38.6 sigma beyond the last cell center, where the kernel's peak
+    crosses the underflow threshold, and the other on a center; or
+    an offset so large that its square, its exponent or the difference of
+    the two exponents overflows."""
+    width, height = draw(st.floats(1.0, 1e4)), draw(st.floats(1.0, 1e4))
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    sigma_x, sigma_y = (draw(st.one_of(st.floats(1e-3, 1e4), st.just(math.sqrt(0.5))))
+                        for _ in range(2))
+    mu_x, mu_y = (draw(st.floats(-2.0 * length, 3.0 * length)) for length in (width, height))
+    kind = draw(st.sampled_from(["near", "threshold", "far"]))
+    if kind == "threshold":
+        # log(2**-1075) = -745.1332...: a peak exponent just above it gives
+        # the least subnormal, one at or below it gives zero
+        peak = draw(st.one_of(st.floats(-760.0, -730.0), st.floats(-745.2, -745.0)))
+        mu_x = (nx - 0.5) * (width / nx) + math.sqrt(-2.0 * peak) * sigma_x
+        mu_y = (draw(st.integers(0, ny - 1)) + 0.5) * (height / ny)
+    elif kind == "far":
+        mu_x = draw(st.sampled_from([1.3e154, -1.3e154, 1e200, -1e300]))
+        if draw(st.booleans()):
+            mu_y = draw(st.sampled_from([1.3e154, -1.3e154, 1e200, -1e300]))
+    if draw(st.booleans()):  # the same cases along y
+        width, height, nx, ny = height, width, ny, nx
+        mu_x, mu_y, sigma_x, sigma_y = mu_y, mu_x, sigma_y, sigma_x
+    return width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(hot_spots())
+def test_hot_spot_underflow_is_the_full_kernel_sum(spot):
+    # exp(max(col) - min(row)) decides as the (ny, nx) kernel's sum does,
+    # overflowing offsets included, and the grid is the per-cell reference's
+    underflows = not gaussian_kernel_reference(*spot).sum() > 0
+    if underflows:
+        with pytest.raises(ValueError, match="underflows to zero on every cell"):
+            hot_spot_exponents(*spot)
+        with pytest.raises(ValueError, match="underflows to zero on every cell"):
+            truncated_gaussian(*spot)
+    else:
+        col, row = hot_spot_exponents(*spot)
+        assert col.shape == (spot[2],) and row.shape == (spot[3],)
 
 
 def test_density_is_readonly():
