@@ -310,7 +310,7 @@ class _Ascent:
     first_step, the larger of the finite costs' spread and the largest |psi|
     the ascent starts from; the UAVs with a finite 1 / k (free; the others
     hold psi_i); the last len(costs) + 2 iterates' masses (visited); the last
-    step the step search tried (step) and the step the trace records next."""
+    step the step search tried (step) and the one that reached psi (taken)."""
 
     def __init__(self, grid, costs, psi, shares, curvature):
         self.grid, self.costs, self.shares, self.curvature = grid, costs, shares, curvature
@@ -459,16 +459,16 @@ def _newton_rule(s):
     band Hessian (_newton_move; Kitagawa, Merigot and Thibert 2019): the
     response of the masses to psi, from the cells whose runner-up cost lies
     within a band h = first_step / 2**l of their claim's, so the steps are free
-    of the units.  taken keeps the last damping, even a failed one.  None when
-    no trial raises F or no band fits; the next iterate then skips the rule,
-    since the model just failed there, as does one that zigzags."""
+    of the units.  None when no trial raises F or no band fits; the next
+    iterate then skips the rule, since the model just failed there, as does
+    one that zigzags."""
     if len(s.pieces) > 1 or s.failed:
         s.failed = False
         return None
     move = _newton_move(s)
-    s.taken, value = _backtrack(s, move, 1.0, NEWTON_TRIALS if move is not None else 0)
+    step, value = _backtrack(s, move, 1.0, NEWTON_TRIALS if move is not None else 0)
     s.failed = not value > s.value
-    return None if s.failed else (s.psi + s.taken * move, value, s.taken)
+    return None if s.failed else (s.psi + step * move, value, step)
 
 
 def _zigzag_rule(s):
@@ -500,11 +500,11 @@ def _tie_split_rule(s):
     """At a kink, the pieces the tied cells pass through along grad can come
     closer to t at a step too small for F to resolve: the iterate moves along
     first_step * grad to the middle of the piece whose masses (on the free
-    UAVs) come closest to t, at no lower F, and replaces the kink's iterate.
-    A tied cell, gap below 2**-BAND_LEVELS, moves to its runner-up at step
-    gap / (grad_runner - grad_claim); no other cell moves before
-    2**-BAND_LEVELS / (2 max |grad|).  None when the current piece comes
-    closest, the move leaves psi or lowers F, or after one split."""
+    UAVs) come closest to t, at no lower F, and replaces the kink's iterate,
+    step included.  A tied cell, gap below 2**-BAND_LEVELS, moves to its
+    runner-up at step gap / (grad_runner - grad_claim); no other cell moves
+    before 2**-BAND_LEVELS / (2 max |grad|).  None when the current piece
+    comes closest, the move leaves psi or lowers F, or after one split."""
     if s.split:
         return None
     _evaluate(s, s.psi, s.kept)  # the minimum at psi, which the trials overwrote

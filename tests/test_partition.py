@@ -248,6 +248,7 @@ def check_random_ascent(seed, n_uavs, ascend, mixed=False):
     are the ones at the returned potentials."""
     grid, costs, start, shares, k = DUMP.random_ascent(seed, n_uavs, mixed)
     potentials = ascend_dual(grid, costs, start, shares, k, 1e-6 if ascend else np.inf, 1000)
+    assert potentials.step_trace[0] == 0.0
     psi = potentials.psi
     expected = assign_by_min_cost(grid, costs - psi[:, None])
     assert np.array_equal(potentials.partition.assignment, expected.assignment)
@@ -290,6 +291,14 @@ def test_ascent_ends_a_zigzag_across_a_kink(seed, n_uavs):
     # and run out of iterations; the least-norm step along the kink ends them
     potentials = check_random_ascent(seed, n_uavs, ascend=True)
     assert len(potentials.f_trace) <= 300
+
+
+def test_tie_split_after_a_failed_newton_search_keeps_the_first_row_step():
+    # seed 128, 2 UAVs, mixed: the Newton search fails at the start after 3
+    # trials and the tie split replaces the first iterate, whose trace row
+    # keeps its own step, 0.0, not the failed search's last damping 0.125
+    potentials = check_random_ascent(128, 2, ascend=True, mixed=True)
+    assert potentials.step_trace.tolist() == [0.0]
 
 
 def claimed_state(grid, costs, psi, shares, curvature):
@@ -338,8 +347,10 @@ def test_newton_rule_returns_none_when_no_band_fits_its_move():
     costs = np.random.default_rng(0).normal(size=(2, 16))
     state = claimed_state(grid, costs, np.zeros(2), np.full(2, 0.5), np.full(2, 1e-20))
     assert np.all(state.grad != 0)
+    taken = state.taken
     assert _newton_rule(state) is None
-    assert state.failed and state.evals == 1 and state.taken == 1.0
+    # a failed search leaves taken, the step that reached psi, alone
+    assert state.failed and state.evals == 1 and state.taken == taken
     assert _newton_rule(state) is None
     assert not state.failed and state.evals == 1
 
