@@ -144,4 +144,5 @@ def truncated_gaussian(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
     col, row = hot_spot_exponents(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y)
     with np.errstate(over="ignore"):
         kern = np.exp(col - row[:, None]).ravel()  # the (ny, nx) grid in cell order
-    return AreaGrid(width, height, nx, ny, kern / (kern.sum() * ((width / nx) * (height / ny))))
+    cell_area = (width / nx) * (height / ny)
+    return AreaGrid(width, height, nx, ny, kern / (kern.sum() * cell_area))
