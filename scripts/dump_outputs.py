@@ -1,18 +1,18 @@
 """Write every output file of a fixed set of runs, for byte-for-byte diffs.
 
 The set is every scene of the three perfbench workloads at workload seeds 0
-and 1, every experiment config in scripts/ at 60 x 60 with 3 user seeds, and
-one scenario-2 sweep of the default scene at 40 x 40 over large control
-weights, three scenes whose ascent ends at a kink, one fairness sweep
-whose experiment id needs CSV quoting and one sigma sweep whose second hot
-spot underflows on the grid, all with partition maps and ascent traces on.
-The last exits 2 before its output directory exists, so it shows in
-exit_codes.txt only.  ascents.txt adds the kernel's own iterates: one line per random
-ascent of seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed both ways,
-mass_tol 1e-6 and max_iter 1000) giving the seed, the UAV count, mixed, the
-iteration and evaluation counts, the last mismatch and a sha256 over psi,
-the three traces, the assignment and the gap.  Dump the old and the new
-checkout and compare the trees:
+and 1, every experiment config in scripts/ at 60 x 60 with 3 user seeds,
+and one scenario-2 sweep of the default scene at 40 x 40 over large control
+weights, three scenes whose ascent ends at a kink, one fairness sweep whose
+experiment id needs CSV quoting and one sigma sweep whose second hot spot
+underflows on the grid, all with partition maps and ascent traces on.  The
+last exits 2 before its output directory exists, so it shows in
+exit_codes.txt only.  ascents.txt adds the kernel's own iterates: one line
+per random ascent of seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed
+both ways, mass_tol 1e-6 and max_iter 1000) giving the seed, the UAV count,
+mixed, the iteration and evaluation counts, the last mismatch and a sha256
+over psi, the three traces, the assignment and the gap.  Dump the old and
+the new checkout and compare the trees:
 
     python3 scripts/dump_outputs.py /tmp/before --root path/to/old/checkout
     python3 scripts/dump_outputs.py /tmp/after

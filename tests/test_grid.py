@@ -199,9 +199,9 @@ def test_gaussian_far_mean_underflows_quietly():
 def hot_spots(draw):
     """A hot spot on a small grid: its mean near the area; or one offset
     about 38.6 sigma beyond the last cell center, where the kernel's peak
-    crosses the underflow threshold, and the other on a center; or
-    an offset so large that its square, its exponent or the difference of
-    the two exponents overflows."""
+    crosses the underflow threshold, and the other on a center; or an
+    offset so large that its square, its exponent or the difference of the
+    two exponents overflows."""
     width, height = draw(st.floats(1.0, 1e4)), draw(st.floats(1.0, 1e4))
     nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     sigma_x, sigma_y = (draw(st.one_of(st.floats(1e-3, 1e4), st.just(math.sqrt(0.5))))
@@ -229,7 +229,7 @@ def hot_spots(draw):
 @given(hot_spots())
 def test_hot_spot_underflow_is_the_full_kernel_sum(spot):
     # exp(max(col) - min(row)) decides as the (ny, nx) kernel's sum does,
-    # overflowing offsets included, and the grid is the per-cell reference's
+    # overflowing offsets included, and truncated_gaussian raises with it
     underflows = not gaussian_kernel_reference(*spot).sum() > 0
     if underflows:
         with pytest.raises(ValueError, match="underflows to zero on every cell"):
