@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields, replace
-
-import numpy as np
 
 from .channel import ChannelParams, UavNode, _per_uav, db_to_linear, dbm_to_watts
 from .errors import ConfigError
@@ -90,12 +89,9 @@ def _parse_value(name, raw):
         if kind == "float":
             return float(raw)
         if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
+            if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+                raise ValueError(f"not a boolean: {raw!r}")
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind == "tuple":
             return tuple(float(tok) for tok in raw.replace(",", " ").split())
         return raw
@@ -138,42 +134,53 @@ def format_value(value):
 
 
 def validate_config(cfg):
-    """Check a config at every sweep point and return the points, in order.
+    """Check a config and each of its sweep points, and return the points.
 
     A point is (tag, printed value, config): ("base", "", cfg) when nothing
     is swept, else (f"{sweep_var}_{printed}", printed, apply_sweep(cfg, v))
-    for each sweep value v, printed once by format_value.  The config itself
-    is checked first, then each point as it is made.  Raises ConfigError on
-    the first out-of-range setting and on sweep values that print the same,
-    which would share their outputs."""
-    _check_fields(cfg)
+    for each sweep value v, printed once by format_value.  First every float
+    field must hold one finite real number, since manifest.ini writes the
+    config itself, and so must each sweep value; then sweep_var must be
+    known, the values non-empty and distinct as printed, since points that
+    print the same would share their outputs.  Then _check_fields runs once
+    on each point: on the config only when nothing is swept, so the value a
+    sweep replaces is read by no run and held to no range.  Raises
+    ConfigError on the first rule broken."""
+    for name in _FLOAT_FIELDS:
+        if not _finite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be one finite number")
+    if not all(_finite(v) for v in cfg.sweep_values):
+        raise ConfigError("sweep_values must be finite")
+    if cfg.sweep_var not in SWEEP_VARS:
+        raise ConfigError(f"sweep_var must be one of {SWEEP_VARS}")
     if cfg.sweep_var == "none":
-        return [("base", "", cfg)]
+        return [("base", "", _check_fields(cfg))]
     if len(cfg.sweep_values) == 0:
         raise ConfigError("sweep_var set but sweep_values empty")
     printed = [format_value(float(v)) for v in cfg.sweep_values]
-    points = [(f"{cfg.sweep_var}_{p}", p, _check_fields(apply_sweep(cfg, v)))
-              for p, v in zip(printed, cfg.sweep_values)]
     if len(set(printed)) < len(printed):
         raise ConfigError(f"sweep_values print the same to 9 digits: {' '.join(printed)}")
-    return points
+    return [(f"{cfg.sweep_var}_{p}", p, _check_fields(apply_sweep(cfg, v)))
+            for p, v in zip(printed, cfg.sweep_values)]
 
 
-_FINITE_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type in ("float", "tuple"))
+_FLOAT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "float")
+
+
+def _finite(value):
+    """One real number, finite: what config_to_ini writes and reads back."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def _check_fields(cfg):
-    """Check one concrete config against every rule of a run and return it.
+    """Check one sweep point, whose float fields validate_config has found
+    finite, against every range rule of a run and return it.
 
     Its own ranges come first; then the grid's sigma rule (check_sigma), and
     for a Gaussian density the hot spot's (hot_spot_exponents, which finds a
     density that underflows on the grid with no (ny, nx) array); then the
     rules UavNode, ChannelParams, place_uavs_grid and _per_uav own, by
     building its fleet and channel."""
-    for name in _FINITE_FIELDS:
-        value = getattr(cfg, name)  # a float, the sweep tuple or a per-UAV array
-        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
-            raise ConfigError(f"{name} must be finite")
     grid_ok = cfg.nx >= 1 and cfg.ny >= 1
     # a cell's density can reach 1 / cell area, so that must be finite
     cell_area = (cfg.width / cfg.nx) * (cfg.height / cfg.ny) if grid_ok else math.nan
@@ -197,7 +204,6 @@ def _check_fields(cfg):
         (cfg.load_bits >= 0, "load must be non-negative"),
         (cfg.mass_tol > 0, "mass tolerance must be positive"),
         (cfg.max_ascent_iter >= 1, "iteration budget must be positive"),
-        (cfg.sweep_var in SWEEP_VARS, f"sweep_var must be one of {SWEEP_VARS}"),
         (cfg.n_seeds >= 1, "need at least one seed"),
     ]
     for ok, message in checks:
@@ -219,14 +225,11 @@ def _check_fields(cfg):
 
 
 def apply_sweep(cfg, value):
-    """Copy of cfg with the sweep variable's fields set to one concrete value.
+    """Copy of cfg with the fields of its sweep variable, one validate_config
+    has found known and not "none", set to one concrete value.
 
-    Raises ConfigError for an unknown sweep variable or a fractional n_uavs;
-    validate_config checks the swept config itself."""
-    if cfg.sweep_var == "none":
-        return cfg
-    if cfg.sweep_var not in _SWEEP_FIELDS:
-        raise ConfigError(f"unknown sweep variable: {cfg.sweep_var}")
+    Raises ConfigError for a fractional n_uavs; validate_config checks the
+    swept config itself."""
     if cfg.sweep_var == "n_uavs":
         if not float(value).is_integer():
             raise ConfigError(f"n_uavs sweep values must be whole numbers, got {value:g}")

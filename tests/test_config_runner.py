@@ -1,7 +1,7 @@
 """Config parsing, fleet placement, the experiment runner and the CLI."""
 
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavpart.channel import compute_radio_field
+import uavpart.config as config_module
 from uavpart.cli import main
 from uavpart.config import (
     ExperimentConfig,
@@ -54,6 +55,7 @@ def fast_text(**overrides):
 FAST_KEYS = fast_text()
 # ids that configparser's default interpolation would reject or rewrite
 PERCENT_IDS = ("run 50% load", "%(nx)s")
+FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
 
 
 def write_cfg(tmp_path, text, name="exp.ini"):
@@ -153,8 +155,6 @@ def test_apply_sweep_each_variable():
     assert apply_sweep(cfg, 0.1).alpha == 0.1
     cfg = replace(cfg, sweep_var="n_uavs")
     assert apply_sweep(cfg, 8.0).n_uavs == 8
-    base = ExperimentConfig()
-    assert apply_sweep(base, 123.0) is base
 
 
 def test_validate_catches_bad_combinations():
@@ -647,15 +647,102 @@ def test_validate_config_returns_the_named_points():
 
 
 def test_finite_rule_reads_floats_tuples_and_per_uav_arrays():
+    # a float field holds one finite number, the one manifest.ini writes: a
+    # per-UAV array or list is the solvers' input, not a config's, and the
+    # config itself is written, so a swept field's base value is held to it
     base = replace(ExperimentConfig(), nx=20, ny=20)
-    validate_config(replace(base, alpha=np.full(5, 0.01), max_hover=[1800.0] * 5))
-    for field, value in [("alpha", np.array([0.01, 0.01, np.nan, 0.01, 0.01])),
-                         ("max_hover", [1800.0, np.inf, 1800.0, 1800.0, 1800.0]),
-                         ("sweep_values", (0.5, -np.inf)),
-                         ("beta", np.float64("nan")),
-                         ("mu_y", float("-inf"))]:
-        with pytest.raises(ConfigError, match=f"^{field} must be finite$"):
-            validate_config(replace(base, **{field: value}))
+    swept = replace(base, sweep_var="alpha", sweep_values=(0.01, 0.02))
+    for cfg, field, value in [(base, "alpha", np.full(5, 0.01)),
+                              (base, "max_hover", [1800.0] * 5),
+                              (swept, "alpha", np.full(5, 0.01)),
+                              (base, "alpha", np.array([0.01, 0.01, np.nan, 0.01, 0.01])),
+                              (base, "max_hover", [1800.0, np.inf, 1800.0, 1800.0, 1800.0]),
+                              (base, "beta", np.float64("nan")),
+                              (swept, "alpha", float("nan")),
+                              (base, "mu_y", float("-inf")),
+                              (base, "mu_x", "250")]:
+        with pytest.raises(ConfigError, match=f"^{field} must be one finite number$"):
+            validate_config(replace(cfg, **{field: value}))
+    with pytest.raises(ConfigError, match="^sweep_values must be finite$"):
+        validate_config(replace(base, sweep_values=(0.5, -np.inf)))
+    # a NumPy float and an int are one number each
+    validate_config(replace(base, beta=np.float64(0.5), mu_x=250))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"alpha": np.full(5, 0.01)}, {"max_hover": [1800.0] * 5},
+     {"alpha": np.full(5, 0.01), "sweep_var": "alpha", "sweep_values": (0.01, 0.02)}],
+    ids=["alpha", "max_hover", "swept_alpha"],
+)
+@pytest.mark.filterwarnings("error")
+def test_per_uav_config_value_writes_nothing(tmp_path, capsys, overrides):
+    # config_to_ini could not write these: the run raised TypeError after
+    # metrics.csv, leaving an empty manifest.ini
+    cfg = replace(ExperimentConfig(), nx=40, ny=40, n_seeds=1, scenario="2", **overrides)
+    out = tmp_path / "out"
+    field = next(iter(overrides))
+    assert run_experiment(cfg, str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {field} must be one finite number\n"
+    assert not out.exists()
+
+
+def test_each_sweep_point_is_checked_once(monkeypatch):
+    checked = []
+    check = config_module._check_fields
+    monkeypatch.setattr(config_module, "_check_fields", lambda cfg: checked.append(cfg) or check(cfg))
+    base = replace(ExperimentConfig(), nx=20, ny=20)
+    validate_config(base)
+    assert checked == [base]
+    checked.clear()
+    cfg = replace(base, sweep_var="sigma", sweep_values=(100.0, 200.0, 300.0))
+    assert checked == [] and [point for _, _, point in validate_config(cfg)] == checked
+    assert len(checked) == 3
+
+
+def test_swept_field_base_value_is_held_to_no_range(tmp_path):
+    # no run reads the value a sweep replaces; the manifest writes it back
+    cfg = replace(ExperimentConfig(), nx=20, ny=20, beta=1.5, sweep_var="beta",
+                  sweep_values=(0.0, 0.5))
+    assert [point.beta for _, _, point in validate_config(cfg)] == [0.0, 0.5]
+    assert load_config(write_cfg(tmp_path, config_to_ini(cfg))) == cfg
+    with pytest.raises(ConfigError, match="beta"):
+        validate_config(replace(cfg, sweep_var="none"))
+    validate_config(replace(cfg, beta=0.5, sweep_var="sigma", sigma_x=-5.0, sweep_values=(100.0,)))
+
+
+@st.composite
+def configs(draw):
+    """A config on a small grid with up to three of its float fields set to
+    any finite float or one in [0, 1], and its other fields drawn from their
+    ranges or just outside them; validate_config rejects some."""
+    floats = {name: draw(st.one_of(st.floats(0.0, 1.0),
+                                   st.floats(allow_nan=False, allow_infinity=False)))
+              for name in draw(st.sets(st.sampled_from(FLOAT_FIELDS), max_size=3))}
+    sweep_var = draw(st.sampled_from(["none", "beta", "sigma", "alpha", "n_uavs"]))
+    sweep_values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1 / 3, 400.0]),
+                                 min_size=sweep_var != "none", max_size=3, unique=True))
+    return replace(
+        ExperimentConfig(), **floats, nx=draw(st.integers(1, 8)), ny=draw(st.integers(1, 8)),
+        experiment_id=draw(st.sampled_from(("experiment", *PERCENT_IDS, 'fair,"quoted" id'))),
+        density_kind=draw(st.sampled_from(["uniform", "gaussian"])),
+        n_uavs=draw(st.integers(1, 6)), n_users=draw(st.integers(0, 10**6)),
+        max_ascent_iter=draw(st.integers(1, 10**6)), n_seeds=draw(st.integers(1, 60)),
+        scenario=draw(st.sampled_from(["1", "2", "both"])),
+        sweep_var=sweep_var, sweep_values=tuple(sweep_values),
+        write_partitions=draw(st.booleans()), trace=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_every_accepted_config_is_what_its_manifest_reads_back(tmp_path_factory, cfg):
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        return
+    path = write_cfg(tmp_path_factory.mktemp("manifest"), config_to_ini(cfg))
+    assert load_config(path) == cfg
 
 
 def test_uniform_density_is_held_to_the_sigma_rule_only():
