@@ -9,6 +9,7 @@ the midpoint rule.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +46,7 @@ class AreaGrid:
             raise ValueError("density must be finite and non-negative")
         total = f.sum() * self.cell_area
         if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"density integrates to {total!r}, not 1")
+            raise ValueError(f"density integrates to {float(total)!r}, not 1")
         f.setflags(write=False)
         object.__setattr__(self, "density", f)
 
@@ -118,17 +119,21 @@ def hot_spot_exponents(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
     (y - mu_y)^2 / 2 sigma_y^2, length ny, so the kernel is exp(col - row) on
     the (ny, nx) grid.  A squared offset that overflows gives -inf or inf.
 
-    Raises ValueError when check_sigma does and when the kernel is zero on
-    every cell.  Since subtraction and exp are monotone, its largest entry is
-    exp(max(col) - min(row)), so that test is kern.sum() > 0 (a NaN offset
-    fails both) in O(nx + ny) work, with no (ny, nx) array.
+    Raises ValueError when check_sigma does and when the kernel's peak times
+    min(cell area, 1) is not a normal float.  Passing that, the kernel sum S
+    and S * cell area, by which truncated_gaussian divides, are normal
+    floats, so the density integrates to 1; a subnormal S * cell area
+    carries fewer than 53 bits and fails AreaGrid's check.  Since
+    subtraction and exp are monotone, the peak is exp(max(col) - min(row)),
+    found in O(nx + ny) work with no (ny, nx) array.
     """
     check_sigma(sigma_x, sigma_y)
     with np.errstate(over="ignore"):
         col = -((_centers(nx, width) - mu_x) ** 2) / (2.0 * sigma_x**2)
         row = ((_centers(ny, height) - mu_y) ** 2) / (2.0 * sigma_y**2)
-        if not np.exp(col.max() - row.min()) > 0:
-            raise ValueError("hot spot density underflows to zero on every cell")
+        peak = np.exp(col.max() - row.min())
+    if not peak * min((width / nx) * (height / ny), 1.0) >= sys.float_info.min:
+        raise ValueError("hot spot density underflows on the grid")
     return col, row
 
 

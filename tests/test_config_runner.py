@@ -421,12 +421,14 @@ def test_cli_bad_config_returns_config_exit(tmp_path):
         {"scenario": 2, "noise_dbm_per_hz": 4000},
         {"scenario": 2, "sinr_threshold_db": 4000},
         {"width": 1e-200, "height": 1e-200},
+        # a subnormal peak, whose density would not integrate to 1
+        {"scenario": 1, "sigma_x": 100, "sigma_y": 100, "mu_x": 4816, "mu_y": 500},
     ],
     ids=["n_uavs", "beta", "bandwidth", "b1", "mu_los_db", "altitude_overflow",
          "carrier_overflow", "carrier_underflow", "width_overflow", "height_overflow",
          "sigma_overflow", "sigma_underflow", "density_underflow", "mean_overflow",
          "mu_los_db_overflow", "noise_overflow", "sinr_threshold_overflow",
-         "cell_area_underflow"],
+         "cell_area_underflow", "density_subnormal"],
 )
 @pytest.mark.filterwarnings("error")
 def test_cli_bad_scene_returns_config_exit(tmp_path, capsys, overrides):
@@ -626,7 +628,7 @@ def test_cli_second_point_underflow_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == "config error: hot spot density underflows to zero on every cell\n"
+    assert err == "config error: hot spot density underflows on the grid\n"
     assert not out.exists()
 
 
@@ -752,7 +754,7 @@ def test_uniform_density_is_held_to_the_sigma_rule_only():
     validate_config(replace(base, mu_x=1e200))
     with pytest.raises(ConfigError, match="sigma must be positive"):
         validate_config(replace(base, sigma_y=1e-200))
-    with pytest.raises(ConfigError, match="underflows to zero on every cell"):
+    with pytest.raises(ConfigError, match="underflows on the grid"):
         validate_config(replace(base, density_kind="gaussian", mu_x=1e200))
 
 

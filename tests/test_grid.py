@@ -1,6 +1,7 @@
 """Grid construction, quadrature and density invariants."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -197,21 +198,21 @@ def test_gaussian_far_mean_underflows_quietly():
 
 @st.composite
 def hot_spots(draw):
-    """A hot spot on a small grid: its mean near the area; or one offset
-    about 38.6 sigma beyond the last cell center, where the kernel's peak
-    crosses the underflow threshold, and the other on a center; or an
-    offset so large that its square, its exponent or the difference of the
-    two exponents overflows."""
-    width, height = draw(st.floats(1.0, 1e4)), draw(st.floats(1.0, 1e4))
-    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    sigma_x, sigma_y = (draw(st.one_of(st.floats(1e-3, 1e4), st.just(math.sqrt(0.5))))
+    """A hot spot on a grid of 1 to 79 cells a side, sides of 0.1 m to
+    100 km: its mean near the area; or one offset beyond the last cell center
+    so far that the peak exponent is in [-760, -700], or within 1e-6 of the
+    rule's threshold log(2**-1022 / min(cell area, 1)), and the other on a
+    center; or an offset so large that its square, its exponent or the
+    difference of the two exponents overflows."""
+    width, height = draw(st.floats(0.1, 1e5)), draw(st.floats(0.1, 1e5))
+    nx, ny = draw(st.integers(1, 79)), draw(st.integers(1, 79))
+    sigma_x, sigma_y = (draw(st.one_of(st.floats(1e-2, 1e3), st.just(math.sqrt(0.5))))
                         for _ in range(2))
     mu_x, mu_y = (draw(st.floats(-2.0 * length, 3.0 * length)) for length in (width, height))
     kind = draw(st.sampled_from(["near", "threshold", "far"]))
     if kind == "threshold":
-        # log(2**-1075) = -745.1332...: a peak exponent just above it gives
-        # the least subnormal, one at or below it gives zero
-        peak = draw(st.one_of(st.floats(-760.0, -730.0), st.floats(-745.2, -745.0)))
+        edge = math.log(sys.float_info.min / min((width / nx) * (height / ny), 1.0))
+        peak = draw(st.one_of(st.floats(-760.0, -700.0), st.floats(edge - 1e-6, edge + 1e-6)))
         mu_x = (nx - 0.5) * (width / nx) + math.sqrt(-2.0 * peak) * sigma_x
         mu_y = (draw(st.integers(0, ny - 1)) + 0.5) * (height / ny)
     elif kind == "far":
@@ -227,18 +228,25 @@ def hot_spots(draw):
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=400, deadline=None)
 @given(hot_spots())
-def test_hot_spot_underflow_is_the_full_kernel_sum(spot):
-    # exp(max(col) - min(row)) decides as the (ny, nx) kernel's sum does,
-    # overflowing offsets included, and truncated_gaussian raises with it
-    underflows = not gaussian_kernel_reference(*spot).sum() > 0
-    if underflows:
-        with pytest.raises(ValueError, match="underflows to zero on every cell"):
-            hot_spot_exponents(*spot)
-        with pytest.raises(ValueError, match="underflows to zero on every cell"):
-            truncated_gaussian(*spot)
-    else:
+def test_hot_spot_is_accepted_when_its_peak_times_the_cell_area_is_normal(spot):
+    # the full (ny, nx) kernel's largest entry times min(cell area, 1) must
+    # be a normal float, overflowing offsets included; then the kernel sum S
+    # and S * cell area are normal too and the grid builds, bit for bit the
+    # per-cell reference
+    width, height, nx, ny = spot[:4]
+    cell_area = (width / nx) * (height / ny)
+    kern = gaussian_kernel_reference(*spot)
+    if kern.max() * min(cell_area, 1.0) >= sys.float_info.min:
         col, row = hot_spot_exponents(*spot)
-        assert col.shape == (spot[2],) and row.shape == (spot[3],)
+        assert col.shape == (nx,) and row.shape == (ny,)
+        assert min(kern.sum(), kern.sum() * cell_area) >= sys.float_info.min
+        grid = truncated_gaussian(*spot)
+        assert np.array_equal(grid.density, truncated_gaussian_reference(*spot))
+    else:
+        with pytest.raises(ValueError, match="^hot spot density underflows on the grid$"):
+            hot_spot_exponents(*spot)
+        with pytest.raises(ValueError, match="^hot spot density underflows on the grid$"):
+            truncated_gaussian(*spot)
 
 
 def test_density_is_readonly():
