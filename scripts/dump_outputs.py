@@ -4,15 +4,16 @@ The set is every scene of the three perfbench workloads at workload seeds 0
 and 1, every experiment config in scripts/ at 60 x 60 with 3 user seeds,
 and one scenario-2 sweep of the default scene at 40 x 40 over large control
 weights, three scenes whose ascent ends at a kink, one fairness sweep whose
-experiment id needs CSV quoting and one sigma sweep whose second hot spot
-underflows on the grid, all with partition maps and ascent traces on.  The
-last exits 2 before its output directory exists, so it shows in
-exit_codes.txt only.  ascents.txt adds the kernel's own iterates: one line
-per random ascent of seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed
-both ways, mass_tol 1e-6 and max_iter 1000) giving the seed, the UAV count,
-mixed, the iteration and evaluation counts, the last mismatch and a sha256
-over psi, the three traces, the assignment and the gap.  Dump the old and
-the new checkout and compare the trees:
+experiment id needs CSV quoting, one sigma sweep whose second hot spot
+underflows on the grid and one hot spot whose peak is subnormal on the grid,
+79 runs, all with partition maps and ascent traces on.  The last two exit 2
+before their output directories exist, so they show in exit_codes.txt only.
+ascents.txt adds the kernel's own iterates: one line per random ascent of
+seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed both ways, mass_tol
+1e-6 and max_iter 1000) giving the seed, the UAV count, mixed, the iteration
+and evaluation counts, the last mismatch and a sha256 over psi, the three
+traces, the assignment and the gap.  Dump the old and the new checkout and
+compare the trees:
 
     python3 scripts/dump_outputs.py /tmp/before --root path/to/old/checkout
     python3 scripts/dump_outputs.py /tmp/after
@@ -134,6 +135,10 @@ def main(argv=None):
     runs.append(("second_point_underflow", ExperimentConfig(
         experiment_id="second_point_underflow", scenario="1", nx=20, ny=20, n_seeds=1,
         mu_x=20000.0, sweep_var="sigma", sweep_values=(100000.0, 100.0))))
+    # a subnormal kernel peak, whose density would not integrate to 1
+    runs.append(("subnormal_hot_spot", ExperimentConfig(
+        experiment_id="subnormal_hot_spot", scenario="1", nx=30, ny=30, n_seeds=1,
+        mu_x=4816.0, mu_y=500.0, sigma_x=100.0, sigma_y=100.0)))
     codes = []
     for rel, cfg in runs:
         cfg = replace(cfg, write_partitions=True, trace=True)
