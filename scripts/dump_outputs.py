@@ -126,10 +126,10 @@ def main(argv=None):
             experiment_id="kink_s1_exit4", scenario="1", nx=100, ny=100, n_seeds=1,
             mu_x=166.6667, mu_y=250.0, sigma_x=60.0, sigma_y=60.0, alpha=0.3)),
     ]
-    # the id holds a comma, a double quote and a leading space, so every
-    # metrics.csv row of the batched seeds must quote it as csv.writer does
+    # the id holds a comma and a double quote, so every metrics.csv row of
+    # the batched seeds must quote it as csv.writer does
     fair = load_config(os.path.join(scripts, "fairness_vs_concentration.ini"))
-    runs.append(("quoted_id", replace(fair, experiment_id=' fair,"quoted" id', nx=CONFIG_GRID,
+    runs.append(("quoted_id", replace(fair, experiment_id='fair,"quoted" id', nx=CONFIG_GRID,
                                       ny=CONFIG_GRID, n_seeds=QUOTED_SEEDS)))
     # the second point underflows; no map of the first may be written
     runs.append(("second_point_underflow", ExperimentConfig(

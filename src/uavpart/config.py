@@ -138,17 +138,23 @@ def validate_config(cfg):
 
     A point is (tag, printed value, config): ("base", "", cfg) when nothing
     is swept, else (f"{sweep_var}_{printed}", printed, apply_sweep(cfg, v))
-    for each sweep value v, printed once by format_value.  First every float
-    field must hold one finite real number, since manifest.ini writes the
-    config itself, and so must each sweep value; then sweep_var must be
-    known, the values non-empty and distinct as printed, since points that
-    print the same would share their outputs.  Then _check_fields runs once
-    on each point: on the config only when nothing is swept, so the value a
-    sweep replaces is read by no run and held to no range.  Raises
-    ConfigError on the first rule broken."""
+    for each sweep value v, printed once by format_value.
+
+    First the config must be what manifest.ini writes back: every float
+    field one finite real number, and experiment_id and out_dir one line of
+    text (str.splitlines) with no surrounding whitespace.  Then the sweep's
+    own rules: its values finite, sweep_var known, the values non-empty and
+    distinct as printed, since points that print the same would share their
+    outputs.  Then _check_fields runs once on each point: on the config only
+    when nothing is swept, so the value a sweep replaces is read by no run
+    and held to no range.  Raises ConfigError on the first rule broken."""
     for name in _FLOAT_FIELDS:
         if not _finite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be one finite number")
+    for name in ("experiment_id", "out_dir"):  # configparser strips values and splits lines
+        text = getattr(cfg, name)
+        if not (isinstance(text, str) and text == text.strip() and len(text.splitlines()) < 2):
+            raise ConfigError(f"{name} must be one line with no surrounding whitespace")
     if not all(_finite(v) for v in cfg.sweep_values):
         raise ConfigError("sweep_values must be finite")
     if cfg.sweep_var not in SWEEP_VARS:
@@ -249,10 +255,7 @@ def config_to_ini(cfg, provenance=None):
             value = repr(float(value))
         lines.append(f"{f.name} = {value}")
     if provenance:
-        lines.append("")
-        lines.append("[provenance]")
-        for key, value in provenance.items():
-            lines.append(f"{key} = {value}")
+        lines += ["", "[provenance]", *(f"{key} = {value}" for key, value in provenance.items())]
     return "\n".join(lines) + "\n"
 
 

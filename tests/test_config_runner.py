@@ -579,7 +579,7 @@ def test_metrics_csv_is_the_per_seed_writer_output(tmp_path, scenario):
     # as text; the file must be what csv.writer writes row by row, with the
     # Jain indices of seeds scored one at a time (seed 2's voronoi is nan)
     cfg = replace(load_config(write_cfg(tmp_path, TIGHT_HOT_SPOT)),
-                  experiment_id=' tight,"hot" spot', scenario=scenario, n_seeds=3)
+                  experiment_id='tight,"hot" spot', scenario=scenario, n_seeds=3)
     out = tmp_path / "out"
     assert run_experiment(cfg, str(out)) == EXIT_OK
     grid = build_grid(cfg)
@@ -713,11 +713,30 @@ def test_swept_field_base_value_is_held_to_no_range(tmp_path):
     validate_config(replace(cfg, beta=0.5, sweep_var="sigma", sigma_x=-5.0, sweep_values=(100.0,)))
 
 
+@pytest.mark.parametrize("field", ["experiment_id", "out_dir"])
+@pytest.mark.parametrize("text", [" fair", "fair ", "\tfair", "fa\nir", "fa\rir", "fa\u2028ir", ""])
+def test_text_that_manifest_ini_cannot_write_back_is_rejected(tmp_path, capsys, field, text):
+    # configparser strips a value and splits it at line breaks, so a manifest
+    # would read these back changed, or not at all
+    cfg = replace(ExperimentConfig(), nx=20, ny=20, n_seeds=1, scenario="1", **{field: text})
+    out = tmp_path / "out"
+    if not text:  # the empty string reads back as written
+        assert load_config(write_cfg(tmp_path, config_to_ini(cfg))) == cfg
+        return
+    assert run_experiment(cfg, str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {field} must be one line with no surrounding whitespace\n"
+    assert not out.exists()
+    inner = replace(cfg, **{field: "fa ir\t,x"})
+    assert load_config(write_cfg(tmp_path, config_to_ini(inner))) == inner
+
+
 @st.composite
 def configs(draw):
     """A config on a small grid with up to three of its float fields set to
-    any finite float or one in [0, 1], and its other fields drawn from their
-    ranges or just outside them; validate_config rejects some."""
+    any finite float or one in [0, 1], any text as its id and output
+    directory, and its other fields drawn from their ranges or just outside
+    them; validate_config rejects some."""
     floats = {name: draw(st.one_of(st.floats(0.0, 1.0),
                                    st.floats(allow_nan=False, allow_infinity=False)))
               for name in draw(st.sets(st.sampled_from(FLOAT_FIELDS), max_size=3))}
@@ -726,7 +745,8 @@ def configs(draw):
                                  min_size=sweep_var != "none", max_size=3, unique=True))
     return replace(
         ExperimentConfig(), **floats, nx=draw(st.integers(1, 8)), ny=draw(st.integers(1, 8)),
-        experiment_id=draw(st.sampled_from(("experiment", *PERCENT_IDS, 'fair,"quoted" id'))),
+        experiment_id=draw(st.one_of(st.sampled_from(PERCENT_IDS), st.text())),
+        out_dir=draw(st.text()),
         density_kind=draw(st.sampled_from(["uniform", "gaussian"])),
         n_uavs=draw(st.integers(1, 6)), n_users=draw(st.integers(0, 10**6)),
         max_ascent_iter=draw(st.integers(1, 10**6)), n_seeds=draw(st.integers(1, 60)),
