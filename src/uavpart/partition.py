@@ -444,7 +444,7 @@ def _newton_move(s):
     moves = np.zeros((len(s.bands), len(s.grad)))
     try:
         moves[:, s.free] = np.linalg.solve(hessian, s.grad[s.free])
-    except np.linalg.LinAlgError:  # an infinite 1 / k makes J not finite
+    except np.linalg.LinAlgError:  # a singular J; the free mask keeps every 1 / k finite
         return None
     with np.errstate(divide="ignore"):  # a move of 0 fits no band
         misfit = np.abs(np.log(np.abs(moves).max(axis=1) / s.bands)) / np.log(BAND_REACH)

@@ -247,6 +247,8 @@ def test_params_validation():
         UavNode(x=0.0, y=0.0, altitude=0.0)
     with pytest.raises(ValueError):
         UavNode(x=0.0, y=0.0, altitude=100.0, bandwidth=0.0)
+    with pytest.raises(ValueError, match="^transmit power must be non-negative$"):
+        UavNode(x=0.0, y=0.0, altitude=100.0, power=-0.5)
     # the path loss needs (4 pi f / c)^2 to neither overflow nor underflow
     for carrier_hz in (1e200, 1e-200, -1.0):
         with pytest.raises(ValueError):

@@ -767,6 +767,19 @@ def test_every_accepted_config_is_what_its_manifest_reads_back(tmp_path_factory,
     assert load_config(path) == cfg
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"sigma_x": -5.0}, "^sigma must be positive"),
+     ({"mu_x": 1e200}, "^hot spot density underflows on the grid$"),
+     ({"density_kind": "uniform", "nx": 0}, "^grid must have at least one cell per axis$")],
+    ids=["sigma", "underflow", "empty_grid"],
+)
+def test_build_grid_raises_config_error_on_an_unvalidated_config(overrides, message):
+    # build_grid turns the grid's ValueError into a ConfigError, exit 2
+    with pytest.raises(ConfigError, match=message):
+        build_grid(replace(ExperimentConfig(), **{"nx": 4, "ny": 4, **overrides}))
+
+
 def test_uniform_density_is_held_to_the_sigma_rule_only():
     # a uniform density reads neither the mean nor sigma: a mean whose hot
     # spot would underflow is accepted, a sigma out of range is not

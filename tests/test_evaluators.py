@@ -125,6 +125,17 @@ def test_every_alpha_taker_rejects_a_bad_entry(bad):
             call()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hover_reports_reject_a_partition_of_another_grid(seed):
+    grid, radio, _, part, alpha, _ = random_instance(seed)
+    scene = (radio, 1e7, alpha, 300)
+    for assignment in (part.assignment[:-1], np.append(part.assignment, INFEASIBLE)):
+        other = Partition(assignment, part.masses)
+        for evaluate in (region_hover_report, hover_time_equal_split):
+            with pytest.raises(ValueError, match="^partition must cover every grid cell$"):
+                evaluate(grid, other, *scene)
+
+
 @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
 def test_scenario1_rejects_a_bad_budget(bad):
     cfg = ExperimentConfig(nx=40, ny=40)

@@ -177,10 +177,14 @@ def test_rejects_bad_density():
         AreaGrid(1000.0, 1000.0, 2, 2, np.array([1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         AreaGrid(1000.0, 1000.0, 2, 2, np.array([1e-6, 1e-6, 1e-6, -1e-6]))
-    with pytest.raises(ValueError):  # integrates to 2, not 1
+    with pytest.raises(ValueError) as info:  # integrates to 2, printed as a plain float
         AreaGrid(1000.0, 1000.0, 2, 2, np.full(4, 2e-6))
+    assert str(info.value) == f"density integrates to {8e-6 * 250000.0!r}, not 1"
     with pytest.raises(ValueError):
         AreaGrid(-1.0, 1000.0, 2, 2, np.full(4, 1e-6))
+    for nx, ny in ((0, 2), (2, 0), (-1, -1)):
+        with pytest.raises(ValueError, match="^grid must have at least one cell per axis$"):
+            AreaGrid(1000.0, 1000.0, nx, ny, np.zeros(0))
     with pytest.raises(ValueError):
         truncated_gaussian(1000.0, 1000.0, 4, 4, 0.0, 0.0, -5.0, 100.0)
     # the kernel needs sigma^2 to neither overflow nor underflow

@@ -552,6 +552,17 @@ def test_partition_validation():
         Partition(np.array([0, 3]), np.array([0.5, 0.5]))  # index 3 out of range
     with pytest.raises(ValueError):
         Partition(np.array([0, 1]), np.array([-0.1, 1.1]))
+    with pytest.raises(ValueError, match="^assignment and masses must be 1-D$"):
+        Partition(np.zeros((2, 2), dtype=int), np.array([1.0]))
+    with pytest.raises(ValueError, match="^assignment and masses must be 1-D$"):
+        Partition(np.array([0, 0]), np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("shape", [(5, GRID.n_cells - 1), (5, GRID.n_cells + 1), (GRID.n_cells,),
+                                   (1, 5, GRID.n_cells)])
+def test_costs_of_the_wrong_shape_rejected(shape):
+    with pytest.raises(ValueError, match=r"^costs must be \(n_uavs, n_cells\)$"):
+        assign_by_min_cost(GRID, np.zeros(shape))
 
 
 def test_voronoi_symmetric_pair():
