@@ -141,19 +141,21 @@ def validate_config(cfg):
     for each sweep value v, printed once by format_value.
 
     First the config must be what manifest.ini writes back: every float
-    field one finite real number, and experiment_id and out_dir one line of
-    text (str.splitlines) with no surrounding whitespace.  Then the sweep's
-    own rules: its values finite, sweep_var known, the values non-empty and
-    distinct as printed, since points that print the same would share their
-    outputs.  Then _check_fields runs once on each point: on the config only
-    when nothing is swept, so the value a sweep replaces is read by no run
-    and held to no range.  Raises ConfigError on the first rule broken."""
-    for name in _FLOAT_FIELDS:
-        if not _finite(getattr(cfg, name)):
+    field one finite real number, and every text field, experiment_id and
+    out_dir among them, one line (str.splitlines) with no surrounding
+    whitespace.  Then the sweep's own rules: its values finite, sweep_var
+    known, the values non-empty and distinct as printed, since points that
+    print the same would share their outputs.  Then _check_fields runs once
+    on each point: on the config only when nothing is swept, so the value a
+    sweep replaces is read by no run and held to no range.  Raises
+    ConfigError on the first rule broken."""
+    for name, kind in _FIELDS.items():
+        value = getattr(cfg, name)
+        if kind == "float" and not _finite(value):
             raise ConfigError(f"{name} must be one finite number")
-    for name in ("experiment_id", "out_dir"):  # configparser strips values and splits lines
-        text = getattr(cfg, name)
-        if not (isinstance(text, str) and text == text.strip() and len(text.splitlines()) < 2):
+        # configparser strips a value and splits it at line breaks
+        if kind == "str" and not (isinstance(value, str) and value == value.strip()
+                                  and len(value.splitlines()) < 2):
             raise ConfigError(f"{name} must be one line with no surrounding whitespace")
     if not all(_finite(v) for v in cfg.sweep_values):
         raise ConfigError("sweep_values must be finite")
@@ -168,9 +170,6 @@ def validate_config(cfg):
         raise ConfigError(f"sweep_values print the same to 9 digits: {' '.join(printed)}")
     return [(f"{cfg.sweep_var}_{p}", p, _check_fields(apply_sweep(cfg, v)))
             for p, v in zip(printed, cfg.sweep_values)]
-
-
-_FLOAT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "float")
 
 
 def _finite(value):
