@@ -698,8 +698,8 @@ def test_each_sweep_point_is_checked_once(monkeypatch):
     assert checked == [base]
     checked.clear()
     cfg = replace(base, sweep_var="sigma", sweep_values=(100.0, 200.0, 300.0))
-    assert checked == [] and [point for _, _, point in validate_config(cfg)] == checked
-    assert len(checked) == 3
+    points = validate_config(cfg)
+    assert checked == [point for _, _, point in points] and len(checked) == 3
 
 
 def test_swept_field_base_value_is_held_to_no_range(tmp_path):
