@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from .config import load_config
+from .config import SCENARIOS, load_config
 from .errors import ConfigError
 from .runner import EXIT_CONFIG, run_experiment
 
@@ -20,6 +20,8 @@ def _parse_grid(text):
 
 
 def build_parser():
+    """The parser of uavpart run; each flag but --grid stores to the config
+    field it sets, and --grid to the pair (nx, ny)."""
     parser = argparse.ArgumentParser(
         prog="uavpart",
         description="Partition a UAV-served area and reproduce the experiment sweeps.",
@@ -27,13 +29,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an experiment from a config file")
     run.add_argument("config", help="path to a key = value config file")
-    run.add_argument("--out", help="output directory (default from the config)")
-    run.add_argument("--seeds", type=int, help="number of sampling seeds")
+    run.add_argument("--out", dest="out_dir", metavar="OUT",
+                     help="output directory (default from the config)")
+    run.add_argument("--seeds", dest="n_seeds", type=int, metavar="SEEDS",
+                     help="number of sampling seeds")
     run.add_argument("--grid", type=_parse_grid, metavar="NXxNY",
                      help="grid resolution override")
-    run.add_argument("--scenario", choices=["1", "2", "both"],
-                     help="which scenario to run")
-    run.add_argument("--trace", action="store_true",
+    run.add_argument("--scenario", choices=SCENARIOS, help="which scenario to run")
+    run.add_argument("--trace", action="store_const", const=True,
                      help="dump per-iteration solver traces")
     return parser
 
@@ -45,17 +48,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.seeds is not None:
-        overrides["n_seeds"] = args.seeds
     if args.grid is not None:
-        overrides["nx"], overrides["ny"] = args.grid
-    if args.scenario is not None:
-        overrides["scenario"] = args.scenario
-    if args.trace:
-        overrides["trace"] = True
+        args.nx, args.ny = args.grid
+    # a flag left out is None and keeps the config's value
+    flags = vars(args)
+    overrides = {f.name: flags[f.name] for f in fields(cfg) if flags.get(f.name) is not None}
     # run_experiment validates the overridden config before writing anything
     return run_experiment(replace(cfg, **overrides))
 

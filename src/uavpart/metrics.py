@@ -9,42 +9,35 @@ import numpy as np
 
 @dataclass(frozen=True)
 class UserSample:
-    """The grid cell of each sampled user and the seed or seeds used: 1-D
-    cells for one seed, one row of cells per seed for a sequence of seeds."""
+    """The grid cell of each sampled user, one row of cells per seed."""
 
     cells: np.ndarray
-    seed: int | tuple
 
     @property
     def n_users(self):
-        """Every user drawn: n_seeds * n_users for a sequence of seeds."""
+        """Every user drawn: n_seeds * n_users."""
         return self.cells.size
 
 
-def sample_users(grid, n_users, seed):
-    """Draw users' cells from the cell-mass distribution.
+def sample_users(grid, n_users, seeds):
+    """Draw n_users users' cells from the cell-mass distribution for each
+    of a sequence of seeds: cells of shape (len(seeds), n_users).
 
-    Inverse-CDF sampling over the flat cell masses; fully determined by the
-    seed.  The CDF ends at exactly 1 and draws lie in [0, 1), so every index
-    is a cell with positive mass.  A sequence of seeds gives one row per
-    seed, each the draws of that seed's own generator, so a row holds the
-    cells sample_users(grid, n_users, that seed) gives; all draws are then
+    Inverse-CDF sampling over the flat cell masses; each row is that seed's
+    own generator's draws.  The CDF ends at exactly 1 and draws lie in
+    [0, 1), so every index is a cell with positive mass.  All draws are
     located in one search, taken in sorted order so it walks the CDF once.
     """
     if n_users < 1:
         raise ValueError("need at least one user")
-    batch = np.ndim(seed) > 0
-    seeds = tuple(seed) if batch else (seed,)
     draws = np.empty((len(seeds), n_users))
-    for row, one in zip(draws, seeds):
-        np.random.default_rng(one).random(out=row)
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).random(out=row)
     flat = draws.reshape(-1)
     order = np.argsort(flat)
     cells = np.empty(flat.size, dtype=np.intp)
     cells[order] = np.searchsorted(grid.cell_cdf, flat[order], side="right")
-    if batch:
-        return UserSample(cells=cells.reshape(draws.shape), seed=seeds)
-    return UserSample(cells=cells, seed=seed)
+    return UserSample(cells=cells.reshape(draws.shape))
 
 
 def jain_index(values):

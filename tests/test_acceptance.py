@@ -301,12 +301,10 @@ def test_monotone_in_interference_and_control(
 def test_fairness_bounds_and_even_split(default_scene, s1_default):
     grid, _, _, _ = default_scene
     result, _ = s1_default
-    lo, hi = 1.0, 0.0
-    for seed in range(BASE.n_seeds):
-        sample = sample_users(grid, BASE.n_users, seed)
-        j = jain_index(service_per_user(result.service, sample))
-        lo, hi = min(lo, j), max(hi, j)
-        assert 1.0 / BASE.n_users - 1e-12 <= j <= 1.0 + 1e-12
+    sample = sample_users(grid, BASE.n_users, range(BASE.n_seeds))
+    j = jain_index(service_per_user(result.service, sample))
+    lo, hi = float(j.min()), float(j.max())
+    assert np.all((1.0 / BASE.n_users - 1e-12 <= j) & (j <= 1.0 + 1e-12))
     counts = BASE.n_users * result.partition.masses
     target = BASE.n_users / BASE.n_uavs
     spread = float(np.abs(counts - target).max())
@@ -335,11 +333,9 @@ def test_jain_ordering_over_concentration():
         base_service = service_field_for_partition(
             grid, baseline, radio, cfg.max_hover, BASE.alpha, cfg.n_users
         )
-        prop, vor = [], []
-        for seed in range(cfg.n_seeds):
-            sample = sample_users(grid, cfg.n_users, seed)
-            prop.append(jain_index(service_per_user(result.service, sample)))
-            vor.append(jain_index(service_per_user(base_service, sample)))
+        sample = sample_users(grid, cfg.n_users, range(cfg.n_seeds))
+        prop = jain_index(service_per_user(result.service, sample))
+        vor = jain_index(service_per_user(base_service, sample))
         prop_means.append(float(np.mean(prop)))
         vor_means.append(float(np.mean(vor)))
     ordered = all(p >= v for p, v in zip(prop_means, vor_means))

@@ -46,7 +46,7 @@ def test_hooks_accept_real_results(tracing):
     tracer = tracing.Tracer()
     tracer._radio(radio)
     tracer._scenario1(result)
-    tracer._users(sample_users(grid, TINY.n_users, seed=0))
+    tracer._users(sample_users(grid, TINY.n_users, [0]))
     assert tracer.counts["channel.radio_bytes"] > 0
     assert tracer.counts["scenario1.iterations"] == len(result.potentials.f_trace) - 1
     assert tracer.counts["metrics.users_sampled"] == TINY.n_users

@@ -113,17 +113,17 @@ def test_jain_errors():
 
 def test_sampling_deterministic():
     grid = truncated_gaussian(1000.0, 1000.0, 20, 20, 250.0, 330.0, 300.0, 300.0)
-    a = sample_users(grid, 500, seed=7)
-    b = sample_users(grid, 500, seed=7)
-    c = sample_users(grid, 500, seed=8)
+    a = sample_users(grid, 500, [7])
+    b = sample_users(grid, 500, [7])
+    c = sample_users(grid, 500, [8])
     assert np.array_equal(a.cells, b.cells)
     assert not np.array_equal(a.cells, c.cells)
-    assert a.seed == 7 and a.n_users == 500
+    assert np.array_equal(a.cells, [sample_cells_reference(grid, 500, 7)]) and a.n_users == 500
 
 
 def test_sampling_positions_inside_cells():
     grid = uniform_density(1200.0, 800.0, 6, 4)
-    s = sample_users(grid, 2000, seed=1)
+    s = sample_users(grid, 2000, [1])
     assert np.all((s.cells >= 0) & (s.cells < grid.n_cells))
 
 
@@ -144,7 +144,7 @@ def test_sampling_matches_inverse_cdf_oracle(grid, seed):
     cdf /= cdf[-1]
     draws = np.random.default_rng(seed).random(777)
     oracle = np.minimum(np.searchsorted(cdf, draws, side="right"), grid.n_cells - 1)
-    assert np.array_equal(sample_users(grid, 777, seed).cells, oracle)
+    assert np.array_equal(sample_users(grid, 777, [seed]).cells, [oracle])
 
 
 @pytest.mark.parametrize(
@@ -156,10 +156,9 @@ def test_batched_sampling_is_each_seed_drawn_alone(seeds, n_users):
     batch = sample_users(grid, n_users, seeds)
     assert batch.cells.shape == (len(seeds), n_users)
     assert batch.n_users == len(seeds) * n_users
-    assert batch.seed == tuple(seeds)
     for seed, cells in zip(seeds, batch.cells):
         assert np.array_equal(cells, sample_cells_reference(grid, n_users, seed))
-        assert np.array_equal(cells, sample_users(grid, n_users, seed).cells)
+        assert np.array_equal(cells, sample_users(grid, n_users, [seed]).cells[0])
 
 
 def test_batched_jain_matches_per_seed_loop():
@@ -183,7 +182,7 @@ def test_cell_cdf_read_only_and_ends_at_one():
 
 def test_sampling_follows_cell_masses():
     grid = two_cell_grid(mass0=0.25)
-    s = sample_users(grid, 10_000, seed=42)
+    s = sample_users(grid, 10_000, [42])
     n1 = int((s.cells == 1).sum())
     # binomial(10000, 0.75): 4 sigma is about 173
     assert abs(n1 - 7500) < 200
@@ -191,14 +190,14 @@ def test_sampling_follows_cell_masses():
 
 def test_sampling_skips_empty_cells():
     grid = two_cell_grid(mass0=0.0)
-    s = sample_users(grid, 1000, seed=0)
+    s = sample_users(grid, 1000, [0])
     assert np.all(s.cells == 1)
 
 
 def test_sampling_validation():
     grid = two_cell_grid()
     with pytest.raises(ValueError):
-        sample_users(grid, 0, seed=1)
+        sample_users(grid, 0, [1])
 
 
 # service accounting
@@ -210,9 +209,9 @@ def test_service_per_user_lookup():
         grid, np.array([0, 1, INFEASIBLE, 0]),
         np.array([[10.0, 20.0, 30.0, 40.0], [50.0, 60.0, 70.0, 80.0]]),
     )
-    sample = UserSample(cells=np.array([0, 1, 2, 3, 1]), seed=0)
+    sample = UserSample(cells=np.array([[0, 1, 2, 3, 1]]))
     got = service_per_user(service, sample)
-    assert np.array_equal(got, [10.0, 60.0, 0.0, 40.0, 60.0])
+    assert np.array_equal(got, [[10.0, 60.0, 0.0, 40.0, 60.0]])
 
 
 def test_total_service_hand_sum():
@@ -245,6 +244,6 @@ def test_jain_continuous_close_to_sampled():
     mean = float(per_cell @ grid.cell_mass)
     mean_sq = float((per_cell**2) @ grid.cell_mass)
     exact = mean**2 / mean_sq
-    sample = sample_users(grid, 20_000, seed=3)
-    sampled = jain_index(service_per_user(per_cell, sample))
+    sample = sample_users(grid, 20_000, [3])
+    (sampled,) = jain_index(service_per_user(per_cell, sample))
     assert sampled == pytest.approx(exact, abs=0.03)
