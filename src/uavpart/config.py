@@ -141,22 +141,32 @@ def validate_config(cfg):
     for each sweep value v, printed once by format_value.
 
     First the config must be what manifest.ini writes back: every float
-    field one finite real number, and every text field, experiment_id and
-    out_dir among them, one line (str.splitlines) with no surrounding
-    whitespace.  Then the sweep's own rules: its values finite, sweep_var
-    known, the values non-empty and distinct as printed, since points that
-    print the same would share their outputs.  Then _check_fields runs once
-    on each point: on the config only when nothing is swept, so the value a
-    sweep replaces is read by no run and held to no range.  Raises
-    ConfigError on the first rule broken."""
+    field one finite real number, every int field one whole number that is
+    not a bool, every bool field True or False, and every text field,
+    experiment_id and out_dir among them, one line (str.splitlines) with no
+    surrounding whitespace; out_dir, a path, holds no NUL either.  Then the
+    sweep's own rules: its values finite, sweep_var known, the values
+    non-empty and distinct as printed, since points that print the same
+    would share their outputs.  Then _check_fields runs once on each point:
+    on the config only when nothing is swept, so the value a sweep replaces
+    is read by no run and held to no range.  Raises ConfigError on the first
+    rule broken."""
     for name, kind in _FIELDS.items():
         value = getattr(cfg, name)
         if kind == "float" and not _finite(value):
             raise ConfigError(f"{name} must be one finite number")
+        # a bool is an int to isinstance, but manifest.ini writes it True or False
+        if kind == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ConfigError(f"{name} must be one whole number")
+        if kind == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"{name} must be True or False")
         # configparser strips a value and splits it at line breaks
         if kind == "str" and not (isinstance(value, str) and value == value.strip()
                                   and len(value.splitlines()) < 2):
             raise ConfigError(f"{name} must be one line with no surrounding whitespace")
+        # no path the operating system opens holds a NUL
+        if name == "out_dir" and "\0" in value:
+            raise ConfigError("out_dir must hold no NUL character")
     if not all(_finite(v) for v in cfg.sweep_values):
         raise ConfigError("sweep_values must be finite")
     if cfg.sweep_var not in SWEEP_VARS:

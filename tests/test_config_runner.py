@@ -731,6 +731,42 @@ def test_text_that_manifest_ini_cannot_write_back_is_rejected(tmp_path, capsys, 
     assert load_config(write_cfg(tmp_path, config_to_ini(inner))) == inner
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("nx", 20.0, "one whole number"), ("ny", 20.0, "one whole number"),
+     ("n_seeds", 2.0, "one whole number"), ("n_uavs", 3.0, "one whole number"),
+     ("n_users", True, "one whole number"), ("max_ascent_iter", 5.5, "one whole number"),
+     ("trace", "yes", "True or False"), ("write_partitions", 1, "True or False")],
+)
+def test_int_and_bool_fields_of_another_type_write_nothing(tmp_path, capsys, field, value,
+                                                           message):
+    # a float int field raised TypeError after the output directory existed,
+    # and the others wrote a manifest.ini that did not read back equal
+    cfg = replace(ExperimentConfig(), **{"nx": 20, "ny": 20, "n_seeds": 1, "scenario": "1",
+                                         field: value})
+    out = tmp_path / "out"
+    assert run_experiment(cfg, str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {field} must be {message}\n"
+    assert not out.exists()
+    # the same value made the field's own kind is accepted and reads back equal
+    kind = type(getattr(ExperimentConfig(), field))
+    fixed = replace(cfg, **{field: kind(value)})
+    assert load_config(write_cfg(tmp_path, config_to_ini(fixed))) == fixed
+
+
+def test_out_dir_holding_a_nul_writes_nothing(tmp_path, capsys):
+    # os.makedirs raised ValueError: embedded null byte, a traceback
+    cfg = replace(ExperimentConfig(), nx=20, ny=20, n_seeds=1, scenario="1",
+                  out_dir=str(tmp_path / "b\x00c"))
+    assert run_experiment(cfg) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: out_dir must hold no NUL character\n"
+    assert list(tmp_path.iterdir()) == []
+    # an id is no path: one holding a NUL reads back from manifest.ini as written
+    named = replace(cfg, out_dir="results", experiment_id="a\x00b")
+    assert load_config(write_cfg(tmp_path, config_to_ini(named))) == named
+
+
+
 @st.composite
 def configs(draw):
     """A config on a small grid with up to three of its float fields set to
