@@ -15,7 +15,8 @@ from collections import defaultdict
 import numpy as np
 
 from uavpart.config import load_config
-from uavpart.runner import EXIT_OK, run_experiment
+from uavpart.errors import ConfigError
+from uavpart.runner import EXIT_CONFIG, EXIT_OK, run_experiment
 
 HEADLINE = (
     "s1_service_total_proposed",
@@ -63,8 +64,13 @@ def main(argv=None):
     for name in configs:
         stem = name[:-4]
         out_dir = os.path.join(args.out, stem)
-        cfg = load_config(os.path.join(here, name))
         print(f"{stem} -> {out_dir}")
+        try:
+            cfg = load_config(os.path.join(here, name))
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            worst = max(worst, EXIT_CONFIG)
+            continue
         code = run_experiment(cfg, out_dir=out_dir)
         if code != EXIT_OK:
             print(f"    exit code {code}", file=sys.stderr)

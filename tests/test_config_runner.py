@@ -1,6 +1,7 @@
 """Config parsing, fleet placement, the experiment runner and the CLI."""
 
 import csv
+import importlib.util
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -765,6 +766,23 @@ def test_out_dir_holding_a_nul_writes_nothing(tmp_path, capsys):
     named = replace(cfg, out_dir="results", experiment_id="a\x00b")
     assert load_config(write_cfg(tmp_path, config_to_ini(named))) == named
 
+
+def test_run_figures_goes_on_after_a_config_that_fails_to_load(tmp_path, capsys):
+    # the script runs the INIs beside it; the bad one sorts first
+    script = tmp_path / "run_figures.py"
+    script.write_text((SCRIPTS / "run_figures.py").read_text())
+    write_cfg(tmp_path, fast_text(beta=1.5), name="a_bad.ini")
+    write_cfg(tmp_path, fast_text(nx=20, ny=20, n_seeds=1, scenario=1), name="b_good.ini")
+    spec = importlib.util.spec_from_file_location("run_figures_copy", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / "out"
+    assert module.main(["--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error: beta must lie in [0, 1]\n"
+    assert captured.out.startswith(f"a_bad -> {out / 'a_bad'}\nb_good -> {out / 'b_good'}\n")
+    assert not (out / "a_bad").exists()
+    assert {row["seed"] for row in read_metrics(out / "b_good")} == {"0"}
 
 
 @st.composite
