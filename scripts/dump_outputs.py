@@ -6,8 +6,9 @@ and one scenario-2 sweep of the default scene at 40 x 40 over large control
 weights, three scenes whose ascent ends at a kink, one fairness sweep whose
 experiment id needs CSV quoting, one sigma sweep whose second hot spot
 underflows on the grid and one hot spot whose peak is subnormal on the grid,
-79 runs, all with partition maps and ascent traces on.  The last two exit 2
-before their output directories exist, so they show in exit_codes.txt only.
+79 runs, all with partition maps and ascent traces on.  A run that exits
+non-zero leaves no output directory: the scenario-1 kink scene (exit 4) and
+the last two (exit 2) show in exit_codes.txt only.
 ascents.txt adds the kernel's own iterates: one line per random ascent of
 seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed both ways, mass_tol
 1e-6 and max_iter 1000) giving the seed, the UAV count, mixed, the iteration

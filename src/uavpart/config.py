@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 from .channel import ChannelParams, UavNode, _per_uav, db_to_linear, dbm_to_watts
 from .errors import ConfigError
-from .grid import check_sigma, hot_spot_exponents, truncated_gaussian, uniform_density
+from .grid import check_sigma, truncated_gaussian, uniform_density
 
 # sweep variable -> the config fields one sweep value sets
 _SWEEP_FIELDS = {
@@ -150,7 +150,11 @@ def validate_config(cfg):
     would share their outputs.  Then _check_fields runs once on each point:
     on the config only when nothing is swept, so the value a sweep replaces
     is read by no run and held to no range.  Raises ConfigError on the first
-    rule broken."""
+    rule broken.
+
+    The rules of the grid, the fleet and the channel (AreaGrid,
+    truncated_gaussian, UavNode, ChannelParams) are not checked here: they
+    run where run_experiment builds each point's scene."""
     for name, kind in _FIELDS.items():
         value = getattr(cfg, name)
         if kind == "float" and not _finite(value):
@@ -189,13 +193,13 @@ def _finite(value):
 
 def _check_fields(cfg):
     """Check one sweep point, whose float fields validate_config has found
-    finite, against every range rule of a run and return it.
+    finite, against the range rules that need no scene, and return it.
 
-    Its own ranges come first; then the grid's sigma rule (check_sigma), and
-    for a Gaussian density the hot spot's (hot_spot_exponents, which finds a
-    density that underflows on the grid with no (ny, nx) array); then the
-    rules UavNode, ChannelParams, place_uavs_grid and _per_uav own, by
-    building its fleet and channel."""
+    Its own ranges come first; then the grid's sigma rule (check_sigma),
+    which a uniform density that reads no sigma is held to as well; then the
+    per-UAV rules (_per_uav) of the hover budget, alpha and the control
+    price.  The rules of the grid, the hot spot, the fleet and the channel
+    run where run_experiment builds the point's scene."""
     grid_ok = cfg.nx >= 1 and cfg.ny >= 1
     # a cell's density can reach 1 / cell area, so that must be finite
     cell_area = (cfg.width / cfg.nx) * (cfg.height / cfg.ny) if grid_ok else math.nan
@@ -226,11 +230,6 @@ def _check_fields(cfg):
             raise ConfigError(message)
     try:
         check_sigma(cfg.sigma_x, cfg.sigma_y)  # for a uniform density too, which reads neither
-        if cfg.density_kind == "gaussian":
-            hot_spot_exponents(cfg.width, cfg.height, cfg.nx, cfg.ny,
-                               cfg.mu_x, cfg.mu_y, cfg.sigma_x, cfg.sigma_y)
-        build_uavs(cfg)
-        build_channel(cfg)
         _per_uav(cfg.max_hover, cfg.n_uavs, "hover budget", positive=True)
         _per_uav(cfg.alpha, cfg.n_uavs, "control weight alpha")
         _per_uav(2.0 * cfg.alpha * cfg.n_users**2, cfg.n_uavs, "control price 2 alpha N^2")
@@ -285,13 +284,10 @@ def place_uavs_grid(width, height, n_uavs, altitude, power, bandwidth):
 
 def build_grid(cfg):
     """AreaGrid for the configured density."""
-    try:
-        if cfg.density_kind == "uniform":
-            return uniform_density(cfg.width, cfg.height, cfg.nx, cfg.ny)
-        return truncated_gaussian(cfg.width, cfg.height, cfg.nx, cfg.ny,
-                                  cfg.mu_x, cfg.mu_y, cfg.sigma_x, cfg.sigma_y)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if cfg.density_kind == "uniform":
+        return uniform_density(cfg.width, cfg.height, cfg.nx, cfg.ny)
+    return truncated_gaussian(cfg.width, cfg.height, cfg.nx, cfg.ny,
+                              cfg.mu_x, cfg.mu_y, cfg.sigma_x, cfg.sigma_y)
 
 
 def build_uavs(cfg):

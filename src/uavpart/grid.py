@@ -113,41 +113,30 @@ def check_sigma(sigma_x, sigma_y):
         raise ValueError("sigma must be positive with a finite, non-zero square")
 
 
-def hot_spot_exponents(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
-    """The separable exponents of a Gaussian hot spot at the cell centers:
-    the column terms -(x - mu_x)^2 / 2 sigma_x^2, length nx, and the row terms
-    (y - mu_y)^2 / 2 sigma_y^2, length ny, so the kernel is exp(col - row) on
-    the (ny, nx) grid.  A squared offset that overflows gives -inf or inf.
-
-    Raises ValueError when check_sigma does and when the kernel's peak times
-    min(cell area, 1) is not a normal float.  Passing that, the kernel sum S
-    and S * cell area, by which truncated_gaussian divides, are normal
-    floats, so the density integrates to 1; a subnormal S * cell area
-    carries fewer than 53 bits and fails AreaGrid's check.  Since
-    subtraction and exp are monotone, the peak is exp(max(col) - min(row)),
-    found in O(nx + ny) work with no (ny, nx) array.
-    """
-    check_sigma(sigma_x, sigma_y)
-    with np.errstate(over="ignore"):
-        col = -((_centers(nx, width) - mu_x) ** 2) / (2.0 * sigma_x**2)
-        row = ((_centers(ny, height) - mu_y) ** 2) / (2.0 * sigma_y**2)
-        peak = np.exp(col.max() - row.min())
-    if not peak * min((width / nx) * (height / ny), 1.0) >= sys.float_info.min:
-        raise ValueError("hot spot density underflows on the grid")
-    return col, row
-
-
 def truncated_gaussian(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
     """Grid with a Gaussian hot spot truncated to the area.
 
     The separable kernel exp(-(x-mu_x)^2 / 2 sigma_x^2) * exp(-(y-mu_y)^2 /
-    2 sigma_y^2) is evaluated at cell centers (hot_spot_exponents, whose
-    ValueErrors it raises) and renormalized discretely, so the midpoint rule
-    integrates to exactly 1 on this grid.  The mean may lie outside the area;
-    a cell whose squared offset overflows gets zero density.
+    2 sigma_y^2) is evaluated at cell centers as exp(col - row), from the
+    column terms -(x - mu_x)^2 / 2 sigma_x^2 and the row terms
+    (y - mu_y)^2 / 2 sigma_y^2, and renormalized discretely, so the midpoint
+    rule integrates to exactly 1 on this grid.  The mean may lie outside the
+    area; a cell whose squared offset overflows gets zero density.
+
+    Raises ValueError when check_sigma does and when the kernel's peak times
+    min(cell area, 1) is not a normal float.  Passing that, the kernel sum S
+    and S * cell area, by which the kernel is divided, are normal floats, so
+    the density integrates to 1; a subnormal S * cell area carries fewer
+    than 53 bits and fails AreaGrid's check.  Since subtraction and exp are
+    monotone, the peak is exp(max(col) - min(row)), found in O(nx + ny) work
+    before the (ny, nx) kernel is built.
     """
-    col, row = hot_spot_exponents(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y)
-    with np.errstate(over="ignore"):
-        kern = np.exp(col - row[:, None]).ravel()  # the (ny, nx) grid in cell order
+    check_sigma(sigma_x, sigma_y)
     cell_area = (width / nx) * (height / ny)
+    with np.errstate(over="ignore"):
+        col = -((_centers(nx, width) - mu_x) ** 2) / (2.0 * sigma_x**2)
+        row = ((_centers(ny, height) - mu_y) ** 2) / (2.0 * sigma_y**2)
+        if not np.exp(col.max() - row.min()) * min(cell_area, 1.0) >= sys.float_info.min:
+            raise ValueError("hot spot density underflows on the grid")
+        kern = np.exp(col - row[:, None]).ravel()  # the (ny, nx) grid in cell order
     return AreaGrid(width, height, nx, ny, kern / (kern.sum() * cell_area))

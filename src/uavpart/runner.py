@@ -3,7 +3,8 @@
 For every sweep value the scene is solved once (the solvers are
 deterministic); seeds only drive user sampling.  Outputs land in the chosen
 directory as metrics.csv, manifest.ini and, on request, partition and trace
-dumps.  Identical config and seeds give byte-identical CSV files.
+dumps, and only when the run exits 0.  Identical config and seeds give
+byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import io
 import os
 import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -39,6 +41,8 @@ EXIT_CONVERGENCE = 4
 
 METRICS_HEADER = ("experiment_id", "sweep_var", "sweep_value", "seed", "metric", "value")
 TRACE_HEADER = ("iter", "objective", "residual", "step")
+# moved into the output directory after every other file of a run
+LAST_MOVED = ("metrics.csv", "manifest.ini")
 
 
 def _scenario1_rows(cfg, grid, radio, baseline, point, out_dir):
@@ -141,44 +145,68 @@ def _metrics_lines(point, shared, per_seed):
     return lines
 
 
+def _write_run(cfg, points, out_dir):
+    """Solve every sweep point of cfg, the (tag, printed value, config)
+    triples validate_config returns, and write all of the run's files into
+    out_dir: each point's maps and traces as it is solved, then metrics.csv
+    and manifest.ini.
+
+    Each point's grid, fleet and channel are built here, and a ValueError of
+    theirs is a ConfigError, so the rules they own run once, in their own
+    constructors."""
+    lines = []
+    for point, sweep_value, cur in points:
+        try:
+            grid, uavs, channel = build_grid(cur), build_uavs(cur), build_channel(cur)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        radio = compute_radio_field(grid, uavs, channel)
+        baseline = weighted_voronoi(grid, radio)  # best-signal baseline of both scenarios
+        shared, per_seed = [], [[]] * cfg.n_seeds
+        if cur.scenario in ("1", "both"):
+            shared, per_seed = _scenario1_rows(cur, grid, radio, baseline, point, out_dir)
+        if cur.scenario in ("2", "both"):
+            shared.extend(_scenario2_rows(cur, grid, radio, baseline, point, out_dir))
+        lines.extend(_metrics_lines((cfg.experiment_id, cfg.sweep_var, sweep_value),
+                                    shared, per_seed))
+    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
+        csv.writer(fh).writerow(METRICS_HEADER)
+        fh.writelines(lines)
+    with open(os.path.join(out_dir, "manifest.ini"), "w") as fh:
+        fh.write(config_to_ini(cfg, provenance={"package": "uavpart", "version": __version__}))
+
+
 def run_experiment(cfg, out_dir=None):
     """Run all sweep points and seeds; write CSVs; return an exit code.
 
     Each sweep point is solved once and its user seeds are scored in one
     batch: one sample_users call over all seeds, each seed's users the
     draws of its own generator, and one jain_index call per partition;
-    metrics.csv keeps one row set per seed.
+    metrics.csv keeps one row set per seed.  The sweep points are the ones
+    validate_config checks and returns, each with its tag and printed value.
 
-    The sweep points are the ones validate_config checks and returns, each
-    with its tag and printed value; every rule, the hot spot's included, has
-    run on every point before the output directory exists, so a rejected
-    config writes nothing.
+    Every file is written into a staging directory made beside the output
+    directory (tempfile's mkdtemp, in the parent chain that os.makedirs
+    would make).  After the last point the files are moved into the output
+    directory with os.replace, metrics.csv and manifest.ini last, and the
+    stage is removed on every way out.  So a run that exits non-zero or
+    raises leaves the output directory as it was, and never creates a fresh
+    one.
 
     0 on success, 2 on a bad config or scene or an unwritable output, 3 when
     an instance is infeasible, 4 when a solver fails to converge (diagnostics
     on stderr).
     """
     out_dir = cfg.out_dir if out_dir is None else out_dir
-    lines = []
     try:
         points = validate_config(cfg)
-        os.makedirs(out_dir, exist_ok=True)
-        for point, sweep_value, cur in points:
-            grid = build_grid(cur)
-            radio = compute_radio_field(grid, build_uavs(cur), build_channel(cur))
-            baseline = weighted_voronoi(grid, radio)  # best-signal baseline of both scenarios
-            shared, per_seed = [], [[]] * cfg.n_seeds
-            if cur.scenario in ("1", "both"):
-                shared, per_seed = _scenario1_rows(cur, grid, radio, baseline, point, out_dir)
-            if cur.scenario in ("2", "both"):
-                shared.extend(_scenario2_rows(cur, grid, radio, baseline, point, out_dir))
-            lines.extend(_metrics_lines((cfg.experiment_id, cfg.sweep_var, sweep_value),
-                                        shared, per_seed))
-        with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
-            csv.writer(fh).writerow(METRICS_HEADER)
-            fh.writelines(lines)
-        with open(os.path.join(out_dir, "manifest.ini"), "w") as fh:
-            fh.write(config_to_ini(cfg, provenance={"package": "uavpart", "version": __version__}))
+        parent = os.path.dirname(os.path.realpath(out_dir))  # the stage's file system
+        os.makedirs(parent, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".uavpart-stage-", dir=parent) as stage:
+            _write_run(cfg, points, stage)
+            os.makedirs(out_dir, exist_ok=True)
+            for name in [n for n in os.listdir(stage) if n not in LAST_MOVED] + list(LAST_MOVED):
+                os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from uavpart.channel import compute_radio_field
 import uavpart.config as config_module
+import uavpart.runner as runner_module
 from uavpart.cli import main
 from uavpart.config import (
     ExperimentConfig,
@@ -158,9 +159,12 @@ def test_apply_sweep_each_variable():
     assert apply_sweep(cfg, 8.0).n_uavs == 8
 
 
-def test_validate_catches_bad_combinations():
-    with pytest.raises(ConfigError):
-        validate_config(replace(ExperimentConfig(), beta=1.5))
+def test_validate_catches_bad_combinations(tmp_path, capsys):
+    # beta is ChannelParams' rule: it runs where the run builds the channel
+    out = tmp_path / "out"
+    assert run_experiment(replace(ExperimentConfig(), beta=1.5), str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: beta must lie in [0, 1]\n"
+    assert list(tmp_path.iterdir()) == []
     with pytest.raises(ConfigError):
         validate_config(replace(ExperimentConfig(), n_uavs=0))
     with pytest.raises(ConfigError):
@@ -452,7 +456,7 @@ def test_cli_overflowing_load_is_infeasible(tmp_path, capsys):
     assert err.startswith("infeasible instance: ")
     assert "finite transmission time" in err
     assert len(err.strip().splitlines()) == 1
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -468,7 +472,7 @@ def test_cli_overflowing_path_loss_is_infeasible(tmp_path, capsys, scenario, ove
     err = capsys.readouterr().err
     assert err.startswith("infeasible instance: ")
     assert len(err.strip().splitlines()) == 1
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -609,6 +613,7 @@ def test_cli_kink_exit_names_the_mismatch_and_the_heaviest_cell(tmp_path, capsys
     assert main(argv) == EXIT_CONVERGENCE
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
     cfg = replace(load_config(path), nx=100, ny=100)
     grid = build_grid(cfg)
     radio = compute_radio_field(grid, build_uavs(cfg), build_channel(cfg))
@@ -631,6 +636,63 @@ def test_cli_second_point_underflow_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "config error: hot spot density underflows on the grid\n"
     assert not out.exists()
+
+
+def tree(root):
+    """Every file under root, by path relative to root, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# a 30 x 30 scenario-1 sigma sweep with maps and traces: each point writes
+# three files before the next point is solved
+STAGED_SWEEP = replace(ExperimentConfig(), experiment_id="staged", scenario="1", nx=30, ny=30,
+                       mass_tol=5e-3, n_seeds=1, write_partitions=True, trace=True,
+                       sweep_var="sigma", sweep_values=(1000.0, 800.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("failure", ["kink", "infeasible", "raises"])
+def test_a_failed_run_leaves_the_output_directory_as_it_was(tmp_path, capsys, monkeypatch,
+                                                            failure):
+    # the first point is solved and its files written before the second
+    # fails: at a kink (sigma = 30, exit 4), with a fleet that cannot control
+    # its users (exit 3), or in a solver that raises; a fresh path must not
+    # exist afterwards, a finished run's files must keep every byte, and no
+    # staging directory may be left beside either
+    finished = tmp_path / "finished"
+    assert run_experiment(STAGED_SWEEP, str(finished)) == EXIT_OK
+    before = tree(finished)
+    assert len(before) == 8  # two maps and a trace per point, metrics.csv, manifest.ini
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["finished"]
+    rerun = {"kink": replace(STAGED_SWEEP, beta=0.5, sweep_values=(1000.0, 30.0)),
+             "infeasible": replace(STAGED_SWEEP, beta=0.5, sweep_var="tau_max",
+                                   sweep_values=(1800.0, 1e-3)),
+             "raises": replace(STAGED_SWEEP, beta=0.5)}[failure]
+    solve = runner_module.solve_scenario1
+    calls = []
+
+    def second_point_raises(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("solver crashed")
+        return solve(*args, **kwargs)
+
+    if failure == "raises":
+        monkeypatch.setattr(runner_module, "solve_scenario1", second_point_raises)
+    fresh = tmp_path / "fresh" / "out"
+    for out in (fresh, finished):
+        calls.clear()
+        if failure == "raises":
+            with pytest.raises(RuntimeError, match="^solver crashed$"):
+                run_experiment(rerun, str(out))
+            continue
+        code = run_experiment(rerun, str(out))
+        assert code == (EXIT_CONVERGENCE if failure == "kink" else EXIT_INFEASIBLE)
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not fresh.exists()
+    assert tree(finished) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["finished", "fresh"]
+    assert list(fresh.parent.iterdir()) == []
 
 
 def test_validate_config_returns_the_named_points():
@@ -703,14 +765,20 @@ def test_each_sweep_point_is_checked_once(monkeypatch):
     assert checked == [point for _, _, point in points] and len(checked) == 3
 
 
-def test_swept_field_base_value_is_held_to_no_range(tmp_path):
+def test_swept_field_base_value_is_held_to_no_range(tmp_path, capsys):
     # no run reads the value a sweep replaces; the manifest writes it back
     cfg = replace(ExperimentConfig(), nx=20, ny=20, beta=1.5, sweep_var="beta",
                   sweep_values=(0.0, 0.5))
     assert [point.beta for _, _, point in validate_config(cfg)] == [0.0, 0.5]
     assert load_config(write_cfg(tmp_path, config_to_ini(cfg))) == cfg
-    with pytest.raises(ConfigError, match="beta"):
-        validate_config(replace(cfg, sweep_var="none"))
+    out = tmp_path / "out"
+    ran = replace(cfg, n_seeds=1, mass_tol=0.01)
+    assert run_experiment(ran, str(out)) == EXIT_OK
+    assert load_config(str(out / "manifest.ini")) == ran
+    unswept = tmp_path / "unswept"
+    assert run_experiment(replace(cfg, sweep_var="none"), str(unswept)) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: beta must lie in [0, 1]\n"
+    assert not unswept.exists()
     validate_config(replace(cfg, beta=0.5, sweep_var="sigma", sigma_x=-5.0, sweep_values=(100.0,)))
 
 
@@ -771,7 +839,7 @@ def test_run_figures_goes_on_after_a_config_that_fails_to_load(tmp_path, capsys)
     # the script runs the INIs beside it; the bad one sorts first
     script = tmp_path / "run_figures.py"
     script.write_text((SCRIPTS / "run_figures.py").read_text())
-    write_cfg(tmp_path, fast_text(beta=1.5), name="a_bad.ini")
+    write_cfg(tmp_path, fast_text(mass_tol=0), name="a_bad.ini")
     write_cfg(tmp_path, fast_text(nx=20, ny=20, n_seeds=1, scenario=1), name="b_good.ini")
     spec = importlib.util.spec_from_file_location("run_figures_copy", script)
     module = importlib.util.module_from_spec(spec)
@@ -779,7 +847,7 @@ def test_run_figures_goes_on_after_a_config_that_fails_to_load(tmp_path, capsys)
     out = tmp_path / "out"
     assert module.main(["--out", str(out)]) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert captured.err == "config error: beta must lie in [0, 1]\n"
+    assert captured.err == "config error: mass tolerance must be positive\n"
     assert captured.out.startswith(f"a_bad -> {out / 'a_bad'}\nb_good -> {out / 'b_good'}\n")
     assert not (out / "a_bad").exists()
     assert {row["seed"] for row in read_metrics(out / "b_good")} == {"0"}
@@ -823,26 +891,36 @@ def test_every_accepted_config_is_what_its_manifest_reads_back(tmp_path_factory,
 
 @pytest.mark.parametrize(
     "overrides, message",
-    [({"sigma_x": -5.0}, "^sigma must be positive"),
-     ({"mu_x": 1e200}, "^hot spot density underflows on the grid$"),
-     ({"density_kind": "uniform", "nx": 0}, "^grid must have at least one cell per axis$")],
+    [({"sigma_x": -5.0}, "sigma must be positive with a finite, non-zero square"),
+     ({"mu_x": 1e200}, "hot spot density underflows on the grid"),
+     ({"density_kind": "uniform", "nx": 0}, "grid must be at least 1x1")],
     ids=["sigma", "underflow", "empty_grid"],
 )
-def test_build_grid_raises_config_error_on_an_unvalidated_config(overrides, message):
-    # build_grid turns the grid's ValueError into a ConfigError, exit 2
-    with pytest.raises(ConfigError, match=message):
-        build_grid(replace(ExperimentConfig(), **{"nx": 4, "ny": 4, **overrides}))
+def test_grid_rules_exit_2_and_write_nothing(tmp_path, capsys, overrides, message):
+    # the run turns the grid's ValueError into a ConfigError, exit 2
+    cfg = replace(ExperimentConfig(), **{"nx": 4, "ny": 4, **overrides})
+    out = tmp_path / "out"
+    assert run_experiment(cfg, str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+    # the grid itself raises the ValueError of its own rule
+    with pytest.raises(ValueError) as info:
+        build_grid(cfg)
+    assert not isinstance(info.value, ConfigError)
 
 
-def test_uniform_density_is_held_to_the_sigma_rule_only():
+def test_uniform_density_is_held_to_the_sigma_rule_only(tmp_path, capsys):
     # a uniform density reads neither the mean nor sigma: a mean whose hot
     # spot would underflow is accepted, a sigma out of range is not
     base = replace(ExperimentConfig(), density_kind="uniform", nx=20, ny=20)
-    validate_config(replace(base, mu_x=1e200))
+    assert run_experiment(replace(base, mu_x=1e200, n_seeds=1), str(tmp_path / "ok")) == EXIT_OK
     with pytest.raises(ConfigError, match="sigma must be positive"):
         validate_config(replace(base, sigma_y=1e-200))
-    with pytest.raises(ConfigError, match="underflows on the grid"):
-        validate_config(replace(base, density_kind="gaussian", mu_x=1e200))
+    out = tmp_path / "out"
+    assert run_experiment(replace(base, density_kind="gaussian", mu_x=1e200), str(out)) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: hot spot density underflows on the grid\n"
+    assert not out.exists()
 
 
 def test_bad_sweep_point_rejected_by_run_experiment(tmp_path, capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from uavpart.grid import (
     AreaGrid,
-    hot_spot_exponents,
     truncated_gaussian,
     uniform_density,
 )
@@ -241,14 +240,10 @@ def test_hot_spot_is_accepted_when_its_peak_times_the_cell_area_is_normal(spot):
     cell_area = (width / nx) * (height / ny)
     kern = gaussian_kernel_reference(*spot)
     if kern.max() * min(cell_area, 1.0) >= sys.float_info.min:
-        col, row = hot_spot_exponents(*spot)
-        assert col.shape == (nx,) and row.shape == (ny,)
         assert min(kern.sum(), kern.sum() * cell_area) >= sys.float_info.min
         grid = truncated_gaussian(*spot)
         assert np.array_equal(grid.density, truncated_gaussian_reference(*spot))
     else:
-        with pytest.raises(ValueError, match="^hot spot density underflows on the grid$"):
-            hot_spot_exponents(*spot)
         with pytest.raises(ValueError, match="^hot spot density underflows on the grid$"):
             truncated_gaussian(*spot)
 
