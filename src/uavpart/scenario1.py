@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import _per_uav
 from .config import ExperimentConfig
-from .errors import ConvergenceError, InfeasibleError
+from .errors import ConfigError, ConvergenceError, InfeasibleError
 from .partition import DualPotentials, Partition, ascend_dual, own_links
 from .partition import assign_by_min_cost  # probed by perfbench as partition.assign
 
@@ -45,15 +45,21 @@ def solve_fairness_system(bandwidths, budgets, alpha, n_users):
     strictly from C / N to 0, where the capacity C = sum_i sqrt(tau_i / alpha_i)
     is infinite if some alpha_i = 0.  So a split exists exactly when C > N,
     and bisection on P over (0, B . tau] finds it to adjacent floats.  Raises
-    InfeasibleError when C <= N.
+    ConfigError when B . tau overflows a float, since the bisection needs it
+    as its upper end, and InfeasibleError when C <= N.
     """
     bw = np.asarray(bandwidths, dtype=float)
     tau = _per_uav(budgets, len(bw), "hover budget", positive=True)
     alpha = _per_uav(alpha, len(bw), "control weight alpha")
     if n_users < 1:
         raise ValueError("need at least one user")
-    with np.errstate(divide="ignore"):
+    # alpha_i = 0 or a huge tau_i / alpha_i makes C infinite, which is no fault
+    with np.errstate(divide="ignore", over="ignore"):
         capacity = np.sqrt(tau / alpha).sum()
+        top = float(bw @ tau)
+    if not np.isfinite(top):
+        raise ConfigError("bandwidth times hover budget summed over the fleet, B . tau, "
+                          "overflows a float")
     if capacity <= n_users:
         raise InfeasibleError(f"fleet capacity sum(sqrt(tau / alpha)) = {capacity:.6g} "
                               f"users is at most N = {n_users}")
@@ -61,7 +67,7 @@ def solve_fairness_system(bandwidths, budgets, alpha, n_users):
 
     def serve_at(pool):
         return 2.0 * tau / (1.0 + np.sqrt(1.0 + load * (users_bw / pool) ** 2))
-    lo, hi = 0.0, float(bw @ tau)
+    lo, hi = 0.0, top
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if bw @ serve_at(mid) > mid:
             lo = mid

@@ -2,6 +2,9 @@
 
 import csv
 import importlib.util
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -39,6 +42,7 @@ from uavpart.scenario1 import service_field_for_partition, solve_scenario1
 from oracles import metrics_csv_reference, per_seed_jain
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FAST_BASE = {
     "experiment_id": "fast",
@@ -693,6 +697,26 @@ def test_a_failed_run_leaves_the_output_directory_as_it_was(tmp_path, capsys, mo
     assert tree(finished) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["finished", "fresh"]
     assert list(fresh.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize("n, max_hover", [(6, 1e303), (20, 1.7e308)], ids=["6x6", "20x20"])
+def test_fairness_pool_that_overflows_exits_2_at_once(tmp_path, n, max_hover):
+    # B . tau overflowed to inf and the ascent never ended; the run goes in a
+    # process of its own, so a hang is stopped by the timeout
+    path = write_cfg(tmp_path, fast_text(nx=n, ny=n, scenario=1, max_hover=max_hover,
+                                         max_ascent_iter=1))
+    out = tmp_path / "out"
+    timed = ("import sys, time; from uavpart.cli import main; start = time.perf_counter(); "
+             "code = main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", timed,
+                           "run", path, "--out", str(out)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr == ("config error: bandwidth times hover budget summed over the fleet, "
+                           "B . tau, overflows a float\n")
+    assert float(done.stdout) < 1.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
 
 def test_validate_config_returns_the_named_points():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from uavpart.channel import ChannelParams, UavNode, compute_radio_field
 from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs
-from uavpart.errors import ConvergenceError, InfeasibleError
+from uavpart.errors import ConfigError, ConvergenceError, InfeasibleError
 from uavpart.grid import AreaGrid, uniform_density
 from uavpart.partition import (
     Partition,
@@ -166,6 +166,16 @@ def test_fairness_budget_below_control_raises():
     # g(300 users) = 900 s >> 10 s
     with pytest.raises(InfeasibleError, match="capacity"):
         solve_fairness_system([1e6], 10.0, 0.01, 300)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("budget", [1e303, 1.7e308])
+def test_fairness_pool_that_overflows_is_a_config_error(budget):
+    # B . tau overflowed to inf, the shares came out NaN and the ascent that
+    # read them never ended; tau / alpha overflows too at 1.7e308
+    with pytest.raises(ConfigError, match=r"^bandwidth times hover budget summed over the "
+                                          r"fleet, B \. tau, overflows a float$"):
+        solve_fairness_system([1e6] * 5, budget, 0.01, 300)
 
 
 def test_fairness_validation():
