@@ -144,13 +144,13 @@ def validate_config(cfg):
     field one finite real number, every int field one whole number that is
     not a bool, every bool field True or False, and every text field,
     experiment_id and out_dir among them, one line (str.splitlines) with no
-    surrounding whitespace; out_dir, a path, holds no NUL either.  Then the
-    sweep's own rules: its values finite, sweep_var known, the values
-    non-empty and distinct as printed, since points that print the same
-    would share their outputs.  Then _check_fields runs once on each point:
-    on the config only when nothing is swept, so the value a sweep replaces
-    is read by no run and held to no range.  Raises ConfigError on the first
-    rule broken.
+    surrounding whitespace that UTF-8 can encode; out_dir, a path, holds no
+    NUL either.  Then the sweep's own rules: its values finite, sweep_var
+    known, the values non-empty and distinct as printed, since points that
+    print the same would share their outputs.  Then _check_fields runs once
+    on each point: on the config only when nothing is swept, so the value a
+    sweep replaces is read by no run and held to no range.  Raises
+    ConfigError on the first rule broken.
 
     The rules of the grid, the fleet and the channel (AreaGrid,
     truncated_gaussian, UavNode, ChannelParams) are not checked here: they
@@ -168,6 +168,9 @@ def validate_config(cfg):
         if kind == "str" and not (isinstance(value, str) and value == value.strip()
                                   and len(value.splitlines()) < 2):
             raise ConfigError(f"{name} must be one line with no surrounding whitespace")
+        # UTF-8 has no code for a lone surrogate, so no output file or path holds one
+        if kind == "str" and any("\ud800" <= c <= "\udfff" for c in value):
+            raise ConfigError(f"{name} must be text that UTF-8 can encode")
         # no path the operating system opens holds a NUL
         if name == "out_dir" and "\0" in value:
             raise ConfigError("out_dir must hold no NUL character")

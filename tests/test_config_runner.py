@@ -719,6 +719,18 @@ def test_fairness_pool_that_overflows_exits_2_at_once(tmp_path, n, max_hover):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
 
+@pytest.mark.parametrize("field", ["experiment_id", "out_dir"])
+def test_text_that_utf8_cannot_encode_writes_nothing(tmp_path, capsys, field):
+    # a lone surrogate raised UnicodeEncodeError: out of os.makedirs for
+    # out_dir, and after a partial metrics.csv for experiment_id
+    cfg = replace(ExperimentConfig(), nx=30, ny=30, mass_tol=5e-3, n_seeds=1, scenario="1",
+                  out_dir=str(tmp_path / "out"))
+    cfg = replace(cfg, **{field: getattr(cfg, field) + "a\ud800b"})
+    assert run_experiment(cfg) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {field} must be text that UTF-8 can encode\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_config_returns_the_named_points():
     base = replace(ExperimentConfig(), nx=20, ny=20)
     # nothing swept: one point, the config itself, whatever sweep_values holds
