@@ -45,8 +45,8 @@ def solve_fairness_system(bandwidths, budgets, alpha, n_users):
     strictly from C / N to 0, where the capacity C = sum_i sqrt(tau_i / alpha_i)
     is infinite if some alpha_i = 0.  So a split exists exactly when C > N,
     and bisection on P over (0, B . tau] finds it to adjacent floats.  Raises
-    ConfigError when B . tau overflows a float, since the bisection needs it
-    as its upper end, and InfeasibleError when C <= N.
+    ConfigError when B . tau, the bisection's upper end, or some quadratic's
+    term 4 alpha_i tau_i overflows a float, and InfeasibleError when C <= N.
     """
     bw = np.asarray(bandwidths, dtype=float)
     tau = _per_uav(budgets, len(bw), "hover budget", positive=True)
@@ -56,14 +56,15 @@ def solve_fairness_system(bandwidths, budgets, alpha, n_users):
     # alpha_i = 0 or a huge tau_i / alpha_i makes C infinite, which is no fault
     with np.errstate(divide="ignore", over="ignore"):
         capacity = np.sqrt(tau / alpha).sum()
-        top = float(bw @ tau)
-    if not np.isfinite(top):
-        raise ConfigError("bandwidth times hover budget summed over the fleet, B . tau, "
-                          "overflows a float")
+        top, load = float(bw @ tau), 4.0 * alpha * tau
+    # an infinite upper end or quadratic term makes the shares NaN
+    if not (np.isfinite(top) and np.isfinite(load).all()):
+        raise ConfigError("bandwidth times hover budget summed over the fleet (B . tau) "
+                          "or a control term 4 alpha tau overflows a float")
     if capacity <= n_users:
         raise InfeasibleError(f"fleet capacity sum(sqrt(tau / alpha)) = {capacity:.6g} "
                               f"users is at most N = {n_users}")
-    load, users_bw = 4.0 * alpha * tau, n_users * bw
+    users_bw = n_users * bw
 
     def serve_at(pool):
         return 2.0 * tau / (1.0 + np.sqrt(1.0 + load * (users_bw / pool) ** 2))

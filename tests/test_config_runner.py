@@ -699,22 +699,28 @@ def test_a_failed_run_leaves_the_output_directory_as_it_was(tmp_path, capsys, mo
     assert list(fresh.parent.iterdir()) == []
 
 
-@pytest.mark.parametrize("n, max_hover", [(6, 1e303), (20, 1.7e308)], ids=["6x6", "20x20"])
-def test_fairness_pool_that_overflows_exits_2_at_once(tmp_path, n, max_hover):
-    # B . tau overflowed to inf and the ascent never ended; the run goes in a
-    # process of its own, so a hang is stopped by the timeout
-    path = write_cfg(tmp_path, fast_text(nx=n, ny=n, scenario=1, max_hover=max_hover,
-                                         max_ascent_iter=1))
+@pytest.mark.parametrize(
+    "n, overrides",
+    [(6, {"max_hover": 1e303}), (20, {"max_hover": 1.7e308}),
+     (6, {"max_hover": 2e301, "alpha": 2e301 / 14400})],
+    ids=["6x6", "20x20", "control_term"],
+)
+def test_fairness_pool_that_overflows_exits_2_at_once(tmp_path, n, overrides):
+    # B . tau (or, in the last, 4 alpha tau) overflowed to inf and the ascent
+    # never ended; the run goes in a process of its own, so a hang is
+    # stopped by the timeout
+    path = write_cfg(tmp_path, fast_text(nx=n, ny=n, scenario=1, max_ascent_iter=1,
+                                         **overrides))
     out = tmp_path / "out"
     timed = ("import sys, time; from uavpart.cli import main; start = time.perf_counter(); "
              "code = main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(code)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", timed,
                            "run", path, "--out", str(out)],
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == EXIT_CONFIG
-    assert done.stderr == ("config error: bandwidth times hover budget summed over the fleet, "
-                           "B . tau, overflows a float\n")
+    assert done.stderr == ("config error: bandwidth times hover budget summed over the fleet "
+                           "(B . tau) or a control term 4 alpha tau overflows a float\n")
     assert float(done.stdout) < 1.0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 

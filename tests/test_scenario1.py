@@ -169,13 +169,15 @@ def test_fairness_budget_below_control_raises():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("budget", [1e303, 1.7e308])
-def test_fairness_pool_that_overflows_is_a_config_error(budget):
-    # B . tau overflowed to inf, the shares came out NaN and the ascent that
-    # read them never ended; tau / alpha overflows too at 1.7e308
+@pytest.mark.parametrize("budget, alpha", [(1e303, 0.01), (1.7e308, 0.01), (2e301, 2e301 / 14400)])
+def test_fairness_pool_that_overflows_is_a_config_error(budget, alpha):
+    # B . tau (the first two) or 4 alpha tau (the third) overflowed to inf,
+    # the shares came out NaN and the ascent that read them never ended;
+    # tau / alpha overflows too at 1.7e308
     with pytest.raises(ConfigError, match=r"^bandwidth times hover budget summed over the "
-                                          r"fleet, B \. tau, overflows a float$"):
-        solve_fairness_system([1e6] * 5, budget, 0.01, 300)
+                                          r"fleet \(B \. tau\) or a control term 4 alpha tau "
+                                          r"overflows a float$"):
+        solve_fairness_system([1e6] * 5, budget, alpha, 300)
 
 
 def test_fairness_validation():
