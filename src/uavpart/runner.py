@@ -185,13 +185,13 @@ def run_experiment(cfg, out_dir=None):
     metrics.csv keeps one row set per seed.  The sweep points are the ones
     validate_config checks and returns, each with its tag and printed value.
 
-    Every file is written into a staging directory made beside the output
-    directory (tempfile's mkdtemp, in the parent chain that os.makedirs
-    would make).  After the last point the files are moved into the output
-    directory with os.replace, metrics.csv and manifest.ini last, and the
-    stage is removed on every way out.  So a run that exits non-zero or
-    raises leaves the output directory as it was, and never creates a fresh
-    one.
+    Every file is written into a staging directory that tempfile makes
+    beside the output directory, after making the parent chain as
+    os.makedirs would.  After the last point the files are moved into the
+    output directory with os.replace, metrics.csv and manifest.ini last,
+    and the stage is removed on every way out.  So a run that exits non-zero
+    or raises leaves the output directory as it was, and never creates a
+    fresh one.
 
     0 on success, 2 on a bad config or scene or an unwritable output, 3 when
     an instance is infeasible, 4 when a solver fails to converge (diagnostics
@@ -200,7 +200,8 @@ def run_experiment(cfg, out_dir=None):
     out_dir = cfg.out_dir if out_dir is None else out_dir
     try:
         points = validate_config(cfg)
-        parent = os.path.dirname(os.path.realpath(out_dir))  # the stage's file system
+        # beside the real directory, so that os.replace stays on one file system
+        parent = os.path.dirname(os.path.realpath(out_dir))
         os.makedirs(parent, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix=".uavpart-stage-", dir=parent) as stage:
             _write_run(cfg, points, stage)
