@@ -10,6 +10,7 @@ byte-identical CSV files.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import os
 import shutil
@@ -186,12 +187,13 @@ def run_experiment(cfg, out_dir=None):
     validate_config checks and returns, each with its tag and printed value.
 
     Every file is written into a staging directory that tempfile makes
-    beside the output directory, after making the parent chain as
-    os.makedirs would.  After the last point the files are moved into the
-    output directory with os.replace, metrics.csv and manifest.ini last,
-    and the stage is removed on every way out.  So a run that exits non-zero
-    or raises leaves the output directory as it was, and never creates a
-    fresh one.
+    inside the output directory when it exists, else beside it, after
+    making the parent chain as os.makedirs would; an output path that
+    exists but is no directory fails before any point is solved.  After the
+    last point the files are moved into the output directory with
+    os.replace, metrics.csv and manifest.ini last, and the stage is removed
+    on every way out.  So a run that exits non-zero or raises leaves the
+    output directory as it was, and never creates a fresh one.
 
     0 on success, 2 on a bad config or scene or an unwritable output, 3 when
     an instance is infeasible, 4 when a solver fails to converge (diagnostics
@@ -200,10 +202,17 @@ def run_experiment(cfg, out_dir=None):
     out_dir = cfg.out_dir if out_dir is None else out_dir
     try:
         points = validate_config(cfg)
-        # beside the real directory, so that os.replace stays on one file system
-        parent = os.path.dirname(os.path.realpath(out_dir))
-        os.makedirs(parent, exist_ok=True)
-        with tempfile.TemporaryDirectory(prefix=".uavpart-stage-", dir=parent) as stage:
+        # the stage shares the output directory's file system, so os.replace
+        # never crosses one: inside it when it exists (a mount point too),
+        # else beside it, where makedirs will make it
+        if os.path.isdir(out_dir):
+            stage_in = out_dir
+        elif os.path.lexists(out_dir):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out_dir)
+        else:
+            stage_in = os.path.dirname(os.path.realpath(out_dir))
+            os.makedirs(stage_in, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".uavpart-stage-", dir=stage_in) as stage:
             _write_run(cfg, points, stage)
             os.makedirs(out_dir, exist_ok=True)
             for name in [n for n in os.listdir(stage) if n not in LAST_MOVED] + list(LAST_MOVED):

@@ -5,6 +5,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -695,6 +696,7 @@ def test_a_failed_run_leaves_the_output_directory_as_it_was(tmp_path, capsys, mo
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not fresh.exists()
     assert tree(finished) == before
+    assert sorted(p.name for p in finished.iterdir()) == sorted(before)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["finished", "fresh"]
     assert list(fresh.parent.iterdir()) == []
 
@@ -975,20 +977,56 @@ def test_bad_sweep_point_rejected_by_run_experiment(tmp_path, capsys):
     assert "at least one UAV" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("blocked", ["out_is_file", "out_under_file", "metrics_is_dir"])
-def test_cli_unwritable_output_returns_config_exit(tmp_path, capsys, blocked):
+@pytest.mark.parametrize("blocked", ["out_is_file", "out_under_file", "out_is_dangling_link",
+                                     "metrics_is_dir"])
+def test_cli_unwritable_output_returns_config_exit(tmp_path, capsys, monkeypatch, blocked):
     path = write_cfg(tmp_path, fast_text(scenario=1, n_seeds=1))
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n")
     out = {"out_is_file": blocker, "out_under_file": blocker / "out",
+           "out_is_dangling_link": tmp_path / "link",
            "metrics_is_dir": tmp_path / "out"}[blocked]
+    if blocked == "out_is_dangling_link":
+        out.symlink_to(tmp_path / "nowhere")
     if blocked == "metrics_is_dir":
         (out / "metrics.csv").mkdir(parents=True)
+    solve = runner_module.solve_scenario1
+    calls = []
+    monkeypatch.setattr(runner_module, "solve_scenario1",
+                        lambda *a, **k: calls.append(a) or solve(*a, **k))
     assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write output: ")
     assert len(err.strip().splitlines()) == 1
     assert blocker.read_text() == "a file, not a directory\n"
+    # an output path that cannot become a directory fails before any point
+    # is solved; only a failed move comes after the sweep
+    assert len(calls) == (1 if blocked == "metrics_is_dir" else 0)
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["existing", "fresh"])
+def test_the_stage_shares_the_output_directory_s_file_system(tmp_path, monkeypatch, exists):
+    # an existing output directory may be a mount point, or writable under a
+    # parent that is not, so the stage goes inside it; a fresh one is made in
+    # its parent, so the stage goes beside it
+    out = tmp_path / "out"
+    if exists:
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+    made_in = []
+    make = tempfile.TemporaryDirectory
+
+    def record(*args, dir=None, **kwargs):
+        made_in.append(dir)
+        return make(*args, dir=dir, **kwargs)
+
+    monkeypatch.setattr(runner_module.tempfile, "TemporaryDirectory", record)
+    cfg = replace(ExperimentConfig(), nx=20, ny=20, scenario="1", n_seeds=1, mass_tol=0.01)
+    assert run_experiment(cfg, str(out)) == EXIT_OK
+    assert made_in == [str(out) if exists else str(tmp_path)]
+    names = ["manifest.ini", "metrics.csv"] + (["notes.txt"] if exists else [])
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 def test_sweep_values_that_print_the_same_are_rejected(tmp_path, capsys):
