@@ -4,7 +4,7 @@ loss, SINR with scalable interference, and spectral efficiency fields."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -88,10 +88,11 @@ class UavNode:
             raise ValueError("bandwidth must be positive")
 
 
-def _squared_range(uav, x, y):
-    """Squared link distance in m^2 from ground point(s) to the UAV, one fresh
-    array: x and y may be a grid's separable column and row coordinates."""
-    d2 = np.asarray(np.add((x - uav.x) ** 2, (y - uav.y) ** 2))
+def _squared_range(uav, x, y, out=None):
+    """Squared link distance in m^2 from ground point(s) to the UAV, built in
+    out or one fresh array: x and y may be a grid's separable column and row
+    coordinates."""
+    d2 = np.asarray(np.add((x - uav.x) ** 2, (y - uav.y) ** 2, out=out))
     d2 += uav.altitude**2
     return d2
 
@@ -114,14 +115,21 @@ def mean_path_loss(uav, x, y, params):
     """LoS/NLoS-averaged path loss as a linear power ratio.
 
     reference_loss * d^2 * (P_los * mu_los + (1 - P_los) * mu_nlos).  A loss
-    beyond the float range is +inf: the link then carries no power.  The
-    squared range is computed once and the loss built over it in place.
+    beyond the float range is +inf: the link then carries no power.
     """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return _path_loss_in(uav, x, y, params, *(np.empty(shape) for _ in range(3)))
+
+
+def _path_loss_in(uav, x, y, params, loss, p, nlos):
+    """mean_path_loss built in loss, with p and nlos as scratch, three arrays
+    of the broadcast shape of x and y: the squared range is computed once and
+    the loss built over it in place."""
     with np.errstate(over="ignore"):
-        loss = _squared_range(uav, x, y)
-        p = _los_from_squared_range(uav, loss, params, out=np.empty_like(loss))
+        _squared_range(uav, x, y, out=loss)
+        _los_from_squared_range(uav, loss, params, out=p)
         loss *= params.reference_loss
-        nlos = np.subtract(1.0, p)
+        np.subtract(1.0, p, out=nlos)
         nlos *= params.mu_nlos
         p *= params.mu_los
         p += nlos
@@ -133,21 +141,42 @@ def mean_path_loss(uav, x, y, params):
 class RadioField:
     """Per-UAV link quantities over the grid cells, all arrays read-only.
 
-    power, sinr and spectral_eff are (n_uavs, n_cells); feasible_by_uav marks
-    links at or above the SINR floor and feasible marks cells that some UAV
-    can serve.
+    spectral_eff is (n_uavs, n_cells), the only float array of that shape
+    the field keeps; feasible_by_uav marks links at or above the SINR floor
+    and feasible marks cells that some UAV can serve.  source is the (grid,
+    uavs, params) compute_radio_field was given, or None for a field built
+    by hand.  The received power and SINR, which no solver reads, are
+    recomputed from source on the first read of power or sinr, bit for bit
+    the layers compute_radio_field built and freed.
     """
 
-    power: np.ndarray
-    sinr: np.ndarray
     spectral_eff: np.ndarray
     feasible_by_uav: np.ndarray
     feasible: np.ndarray
     bandwidths: np.ndarray
+    source: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_uavs(self):
-        return self.power.shape[0]
+        return self.spectral_eff.shape[0]
+
+    @cached_property
+    def _links(self):
+        if self.source is None:
+            raise AttributeError("a radio field built by hand has no power or sinr")
+        links = _link_layers(*self.source, spare=np.empty_like(self.spectral_eff))
+        links.setflags(write=False)
+        return links
+
+    @cached_property
+    def power(self):
+        """Mean received power in W, (n_uavs, n_cells)."""
+        return self._links[0]
+
+    @cached_property
+    def sinr(self):
+        """Linear SINR, (n_uavs, n_cells)."""
+        return self._links[1]
 
 
 def _per_uav(value, n_uavs, name, positive=False):
@@ -165,6 +194,30 @@ def _per_uav(value, n_uavs, name, positive=False):
     return value
 
 
+def _link_layers(grid, uavs, params, spare):
+    """Received power and SINR of every UAV-to-cell link, the two layers of
+    one float64 (2, n_uavs, n_cells) block.
+
+    Each UAV's path loss is built in its row of the power layer, with its
+    rows of the SINR layer and of spare, a float (n_uavs, n_cells) array
+    this overwrites, as scratch, and turned into received power in place;
+    the SINR is then worked in its own layer."""
+    links = np.empty((2, len(uavs), grid.n_cells))
+    power, sinr = links
+    x, y = grid.column_x, grid.row_y[:, None]
+    shape = (grid.ny, grid.nx)
+    for u, *rows in zip(uavs, power, sinr, spare):
+        loss = _path_loss_in(u, x, y, params, *(row.reshape(shape) for row in rows))
+        np.divide(u.power, loss, out=loss)
+    noise = params.noise_w_per_hz * np.array([u.bandwidth for u in uavs], dtype=float)
+    # sinr = power / (beta * (total - power) + noise), built in its layer
+    np.subtract(power.sum(axis=0), power, out=sinr)
+    sinr *= params.beta
+    sinr += noise[:, None]
+    np.divide(power, sinr, out=sinr)
+    return links
+
+
 def compute_radio_field(grid, uavs, params):
     """Evaluate every UAV-to-cell link on the grid.
 
@@ -172,49 +225,42 @@ def compute_radio_field(grid, uavs, params):
     other UAVs; noise is the spectral density times UAV i's own bandwidth.
     Spectral efficiency is log2(1 + SINR).
 
-    Each UAV's received power is computed over the grid's separable column
-    and row coordinates into its row of the power field, and the SINR and
-    spectral efficiency are each worked in place.  power, sinr and
-    spectral_eff are the three layers of one float64 (3, n_uavs, n_cells)
-    allocation, the largest array of a scene.  glibc sets its mmap threshold
-    to the largest mmapped block freed so far and trims the heap top only
-    past twice that, so a process that runs scene after scene (a sweep,
+    spectral_eff and the feasibility mask are allocated first, then the
+    power and SINR in one scratch (2, n_uavs, n_cells) block, which is freed
+    before the field is returned: the field keeps one float (n_uavs,
+    n_cells) array.  Each UAV's path loss is worked in its rows of the block
+    and of spectral_eff, so no (ny, nx) temporary is made.  glibc sets its
+    mmap threshold to the largest mmapped block freed so far and trims the
+    heap top only past twice that.  A process's first scene mmaps the block;
+    later scenes of its size carve it from the heap top, and as nothing that
+    outlives it is allocated above it, it falls back into the free top when
+    freed.  So a process that runs scene after scene (a sweep,
     scripts/run_figures.py, the benchmark) keeps reusing its heap instead of
-    handing it back and faulting it in again.  The solvers release their
-    (n_uavs, n_cells) cost field before the per-cell reports, which keeps a
-    200 x 200 scene of 5 UAVs inside that margin; one scene alone in a fresh
-    process still faults its memory in once.  All 8 committed configs run in
-    one process with 14.6k minor page faults, against 30.5k before the field
-    became one allocation, and a steady-state pass of the perfbench sweeps
-    faults 0 to 4 times (fair-sweep, maps-fine) or about 1,980 times
-    (hover-sweep, all in its 6-UAV scene and the scene after it); see
-    BENCH_17.json.
+    handing it back and faulting it in again: a 400 x 400 scene of both
+    scenarios (perfbench's maps-fine) peaks at 28.7 MB of heap and ends with
+    22.7 MB free at the top, under its 25.6 MB trim threshold, and a
+    steady-state pass of each perfbench workload takes 0 minor faults, where
+    hover-sweep took 1,859 when the field kept all three layers; see
+    BENCH_32.json.  One scene alone in a fresh process still faults its
+    memory in once.
     """
     if len(uavs) == 0:
         raise ValueError("need at least one UAV")
-    x, y = grid.column_x, grid.row_y[:, None]
-    fields = np.empty((3, len(uavs), grid.ny, grid.nx))
-    for row, u in zip(fields[0], uavs):
-        np.divide(u.power, mean_path_loss(u, x, y, params), out=row)
-    power, sinr, spectral_eff = fields.reshape(3, len(uavs), grid.n_cells)
-    bandwidths = np.array([u.bandwidth for u in uavs], dtype=float)
-    noise = params.noise_w_per_hz * bandwidths
-    # sinr = power / (beta * (total - power) + noise), built in its layer
-    np.subtract(power.sum(axis=0), power, out=sinr)
-    sinr *= params.beta
-    sinr += noise[:, None]
-    np.divide(power, sinr, out=sinr)
+    spectral_eff = np.empty((len(uavs), grid.n_cells))
+    feasible_by_uav = np.empty(spectral_eff.shape, dtype=bool)
+    sinr = _link_layers(grid, uavs, params, spare=spectral_eff)[1]
     np.add(1.0, sinr, out=spectral_eff)
     np.log2(spectral_eff, out=spectral_eff)
-    feasible_by_uav = sinr >= params.sinr_threshold
+    np.greater_equal(sinr, params.sinr_threshold, out=feasible_by_uav)
+    del sinr  # the last view of the scratch block
     feasible = feasible_by_uav.any(axis=0)
-    for arr in (power, sinr, spectral_eff, feasible_by_uav, feasible, bandwidths):
+    bandwidths = np.array([u.bandwidth for u in uavs], dtype=float)
+    for arr in (spectral_eff, feasible_by_uav, feasible, bandwidths):
         arr.setflags(write=False)
     return RadioField(
-        power=power,
-        sinr=sinr,
         spectral_eff=spectral_eff,
         feasible_by_uav=feasible_by_uav,
         feasible=feasible,
         bandwidths=bandwidths,
+        source=(grid, tuple(uavs), params),
     )

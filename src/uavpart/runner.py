@@ -190,10 +190,12 @@ def run_experiment(cfg, out_dir=None):
     inside the output directory when it exists, else beside it, after
     making the parent chain as os.makedirs would; an output path that
     exists but is no directory fails before any point is solved.  After the
-    last point the files are moved into the output directory with
-    os.replace, metrics.csv and manifest.ini last, and the stage is removed
-    on every way out.  So a run that exits non-zero or raises leaves the
-    output directory as it was, and never creates a fresh one.
+    last point every target name is checked, so a directory at one fails
+    before any file is moved; then the files are moved into the output
+    directory with os.replace, metrics.csv and manifest.ini last, and the
+    stage is removed on every way out.  So a run that exits non-zero or
+    raises leaves the output directory as it was, and never creates a fresh
+    one.
 
     0 on success, 2 on a bad config or scene or an unwritable output, 3 when
     an instance is infeasible, 4 when a solver fails to converge (diagnostics
@@ -215,7 +217,13 @@ def run_experiment(cfg, out_dir=None):
         with tempfile.TemporaryDirectory(prefix=".uavpart-stage-", dir=stage_in) as stage:
             _write_run(cfg, points, stage)
             os.makedirs(out_dir, exist_ok=True)
-            for name in [n for n in os.listdir(stage) if n not in LAST_MOVED] + list(LAST_MOVED):
+            names = [n for n in os.listdir(stage) if n not in LAST_MOVED] + list(LAST_MOVED)
+            # a directory at a target name would stop the moves part way
+            for name in names:
+                target = os.path.join(out_dir, name)
+                if os.path.isdir(target) and not os.path.islink(target):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+            for name in names:
                 os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

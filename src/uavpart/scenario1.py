@@ -46,7 +46,8 @@ def solve_fairness_system(bandwidths, budgets, alpha, n_users):
     is infinite if some alpha_i = 0.  So a split exists exactly when C > N,
     and bisection on P over (0, B . tau] finds it to adjacent floats.  Raises
     ConfigError when B . tau, the bisection's upper end, or some quadratic's
-    term 4 alpha_i tau_i overflows a float, and InfeasibleError when C <= N.
+    term 4 alpha_i tau_i overflows a float, or when B . tau is below the
+    smallest normal float, and InfeasibleError when C <= N.
     """
     bw = np.asarray(bandwidths, dtype=float)
     tau = _per_uav(budgets, len(bw), "hover budget", positive=True)
@@ -61,10 +62,17 @@ def solve_fairness_system(bandwidths, budgets, alpha, n_users):
     if not (np.isfinite(top) and np.isfinite(load).all()):
         raise ConfigError("bandwidth times hover budget summed over the fleet (B . tau) "
                           "or a control term 4 alpha tau overflows a float")
+    # a subnormal pool, and the resource per user taken from it, keep too few
+    # significant bits to price the links
+    if top < np.finfo(float).tiny:
+        raise ConfigError("bandwidth times hover budget summed over the fleet (B . tau) "
+                          "is below the smallest normal float")
     if capacity <= n_users:
         raise InfeasibleError(f"fleet capacity sum(sqrt(tau / alpha)) = {capacity:.6g} "
                               f"users is at most N = {n_users}")
-    users_bw = n_users * bw
+    # the control term load_i (N B_i / P)^2 is 0 where load_i is 0, at any
+    # pool: N B_i / P, or its square, can overflow there when P is tiny
+    users_bw = np.where(load > 0, n_users * bw, 0.0)
 
     def serve_at(pool):
         return 2.0 * tau / (1.0 + np.sqrt(1.0 + load * (users_bw / pool) ** 2))

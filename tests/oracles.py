@@ -190,19 +190,24 @@ def received_power_reference(uav, x, y, params):
     return uav.power / loss
 
 
-def radio_field_reference(grid, uavs, params):
-    """The radio field stacked from per-UAV powers over the flat cell
-    coordinates, with SINR and spectral efficiency as whole-array expressions."""
+def links_reference(grid, uavs, params):
+    """Received power and SINR stacked from per-UAV powers over the flat cell
+    coordinates, the SINR a whole-array expression."""
     x, y = cell_centers(grid)
     power = np.stack([received_power_reference(u, x, y, params) for u in uavs])
-    bandwidths = np.array([u.bandwidth for u in uavs], dtype=float)
-    noise = params.noise_w_per_hz * bandwidths
+    noise = params.noise_w_per_hz * np.array([u.bandwidth for u in uavs], dtype=float)
     interference = params.beta * (power.sum(axis=0)[None, :] - power)
-    sinr = power / (interference + noise[:, None])
+    return power, power / (interference + noise[:, None])
+
+
+def radio_field_reference(grid, uavs, params):
+    """The radio field over links_reference's SINR, with spectral efficiency
+    and the masks as whole-array expressions."""
+    sinr = links_reference(grid, uavs, params)[1]
     feasible_by_uav = sinr >= params.sinr_threshold
-    return RadioField(power=power, sinr=sinr, spectral_eff=np.log2(1.0 + sinr),
-                      feasible_by_uav=feasible_by_uav, feasible=feasible_by_uav.any(axis=0),
-                      bandwidths=bandwidths)
+    return RadioField(spectral_eff=np.log2(1.0 + sinr), feasible_by_uav=feasible_by_uav,
+                      feasible=feasible_by_uav.any(axis=0),
+                      bandwidths=np.array([u.bandwidth for u in uavs], dtype=float))
 
 
 def shifted_pass_reference(grid, costs, psi, partition=False):

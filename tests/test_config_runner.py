@@ -727,6 +727,46 @@ def test_fairness_pool_that_overflows_exits_2_at_once(tmp_path, n, overrides):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
 
+@pytest.mark.parametrize("blocked", ["metrics.csv", "trace_s2_base.csv"])
+def test_a_directory_at_a_target_name_moves_no_file(tmp_path, capsys, blocked):
+    # the maps and the trace were moved in before os.replace met the
+    # directory named metrics.csv, so the run exited 2 with the output
+    # directory changed
+    cfg = replace(ExperimentConfig(), experiment_id="blocked", scenario="2", nx=20, ny=20,
+                  mass_tol=5e-3, n_seeds=1, write_partitions=True, trace=True)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    (out / blocked / "kept.txt").write_bytes(b"kept")
+    (out / "notes.txt").write_bytes(b"earlier")
+    before = tree(out)
+    assert run_experiment(cfg, str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: cannot write output: [Errno 21] "
+                                       f"Is a directory: '{out / blocked}'\n")
+    assert tree(out) == before
+    assert sorted(p.name for p in out.iterdir()) == sorted([blocked, "notes.txt"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_fairness_pool_below_the_normal_floats_exits_2_at_once(tmp_path):
+    # alpha = 0 with a subnormal B . tau = 5e-310 made every serving time
+    # NaN and the ascent never ended, leaving its stage behind; the run goes
+    # in a process of its own, so a hang is stopped by the timeout
+    path = write_cfg(tmp_path, fast_text(nx=6, ny=6, scenario=1, n_seeds=1, alpha=0.0,
+                                         max_hover=1e-200, bandwidth=1e-110))
+    out = tmp_path / "out"
+    timed = ("import sys, time; from uavpart.cli import main; start = time.perf_counter(); "
+             "code = main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", timed,
+                           "run", path, "--out", str(out)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr == ("config error: bandwidth times hover budget summed over the fleet "
+                           "(B . tau) is below the smallest normal float\n")
+    assert float(done.stdout) < 1.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
 @pytest.mark.parametrize("field", ["experiment_id", "out_dir"])
 def test_text_that_utf8_cannot_encode_writes_nothing(tmp_path, capsys, field):
     # a lone surrogate raised UnicodeEncodeError: out of os.makedirs for

@@ -36,10 +36,9 @@ def random_instance(seed):
     grid = AreaGrid(1000.0, 800.0, nx, ny, density / (density.sum() * cell_area))
     eff = rng.uniform(0.05, 8.0, (m, grid.n_cells))
     usable = rng.random((m, grid.n_cells)) < 0.8
-    sinr = 2.0**eff - 1.0
     bandwidths = rng.uniform(1e5, 1e7, m)
-    radio = RadioField(power=sinr.copy(), sinr=sinr, spectral_eff=eff, feasible_by_uav=usable,
-                       feasible=usable.any(axis=0), bandwidths=bandwidths)
+    radio = RadioField(spectral_eff=eff, feasible_by_uav=usable, feasible=usable.any(axis=0),
+                       bandwidths=bandwidths)
     budgets = rng.uniform(10.0, 3000.0, m)
     idle = rng.random(m) < 0.3  # UAVs that serve nothing
     assignment = np.full(grid.n_cells, INFEASIBLE)

@@ -1,16 +1,21 @@
-"""Allocation bounds of the two (n_uavs, n_cells) kernels, read with tracemalloc:
-the radio field holds little beyond its outputs, and the dual ascent works in
-three float64 and six one-byte n_cells-length arrays."""
+"""Allocation bounds of the two (n_uavs, n_cells) kernels and of a whole run,
+read with tracemalloc: the radio field keeps one float (n_uavs, n_cells)
+array and holds little beyond it and its scratch, the dual ascent works in
+three float64 and six one-byte n_cells-length arrays, and a run of both
+scenarios stays under four float (n_uavs, n_cells) arrays."""
 
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 
-from uavpart.channel import compute_radio_field
+from uavpart import channel
+from uavpart.channel import _link_layers, compute_radio_field
 from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs
 from uavpart.partition import ascend_dual
-from uavpart.scenario1 import build_cost_field, solve_fairness_system
+from uavpart.runner import EXIT_OK, run_experiment
+from uavpart.scenario1 import build_cost_field, solve_fairness_system, solve_scenario1
+from uavpart.scenario2 import solve_scenario2
 
 CFG = replace(ExperimentConfig(), nx=120, ny=100, n_uavs=8)
 GRID, UAVS, PARAMS = build_grid(CFG), build_uavs(CFG), build_channel(CFG)
@@ -34,21 +39,55 @@ def test_radio_field_peaks_near_its_outputs():
     _ = GRID.column_x, GRID.row_y  # cached on the grid, not the field's own
     radio, peak = traced_peak(lambda: compute_radio_field(GRID, UAVS, PARAMS))
     outputs = sum(getattr(radio, name).nbytes for name in (
-        "power", "sinr", "spectral_eff", "feasible_by_uav", "feasible", "bandwidths"))
+        "spectral_eff", "feasible_by_uav", "feasible", "bandwidths"))
     assert radio.n_uavs == 8
-    assert peak <= outputs + 4 * N * 8 + SLACK
+    # the outputs, the power and SINR scratch block and the summed power;
+    # the path loss is worked in rows the field already holds
+    assert peak <= outputs + 2 * radio.spectral_eff.nbytes + N * 8 + SLACK
 
 
-def test_radio_fields_are_layers_of_one_allocation():
+def test_spectral_eff_is_the_fields_only_float_layer():
     radio = compute_radio_field(GRID, UAVS, PARAMS)
-    fields = (radio.power, radio.sinr, radio.spectral_eff)
-    block = radio.power.base
-    assert all(f.base is block for f in fields)
-    assert block.nbytes == sum(f.nbytes for f in fields)
-    assert all(np.shares_memory(f, block) for f in fields)
-    for f, g in ((radio.power, radio.sinr), (radio.sinr, radio.spectral_eff)):
-        assert not np.shares_memory(f, g)
-    assert not any(f.flags.writeable for f in fields)
+    layers = [name for name, value in vars(radio).items()
+              if isinstance(value, np.ndarray) and value.dtype == float
+              and value.shape == (8, N)]
+    assert layers == ["spectral_eff"]
+    assert radio.spectral_eff.base is None  # keeps no larger block alive
+    assert not radio.spectral_eff.flags.writeable
+
+
+def test_power_and_sinr_read_after_a_solve_are_the_fields_own_layers(monkeypatch):
+    built = []
+
+    def recording(*args, **kwargs):
+        links = _link_layers(*args, **kwargs)
+        built.append(links.copy())
+        return links
+
+    with monkeypatch.context() as patched:
+        patched.setattr(channel, "_link_layers", recording)
+        radio = compute_radio_field(GRID, UAVS, PARAMS)
+    assert len(built) == 1 and "_links" not in vars(radio)
+    solve_scenario1(GRID, radio, CFG.max_hover, CFG.alpha, CFG.n_users, mass_tol=CFG.mass_tol)
+    solve_scenario2(GRID, radio, CFG.load_bits, CFG.alpha, CFG.n_users, mass_tol=CFG.mass_tol)
+    power, sinr = built[0]
+    for got, want in ((radio.power, power), (radio.sinr, sinr)):
+        assert got.dtype == want.dtype and got.shape == want.shape == (8, N)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert radio.power is radio.power and radio.sinr is radio.sinr  # computed once
+
+
+def test_run_allocates_under_four_float_layers(tmp_path):
+    # both scenarios with maps and traces: the radio field's scratch peak is
+    # about three (n_uavs, n_cells) float layers, and every later stage
+    # works beside the one the field keeps; a field that kept its power
+    # and SINR layers through the solves peaked above five
+    cfg = replace(CFG, scenario="both", n_seeds=3, write_partitions=True, trace=True)
+    assert run_experiment(cfg, out_dir=str(tmp_path / "warm")) == EXIT_OK
+    code, peak = traced_peak(lambda: run_experiment(cfg, out_dir=str(tmp_path / "run")))
+    assert code == EXIT_OK
+    assert peak <= 4 * 8 * N * 8
 
 
 def test_ascent_allocates_less_than_one_cost_array():

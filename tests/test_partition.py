@@ -602,8 +602,8 @@ def test_voronoi_ties_on_equal_efficiency_go_to_the_lowest_index():
     eff = np.log2(1.0 + sinr)
     assert high > low and eff[0, 0] == eff[1, 0] == 60.0
     usable = np.ones((2, 2), dtype=bool)
-    radio = RadioField(power=sinr.copy(), sinr=sinr, spectral_eff=eff, feasible_by_uav=usable,
-                       feasible=usable.any(axis=0), bandwidths=np.ones(2))
+    radio = RadioField(spectral_eff=eff, feasible_by_uav=usable, feasible=usable.any(axis=0),
+                       bandwidths=np.ones(2))
     part = weighted_voronoi(grid, radio)
     assert part.assignment.tolist() == [0, 0]
     assert part.masses.tolist() == [1.0, 0.0]
@@ -615,9 +615,8 @@ def test_voronoi_skips_links_below_the_sinr_floor():
     grid = uniform_density(1000.0, 1000.0, 3, 1)
     sinr = np.array([[8.0, 8.0, 8.0], [1.0, 1.0, 1.0]])
     usable = np.array([[True, False, False], [True, True, False]])
-    radio = RadioField(power=sinr.copy(), sinr=sinr, spectral_eff=np.log2(1.0 + sinr),
-                       feasible_by_uav=usable, feasible=usable.any(axis=0),
-                       bandwidths=np.ones(2))
+    radio = RadioField(spectral_eff=np.log2(1.0 + sinr), feasible_by_uav=usable,
+                       feasible=usable.any(axis=0), bandwidths=np.ones(2))
     part = weighted_voronoi(grid, radio)
     assert part.assignment.tolist() == [0, 1, INFEASIBLE]
     assert np.allclose(part.masses, [1 / 3, 1 / 3])

@@ -180,6 +180,28 @@ def test_fairness_pool_that_overflows_is_a_config_error(budget, alpha):
         solve_fairness_system([1e6] * 5, budget, alpha, 300)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("budget, bandwidth", [(1e-190, 1e-110), (1e-160, 1e-140)])
+def test_fairness_split_without_control_time_serves_every_budget(budget, bandwidth):
+    # at alpha = 0 N B_i / P squared overflowed on a small pool, times a
+    # load of 0 it made every serving time NaN, and the ascent that read the
+    # NaN shares never ended; a UAV with no control time serves its budget
+    sol = solve_fairness_system([bandwidth] * 5, budget, 0.0, 300)
+    assert sol.serve_times.tolist() == [budget] * 5
+    assert np.allclose(sol.target_masses, 0.2, rtol=1e-15)
+    assert sol.resource_per_user > 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("budget, bandwidth", [(1e-200, 1e-110), (1e-300, 1e-300)])
+def test_fairness_pool_below_the_normal_floats_is_a_config_error(budget, bandwidth):
+    # B . tau = 5e-310 (subnormal) and 0 (underflowed)
+    with pytest.raises(ConfigError, match=r"^bandwidth times hover budget summed over the "
+                                          r"fleet \(B \. tau\) is below the smallest "
+                                          r"normal float$"):
+        solve_fairness_system([bandwidth] * 5, budget, 0.0, 300)
+
+
 def test_fairness_validation():
     with pytest.raises(ValueError, match="need at least one UAV"):
         solve_fairness_system([], BUDGET, 0.01, 300)

@@ -44,10 +44,7 @@ def manual_radio(eff, bandwidths, feasible=None):
         feasible = np.ones_like(eff, dtype=bool)
     else:
         feasible = np.asarray(feasible, dtype=bool)
-    sinr = 2.0**eff - 1.0
     return RadioField(
-        power=sinr.copy(),
-        sinr=sinr,
         spectral_eff=eff,
         feasible_by_uav=feasible,
         feasible=feasible.any(axis=0),
