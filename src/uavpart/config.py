@@ -227,6 +227,8 @@ def _check_fields(cfg):
         (cfg.mass_tol > 0, "mass tolerance must be positive"),
         (cfg.max_ascent_iter >= 1, "iteration budget must be positive"),
         (cfg.n_seeds >= 1, "need at least one seed"),
+        # the per-seed rows are a list of n_seeds entries
+        (cfg.n_seeds <= sys.maxsize, f"n_seeds must be at most {sys.maxsize}"),
     ]
     for ok, message in checks:
         if not ok:

@@ -424,31 +424,34 @@ def _newton_move(s):
     W 1 is added instead."""
     pairs = _band_pairs(s.grid, _gaps(s), s.codes, s.runner, len(s.costs), s.kept)
     inverse = np.divide(1.0, s.curvature, out=np.zeros(len(s.grad)), where=s.free)
-    hessian = pairs + pairs.transpose(0, 2, 1)
-    hessian /= (-2.0 * s.bands)[:, None, None]  # -W
-    diagonal = np.arange(len(s.grad))
-    transport = -hessian.sum(axis=2)  # W 1
-    reach = inverse + transport
-    hessian[:, diagonal, diagonal] = reach
-    if not s.free.all():
-        hessian, reach = hessian[:, s.free][:, :, s.free], reach[:, s.free]
-    scale = reach.mean(axis=1)
-    empty = scale == 0  # no cell in the band and no curvature: J = 0
-    scale[empty] = 1.0
-    if np.all(s.curvature == np.inf):
-        hessian += scale[:, None, None]
-    transport = transport[:, s.free].mean(axis=1)
-    stiff = (transport > 0) & (inverse.max() > 1e12 * transport)
-    diagonal = np.arange(len(reach[0]))
-    hessian[:, diagonal, diagonal] += 1e-12 * np.where(stiff, transport, scale)[:, None]
-    moves = np.zeros((len(s.bands), len(s.grad)))
-    try:
-        moves[:, s.free] = np.linalg.solve(hessian, s.grad[s.free])
-    except np.linalg.LinAlgError:  # a singular J; the free mask keeps every 1 / k finite
-        return None
-    with np.errstate(divide="ignore"):  # a move of 0 fits no band
+    # W over a tiny band can overflow: a band whose J or move is not finite fits no band
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hessian = pairs + pairs.transpose(0, 2, 1)
+        hessian /= (-2.0 * s.bands)[:, None, None]  # -W
+        diagonal = np.arange(len(s.grad))
+        transport = -hessian.sum(axis=2)  # W 1
+        reach = inverse + transport
+        hessian[:, diagonal, diagonal] = reach
+        if not s.free.all():
+            hessian, reach = hessian[:, s.free][:, :, s.free], reach[:, s.free]
+        scale = reach.mean(axis=1)
+        empty = scale == 0  # no cell in the band and no curvature: J = 0
+        scale[empty] = 1.0
+        if np.all(s.curvature == np.inf):
+            hessian += scale[:, None, None]
+        transport = transport[:, s.free].mean(axis=1)
+        stiff = (transport > 0) & (inverse.max() > 1e12 * transport)
+        diagonal = np.arange(len(reach[0]))
+        hessian[:, diagonal, diagonal] += 1e-12 * np.where(stiff, transport, scale)[:, None]
+        finite = np.isfinite(hessian).all(axis=(1, 2))
+        moves = np.zeros((len(s.bands), len(s.grad)))
+        try:
+            moves[np.ix_(finite, s.free)] = np.linalg.solve(hessian[finite], s.grad[s.free])
+        except np.linalg.LinAlgError:  # a singular J; the free mask keeps every 1 / k finite
+            return None
+        # a move of 0 fits no band
         misfit = np.abs(np.log(np.abs(moves).max(axis=1) / s.bands)) / np.log(BAND_REACH)
-    misfit[empty] = np.inf
+    misfit[empty | ~np.isfinite(misfit)] = np.inf
     fits = np.flatnonzero(misfit <= 1.0)
     level = fits[-1] if len(fits) else int(np.argmin(misfit))
     return moves[level] if misfit[level] <= 2.0 else None

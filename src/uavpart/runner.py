@@ -29,7 +29,7 @@ from .config import (
     format_value,
     validate_config,
 )
-from .errors import ConfigError, ConvergenceError, InfeasibleError
+from .errors import ConvergenceError, InfeasibleError
 from .metrics import jain_index, sample_users, service_per_user, total_data_service
 from .partition import partition_to_csv, weighted_voronoi
 from .scenario1 import service_field_for_partition, solve_scenario1
@@ -152,15 +152,12 @@ def _write_run(cfg, points, out_dir):
     out_dir: each point's maps and traces as it is solved, then metrics.csv
     and manifest.ini.
 
-    Each point's grid, fleet and channel are built here, and a ValueError of
-    theirs is a ConfigError, so the rules they own run once, in their own
-    constructors."""
+    Each point's grid, fleet and channel are built here, so the rules they
+    own run once, in their own constructors; their ValueError, like the
+    solvers', reaches run_experiment as a config error."""
     lines = []
     for point, sweep_value, cur in points:
-        try:
-            grid, uavs, channel = build_grid(cur), build_uavs(cur), build_channel(cur)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        grid, uavs, channel = build_grid(cur), build_uavs(cur), build_channel(cur)
         radio = compute_radio_field(grid, uavs, channel)
         baseline = weighted_voronoi(grid, radio)  # best-signal baseline of both scenarios
         shared, per_seed = [], [[]] * cfg.n_seeds
@@ -199,7 +196,8 @@ def run_experiment(cfg, out_dir=None):
 
     0 on success, 2 on a bad config or scene or an unwritable output, 3 when
     an instance is infeasible, 4 when a solver fails to converge (diagnostics
-    on stderr).
+    on stderr).  A ValueError, ConfigError among them, from any stage of a
+    point (the grid, the fleet, the channel or a solver) is a config error.
     """
     out_dir = cfg.out_dir if out_dir is None else out_dir
     try:
@@ -225,7 +223,7 @@ def run_experiment(cfg, out_dir=None):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
             for name in names:
                 os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -45,9 +45,10 @@ def solve_fairness_system(bandwidths, budgets, alpha, n_users):
     strictly from C / N to 0, where the capacity C = sum_i sqrt(tau_i / alpha_i)
     is infinite if some alpha_i = 0.  So a split exists exactly when C > N,
     and bisection on P over (0, B . tau] finds it to adjacent floats.  Raises
-    ConfigError when B . tau, the bisection's upper end, or some quadratic's
-    term 4 alpha_i tau_i overflows a float, or when B . tau is below the
-    smallest normal float, and InfeasibleError when C <= N.
+    InfeasibleError when C <= N, and else ConfigError when the pool the split
+    ends at is not a normal float: some term overflowed (B . tau, 4 alpha_i
+    tau_i or 2 tau_i) or the pool keeps too few significant bits to price
+    the links.
     """
     bw = np.asarray(bandwidths, dtype=float)
     tau = _per_uav(budgets, len(bw), "hover budget", positive=True)
@@ -57,33 +58,29 @@ def solve_fairness_system(bandwidths, budgets, alpha, n_users):
     # alpha_i = 0 or a huge tau_i / alpha_i makes C infinite, which is no fault
     with np.errstate(divide="ignore", over="ignore"):
         capacity = np.sqrt(tau / alpha).sum()
-        top, load = float(bw @ tau), 4.0 * alpha * tau
-    # an infinite upper end or quadratic term makes the shares NaN
-    if not (np.isfinite(top) and np.isfinite(load).all()):
-        raise ConfigError("bandwidth times hover budget summed over the fleet (B . tau) "
-                          "or a control term 4 alpha tau overflows a float")
-    # a subnormal pool, and the resource per user taken from it, keep too few
-    # significant bits to price the links
-    if top < np.finfo(float).tiny:
-        raise ConfigError("bandwidth times hover budget summed over the fleet (B . tau) "
-                          "is below the smallest normal float")
     if capacity <= n_users:
         raise InfeasibleError(f"fleet capacity sum(sqrt(tau / alpha)) = {capacity:.6g} "
                               f"users is at most N = {n_users}")
-    # the control term load_i (N B_i / P)^2 is 0 where load_i is 0, at any
-    # pool: N B_i / P, or its square, can overflow there when P is tiny
-    users_bw = np.where(load > 0, n_users * bw, 0.0)
+    # an inf or a NaN on the way ends the bisection and shows in the pool
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        load = 4.0 * alpha * tau
+        # the control term load_i (N B_i / P)^2 is 0 where load_i is 0, at any
+        # pool: N B_i / P, or its square, can overflow there when P is tiny
+        users_bw = np.where(load > 0, n_users * bw, 0.0)
 
-    def serve_at(pool):
-        return 2.0 * tau / (1.0 + np.sqrt(1.0 + load * (users_bw / pool) ** 2))
-    lo, hi = 0.0, top
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if bw @ serve_at(mid) > mid:
-            lo = mid
-        else:
-            hi = mid
-    serve = serve_at(hi)
-    pool = float(bw @ serve)
+        def serve_at(pool):
+            return 2.0 * tau / (1.0 + np.sqrt(1.0 + load * (users_bw / pool) ** 2))
+        lo, hi = 0.0, float(bw @ tau)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if bw @ serve_at(mid) > mid:
+                lo = mid
+            else:
+                hi = mid
+        serve = serve_at(hi)
+        pool = float(bw @ serve)
+    if not np.finfo(float).tiny <= pool < np.inf:
+        raise ConfigError(f"the fairness split's pool sum_i B_i T_i = {pool:.6g} "
+                          "is not a normal float")
     return FairnessSolution(serve_times=serve, target_masses=bw * serve / pool,
                             resource_per_user=pool / n_users)
 

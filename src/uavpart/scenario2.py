@@ -81,7 +81,9 @@ def marginal_hover_cost(radio, load_bits, n_users):
     # one (n_uavs, n_cells) buffer worked in place: scenario 2 peaks in here
     cost = np.where(radio.feasible_by_uav, radio.spectral_eff, 1.0)
     cost *= radio.bandwidths[:, None]
-    np.divide(n_users * load_bits, cost, out=cost)
+    # a tiny B_i eff_ic leaves +inf seconds: no finite transmission time
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(n_users * load_bits, cost, out=cost)
     cost[~radio.feasible_by_uav] = np.inf
     return cost
 

@@ -433,12 +433,15 @@ def test_cli_bad_config_returns_config_exit(tmp_path):
         {"width": 1e-200, "height": 1e-200},
         # a subnormal peak, whose density would not integrate to 1
         {"scenario": 1, "sigma_x": 100, "sigma_y": 100, "mu_x": 4816, "mu_y": 500},
+        # sample_users cannot draw 10**100 users: its ValueError was a traceback
+        {"scenario": 1, "density_kind": "uniform", "nx": 6, "ny": 6, "n_users": 10**100,
+         "alpha": 1e-300, "mass_tol": 1},
     ],
     ids=["n_uavs", "beta", "bandwidth", "b1", "mu_los_db", "altitude_overflow",
          "carrier_overflow", "carrier_underflow", "width_overflow", "height_overflow",
          "sigma_overflow", "sigma_underflow", "density_underflow", "mean_overflow",
          "mu_los_db_overflow", "noise_overflow", "sinr_threshold_overflow",
-         "cell_area_underflow", "density_subnormal"],
+         "cell_area_underflow", "density_subnormal", "sampled_users_beyond_an_array"],
 )
 @pytest.mark.filterwarnings("error")
 def test_cli_bad_scene_returns_config_exit(tmp_path, capsys, overrides):
@@ -460,6 +463,20 @@ def test_cli_overflowing_load_is_infeasible(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("infeasible instance: ")
     assert "finite transmission time" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_overflowing_transmission_time_is_infeasible(tmp_path, capsys):
+    # N load / (B_i eff_ic) overflows on every link at bandwidth = 1e-300:
+    # a RuntimeWarning, then the same exit 3 with warnings ignored
+    path = write_cfg(tmp_path, fast_text(scenario=2, nx=20, ny=20, bandwidth=1e-300))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible instance: 400 populated cells have no finite "
+                          "transmission time, ")
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 
@@ -514,6 +531,19 @@ def test_cli_user_count_with_no_float_square_is_a_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == "config error: n_users squared must be at most the largest float\n"
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, code", [(6, EXIT_CONVERGENCE), (40, EXIT_OK)])
+def test_cli_newton_move_on_tiny_costs_raises_no_warning(tmp_path, capsys, n, code):
+    # a resource per user near 1e-302 made the band Hessians overflow: a
+    # RuntimeWarning traceback; a band whose J or move is not finite fits no band
+    path = write_cfg(tmp_path, fast_text(nx=n, ny=n, scenario=1, n_seeds=1, alpha=0,
+                                         max_hover=1e-190, bandwidth=1e-110, mass_tol=1e-3))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == (code == EXIT_CONVERGENCE)
+    assert err.startswith("solver did not converge: dual ascent ended at a kink") or not err
 
 
 @pytest.mark.filterwarnings("error")
@@ -702,17 +732,20 @@ def test_a_failed_run_leaves_the_output_directory_as_it_was(tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize(
-    "n, overrides",
-    [(6, {"max_hover": 1e303}), (20, {"max_hover": 1.7e308}),
-     (6, {"max_hover": 2e301, "alpha": 2e301 / 14400})],
-    ids=["6x6", "20x20", "control_term"],
+    "n, overrides, pool",
+    [(6, {"max_hover": 1e303}, "inf"), (20, {"max_hover": 1.7e308}, "inf"),
+     (6, {"max_hover": 2e301, "alpha": 2e301 / 14400}, "0"),
+     (20, {"max_hover": 1.7e308, "bandwidth": 1e-6}, "inf"),
+     (6, {"density_kind": "uniform", "height": 3.7e6, "bandwidth": 1e-320,
+          "max_hover": 1.7e308, "max_ascent_iter": 3}, "inf")],
+    ids=["6x6", "20x20", "control_term", "two_tau", "two_tau_subnormal_bandwidth"],
 )
-def test_fairness_pool_that_overflows_exits_2_at_once(tmp_path, n, overrides):
-    # B . tau (or, in the last, 4 alpha tau) overflowed to inf and the ascent
-    # never ended; the run goes in a process of its own, so a hang is
-    # stopped by the timeout
-    path = write_cfg(tmp_path, fast_text(nx=n, ny=n, scenario=1, max_ascent_iter=1,
-                                         **overrides))
+def test_fairness_pool_that_overflows_exits_2_at_once(tmp_path, n, overrides, pool):
+    # B . tau (or 4 alpha tau in the third, 2 tau in the last two) overflowed
+    # to inf and the ascent never ended; the run goes in a process of its
+    # own, so a hang is stopped by the timeout
+    keys = dict({"nx": n, "ny": n, "scenario": 1, "max_ascent_iter": 1}, **overrides)
+    path = write_cfg(tmp_path, fast_text(**keys))
     out = tmp_path / "out"
     timed = ("import sys, time; from uavpart.cli import main; start = time.perf_counter(); "
              "code = main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(code)")
@@ -721,8 +754,8 @@ def test_fairness_pool_that_overflows_exits_2_at_once(tmp_path, n, overrides):
                            "run", path, "--out", str(out)],
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == EXIT_CONFIG
-    assert done.stderr == ("config error: bandwidth times hover budget summed over the fleet "
-                           "(B . tau) or a control term 4 alpha tau overflows a float\n")
+    assert done.stderr == (f"config error: the fairness split's pool sum_i B_i T_i = {pool} "
+                           "is not a normal float\n")
     assert float(done.stdout) < 1.0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
@@ -761,8 +794,8 @@ def test_fairness_pool_below_the_normal_floats_exits_2_at_once(tmp_path):
                            "run", path, "--out", str(out)],
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == EXIT_CONFIG
-    assert done.stderr == ("config error: bandwidth times hover budget summed over the fleet "
-                           "(B . tau) is below the smallest normal float\n")
+    assert done.stderr == ("config error: the fairness split's pool sum_i B_i T_i = 5e-310 "
+                           "is not a normal float\n")
     assert float(done.stdout) < 1.0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
@@ -793,6 +826,12 @@ def test_validate_config_returns_the_named_points():
     swept = validate_config(replace(base, sweep_var="n_uavs", sweep_values=(2.0, 7.0)))
     assert [(tag, printed, point.n_uavs) for tag, printed, point in swept] == [
         ("n_uavs_2", "2", 2), ("n_uavs_7", "7", 7)]
+
+
+def test_unknown_sweep_var_is_a_config_error():
+    cfg = replace(ExperimentConfig(), nx=20, ny=20, sweep_var="gamma", sweep_values=(1.0,))
+    with pytest.raises(ConfigError, match=r"^sweep_var must be one of \('none', 'beta', "):
+        validate_config(cfg)
 
 
 def test_finite_rule_reads_floats_tuples_and_per_uav_arrays():
@@ -1094,8 +1133,11 @@ def test_sweep_values_that_print_the_same_are_rejected(tmp_path, capsys):
         {"n_users": 0},
         {"scenario": "2", "load_bits": -1.0},
         {"n_seeds": 0},
+        # [[]] * n_seeds raised OverflowError: cannot fit 'int' into an
+        # index-sized integer
+        {"n_seeds": 10**20},
     ],
-    ids=["alpha", "n_users", "load_bits", "n_seeds"],
+    ids=["alpha", "n_users", "load_bits", "n_seeds", "n_seeds_beyond_sys_maxsize"],
 )
 def test_run_experiment_validates_unswept_config(tmp_path, capsys, overrides):
     cfg = replace(load_config(write_cfg(tmp_path, FAST_KEYS)), **overrides)

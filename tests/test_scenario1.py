@@ -173,11 +173,30 @@ def test_fairness_budget_below_control_raises():
 def test_fairness_pool_that_overflows_is_a_config_error(budget, alpha):
     # B . tau (the first two) or 4 alpha tau (the third) overflowed to inf,
     # the shares came out NaN and the ascent that read them never ended;
-    # tau / alpha overflows too at 1.7e308
-    with pytest.raises(ConfigError, match=r"^bandwidth times hover budget summed over the "
-                                          r"fleet \(B \. tau\) or a control term 4 alpha tau "
-                                          r"overflows a float$"):
+    # tau / alpha overflows too at 1.7e308.  An infinite control term
+    # leaves no serving time at any pool, so the pool ends at 0
+    pool = "0" if alpha > 1 else "inf"
+    with pytest.raises(ConfigError, match=rf"^the fairness split's pool sum_i B_i T_i = {pool} "
+                                          r"is not a normal float$"):
         solve_fairness_system([1e6] * 5, budget, alpha, 300)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fairness_split_whose_2_tau_overflows_is_a_config_error():
+    # B . tau = 8.5e302 and 4 alpha tau = 6.8e306 are finite, but 2 tau,
+    # the serving time's numerator, overflows: every share was inf or NaN
+    # and the ascent that read them never ended
+    with pytest.raises(ConfigError, match=r"^the fairness split's pool sum_i B_i T_i = inf "
+                                          r"is not a normal float$"):
+        solve_fairness_system([1e-6] * 5, 1.7e308, 0.01, 300)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fairness_capacity_is_checked_before_the_pool():
+    # both infeasible (capacity 5 sqrt(1e-306 / 1e-300) < 1 user) and
+    # subnormal (B . tau = 5e-312): the capacity rule comes first
+    with pytest.raises(InfeasibleError, match="capacity"):
+        solve_fairness_system([1e-6] * 5, 1e-306, 1e-300, 300)
 
 
 @pytest.mark.filterwarnings("error")
@@ -195,10 +214,11 @@ def test_fairness_split_without_control_time_serves_every_budget(budget, bandwid
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("budget, bandwidth", [(1e-200, 1e-110), (1e-300, 1e-300)])
 def test_fairness_pool_below_the_normal_floats_is_a_config_error(budget, bandwidth):
-    # B . tau = 5e-310 (subnormal) and 0 (underflowed)
-    with pytest.raises(ConfigError, match=r"^bandwidth times hover budget summed over the "
-                                          r"fleet \(B \. tau\) is below the smallest "
-                                          r"normal float$"):
+    # B . tau = 5e-310 (subnormal) and 0 (underflowed), where 0 / 0 makes
+    # the pool NaN
+    pool = "5e-310" if budget == 1e-200 else "nan"
+    with pytest.raises(ConfigError, match=rf"^the fairness split's pool sum_i B_i T_i = {pool} "
+                                          r"is not a normal float$"):
         solve_fairness_system([bandwidth] * 5, budget, 0.0, 300)
 
 
