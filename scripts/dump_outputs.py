@@ -5,10 +5,12 @@ and 1, every experiment config in scripts/ at 60 x 60 with 3 user seeds,
 and one scenario-2 sweep of the default scene at 40 x 40 over large control
 weights, three scenes whose ascent ends at a kink, one fairness sweep whose
 experiment id needs CSV quoting, one sigma sweep whose second hot spot
-underflows on the grid and one hot spot whose peak is subnormal on the grid,
-79 runs, all with partition maps and ascent traces on.  A run that exits
-non-zero leaves no output directory: the scenario-1 kink scene (exit 4) and
-the last two (exit 2) show in exit_codes.txt only.
+underflows on the grid, one hot spot whose peak is subnormal on the grid,
+one lone UAV whose noise underflows to 0 in each scenario and one run that
+asks for more users than an array holds, 82 runs, all with partition maps
+and ascent traces on.  A run that exits non-zero leaves no output directory:
+the scenario-1 kink scene (exit 4) and the last five (exit 2) show in
+exit_codes.txt only.
 ascents.txt adds the kernel's own iterates: one line per random ascent of
 seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed both ways, mass_tol
 1e-6 and max_iter 1000) giving the seed, the UAV count, mixed, the iteration
@@ -140,6 +142,15 @@ def main(argv=None):
     runs.append(("subnormal_hot_spot", ExperimentConfig(
         experiment_id="subnormal_hot_spot", scenario="1", nx=30, ny=30, n_seeds=1,
         mu_x=4816.0, mu_y=500.0, sigma_x=100.0, sigma_y=100.0)))
+    # N0 B = 1e-20 * 1e-320 is 0 and nothing interferes: an infinite SINR
+    for scenario in ("1", "2"):
+        runs.append((f"noise_underflow_s{scenario}", ExperimentConfig(
+            experiment_id=f"noise_underflow_s{scenario}", scenario=scenario, nx=6, ny=4,
+            n_seeds=1, n_uavs=1, bandwidth=1e-320, density_kind="uniform")))
+    # sample_users cannot shape 10**100 draws
+    runs.append(("users_beyond_an_array", ExperimentConfig(
+        experiment_id="users_beyond_an_array", scenario="1", nx=6, ny=6, n_seeds=1,
+        density_kind="uniform", n_users=10**100, alpha=1e-300, mass_tol=1.0)))
     codes = []
     for rel, cfg in runs:
         cfg = replace(cfg, write_partitions=True, trace=True)

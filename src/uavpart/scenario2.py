@@ -9,7 +9,7 @@ names a wrong length or an entry that is not finite and non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,10 +22,13 @@ from .partition import own_links, weighted_voronoi  # weighted_voronoi is probed
 
 @dataclass(frozen=True)
 class HoverReport:
-    """Per-UAV hover breakdown for a partition."""
+    """Per-UAV hover breakdown for a partition.  region_hover_report's
+    report also holds, as equal_split, the report of the same partition
+    under equal bandwidth shares."""
 
     serve_times: np.ndarray
     control_times: np.ndarray
+    equal_split: HoverReport | None = field(default=None, repr=False, compare=False)
 
     @property
     def hover_times(self):
@@ -55,23 +58,25 @@ def _link_seconds(grid, part, radio, load_bits, alpha, n_users):
 
 def hover_time_equal_split(grid, part, radio, load_bits, alpha, n_users):
     """HoverReport for every UAV of a partition when each UAV gives its users
-    equal bandwidth shares: the slowest populated cell sets the finish time,
-    N a_i load / (B_i eff), to which the control overhead is added."""
-    cells, uavs, seconds, control = _link_seconds(grid, part, radio, load_bits, alpha, n_users)
-    seconds[grid.cell_mass[cells] == 0] = 0.0  # empty cells take no time
-    slowest = np.zeros(part.n_uavs)
-    np.maximum.at(slowest, uavs, seconds)
-    return HoverReport(n_users * part.masses * slowest / radio.bandwidths, control)
+    equal bandwidth shares: region_hover_report's equal_split."""
+    return region_hover_report(grid, part, radio, load_bits, alpha, n_users).equal_split
 
 
 def region_hover_report(grid, part, radio, load_bits, alpha, n_users):
     """HoverReport for every UAV of a partition under the optimal in-region
     bandwidth split: N sum_c m_c load / (B_i eff_ic) transmission seconds
-    over the region, plus control overhead."""
+    over the region, plus control overhead.  Its equal_split is the report
+    under equal bandwidth shares, from the same read of the own links: the
+    slowest populated cell sets the finish time, N a_i load / (B_i eff), to
+    which the control overhead is added."""
     cells, uavs, seconds, control = _link_seconds(grid, part, radio, load_bits, alpha, n_users)
-    demand = np.multiply(seconds, grid.cell_mass[cells], out=seconds)
+    mass = grid.cell_mass[cells]
+    slowest = np.zeros(part.n_uavs)
+    np.maximum.at(slowest, uavs, np.where(mass > 0, seconds, 0.0))  # empty cells take no time
+    equal_split = HoverReport(n_users * part.masses * slowest / radio.bandwidths, control)
+    demand = np.multiply(seconds, mass, out=seconds)
     sums = np.bincount(uavs, weights=demand, minlength=part.n_uavs)
-    return HoverReport(n_users * sums / radio.bandwidths, control)
+    return HoverReport(n_users * sums / radio.bandwidths, control, equal_split)
 
 
 def marginal_hover_cost(radio, load_bits, n_users):

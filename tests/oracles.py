@@ -1,10 +1,10 @@
 """Exhaustive oracles the tests hold the solvers to: the closed-form
 in-region bandwidth split, the brute-force minimum of total hover time,
 plain per-region loops that weigh and score a partition the way the library
-does, whole-array forms of the radio field and the shifted min-cost pass
-that the library's in-place kernels must match bit for bit, and the
-one-seed-at-a-time user sampling, Jain scoring and metrics.csv rows that the
-runner's batched seeds must match byte for byte."""
+does, whole-array and UAV-by-UAV forms of the radio field and the shifted
+min-cost pass that the library's in-place kernels must match bit for bit,
+and the one-seed-at-a-time user sampling, Jain scoring and metrics.csv rows
+that the runner's batched seeds must match byte for byte."""
 
 import csv
 import io
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from uavpart.channel import RadioField
+from uavpart.channel import RadioField, mean_path_loss
 from uavpart.config import format_value
 from uavpart.errors import InfeasibleError
 from uavpart.partition import INFEASIBLE, Partition
@@ -190,20 +190,34 @@ def received_power_reference(uav, x, y, params):
     return uav.power / loss
 
 
+def _sinr_reference(power, uavs, params):
+    """The SINR of stacked received powers, a whole-array expression."""
+    noise = params.noise_w_per_hz * np.array([u.bandwidth for u in uavs], dtype=float)
+    interference = params.beta * (power.sum(axis=0)[None, :] - power)
+    return power / (interference + noise[:, None])
+
+
 def links_reference(grid, uavs, params):
     """Received power and SINR stacked from per-UAV powers over the flat cell
     coordinates, the SINR a whole-array expression."""
     x, y = cell_centers(grid)
     power = np.stack([received_power_reference(u, x, y, params) for u in uavs])
-    noise = params.noise_w_per_hz * np.array([u.bandwidth for u in uavs], dtype=float)
-    interference = params.beta * (power.sum(axis=0)[None, :] - power)
-    return power, power / (interference + noise[:, None])
+    return power, _sinr_reference(power, uavs, params)
 
 
-def radio_field_reference(grid, uavs, params):
-    """The radio field over links_reference's SINR, with spectral efficiency
-    and the masks as whole-array expressions."""
-    sinr = links_reference(grid, uavs, params)[1]
+def links_uav_by_uav(grid, uavs, params):
+    """Received power and SINR with every UAV's power built from its own
+    mean_path_loss over the grid's separable coordinates: no UAV's power is
+    copied from another's."""
+    x, y = grid.column_x, grid.row_y[:, None]
+    power = np.stack([(u.power / mean_path_loss(u, x, y, params)).reshape(-1) for u in uavs])
+    return power, _sinr_reference(power, uavs, params)
+
+
+def radio_field_reference(grid, uavs, params, links=links_reference):
+    """The radio field over the SINR of links (links_reference's by default),
+    with spectral efficiency and the masks as whole-array expressions."""
+    sinr = links(grid, uavs, params)[1]
     feasible_by_uav = sinr >= params.sinr_threshold
     return RadioField(spectral_eff=np.log2(1.0 + sinr), feasible_by_uav=feasible_by_uav,
                       feasible=feasible_by_uav.any(axis=0),

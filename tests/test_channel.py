@@ -1,10 +1,14 @@
 """Channel model oracles: LoS probability, path loss chain, SINR fields."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import uavpart.channel as channel_module
 from uavpart.channel import (
     ChannelParams,
     UavNode,
@@ -15,9 +19,10 @@ from uavpart.channel import (
     dbm_to_watts,
     mean_path_loss,
 )
+from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs, place_uavs_grid
 from uavpart.grid import truncated_gaussian, uniform_density
 
-from oracles import cell_centers, links_reference, radio_field_reference
+from oracles import cell_centers, links_reference, links_uav_by_uav, radio_field_reference
 
 TABLE = ChannelParams()  # reference constants: 2 GHz, 3/23 dB, -170 dBm/Hz
 
@@ -300,3 +305,76 @@ def test_channel_chain_accepts_scalars():
     assert float(mean_path_loss(uav, 300.0, 400.0, TABLE)) == arrays[0]
     assert float(los_probability(uav, 300.0, 400.0, TABLE)) == los_probability(
         uav, np.array([300.0]), np.array([400.0]), TABLE)[0]
+
+
+@st.composite
+def mirrored_fleets(draw):
+    """A grid, a fleet and channel constants whose UAVs often mirror one
+    another: a block-grid fleet, plus copies of its UAVs that are exact
+    duplicates, mirrors across the area's midlines or 1 ulp off a UAV or a
+    mirror, with altitudes and powers equal or not."""
+    width, height = draw(st.sampled_from([(1000.0, 1000.0), (1000.0, 600.0), (700.0, 1300.0)]))
+    grid = uniform_density(width, height, draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    fleet = place_uavs_grid(width, height, draw(st.integers(1, 6)), 200.0, 0.5, 1e6)
+    def ulp(v):
+        return float(np.nextafter(v, math.inf))
+
+    moves = {"copy": lambda u: (u.x, u.y), "mirror_x": lambda u: (width - u.x, u.y),
+             "mirror_y": lambda u: (u.x, height - u.y),
+             "mirror_x_ulp": lambda u: (ulp(width - u.x), u.y),
+             "x_ulp": lambda u: (ulp(u.x), u.y), "y_ulp": lambda u: (u.x, ulp(u.y))}
+    for k, move in draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(sorted(moves))),
+                                 max_size=3)):
+        u = fleet[k % len(fleet)]
+        x, y = moves[move](u)
+        fleet.append(replace(u, x=x, y=y))
+    for k in draw(st.lists(st.integers(0, len(fleet) - 1), max_size=2)):
+        fleet[k] = replace(fleet[k], altitude=150.0)
+    for k in draw(st.lists(st.integers(0, len(fleet) - 1), max_size=2)):
+        fleet[k] = replace(fleet[k], power=0.25)
+    return grid, fleet, ChannelParams(beta=draw(st.sampled_from([1.0, 0.37, 0.0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mirrored_fleets())
+def test_mirrored_uavs_match_a_field_built_uav_by_uav(scene):
+    # a UAV whose power is copied from a mirror is bit for bit the one its
+    # own path loss gives
+    grid, fleet, params = scene
+    field = compute_radio_field(grid, fleet, params)
+    expected = radio_field_reference(grid, fleet, params, links=links_uav_by_uav)
+    links = dict(zip(("power", "sinr"), links_uav_by_uav(grid, fleet, params)))
+    for name in FIELDS:
+        want = links[name] if name in links else getattr(expected, name)
+        assert np.array_equal(getattr(field, name), want), name
+
+
+@pytest.mark.parametrize("n_uavs, built", [(5, 3), (4, 1), (2, 1), (7, 7)])
+def test_mirrored_uavs_build_their_path_loss_once(monkeypatch, n_uavs, built):
+    # the 5-UAV block grid mirrors its top row onto its bottom row; every
+    # UAV of the 2 x 2 grid mirrors the first; the thirds of a 3 x 3 grid
+    # mirror no UAV exactly
+    cfg = replace(ExperimentConfig(), n_uavs=n_uavs)
+    calls = []
+    path_loss_in = channel_module._path_loss_in
+
+    def counted(*args):
+        calls.append(args[0])
+        return path_loss_in(*args)
+
+    monkeypatch.setattr(channel_module, "_path_loss_in", counted)
+    compute_radio_field(build_grid(cfg), build_uavs(cfg), build_channel(cfg))
+    assert len(calls) == built
+
+
+@pytest.mark.filterwarnings("error")
+def test_noise_that_underflows_where_nothing_interferes_is_a_value_error():
+    # N0 B = 1e-20 * 1e-320 is 0: with beta = 0 nothing interferes, so the
+    # SINR of the second UAV was power / 0 = inf and a RuntimeWarning
+    grid = uniform_density(1000.0, 1000.0, 6, 4)
+    fleet = [FLEET[0], replace(FLEET[1], bandwidth=1e-320)]
+    with pytest.raises(ValueError, match=r"^the noise N0 B_i of UAV 1 underflows to 0"):
+        compute_radio_field(grid, fleet, ChannelParams(beta=0.0))
+    # interference keeps the SINR finite
+    field = compute_radio_field(grid, fleet, TABLE)
+    assert np.isfinite(field.spectral_eff).all()

@@ -436,12 +436,20 @@ def test_cli_bad_config_returns_config_exit(tmp_path):
         # sample_users cannot draw 10**100 users: its ValueError was a traceback
         {"scenario": 1, "density_kind": "uniform", "nx": 6, "ny": 6, "n_users": 10**100,
          "alpha": 1e-300, "mass_tol": 1},
+        # N0 B = 1e-20 * 1e-320 is 0 and nothing interferes: the SINR was
+        # inf, a RuntimeWarning traceback; with warnings ignored scenario 2
+        # wrote a plan of control time alone
+        {"scenario": 1, "n_uavs": 1, "bandwidth": 1e-320, "density_kind": "uniform",
+         "nx": 6, "ny": 4},
+        {"scenario": 2, "n_uavs": 1, "bandwidth": 1e-320, "density_kind": "uniform",
+         "nx": 6, "ny": 4},
     ],
     ids=["n_uavs", "beta", "bandwidth", "b1", "mu_los_db", "altitude_overflow",
          "carrier_overflow", "carrier_underflow", "width_overflow", "height_overflow",
          "sigma_overflow", "sigma_underflow", "density_underflow", "mean_overflow",
          "mu_los_db_overflow", "noise_overflow", "sinr_threshold_overflow",
-         "cell_area_underflow", "density_subnormal", "sampled_users_beyond_an_array"],
+         "cell_area_underflow", "density_subnormal", "sampled_users_beyond_an_array",
+         "noise_underflow_s1", "noise_underflow_s2"],
 )
 @pytest.mark.filterwarnings("error")
 def test_cli_bad_scene_returns_config_exit(tmp_path, capsys, overrides):
@@ -452,6 +460,38 @@ def test_cli_bad_scene_returns_config_exit(tmp_path, capsys, overrides):
     assert err.startswith("config error: ")
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_sampled_users_beyond_an_array_names_n_users(tmp_path, capsys):
+    # the one stderr line was NumPy's "Maximum allowed dimension exceeded"
+    path = write_cfg(tmp_path, fast_text(scenario=1, density_kind="uniform", nx=6, ny=6,
+                                         n_users=10**100, alpha=1e-300, mass_tol=1))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot draw n_users = {10**100} users for "
+                          "n_seeds = 2: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_scenario2_point_reads_its_own_links_twice(monkeypatch, tmp_path):
+    # one read of the proposed partition's links and one of the best-signal
+    # partition's give both bandwidth splits of each
+    import uavpart.scenario2 as scenario2_module
+    reads = []
+    link_seconds = scenario2_module._link_seconds
+
+    def counted(*args):
+        reads.append(args[1])
+        return link_seconds(*args)
+
+    monkeypatch.setattr(scenario2_module, "_link_seconds", counted)
+    cfg = replace(ExperimentConfig(), experiment_id="reads", scenario="2", nx=20, ny=20,
+                  mass_tol=5e-3, n_seeds=1, sweep_var="beta", sweep_values=(0.5, 1.0))
+    assert run_experiment(cfg, str(tmp_path / "out")) == EXIT_OK
+    assert len(reads) == 4
 
 
 @pytest.mark.filterwarnings("error")
