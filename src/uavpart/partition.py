@@ -309,8 +309,9 @@ class _Ascent:
     at psi (kept), the runner-up costs (spare) and the shifted rows (row);
     first_step, the larger of the finite costs' spread and the largest |psi|
     the ascent starts from; the UAVs with a finite 1 / k (free; the others
-    hold psi_i); the last len(costs) + 2 iterates' masses (visited); the last
-    step the step search tried (step) and the one that reached psi (taken)."""
+    hold psi_i); the last len(costs) + 2 iterates' masses (visited); the step
+    the step search starts from (step: first_step rounded up to a power of
+    two, then the last step it kept) and the one that reached psi (taken)."""
 
     def __init__(self, grid, costs, psi, shares, curvature):
         self.grid, self.costs, self.shares, self.curvature = grid, costs, shares, curvature
@@ -322,9 +323,9 @@ class _Ascent:
         if not self.first_step > 0:
             self.first_step = 1.0
         self.bands = self.first_step * 2.0 ** -np.arange(BAND_LEVELS)
-        self.dead, self.evals = None, 0
+        self.step = 2.0 ** int(np.frexp(self.first_step)[1])
+        self.dead, self.evals, self.taken, self.failed, self.split = None, 0, 0.0, False, False
         self.psi, self.value = psi, _evaluate(self, psi, self.kept)
-        self.step, self.taken, self.failed, self.split = 0.0, 0.0, False, False
         self.visited = []
 
 
@@ -464,7 +465,7 @@ def _newton_rule(s):
     within a band h = first_step / 2**l of their claim's, so the steps are free
     of the units.  None when no trial raises F or no band fits; the next
     iterate then skips the rule, since the model just failed there, as does
-    one that zigzags."""
+    one whose masses repeat (_search_rule)."""
     if len(s.pieces) > 1 or s.failed:
         s.failed = False
         return None
@@ -474,29 +475,25 @@ def _newton_rule(s):
     return None if s.failed else (s.psi + step * move, value, step)
 
 
-def _zigzag_rule(s):
-    """Steps zigzag across a kink: tied cells flip between UAVs and the masses
-    alternate between pieces of F.  So when the iterate's masses repeat a
-    visited iterate's, the step search runs first along the least-norm point
-    of the hull of t - m over the distinct masses m since then (pieces), which
-    climbs on each piece, along the kink.  None when the masses do not repeat
-    or no step improves F; _search_rule then starts from the same step."""
-    if len(s.pieces) == 1:
-        return None
-    direction = _min_norm_point(np.array([_aim(s, m) - m for m in s.pieces]))
-    start = s.step or 2.0 ** int(np.frexp(s.first_step)[1])
-    step, value = _backtrack(s, direction, start, np.inf)
-    return _climb(s, direction, start, step, value) if value > s.value else None
-
-
 def _search_rule(s):
-    """The step search along grad: backtracking from first_step rounded up to a
-    power of two on its first run, so every step it takes is one, and later
-    from the last step it tried, even a failed one; a step that raises F is
-    climbed.  None at a kink: no step along grad that moves psi improves F."""
-    start = s.step or 2.0 ** int(np.frexp(s.first_step)[1])
-    s.step, value = _backtrack(s, s.grad, start, np.inf)
-    return None if value <= s.value else _climb(s, s.grad, start, s.step, value)
+    """The step search: backtracking from s.step, a power of two, so every
+    step it takes is one; a step that raises F is climbed.  Steps along grad
+    zigzag across a kink: tied cells flip between UAVs and the masses
+    alternate between pieces of F.  So when the iterate's masses repeat a
+    visited iterate's, the search first runs along the least-norm point of
+    the hull of t - m over the distinct masses m since then (pieces), which
+    climbs on each piece, along the kink, and only then along grad, from the
+    same step.  A climb keeps its step, and a failed search along grad its
+    last trial, as the next start; a failed kink trial keeps none.  None at a
+    kink: no step along grad that moves psi improves F."""
+    pieces = np.array([_aim(s, m) - m for m in s.pieces])
+    directions = (_min_norm_point(pieces), s.grad) if len(pieces) > 1 else (s.grad,)
+    for direction in directions:
+        step, value = _backtrack(s, direction, s.step, np.inf)
+        if value > s.value:
+            return _climb(s, direction, s.step, step, value)
+    s.step = step
+    return None
 
 
 def _tie_split_rule(s):
@@ -552,11 +549,12 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
     holds psi_i where it starts, with the UAV's own region mass as t_i.
     Each iterate claims the partition at psi, its masses a and each cell's
     runner-up, and moves to the trial of the first rule that returns one:
-    _newton_rule, _zigzag_rule, _search_rule along grad = t - a and, at a
-    kink none of them climbs, _tie_split_rule.  A trial's F and minimum are
-    kept, so the claim evaluates nothing; the int64 Partition is built once,
-    at the last iterate, whose masses the stopping test read and where the
-    gap sum_i k_i (a_i - t_i)^2 / 2 over the finite k_i is taken.
+    _newton_rule, _search_rule (along the kink's least-norm direction when
+    the masses repeat, then along grad = t - a) and, at a kink neither
+    climbs, _tie_split_rule.  A trial's F and minimum are kept, so the claim
+    evaluates nothing; the int64 Partition is built once, at the last
+    iterate, whose masses the stopping test read and where the gap
+    sum_i k_i (a_i - t_i)^2 / 2 over the finite k_i is taken.
 
     Every backtracking search also stops once its move falls below
     first_step * 2**-60, the rounding level of the shifted costs, so a kink
@@ -578,7 +576,7 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
             trace = (np.array(f_trace), np.array(grad_trace), np.array(step_trace))
             raise ConvergenceError(
                 f"mass mismatch {grad_trace[-1]:.3e} after {max_iter} iterations", trace=trace)
-        trial = _newton_rule(s) or _zigzag_rule(s) or _search_rule(s)
+        trial = _newton_rule(s) or _search_rule(s)
         if trial is None:  # a kink
             trial = _tie_split_rule(s)
             if trial is None:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uavpart import partition
 from uavpart.channel import ChannelParams, RadioField, UavNode, compute_radio_field
 from uavpart.config import (
     ExperimentConfig,
@@ -27,6 +28,7 @@ from uavpart.partition import (
     Partition,
     _aim,
     _Ascent,
+    _backtrack,
     _band_pairs,
     _claim_iterate,
     _finite_spread,
@@ -36,7 +38,6 @@ from uavpart.partition import (
     _search_rule,
     _shifted_rows,
     _tie_split_rule,
-    _zigzag_rule,
     ascend_dual,
     assign_by_min_cost,
     partition_to_csv,
@@ -321,22 +322,59 @@ def assert_kept_is_the_minimum_at(state, psi):
     assert np.array_equal(state.kept, (state.costs - psi[:, None]).min(axis=0))
 
 
-def test_zigzag_rule_climbs_along_the_kink():
-    # the seed-42900 ascent of test_ascent_returns_partition_at_its_potentials,
-    # driven by its rules until its masses repeat: the zigzag rule then moves
-    # along the least-norm point of the pieces' directions and raises F
-    state = claimed_state(*DUMP.random_ascent(42900, 5, False))
+def state_at_repeated_masses(seed, n_uavs):
+    """The state of a random ascent, driven by its rules, at its first
+    iterate whose masses repeat a visited iterate's."""
+    state = claimed_state(*DUMP.random_ascent(seed, n_uavs, False))
     while len(state.pieces) == 1:
-        assert _zigzag_rule(state) is None
         state.psi, state.value, state.taken = _newton_rule(state) or _search_rule(state)
         _claim_iterate(state)
+    return state
+
+
+def recorded_backtracks(monkeypatch):
+    """Record each _backtrack call's direction, start and result."""
+    calls = []
+
+    def record(s, direction, step, trials):
+        result = _backtrack(s, direction, step, trials)
+        calls.append((direction.copy(), step, result))
+        return result
+
+    monkeypatch.setattr(partition, "_backtrack", record)
+    return calls
+
+
+def test_search_rule_climbs_along_the_kink(monkeypatch):
+    # the seed-42900 ascent of test_ascent_returns_partition_at_its_potentials
+    # at its first repeated masses: the search moves along the least-norm
+    # point of the pieces' directions, not along grad, and raises F
+    state = state_at_repeated_masses(42900, 5)
     directions = np.array([_aim(state, m) - m for m in state.pieces])
     direction = _min_norm_point(directions)
     # no piece's direction lies on the far side of the least-norm point
     assert np.all(directions @ direction >= direction @ direction - 1e-12)
-    psi, value, step = _zigzag_rule(state)
+    calls = recorded_backtracks(monkeypatch)
+    psi, value, step = _search_rule(state)
     assert value > state.value and step == state.step
+    assert len(calls) == 1 and np.array_equal(calls[0][0], direction)
     assert np.array_equal(psi, state.psi + step * direction)
+    assert_kept_is_the_minimum_at(state, psi)
+
+
+def test_search_rule_searches_along_grad_when_the_kink_direction_fails(monkeypatch):
+    # seed 1 with 2 UAVs: at the first repeated masses no step along the
+    # kink's least-norm point raises F; the search along grad starts from the
+    # same step, and the step kept is the grad climb's, not the kink trial's
+    state = state_at_repeated_masses(1, 2)
+    start = state.step
+    calls = recorded_backtracks(monkeypatch)
+    psi, value, step = _search_rule(state)
+    (kink, kink_start, (_, kink_value)), (grad, grad_start, _) = calls
+    assert not np.array_equal(kink, state.grad) and kink_value <= state.value
+    assert np.array_equal(grad, state.grad) and kink_start == grad_start == start
+    assert value > state.value and step == state.step == 0.25
+    assert np.array_equal(psi, state.psi + step * state.grad)
     assert_kept_is_the_minimum_at(state, psi)
 
 
