@@ -6,11 +6,12 @@ and one scenario-2 sweep of the default scene at 40 x 40 over large control
 weights, three scenes whose ascent ends at a kink, one fairness sweep whose
 experiment id needs CSV quoting, one sigma sweep whose second hot spot
 underflows on the grid, one hot spot whose peak is subnormal on the grid,
-one lone UAV whose noise underflows to 0 in each scenario and one run that
-asks for more users than an array holds, 82 runs, all with partition maps
-and ascent traces on.  A run that exits non-zero leaves no output directory:
-the scenario-1 kink scene (exit 4) and the last five (exit 2) show in
-exit_codes.txt only.
+one lone UAV whose noise underflows to 0 in each scenario, one run that
+asks for more users than an array holds and one scenario-1 fleet whose
+shares no partition meets, 83 runs, all with partition maps and ascent
+traces on.  A run that exits non-zero leaves no output directory: the
+scenario-1 kink scene (exit 4), the five before the last (exit 2) and the
+last (exit 3) show in exit_codes.txt only.
 ascents.txt adds the kernel's own iterates: one line per random ascent of
 seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed both ways, mass_tol
 1e-6 and max_iter 1000) giving the seed, the UAV count, mixed, the iteration
@@ -151,6 +152,10 @@ def main(argv=None):
     runs.append(("users_beyond_an_array", ExperimentConfig(
         experiment_id="users_beyond_an_array", scenario="1", nx=6, ny=6, n_seeds=1,
         density_kind="uniform", n_users=10**100, alpha=1e-300, mass_tol=1.0)))
+    # UAVs 3 to 6 reach only empty cells, so their shares cannot be met
+    runs.append(("unmet_shares", ExperimentConfig(
+        experiment_id="unmet_shares", scenario="1", n_uavs=7, bandwidth=1000.0,
+        sinr_threshold_db=1e-30, sigma_y=7.0, nx=3, ny=6, n_users=20, n_seeds=1)))
     codes = []
     for rel, cfg in runs:
         cfg = replace(cfg, write_partitions=True, trace=True)

@@ -27,13 +27,13 @@ def sample_users(grid, n_users, seeds):
     own generator's draws.  The CDF ends at exactly 1 and draws lie in
     [0, 1), so every index is a cell with positive mass.  All draws are
     located in one search, taken in sorted order so it walks the CDF once.
-    ValueError names n_users when NumPy cannot shape the draws.
+    ValueError names n_users when NumPy cannot shape or allocate the draws.
     """
     if n_users < 1:
         raise ValueError("need at least one user")
     try:
         draws = np.empty((len(seeds), n_users))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValueError(f"cannot draw n_users = {n_users} users for n_seeds = {len(seeds)}: "
                          f"{exc}") from None
     for row, seed in zip(draws, seeds):

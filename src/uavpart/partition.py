@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, InfeasibleError
 
 INFEASIBLE = -1
 CSV_BLOCK_CELLS = 1 << 14  # cells per partition_to_csv block, about 0.5 MB
@@ -393,13 +393,35 @@ def _backtrack(s, direction, step, trials):
     return step, value
 
 
+def _finite_trial(s, step, direction):
+    """psi + step * direction, formed with no warning.  When it is not finite
+    a climb has doubled its step while F rose all the way: F is unbounded
+    along direction, as it is when some UAVs' shares exceed the user mass
+    their links reach (Hall 1935), and no partition meets the shares.  So
+    InfeasibleError names, of the sets of UAVs that direction raises most,
+    the one whose shares most exceed that mass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = s.psi + step * direction
+    if np.isfinite(psi).all():
+        return psi
+    order = np.argsort(-direction, kind="stable")
+    need = np.cumsum(s.shares[order])
+    reach = np.logical_or.accumulate(s.costs[order] < np.inf) @ s.grid.cell_mass
+    k = int(np.argmax(need - reach)) + 1
+    uavs = ", ".join(map(str, np.sort(order[:k])))
+    raise InfeasibleError(f"no partition meets the shares: the UAV set {{{uavs}}} needs "
+                          f"{need[k - 1]:.6g} of the user mass, and its links reach "
+                          f"{reach[k - 1]:.6g}")
+
+
 def _climb(s, direction, start, step, value):
     """A search step that raises F to value, walked to a local maximum of F over
     step * 2**k: doubled while F improves, or halved when the search halved from
-    start or the first doubling fails; kept takes each improving trial's minimum."""
+    start or the first doubling fails; kept takes each improving trial's minimum.
+    A trial whose potentials are not finite is never evaluated (_finite_trial)."""
     for factor in (2.0, 0.5) if step == start else (0.5,):
         climbed = False
-        while (trial := _evaluate(s, s.psi + factor * step * direction, s.spare)) > value:
+        while (trial := _evaluate(s, _finite_trial(s, factor * step, direction), s.spare)) > value:
             step *= factor
             value, climbed = trial, True
             s.kept, s.spare = s.spare, s.kept

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from uavpart.channel import compute_radio_field
 import uavpart.config as config_module
+import uavpart.metrics as metrics_module
 import uavpart.runner as runner_module
 from uavpart.cli import main
 from uavpart.config import (
@@ -476,6 +477,30 @@ def test_cli_sampled_users_beyond_an_array_names_n_users(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_sampled_users_beyond_memory_names_n_users(monkeypatch, tmp_path, capsys):
+    # np.empty's MemoryError for 10**12 users per seed was a traceback; the
+    # allocation is made to fail here, so no test asks for 14.6 TiB
+    class NoMemory:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate 14.6 TiB for an array with shape {shape} "
+                              "and data type float64")
+
+    monkeypatch.setattr(metrics_module, "np", NoMemory())
+    path = write_cfg(tmp_path, fast_text(scenario=1, density_kind="uniform", nx=6, ny=6,
+                                         n_users=10**12, alpha=1e-300, mass_tol=1))
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: cannot draw n_users = {10**12} users for n_seeds = 2: Unable to "
+        f"allocate 14.6 TiB for an array with shape (2, {10**12}) and data type float64\n")
+    assert not out.exists()
+
+
 def test_scenario2_point_reads_its_own_links_twice(monkeypatch, tmp_path):
     # one read of the proposed partition's links and one of the best-signal
     # partition's give both bandwidth splits of each
@@ -771,6 +796,17 @@ def test_a_failed_run_leaves_the_output_directory_as_it_was(tmp_path, capsys, mo
     assert list(fresh.parent.iterdir()) == []
 
 
+def run_timed(path, out, warnings="error::RuntimeWarning"):
+    """uavpart run path --out out in a process of its own, under -W warnings,
+    so a hang is stopped by the timeout; stdout holds main's wall time."""
+    timed = ("import sys, time; from uavpart.cli import main; start = time.perf_counter(); "
+             "code = main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-W", warnings, "-c", timed, "run", path,
+                           "--out", str(out)], capture_output=True, text=True, timeout=60,
+                          env=env)
+
+
 @pytest.mark.parametrize(
     "n, overrides, pool",
     [(6, {"max_hover": 1e303}, "inf"), (20, {"max_hover": 1.7e308}, "inf"),
@@ -787,15 +823,28 @@ def test_fairness_pool_that_overflows_exits_2_at_once(tmp_path, n, overrides, po
     keys = dict({"nx": n, "ny": n, "scenario": 1, "max_ascent_iter": 1}, **overrides)
     path = write_cfg(tmp_path, fast_text(**keys))
     out = tmp_path / "out"
-    timed = ("import sys, time; from uavpart.cli import main; start = time.perf_counter(); "
-             "code = main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(code)")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", timed,
-                           "run", path, "--out", str(out)],
-                          capture_output=True, text=True, timeout=60, env=env)
+    done = run_timed(path, out)
     assert done.returncode == EXIT_CONFIG
     assert done.stderr == (f"config error: the fairness split's pool sum_i B_i T_i = {pool} "
                            "is not a normal float\n")
+    assert float(done.stdout) < 1.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+@pytest.mark.parametrize("warnings", ["error::RuntimeWarning", "ignore"])
+def test_shares_no_partition_meets_exit_3_at_once(tmp_path, warnings):
+    # every populated cell has a link, but UAVs 3 to 6 reach only empty
+    # cells: the ascent climbed to infinite potentials, a RuntimeWarning
+    # traceback, or with warnings ignored an exit 4 after about 9 s
+    path = write_cfg(tmp_path, fast_text(scenario=1, n_uavs=7, bandwidth=1000,
+                                         sinr_threshold_db=1e-30, sigma_y=7, nx=3, ny=6,
+                                         n_users=20, n_seeds=1, mass_tol=1e-3))
+    out = tmp_path / "out"
+    done = run_timed(path, out, warnings)
+    assert done.returncode == EXIT_INFEASIBLE
+    assert done.stderr.startswith("infeasible instance: no partition meets the shares: "
+                                  "the UAV set {3, 4, 5, 6} needs 0.571429 of the user mass")
+    assert len(done.stderr.splitlines()) == 1
     assert float(done.stdout) < 1.0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
@@ -827,12 +876,7 @@ def test_fairness_pool_below_the_normal_floats_exits_2_at_once(tmp_path):
     path = write_cfg(tmp_path, fast_text(nx=6, ny=6, scenario=1, n_seeds=1, alpha=0.0,
                                          max_hover=1e-200, bandwidth=1e-110))
     out = tmp_path / "out"
-    timed = ("import sys, time; from uavpart.cli import main; start = time.perf_counter(); "
-             "code = main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(code)")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", timed,
-                           "run", path, "--out", str(out)],
-                          capture_output=True, text=True, timeout=60, env=env)
+    done = run_timed(path, out)
     assert done.returncode == EXIT_CONFIG
     assert done.stderr == ("config error: the fairness split's pool sum_i B_i T_i = 5e-310 "
                            "is not a normal float\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uavpart.channel import ChannelParams, UavNode, compute_radio_field
+from uavpart.channel import ChannelParams, RadioField, UavNode, compute_radio_field
 from uavpart.config import ExperimentConfig, build_channel, build_grid, build_uavs
 from uavpart.errors import ConfigError, ConvergenceError, InfeasibleError
 from uavpart.grid import AreaGrid, uniform_density
@@ -425,6 +425,24 @@ def test_solver_infeasible_when_uncovered():
     harsh = compute_radio_field(grid, uavs, ChannelParams(sinr_threshold=1e9))
     with pytest.raises(InfeasibleError):
         solve_scenario1(grid, harsh, BUDGET, 0.01, 300)
+
+
+def test_solver_shares_that_no_partition_meets_are_infeasible():
+    # UAV 1's only link reaches the one empty cell, and UAV 0's reach the
+    # rest: UAV 1's fair share of half the user mass cannot be met, and the
+    # dual is unbounded along psi_1; its climb stops at the first trial that
+    # is not finite, with no RuntimeWarning on the way
+    density = np.full(16, 1.0 / (15 * 250.0**2))
+    density[0] = 0.0
+    grid = AreaGrid(1000.0, 1000.0, 4, 4, density)
+    usable = np.ones((2, 16), dtype=bool)
+    usable[1, 1:] = False
+    radio = RadioField(spectral_eff=np.ones((2, 16)), feasible_by_uav=usable,
+                       feasible=usable.any(axis=0), bandwidths=np.full(2, 1e6))
+    with pytest.raises(InfeasibleError) as err:
+        solve_scenario1(grid, radio, BUDGET, 0.01, 300)
+    assert str(err.value) == ("no partition meets the shares: the UAV set {1} needs 0.5 of the "
+                              "user mass, and its links reach 0")
 
 
 def test_solver_iteration_budget():
