@@ -585,7 +585,8 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
     Returns when the mass-mismatch norm is at most mass_tol, or at a kink no
     rule moves (as on grids too coarse for the masses to meet); the last
     traced mismatch tells the two apart.  Raises ConvergenceError (trace
-    attached) when max_iter runs out."""
+    attached) when max_iter runs out, and InfeasibleError when a climb's
+    potentials leave the floats: F is unbounded (_finite_trial)."""
     s = _Ascent(grid, costs, psi, shares, curvature)
     f_trace, grad_trace, step_trace = [], [], []
     while True:

@@ -133,7 +133,9 @@ def solve_scenario1(grid, radio, budgets, alpha, n_users, mass_tol=ExperimentCon
     own link, zero on unassigned cells.
 
     Raises InfeasibleError when more than mass_tol of the user mass has no
-    link above the SINR floor, and ConvergenceError (with the trace attached)
+    link above the SINR floor or when some UAVs' shares exceed the user mass
+    their links reach, which the ascent finds as potentials that leave the
+    floats, and ConvergenceError (with the trace attached)
     when the iteration budget runs out or the ascent ends at a kink, where no
     step that still changes the potentials improves the dual, with the masses
     still off their shares.  The kink's message gives the mass mismatch,
