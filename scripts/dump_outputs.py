@@ -7,11 +7,15 @@ weights, three scenes whose ascent ends at a kink, one fairness sweep whose
 experiment id needs CSV quoting, one sigma sweep whose second hot spot
 underflows on the grid, one hot spot whose peak is subnormal on the grid,
 one lone UAV whose noise underflows to 0 in each scenario, one run that
-asks for more users than an array holds and one scenario-1 fleet whose
-shares no partition meets, 83 runs, all with partition maps and ascent
+asks for more users than an array holds, one scenario-1 fleet whose
+shares no partition meets, one fleet whose received power overflows in
+each scenario, one whose noise overflows and one scenario-2 load whose
+own-link seconds overflow, 87 runs, all with partition maps and ascent
 traces on.  A run that exits non-zero leaves no output directory: the
-scenario-1 kink scene (exit 4), the five before the last (exit 2) and the
-last (exit 3) show in exit_codes.txt only.
+scenario-1 kink scene (exit 4), the two hot spots, the two noise
+underflows, the users beyond an array and the three radio-field overflows
+(exit 2), and the unmet shares and the load overflow (exit 3) show in
+exit_codes.txt only.
 ascents.txt adds the kernel's own iterates: one line per random ascent of
 seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed both ways, mass_tol
 1e-6 and max_iter 1000) giving the seed, the UAV count, mixed, the iteration
@@ -156,6 +160,18 @@ def main(argv=None):
     runs.append(("unmet_shares", ExperimentConfig(
         experiment_id="unmet_shares", scenario="1", n_uavs=7, bandwidth=1000.0,
         sinr_threshold_db=1e-30, sigma_y=7.0, nx=3, ny=6, n_users=20, n_seeds=1)))
+    # u.power / loss and N0 B overflow a float in the radio field
+    for scenario in ("1", "2"):
+        runs.append((f"power_overflow_s{scenario}", ExperimentConfig(
+            experiment_id=f"power_overflow_s{scenario}", scenario=scenario, nx=8, ny=8,
+            n_seeds=1, power=1e300, carrier_hz=1e-3)))
+    runs.append(("noise_overflow", ExperimentConfig(
+        experiment_id="noise_overflow", nx=8, ny=8, n_seeds=1, noise_dbm_per_hz=3000.0,
+        bandwidth=1e300)))
+    # load_bits / eff overflows on the own links of 12 populated cells
+    runs.append(("load_overflow_s2", ExperimentConfig(
+        experiment_id="load_overflow_s2", scenario="2", nx=8, ny=8, n_seeds=1, n_users=1,
+        load_bits=1.7e308)))
     codes = []
     for rel, cfg in runs:
         cfg = replace(cfg, write_partitions=True, trace=True)

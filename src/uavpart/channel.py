@@ -46,11 +46,9 @@ class ChannelParams:
 
     def __post_init__(self):
         # the path loss needs reference_loss as a positive finite float
-        k = 4.0 * np.pi * self.carrier_hz / SPEED_OF_LIGHT
-        if not (self.carrier_hz > 0 and 0.0 < k * k < math.inf):
-            raise ValueError(
-                "carrier frequency must be positive with a finite, non-zero reference loss"
-            )
+        if not (self.carrier_hz > 0 and 0.0 < self.reference_loss < math.inf):
+            raise ValueError("carrier frequency must be positive with a finite, non-zero "
+                             "reference loss")
         if self.mu_los < 1.0 or self.mu_nlos < 1.0:
             raise ValueError("excess loss factors must be >= 1 in linear units")
         if self.b1 <= 0 or self.b2 <= 0:
@@ -64,8 +62,12 @@ class ChannelParams:
 
     @cached_property
     def reference_loss(self):
-        """Free-space loss at the 1 m reference distance, (4 pi f / c)^2."""
-        return (4.0 * np.pi * self.carrier_hz / SPEED_OF_LIGHT) ** 2
+        """Free-space loss at the 1 m reference distance, (4 pi f / c)^2, or
+        +inf where that overflows a float."""
+        try:
+            return (4.0 * np.pi * self.carrier_hz / SPEED_OF_LIGHT) ** 2
+        except OverflowError:  # a float's ** raises where * gives inf
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -227,41 +229,48 @@ def _link_layers(grid, uavs, params, spare):
     this overwrites, as scratch, and turned into received power in place,
     unless an earlier UAV mirrors it (_mirror_view): its power row is then
     copied through the flipped view.  The SINR is then worked in its own
-    layer.  ValueError names the first UAV whose noise N0 B_i underflows to
-    0 where nothing interferes, which leaves its SINR infinite."""
+    layer, divided one way whatever the noise.
+
+    The arithmetic runs with its float warnings off, and its result is
+    checked once: each UAV's noise N0 B_i and SINR, and the received power
+    summed at each cell, must be finite.  One max per SINR row finds a NaN
+    or an inf with no (n_uavs, n_cells) temporary.  ValueError names the
+    first UAV that fails: its noise underflows to 0 where nothing
+    interferes, which leaves its SINR infinite, or its noise, a received
+    power or its SINR overflows a float (UAV 0 when only the power summed
+    at a cell overflows, which would leave every SINR there 0)."""
     links = np.empty((2, len(uavs), grid.n_cells))
     power, sinr = links
     x, y = grid.column_x, grid.row_y[:, None]
     shape = (grid.ny, grid.nx)
     built = []
-    for u, *rows in zip(uavs, power, sinr, spare):
-        grid_power = rows[0].reshape(shape)
-        key = np.array([u.altitude, u.power], dtype=float).tobytes()
-        dx2, dy2 = (grid.column_x - u.x) ** 2, (grid.row_y - u.y) ** 2
-        mirror = _mirror_view(built, key, dx2, dy2)
-        if mirror is not None:
-            np.copyto(grid_power, mirror)
-            continue
-        loss = _path_loss_in(u, x, y, params, *(row.reshape(shape) for row in rows))
-        np.divide(u.power, loss, out=loss)
-        built.append((key, dx2, dy2, grid_power))
-    noise = params.noise_w_per_hz * np.array([u.bandwidth for u in uavs], dtype=float)
-    # sinr = power / (beta * (total - power) + noise), built in its layer
-    np.subtract(power.sum(axis=0), power, out=sinr)
-    sinr *= params.beta
-    sinr += noise[:, None]
-    if noise.all():
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for u, *rows in zip(uavs, power, sinr, spare):
+            grid_power = rows[0].reshape(shape)
+            key = np.array([u.altitude, u.power], dtype=float).tobytes()
+            dx2, dy2 = (grid.column_x - u.x) ** 2, (grid.row_y - u.y) ** 2
+            mirror = _mirror_view(built, key, dx2, dy2)
+            if mirror is not None:
+                np.copyto(grid_power, mirror)
+                continue
+            loss = _path_loss_in(u, x, y, params, *(row.reshape(shape) for row in rows))
+            np.divide(u.power, loss, out=loss)
+            built.append((key, dx2, dy2, grid_power))
+        noise = params.noise_w_per_hz * np.array([u.bandwidth for u in uavs], dtype=float)
+        total = power.sum(axis=0)
+        # sinr = power / (beta * (total - power) + noise), built in its layer
+        np.subtract(total, power, out=sinr)
+        sinr *= params.beta
+        sinr += noise[:, None]
         np.divide(power, sinr, out=sinr)
+    # max and maximum propagate NaN and inf alike: one reduction per row
+    finite = np.isfinite(np.maximum(noise, sinr.max(axis=1)))
+    if finite.all() and np.isfinite(total.max()):
         return links
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(power, sinr, out=sinr)
-    for i in np.flatnonzero(noise == 0):
-        if not np.isfinite(sinr[i]).all():
-            raise ValueError(
-                f"the noise N0 B_i of UAV {i} underflows to 0, so its SINR is not finite "
-                "where no other UAV interferes"
-            )
-    return links
+    i = np.argmin(finite)  # the first UAV that fails, or 0 if only a power sum overflows
+    cause = ("underflows to 0, so its SINR is not finite where no other UAV interferes"
+             if noise[i] == 0 else "overflows a float, or a received power or its SINR does")
+    raise ValueError(f"the noise N0 B_i of UAV {i} {cause}")
 
 
 def compute_radio_field(grid, uavs, params):
@@ -304,8 +313,9 @@ def compute_radio_field(grid, uavs, params):
     BENCH_32.json.  One scene alone in a fresh process still faults its
     memory in once.
 
-    ValueError names a UAV whose noise N0 B_i underflows to 0 where no
-    other UAV interferes: its SINR there would be infinite.
+    The field checks its own output once, in _link_layers: ValueError names
+    the first UAV whose noise N0 B_i, received power or SINR is not a
+    finite float, so every field returned has finite spectral_eff.
     """
     if len(uavs) == 0:
         raise ValueError("need at least one UAV")

@@ -40,10 +40,12 @@ class HoverReport:
 
 
 def _link_seconds(grid, part, radio, load_bits, alpha, n_users):
-    """The served cells, their UAVs, load_bits / spectral efficiency on each
-    cell's own link (the seconds one of its users needs on 1 Hz) and the
-    control time alpha_i (N a_i)^2 of each region.  Raises InfeasibleError
-    naming the lowest UAV that serves a cell below its SINR floor."""
+    """The UAV and the mass of each served cell, load_bits / spectral
+    efficiency on its own link (the seconds one of its users needs on 1 Hz,
+    0 on an empty cell, which takes no time) and the control time alpha_i
+    (N a_i)^2 of each region.  Raises InfeasibleError naming the lowest UAV
+    that serves a cell below its SINR floor, or the populated cells whose
+    seconds are not finite."""
     if part.assignment.shape != (grid.n_cells,):
         raise ValueError("partition must cover every grid cell")
     alpha = _per_uav(alpha, part.n_uavs, "control weight alpha")
@@ -52,8 +54,14 @@ def _link_seconds(grid, part, radio, load_bits, alpha, n_users):
         raise InfeasibleError(
             f"region of UAV {uavs[~usable].min()} contains cells below its SINR floor"
         )
+    mass = grid.cell_mass[cells]
+    # a load too large for eff_ic, or eff_ic = 0, leaves +inf seconds
+    with np.errstate(over="ignore", divide="ignore"):
+        seconds = np.divide(load_bits, eff, out=eff)
+    seconds[mass == 0] = 0.0  # empty cells take no time, so no inf * 0 reaches the sums
+    _no_dead_cells(grid, cells[~np.isfinite(seconds)])
     control = alpha * (n_users * part.masses) ** 2
-    return cells, uavs, np.divide(load_bits, eff, out=eff), control
+    return uavs, mass, seconds, control
 
 
 def hover_time_equal_split(grid, part, radio, load_bits, alpha, n_users):
@@ -69,10 +77,9 @@ def region_hover_report(grid, part, radio, load_bits, alpha, n_users):
     under equal bandwidth shares, from the same read of the own links: the
     slowest populated cell sets the finish time, N a_i load / (B_i eff), to
     which the control overhead is added."""
-    cells, uavs, seconds, control = _link_seconds(grid, part, radio, load_bits, alpha, n_users)
-    mass = grid.cell_mass[cells]
+    uavs, mass, seconds, control = _link_seconds(grid, part, radio, load_bits, alpha, n_users)
     slowest = np.zeros(part.n_uavs)
-    np.maximum.at(slowest, uavs, np.where(mass > 0, seconds, 0.0))  # empty cells take no time
+    np.maximum.at(slowest, uavs, seconds)
     equal_split = HoverReport(n_users * part.masses * slowest / radio.bandwidths, control)
     demand = np.multiply(seconds, mass, out=seconds)
     sums = np.bincount(uavs, weights=demand, minlength=part.n_uavs)
@@ -98,14 +105,19 @@ def _least_time_masses(grid, seconds):
     psi = 0.  It leaves exactly the cells with no finite seconds unassigned
     (seconds hold no NaN); InfeasibleError names the populated ones."""
     part = assign_by_min_cost(grid, seconds)
-    dead = np.flatnonzero((part.assignment == INFEASIBLE) & (grid.cell_mass > 0))
+    _no_dead_cells(grid, np.flatnonzero((part.assignment == INFEASIBLE) & (grid.cell_mass > 0)))
+    return part.masses
+
+
+def _no_dead_cells(grid, dead):
+    """InfeasibleError naming the cells in dead, ascending indices of
+    populated cells with no finite transmission time, unless there are none."""
     if len(dead):
         raise InfeasibleError(
             f"{len(dead)} populated cells have no finite transmission time, "
             f"first at ({grid.column_x[dead[0] % grid.nx]:.0f} m, "
             f"{grid.row_y[dead[0] // grid.nx]:.0f} m)"
         )
-    return part.masses
 
 
 @dataclass(frozen=True)

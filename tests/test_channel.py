@@ -378,3 +378,43 @@ def test_noise_that_underflows_where_nothing_interferes_is_a_value_error():
     # interference keeps the SINR finite
     field = compute_radio_field(grid, fleet, TABLE)
     assert np.isfinite(field.spectral_eff).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fleet, params, uav", [
+    # 1e300 W over a loss near 1e-20 (a 1 mHz carrier) is inf: the divide
+    # overflowed, and the SINR was NaN
+    ([FLEET[0], replace(FLEET[1], power=1e300)], ChannelParams(carrier_hz=1e-3), 1),
+    # N0 B = 1e297 * 1e300 is inf: the multiply overflowed, and the SINR was 0
+    ([FLEET[0], replace(FLEET[1], bandwidth=1e300)], ChannelParams(noise_w_per_hz=1e297), 1),
+    # every power is finite, but five of them summed at a cell are not: the
+    # reduce overflowed, and every SINR there was 0
+    (place_uavs_grid(1000.0, 1000.0, 5, 200.0, 1.7e308, 1e6), ChannelParams(carrier_hz=19300.0),
+     0),
+], ids=["power", "noise", "power_sum"])
+def test_radio_field_that_overflows_names_the_uav(fleet, params, uav):
+    grid = uniform_density(1000.0, 1000.0, 8, 8)
+    with pytest.raises(ValueError, match=rf"^the noise N0 B_i of UAV {uav} overflows a float, "
+                                         r"or a received power or its SINR does$"):
+        compute_radio_field(grid, fleet, params)
+
+
+EXTREMES = [5e-324, 1e-320, 0.0, 1e300, 1.7e308]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(nx=st.integers(1, 4), ny=st.integers(1, 4), n_uavs=st.integers(1, 5),
+       power=st.sampled_from([0.5, *EXTREMES]),
+       carrier_hz=st.sampled_from([2e9, 1e-3, 19300.0, *EXTREMES]),
+       noise_dbm_per_hz=st.sampled_from([-170.0, 3000.0, *EXTREMES]),
+       bandwidth=st.sampled_from([1e6, *EXTREMES]), beta=st.sampled_from([1.0, 0.37, *EXTREMES]))
+def test_radio_field_is_finite_or_a_value_error(nx, ny, n_uavs, **values):
+    # a scene the constructors accept either gets a finite spectral
+    # efficiency on every link or a ValueError, never a RuntimeWarning
+    cfg = replace(ExperimentConfig(), nx=nx, ny=ny, n_uavs=n_uavs, **values)
+    try:
+        field = compute_radio_field(build_grid(cfg), build_uavs(cfg), build_channel(cfg))
+    except ValueError:
+        return
+    assert np.isfinite(field.spectral_eff).all()

@@ -849,6 +849,36 @@ def test_shares_no_partition_meets_exit_3_at_once(tmp_path, warnings):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
 
+@pytest.mark.parametrize("warnings", ["error::RuntimeWarning", "ignore"])
+@pytest.mark.parametrize("scenario", [1, 2])
+@pytest.mark.parametrize("overrides", [{"power": 1e300, "carrier_hz": 1e-3},
+                                       {"noise_dbm_per_hz": 3000, "bandwidth": 1e300}],
+                         ids=["power_overflow", "noise_overflow"])
+def test_radio_field_that_overflows_exits_2(tmp_path, overrides, scenario, warnings):
+    # u.power / loss (first) or N0 B (second) overflowed to inf in
+    # _link_layers: a RuntimeWarning traceback, or with warnings ignored an
+    # exit 3 as if no link cleared the SINR floor
+    path = write_cfg(tmp_path, fast_text(nx=8, ny=8, scenario=scenario, **overrides))
+    done = run_timed(path, tmp_path / "out", warnings)
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr == ("config error: the noise N0 B_i of UAV 0 overflows a float, or a "
+                           "received power or its SINR does\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+@pytest.mark.parametrize("warnings", ["error::RuntimeWarning", "ignore"])
+def test_own_link_seconds_that_overflow_exit_3(tmp_path, warnings):
+    # load_bits / eff overflowed on the own links of 12 populated cells: a
+    # RuntimeWarning traceback, or with warnings ignored an exit 0 with inf
+    # for all four s2_hover_* metrics
+    path = write_cfg(tmp_path, fast_text(nx=8, ny=8, scenario=2, n_users=1, load_bits=1.7e308))
+    done = run_timed(path, tmp_path / "out", warnings)
+    assert done.returncode == EXIT_INFEASIBLE
+    assert done.stderr == ("infeasible instance: 12 populated cells have no finite "
+                           "transmission time, first at (312 m, 62 m)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
 @pytest.mark.parametrize("blocked", ["metrics.csv", "trace_s2_base.csv"])
 def test_a_directory_at_a_target_name_moves_no_file(tmp_path, capsys, blocked):
     # the maps and the trace were moved in before os.replace met the
