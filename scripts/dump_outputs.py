@@ -7,15 +7,15 @@ weights, three scenes whose ascent ends at a kink, one fairness sweep whose
 experiment id needs CSV quoting, one sigma sweep whose second hot spot
 underflows on the grid, one hot spot whose peak is subnormal on the grid,
 one lone UAV whose noise underflows to 0 in each scenario, one run that
-asks for more users than an array holds, one scenario-1 fleet whose
-shares no partition meets, one fleet whose received power overflows in
-each scenario, one whose noise overflows and one scenario-2 load whose
-own-link seconds overflow, 87 runs, all with partition maps and ascent
-traces on.  A run that exits non-zero leaves no output directory: the
-scenario-1 kink scene (exit 4), the two hot spots, the two noise
-underflows, the users beyond an array and the three radio-field overflows
-(exit 2), and the unmet shares and the load overflow (exit 3) show in
-exit_codes.txt only.
+asks for more users than an array holds, one scenario-1 run whose users
+cross two of the sampler's blocks, one scenario-1 fleet whose shares no
+partition meets, one fleet whose received power overflows in each
+scenario, one whose noise overflows and one scenario-2 load whose own-link
+seconds overflow, 88 runs, all with partition maps and ascent traces on.
+A run that exits non-zero leaves no output directory: the scenario-1 kink
+scene (exit 4), the two hot spots, the two noise underflows, the users
+beyond an array and the three radio-field overflows (exit 2), and the
+unmet shares and the load overflow (exit 3) show in exit_codes.txt only.
 ascents.txt adds the kernel's own iterates: one line per random ascent of
 seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed both ways, mass_tol
 1e-6 and max_iter 1000) giving the seed, the UAV count, mixed, the iteration
@@ -156,6 +156,10 @@ def main(argv=None):
     runs.append(("users_beyond_an_array", ExperimentConfig(
         experiment_id="users_beyond_an_array", scenario="1", nx=6, ny=6, n_seeds=1,
         density_kind="uniform", n_users=10**100, alpha=1e-300, mass_tol=1.0)))
+    # 2100 users per seed: each seed's draws cross two blocks of the sampler
+    runs.append(("users_past_two_blocks", ExperimentConfig(
+        experiment_id="users_past_two_blocks", scenario="1", nx=CONFIG_GRID, ny=CONFIG_GRID,
+        n_seeds=CONFIG_SEEDS, n_users=2100)))
     # UAVs 3 to 6 reach only empty cells, so their shares cannot be met
     runs.append(("unmet_shares", ExperimentConfig(
         experiment_id="unmet_shares", scenario="1", n_uavs=7, bandwidth=1000.0,

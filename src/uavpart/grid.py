@@ -83,15 +83,6 @@ class AreaGrid:
         m.setflags(write=False)
         return m
 
-    @cached_property
-    def cell_cdf(self):
-        """Cumulative cell mass scaled to end at exactly 1, for inverse-CDF
-        sampling."""
-        c = np.cumsum(self.cell_mass)
-        c /= c[-1]
-        c.setflags(write=False)
-        return c
-
 
 def _centers(n, length):
     """Read-only midpoints of n equal cells along [0, length]."""

@@ -199,14 +199,17 @@ def _lower_envelope(rows, best):
         np.minimum(best, row, out=best)
 
 
-def _finite_spread(costs):
+def _finite_spread(costs, row):
     """max - min over the finite entries of costs, -inf when there are none,
-    one row at a time."""
+    one row at a time with row as scratch: c * 0 + c is c where c is finite
+    and NaN elsewhere, which fmax and fmin skip."""
     hi, lo = -np.inf, np.inf
-    for c in costs:
-        finite = np.isfinite(c)
-        hi = max(hi, float(c.max(where=finite, initial=-np.inf)))
-        lo = min(lo, float(c.min(where=finite, initial=np.inf)))
+    with np.errstate(invalid="ignore"):
+        for c in costs:
+            np.multiply(c, 0.0, out=row)
+            row += c
+            hi = max(hi, float(np.fmax.reduce(row, initial=-np.inf)))
+            lo = min(lo, float(np.fmin.reduce(row, initial=np.inf)))
     return hi - lo
 
 
@@ -319,7 +322,7 @@ class _Ascent:
             self.free = np.isfinite(1.0 / curvature)
         self.kept, self.spare, self.row = (np.empty(costs.shape[1]) for _ in range(3))
         self.runner = np.empty(costs.shape[1], dtype=np.min_scalar_type(max(len(costs) - 1, 0)))
-        self.first_step = max(_finite_spread(costs), float(np.abs(psi).max(initial=0.0)))
+        self.first_step = max(_finite_spread(costs, self.row), float(np.abs(psi).max(initial=0.0)))
         if not self.first_step > 0:
             self.first_step = 1.0
         self.bands = self.first_step * 2.0 ** -np.arange(BAND_LEVELS)

@@ -265,9 +265,10 @@ def min_norm_point_reference(points):
 
 def sample_cells_reference(grid, n_users, seed):
     """One seed's users' cells: that seed's own generator's draws, each
-    located by an unsorted search of the cell CDF."""
-    return np.searchsorted(grid.cell_cdf, np.random.default_rng(seed).random(n_users),
-                           side="right")
+    located by an unsorted search of the cell CDF scaled to end at 1."""
+    cdf = np.cumsum(grid.cell_mass)
+    cdf /= cdf[-1]
+    return np.searchsorted(cdf, np.random.default_rng(seed).random(n_users), side="right")
 
 
 def jain_reference(values):

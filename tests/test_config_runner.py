@@ -520,6 +520,23 @@ def test_scenario2_point_reads_its_own_links_twice(monkeypatch, tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
+def test_cli_scenario1_run_never_imports_numpy_random(tmp_path):
+    # the users are drawn from uavpart's own PCG64 stream, so a run that
+    # samples them loads none of numpy.random's extension modules
+    path = write_cfg(tmp_path, fast_text(scenario=1, n_seeds=4))
+    check = ("import sys; from uavpart.cli import main; code = main(sys.argv[1:]); "
+             "print(sorted(m for m in sys.modules if m.startswith('numpy.random'))); "
+             "sys.exit(code)")
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-c", check, "run", path, "--out", str(out)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    seeds = {row["seed"] for row in read_metrics(out) if row["metric"] == "s1_jain_proposed"}
+    assert seeds == {"0", "1", "2", "3"}
+
+
 def test_cli_overflowing_load_is_infeasible(tmp_path, capsys):
     # every cell's transmission time overflows to inf: no cell can be served
     path = write_cfg(tmp_path, fast_text(scenario=2, load_bits=1e308))

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from uavpart.grid import AreaGrid, truncated_gaussian, uniform_density
 from uavpart.metrics import (
+    DRAW_BLOCK,
     UserSample,
+    _cell_cdf,
+    _pcg64_doubles,
     jain_index,
     sample_users,
     service_per_user,
@@ -138,8 +141,8 @@ def test_sampling_positions_inside_cells():
     ids=["gaussian", "empty_ends"],
 )
 def test_sampling_matches_inverse_cdf_oracle(grid, seed):
-    # the per-call formula the cached grid.cell_cdf replaced: same draws,
-    # same cells, so every Jain value computed from them stays the same
+    # the per-call formula sample_users searches: same draws, same cells,
+    # so every Jain value computed from them stays the same
     cdf = np.cumsum(grid.cell_mass)
     cdf /= cdf[-1]
     draws = np.random.default_rng(seed).random(777)
@@ -170,14 +173,70 @@ def test_batched_jain_matches_per_seed_loop():
     assert got.tolist() == per_seed_jain(grid, 300, range(50), service)
 
 
-def test_cell_cdf_read_only_and_ends_at_one():
+def test_sampled_cdf_never_decreases_and_ends_at_one():
     grid = truncated_gaussian(1000.0, 1000.0, 20, 20, 250.0, 330.0, 300.0, 300.0)
-    cdf = grid.cell_cdf
+    cdf = _cell_cdf(grid)
     assert cdf[-1] == 1.0
     assert np.all(np.diff(cdf) >= 0)
-    assert grid.cell_cdf is cdf
-    with pytest.raises(ValueError):
-        cdf[0] = 0.5
+
+
+# each seed's stream: (seed, {position: float.hex of its draw}), positions on
+# both sides of the first two block edges; these bytes hold whatever NumPy's
+# Generator does
+GOLDEN_DRAWS = [
+    (0, {0: "0x1.461fd79fb3850p-1", 1023: "0x1.af0a889da320ap-1", 1024: "0x1.ac0fcb975d36ap-2",
+         2047: "0x1.e9e506a0b4a54p-2", 2048: "0x1.1cb36455f0ae4p-2",
+         2999: "0x1.33bdc6fcf0802p-2"}),
+    (1, {0: "0x1.060d7be6f245cp-1", 1023: "0x1.35f8d0d4b0898p-2", 1024: "0x1.80fcd815653b3p-1",
+         2047: "0x1.b0a2b91cd9905p-1", 2048: "0x1.a61034e9b515cp-2",
+         2999: "0x1.3a7cc38a7d580p-8"}),
+    (2**32, {0: "0x1.c78bd7c50b582p-1", 1023: "0x1.8a36199f5e6cep-1",
+             1024: "0x1.701f042972687p-1", 2047: "0x1.441aadc3895f2p-2",
+             2048: "0x1.4227ed7abdcd0p-4", 2999: "0x1.c4b805ae08076p-1"}),
+    (2**63 - 1, {0: "0x1.675ac88b7d938p-3", 1023: "0x1.0863933045556p-2",
+                 1024: "0x1.51326b6b00ce5p-1", 2047: "0x1.1407c461365bdp-1",
+                 2048: "0x1.c9f36eff31540p-3", 2999: "0x1.3778b2d9c3b28p-1"}),
+]
+
+
+@pytest.mark.parametrize("together", [False, True], ids=["alone", "together"])
+def test_stream_matches_golden_draws(together):
+    seeds = [seed for seed, _ in GOLDEN_DRAWS]
+    if together:
+        draws = np.empty((len(seeds), 3000))
+        _pcg64_doubles(seeds, draws)
+    else:
+        draws = []
+        for seed in seeds:
+            row = np.empty((1, 3000))
+            _pcg64_doubles([seed], row)
+            draws.append(row[0])
+    for row, (_, golden) in zip(draws, GOLDEN_DRAWS):
+        assert {k: float(row[k]).hex() for k in golden} == golden
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.one_of(st.integers(0, 2**128 - 1), st.integers(2**128, 2**300)),
+                   min_size=1, max_size=60),
+    n=st.one_of(st.integers(1, 3 * DRAW_BLOCK + 2),
+                st.sampled_from([DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK,
+                                 2 * DRAW_BLOCK + 1])),
+)
+def test_stream_is_default_rng_bit_for_bit(seeds, n):
+    draws = np.empty((len(seeds), n))
+    _pcg64_doubles(seeds, draws)
+    for seed, row in zip(seeds, draws):
+        assert np.array_equal(row, np.random.default_rng(seed).random(n))
+    alone = np.empty((1, n))
+    _pcg64_doubles(seeds[-1:], alone)
+    assert np.array_equal(alone[0], draws[-1])
+
+
+def test_stream_rejects_a_negative_seed():
+    # as default_rng does: a negative seed has no SeedSequence words
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_users(two_cell_grid(), 5, [3, -1])
 
 
 def test_sampling_follows_cell_masses():

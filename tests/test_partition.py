@@ -213,7 +213,7 @@ def test_finite_spread_is_the_masked_reduction(seed, n_uavs, grid_cells, share):
     costs[bad] = rng.choice([np.inf, -np.inf, np.nan], size=int(bad.sum()))
     finite = np.isfinite(costs)
     want = costs.max(where=finite, initial=-np.inf) - costs.min(where=finite, initial=np.inf)
-    got = _finite_spread(costs)
+    got = _finite_spread(costs, np.full(grid_cells, 7.0))  # a scratch row of stale values
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
