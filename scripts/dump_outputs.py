@@ -10,11 +10,13 @@ one lone UAV whose noise underflows to 0 in each scenario, one run that
 asks for more users than an array holds, one scenario-1 run whose users
 cross two of the sampler's blocks, one scenario-1 fleet whose shares no
 partition meets, one fleet whose received power overflows in each
-scenario, one whose noise overflows and one scenario-2 load whose own-link
-seconds overflow, 88 runs, all with partition maps and ascent traces on.
-A run that exits non-zero leaves no output directory: the scenario-1 kink
-scene (exit 4), the two hot spots, the two noise underflows, the users
-beyond an array and the three radio-field overflows (exit 2), and the
+scenario, one whose noise overflows, one scenario-2 load whose own-link
+seconds overflow, one scenario-1 baseline whose per-user service overflows
+and one scenario-2 run with no load whose bandwidth underflows (exit 0),
+90 runs, all with partition maps and ascent traces on.  A run that exits
+non-zero leaves no output directory: the scenario-1 kink scene (exit 4),
+the two hot spots, the two noise underflows, the users beyond an array,
+the three radio-field overflows and the service overflow (exit 2), and the
 unmet shares and the load overflow (exit 3) show in exit_codes.txt only.
 ascents.txt adds the kernel's own iterates: one line per random ascent of
 seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed both ways, mass_tol
@@ -176,6 +178,15 @@ def main(argv=None):
     runs.append(("load_overflow_s2", ExperimentConfig(
         experiment_id="load_overflow_s2", scenario="2", nx=8, ny=8, n_seeds=1, n_users=1,
         load_bits=1.7e308)))
+    # the Voronoi baseline's per-user scale B_i T_i / (N a_i) overflows
+    runs.append(("service_overflow_s1", ExperimentConfig(
+        experiment_id="service_overflow_s1", scenario="1", nx=9, ny=9, n_uavs=2, n_users=5,
+        n_seeds=1, sigma_x=30.0, sigma_y=100.0, mu_x=1170.0, mu_y=-130.0, bandwidth=5e4,
+        max_hover=1e226, mass_tol=1.0)))
+    # no load where B_i eff_ic underflows to 0: 0 s on every usable link
+    runs.append(("zero_load_s2", ExperimentConfig(
+        experiment_id="zero_load_s2", scenario="2", density_kind="uniform", nx=8, ny=8,
+        n_seeds=1, load_bits=0.0, bandwidth=5e-324)))
     codes = []
     for rel, cfg in runs:
         cfg = replace(cfg, write_partitions=True, trace=True)

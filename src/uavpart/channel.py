@@ -196,30 +196,6 @@ def _per_uav(value, n_uavs, name, positive=False):
     return value
 
 
-def _mirror_view(built, key, dx2, dy2):
-    """The (ny, nx) power of a UAV in built, flipped by [::±1, ::±1] so that
-    it is the power of the UAV with key and offsets dx2 and dy2, or None.
-    key holds the bits of a UAV's altitude and transmit power, dx2 and dy2
-    its squared column and row offsets: a built UAV with the same key whose
-    offsets equal these, as they are or reversed, hands every element of
-    the path loss chain the same inputs, so its flipped power is the same
-    bit for bit."""
-    for other_key, other_dx2, other_dy2, grid_power in built:
-        if other_key != key:
-            continue
-        flips = []
-        for mine, theirs in ((dy2, other_dy2), (dx2, other_dx2)):
-            if np.array_equal(mine, theirs):
-                flips.append(slice(None))
-            elif np.array_equal(mine, theirs[::-1]):
-                flips.append(slice(None, None, -1))
-            else:
-                break
-        else:
-            return grid_power[tuple(flips)]
-    return None
-
-
 def _link_layers(grid, uavs, params, spare):
     """Received power and SINR of every UAV-to-cell link, the two layers of
     one float64 (2, n_uavs, n_cells) block.
@@ -227,9 +203,9 @@ def _link_layers(grid, uavs, params, spare):
     Each UAV's path loss is built in its row of the power layer, with its
     rows of the SINR layer and of spare, a float (n_uavs, n_cells) array
     this overwrites, as scratch, and turned into received power in place,
-    unless an earlier UAV mirrors it (_mirror_view): its power row is then
-    copied through the flipped view.  The SINR is then worked in its own
-    layer, divided one way whatever the noise.
+    unless a UAV built before it mirrors it: its power row is then copied.
+    The SINR is then worked in its own layer, divided one way whatever the
+    noise.
 
     The arithmetic runs with its float warnings off, and its result is
     checked once: each UAV's noise N0 B_i and SINR, and the received power
@@ -243,19 +219,25 @@ def _link_layers(grid, uavs, params, spare):
     power, sinr = links
     x, y = grid.column_x, grid.row_y[:, None]
     shape = (grid.ny, grid.nx)
-    built = []
+    built = {}
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for u, *rows in zip(uavs, power, sinr, spare):
             grid_power = rows[0].reshape(shape)
             key = np.array([u.altitude, u.power], dtype=float).tobytes()
-            dx2, dy2 = (grid.column_x - u.x) ** 2, (grid.row_y - u.y) ** 2
-            mirror = _mirror_view(built, key, dx2, dy2)
-            if mirror is not None:
-                np.copyto(grid_power, mirror)
-                continue
-            loss = _path_loss_in(u, x, y, params, *(row.reshape(shape) for row in rows))
-            np.divide(u.power, loss, out=loss)
-            built.append((key, dx2, dy2, grid_power))
+            dy2, dx2 = (grid.row_y - u.y) ** 2, (grid.column_x - u.x) ** 2
+            # the chain reads only the bits of a UAV's altitude and power and
+            # of its squared row and column offsets: a UAV built with these
+            # offsets flipped [::sy, ::sx] had the same inputs at every
+            # element, so its power flipped back is this UAV's, bit for bit
+            for sy, sx in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                mirror = built.get((key, dy2[::sy].tobytes(), dx2[::sx].tobytes()))
+                if mirror is not None:
+                    np.copyto(grid_power, mirror[::sy, ::sx])
+                    break
+            else:
+                loss = _path_loss_in(u, x, y, params, *(row.reshape(shape) for row in rows))
+                np.divide(u.power, loss, out=loss)
+                built[key, dy2.tobytes(), dx2.tobytes()] = grid_power
         noise = params.noise_w_per_hz * np.array([u.bandwidth for u in uavs], dtype=float)
         total = power.sum(axis=0)
         # sinr = power / (beta * (total - power) + noise), built in its layer
@@ -286,31 +268,24 @@ def compute_radio_field(grid, uavs, params):
     n_cells) array.  Each UAV's path loss is worked in its rows of the block
     and of spectral_eff, so no (ny, nx) temporary is made.
 
-    A UAV's path loss depends only on its squared column offsets (x_c -
-    x_i)^2, its squared row offsets (y_r - y_i)^2, its altitude and its
-    transmit power.  Before a UAV's path loss is built, its nx + ny squared
-    offsets are compared with those of each UAV already built with the same
-    altitude and power bits; when both vectors equal that UAV's, as they
-    are or reversed, its power row is copied from that UAV's (ny, nx) power
-    through the matching [::±1, ::±1] view.  Every element of the chain then
-    had the same inputs, so the copy is bit for bit what the chain would
-    give, and it allocates nothing.  place_uavs_grid puts fleets on block
-    centroids that mirror one another: the default 5 UAVs build 3 path
-    losses, 4 UAVs build 1.  Recomputing power and sinr on first read reuses
-    rows the same way.
+    A UAV that mirrors one built before it, with the same altitude and
+    power, copies that UAV's power row instead of building its own path
+    loss (see _link_layers): place_uavs_grid puts fleets on block centroids
+    that mirror one another, so the default 5 UAVs build 3 path losses and
+    4 UAVs build 1.  Recomputing power and sinr on first read copies rows
+    the same way.
 
     glibc sets its mmap threshold to the largest mmapped block freed so far
     and trims the heap top only past twice that.  A process's first scene
     mmaps the block; later scenes of its size carve it from the heap top,
     and as nothing that outlives it is allocated above it, it falls back
-    into the free top when freed.  So a process that runs scene after scene (a sweep,
-    scripts/run_figures.py, the benchmark) keeps reusing its heap instead of
-    handing it back and faulting it in again: a 400 x 400 scene of both
-    scenarios (perfbench's maps-fine) peaks at 28.7 MB of heap and ends with
-    22.7 MB free at the top, under its 25.6 MB trim threshold, and a
-    steady-state pass of each perfbench workload takes 0 minor faults, where
-    hover-sweep took 1,859 when the field kept all three layers; see
-    BENCH_32.json.  One scene alone in a fresh process still faults its
+    into the free top when freed.  So a process that runs scene after scene
+    (a sweep, scripts/run_figures.py, the benchmark) keeps reusing its heap
+    instead of handing it back and faulting it in again: a 400 x 400 scene
+    of both scenarios (perfbench's maps-fine) peaks at 28.7 MB of heap and
+    ends with 22.7 MB free at the top, under its 25.6 MB trim threshold, and
+    a steady-state pass of each perfbench workload takes 0 minor faults
+    (BENCH_32.json).  One scene alone in a fresh process still faults its
     memory in once.
 
     The field checks its own output once, in _link_layers: ValueError names

@@ -33,10 +33,7 @@ class AreaGrid:
     density: np.ndarray
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("area dimensions must be positive")
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid must have at least one cell per axis")
+        _check_shape(self.width, self.height, self.nx, self.ny)
         f = np.ascontiguousarray(self.density, dtype=float)
         if f.shape != (self.nx * self.ny,):
             raise ValueError(
@@ -84,6 +81,17 @@ class AreaGrid:
         return m
 
 
+def _check_shape(width, height, nx, ny):
+    """Raise ValueError unless the grid has a cell per axis and the area's
+    sides are positive with a finite, non-zero cell area, the factor of
+    AreaGrid's integral: every grid constructor runs this before any other
+    arithmetic on the area."""
+    if nx < 1 or ny < 1:
+        raise ValueError("grid must have at least one cell per axis")
+    if not (width > 0 and height > 0 and 0.0 < (width / nx) * (height / ny) < math.inf):
+        raise ValueError("area dimensions must be positive with a finite, non-zero cell area")
+
+
 def _centers(n, length):
     """Read-only midpoints of n equal cells along [0, length]."""
     c = (np.arange(n) + 0.5) * (length / n)
@@ -93,6 +101,7 @@ def _centers(n, length):
 
 def uniform_density(width, height, nx, ny):
     """Grid with a constant density 1 / (width * height)."""
+    _check_shape(width, height, nx, ny)
     f = np.full(nx * ny, 1.0 / (width * height))
     return AreaGrid(width, height, nx, ny, f)
 
@@ -114,14 +123,15 @@ def truncated_gaussian(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
     rule integrates to exactly 1 on this grid.  The mean may lie outside the
     area; a cell whose squared offset overflows gets zero density.
 
-    Raises ValueError when check_sigma does and when the kernel's peak times
-    min(cell area, 1) is not a normal float.  Passing that, the kernel sum S
-    and S * cell area, by which the kernel is divided, are normal floats, so
-    the density integrates to 1; a subnormal S * cell area carries fewer
-    than 53 bits and fails AreaGrid's check.  Since subtraction and exp are
-    monotone, the peak is exp(max(col) - min(row)), found in O(nx + ny) work
-    before the (ny, nx) kernel is built.
+    Raises ValueError when the grid's shape rule or check_sigma does, and
+    when the kernel's peak times min(cell area, 1) is not a normal float.
+    Passing that, the kernel sum S and S * cell area, by which the kernel is
+    divided, are normal floats, so the density integrates to 1; a subnormal
+    S * cell area carries fewer than 53 bits and fails AreaGrid's check.
+    Since subtraction and exp are monotone, the peak is exp(max(col) -
+    min(row)), found in O(nx + ny) work before the (ny, nx) kernel is built.
     """
+    _check_shape(width, height, nx, ny)
     check_sigma(sigma_x, sigma_y)
     cell_area = (width / nx) * (height / ny)
     with np.errstate(over="ignore"):

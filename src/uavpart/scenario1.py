@@ -103,11 +103,19 @@ def dual_value(grid, costs, psi, shares):  # probed by perfbench as scenario1.du
 
 def _service_field(radio, part, scale):
     """Each cell's bits per user on its own link, scale_i * eff_ic for the
-    cell's UAV i, zero on unassigned cells; scale is per UAV in Hz * s."""
+    cell's UAV i, zero on unassigned cells; scale is per UAV in Hz * s.
+
+    The field checks itself once, with one max over the cells: ValueError
+    names the first UAV whose per-user service is not finite, because its
+    scale or a product scale_i * eff_ic overflows a float."""
     cells, uavs, eff = own_links(part, radio.spectral_eff)
     service = np.zeros(part.assignment.size)
-    service[cells] = np.multiply(eff, scale[uavs], out=eff)
-    return service
+    with np.errstate(over="ignore", invalid="ignore"):
+        service[cells] = np.multiply(eff, scale[uavs], out=eff)
+    if np.isfinite(service.max()):  # max propagates NaN and inf alike
+        return service
+    raise ValueError(f"the per-user service of UAV {uavs[~np.isfinite(eff)].min()} "
+                     "overflows a float")
 
 
 @dataclass(frozen=True)
@@ -179,6 +187,7 @@ def service_field_for_partition(grid, part, radio, budgets, alpha, n_users):
     alpha = _per_uav(alpha, radio.n_uavs, "control weight alpha")
     a = part.masses
     serve = np.maximum(tau - alpha * (n_users * a) ** 2, 0.0)
-    scale = np.divide(radio.bandwidths * serve, n_users * a, out=np.zeros(radio.n_uavs),
-                      where=a > 0)
+    with np.errstate(over="ignore"):  # _service_field names a scale that overflows
+        scale = np.divide(radio.bandwidths * serve, n_users * a, out=np.zeros(radio.n_uavs),
+                          where=a > 0)
     return _service_field(radio, part, scale)

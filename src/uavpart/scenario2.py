@@ -90,12 +90,15 @@ def marginal_hover_cost(radio, load_bits, n_users):
     """Per-cell cost of adding the cell to each UAV at zero mass, where the
     control-time slope is zero: the transmission seconds N load / (B_i eff_ic)
     for the cell's users.  +inf below the SINR floor."""
+    demand = n_users * load_bits
+    if demand == 0:  # no load takes 0 s on every usable link, even where B_i eff_ic is 0
+        return np.where(radio.feasible_by_uav, 0.0, np.inf)
     # one (n_uavs, n_cells) buffer worked in place: scenario 2 peaks in here
     cost = np.where(radio.feasible_by_uav, radio.spectral_eff, 1.0)
     cost *= radio.bandwidths[:, None]
     # a tiny B_i eff_ic leaves +inf seconds: no finite transmission time
     with np.errstate(over="ignore", divide="ignore"):
-        np.divide(n_users * load_bits, cost, out=cost)
+        np.divide(demand, cost, out=cost)
     cost[~radio.feasible_by_uav] = np.inf
     return cost
 

@@ -367,6 +367,28 @@ def test_mirrored_uavs_build_their_path_loss_once(monkeypatch, n_uavs, built):
     assert len(calls) == built
 
 
+@pytest.mark.parametrize("powers, built", [((0.0, -0.0), 2), ((0.0, 0.0), 1)])
+def test_mirror_key_is_the_bits_of_the_power(monkeypatch, powers, built):
+    # the UAVs mirror each other across the vertical midline; 0.0 and -0.0
+    # are equal as floats, so a key that compared floats would copy the
+    # first UAV's +0.0 row to the second, which np.array_equal cannot see
+    grid = uniform_density(1000.0, 1000.0, 8, 4)  # cell centers at 125 m steps
+    fleet = [UavNode(x=250.0, y=500.0, altitude=200.0, power=powers[0]),
+             UavNode(x=750.0, y=500.0, altitude=200.0, power=powers[1])]
+    calls = []
+    path_loss_in = channel_module._path_loss_in
+
+    def counted(*args):
+        calls.append(args[0])
+        return path_loss_in(*args)
+
+    monkeypatch.setattr(channel_module, "_path_loss_in", counted)
+    field = compute_radio_field(grid, fleet, TABLE)
+    assert len(calls) == built
+    for mine, want in zip(field.power, links_uav_by_uav(grid, fleet, TABLE)[0]):
+        assert mine.tobytes() == want.tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 def test_noise_that_underflows_where_nothing_interferes_is_a_value_error():
     # N0 B = 1e-20 * 1e-320 is 0: with beta = 0 nothing interferes, so the

@@ -896,6 +896,36 @@ def test_own_link_seconds_that_overflow_exit_3(tmp_path, warnings):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
 
+@pytest.mark.parametrize("warnings", ["error::RuntimeWarning", "default"])
+def test_service_field_that_overflows_exits_2(tmp_path, warnings):
+    # the Voronoi baseline's scale B_i T_i / (N a_i) overflowed: a
+    # RuntimeWarning traceback, or with warnings shown an exit 0 with
+    # s1_service_total_voronoi = nan
+    path = write_cfg(tmp_path, fast_text(scenario=1, nx=9, ny=9, n_uavs=2, n_users=5,
+                                         n_seeds=1, sigma_x=30, sigma_y=100, mu_x=1170,
+                                         mu_y=-130, bandwidth=5e4, max_hover=1e226, mass_tol=1))
+    done = run_timed(path, tmp_path / "out", warnings)
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr == "config error: the per-user service of UAV 0 overflows a float\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+@pytest.mark.parametrize("warnings", ["error::RuntimeWarning", "default"])
+def test_zero_load_takes_no_time_where_the_bandwidth_underflows(tmp_path, warnings):
+    # 0 / (B_i eff_ic) was 0 / 0 = nan where B_i eff_ic underflows to 0: a
+    # RuntimeWarning traceback, or with warnings shown an exit 2 with
+    # "costs must not contain NaN or -inf"
+    rows = []
+    for bandwidth in (5e-324, 1e6):
+        path = write_cfg(tmp_path, fast_text(scenario=2, density_kind="uniform", nx=8, ny=8,
+                                             n_seeds=1, load_bits=0, bandwidth=bandwidth))
+        out = tmp_path / f"out_{bandwidth}"
+        done = run_timed(path, out, warnings)
+        assert (done.returncode, done.stderr) == (0, "")
+        rows.append(read_metrics(out))
+    assert rows[0] == rows[1]
+
+
 @pytest.mark.parametrize("blocked", ["metrics.csv", "trace_s2_base.csv"])
 def test_a_directory_at_a_target_name_moves_no_file(tmp_path, capsys, blocked):
     # the maps and the trace were moved in before os.replace met the

@@ -192,6 +192,27 @@ def test_rejects_bad_density():
             truncated_gaussian(1000.0, 1000.0, 4, 4, 0.0, 0.0, 100.0, sigma)
 
 
+AREA_RULE = "^area dimensions must be positive with a finite, non-zero cell area$"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build, args, message", [
+    (uniform_density, (0.0, 1.0, 2, 2), AREA_RULE),
+    (uniform_density, (1e-200, 1e-200, 2, 2), AREA_RULE),  # the cell area underflows to 0
+    (uniform_density, (1e200, 1e200, 2, 2), AREA_RULE),  # the cell area overflows
+    (uniform_density, (math.inf, 1.0, 2, 2), AREA_RULE),
+    (truncated_gaussian, (-1.0, math.inf, 2, 2, 0.5, 0.5, 1.0, 1.0), AREA_RULE),
+    (truncated_gaussian, (1.0, 1.0, 0, 2, 0.5, 0.5, 1.0, 1.0),
+     "^grid must have at least one cell per axis$"),
+])
+def test_grid_constructors_reject_a_degenerate_area(build, args, message):
+    # the first two raised ZeroDivisionError, and the next three warned
+    # "invalid value encountered in scalar multiply" before the grid's rule
+    # ran; the last divided by nx = 0
+    with pytest.raises(ValueError, match=message):
+        build(*args)
+
+
 @pytest.mark.filterwarnings("error")
 def test_gaussian_far_mean_underflows_quietly():
     # squared offsets overflow to inf: zero density everywhere, no warning
