@@ -198,25 +198,21 @@ def _check_fields(cfg):
     """Check one sweep point, whose float fields validate_config has found
     finite, against the range rules that need no scene, and return it.
 
-    Its own ranges come first; then the grid's sigma rule (check_sigma),
-    which a uniform density that reads no sigma is held to as well; then the
-    per-UAV rules (_per_uav) of the hover budget, alpha and the control
-    price.  The rules of the grid, the hot spot, the fleet and the channel
-    run where run_experiment builds the point's scene."""
-    grid_ok = cfg.nx >= 1 and cfg.ny >= 1
-    # a cell's density can reach 1 / cell area, so that must be finite
-    cell_area = (cfg.width / cfg.nx) * (cfg.height / cfg.ny) if grid_ok else math.nan
+    Its own ranges come first, the sides' finite squares among them; then
+    the grid's sigma rule (check_sigma), which a uniform density that reads
+    no sigma is held to as well; then the per-UAV rules (_per_uav) of the
+    hover budget, alpha and the control price.  The rules of the grid (its
+    shape and cell area), the hot spot, the fleet and the channel run where
+    run_experiment builds the point's scene."""
     checks = [
-        (grid_ok, "grid must be at least 1x1"),
-        (cfg.width > 0 and cfg.height > 0
-         and cfg.width * cfg.width < math.inf and cfg.height * cfg.height < math.inf
-         and cell_area > 0 and 1.0 / cell_area < math.inf,
-         "area dimensions must be positive with finite squares and a cell area "
-         "with a finite reciprocal"),
+        # no stage owns this: an overflowing square reaches the radio field
+        (cfg.width * cfg.width < math.inf and cfg.height * cfg.height < math.inf,
+         "area width and height must have finite squares"),
         (cfg.density_kind in DENSITY_KINDS, f"density_kind must be one of {DENSITY_KINDS}"),
         (cfg.scenario in SCENARIOS, f"scenario must be one of {SCENARIOS}"),
-        # before build_uavs makes a list of the fleet
-        (not grid_ok or cfg.n_uavs <= cfg.nx * cfg.ny,
+        # before build_uavs makes a list of the fleet; an empty grid fails
+        # the grid's own rule
+        (cfg.nx < 1 or cfg.ny < 1 or cfg.n_uavs <= cfg.nx * cfg.ny,
          "n_uavs must be at most nx * ny, the number of grid cells"),
         (cfg.n_users >= 1, "need at least one user"),
         # the control price needs N^2; an int square is exact, a float one

@@ -84,12 +84,17 @@ class AreaGrid:
 def _check_shape(width, height, nx, ny):
     """Raise ValueError unless the grid has a cell per axis and the area's
     sides are positive with a finite, non-zero cell area, the factor of
-    AreaGrid's integral: every grid constructor runs this before any other
-    arithmetic on the area."""
+    AreaGrid's integral, whose reciprocal is finite too, since a cell's
+    density can reach 1 / cell area, and return that cell area: every grid
+    constructor runs this before any other arithmetic on the area."""
     if nx < 1 or ny < 1:
-        raise ValueError("grid must have at least one cell per axis")
-    if not (width > 0 and height > 0 and 0.0 < (width / nx) * (height / ny) < math.inf):
+        raise ValueError("grid must be at least 1x1")
+    cell_area = (width / nx) * (height / ny) if width > 0 and height > 0 else 0.0
+    if not 0.0 < cell_area < math.inf:
         raise ValueError("area dimensions must be positive with a finite, non-zero cell area")
+    if not 1.0 / cell_area < math.inf:
+        raise ValueError("cell area must have a finite reciprocal")
+    return cell_area
 
 
 def _centers(n, length):
@@ -100,8 +105,11 @@ def _centers(n, length):
 
 
 def uniform_density(width, height, nx, ny):
-    """Grid with a constant density 1 / (width * height)."""
+    """Grid with a constant density 1 / (width * height), an area that must
+    be a finite float."""
     _check_shape(width, height, nx, ny)
+    if not width * height < math.inf:
+        raise ValueError("area width * height must be finite")
     f = np.full(nx * ny, 1.0 / (width * height))
     return AreaGrid(width, height, nx, ny, f)
 
@@ -131,9 +139,8 @@ def truncated_gaussian(width, height, nx, ny, mu_x, mu_y, sigma_x, sigma_y):
     Since subtraction and exp are monotone, the peak is exp(max(col) -
     min(row)), found in O(nx + ny) work before the (ny, nx) kernel is built.
     """
-    _check_shape(width, height, nx, ny)
+    cell_area = _check_shape(width, height, nx, ny)
     check_sigma(sigma_x, sigma_y)
-    cell_area = (width / nx) * (height / ny)
     with np.errstate(over="ignore"):
         col = -((_centers(nx, width) - mu_x) ** 2) / (2.0 * sigma_x**2)
         row = ((_centers(ny, height) - mu_y) ** 2) / (2.0 * sigma_y**2)

@@ -182,7 +182,7 @@ def test_rejects_bad_density():
     with pytest.raises(ValueError):
         AreaGrid(-1.0, 1000.0, 2, 2, np.full(4, 1e-6))
     for nx, ny in ((0, 2), (2, 0), (-1, -1)):
-        with pytest.raises(ValueError, match="^grid must have at least one cell per axis$"):
+        with pytest.raises(ValueError, match="^grid must be at least 1x1$"):
             AreaGrid(1000.0, 1000.0, nx, ny, np.zeros(0))
     with pytest.raises(ValueError):
         truncated_gaussian(1000.0, 1000.0, 4, 4, 0.0, 0.0, -5.0, 100.0)
@@ -203,12 +203,18 @@ AREA_RULE = "^area dimensions must be positive with a finite, non-zero cell area
     (uniform_density, (math.inf, 1.0, 2, 2), AREA_RULE),
     (truncated_gaussian, (-1.0, math.inf, 2, 2, 0.5, 0.5, 1.0, 1.0), AREA_RULE),
     (truncated_gaussian, (1.0, 1.0, 0, 2, 0.5, 0.5, 1.0, 1.0),
-     "^grid must have at least one cell per axis$"),
+     "^grid must be at least 1x1$"),
+    # subnormal cell areas, whose density 1 / cell area overflows
+    (uniform_density, (1e-155, 1e-155, 1, 1), "^cell area must have a finite reciprocal$"),
+    (uniform_density, (3e-155, 3e-155, 1, 1), "^cell area must have a finite reciprocal$"),
+    # a finite cell area, but width * height overflows
+    (uniform_density, (1.5e154, 1.5e154, 2, 2), r"^area width \* height must be finite$"),
 ])
 def test_grid_constructors_reject_a_degenerate_area(build, args, message):
     # the first two raised ZeroDivisionError, and the next three warned
     # "invalid value encountered in scalar multiply" before the grid's rule
-    # ran; the last divided by nx = 0
+    # ran; the sixth divided by nx = 0; the next two said "density must be
+    # finite and non-negative" and the last "density integrates to 0.0, not 1"
     with pytest.raises(ValueError, match=message):
         build(*args)
 
