@@ -78,8 +78,7 @@ def _pcg64_doubles(seeds, out):
     steps on from the block's start s, A_j s + C_j inc with the jump table's
     A_j = a**j and C_j = sum_{i<j} a**i, for DRAW_BLOCK steps at a time and
     as many seeds as fit a DRAW_TILE tile; the next block starts from the
-    block's last state.  The first block starts one step earlier, at the
-    seeded state before default_rng's seeding step.
+    block's last state, and the first from the seeded state.
     """
     state, inc = _seed_states(seeds)
     n = out.shape[1]
@@ -89,12 +88,10 @@ def _pcg64_doubles(seeds, out):
         rows = slice(first, first + group)
         s = (state[0][rows, None], state[1][rows, None])
         i = (inc[0][rows, None], inc[1][rows, None])
-        skip = 1  # the seeding step
         for start in range(0, n, DRAW_BLOCK):
-            j = slice(skip, skip + min(DRAW_BLOCK, n - start))
+            j = slice(0, min(DRAW_BLOCK, n - start))
             hi, lo = _affine((a_hi[j], a_lo[j]), (c_hi[j], c_lo[j]), s, i)
             s = (hi[:, -1:].copy(), lo[:, -1:].copy())
-            skip = 0
             x, rot = np.bitwise_xor(lo, hi, out=lo), np.right_shift(hi, 58, out=hi)
             x = (x >> rot) | (x << ((64 - rot) & 63))  # rotate right by rot
             x >>= 11
@@ -102,10 +99,11 @@ def _pcg64_doubles(seeds, out):
 
 
 def _seed_states(seeds):
-    """Each seed's PCG64 state before default_rng(seed)'s seeding step and
-    its increment, as (hi, lo) pairs of uint64 arrays: the
+    """Each seed's PCG64 state as default_rng(seed) leaves it and its
+    increment, as (hi, lo) pairs of uint64 arrays: the
     SeedSequence(seed).generate_state(4, uint64) words w0..w3 give
-    inc = (w2 w3) << 1 | 1 and the state inc + (w0 w1)."""
+    inc = (w2 w3) << 1 | 1 and s = inc + (w0 w1), and seeding takes one
+    step, to a s + inc."""
     seeds = [operator.index(seed) for seed in seeds]
     if min(seeds, default=0) < 0:
         raise ValueError("seeds must be non-negative")
@@ -131,15 +129,16 @@ def _seed_states(seeds):
     w = out[:, 0::2] | out[:, 1::2] << 32  # w0..w3, each from two little-endian words
     inc = (w[:, 2] << 1 | w[:, 3] >> 63, w[:, 3] << 1 | 1)
     lo = inc[1] + w[:, 1]
-    return (inc[0] + w[:, 0] + (lo < w[:, 1]), lo), inc
+    state = (inc[0] + w[:, 0] + (lo < w[:, 1]), lo)
+    return _affine((PCG_MULT >> 64, PCG_MULT & _M64), (0, 1), state, inc), inc
 
 
 @functools.cache
 def _jump_table():
-    """A_j = a**j and C_j = sum_{i<j} a**i mod 2**128 for j = 1..DRAW_BLOCK + 1,
+    """A_j = a**j and C_j = sum_{i<j} a**i mod 2**128 for j = 1..DRAW_BLOCK,
     as four read-only uint64 rows: A_j's high and low words, then C_j's."""
     power, total, table = 1, 0, []
-    for _ in range(DRAW_BLOCK + 1):
+    for _ in range(DRAW_BLOCK):
         power, total = power * PCG_MULT & _M128, total + power & _M128
         table.append((power >> 64, power & _M64, total >> 64, total & _M64))
     table = np.array(table, dtype=np.uint64).T.copy()
