@@ -11,13 +11,16 @@ asks for more users than an array holds, one scenario-1 run whose users
 cross two of the sampler's blocks, one scenario-1 fleet whose shares no
 partition meets, one fleet whose received power overflows in each
 scenario, one whose noise overflows, one scenario-2 load whose own-link
-seconds overflow, one scenario-1 baseline whose per-user service overflows
-and one scenario-2 run with no load whose bandwidth underflows (exit 0),
-90 runs, all with partition maps and ascent traces on.  A run that exits
+seconds overflow, one scenario-1 baseline whose per-user service overflows,
+one scenario-2 run with no load whose bandwidth underflows and one with no
+load on links of spectral efficiency 0 (both exit 0), one scenario-2
+demand that overflows and one run asking for more seeds than a list holds,
+93 runs, all with partition maps and ascent traces on.  A run that exits
 non-zero leaves no output directory: the scenario-1 kink scene (exit 4),
 the two hot spots, the two noise underflows, the users beyond an array,
-the three radio-field overflows and the service overflow (exit 2), and the
-unmet shares and the load overflow (exit 3) show in exit_codes.txt only.
+the three radio-field overflows, the service overflow and the seeds beyond
+a list (exit 2), and the unmet shares, the load overflow and the demand
+overflow (exit 3) show in exit_codes.txt only.
 ascents.txt adds the kernel's own iterates: one line per random ascent of
 seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed both ways, mass_tol
 1e-6 and max_iter 1000) giving the seed, the UAV count, mixed, the iteration
@@ -187,6 +190,19 @@ def main(argv=None):
     runs.append(("zero_load_s2", ExperimentConfig(
         experiment_id="zero_load_s2", scenario="2", density_kind="uniform", nx=8, ny=8,
         n_seeds=1, load_bits=0.0, bandwidth=5e-324)))
+    # the demand N load = 1e9 * 1e300 overflows: no finite time at any rate
+    runs.append(("demand_overflow_s2", ExperimentConfig(
+        experiment_id="demand_overflow_s2", scenario="2", nx=8, ny=8, n_seeds=1,
+        n_users=10**9, load_bits=1e300, bandwidth=1e308, noise_dbm_per_hz=-3000.0,
+        power=1e300, beta=0.0)))
+    # no load on 52 own links whose spectral efficiency is 0: 0 s there too
+    runs.append(("zero_load_zero_rate_s2", ExperimentConfig(
+        experiment_id="zero_load_zero_rate_s2", scenario="2", width=1e6, height=1e6,
+        nx=8, ny=8, density_kind="uniform", n_uavs=1, power=1e-13, sinr_threshold_db=-300.0,
+        load_bits=0.0, beta=0.0, n_seeds=1)))
+    # CPython refuses a list of 2**62 per-seed rows before it asks for memory
+    runs.append(("seeds_beyond_a_list", ExperimentConfig(
+        experiment_id="seeds_beyond_a_list", nx=8, ny=8, n_seeds=2**62)))
     codes = []
     for rel, cfg in runs:
         cfg = replace(cfg, write_partitions=True, trace=True)

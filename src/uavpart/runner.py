@@ -155,13 +155,18 @@ def _write_run(cfg, points, out_dir):
 
     Each point's grid, fleet and channel are built here, so the rules they
     own run once, in their own constructors; their ValueError, like the
-    solvers', reaches run_experiment as a config error."""
+    solvers', reaches run_experiment as a config error.  So does an n_seeds
+    too long for the list of per-seed rows, before any point is solved."""
     lines = []
+    try:  # each seed's own rows, none until scenario 1 scores the seeds
+        no_rows = [[]] * cfg.n_seeds
+    except MemoryError:
+        raise ValueError(f"cannot list the rows of n_seeds = {cfg.n_seeds} seeds") from None
     for point, sweep_value, cur in points:
         grid, uavs, channel = build_grid(cur), build_uavs(cur), build_channel(cur)
         radio = compute_radio_field(grid, uavs, channel)
         baseline = weighted_voronoi(grid, radio)  # best-signal baseline of both scenarios
-        shared, per_seed = [], [[]] * cfg.n_seeds
+        shared, per_seed = [], no_rows
         if cur.scenario in ("1", "both"):
             shared, per_seed = _scenario1_rows(cur, grid, radio, baseline, point, out_dir)
         if cur.scenario in ("2", "both"):

@@ -40,12 +40,12 @@ class HoverReport:
 
 
 def _link_seconds(grid, part, radio, load_bits, alpha, n_users):
-    """The UAV and the mass of each served cell, load_bits / spectral
-    efficiency on its own link (the seconds one of its users needs on 1 Hz,
-    0 on an empty cell, which takes no time) and the control time alpha_i
-    (N a_i)^2 of each region.  Raises InfeasibleError naming the lowest UAV
-    that serves a cell below its SINR floor, or the populated cells whose
-    seconds are not finite."""
+    """The UAV and the mass of each served cell, load_bits over the spectral
+    efficiency of its own link by _seconds' rule (the seconds one of its
+    users needs on 1 Hz, 0 on an empty cell, which takes no time) and the
+    control time alpha_i (N a_i)^2 of each region.  Raises InfeasibleError
+    naming the lowest UAV that serves a cell below its SINR floor, or the
+    populated cells whose seconds are not finite."""
     if part.assignment.shape != (grid.n_cells,):
         raise ValueError("partition must cover every grid cell")
     alpha = _per_uav(alpha, part.n_uavs, "control weight alpha")
@@ -55,9 +55,7 @@ def _link_seconds(grid, part, radio, load_bits, alpha, n_users):
             f"region of UAV {uavs[~usable].min()} contains cells below its SINR floor"
         )
     mass = grid.cell_mass[cells]
-    # a load too large for eff_ic, or eff_ic = 0, leaves +inf seconds
-    with np.errstate(over="ignore", divide="ignore"):
-        seconds = np.divide(load_bits, eff, out=eff)
+    seconds = _seconds(load_bits, eff)
     seconds[mass == 0] = 0.0  # empty cells take no time, so no inf * 0 reaches the sums
     _no_dead_cells(grid, cells[~np.isfinite(seconds)])
     control = alpha * (n_users * part.masses) ** 2
@@ -89,18 +87,27 @@ def region_hover_report(grid, part, radio, load_bits, alpha, n_users):
 def marginal_hover_cost(radio, load_bits, n_users):
     """Per-cell cost of adding the cell to each UAV at zero mass, where the
     control-time slope is zero: the transmission seconds N load / (B_i eff_ic)
-    for the cell's users.  +inf below the SINR floor."""
-    demand = n_users * load_bits
-    if demand == 0:  # no load takes 0 s on every usable link, even where B_i eff_ic is 0
-        return np.where(radio.feasible_by_uav, 0.0, np.inf)
+    for the cell's users, by _seconds' rule.  +inf below the SINR floor."""
     # one (n_uavs, n_cells) buffer worked in place: scenario 2 peaks in here
     cost = np.where(radio.feasible_by_uav, radio.spectral_eff, 1.0)
-    cost *= radio.bandwidths[:, None]
-    # a tiny B_i eff_ic leaves +inf seconds: no finite transmission time
-    with np.errstate(over="ignore", divide="ignore"):
-        np.divide(demand, cost, out=cost)
+    with np.errstate(over="ignore"):  # a rate beyond a float sends any finite load in 0 s
+        cost *= radio.bandwidths[:, None]
+    _seconds(n_users * load_bits, cost)
     cost[~radio.feasible_by_uav] = np.inf
     return cost
+
+
+def _seconds(bits, rate):
+    """The seconds that sending bits takes at each rate, written over the
+    rate array and returned: 0 for no bits, even at rate 0; +inf at every
+    rate for bits beyond a float; else bits / rate, +inf where the rate is 0
+    or the quotient overflows.  Never NaN."""
+    if not 0 < bits < np.inf:
+        rate.fill(0.0 if bits == 0 else np.inf)
+    else:
+        with np.errstate(over="ignore", divide="ignore"):
+            np.divide(bits, rate, out=rate)
+    return rate
 
 
 def _least_time_masses(grid, seconds):

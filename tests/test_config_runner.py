@@ -926,6 +926,66 @@ def test_zero_load_takes_no_time_where_the_bandwidth_underflows(tmp_path, warnin
     assert rows[0] == rows[1]
 
 
+@pytest.mark.parametrize("warnings", ["error::RuntimeWarning", "default"])
+def test_demand_beyond_a_float_exits_3(tmp_path, warnings):
+    # N load = 1e9 * 1e300 overflows: cost *= B_i warned on overflow and the
+    # divide gave inf / inf = nan, a RuntimeWarning traceback, or with
+    # warnings shown an exit 2 with "costs must not contain NaN or -inf"
+    path = write_cfg(tmp_path, fast_text(nx=8, ny=8, scenario=2, n_seeds=1, n_users=10**9,
+                                         load_bits=1e300, bandwidth=1e308,
+                                         noise_dbm_per_hz=-3000, power=1e300, beta=0))
+    done = run_timed(path, tmp_path / "out", warnings)
+    assert done.returncode == EXIT_INFEASIBLE
+    assert done.stderr == ("infeasible instance: 64 populated cells have no finite "
+                           "transmission time, first at (62 m, 62 m)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+@pytest.mark.parametrize("warnings", ["error::RuntimeWarning", "default"])
+def test_zero_load_takes_no_time_at_a_zero_spectral_efficiency(tmp_path, warnings):
+    # the report's load_bits / eff was 0 / 0 = nan on 52 own links with
+    # eff = 0, where the solver's field gave 0 s: a RuntimeWarning
+    # traceback, or with warnings shown an exit 3 naming 52 cells
+    path = write_cfg(tmp_path, fast_text(width=1e6, height=1e6, nx=8, ny=8,
+                                         density_kind="uniform", n_uavs=1, power=1e-13,
+                                         sinr_threshold_db=-300, load_bits=0, beta=0,
+                                         scenario=2, n_seeds=1))
+    out = tmp_path / "out"
+    done = run_timed(path, out, warnings)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    hover = {row["metric"]: float(row["value"]) for row in read_metrics(out)
+             if row["metric"].startswith("s2_hover_")}
+    # one UAV serves every user: control time alone, alpha N^2
+    assert hover == dict.fromkeys(hover, 0.01 * 300**2) and len(hover) == 4
+
+
+@pytest.mark.parametrize("warnings", ["error::RuntimeWarning", "default"])
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_n_seeds_beyond_a_list_exits_2(tmp_path, scenario, warnings):
+    # [[]] * n_seeds raised a bare MemoryError, a traceback; CPython refuses
+    # a list of 2**62 entries before it asks for any memory
+    path = write_cfg(tmp_path, fast_text(nx=8, ny=8, scenario=scenario, n_seeds=2**62))
+    done = run_timed(path, tmp_path / "out", warnings)
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr == f"config error: cannot list the rows of n_seeds = {2**62} seeds\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"nx": 0}, "grid must be at least 1x1"),
+    ({"width": 0}, "area dimensions must be positive with a finite, non-zero cell area"),
+], ids=["empty_grid", "zero_width"])
+def test_load_config_reads_a_grid_that_the_run_rejects(tmp_path, capsys, overrides, message):
+    # the grid's rules are its own: the config read holds them to nothing,
+    # and the run exits 2 with the grid's one line when it builds the grid
+    path = write_cfg(tmp_path, fast_text(**overrides))
+    key, value = next(iter(overrides.items()))
+    assert getattr(load_config(path), key) == value
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
 @pytest.mark.parametrize("blocked", ["metrics.csv", "trace_s2_base.csv"])
 def test_a_directory_at_a_target_name_moves_no_file(tmp_path, capsys, blocked):
     # the maps and the trace were moved in before os.replace met the
