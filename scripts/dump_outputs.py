@@ -7,19 +7,20 @@ weights, three scenes whose ascent ends at a kink, one fairness sweep whose
 experiment id needs CSV quoting, one sigma sweep whose second hot spot
 underflows on the grid, one hot spot whose peak is subnormal on the grid,
 one lone UAV whose noise underflows to 0 in each scenario, one run that
-asks for more users than an array holds, one scenario-1 run whose users
-cross two of the sampler's blocks, one scenario-1 fleet whose shares no
-partition meets, one fleet whose received power overflows in each
-scenario, one whose noise overflows, one scenario-2 load whose own-link
-seconds overflow, one scenario-1 baseline whose per-user service overflows,
+asks for more users than an array holds, one scenario-1 run of 2100 users
+per seed, one scenario-1 fleet whose shares no partition meets, one fleet
+whose received power overflows in each scenario, one whose noise
+overflows, one scenario-2 load whose own-link seconds overflow, one scenario-1 baseline whose per-user service overflows,
 one scenario-2 run with no load whose bandwidth underflows and one with no
 load on links of spectral efficiency 0 (both exit 0), one scenario-2
-demand that overflows and one run asking for more seeds than a list holds,
-93 runs, all with partition maps and ascent traces on.  A run that exits
-non-zero leaves no output directory: the scenario-1 kink scene (exit 4),
-the two hot spots, the two noise underflows, the users beyond an array,
-the three radio-field overflows, the service overflow and the seeds beyond
-a list (exit 2), and the unmet shares, the load overflow and the demand
+demand that overflows, one run asking for more seeds than a list holds, two
+scenario-2 ascents whose scale reaches 2**1023 and one scenario-2 equal
+split whose hover time overflows, 96 runs, all with partition maps and
+ascent traces on.  A run that exits non-zero leaves no output directory:
+the scenario-1 kink scene (exit 4), the two hot spots, the two noise
+underflows, the users beyond an array, the three radio-field overflows, the
+service overflow, the seeds beyond a list, the two ascent scales and the
+equal split (exit 2), and the unmet shares, the load overflow and the demand
 overflow (exit 3) show in exit_codes.txt only.
 ascents.txt adds the kernel's own iterates: one line per random ascent of
 seeds 0-299 (random_ascent, with 1 to 5 UAVs and mixed both ways, mass_tol
@@ -161,7 +162,7 @@ def main(argv=None):
     runs.append(("users_beyond_an_array", ExperimentConfig(
         experiment_id="users_beyond_an_array", scenario="1", nx=6, ny=6, n_seeds=1,
         density_kind="uniform", n_users=10**100, alpha=1e-300, mass_tol=1.0)))
-    # 2100 users per seed: each seed's draws cross two blocks of the sampler
+    # 2100 users per seed, more than any other run draws
     runs.append(("users_past_two_blocks", ExperimentConfig(
         experiment_id="users_past_two_blocks", scenario="1", nx=CONFIG_GRID, ny=CONFIG_GRID,
         n_seeds=CONFIG_SEEDS, n_users=2100)))
@@ -203,6 +204,17 @@ def main(argv=None):
     # CPython refuses a list of 2**62 per-seed rows before it asks for memory
     runs.append(("seeds_beyond_a_list", ExperimentConfig(
         experiment_id="seeds_beyond_a_list", nx=8, ny=8, n_seeds=2**62)))
+    # the ascent's scale, the costs' spread or the start's |psi|, reaches
+    # 2**1023, past the step search's power-of-two start
+    for rel, extra in (("ascent_scale_spread_s2", dict(bandwidth=3.7e-300)),
+                       ("ascent_scale_psi_s2", dict(n_uavs=1, alpha=8.5e307))):
+        runs.append((rel, ExperimentConfig(
+            experiment_id=rel, scenario="2", density_kind="uniform", nx=8, ny=8, n_users=1,
+            n_seeds=1, **extra)))
+    # N a_i t_slowest overflows before the equal split divides by B_i
+    runs.append(("equal_split_overflow_s2", ExperimentConfig(
+        experiment_id="equal_split_overflow_s2", scenario="2", nx=8, ny=8, n_seeds=1,
+        load_bits=1e305, bandwidth=1e10)))
     codes = []
     for rel, cfg in runs:
         cfg = replace(cfg, write_partitions=True, trace=True)

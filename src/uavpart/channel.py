@@ -286,7 +286,10 @@ def compute_radio_field(grid, uavs, params):
     ends with 22.7 MB free at the top, under its 25.6 MB trim threshold, and
     a steady-state pass of each perfbench workload takes 0 minor faults
     (BENCH_32.json).  One scene alone in a fresh process still faults its
-    memory in once.
+    memory in once.  So the scratch block is what keeps the heap warm: a
+    field built without it, row by row, lets glibc trim the heap between
+    scenes and takes thousands of minor faults a pass, and
+    tests/test_memory.py holds a steady-state pass to at most 64.
 
     The field checks its own output once, in _link_layers: ValueError names
     the first UAV whose noise N0 B_i, received power or SINR is not a

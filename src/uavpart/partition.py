@@ -325,6 +325,9 @@ class _Ascent:
         self.first_step = max(_finite_spread(costs, self.row), float(np.abs(psi).max(initial=0.0)))
         if not self.first_step > 0:
             self.first_step = 1.0
+        if not self.first_step < 2.0**1023:
+            raise ValueError(f"the ascent's scale {self.first_step:.3e}, the costs' spread or "
+                             "the start's largest |psi|, is not below 2**1023")
         self.bands = self.first_step * 2.0 ** -np.arange(BAND_LEVELS)
         self.step = 2.0 ** int(np.frexp(self.first_step)[1])
         self.dead, self.evals, self.taken, self.failed, self.split = None, 0, 0.0, False, False
@@ -588,8 +591,11 @@ def ascend_dual(grid, costs, psi, shares, curvature, mass_tol, max_iter):
     Returns when the mass-mismatch norm is at most mass_tol, or at a kink no
     rule moves (as on grids too coarse for the masses to meet); the last
     traced mismatch tells the two apart.  Raises ConvergenceError (trace
-    attached) when max_iter runs out, and InfeasibleError when a climb's
-    potentials leave the floats: F is unbounded (_finite_trial)."""
+    attached) when max_iter runs out, InfeasibleError when a climb's
+    potentials leave the floats: F is unbounded (_finite_trial), and
+    ValueError naming the scale when first_step, the larger of the finite
+    costs' spread and the start's largest |psi|, is not below 2**1023, where
+    the step search's power-of-two start would leave the floats."""
     s = _Ascent(grid, costs, psi, shares, curvature)
     f_trace, grad_trace, step_trace = [], [], []
     while True:

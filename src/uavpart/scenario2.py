@@ -74,14 +74,22 @@ def region_hover_report(grid, part, radio, load_bits, alpha, n_users):
     over the region, plus control overhead.  Its equal_split is the report
     under equal bandwidth shares, from the same read of the own links: the
     slowest populated cell sets the finish time, N a_i load / (B_i eff), to
-    which the control overhead is added."""
+    which the control overhead is added.  The report checks itself:
+    ValueError names the first UAV whose hover time under either split is
+    not a finite float."""
     uavs, mass, seconds, control = _link_seconds(grid, part, radio, load_bits, alpha, n_users)
     slowest = np.zeros(part.n_uavs)
     np.maximum.at(slowest, uavs, seconds)
-    equal_split = HoverReport(n_users * part.masses * slowest / radio.bandwidths, control)
-    demand = np.multiply(seconds, mass, out=seconds)
-    sums = np.bincount(uavs, weights=demand, minlength=part.n_uavs)
-    return HoverReport(n_users * sums / radio.bandwidths, control, equal_split)
+    with np.errstate(over="ignore"):  # an overflow is caught by the check below
+        equal_split = HoverReport(n_users * part.masses * slowest / radio.bandwidths, control)
+        demand = np.multiply(seconds, mass, out=seconds)
+        sums = np.bincount(uavs, weights=demand, minlength=part.n_uavs)
+        report = HoverReport(n_users * sums / radio.bandwidths, control, equal_split)
+        finite = np.isfinite(report.hover_times) & np.isfinite(equal_split.hover_times)
+    if not finite.all():
+        raise ValueError(f"the hover time of UAV {np.argmin(finite)} under the optimal or the "
+                         "equal bandwidth split is not a finite float")
+    return report
 
 
 def marginal_hover_cost(radio, load_bits, n_users):

@@ -3,8 +3,9 @@ in-region bandwidth split, the brute-force minimum of total hover time,
 plain per-region loops that weigh and score a partition the way the library
 does, whole-array and UAV-by-UAV forms of the radio field and the shifted
 min-cost pass that the library's in-place kernels must match bit for bit,
-and the one-seed-at-a-time user sampling, Jain scoring and metrics.csv rows
-that the runner's batched seeds must match byte for byte."""
+the user stream drawn one Python int at a time, and the one-seed-at-a-time
+user sampling, Jain scoring and metrics.csv rows that the runner's batched
+seeds must match byte for byte."""
 
 import csv
 import io
@@ -21,6 +22,8 @@ from uavpart.runner import METRICS_HEADER
 from uavpart.scenario2 import HoverReport, region_hover_report
 
 BRUTE_FORCE_LIMIT = 1_000_000
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+M64 = (1 << 64) - 1
 
 
 def region_masses(grid, assignment, n_uavs):
@@ -263,12 +266,32 @@ def min_norm_point_reference(points):
     return scale * best
 
 
+def splitmix64(state):
+    """SplitMix64 (Steele, Lea & Flood 2014) in Python ints, as a generator
+    from a 64-bit state: each output adds the golden gamma to the state and
+    returns the finalizer of the new state."""
+    while True:
+        state = (state + SPLITMIX_GAMMA) & M64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+        yield z ^ (z >> 31)
+
+
+def stream_reference(seed, n):
+    """A seed's first n draws in [0, 1), one at a time: its key is the first
+    output of SplitMix64 from state seed * gamma, and its draws are the top
+    53 bits of SplitMix64's outputs from state key, over 2**53."""
+    key = next(splitmix64(seed * SPLITMIX_GAMMA & M64))
+    outputs = splitmix64(key)
+    return np.array([(next(outputs) >> 11) / 2**53 for _ in range(n)])
+
+
 def sample_cells_reference(grid, n_users, seed):
-    """One seed's users' cells: that seed's own generator's draws, each
-    located by an unsorted search of the cell CDF scaled to end at 1."""
+    """One seed's users' cells: that seed's own stream's draws, each located
+    by an unsorted search of the cell CDF scaled to end at 1."""
     cdf = np.cumsum(grid.cell_mass)
     cdf /= cdf[-1]
-    return np.searchsorted(cdf, np.random.default_rng(seed).random(n_users), side="right")
+    return np.searchsorted(cdf, stream_reference(seed, n_users), side="right")
 
 
 def jain_reference(values):

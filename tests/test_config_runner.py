@@ -521,7 +521,7 @@ def test_scenario2_point_reads_its_own_links_twice(monkeypatch, tmp_path):
 
 @pytest.mark.filterwarnings("error")
 def test_cli_scenario1_run_never_imports_numpy_random(tmp_path):
-    # the users are drawn from uavpart's own PCG64 stream, so a run that
+    # the users are drawn from uavpart's own SplitMix64 stream, so a run that
     # samples them loads none of numpy.random's extension modules
     path = write_cfg(tmp_path, fast_text(scenario=1, n_seeds=4))
     check = ("import sys; from uavpart.cli import main; code = main(sys.argv[1:]); "
@@ -681,16 +681,16 @@ TIGHT_HOT_SPOT = ("[experiment]\nscenario = 1\nmu_x = 166.6667\nmu_y = 250\n"
 @pytest.mark.filterwarnings("error")
 def test_cli_jain_of_an_unserved_sample_is_nan(tmp_path):
     # a tight hot spot overloads one best-signal region, whose serving time
-    # is floored at 0; at seed 2 every sampled user sits in it
+    # is floored at 0; at seed 4 every sampled user sits in it
     path = write_cfg(tmp_path, TIGHT_HOT_SPOT)
     out = tmp_path / "out"
-    assert main(["run", path, "--out", str(out), "--seeds", "3"]) == EXIT_OK
+    assert main(["run", path, "--out", str(out), "--seeds", "5"]) == EXIT_OK
     jain = {(row["seed"], row["metric"]): row["value"]
             for row in read_metrics(out) if row["metric"].startswith("s1_jain_")}
-    assert len(jain) == 6
-    assert jain["2", "s1_jain_voronoi"] == "nan"
+    assert len(jain) == 10
+    assert jain["4", "s1_jain_voronoi"] == "nan"
     for key, value in jain.items():
-        if key != ("2", "s1_jain_voronoi"):
+        if key != ("4", "s1_jain_voronoi"):
             assert 0.0 < float(value) <= 1.0
 
 
@@ -699,9 +699,9 @@ def test_cli_jain_of_an_unserved_sample_is_nan(tmp_path):
 def test_metrics_csv_is_the_per_seed_writer_output(tmp_path, scenario):
     # the runner quotes each point's fields once and writes the seeds' rows
     # as text; the file must be what csv.writer writes row by row, with the
-    # Jain indices of seeds scored one at a time (seed 2's voronoi is nan)
+    # Jain indices of seeds scored one at a time (seed 4's voronoi is nan)
     cfg = replace(load_config(write_cfg(tmp_path, TIGHT_HOT_SPOT)),
-                  experiment_id='tight,"hot" spot', scenario=scenario, n_seeds=3)
+                  experiment_id='tight,"hot" spot', scenario=scenario, n_seeds=5)
     out = tmp_path / "out"
     assert run_experiment(cfg, str(out)) == EXIT_OK
     grid = build_grid(cfg)
@@ -712,7 +712,7 @@ def test_metrics_csv_is_the_per_seed_writer_output(tmp_path, scenario):
                                            cfg.max_hover, cfg.alpha, cfg.n_users)
     jain = [per_seed_jain(grid, cfg.n_users, range(cfg.n_seeds), service)
             for service in (result.service, baseline)]
-    assert np.isnan(jain[1][2])
+    assert np.isnan(jain[1][4])
     per_seed = [[("s1_jain_proposed", p), ("s1_jain_voronoi", v)] for p, v in zip(*jain)]
     shared = [(row["metric"], row["value"]) for row in read_metrics(out)
               if row["seed"] == "0" and not row["metric"].startswith("s1_jain_")]
@@ -968,6 +968,38 @@ def test_n_seeds_beyond_a_list_exits_2(tmp_path, scenario, warnings):
     done = run_timed(path, tmp_path / "out", warnings)
     assert done.returncode == EXIT_CONFIG
     assert done.stderr == f"config error: cannot list the rows of n_seeds = {2**62} seeds\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+@pytest.mark.parametrize("warnings", ["error::RuntimeWarning", "default"])
+@pytest.mark.parametrize("overrides, scale", [
+    ({"bandwidth": 3.7e-300}, "1.785e+308"),
+    ({"n_uavs": 1, "alpha": 8.5e307}, "1.700e+308"),
+], ids=["cost_spread", "start_psi"])
+def test_ascent_scale_past_2_to_1023_exits_2(tmp_path, overrides, scale, warnings):
+    # the step search's start 2.0 ** int(frexp(first_step)[1]) raised
+    # OverflowError once the costs' spread (first) or the start's |psi|
+    # (second) reached 2**1023: a traceback in both warning modes
+    path = write_cfg(tmp_path, fast_text(scenario=2, density_kind="uniform", nx=8, ny=8,
+                                         n_users=1, n_seeds=1, **overrides))
+    done = run_timed(path, tmp_path / "out", warnings)
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr == (f"config error: the ascent's scale {scale}, the costs' spread or "
+                           "the start's largest |psi|, is not below 2**1023\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+@pytest.mark.parametrize("warnings", ["error::RuntimeWarning", "default"])
+def test_equal_split_that_overflows_exits_2(tmp_path, warnings):
+    # N a_i t_slowest overflowed before the divide by B_i: a RuntimeWarning
+    # traceback, or with warnings shown an exit 0 with both
+    # s2_hover_*_eqbw = inf beside finite optimal-split totals
+    path = write_cfg(tmp_path, fast_text(nx=8, ny=8, scenario=2, n_seeds=1, load_bits=1e305,
+                                         bandwidth=1e10))
+    done = run_timed(path, tmp_path / "out", warnings)
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr == ("config error: the hover time of UAV 4 under the optimal or the "
+                           "equal bandwidth split is not a finite float\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
 

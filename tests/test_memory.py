@@ -2,12 +2,19 @@
 read with tracemalloc: the radio field keeps one float (n_uavs, n_cells)
 array and holds little beyond it and its scratch, the dual ascent works in
 three float64 and six one-byte n_cells-length arrays, and a run of both
-scenarios stays under four float (n_uavs, n_cells) arrays."""
+scenarios stays under four float (n_uavs, n_cells) arrays.  A process that
+runs scene after scene reuses its heap: the second pass faults no memory
+in."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from uavpart import channel
 from uavpart.channel import _link_layers, compute_radio_field
@@ -21,6 +28,22 @@ CFG = replace(ExperimentConfig(), nx=120, ny=100, n_uavs=8)
 GRID, UAVS, PARAMS = build_grid(CFG), build_uavs(CFG), build_channel(CFG)
 N = GRID.n_cells
 SLACK = 64 * 1024  # small arrays and interpreter objects
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the default scene in each scenario, twice, in one process; prints the minor
+# page faults of the second pass
+TWO_PASSES = """
+import resource, sys
+from dataclasses import replace
+from uavpart.config import ExperimentConfig
+from uavpart.runner import EXIT_OK, run_experiment
+
+for rep in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for scenario in ("1", "2", "both"):
+        cfg = replace(ExperimentConfig(), scenario=scenario, n_seeds=3)
+        assert run_experiment(cfg, out_dir=f"{sys.argv[1]}/{rep}_{scenario}") == EXIT_OK
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 def traced_peak(fn):
@@ -105,3 +128,15 @@ def test_ascent_allocates_less_than_one_cost_array():
     # the minimum, a trial minimum and a row; the claim's codes, the last
     # codes, its free, claimed and lower masks, and the runner-up UAVs
     assert peak <= 3 * N * 8 + 6 * N + SLACK
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's heap and ru_minflt")
+def test_second_pass_of_scenes_faults_no_memory_in(tmp_path):
+    # the radio field's scratch block keeps glibc from trimming the heap
+    # between scenes (see compute_radio_field); a field built row by row
+    # without it took thousands of minor faults on the second pass
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", TWO_PASSES,
+                           str(tmp_path)], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 64

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from uavpart.grid import AreaGrid, truncated_gaussian, uniform_density
 from uavpart.metrics import (
-    DRAW_BLOCK,
     UserSample,
     _cell_cdf,
-    _pcg64_doubles,
+    _splitmix64_doubles,
     jain_index,
     sample_users,
     service_per_user,
@@ -18,7 +17,14 @@ from uavpart.metrics import (
 )
 from uavpart.partition import INFEASIBLE, Partition, own_links
 
-from oracles import jain_reference, per_seed_jain, region_masses, sample_cells_reference
+from oracles import (
+    jain_reference,
+    per_seed_jain,
+    region_masses,
+    sample_cells_reference,
+    splitmix64,
+    stream_reference,
+)
 
 
 def per_cell(grid, assignment, field):
@@ -145,7 +151,7 @@ def test_sampling_matches_inverse_cdf_oracle(grid, seed):
     # so every Jain value computed from them stays the same
     cdf = np.cumsum(grid.cell_mass)
     cdf /= cdf[-1]
-    draws = np.random.default_rng(seed).random(777)
+    draws = stream_reference(seed, 777)
     oracle = np.minimum(np.searchsorted(cdf, draws, side="right"), grid.n_cells - 1)
     assert np.array_equal(sample_users(grid, 777, [seed]).cells, [oracle])
 
@@ -180,22 +186,20 @@ def test_sampled_cdf_never_decreases_and_ends_at_one():
     assert np.all(np.diff(cdf) >= 0)
 
 
-# each seed's stream: (seed, {position: float.hex of its draw}), positions on
-# both sides of the first two block edges; these bytes hold whatever NumPy's
-# Generator does
+# each seed's stream: (seed, {position: float.hex of its draw}), from the
+# first seed to the last one the stream takes; these bytes hold whatever
+# NumPy and the oracle do
 GOLDEN_DRAWS = [
-    (0, {0: "0x1.461fd79fb3850p-1", 1023: "0x1.af0a889da320ap-1", 1024: "0x1.ac0fcb975d36ap-2",
-         2047: "0x1.e9e506a0b4a54p-2", 2048: "0x1.1cb36455f0ae4p-2",
-         2999: "0x1.33bdc6fcf0802p-2"}),
-    (1, {0: "0x1.060d7be6f245cp-1", 1023: "0x1.35f8d0d4b0898p-2", 1024: "0x1.80fcd815653b3p-1",
-         2047: "0x1.b0a2b91cd9905p-1", 2048: "0x1.a61034e9b515cp-2",
-         2999: "0x1.3a7cc38a7d580p-8"}),
-    (2**32, {0: "0x1.c78bd7c50b582p-1", 1023: "0x1.8a36199f5e6cep-1",
-             1024: "0x1.701f042972687p-1", 2047: "0x1.441aadc3895f2p-2",
-             2048: "0x1.4227ed7abdcd0p-4", 2999: "0x1.c4b805ae08076p-1"}),
-    (2**63 - 1, {0: "0x1.675ac88b7d938p-3", 1023: "0x1.0863933045556p-2",
-                 1024: "0x1.51326b6b00ce5p-1", 2047: "0x1.1407c461365bdp-1",
-                 2048: "0x1.c9f36eff31540p-3", 2999: "0x1.3778b2d9c3b28p-1"}),
+    (0, {0: "0x1.4e0dba5e9a32fp-1", 1: "0x1.6705460be8829p-1", 777: "0x1.c309357cfb1cap-1",
+         2999: "0x1.a84db45a89c80p-3"}),
+    (1, {0: "0x1.1adcf9e7c30dep-2", 1: "0x1.ba193e31e8664p-3", 777: "0x1.ffb83ec1d423cp-3",
+         2999: "0x1.ef9af1fe2e64cp-1"}),
+    (2**32, {0: "0x1.8619035447a82p-2", 1: "0x1.10b00e5892f59p-1",
+             777: "0x1.39a63b1e37c35p-1", 2999: "0x1.3b1d2ba10d2a4p-3"}),
+    (2**63 - 1, {0: "0x1.a42226b867f90p-2", 1: "0x1.ed7e3b602cb2ep-1",
+                 777: "0x1.3a15fe21b29bcp-3", 2999: "0x1.4c0efe58ec9d0p-4"}),
+    (2**64 - 1, {0: "0x1.c4415072f63b9p-1", 1: "0x1.b9e279aa86e58p-2",
+                 777: "0x1.98df07398d5e8p-2", 2999: "0x1.dc8e017a54b55p-1"}),
 ]
 
 
@@ -204,39 +208,50 @@ def test_stream_matches_golden_draws(together):
     seeds = [seed for seed, _ in GOLDEN_DRAWS]
     if together:
         draws = np.empty((len(seeds), 3000))
-        _pcg64_doubles(seeds, draws)
+        _splitmix64_doubles(seeds, draws)
     else:
         draws = []
         for seed in seeds:
             row = np.empty((1, 3000))
-            _pcg64_doubles([seed], row)
+            _splitmix64_doubles([seed], row)
             draws.append(row[0])
     for row, (_, golden) in zip(draws, GOLDEN_DRAWS):
         assert {k: float(row[k]).hex() for k in golden} == golden
 
 
+def test_oracle_is_splitmix64():
+    # the published first outputs of SplitMix64 from state 0
+    outputs = splitmix64(0)
+    assert [next(outputs) for _ in range(6)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+        0xF88BB8A8724C81EC, 0x1B39896A51A8749B, 0x53CB9F0C747EA2EA]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    seeds=st.lists(st.one_of(st.integers(0, 2**128 - 1), st.integers(2**128, 2**300)),
+    seeds=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**63, 2**64 - 1])),
                    min_size=1, max_size=60),
-    n=st.one_of(st.integers(1, 3 * DRAW_BLOCK + 2),
-                st.sampled_from([DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK,
-                                 2 * DRAW_BLOCK + 1])),
+    n=st.integers(1, 2048),
 )
-def test_stream_is_default_rng_bit_for_bit(seeds, n):
+def test_stream_is_splitmix64_bit_for_bit(seeds, n):
     draws = np.empty((len(seeds), n))
-    _pcg64_doubles(seeds, draws)
+    _splitmix64_doubles(seeds, draws)
     for seed, row in zip(seeds, draws):
-        assert np.array_equal(row, np.random.default_rng(seed).random(n))
+        assert np.array_equal(row, stream_reference(seed, n))
     alone = np.empty((1, n))
-    _pcg64_doubles(seeds[-1:], alone)
+    _splitmix64_doubles(seeds[-1:], alone)
     assert np.array_equal(alone[0], draws[-1])
 
 
 def test_stream_rejects_a_negative_seed():
-    # as default_rng does: a negative seed has no SeedSequence words
     with pytest.raises(ValueError, match="non-negative"):
         sample_users(two_cell_grid(), 5, [3, -1])
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**200], ids=["2**64", "2**200"])
+def test_stream_rejects_a_seed_past_64_bits(seed):
+    with pytest.raises(ValueError, match=r"below 2\*\*64"):
+        sample_users(two_cell_grid(), 5, [3, seed])
 
 
 def test_sampling_follows_cell_masses():
