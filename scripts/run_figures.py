@@ -32,7 +32,7 @@ HEADLINE = (
 
 def summarize(metrics_path):
     groups = defaultdict(list)
-    with open(metrics_path, newline="") as fh:
+    with open(metrics_path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             if row["metric"] in HEADLINE:
                 groups[(row["sweep_value"], row["metric"])].append(float(row["value"]))

@@ -32,7 +32,10 @@ class ChannelParams:
     mu_los and mu_nlos are linear excess-loss factors (>= 1), beta scales the
     co-channel interference between 0 (orthogonal bands) and 1 (full reuse),
     and sinr_threshold is the linear SINR floor below which a link cannot
-    serve a user.
+    serve a user.  ValueError unless the carrier frequency is positive with
+    a reference loss (4 pi f / c)^2 that neither overflows nor underflows,
+    the loss factors are >= 1, b1, b2, the noise density and the floor are
+    positive, and beta lies in [0, 1].
     """
 
     carrier_hz: float = 2.0e9
@@ -72,7 +75,11 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class UavNode:
-    """One hovering base station: position, altitude and radio budget."""
+    """One hovering base station: position, altitude and radio budget.
+
+    ValueError unless the altitude is positive with a square that neither
+    overflows nor underflows to 0, the power is non-negative and the
+    bandwidth positive."""
 
     x: float
     y: float

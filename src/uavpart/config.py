@@ -104,14 +104,16 @@ def load_config(path):
 
     Section names are ignored; keys must match config fields, and a
     [provenance] section is skipped so a manifest can be rerun directly.
-    Values are read literally, with no % interpolation.  Raises ConfigError
-    on unknown keys or bad values.
+    Values are read literally, with no % interpolation, and the file as
+    UTF-8 whatever the locale, as the runner writes manifest.ini.  Raises
+    ConfigError on a file that cannot be opened or decoded, on unknown keys
+    or on bad values.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
@@ -144,13 +146,13 @@ def validate_config(cfg):
     field one finite real number, every int field one whole number that is
     not a bool, every bool field True or False, and every text field,
     experiment_id and out_dir among them, one line (str.splitlines) with no
-    surrounding whitespace that UTF-8 can encode; out_dir, a path, holds no
-    NUL either.  Then the sweep's own rules: its values finite, sweep_var
-    known, the values non-empty and distinct as printed, since points that
-    print the same would share their outputs.  Then _check_fields runs once
-    on each point: on the config only when nothing is swept, so the value a
-    sweep replaces is read by no run and held to no range.  Raises
-    ConfigError on the first rule broken.
+    surrounding whitespace that UTF-8 can encode; out_dir, a path, is not
+    empty and holds no NUL either.  Then the sweep's own rules: its values
+    finite, sweep_var known, the values non-empty and distinct as printed,
+    since points that print the same would share their outputs.  Then
+    _check_fields runs once on each point: on the config only when nothing
+    is swept, so the value a sweep replaces is read by no run and held to no
+    range.  Raises ConfigError on the first rule broken.
 
     The rules of the grid, the fleet and the channel (AreaGrid,
     truncated_gaussian, UavNode, ChannelParams) are not checked here: they
@@ -171,7 +173,10 @@ def validate_config(cfg):
         # UTF-8 has no code for a lone surrogate, so no output file or path holds one
         if kind == "str" and any("\ud800" <= c <= "\udfff" for c in value):
             raise ConfigError(f"{name} must be text that UTF-8 can encode")
-        # no path the operating system opens holds a NUL
+        # an empty path would stage in the working directory's parent; no
+        # path the operating system opens holds a NUL
+        if name == "out_dir" and not value:
+            raise ConfigError("out_dir must not be empty")
         if name == "out_dir" and "\0" in value:
             raise ConfigError("out_dir must hold no NUL character")
     if not all(_finite(v) for v in cfg.sweep_values):
@@ -198,12 +203,16 @@ def _check_fields(cfg):
     """Check one sweep point, whose float fields validate_config has found
     finite, against the range rules that need no scene, and return it.
 
-    Its own ranges come first, the sides' finite squares among them; then
-    the grid's sigma rule (check_sigma), which a uniform density that reads
-    no sigma is held to as well; then the per-UAV rules (_per_uav) of the
-    hover budget, alpha and the control price.  The rules of the grid (its
-    shape and cell area), the hot spot, the fleet and the channel run where
-    run_experiment builds the point's scene."""
+    Its own ranges come first: width and height with finite squares, a
+    known density kind and scenario, n_uavs at most the number of cells, at
+    least one user with n_users squared at most the largest float, a
+    non-negative load, a positive mass_tol, iteration budget and seed count,
+    and n_seeds at most sys.maxsize, the longest list; then the grid's sigma
+    rule (check_sigma), which a uniform density that reads no sigma is held
+    to as well; then the per-UAV rules (_per_uav) of the hover budget, alpha
+    and the control price 2 alpha N^2, in either scenario.  The rules of the
+    grid (its shape and cell area), the hot spot, the fleet and the channel
+    run where run_experiment builds the point's scene."""
     checks = [
         # no stage owns this: an overflowing square reaches the radio field
         (cfg.width * cfg.width < math.inf and cfg.height * cfg.height < math.inf,

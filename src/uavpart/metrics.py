@@ -31,7 +31,9 @@ def sample_users(grid, n_users, seeds):
     and draws lie in [0, 1), so every index is a cell with positive mass.
     All draws are located in one search, taken in sorted order so it walks
     the CDF once.  ValueError names n_users when NumPy cannot shape or
-    allocate the draws, and the seed range when a seed lies outside it.
+    allocate the draws, and the seed range when a seed lies outside it.  On
+    a host that overcommits memory the allocation can succeed, and the
+    process is then killed as the draws fill it.
     """
     if n_users < 1:
         raise ValueError("need at least one user")

@@ -173,10 +173,11 @@ def _write_run(cfg, points, out_dir):
             shared.extend(_scenario2_rows(cur, grid, radio, baseline, point, out_dir))
         lines.extend(_metrics_lines((cfg.experiment_id, cfg.sweep_var, sweep_value),
                                     shared, per_seed))
-    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
+    # UTF-8 in every locale: the id and out_dir are any text UTF-8 encodes
+    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(METRICS_HEADER)
         fh.writelines(lines)
-    with open(os.path.join(out_dir, "manifest.ini"), "w") as fh:
+    with open(os.path.join(out_dir, "manifest.ini"), "w", encoding="utf-8") as fh:
         fh.write(config_to_ini(cfg, provenance={"package": "uavpart", "version": __version__}))
 
 
@@ -198,7 +199,10 @@ def run_experiment(cfg, out_dir=None):
     directory with os.replace, metrics.csv and manifest.ini last, and the
     stage is removed on every way out.  So a run that exits non-zero or
     raises leaves the output directory as it was, and never creates a fresh
-    one.
+    one.  Only a failure while the files are moved in, reported as an
+    unwritable output, can leave part of them moved, and a process killed
+    by a signal leaves its stage behind (never the output directory's
+    files).
 
     0 on success, 2 on a bad config or scene or an unwritable output, 3 when
     an instance is infeasible, 4 when a solver fails to converge (diagnostics

@@ -68,7 +68,7 @@ FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
 
 def write_cfg(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -1065,6 +1065,30 @@ def test_text_that_utf8_cannot_encode_writes_nothing(tmp_path, capsys, field):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_output_bytes_do_not_move_with_the_locale(tmp_path):
+    # in an ASCII locale the config was read, and metrics.csv and
+    # manifest.ini written, in the locale's codec: the run of an id "café"
+    # solved every point, then exited 2 on 'ascii' codec can't encode
+    path = tmp_path / "exp.ini"
+    path.write_bytes(fast_text(experiment_id="caf\xe9", nx=20, ny=20, n_seeds=1,
+                               scenario=1).encode("utf-8"))
+    code = ("import locale, sys; from uavpart.cli import main; "
+            "print(locale.getpreferredencoding(False)); sys.exit(main(sys.argv[1:]))")
+    modes = {"ascii": ("0", {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}), "utf8": ("1", {})}
+    for name, (utf8, env) in modes.items():
+        # the same relative --out, which manifest.ini records, in a directory of its own
+        (tmp_path / name).mkdir()
+        done = subprocess.run([sys.executable, "-X", f"utf8={utf8}", "-c", code, "run", str(path),
+                               "--out", "out"], capture_output=True, text=True, timeout=60,
+                              cwd=tmp_path / name, env=dict(os.environ, PYTHONPATH=str(SRC), **env))
+        assert done.returncode == EXIT_OK, done.stderr
+        assert (done.stdout.strip().lower() == "utf-8") == (name == "utf8")
+    ascii_out, utf8_out = tmp_path / "ascii" / "out", tmp_path / "utf8" / "out"
+    for file in ("metrics.csv", "manifest.ini"):
+        assert (ascii_out / file).read_bytes() == (utf8_out / file).read_bytes()
+    assert (ascii_out / "manifest.ini").read_text("utf-8").count("caf\xe9") == 1
+
+
 def test_validate_config_returns_the_named_points():
     base = replace(ExperimentConfig(), nx=20, ny=20)
     # nothing swept: one point, the config itself, whatever sweep_values holds
@@ -1165,8 +1189,12 @@ def test_text_that_manifest_ini_cannot_write_back_is_rejected(tmp_path, capsys, 
     # would read these back changed, or not at all
     cfg = replace(ExperimentConfig(), nx=20, ny=20, n_seeds=1, scenario="1", **{field: text})
     out = tmp_path / "out"
-    if not text:  # the empty string reads back as written
+    if not text and field == "experiment_id":  # the empty string reads back as written
         assert load_config(write_cfg(tmp_path, config_to_ini(cfg))) == cfg
+        return
+    if not text:  # but names no path: the manifest of such a run is not read back
+        with pytest.raises(ConfigError, match="^out_dir must not be empty$"):
+            load_config(write_cfg(tmp_path, config_to_ini(cfg)))
         return
     assert run_experiment(cfg, str(out)) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -1199,23 +1227,33 @@ def test_int_and_bool_fields_of_another_type_write_nothing(tmp_path, capsys, fie
     assert load_config(write_cfg(tmp_path, config_to_ini(fixed))) == fixed
 
 
-def test_out_dir_holding_a_nul_writes_nothing(tmp_path, capsys):
-    # os.makedirs raised ValueError: embedded null byte, a traceback
-    cfg = replace(ExperimentConfig(), nx=20, ny=20, n_seeds=1, scenario="1",
-                  out_dir=str(tmp_path / "b\x00c"))
-    assert run_experiment(cfg) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: out_dir must hold no NUL character\n"
-    assert list(tmp_path.iterdir()) == []
+def test_out_dir_holding_a_nul_writes_nothing(tmp_path, capsys, monkeypatch):
+    # os.makedirs raised ValueError: embedded null byte, a traceback; an
+    # empty path staged in the working directory's parent, solved every
+    # point and then exited 2 on os.makedirs("")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setattr(runner_module, "_write_run", None)  # no point is solved
+    cfg = replace(ExperimentConfig(), nx=20, ny=20, n_seeds=1, scenario="1")
+    for out_dir, message in ((str(tmp_path / "b\x00c"), "out_dir must hold no NUL character"),
+                             ("", "out_dir must not be empty")):
+        assert run_experiment(replace(cfg, out_dir=out_dir)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == [work]
+        assert list(work.iterdir()) == []
     # an id is no path: one holding a NUL reads back from manifest.ini as written
     named = replace(cfg, out_dir="results", experiment_id="a\x00b")
     assert load_config(write_cfg(tmp_path, config_to_ini(named))) == named
 
 
 def test_run_figures_goes_on_after_a_config_that_fails_to_load(tmp_path, capsys):
-    # the script runs the INIs beside it; the bad one sorts first
+    # the script runs the INIs beside it; the bad ones sort first, and the
+    # file that is not UTF-8 raised UnicodeDecodeError, a traceback
     script = tmp_path / "run_figures.py"
     script.write_text((SCRIPTS / "run_figures.py").read_text())
     write_cfg(tmp_path, fast_text(mass_tol=0), name="a_bad.ini")
+    (tmp_path / "a_not_utf8.ini").write_bytes(b"[e]\nnx = 20\n\xff = 3\n")
     write_cfg(tmp_path, fast_text(nx=20, ny=20, n_seeds=1, scenario=1), name="b_good.ini")
     spec = importlib.util.spec_from_file_location("run_figures_copy", script)
     module = importlib.util.module_from_spec(spec)
@@ -1223,9 +1261,12 @@ def test_run_figures_goes_on_after_a_config_that_fails_to_load(tmp_path, capsys)
     out = tmp_path / "out"
     assert module.main(["--out", str(out)]) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert captured.err == "config error: mass tolerance must be positive\n"
-    assert captured.out.startswith(f"a_bad -> {out / 'a_bad'}\nb_good -> {out / 'b_good'}\n")
-    assert not (out / "a_bad").exists()
+    assert captured.err == ("config error: mass tolerance must be positive\n"
+                            "config error: cannot read config: 'utf-8' codec can't decode byte "
+                            "0xff in position 12: invalid start byte\n")
+    assert captured.out.startswith(f"a_bad -> {out / 'a_bad'}\na_not_utf8 -> "
+                                   f"{out / 'a_not_utf8'}\nb_good -> {out / 'b_good'}\n")
+    assert not (out / "a_bad").exists() and not (out / "a_not_utf8").exists()
     assert {row["seed"] for row in read_metrics(out / "b_good")} == {"0"}
 
 
